@@ -24,7 +24,7 @@ these change records to the awareness event source agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -32,7 +32,6 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -77,7 +76,9 @@ class ContextFieldSpec:
 class ContextSchema:
     """An application-specific context type: a set of field declarations."""
 
-    def __init__(self, name: str, fields: Optional[List[ContextFieldSpec]] = None):
+    def __init__(
+        self, name: str, fields: Optional[List[ContextFieldSpec]] = None
+    ) -> None:
         self.name = name
         self._fields: Dict[str, ContextFieldSpec] = {}
         for spec in fields or []:
@@ -139,7 +140,7 @@ class ContextResource:
         self.context_id = context_id
         self.schema = schema
         self._fields: Dict[str, Any] = {}
-        self._associations: Set[Tuple[str, str]] = set()
+        self._associations: FrozenSet[Tuple[str, str]] = frozenset()
         self._listeners: List[ChangeListener] = []
         self._destroyed = False
 
@@ -154,14 +155,13 @@ class ContextResource:
         return self._destroyed
 
     def associations(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(self._associations)
+        return self._associations
 
     def _associate(self, process_schema_id: str, process_instance_id: str) -> None:
         self._check_alive()
-        self._associations.add((process_schema_id, process_instance_id))
-
-    def _dissociate(self, process_schema_id: str, process_instance_id: str) -> None:
-        self._associations.discard((process_schema_id, process_instance_id))
+        # Rebuilt here only: every change record shares the current
+        # (immutable) set instead of copying it per field write.
+        self._associations |= {(process_schema_id, process_instance_id)}
 
     def _destroy(self) -> None:
         """Mark the context destroyed; scoped roles inside it disappear."""
@@ -195,7 +195,7 @@ class ContextResource:
             time=time,
             context_id=self.context_id,
             context_name=self.name,
-            associations=frozenset(self._associations),
+            associations=self._associations,
             field_name=field_name,
             old_value=old,
             new_value=value,

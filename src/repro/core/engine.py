@@ -49,6 +49,10 @@ class CoreEngine:
         self._instances: Dict[str, ActivityInstance] = {}
         self._top_level: List[ProcessInstance] = []
         self._contexts: Dict[str, ContextResource] = {}
+        # Scope index: instance id -> the contexts associated with it, in
+        # creation order (``_context_rank``); destroyed contexts leave it.
+        self._scopes: Dict[str, List[ContextResource]] = {}
+        self._context_rank: Dict[str, int] = {}
         self._activity_listeners: List[ActivityListener] = []
         self._context_listeners: List[ContextListener] = []
 
@@ -181,7 +185,9 @@ class CoreEngine:
         context = ContextResource(self._ids.new("ctx"), schema)
         context._associate(owner.schema.schema_id, owner.instance_id)
         context.add_listener(self._publish_context_change)
+        self._context_rank[context.context_id] = len(self._contexts)
         self._contexts[context.context_id] = context
+        self._scopes.setdefault(owner.instance_id, []).append(context)
         ref = ContextReference(context, owner.instance_id, self.clock.now)
         owner.hold_context(ref)
         return ref
@@ -197,13 +203,24 @@ class CoreEngine:
         """
         context = ref._resource
         context._associate(subprocess.schema.schema_id, subprocess.instance_id)
+        scope = self._scopes.setdefault(subprocess.instance_id, [])
+        if context not in scope:
+            # An older context may arrive after newer ones: role resolution
+            # takes the first match, so creation order is semantics.
+            scope.append(context)
+            scope.sort(key=lambda c: self._context_rank[c.context_id])
         child_ref = ref.pass_to(subprocess.instance_id)
         subprocess.hold_context(child_ref)
         return child_ref
 
     def destroy_context(self, ref: ContextReference) -> None:
         """Destroy the context; its scoped roles expire immediately."""
-        ref._resource._destroy()
+        context = ref._resource
+        context._destroy()
+        for __, instance_id in context.associations():
+            scope = self._scopes[instance_id]
+            if context in scope:
+                scope.remove(context)
 
     def context_resource(self, context_id: str) -> ContextResource:
         try:
@@ -219,15 +236,8 @@ class CoreEngine:
         The awareness delivery agent uses this to resolve scoped delivery
         roles against the triggering process instance's scope.
         """
-        found = []
-        for context in self._contexts.values():
-            if context.destroyed:
-                continue
-            for __, instance_id in context.associations():
-                if instance_id == process_instance_id:
-                    found.append(context)
-                    break
-        return tuple(found)
+        scope = self._scopes.get(process_instance_id, ())
+        return tuple([c for c in scope if not c.destroyed])
 
     # -- scoped roles -----------------------------------------------------------------
 

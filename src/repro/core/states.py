@@ -91,6 +91,9 @@ class ActivityStateSchema:
         self._transitions: Set[Transition] = set()
         self._outgoing: Dict[str, Set[str]] = {}
         self._initial: Optional[str] = initial_state
+        # Set by validate(), cleared by every mutator: instances re-validate
+        # only a schema that changed since it last passed.
+        self._validated = False
 
     # -- construction -------------------------------------------------------
 
@@ -101,6 +104,7 @@ class ActivityStateSchema:
         transitions is rejected (the schema would violate the leaf-only
         rule); use :meth:`specialize` for that case.
         """
+        self._validated = False
         if name in self._nodes:
             raise StateError(f"duplicate state {name!r} in schema {self.name!r}")
         if parent is not None:
@@ -116,6 +120,7 @@ class ActivityStateSchema:
 
     def add_transition(self, source: str, target: str) -> Transition:
         """Add a leaf-to-leaf transition."""
+        self._validated = False
         source_node = self._node(source)
         target_node = self._node(target)
         if not source_node.is_leaf or not target_node.is_leaf:
@@ -142,6 +147,7 @@ class ActivityStateSchema:
         keeps satisfying the leaf-only transition rule.  Returns the new
         nodes.
         """
+        self._validated = False
         node = self._node(state)
         names = list(substates)
         if not names:
@@ -181,6 +187,7 @@ class ActivityStateSchema:
 
     def set_initial(self, state: str) -> None:
         """Designate the initial state for new instances (must be a leaf)."""
+        self._validated = False
         node = self._node(state)
         if not node.is_leaf:
             raise StateError(f"initial state {state!r} must be a leaf")
@@ -278,6 +285,7 @@ class ActivityStateSchema:
                     raise StateError(
                         f"inconsistent forest around {node.name!r}/{child!r}"
                     )
+        self._validated = True
 
     # -- helpers ------------------------------------------------------------
 
@@ -351,7 +359,8 @@ class StateMachine:
     """
 
     def __init__(self, schema: ActivityStateSchema) -> None:
-        schema.validate()
+        if not schema._validated:
+            schema.validate()
         self._schema = schema
         self._current = schema.initial_state
         self._history: List[StateChange] = []

@@ -152,12 +152,6 @@ class TestChangeEvents:
         ref.set("TaskForceDeadline", 1)
         assert changes[0].time == 9
 
-    def test_dissociate_removes_association(self):
-        context = make_context()
-        context._associate("P", "i1")
-        context._dissociate("P", "i1")
-        assert context.associations() == frozenset()
-
 
 class TestContextProperties:
     @given(

@@ -1,7 +1,10 @@
 """Tests for the CORE engine: registries, instances, contexts, events."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import EnactmentSystem
 from repro.core import (
     ActivityVariable,
     BasicActivitySchema,
@@ -10,13 +13,15 @@ from repro.core import (
     Participant,
     ProcessActivitySchema,
 )
-from repro.core.context import ContextFieldSpec
+from repro.core.context import ContextFieldSpec, ContextResource
 from repro.core.roles import RoleRef
 from repro.errors import (
+    ContextError,
     EnactmentError,
     RoleResolutionError,
     SchemaError,
 )
+from repro.workloads.taskforce import TaskForceApplication
 
 
 def build_process(engine, with_context=False):
@@ -202,3 +207,132 @@ class TestScopedRolesViaEngine:
         alice = engine.roles.register_participant(Participant("u1", "alice"))
         engine.roles.define_role("analyst").add_member(alice)
         assert engine.resolve_role(RoleRef("analyst")) == frozenset({alice})
+
+
+def scan_contexts_for_instance(engine, instance_id):
+    """Reference for the scope index: the scan over every context the
+    engine ever created, in creation order, that the index replaced."""
+    return tuple(
+        context
+        for context in engine._contexts.values()
+        if not context.destroyed
+        and any(i == instance_id for __, i in context.associations())
+    )
+
+
+#: ``(operation, a, b)``; a and b pick instances/contexts modulo the
+#: number that exist when the step runs.
+SCOPE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["create", "share", "destroy", "raw_destroy"]),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=15),
+    ),
+    max_size=24,
+)
+
+
+class TestScopeIndex:
+    """``contexts_for_instance`` reads a per-instance index; it must stay
+    indistinguishable from the scan, order included."""
+
+    @given(steps=SCOPE_STEPS)
+    # An older context shared into an instance that already owns a newer
+    # one of the same name: it must come first.
+    @example(steps=[("create", 0, 0), ("create", 0, 0), ("share", 0, 1)])
+    # Shared twice, destroyed behind the engine's back, destroyed again.
+    @example(
+        steps=[
+            ("create", 0, 0),
+            ("create", 0, 0),
+            ("share", 1, 0),
+            ("share", 1, 0),
+            ("raw_destroy", 1, 0),
+            ("destroy", 1, 0),
+            ("share", 1, 0),
+        ]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_equals_scan_after_every_step(self, steps):
+        engine = CoreEngine()
+        process_schema = build_process(engine, with_context=True)
+        instances = [engine.create_process_instance(process_schema)]
+        for operation, a, b in steps:
+            owner = instances[a % len(instances)]
+            ref = owner.context("Ctx")
+            if operation == "create":
+                instances.append(engine.create_process_instance(process_schema))
+            elif operation == "share":
+                target = instances[b % len(instances)]
+                if ref._resource.destroyed:
+                    with pytest.raises(ContextError):
+                        engine.share_context(ref, target)
+                else:
+                    engine.share_context(ref, target)
+            elif operation == "destroy":
+                engine.destroy_context(ref)
+            else:
+                ref._resource._destroy()
+            for instance in instances:
+                assert engine.contexts_for_instance(
+                    instance.instance_id
+                ) == scan_contexts_for_instance(engine, instance.instance_id)
+
+    def test_older_shared_context_resolves_first(self):
+        """``RoleDirectory.resolve`` takes the first matching context, so
+        the order of the scope is semantics, not presentation."""
+        engine = CoreEngine()
+        alice = engine.roles.register_participant(Participant("u1", "alice"))
+        bob = engine.roles.register_participant(Participant("u2", "bob"))
+        process_schema = build_process(engine, with_context=True)
+        older = engine.create_process_instance(process_schema)
+        newer = engine.create_process_instance(process_schema)
+        engine.create_scoped_role(older.context("Ctx"), "owner", (alice,))
+        engine.create_scoped_role(newer.context("Ctx"), "owner", (bob,))
+        engine.share_context(older.context("Ctx"), newer)
+        assert engine.resolve_role(
+            RoleRef("owner", "Ctx"), newer.instance_id
+        ) == frozenset({alice})
+        engine.destroy_context(older.context("Ctx"))
+        assert engine.resolve_role(
+            RoleRef("owner", "Ctx"), newer.instance_id
+        ) == frozenset({bob})
+        # Destroyed contexts leave the index, not the store.
+        assert engine.context_resource(older.context("Ctx").context_id).destroyed
+
+    @staticmethod
+    def destroyed_reads_for_one_deadline_change(finished, monkeypatch):
+        """Reads of ``ContextResource.destroyed`` during one
+        ``change_task_force_deadline`` on a system that already hosted
+        *finished* task forces (each with a completed request)."""
+        system = EnactmentSystem()
+        member = system.register_participant(Participant("u-a", "a"))
+        system.core.roles.define_role("epidemiologist").add_member(member)
+        app = TaskForceApplication(system)
+        app.install_awareness()
+        for __ in range(finished):
+            force = app.create_task_force(member, [member], 100)
+            app.complete_request(app.request_information(force, member, 80))
+        force = app.create_task_force(member, [member], 100)
+        app.request_information(force, member, 80)
+        viewer = system.awareness.viewer_for(member)
+        before = len(viewer.retrieve())
+        reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ContextResource,
+                "destroyed",
+                property(lambda self: reads.append(1) or self._destroyed),
+            )
+            app.change_task_force_deadline(force, 50)
+        # The scoped delivery did happen: the requestor was notified.
+        assert len(viewer.retrieve()) == before + 1
+        return len(reads)
+
+    def test_scoped_delivery_cost_is_independent_of_history(self, monkeypatch):
+        """A count, not a clock: resolving the requestor touches the
+        contexts in the request's scope, however many the system hosted."""
+        few = self.destroyed_reads_for_one_deadline_change(20, monkeypatch)
+        many = self.destroyed_reads_for_one_deadline_change(400, monkeypatch)
+        assert few > 0
+        assert many == few

@@ -183,6 +183,27 @@ class TestSpecialization:
         assert machine.current_state == "Drafted"
         machine.transition_to(READY, time=1)
 
+    def test_schema_mutated_after_validation_is_rechecked(self):
+        """Instances skip re-validating a schema that already passed, but
+        every mutator re-arms the check."""
+        schema = ActivityStateSchema("s")
+        schema.add_state("A")
+        schema.set_initial("A")
+        StateMachine(schema)
+        schema.add_state("A1", parent="A")  # the initial state is no leaf now
+        with pytest.raises(StateError):
+            StateMachine(schema)
+        for mutate in (
+            lambda s: s.add_state("Extra"),
+            lambda s: s.add_transition(READY, SUSPENDED),
+            lambda s: s.specialize(RUNNING, ["R1"]),
+            lambda s: s.set_initial(READY),
+        ):
+            schema = generic_activity_state_schema()
+            assert schema._validated
+            mutate(schema)
+            assert not schema._validated
+
     def test_is_substate_of_completed_under_closed(self):
         schema = generic_activity_state_schema()
         assert schema.is_substate_of(COMPLETED, CLOSED)

@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 
 from repro import EnactmentSystem, Participant
 from repro.core.engine import CoreEngine
+from repro.core.roles import RoleRef
+from repro.errors import RoleResolutionError
 from repro.federation.journal import (
     Journal,
     RecoveryError,
     attach_journal,
     recover_core,
 )
-from repro.workloads.taskforce import TaskForceApplication
+from repro.workloads.taskforce import (
+    INFO_REQUEST_CONTEXT,
+    REQUESTOR,
+    TASK_FORCE_CONTEXT,
+    TASK_FORCE_MEMBERS,
+    TaskForceApplication,
+)
 
 
 def run_scenario(journal=None):
@@ -127,6 +135,36 @@ class TestRecovery:
             assert len(twin.state_machine.history) == len(
                 original.state_machine.history
             )
+
+    def test_recovered_scopes_resolve_like_the_original(self):
+        """Replay goes through create/share/destroy_context, so the scope
+        index comes back with it: the request process sees the task-force
+        context shared into it, not its own destroyed one."""
+        system, journal = run_scenario()
+        recovered = recover_core(journal)
+        for original in system.core.instances():
+            assert [
+                c.context_id
+                for c in recovered.contexts_for_instance(original.instance_id)
+            ] == [
+                c.context_id
+                for c in system.core.contexts_for_instance(original.instance_id)
+            ]
+        request = next(
+            instance
+            for instance in system.core.instances()
+            if INFO_REQUEST_CONTEXT in getattr(instance, "context_refs", {})
+        )
+        members = RoleRef(TASK_FORCE_MEMBERS, TASK_FORCE_CONTEXT)
+        for core in (system.core, recovered):
+            assert sorted(
+                p.participant_id
+                for p in core.resolve_role(members, request.instance_id)
+            ) == ["u-lead", "u-mem"]
+            with pytest.raises(RoleResolutionError):
+                core.resolve_role(
+                    RoleRef(REQUESTOR, INFO_REQUEST_CONTEXT), request.instance_id
+                )
 
     def test_recovered_engine_continues_running(self):
         """Recovery is not a museum piece: enactment continues on the
