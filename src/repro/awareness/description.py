@@ -12,14 +12,14 @@ schemata of a window, Section 6.2).  :class:`AwarenessDescription` is the
 sub-DAG rooted at one operator — the ``AD_P`` of an awareness schema.
 
 Wiring an edge both records it for validation and connects the live event
-flow: events entering a leaf flow through operator ``consume`` calls to the
+flow: events entering a leaf flow through the operators' linked steps to the
 root.  "Composite events that are output from the root of the DAG are said
 to be composite events *detected* by the composite event specification."
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Set, Tuple, Union
 
 from ..errors import DagValidationError, SlotError
 from ..events.event import Event
@@ -43,7 +43,10 @@ class EventGraph:
         self._operators: List[EventOperator] = []
         #: (source node, target operator, slot)
         self._edges: List[Tuple[Node, EventOperator, int]] = []
-        self._filled_slots: Dict[int, Set[int]] = {}
+        #: The same edges by endpoint (keyed by node identity), so that
+        #: validation and deploy walk a node's edges, not all of them.
+        self._inputs: Dict[int, List[Tuple[Node, int]]] = {}
+        self._outputs: Dict[int, List[EventOperator]] = {}
         #: Live consumer callables this graph installed on (shared)
         #: producers, kept so undeploy can detach them.
         self._producer_links: List[Tuple[EventProducer, Callable[[Event], None]]] = []
@@ -89,8 +92,8 @@ class EventGraph:
                 f"({source.output_type.name}) to slot {slot} of "
                 f"{_node_name(target)!r} (expects {expected.name})"
             )
-        filled = self._filled_slots.setdefault(id(target), set())
-        if slot in filled:
+        inputs = self._inputs.setdefault(id(target), [])
+        if any(filled == slot for __, filled in inputs):
             raise SlotError(
                 f"slot {slot} of {_node_name(target)!r} is already connected"
             )
@@ -99,51 +102,20 @@ class EventGraph:
                 f"edge {_node_name(source)} -> {_node_name(target)} "
                 f"would create a cycle"
             )
-        filled.add(slot)
+        inputs.append((source, slot))
+        self._outputs.setdefault(id(source), []).append(target)
         self._edges.append((source, target, slot))
         if isinstance(source, EventOperator):
             source.add_consumer(target.consume, slot)
         else:
-            # Producer leaves go through the routing index: operators with
-            # a static match key (the filters) are only visited for events
-            # carrying their key; everything else rides the wildcard bucket.
-            self._install_producer_link(source, target, slot)
-
-    def _install_producer_link(
-        self, source: EventProducer, target: EventOperator, slot: int
-    ) -> None:
-        handle = source.add_consumer(
-            lambda event, t=target, s=slot: t.consume(s, event),
-            keys=target.routing_keys(slot),
-        )
-        self._producer_links.append((source, handle))
-
-    def attach_producers(self) -> None:
-        """Re-install the producer leaf links after :meth:`detach_producers`.
-
-        Redeploying a previously undeployed window must rewire its leaves
-        against the shared producers; a no-op while the links from
-        :meth:`connect` are still installed.  Registrations are grouped
-        per producer and installed through one bulk ``add_consumers``
-        call each, so a redeploy invalidates each routing bucket once
-        instead of once per leaf edge.
-        """
-        if self._producer_links:
-            return
-        grouped: Dict[int, Tuple[EventProducer, List[Tuple]]] = {}
-        for source, target, slot in self._edges:
-            if not isinstance(source, EventOperator):
-                __, records = grouped.setdefault(id(source), (source, []))
-                records.append(
-                    (
-                        lambda event, t=target, s=slot: t.consume(s, event),
-                        target.routing_keys(slot),
-                        None,
-                    )
-                )
-        for producer, records in grouped.values():
-            for handle in producer.add_consumers(records):
-                self._producer_links.append((producer, handle))
+            # Producer leaves register the operator's linked step itself,
+            # through the routing index: operators with a static match key
+            # (the filters) are only visited for events carrying their
+            # key; everything else rides the wildcard bucket.
+            handle = source.add_consumer(
+                target.step(slot), keys=target.routing_keys(slot)
+            )
+            self._producer_links.append((source, handle))
 
     def detach_producers(self) -> None:
         """Remove this graph's consumer links from the shared producers.
@@ -170,16 +142,10 @@ class EventGraph:
 
     def upstream(self, operator: EventOperator) -> Tuple[Tuple[Node, int], ...]:
         """The (source, slot) pairs feeding *operator*."""
-        return tuple(
-            (source, slot)
-            for source, target, slot in self._edges
-            if target is operator
-        )
+        return tuple(self._inputs.get(id(operator), ()))
 
     def downstream(self, node: Node) -> Tuple[EventOperator, ...]:
-        return tuple(
-            target for source, target, __ in self._edges if source is node
-        )
+        return tuple(self._outputs.get(id(node), ()))
 
     def roots(self) -> Tuple[EventOperator, ...]:
         """Operators with no outgoing edges (the candidate schema roots)."""

@@ -62,7 +62,6 @@ class AwarenessEngine:
         assignments: Optional[AssignmentRegistry] = None,
         delivery_agent: Optional[DeliveryAgent] = None,
         metrics: Optional[MetricsRegistry] = None,
-        share_plans: bool = True,
     ) -> None:
         self.core = core
         #: All Figure 5 agents owned by this engine register their counters
@@ -90,11 +89,9 @@ class AwarenessEngine:
         #: keeps the ``composites_recognized`` gauge monotonic across
         #: undeploys.
         self._recognized_retired = 0
-        #: The multi-query optimizer: windows deployed through the cache
-        #: share equal operator sub-DAGs.  ``None`` disables sharing (each
-        #: window keeps its private chain — the pre-cache behavior, used
-        #: as the differential/benchmark baseline).
-        self.planner: Optional[PlanCache] = PlanCache() if share_plans else None
+        #: The multi-query optimizer: every window deploys through the
+        #: cache, so equal operator sub-DAGs are shared.
+        self.planner = PlanCache()
         self._external_sources: Dict[str, EventProducer] = {}
         self.metrics.callback_gauge(
             "composites_recognized",
@@ -103,18 +100,16 @@ class AwarenessEngine:
             "Composite events recognized across detector agents, including "
             "detectors since retired",
         )
-        if self.planner is not None:
-            planner = self.planner
-            self.metrics.callback_gauge(
-                "plan_nodes_live",
-                lambda: planner.live_node_count(),
-                "Interned operator nodes live in the shared plan cache",
-            )
-            self.metrics.callback_gauge(
-                "plan_operators_deduped",
-                lambda: planner.operators_deduped,
-                "Deployed operators resolved to an already-interned node",
-            )
+        self.metrics.callback_gauge(
+            "plan_nodes_live",
+            lambda: self.planner.live_node_count(),
+            "Interned operator nodes live in the shared plan cache",
+        )
+        self.metrics.callback_gauge(
+            "plan_operators_deduped",
+            lambda: self.planner.operators_deduped,
+            "Deployed operators resolved to an already-interned node",
+        )
         self.metrics.callback_gauge(
             "undeliverable_events",
             lambda: len(self.delivery.undeliverable),
@@ -159,15 +154,12 @@ class AwarenessEngine:
     def deploy(self, window: SpecificationWindow) -> DetectorAgent:
         """Compile a window into a detector agent feeding delivery.
 
-        With plan sharing (the default) the window is resolved against
-        the engine's :class:`~repro.awareness.planner.PlanCache`:
-        sub-DAGs structurally equal to an already-deployed window's are
-        not instantiated again — the existing shared nodes fan out to
-        this window's output operators, so recognition cost grows with
-        *unique* operators, not deployed windows.  Without sharing the
-        window's authoring-time leaf links (keyed by each operator's
-        :meth:`~repro.awareness.operators.base.EventOperator.routing_keys`)
-        are attached as before.
+        The window is resolved against the engine's
+        :class:`~repro.awareness.planner.PlanCache`: sub-DAGs
+        structurally equal to an already-deployed window's are not
+        instantiated again — the existing shared nodes fan out to this
+        window's output operators, so recognition cost grows with
+        *unique* operators, not deployed windows.
 
         Deploying a window that is already deployed is idempotent: the
         live detector is returned, and nothing is re-attached (a double
@@ -178,16 +170,12 @@ class AwarenessEngine:
         existing = self._deployed.get(id(window))
         if existing is not None:
             return existing
-        if self.planner is not None:
-            window.validate()
-            plan = self.planner.deploy(window)
-            detector = DetectorAgent(
-                window, sink=self.delivery.deliver, detach_hook=plan.detach
-            )
-            detector.plan = plan
-        else:
-            window.graph.attach_producers()
-            detector = DetectorAgent(window, sink=self.delivery.deliver)
+        window.validate()
+        plan = self.planner.deploy(window)
+        detector = DetectorAgent(
+            window, sink=self.delivery.deliver, detach_hook=plan.detach
+        )
+        detector.plan = plan
         self._detectors.append(detector)
         self._deployed[id(window)] = detector
         if _SLOG.enabled:
@@ -197,20 +185,18 @@ class AwarenessEngine:
                 tick=self.core.clock.now(),
                 process=window.process_schema_id,
                 schemas=[schema.name for schema in window.schemas()],
-                shared_operators=(
-                    plan.shared_hits if self.planner is not None else 0
-                ),
+                shared_operators=plan.shared_hits,
             )
         return detector
 
     def undeploy(self, detector: DetectorAgent) -> None:
         """Retire a detector: detach its wiring and drop it from the engine.
 
-        Detaching removes the detector's entries from the producers'
-        routing indexes (and wildcard buckets) — or, under plan sharing,
-        releases its hold on the shared plan, unwiring only the nodes no
-        surviving window references — so no further events are dispatched
-        to the retired window's operators.  The detector's recognition
+        Detaching releases the detector's hold on the shared plan,
+        unwiring only the nodes no surviving window references (their
+        entries leave the producers' routing indexes and wildcard
+        buckets), so no further events are dispatched to the retired
+        window's operators.  The detector's recognition
         count is folded into the engine baseline first, keeping the
         ``composites_recognized`` gauge monotonic.
         """
@@ -245,7 +231,8 @@ class AwarenessEngine:
         undeliverable counts read the collection-time gauges registered in
         :attr:`metrics`.
         """
-        out = {
+        plan_stats = self.planner.stats()
+        return {
             "activity_events_gathered": self.activity_source.gathered,
             "context_events_gathered": self.context_source.gathered,
             "composites_recognized": int(
@@ -255,9 +242,6 @@ class AwarenessEngine:
             "undeliverable_events": int(
                 self.metrics.value("undeliverable_events")
             ),
+            "plan_nodes_live": plan_stats["nodes_live"],
+            "plan_operators_deduped": plan_stats["operators_deduped"],
         }
-        if self.planner is not None:
-            plan_stats = self.planner.stats()
-            out["plan_nodes_live"] = plan_stats["nodes_live"]
-            out["plan_operators_deduped"] = plan_stats["operators_deduped"]
-        return out

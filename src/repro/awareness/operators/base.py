@@ -20,20 +20,36 @@ implemented here once:
   design time; subclass constructors validate them and store them on the
   instance (usually the first parameter is ``P``, the process schema id).
 
-Subclasses implement :meth:`EventOperator._apply`; the framework is an
-event-in/events-out pipeline ("an event operator instance can be thought of
-as a computational pipeline that can produce any number of output events
-for a single input event").
+"An event operator instance can be thought of as a computational pipeline
+that can produce any number of output events for a single input event",
+and the framework links it as one: a family states its algorithm once, as
+a *kernel factory* (:meth:`EventOperator.bind`) that closes over its
+parameters and returns one ``step(event)`` per input slot; each output is
+pushed through ``emit`` straight into the steps of the operators
+downstream.  Producers and upstream operators call a slot's step
+directly (:meth:`EventOperator.step`); ``consume`` is the public door to
+the same step.  Application-specific families may instead implement the
+:meth:`~EventOperator.partition_key` / :meth:`~EventOperator.new_state` /
+:meth:`~EventOperator._apply` hooks, which the default ``bind`` drives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ParameterError, SlotError
 from ...events.event import Event, EventType
 from ...observability import INSTRUMENTATION as _OBS
+
+#: One input slot of a linked operator: feed it an event.
+Step = Callable[[Event], object]
+#: ``emit(output, cause)`` hands one output downstream.  *cause* is the
+#: triggering input event, or the tuple of all constituents when the
+#: output composes several (And, Seq) — provenance links exactly those.
+Emit = Callable[[Event, Any], None]
+Consumer = Callable[[int, Event], object]
 
 
 @dataclass(frozen=True)
@@ -73,24 +89,22 @@ class EventOperator:
         self.process_schema_id = process_schema_id
         self.signature = signature
         self.instance_name = instance_name or f"{self.family}"
+        #: Per-process-instance state.  Kernels hold this very dict, so
+        #: it is only ever mutated in place (snapshot restore included).
         self._partitions: Dict[Any, Any] = {}
         #: Downstream consumers: (callable, slot_index) pairs wired by the
         #: awareness description / detector.
-        self._consumers: List[Tuple[Callable[[int, Event], None], int]] = []
-        #: Parallel batch partners for :meth:`consume_batch`, one per
-        #: `_consumers` record (see :meth:`add_consumer`).
-        self._batch_consumers: List[
-            Tuple[Callable[[int, Sequence[Event]], object], int]
-        ] = []
+        self._consumers: List[Tuple[Consumer, int]] = []
+        #: What ``emit`` calls, one entry per `_consumers` record: the
+        #: consumer's own step when it is another operator's ``consume``,
+        #: the callable with its slot bound otherwise.  Mutated in place —
+        #: a window deployed onto a live shared node is seen at once.
+        self._fanout: List[Step] = []
         self.consumed = 0
         self.produced = 0
-        #: Transient provenance hand-off: multi-input subclasses (And, Seq)
-        #: set this inside `_apply` — guarded by the instrumentation flag —
-        #: to report *all* constituent events of an emission, since their
-        #: partition state is cleared before `_apply` returns.
-        self._constituents: Optional[Tuple[Event, ...]] = None
-        #: Lazily-built, shared attribute dict for this operator's spans.
-        self._span_attrs: Optional[Dict[str, object]] = None
+        #: Where :meth:`consume` collects the outputs it returns.
+        self._tap: Optional[List[Event]] = None
+        self._steps: Optional[Tuple[Step, ...]] = None
 
     # -- wiring -----------------------------------------------------------------
 
@@ -106,36 +120,21 @@ class EventOperator:
     def output_type(self) -> EventType:
         return self.signature.output_type
 
-    def add_consumer(
-        self, consumer: Callable[[int, Event], None], slot: int
-    ) -> None:
+    def add_consumer(self, consumer: Consumer, slot: int) -> None:
         """Wire this operator's output into *slot* of a downstream consumer."""
-        self._consumers.append((consumer, slot))
-        # Batch partner, kept in a parallel list so `consume` never pays a
-        # lookup: when the consumer is another operator's bound `consume`,
-        # a batch of outputs is handed to its `consume_batch` in one call;
-        # anything else (detection collectors, test callables) gets a
-        # per-event unroll wrapper.
         owner = getattr(consumer, "__self__", None)
         if (
             isinstance(owner, EventOperator)
             and getattr(consumer, "__func__", None) is EventOperator.consume
         ):
-            batch: Callable[[int, Sequence[Event]], object] = owner.consume_batch
+            direct = owner.step(slot)
         else:
-
-            def batch(
-                batch_slot: int,
-                events: Sequence[Event],
-                _consumer: Callable[[int, Event], None] = consumer,
-            ) -> None:
-                for event in events:
-                    _consumer(batch_slot, event)
-
-        self._batch_consumers.append((batch, slot))
+            direct = partial(consumer, slot)
+        self._consumers.append((consumer, slot))
+        self._fanout.append(direct)
 
     def remove_consumer(
-        self, consumer: Callable[[int, Event], None], slot: Optional[int] = None
+        self, consumer: Consumer, slot: Optional[int] = None
     ) -> None:
         """Unwire the first consumer equal to *consumer* (on *slot*, if given).
 
@@ -146,7 +145,7 @@ class EventOperator:
         for index, (existing, existing_slot) in enumerate(self._consumers):
             if existing == consumer and (slot is None or existing_slot == slot):
                 del self._consumers[index]
-                del self._batch_consumers[index]
+                del self._fanout[index]
                 return
 
     def reset_consumers(self) -> None:
@@ -157,7 +156,7 @@ class EventOperator:
         replaced by the shared plan's fan-out, installed edge by edge.
         """
         self._consumers.clear()
-        self._batch_consumers.clear()
+        self._fanout.clear()
 
     def plan_params(self) -> Optional[Tuple[Any, ...]]:
         """Hashable design-time parameters for plan sharing, or ``None``.
@@ -188,176 +187,128 @@ class EventOperator:
 
     # -- event flow ---------------------------------------------------------------
 
+    def step(self, slot: int) -> Step:
+        """The linked entry of input *slot*: what producers and upstream
+        operators call, once per event, with nothing in between.
+
+        Linking happens on first use (the subclass constructor has run by
+        then) and never again; later wiring changes reach the steps
+        through :attr:`_fanout`.
+        """
+        self._check_slot(slot)
+        steps = self._steps
+        if steps is None:
+            emit = self._emitter()
+            steps = self._steps = tuple(
+                self._entry(index, kernel)
+                for index, kernel in enumerate(self.bind(emit))
+            )
+        return steps[slot]
+
     def consume(self, slot: int, event: Event) -> List[Event]:
         """Feed *event* into input *slot*; returns (and forwards) outputs."""
-        input_types = self.signature.input_types
-        if not 0 <= slot < len(input_types):
-            self._check_slot(slot)
-        expected = input_types[slot]
-        # Identity fast path: primitive and canonical EventType objects are
-        # module-level/cached singletons, so `is` almost always settles it.
-        received = event.event_type
-        if received is not expected and received.name != expected.name:
-            raise SlotError(
-                f"operator {self.instance_name!r} slot {slot} expects "
-                f"{expected.name!r}, got event of type {event.type_name!r}"
-            )
-        self.consumed += 1
-        key = self.partition_key(slot, event)
-        state = self._partitions.get(key)
-        if state is None:
-            state = self.new_state()
-            self._partitions[key] = state
-        if not _OBS.enabled:
-            outputs = self._apply(slot, event, state)
-            for output in outputs:
-                self.produced += 1
-                for consumer, consumer_slot in self._consumers:
-                    consumer(consumer_slot, output)
-            return outputs
-        # Instrumented tail, inlined (an extra frame per consume is real
-        # money at this call rate): wrap the subclass algorithm and the
-        # downstream forwarding in an ``operator.consume`` span (downstream
-        # consume spans nest under it) and stamp every output with a
-        # provenance node linking it to its constituents.  Constituents
-        # default to the triggering event; multi-input operators override
-        # via :attr:`_constituents`.
-        tracer = _OBS.tracer
-        if tracer._light_depth:
-            # Sampler skipped this trace: bump the depth in place instead
-            # of paying two method calls (see Tracer._light_depth).
-            tracer._light_depth += 1
-            span = None
-        else:
-            attrs = self._span_attrs
-            if attrs is None:
-                attrs = self._span_attrs = {
-                    "node": self.instance_name,
-                    "op": self.family,
-                }
-            span = tracer.begin(
-                "operator.consume", event._params["time"], attrs
-            )
-        try:
-            self._constituents = None
-            outputs = self._apply(slot, event, state)
-            if outputs:
-                constituents = self._constituents
-                if constituents is None:
-                    constituents = (event,)
-                else:
-                    self._constituents = None
-                tracker = _OBS.provenance
-                name = self.instance_name
-                family = self.family
-                for output in outputs:
-                    if output.provenance is None:
-                        tracker.record_operator(
-                            output, name, family, constituents
-                        )
-                    self.produced += 1
-                    for consumer, consumer_slot in self._consumers:
-                        consumer(consumer_slot, output)
-        finally:
-            if span is None:
-                tracer._light_depth -= 1
-            else:
-                tracer.end(span)
-        return outputs
+        return self.consume_batch(slot, (event,))
 
     def consume_batch(self, slot: int, events: Sequence[Event]) -> List[Event]:
-        """Feed a run of events into *slot*; forward outputs as one batch.
-
-        Event-for-event equivalent to calling :meth:`consume` on each
-        element (same type checks, same partition handling, same
-        provenance stamps, outputs concatenated in order) — but the
-        downstream fan-out list is traversed once per batch instead of
-        once per output, and operator consumers receive the outputs via
-        their own ``consume_batch``, so a shared prefix amortizes its
-        per-consumer dispatch over the whole run.  The one observable
-        difference is interleaving: all outputs reach the first consumer
-        before any reaches the second, where ``consume`` alternates
-        per output (the relative order seen by each consumer is
-        identical).
-        """
-        if not events:
-            return []
-        input_types = self.signature.input_types
-        if not 0 <= slot < len(input_types):
-            self._check_slot(slot)
-        expected = input_types[slot]
-        partitions = self._partitions
+        """Feed a run of events into *slot*, one :meth:`consume` each;
+        returns the concatenated outputs."""
+        step = self.step(slot)
         outputs: List[Event] = []
-        instrumented = _OBS.enabled
-        span = None
-        tracer = None
-        if instrumented:
-            # One span covers the whole run; provenance is still stamped
-            # per output, exactly as consume does.
-            tracer = _OBS.tracer
-            if tracer._light_depth:
-                tracer._light_depth += 1
-            else:
-                attrs = self._span_attrs
-                if attrs is None:
-                    attrs = self._span_attrs = {
-                        "node": self.instance_name,
-                        "op": self.family,
-                    }
-                span = tracer.begin(
-                    "operator.consume", events[0]._params["time"], attrs
-                )
+        self._tap = outputs
         try:
             for event in events:
-                received = event.event_type
-                if received is not expected and received.name != expected.name:
-                    raise SlotError(
-                        f"operator {self.instance_name!r} slot {slot} expects "
-                        f"{expected.name!r}, got event of type "
-                        f"{event.type_name!r}"
-                    )
-                self.consumed += 1
-                key = self.partition_key(slot, event)
-                state = partitions.get(key)
-                if state is None:
-                    state = self.new_state()
-                    partitions[key] = state
-                if instrumented:
-                    self._constituents = None
-                    produced = self._apply(slot, event, state)
-                    if produced:
-                        constituents = self._constituents
-                        if constituents is None:
-                            constituents = (event,)
-                        else:
-                            self._constituents = None
-                        tracker = _OBS.provenance
-                        for output in produced:
-                            if output.provenance is None:
-                                tracker.record_operator(
-                                    output,
-                                    self.instance_name,
-                                    self.family,
-                                    constituents,
-                                )
-                        outputs.extend(produced)
-                else:
-                    produced = self._apply(slot, event, state)
-                    if produced:
-                        outputs.extend(produced)
+                step(event)
         finally:
-            if instrumented:
-                if span is None:
-                    tracer._light_depth -= 1  # type: ignore[union-attr]
-                else:
-                    tracer.end(span)  # type: ignore[union-attr]
-        if outputs:
-            self.produced += len(outputs)
-            for batch_consumer, consumer_slot in self._batch_consumers:
-                batch_consumer(consumer_slot, outputs)
+            self._tap = None
         return outputs
 
+    def _entry(self, slot: int, kernel: Step) -> Step:
+        """Wrap a slot's kernel with what every family shares: the slot
+        type guard, the ``consumed`` count and — while instrumentation is
+        on — the ``operator.consume`` span (downstream spans nest in it,
+        since downstream steps run inside ``kernel``)."""
+        expected = self.signature.input_types[slot]
+        attrs: Dict[str, object] = {"node": self.instance_name, "op": self.family}
+
+        def step(event: Event) -> None:
+            # Identity fast path: primitive and canonical EventType objects
+            # are module-level/cached singletons, so `is` almost always
+            # settles it.
+            received = event._event_type
+            if received is not expected and received.name != expected.name:
+                raise SlotError(
+                    f"operator {self.instance_name!r} slot {slot} expects "
+                    f"{expected.name!r}, got event of type {received.name!r}"
+                )
+            self.consumed += 1
+            if not _OBS.enabled:
+                kernel(event)
+                return
+            tracer = _OBS.tracer
+            span = None
+            if tracer._light_depth:
+                # Sampler skipped this trace: bump the depth in place
+                # instead of paying two method calls (Tracer._light_depth).
+                tracer._light_depth += 1
+            else:
+                span = tracer.begin(
+                    "operator.consume", event._params["time"], attrs
+                )
+            try:
+                kernel(event)
+            finally:
+                if span is None:
+                    tracer._light_depth -= 1
+                else:
+                    tracer.end(span)
+
+        return step
+
+    def _emitter(self) -> Emit:
+        """The ``emit`` this operator's kernels push outputs through:
+        count, stamp provenance while instrumentation is on (never
+        sampled), forward to every wired consumer in wiring order."""
+        fanout = self._fanout
+        name, family = self.instance_name, self.family
+
+        def emit(output: Event, cause: Any) -> None:
+            self.produced += 1
+            if _OBS.enabled and output.provenance is None:
+                _OBS.provenance.record_operator(
+                    output,
+                    name,
+                    family,
+                    cause if type(cause) is tuple else (cause,),
+                )
+            if self._tap is not None:
+                self._tap.append(output)
+            for step in fanout:
+                step(output)
+
+        return emit
+
     # -- subclass hooks ---------------------------------------------------------------
+
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        """Kernel factory: one ``step(event)`` per input slot.
+
+        A step runs the family's algorithm on one (already type-checked)
+        event and calls ``emit(output, cause)`` for each output, in
+        order.  Per-instance state lives in :attr:`_partitions`, keyed
+        by the canonical ``processInstanceId``, and nowhere else.  This
+        default drives the three generic hooks below.
+        """
+        partitions = self._partitions
+
+        def kernel(slot: int, event: Event) -> None:
+            key = self.partition_key(slot, event)
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = self.new_state()
+            for output in self._apply(slot, event, state):
+                emit(output, event)
+
+        return [partial(kernel, slot) for slot in range(self.arity)]
 
     def partition_key(self, slot: int, event: Event) -> Any:
         """The replication key; canonical inputs partition by instance id."""

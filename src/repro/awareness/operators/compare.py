@@ -23,12 +23,13 @@ so the specification DSL can reference them by symbol.
 from __future__ import annotations
 
 import operator as _op
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
 from ...events.canonical import canonical_type
 from ...events.event import Event
-from .base import EventOperator, OperatorSignature
+from .base import Emit, EventOperator, OperatorSignature, Step
 
 BoolFunc1 = Callable[[int], bool]
 BoolFunc2 = Callable[[int, int], bool]
@@ -91,19 +92,18 @@ class Compare1(EventOperator):
         )
         self.bool_func = bool_func
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None  # stateless
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, _bool_func_1_key(self))
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        value = event.get("intInfo")
-        if value is None:
-            return []
-        if not self.bool_func(value):
-            return []
-        return [event.derive(source=self.instance_name)]
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        bool_func, name = self.bool_func, self.instance_name
+
+        def step(event: Event) -> None:
+            value = event._params.get("intInfo")
+            if value is not None and bool_func(value):
+                emit(event.derive(source=name), event)
+
+        return (step,)
 
     def describe(self) -> str:
         return f"Compare1[{self.process_schema_id}, {self.bool_func!r}]"
@@ -142,23 +142,30 @@ class Edge(EventOperator):
         )
         self.bool_func = bool_func
 
-    def new_state(self) -> List[bool]:
-        # One cell: did the last event satisfy the test?
-        return [False]
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, _bool_func_1_key(self))
 
-    def _apply(self, slot: int, event: Event, state: List[bool]) -> List[Event]:
-        value = event.get("intInfo")
-        if value is None:
-            return []
-        satisfied = bool(self.bool_func(value))
-        armed = not state[0]
-        state[0] = satisfied
-        if not (satisfied and armed):
-            return []
-        return [event.derive(source=self.instance_name)]
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        partitions = self._partitions
+        bool_func, name = self.bool_func, self.instance_name
+
+        def step(event: Event) -> None:
+            params = event._params
+            key = params["processInstanceId"]
+            # One cell per instance: did the last event satisfy the test?
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = [False]
+            value = params.get("intInfo")
+            if value is None:
+                return
+            satisfied = bool(bool_func(value))
+            armed = not state[0]
+            state[0] = satisfied
+            if satisfied and armed:
+                emit(event.derive(source=name), event)
+
+        return (step,)
 
     def describe(self) -> str:
         return f"Edge[{self.process_schema_id}, {self.bool_func!r}]"
@@ -187,10 +194,7 @@ class Compare2(EventOperator):
         )
         self.bool_func = bool_func
 
-    def new_state(self) -> Dict[int, int]:
-        return {}
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         # Named comparisons key on their symbol; arbitrary callables on
         # object identity.  Compare2 is slot-order-sensitive, so the
         # default non-commutative input keying stays (``a <= b`` must not
@@ -204,24 +208,34 @@ class Compare2(EventOperator):
             symbol if symbol is not None else self.bool_func,
         )
 
-    def _apply(self, slot: int, event: Event, state: Dict[int, int]) -> List[Event]:
-        value = event.get("intInfo")
-        if value is None:
-            return []
-        state[slot] = value
-        if len(state) < 2:
-            return []
-        if not self.bool_func(state[0], state[1]):
-            return []
-        return [
-            event.derive(
-                source=self.instance_name,
-                description=(
-                    f"comparison satisfied: {state[0]} vs {state[1]} "
-                    f"({event.get('description')})"
-                ),
-            )
-        ]
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        partitions = self._partitions
+        bool_func, name = self.bool_func, self.instance_name
+
+        def kernel(slot: int, event: Event) -> None:
+            params = event._params
+            key = params["processInstanceId"]
+            # Latest intInfo seen on each input position, per instance.
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = {}
+            value = params.get("intInfo")
+            if value is None:
+                return
+            state[slot] = value
+            if len(state) == 2 and bool_func(state[0], state[1]):
+                emit(
+                    event.derive(
+                        source=name,
+                        description=(
+                            f"comparison satisfied: {state[0]} vs {state[1]} "
+                            f"({params.get('description')})"
+                        ),
+                    ),
+                    event,
+                )
+
+        return (partial(kernel, 0), partial(kernel, 1))
 
     def describe(self) -> str:
         symbol = next(

@@ -14,11 +14,11 @@ unnecessary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Optional, Sequence, Tuple
 
 from ...events.canonical import canonical_type
 from ...events.event import Event
-from .base import EventOperator, OperatorSignature
+from .base import Emit, EventOperator, OperatorSignature, Step
 
 
 class Count(EventOperator):
@@ -36,26 +36,32 @@ class Count(EventOperator):
             instance_name,
         )
 
-    def new_state(self) -> Dict[str, int]:
-        return {"count": 0}
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id,)
 
-    def _apply(self, slot: int, event: Event, state: Dict[str, int]) -> List[Event]:
-        state["count"] += 1
-        return [
-            event.derive(
-                source=self.instance_name,
-                intInfo=state["count"],
-                description=f"count={state['count']}",
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        partitions, name = self._partitions, self.instance_name
+
+        def step(event: Event) -> None:
+            key = event._params["processInstanceId"]
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = {"count": 0}
+            count = state["count"] = state["count"] + 1
+            emit(
+                event.derive(
+                    source=name, intInfo=count, description=f"count={count}"
+                ),
+                event,
             )
-        ]
+
+        return (step,)
 
     def current_count(self, process_instance_id: str) -> int:
         """The running count for one process instance (0 if none seen)."""
         state = self._partitions.get(process_instance_id)
-        return state["count"] if state else 0
+        count: int = state["count"] if state else 0
+        return count
 
     def describe(self) -> str:
         return f"Count[{self.process_schema_id}]"

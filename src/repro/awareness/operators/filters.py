@@ -20,7 +20,7 @@ partitioning parameter.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, List, Optional
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
 from ...events.canonical import canonical_event, canonical_type
@@ -31,7 +31,7 @@ from ...events.producers import (
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
 )
-from .base import EventOperator, OperatorSignature
+from .base import Emit, EventOperator, OperatorSignature, Step
 
 
 class ActivityFilter(EventOperator):
@@ -71,45 +71,48 @@ class ActivityFilter(EventOperator):
         self.states_old = frozenset(states_old) if states_old is not None else None
         self.states_new = frozenset(states_new) if states_new is not None else None
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        # Stateless; a single shared partition suffices.
-        return None
-
     def routing_keys(self, slot: int) -> List[Any]:
         """Static match key: only ``(P, Av)`` activity events can pass."""
         self._check_slot(slot)
         return [(self.process_schema_id, self.activity_variable)]
 
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         old = tuple(sorted(self.states_old)) if self.states_old is not None else None
         new = tuple(sorted(self.states_new)) if self.states_new is not None else None
         return (self.process_schema_id, self.activity_variable, old, new)
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        params = event.params
-        if params["parentProcessSchemaId"] != self.process_schema_id:
-            return []
-        if params["activityVariableId"] != self.activity_variable:
-            return []
-        if self.states_old is not None and params["oldState"] not in self.states_old:
-            return []
-        if self.states_new is not None and params["newState"] not in self.states_new:
-            return []
-        return [
-            canonical_event(
-                self.process_schema_id,
-                params["parentProcessInstanceId"],
-                time=params["time"],
-                source=self.instance_name,
-                str_info=params["newState"],
-                description=(
-                    f"activity {self.activity_variable!r}: "
-                    f"{params['oldState']} -> {params['newState']}"
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        schema, variable = self.process_schema_id, self.activity_variable
+        states_old, states_new = self.states_old, self.states_new
+        name, output_type = self.instance_name, self.output_type
+
+        def step(event: Event) -> None:
+            params = event._params
+            if (
+                params["parentProcessSchemaId"] != schema
+                or params["activityVariableId"] != variable
+            ):
+                return
+            old_state, new_state = params["oldState"], params["newState"]
+            if states_old is not None and old_state not in states_old:
+                return
+            if states_new is not None and new_state not in states_new:
+                return
+            emit(
+                canonical_event(
+                    schema,
+                    params["parentProcessInstanceId"],
+                    time=params["time"],
+                    source=name,
+                    str_info=new_state,
+                    description=f"activity {variable!r}: {old_state} -> {new_state}",
+                    source_event=params,
+                    event_type=output_type,
                 ),
-                source_event=params,
-                event_type=self.output_type,
+                event,
             )
-        ]
+
+        return (step,)
 
     def describe(self) -> str:
         old = sorted(self.states_old) if self.states_old is not None else "*"
@@ -156,52 +159,56 @@ class ContextFilter(EventOperator):
         self.context_name = context_name
         self.field_name = field_name
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None
-
     def routing_keys(self, slot: int) -> List[Any]:
         """Static match key: only ``(Cname, Fname)`` context events can pass."""
         self._check_slot(slot)
         return [(self.context_name, self.field_name)]
 
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.context_name, self.field_name)
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        params = event.params
-        if params["contextName"] != self.context_name:
-            return []
-        if params["fieldName"] != self.field_name:
-            return []
-        new_value = params["newFieldValue"]
-        int_info = new_value if isinstance(new_value, int) and not isinstance(
-            new_value, bool
-        ) else None
-        str_info = new_value if isinstance(new_value, str) else None
-        associations = params["processAssociations"]
-        if len(associations) > 1:
-            associations = sorted(associations)
-        outputs = []
-        for schema_id, instance_id in associations:
-            if schema_id != self.process_schema_id:
-                continue
-            outputs.append(
-                canonical_event(
-                    self.process_schema_id,
-                    instance_id,
-                    time=params["time"],
-                    source=self.instance_name,
-                    int_info=int_info,
-                    str_info=str_info,
-                    description=(
-                        f"context {self.context_name!r} field "
-                        f"{self.field_name!r} = {new_value!r}"
-                    ),
-                    source_event=params,
-                    event_type=self.output_type,
-                )
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        schema = self.process_schema_id
+        context_name, field_name = self.context_name, self.field_name
+        name, output_type = self.instance_name, self.output_type
+        digest = f"context {context_name!r} field {field_name!r} = "
+
+        def step(event: Event) -> None:
+            params = event._params
+            if (
+                params["contextName"] != context_name
+                or params["fieldName"] != field_name
+            ):
+                return
+            new_value = params["newFieldValue"]
+            int_info = (
+                new_value
+                if isinstance(new_value, int) and not isinstance(new_value, bool)
+                else None
             )
-        return outputs
+            str_info = new_value if isinstance(new_value, str) else None
+            associations = params["processAssociations"]
+            if len(associations) > 1:
+                associations = sorted(associations)
+            for schema_id, instance_id in associations:
+                if schema_id != schema:
+                    continue
+                emit(
+                    canonical_event(
+                        schema,
+                        instance_id,
+                        time=params["time"],
+                        source=name,
+                        int_info=int_info,
+                        str_info=str_info,
+                        description=f"{digest}{new_value!r}",
+                        source_event=params,
+                        event_type=output_type,
+                    ),
+                    event,
+                )
+
+        return (step,)
 
     def describe(self) -> str:
         return (
@@ -249,38 +256,46 @@ class SystemFilter(EventOperator):
         self.metric = metric
         self.series_label = series_label
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None
-
     def routing_keys(self, slot: int) -> List[Any]:
         """Static match key: only samples of ``metric`` can pass."""
         self._check_slot(slot)
         return [self.metric]
 
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.metric, self.series_label)
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        params = event.params
-        if params["metric"] != self.metric:
-            return []
-        label = params["seriesLabel"]
-        if self.series_label != self.ANY_SERIES and label != self.series_label:
-            return []
-        series = f"{self.metric}[{label}]" if label is not None else self.metric
-        return [
-            canonical_event(
-                self.process_schema_id,
-                params["systemId"],
-                time=params["time"],
-                source=self.instance_name,
-                int_info=params["value"],
-                str_info=label,
-                description=f"system metric {series} = {params['value']}",
-                source_event=params,
-                event_type=self.output_type,
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        schema, metric, series_label = (
+            self.process_schema_id, self.metric, self.series_label
+        )
+        any_series = series_label == self.ANY_SERIES
+        name, output_type = self.instance_name, self.output_type
+
+        def step(event: Event) -> None:
+            params = event._params
+            if params["metric"] != metric:
+                return
+            label = params["seriesLabel"]
+            if not any_series and label != series_label:
+                return
+            series = f"{metric}[{label}]" if label is not None else metric
+            value = params["value"]
+            emit(
+                canonical_event(
+                    schema,
+                    params["systemId"],
+                    time=params["time"],
+                    source=name,
+                    int_info=value,
+                    str_info=label,
+                    description=f"system metric {series} = {value}",
+                    source_event=params,
+                    event_type=output_type,
+                ),
+                event,
             )
-        ]
+
+        return (step,)
 
     def describe(self) -> str:
         if self.series_label is None:

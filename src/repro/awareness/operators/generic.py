@@ -18,13 +18,13 @@ their state per process instance:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
 from ...events.canonical import canonical_type
 from ...events.event import Event
-from ...observability import INSTRUMENTATION as _OBS
-from .base import EventOperator, OperatorSignature, check_copy_parameter
+from .base import Emit, EventOperator, OperatorSignature, Step, check_copy_parameter
 
 
 def _canonical_signature(process_schema_id: str, arity: int) -> OperatorSignature:
@@ -60,22 +60,27 @@ class And(EventOperator):
         )
         self.copy = copy
 
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.copy, self.arity)
 
-    def new_state(self) -> Dict[int, Event]:
-        return {}
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        partitions, name = self._partitions, self.instance_name
+        slots, template_slot = range(self.arity), self.copy - 1
 
-    def _apply(self, slot: int, event: Event, state: Dict[int, Event]) -> List[Event]:
-        state[slot] = event
-        if len(state) < self.arity:
-            return []
-        template = state[self.copy - 1]
-        output = _compose(template, event, self.instance_name)
-        if _OBS.enabled:
-            self._constituents = tuple(state[i] for i in sorted(state))
-        state.clear()
-        return [output]
+        def kernel(slot: int, event: Event) -> None:
+            key = event._params["processInstanceId"]
+            # Slot memory per instance: the latest event seen on each slot.
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = {}
+            state[slot] = event
+            if len(state) < len(slots):
+                return
+            constituents = tuple(map(state.__getitem__, slots))
+            state.clear()
+            emit(_compose(constituents[template_slot], event, name), constituents)
+
+        return [partial(kernel, slot) for slot in slots]
 
     def describe(self) -> str:
         return f"And[{self.process_schema_id}, copy={self.copy}]/{self.arity}"
@@ -103,26 +108,30 @@ class Seq(EventOperator):
         )
         self.copy = copy
 
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.copy, self.arity)
 
-    def new_state(self) -> Dict[str, Any]:
-        return {"pointer": 0, "seen": []}
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        partitions, name = self._partitions, self.instance_name
+        arity, template_slot = self.arity, self.copy - 1
 
-    def _apply(self, slot: int, event: Event, state: Dict[str, Any]) -> List[Event]:
-        if slot != state["pointer"]:
-            return []
-        state["seen"].append(event)
-        state["pointer"] += 1
-        if state["pointer"] < self.arity:
-            return []
-        template = state["seen"][self.copy - 1]
-        output = _compose(template, event, self.instance_name)
-        if _OBS.enabled:
-            self._constituents = tuple(state["seen"])
-        state["pointer"] = 0
-        state["seen"] = []
-        return [output]
+        def kernel(slot: int, event: Event) -> None:
+            key = event._params["processInstanceId"]
+            state = partitions.get(key)
+            if state is None:
+                state = partitions[key] = {"pointer": 0, "seen": []}
+            if slot != state["pointer"]:
+                return
+            state["seen"].append(event)
+            state["pointer"] += 1
+            if state["pointer"] < arity:
+                return
+            constituents = tuple(state["seen"])
+            state["pointer"] = 0
+            state["seen"] = []
+            emit(_compose(constituents[template_slot], event, name), constituents)
+
+        return [partial(kernel, slot) for slot in range(arity)]
 
     def describe(self) -> str:
         return f"Seq[{self.process_schema_id}, copy={self.copy}]/{self.arity}"
@@ -152,14 +161,16 @@ class Or(EventOperator):
             instance_name,
         )
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None  # stateless
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.arity)
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        return [event.derive(source=self.instance_name)]
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        name = self.instance_name
+
+        def step(event: Event) -> None:
+            emit(event.derive(source=name), event)
+
+        return (step,) * self.arity
 
     def describe(self) -> str:
         return f"Or[{self.process_schema_id}]/{self.arity}"

@@ -23,13 +23,13 @@ modelling guideline, but the EX54/FIG6 tests demonstrate it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
 from ...events.canonical import canonical_event, canonical_type
 from ...events.event import Event
 from ...events.producers import ACTIVITY_EVENT_TYPE
-from .base import EventOperator, OperatorSignature
+from .base import Emit, EventOperator, OperatorSignature, Step
 
 
 class Translate(EventOperator):
@@ -67,10 +67,7 @@ class Translate(EventOperator):
         # per-instance relation), so partitioned state is not used.
         self._mapping: Dict[str, str] = {}
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None
-
-    def plan_params(self) -> tuple:
+    def plan_params(self) -> Tuple[Any, ...]:
         # The invocation mapping is learned deterministically from the
         # activity stream on slot 0, which shared deployments also share —
         # so equal-parameter Translates converge on the same mapping and
@@ -82,41 +79,47 @@ class Translate(EventOperator):
             self.activity_variable,
         )
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        if slot == self.SLOT_ACTIVITY:
-            self._learn(event)
-            return []
-        invoked_instance = event["processInstanceId"]
-        invoking_instance = self._mapping.get(invoked_instance)
-        if invoking_instance is None:
-            return []
-        return [
-            canonical_event(
-                self.process_schema_id,
-                invoking_instance,
-                time=event.time,
-                source=self.instance_name,
-                int_info=event.get("intInfo"),
-                str_info=event.get("strInfo"),
-                description=(
-                    f"translated from {self.invoked_schema_id} instance "
-                    f"{invoked_instance}: {event.get('description')}"
-                ),
-                source_event=event.params,
-            )
-        ]
+    def bind(self, emit: Emit) -> Sequence[Step]:
+        mapping, name = self._mapping, self.instance_name
+        invoking, invoked = self.process_schema_id, self.invoked_schema_id
+        variable = self.activity_variable
 
-    def _learn(self, event: Event) -> None:
-        """Record invoked->invoking instance pairs from activity events."""
-        if event["parentProcessSchemaId"] != self.process_schema_id:
-            return
-        if event["activityVariableId"] != self.activity_variable:
-            return
-        if event["activityProcessSchemaId"] != self.invoked_schema_id:
-            return
-        self._mapping[event["activityInstanceId"]] = event[
-            "parentProcessInstanceId"
-        ]
+        def learn(event: Event) -> None:
+            """Record invoked->invoking instance pairs from activity events."""
+            params = event._params
+            if (
+                params["parentProcessSchemaId"] == invoking
+                and params["activityVariableId"] == variable
+                and params["activityProcessSchemaId"] == invoked
+            ):
+                mapping[params["activityInstanceId"]] = params[
+                    "parentProcessInstanceId"
+                ]
+
+        def translate(event: Event) -> None:
+            params = event._params
+            invoked_instance = params["processInstanceId"]
+            invoking_instance = mapping.get(invoked_instance)
+            if invoking_instance is None:
+                return
+            emit(
+                canonical_event(
+                    invoking,
+                    invoking_instance,
+                    time=params["time"],
+                    source=name,
+                    int_info=params.get("intInfo"),
+                    str_info=params.get("strInfo"),
+                    description=(
+                        f"translated from {invoked} instance "
+                        f"{invoked_instance}: {params.get('description')}"
+                    ),
+                    source_event=params,
+                ),
+                event,
+            )
+
+        return (learn, translate)
 
     def known_invocations(self) -> int:
         """How many subprocess invocations this operator has learned."""

@@ -28,10 +28,11 @@ Three pieces:
   to a cached node (dropping the window's private copy) or interns the
   window's own instance as the cache entry, then re-wires the DAG edges
   in authoring order: edges into freshly-interned nodes install the
-  shared wiring (producer leaves register batch-capable consumers so
-  ``emit_batch`` runs become one ``consume_batch`` call), edges into
-  already-shared nodes are skipped (the wiring exists), and edges into
-  the per-window Output roots add one fan-out entry on the shared node.
+  shared wiring (a producer leaf registers the operator's linked
+  ``step`` itself, an operator edge joins the upstream node's fan-out),
+  edges into already-shared nodes are skipped (the wiring exists), and
+  edges into the per-window Output roots add one fan-out entry on the
+  shared node — which that node's ``emit`` sees at once.
 
 * **DeployedPlan** — the refcounted handle: ``undeploy`` detaches only
   the output fan-out plus whatever shared nodes no surviving window
@@ -40,37 +41,43 @@ Three pieces:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import SpecificationError
-from ..events.producers import EventProducer
 from .operators.base import EventOperator
 from .specification import SpecificationWindow
 
 PlanKey = Tuple[Any, ...]
+#: One installed edge: the source node and the ``remove_consumer``
+#: arguments that undo it.
+Link = Tuple[Any, Tuple[Any, ...]]
 
-#: ``output_links`` record tags (see :meth:`PlanCache._release`).
-_LINK_OPERATOR = "op"
-_LINK_PRODUCER = "leaf"
+
+def _wire(source: Any, target: EventOperator, slot: int) -> Link:
+    """Feed *source*'s output into *slot* of *target*."""
+    if isinstance(source, EventOperator):
+        source.add_consumer(target.consume, slot)
+        return (source, (target.consume, slot))
+    # A producer leaf calls the operator's linked step itself.
+    step = target.step(slot)
+    source.add_consumer(step, target.routing_keys(slot))
+    return (source, (step,))
+
+
+def _unwire(links: List[Link]) -> None:
+    for source, registration in links:
+        source.remove_consumer(*registration)
 
 
 class SharedNode:
     """One interned operator: the live instance plus attach bookkeeping.
 
-    ``leaf_links``/``upstream_links`` record the wiring this node's
-    interning installed, so the cache can unwire exactly that when the
-    last referencing window undeploys.
+    ``links`` records the input wiring this node's interning installed,
+    so the cache can unwire exactly that when the last referencing
+    window undeploys.
     """
 
-    __slots__ = (
-        "key",
-        "operator",
-        "refcount",
-        "plan_id",
-        "shareable",
-        "leaf_links",
-        "upstream_links",
-    )
+    __slots__ = ("key", "operator", "refcount", "plan_id", "shareable", "links")
 
     def __init__(
         self, key: PlanKey, operator: EventOperator, plan_id: int, shareable: bool
@@ -80,10 +87,7 @@ class SharedNode:
         self.refcount = 0
         self.plan_id = plan_id
         self.shareable = shareable
-        #: (producer, removal handle) pairs for producer leaf edges.
-        self.leaf_links: List[Tuple[EventProducer, Any]] = []
-        #: (upstream operator, consumer, slot) triples for operator edges.
-        self.upstream_links: List[Tuple[EventOperator, Any, int]] = []
+        self.links: List[Link] = []
 
 
 class DeployedPlan:
@@ -96,7 +100,7 @@ class DeployedPlan:
         cache: "PlanCache",
         window: SpecificationWindow,
         entries: List[SharedNode],
-        output_links: List[Tuple[str, Any, Any, Optional[int]]],
+        output_links: List[Link],
         shared_hits: int,
     ) -> None:
         self._cache = cache
@@ -185,70 +189,20 @@ class PlanCache:
         # Re-wire following the authoring edge order, so a canonical
         # window's consumer lists come out byte-for-byte as connect()
         # built them — detection order is invariant under sharing.
-        # Producer-leaf attaches are deferred and flushed through one
-        # bulk `add_consumers` call per producer (grouping is stable, so
-        # each producer still sees its attaches in edge order).
-        output_links: List[Tuple[str, Any, Any, Optional[int]]] = []
-        deferred_leaves: Dict[int, Tuple[Any, List[Tuple[Any, ...]]]] = {}
-
-        def defer_leaf(producer: Any, consumer: Any, keys: Any, batch: Any,
-                       on_handle: Any) -> None:
-            bucket = deferred_leaves.get(id(producer))
-            if bucket is None:
-                bucket = deferred_leaves[id(producer)] = (producer, [])
-            bucket[1].append((consumer, keys, batch, on_handle))
-
+        output_links: List[Link] = []
         for source, target, slot in graph.edges():
+            if isinstance(source, EventOperator):
+                source = resolved[id(source)]
             if id(target) in output_ids:
                 # The per-window delivery root: always a fresh fan-out
                 # entry on the (possibly shared) source node.
-                if isinstance(source, EventOperator):
-                    upstream = resolved[id(source)]
-                    upstream.add_consumer(target.consume, slot)
-                    output_links.append(
-                        (_LINK_OPERATOR, upstream, target.consume, slot)
-                    )
-                else:
-                    defer_leaf(
-                        source,
-                        lambda event, t=target, s=slot: t.consume(s, event),
-                        target.routing_keys(slot),
-                        None,
-                        lambda handle, s=source: output_links.append(
-                            (_LINK_PRODUCER, s, handle, None)
-                        ),
-                    )
+                output_links.append(_wire(source, target, slot))
                 continue
             entry = fresh.get(id(target))
-            if entry is None:
-                # Target resolved to an already-interned node: its input
-                # wiring was installed when that node was interned.
-                continue
-            if isinstance(source, EventOperator):
-                upstream = resolved[id(source)]
-                consumer = entry.operator.consume
-                upstream.add_consumer(consumer, slot)
-                entry.upstream_links.append((upstream, consumer, slot))
-            else:
-                operator = entry.operator
-                defer_leaf(
-                    source,
-                    lambda event, t=operator, s=slot: t.consume(s, event),
-                    operator.routing_keys(slot),
-                    lambda events, t=operator, s=slot: t.consume_batch(
-                        s, events
-                    ),
-                    lambda handle, s=source, e=entry: e.leaf_links.append(
-                        (s, handle)
-                    ),
-                )
-
-        for producer, records in deferred_leaves.values():
-            handles = producer.add_consumers(
-                [(consumer, keys, batch) for consumer, keys, batch, __ in records]
-            )
-            for handle, (__, ___, ____, on_handle) in zip(handles, records):
-                on_handle(handle)
+            if entry is not None:
+                entry.links.append(_wire(source, entry.operator, slot))
+            # else the target resolved to an already-interned node: its
+            # input wiring was installed when that node was interned.
 
         self.operators_resolved += len(entries)
         self.operators_deduped += shared_hits
@@ -265,19 +219,12 @@ class PlanCache:
         dying node's own consumer registrations on still-live upstream
         nodes are removed before those upstreams are considered.
         """
-        for tag, node, link, slot in plan.output_links:
-            if tag == _LINK_OPERATOR:
-                node.remove_consumer(link, slot)
-            else:
-                node.remove_consumer(link)
+        _unwire(plan.output_links)
         for entry in reversed(plan.entries):
             entry.refcount -= 1
             if entry.refcount == 0:
                 del self._nodes[entry.key]
-                for upstream, consumer, slot in entry.upstream_links:
-                    upstream.remove_consumer(consumer, slot)
-                for producer, handle in entry.leaf_links:
-                    producer.remove_consumer(handle)
+                _unwire(entry.links)
         self._plans.remove(plan)
 
     # -- canonicalization --------------------------------------------------
@@ -314,7 +261,7 @@ class PlanCache:
         )
 
     @staticmethod
-    def _topological(graph: Any, output_ids: set) -> List[EventOperator]:
+    def _topological(graph: Any, output_ids: Set[int]) -> List[EventOperator]:
         """Non-Output operators in bottom-up (inputs-first) wave order."""
         pending = [
             operator
@@ -322,7 +269,7 @@ class PlanCache:
             if id(operator) not in output_ids
         ]
         order: List[EventOperator] = []
-        placed: set = set()
+        placed: Set[int] = set()
         while pending:
             remaining = []
             progressed = False

@@ -833,7 +833,6 @@ def _cmd_plans(args: argparse.Namespace) -> int:
 
     system = EnactmentSystem()
     planner = system.awareness.planner
-    assert planner is not None  # EnactmentSystem defaults to share_plans=True
     for index in range(args.windows):
         analyst = system.register_participant(
             Participant(f"u-{index}", f"analyst-{index}")

@@ -2,7 +2,7 @@
 
 An operator's run-time state is its partition map (:class:`EventOperator`
 replicates per process instance) plus its consumed/produced counters.
-The partition values are whatever ``new_state()`` built — ``{"count": n}``
+The partition values are whatever the family's kernel built — ``{"count": n}``
 for Count, ``[bool]`` for Edge, slot→event maps for And, pointer/seen
 dicts for Seq — so the codec must express arbitrary compositions of JSON
 scalars, lists, tuples, frozensets, non-string-keyed mappings, and held
@@ -102,13 +102,17 @@ def capture_operator(operator: EventOperator) -> Dict[str, Any]:
 
 
 def restore_operator(operator: EventOperator, record: Dict[str, Any]) -> None:
-    """Load a :func:`capture_operator` record into a fresh operator."""
+    """Load a :func:`capture_operator` record into a fresh operator.
+
+    The partition map is refilled *in place*: the operator's linked
+    kernels hold that very dict, so rebinding the attribute would leave
+    them counting into a dead object after recovery.
+    """
     operator.consumed = int(record["consumed"])
     operator.produced = int(record["produced"])
-    partitions: Dict[Any, Any] = {}
+    operator._partitions.clear()
     for key, state in record["partitions"]:
-        partitions[decode_state(key)] = decode_state(state)
-    operator._partitions = partitions
+        operator._partitions[decode_state(key)] = decode_state(state)
 
 
 def capture_operators(

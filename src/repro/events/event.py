@@ -14,14 +14,26 @@ descriptions check when wiring producers to operator slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import EventError, EventTypeError
 
 #: Parameter names every event must carry (self-containedness).
 REQUIRED_PARAMETERS = ("type", "time", "source")
+
+#: The Python type behind each coarse ``value_type`` tag (``"any"`` has none).
+_SIMPLE_TYPES: Dict[str, type] = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "bool": bool,
+    "set": frozenset,
+}
+
+#: Stand-in for a parameter the event does not carry.
+_MISSING: Any = type("Missing", (), {})()
 
 
 @dataclass(frozen=True)
@@ -38,14 +50,6 @@ class ParameterSpec:
     required: bool = True
     nullable: bool = True
 
-    _SIMPLE: Tuple[Tuple[str, type], ...] = (
-        ("int", int),
-        ("str", str),
-        ("float", float),
-        ("bool", bool),
-        ("set", frozenset),
-    )
-
     def check(self, value: Any) -> None:
         if value is None:
             if not self.nullable:
@@ -55,7 +59,7 @@ class ParameterSpec:
             return
         if self.value_type == "any":
             return
-        expected = dict(self._SIMPLE).get(self.value_type)
+        expected = _SIMPLE_TYPES.get(self.value_type)
         if expected is None:
             raise EventTypeError(
                 f"parameter {self.name!r} declares unknown type "
@@ -95,6 +99,23 @@ class EventType:
                     f"event type {name!r} must declare the {required!r} "
                     f"parameter (events are self-contained)"
                 )
+        #: Conformance plan: one ``(name, accept, spec)`` row per parameter
+        #: that constrains anything, ``accept`` being the exact value
+        #: types settled inline.  An undeclared tag maps to ``None``, which
+        #: is no value's type, so ``check`` gets to report it.
+        plan: List[Tuple[str, Tuple[Any, ...], ParameterSpec]] = []
+        for spec in self._parameters.values():
+            accept: Tuple[Any, ...] = ()
+            if spec.value_type != "any":
+                accept = (_SIMPLE_TYPES.get(spec.value_type),)
+                if spec.nullable:
+                    accept += (type(None),)
+            elif spec.nullable and not spec.required:
+                continue
+            if not spec.required:
+                accept += (type(_MISSING),)
+            plan.append((spec.name, accept, spec))
+        self._plan = tuple(plan)
 
     def parameters(self) -> Tuple[ParameterSpec, ...]:
         return tuple(self._parameters.values())
@@ -106,19 +127,30 @@ class EventType:
         return name in self._parameters
 
     def conforms(self, params: Mapping[str, Any]) -> None:
-        """Raise :class:`EventTypeError` unless *params* fit this type."""
-        for spec in self._parameters.values():
-            if spec.name not in params:
-                if spec.required:
+        """Raise :class:`EventTypeError` unless *params* fit this type.
+
+        Every declared parameter is checked on every call, against the
+        plan compiled in ``__init__``: a value of exactly a declared type
+        (or a permitted ``None``) is settled inline; subclass instances,
+        ``bool`` offered as ``int`` and every error go through
+        :meth:`ParameterSpec.check`, which owns the messages.
+        """
+        for name, accept, spec in self._plan:
+            try:
+                value = params[name]
+            except KeyError:
+                value = _MISSING
+            if type(value) not in accept:
+                if value is _MISSING:
                     raise EventTypeError(
                         f"event of type {self.name!r} is missing required "
-                        f"parameter {spec.name!r}"
+                        f"parameter {name!r}"
                     )
-                continue
-            spec.check(params[spec.name])
-        if params.get("type") != self.name:
+                spec.check(value)
+        # Present: every event type declares ``type`` as a required parameter.
+        if params["type"] != self.name:
             raise EventTypeError(
-                f"event declares type {params.get('type')!r} but was checked "
+                f"event declares type {params['type']!r} but was checked "
                 f"against {self.name!r}"
             )
 
@@ -168,7 +200,7 @@ class Event:
         event_type.conforms(merged)
         self._event_type = event_type
         self._params = MappingProxyType(merged)
-        self.provenance = None
+        self.provenance: Optional[Any] = None
 
     @classmethod
     def trusted(cls, event_type: EventType, params: Dict[str, Any]) -> "Event":
@@ -182,7 +214,8 @@ class Event:
         validating constructor.
         """
         self = object.__new__(cls)
-        params.setdefault("type", event_type.name)
+        if "type" not in params:
+            params["type"] = event_type.name
         self._event_type = event_type
         self._params = MappingProxyType(params)
         self.provenance = None
@@ -198,11 +231,13 @@ class Event:
 
     @property
     def time(self) -> int:
-        return self._params["time"]
+        time: int = self._params["time"]
+        return time
 
     @property
     def source(self) -> str:
-        return self._params["source"]
+        source: str = self._params["source"]
+        return source
 
     @property
     def params(self) -> Mapping[str, Any]:
@@ -225,10 +260,10 @@ class Event:
     def derive(self, event_type: Optional[EventType] = None, **overrides: Any) -> "Event":
         """A copy with some parameters replaced (composite-event helper)."""
         new_type = event_type or self._event_type
-        merged = dict(self._params)
-        merged.update(overrides)
+        merged = self._params | overrides
         merged["type"] = new_type.name
-        return Event(new_type, merged)
+        new_type.conforms(merged)
+        return Event.trusted(new_type, merged)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         interesting = {

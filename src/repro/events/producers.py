@@ -119,12 +119,6 @@ class EventProducer:
         self._consumers: List[Tuple[Callable[[Event], None], Optional[Tuple[Hashable, ...]]]] = []
         self._wildcard: List[Callable[[Event], None]] = []
         self._index: Dict[Hashable, List[Callable[[Event], None]]] = {}
-        #: Batch partners keyed by consumer (identity): a consumer with a
-        #: partner receives each same-key run of an ``emit_batch`` as one
-        #: partner call instead of per-event calls.
-        self._batch_partners: Dict[
-            Callable[[Event], None], Callable[[List[Event]], object]
-        ] = {}
         self._key_extractor: Optional[Callable[[Event], Hashable]] = None
         #: Set False to force the linear scan over all consumers.
         self.indexed = True
@@ -169,22 +163,16 @@ class EventProducer:
         self,
         consumer: Callable[[Event], None],
         keys: Optional[Iterable[Hashable]] = None,
-        batch: Optional[Callable[[List[Event]], object]] = None,
     ) -> Callable[[Event], None]:
         """Register *consumer*; returns it as the removal handle.
 
         With ``keys`` the consumer is indexed under those routing keys and
         only sees events whose key matches; without, it joins the wildcard
-        bucket and sees every event.  ``batch`` optionally registers a
-        batch partner: during :meth:`emit_batch`, a run of consecutive
-        same-key events is handed to the partner as one list instead of
-        one *consumer* call per event (the plan cache registers shared
-        filter chains this way so a burst traverses the chain once).
+        bucket and sees every event.  Awareness descriptions and the plan
+        cache register an operator's linked ``step`` here directly.
         """
         key_tuple = tuple(keys) if keys is not None else None
         self._consumers.append((consumer, key_tuple))
-        if batch is not None:
-            self._batch_partners[consumer] = batch
         if key_tuple is None:
             self._wildcard.append(consumer)
         else:
@@ -192,46 +180,11 @@ class EventProducer:
                 self._index.setdefault(key, []).append(consumer)
         return consumer
 
-    def add_consumers(
-        self,
-        registrations: Iterable[
-            Tuple[
-                Callable[[Event], None],
-                Optional[Iterable[Hashable]],
-                Optional[Callable[[List[Event]], object]],
-            ]
-        ],
-    ) -> List[Callable[[Event], None]]:
-        """Register a batch of ``(consumer, keys, batch)`` records at once.
-
-        The bulk half of :meth:`add_consumer`, used by the plan cache when
-        a deploy attaches many operator leaves to one producer (shard
-        startup fans a whole federation blueprint out this way).  Each
-        index bucket is extended in registration order, so dispatch order
-        is identical to a loop of single registrations; the returned
-        handles line up with *registrations*.
-        """
-        index = self._index
-        handles: List[Callable[[Event], None]] = []
-        for consumer, keys, batch in registrations:
-            key_tuple = tuple(keys) if keys is not None else None
-            self._consumers.append((consumer, key_tuple))
-            if batch is not None:
-                self._batch_partners[consumer] = batch
-            if key_tuple is None:
-                self._wildcard.append(consumer)
-            else:
-                for key in key_tuple:
-                    index.setdefault(key, []).append(consumer)
-            handles.append(consumer)
-        return handles
-
     def remove_consumer(self, consumer: Callable[[Event], None]) -> None:
         """Remove *consumer* from the wildcard bucket and the key index."""
         for record in list(self._consumers):
             if record[0] is consumer:
                 self._consumers.remove(record)
-        self._batch_partners.pop(consumer, None)
         if consumer in self._wildcard:
             self._wildcard.remove(consumer)
         for key in [k for k, bucket in self._index.items() if consumer in bucket]:
@@ -284,64 +237,11 @@ class EventProducer:
                 finally:
                     tracer.end(span)
         else:
-            self._dispatch_batch(events)
+            for event in events:
+                self._dispatch(event)
         if self._bus is not None:
             self._bus.publish_batch(events)
         return events
-
-    def _dispatch_batch(self, events: List[Event]) -> None:
-        """Dispatch an ``emit_batch``, amortizing over same-key runs.
-
-        Consecutive events with the same routing key form a *run*; each
-        run is handed to batch-capable consumers as one call and unrolled
-        per event for everyone else.  Grouping only ever merges adjacent
-        same-key events, so the order of events as seen by any single
-        consumer is exactly the per-event dispatch order.  (The
-        instrumented path in :meth:`emit_batch` stays per-event: spans
-        and provenance stamps are per emission.)
-        """
-        partners = self._batch_partners
-        if not partners:
-            for event in events:
-                self._dispatch(event)
-            return
-        if self.indexed and self._key_extractor is not None and self._index:
-            extractor = self._key_extractor
-            index = self._index
-            wildcard = self._wildcard
-            i, n = 0, len(events)
-            while i < n:
-                key = extractor(events[i])
-                j = i + 1
-                while j < n and extractor(events[j]) == key:
-                    j += 1
-                run = events[i:j]
-                bucket = index.get(key)
-                if bucket:
-                    for consumer in tuple(bucket):
-                        partner = partners.get(consumer)
-                        if partner is not None:
-                            partner(run)
-                        else:
-                            for event in run:
-                                consumer(event)
-                if wildcard:
-                    for consumer in tuple(wildcard):
-                        partner = partners.get(consumer)
-                        if partner is not None:
-                            partner(run)
-                        else:
-                            for event in run:
-                                consumer(event)
-                i = j
-        else:
-            for consumer, __ in tuple(self._consumers):
-                partner = partners.get(consumer)
-                if partner is not None:
-                    partner(events)
-                else:
-                    for event in events:
-                        consumer(event)
 
     def _dispatch(self, event: Event) -> None:
         if self.indexed and self._key_extractor is not None and self._index:
@@ -362,14 +262,14 @@ class EventProducer:
 def activity_routing_key(event: Event) -> Hashable:
     """Routing key of a ``T_activity`` event: which activity variable of
     which process schema changed state."""
-    params = event.params
+    params = event._params
     return (params["parentProcessSchemaId"], params["activityVariableId"])
 
 
 def context_routing_key(event: Event) -> Hashable:
     """Routing key of a ``T_context`` event: which field of which named
     context changed."""
-    params = event.params
+    params = event._params
     return (params["contextName"], params["fieldName"])
 
 
@@ -378,7 +278,7 @@ def system_routing_key(event: Event) -> Hashable:
     sampled.  SLO filters key on the metric name alone (the series label
     is checked in the filter predicate), so one sampling pass dispatches
     each sample only to the rules that watch its metric."""
-    return event.params["metric"]
+    return event._params["metric"]
 
 
 class ActivityEventProducer(EventProducer):

@@ -40,7 +40,6 @@ class EnactmentSystem:
         journal: Optional["Journal"] = None,
         isolate_errors: bool = False,
         name: str = "cmi",
-        share_plans: bool = True,
     ) -> None:
         #: The system's federation-wide identity: telemetry events carry
         #: it as ``systemId`` and the federation health view keys on it.
@@ -65,7 +64,6 @@ class EnactmentSystem:
             bus=self.bus,
             queue=queue if queue is not None else MemoryDeliveryQueue(),
             metrics=self.metrics,
-            share_plans=share_plans,
         )
         self.monitor = ProcessMonitor(self.core)
         #: The system-wide timer service (deadline monitors and awareness

@@ -131,7 +131,6 @@ class ShardConfig:
     #: Enable tracing/provenance inside each shard's pipeline (workers
     #: flip their own process-global instrumentation plane).
     instrument: bool = False
-    share_plans: bool = True
     #: Seconds to wait for a worker to honor the poison pill before it
     #: is terminated.
     join_timeout: float = 5.0
@@ -282,9 +281,7 @@ class SerialShard:
     def __init__(self, shard_id: int, config: ShardConfig) -> None:
         self.shard_id = shard_id
         self.alive = True
-        self.host = ShardHost(
-            shard_id, config.shards, share_plans=config.share_plans
-        )
+        self.host = ShardHost(shard_id, config.shards)
         #: Receives this shard's observability payloads (set by the
         #: facade); serial shards harvest straight from the host on
         #: every read, mirroring the frames a worker would send.
@@ -593,7 +590,6 @@ def _spawn_worker(
     context = multiprocessing.get_context("fork")
     options = {
         "instrument": config.instrument,
-        "share_plans": config.share_plans,
         "ship_logs": config.ship_logs,
         # A worker volunteers a standalone ack once this many event
         # frames arrive without a response to piggyback the ack on.

@@ -10,8 +10,8 @@ the surface the sharding layer needs:
   specifications (as DSL text, the repository's spec interchange format)
   are data, so a federation can be reconstructed in any process;
 * **event ingest** — routed primitive events enter through the engine's
-  own source-agent producers (``emit_batch``, so PR 4's run-grouping and
-  ``consume_batch`` amortization apply unchanged);
+  own source-agent producers (``emit_batch``, one bus batch per run of
+  same-type events);
 * **result capture** — a recording delivery queue remembers global
   enqueue order, giving every notification the per-shard sequence number
   the deterministic merge sorts on.
@@ -146,7 +146,6 @@ class ShardHost:
         self,
         shard_id: int,
         shard_count: int,
-        share_plans: bool = True,
         name: Optional[str] = None,
     ) -> None:
         self.shard_id = shard_id
@@ -155,7 +154,6 @@ class ShardHost:
         self.system = EnactmentSystem(
             queue=self.queue,
             name=name or f"shard-{shard_id}",
-            share_plans=share_plans,
         )
         awareness = self.system.awareness
         #: Ingest door per event type name.
@@ -251,8 +249,7 @@ class ShardHost:
         """Feed routed primitive events into the pipeline, in order.
 
         Consecutive same-type runs enter as one ``emit_batch``, so the
-        producers' run-grouping (and the shared plans' ``consume_batch``)
-        see the same batch shapes an in-process engine would.
+        bus sees the same batch shapes an in-process engine would.
 
         ``seq`` is the facade's frame sequence number; it is recorded
         *before* processing so the frame's credit is returned to the
@@ -395,14 +392,13 @@ class ShardHost:
     def live_operators(self) -> List[Any]:
         """The live operator instances, in deterministic order.
 
-        Under plan sharing the live operators are the interned
+        The live operators are the interned
         :class:`~repro.awareness.planner.SharedNode` instances the
         window's deploy resolved to — *not* the window's authoring-time
         copies — so enumeration walks each detector's
         :attr:`~repro.awareness.detector.DetectorAgent.plan` entries
         (topological order), deduplicated by identity (shared sub-DAGs
-        appear under every window that references them).  Without plan
-        sharing the window's own graph is the live wiring.
+        appear under every window that references them).
 
         The order is a pure function of the blueprint (specs deploy in
         list order, plan interning is deterministic), so a host rebuilt
@@ -412,12 +408,8 @@ class ShardHost:
         operators: List[Any] = []
         seen: Set[int] = set()
         for detector in self._detectors.values():
-            plan = detector.plan
-            if plan is not None:
-                candidates = [entry.operator for entry in plan.entries]
-            else:
-                candidates = list(detector.window.operators())
-            for operator in candidates:
+            for entry in detector.plan.entries:
+                operator = entry.operator
                 if id(operator) not in seen:
                     seen.add(id(operator))
                     operators.append(operator)

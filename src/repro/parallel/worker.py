@@ -138,11 +138,7 @@ def worker_main(
         raw = codec == "binary"
         reader = make_reader(inp, codec)
         writer = make_writer(out, codec)
-        host = ShardHost(
-            shard_id,
-            shard_count,
-            share_plans=bool(options.get("share_plans", True)),
-        )
+        host = ShardHost(shard_id, shard_count)
         host.ship_logs = ship_logs
         host.wire_raw = raw
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))

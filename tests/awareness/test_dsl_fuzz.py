@@ -18,13 +18,36 @@ def make_window():
     )
 
 
+def close_specification(lines, nodes, role="owners", schema_name="AS_Fuzz"):
+    """Root the operator *lines* under one deliver statement.
+
+    Every operator must contribute to the delivered schema (the window
+    validator rejects dangling boxes), so all sinks are merged with an Or.
+    """
+    lines = list(lines)
+    consumed = set()
+    for line in lines:
+        args = line[line.rindex("(") + 1 : line.rindex(")")]
+        for token in args.split(","):
+            consumed.add(token.strip())
+    sinks = [node for node in nodes if node not in consumed]
+    if len(sinks) > 1:
+        lines.append(f"root = Or[]({', '.join(sinks)})")
+        root = "root"
+    else:
+        root = sinks[0]
+    lines.append(f'deliver {root} to {role} as "generated" named {schema_name}')
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
-def random_specs(draw):
-    """Generate a random, *valid* DSL specification.
+def random_operator_lines(draw):
+    """Generate the operator statements of a random, *valid* DSL
+    specification, and the node names they define, in order.
 
     A layered construction: a layer of context filters over distinct
-    fields, then random combinator layers consuming earlier nodes, then
-    one deliver statement rooting the final node.
+    fields (and sometimes an activity filter), then random combinator
+    layers consuming earlier nodes.
     """
     n_filters = draw(st.integers(min_value=1, max_value=4))
     lines = []
@@ -33,10 +56,18 @@ def random_specs(draw):
         name = f"f{index}"
         lines.append(f"{name} = Filter_context[Ctx, field{index}](ContextEvent)")
         nodes.append(name)
+    if draw(st.booleans()):
+        states = draw(st.sampled_from(["*", "{Running}", "{Running, Completed}"]))
+        lines.append(f"a0 = Filter_activity[work, *, {states}](ActivityEvent)")
+        nodes.append("a0")
 
     n_layers = draw(st.integers(min_value=0, max_value=4))
     for layer in range(n_layers):
-        kind = draw(st.sampled_from(["And", "Seq", "Or", "Count", "Compare1", "Compare2"]))
+        kind = draw(
+            st.sampled_from(
+                ["And", "Seq", "Or", "Count", "Compare1", "Edge", "Compare2"]
+            )
+        )
         name = f"n{layer}"
         if kind in ("And", "Seq", "Or"):
             upper = min(3, len(nodes)) if len(nodes) >= 2 else 2
@@ -62,11 +93,11 @@ def random_specs(draw):
         elif kind == "Count":
             source = draw(st.sampled_from(nodes))
             lines.append(f"{name} = Count[]({source})")
-        elif kind == "Compare1":
+        elif kind in ("Compare1", "Edge"):
             source = draw(st.sampled_from(nodes))
             symbol = draw(st.sampled_from(["<=", "<", ">=", ">", "==", "!="]))
             threshold = draw(st.integers(min_value=-5, max_value=5))
-            lines.append(f"{name} = Compare1[{symbol}, {threshold}]({source})")
+            lines.append(f"{name} = {kind}[{symbol}, {threshold}]({source})")
         else:  # Compare2
             if len(nodes) < 2:
                 continue
@@ -76,24 +107,15 @@ def random_specs(draw):
             lines.append(f"{name} = Compare2[{symbol}]({a}, {b})")
         nodes.append(name)
 
-    # Every operator must contribute to the delivered schema (the window
-    # validator rejects dangling boxes), so merge all sinks with an Or.
-    consumed = set()
-    for line in lines:
-        if "(" in line and "=" in line:
-            args = line[line.rindex("(") + 1 : line.rindex(")")]
-            for token in args.split(","):
-                consumed.add(token.strip())
-    sinks = [node for node in nodes if node not in consumed]
-    if len(sinks) > 1:
-        lines.append(f"root = Or[]({', '.join(sinks)})")
-        root = "root"
-    else:
-        root = sinks[0]
-    scoped = draw(st.booleans())
-    role = "Ctx.owner" if scoped else "owners"
-    lines.append(f'deliver {root} to {role} as "generated" named AS_Fuzz')
-    return "\n".join(lines) + "\n"
+    return lines, nodes
+
+
+@st.composite
+def random_specs(draw):
+    """Generate a random, *valid* DSL specification."""
+    lines, nodes = draw(random_operator_lines())
+    role = "Ctx.owner" if draw(st.booleans()) else "owners"
+    return close_specification(lines, nodes, role)
 
 
 class TestDslFuzz:

@@ -1,8 +1,9 @@
 """Plan sharing is behavior-invisible: differential equivalence suite.
 
-Every test here drives the same workload through two engines — one with
-``share_plans=True`` (the default), one with ``share_plans=False`` (each
-window keeps its private operator chain) — and asserts the observable
+Every test here drives the same workload through two engines — the
+production one, whose windows share one ``PlanCache``, and a test-local
+unshared one (:func:`build_system` gives every window a private cache,
+so each keeps its own operator chain) — and asserts the observable
 outputs are identical: which participants were notified, in what order,
 with what descriptions and parameters, and with byte-equal recognition
 provenance chains.  Sharing must be a pure cost optimization.
@@ -23,9 +24,24 @@ from repro import (
     ProcessActivitySchema,
 )
 from repro.awareness.dsl import compile_specification
+from repro.awareness.planner import PlanCache
 from repro.observability import instrumented
 from repro.workloads.epidemic import EpidemicScenario
 from repro.workloads.taskforce import TaskForceApplication
+
+
+class PrivatePlans(PlanCache):
+    """The unshared baseline: one private cache per deployed window."""
+
+    def deploy(self, window):
+        return PlanCache().deploy(window)
+
+
+def build_system(share_plans):
+    system = EnactmentSystem()
+    if not share_plans:
+        system.awareness.planner = PrivatePlans()
+    return system
 
 
 def note_sig(notification):
@@ -54,7 +70,7 @@ class TestEpidemicDifferential:
 
     def _run(self, share_plans):
         with instrumented() as obs:
-            system = EnactmentSystem(share_plans=share_plans)
+            system = build_system(share_plans)
             report = EpidemicScenario(system, seed=7).run()
             chains = [
                 record.signature()
@@ -89,7 +105,7 @@ class TestTaskForceDifferential:
     """The Section 5.4 deadline-violation story through both modes."""
 
     def _run(self, share_plans):
-        system = EnactmentSystem(share_plans=share_plans)
+        system = build_system(share_plans)
         leader = system.register_participant(Participant("u-lead", "dr-lee"))
         member = system.register_participant(Participant("u-mem", "dr-kim"))
         system.core.roles.define_role("epidemiologist").add_member(leader)
@@ -143,7 +159,7 @@ deliver ready to team-{index} as "alpha moved" named AS_F_{index}
 """
 
     def _run(self, share_plans):
-        system = EnactmentSystem(share_plans=share_plans)
+        system = build_system(share_plans)
         people = []
         for index in range(self.WINDOWS):
             person = system.register_participant(
@@ -195,4 +211,4 @@ deliver ready to team-{index} as "alpha moved" named AS_F_{index}
         stats = shared_system.awareness.planner.stats()
         assert stats["nodes_live"] == 3
         assert stats["operators_deduped"] == 3 * (self.WINDOWS - 1)
-        assert plain_system.awareness.planner is None
+        assert plain_system.awareness.planner.stats()["nodes_live"] == 0

@@ -22,8 +22,8 @@ from repro.awareness.operators.count import Count
 from repro.events.canonical import canonical_event
 
 
-def build_system(fields=("alpha", "beta"), share_plans=True):
-    system = EnactmentSystem(share_plans=share_plans)
+def build_system(fields=("alpha", "beta")):
+    system = EnactmentSystem()
     watcher = system.register_participant(Participant("u-w", "watcher"))
     system.core.roles.define_role("watchers").add_member(watcher)
     process = ProcessActivitySchema("P-X", "watched")
@@ -192,18 +192,6 @@ class TestLifecycle:
         ref.set("alpha", 2)
         assert detector.recognized == 1  # no double wiring, no double count
 
-    def test_deploy_is_idempotent_without_sharing_too(self):
-        system, process = build_system(share_plans=False)
-        window = system.awareness.create_window("P-X")
-        compile_specification(window, TEMPLATE.format(index=0))
-        detector = system.awareness.deploy(window)
-        assert system.awareness.deploy(window) is detector
-
-        ref = system.coordination.start_process(process).context("Ctx")
-        ref.set("alpha", 1)
-        ref.set("alpha", 2)
-        assert detector.recognized == 1
-
     def test_composites_recognized_is_monotonic_across_undeploy(self):
         system, process = build_system()
         __, detector = deploy_template(system, 0)
@@ -254,8 +242,8 @@ class TestBatchPath:
             operator.consume_batch(0, [wrong])
 
     def test_producer_batch_runs_reach_shared_chain_once(self):
-        """A same-key run in a produced batch enters the shared chain as
-        one consume_batch call; recognition output is unchanged."""
+        """A same-key run in a produced batch walks the shared chain
+        event by event; recognition output is unchanged."""
         from repro.core.context import ContextChange
 
         system, process = build_system()

@@ -193,3 +193,70 @@ class TestUndeploy:
         participant = system.core.roles.participant("u-w")
         notifications = system.awareness.viewer_for(participant).retrieve()
         assert len(notifications) == 1  # delivered once, not once per deploy
+
+
+class TestCallBudget:
+    """Count-based pin on the linked detector plan (no wall clock).
+
+    One filter -> count -> edge chain, fed through a shard host with
+    windows on other contexts deployed beside it.  Counted: Python-level
+    calls (``sys.setprofile`` ``call`` events — interpreter frames, not C
+    builtins) per event that runs the chain, everything between
+    ``ShardHost.ingest`` and the delivery queue included.  The
+    per-operator ``consume`` dispatch this replaced took 37; the linked
+    kernels take 21.  (Counting builtin calls too — dict lookups,
+    ``isinstance`` — it was 76 and is 35, most of the difference being
+    the compiled conformance plan.)
+    """
+
+    EVENTS = 200
+
+    def python_calls_per_event(self, bystanders):
+        import sys
+
+        from repro.parallel.host import ShardHost
+        from repro.workloads.generator import (
+            ShardStreamConfig,
+            ShardStreamWorkload,
+        )
+
+        workload = ShardStreamWorkload(
+            ShardStreamConfig(
+                forces=1 + bystanders,
+                windows_per_force=1,
+                events_per_force=self.EVENTS,
+                members_per_team=1,
+            )
+        )
+        host = ShardHost(0, 1)
+        host.apply_blueprint(workload.blueprint())
+        events = [
+            event
+            for event in workload.events()
+            if event["contextName"] == workload.context_name(0)
+        ]
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            host.ingest(events)
+        finally:
+            sys.setprofile(None)
+        # The chain did run: its one window fired its one notification.
+        assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
+        host.close()
+        return calls / len(events)
+
+    def test_one_chain_event_stays_within_thirty_python_calls(self):
+        assert self.python_calls_per_event(bystanders=8) <= 30
+
+    def test_windows_on_other_contexts_cost_the_chain_nothing(self):
+        """The routing index still does its job after the re-wire: the
+        chain's cost does not depend on how many windows it never
+        matches are deployed beside it."""
+        assert self.python_calls_per_event(8) == self.python_calls_per_event(64)

@@ -125,6 +125,57 @@ class TestHostSnapshotRestore:
             r["signature"] for r in expected
         ]
 
+    def test_restore_reaches_the_linked_kernels(self):
+        """Restore refills each operator's partition map in place.
+
+        The linked kernels close over ``operator._partitions``; a restore
+        that rebound the attribute would leave them counting into the
+        fresh host's empty dict — the armed Edge below would fire again
+        and every Count would restart at 1.
+        """
+        wl = ShardStreamWorkload(
+            ShardStreamConfig(forces=1, windows_per_force=2, events_per_force=12)
+        )
+        events = wl.events()
+        first_threshold, second_threshold = wl.thresholds(0)
+        cut = first_threshold + 1  # first Edge has fired; second has not
+        assert cut < second_threshold
+
+        reference = booted_host(wl)
+        reference.ingest(events)
+        expected = reference.drain_results()
+        reference.close()
+
+        first = booted_host(wl)
+        first.ingest(events[:cut])
+        before = first.drain_results()
+        edges = [op for op in first.live_operators() if op.family == "Edge"]
+        assert [op._partitions["tf-000"] for op in edges] == [[True], [False]]
+        state = first.snapshot_state()
+        first.close()
+
+        recovered = booted_host(wl)
+        held = [op._partitions for op in recovered.live_operators()]
+        recovered.restore_state(json.loads(json.dumps(state)))
+        assert all(
+            op._partitions is partitions
+            for op, partitions in zip(recovered.live_operators(), held)
+        )
+        recovered.ingest(events[cut:])
+        after = recovered.drain_results()
+        counts = [
+            op.current_count("tf-000")
+            for op in recovered.live_operators()
+            if op.family == "Count"
+        ]
+        recovered.close()
+
+        assert counts == [len(events), len(events)]
+        assert len(before) + len(after) == wl.expected_notifications()
+        assert [(r["seq"], r["schema"], r["time"]) for r in before + after] == [
+            (r["seq"], r["schema"], r["time"]) for r in expected
+        ]
+
     def test_restored_stats_continue_the_counters(self):
         wl = workload()
         events = wl.events()

@@ -186,51 +186,3 @@ class TestContextProducer:
     def test_type_declarations(self):
         assert ACTIVITY_EVENT_TYPE.has_parameter("newState")
         assert CONTEXT_EVENT_TYPE.has_parameter("processAssociations")
-
-
-class TestAddConsumers:
-    def test_batch_matches_a_loop_of_add_consumer(self):
-        producer = ActivityEventProducer()
-        order = []
-        batch_calls = []
-        handles = producer.add_consumers(
-            [
-                (lambda e, out=order: out.append("wild"), None, None),
-                (
-                    lambda e, out=order: out.append("keyed"),
-                    (("P-TF", "assess"),),
-                    lambda events: batch_calls.append(len(events)),
-                ),
-            ]
-        )
-        assert len(handles) == 2
-        assert producer.consumer_count() == 2
-        looped = ActivityEventProducer()
-        loop_order = []
-        looped.add_consumer(lambda e, out=loop_order: out.append("wild"))
-        looped.add_consumer(
-            lambda e, out=loop_order: out.append("keyed"),
-            (("P-TF", "assess"),),
-        )
-        producer.produce(activity_change())
-        looped.produce(activity_change())
-        assert order == loop_order  # batch registration == a loop of adds
-        quiet = ActivityEventProducer()
-        producer.emit_batch(
-            [quiet.produce(activity_change()) for __ in range(3)]
-        )
-        # The keyed consumer has a batch partner: the run arrives as one
-        # partner call, not three per-event calls.
-        assert batch_calls == [3]
-
-    def test_batch_handles_support_removal(self):
-        producer = ActivityEventProducer()
-        seen = []
-        handles = producer.add_consumers(
-            [(seen.append, None, None), (seen.append, (("P-TF", "assess"),), None)]
-        )
-        for handle in handles:
-            producer.remove_consumer(handle)
-        producer.produce(activity_change())
-        assert seen == []
-        assert producer.consumer_count() == 0
