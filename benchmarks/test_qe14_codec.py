@@ -1,35 +1,28 @@
 """QE14 — the binary wire codec vs the JSON framing it replaced.
 
-The shard channels and the write-ahead journal both moved from JSON
-frames to the interning binary codec (:mod:`repro.parallel.codec`).
-Four measurements:
+The shard channels and the write-ahead journal write one encoding, the
+interning binary codec (:mod:`repro.parallel.codec`); the JSON framing
+it replaced survives only as a read path for old journals.  Three
+measurements:
 
 * **Codec microbench** — encode+decode of the seeded mixed event corpus
   (the interleaved multi-force stream the shard channels actually
-  carry), production JSON path (``event_to_wire`` → ``json.dumps`` →
-  ``json.loads`` → ``event_from_wire``) vs the binary codec with warm
-  intern tables.  The binary codec must be >= 3x faster.  Rounds
-  interleave the two paths and the ratio is taken best-vs-best, so a
-  noise spike that lands on one path's consecutive runs cannot fake (or
-  mask) a regression.
-* **Differential equivalence** — the serial backend, the process
-  backend over binary wire, and the process backend over JSON wire must
-  produce identical per-instance notification order and identical
-  multisets of delivery provenance signatures.
-* **End-to-end throughput** — the 4-shard QE11 configuration over both
-  codecs; binary wire must clear 1.15x the JSON-wire throughput (needs
-  >= 4 cores; recorded but not asserted on smaller machines).
-* **Durable journaling** — the QE12 durable configuration over both
-  codecs; the binary-journal run must come in strictly below the
-  JSON-journal measurement.
+  carry), the JSON path (``event_to_wire`` → ``json.dumps`` →
+  ``json.loads`` → ``event_from_wire``, spelled out here — no runtime
+  mode takes it any more) vs the binary codec with warm intern tables.
+  The binary codec must be >= 3x faster.  Rounds interleave the two
+  paths and the ratio is taken best-vs-best, so a noise spike that lands
+  on one path's consecutive runs cannot fake (or mask) a regression.
+* **Differential equivalence** — the serial backend (no encoding at all)
+  and the process backend (everything crosses the codec) must produce
+  identical per-instance notification order and identical multisets of
+  delivery provenance signatures.
+* **JSON-era journal upgrade** — a durable run whose journals are
+  rewritten in the pre-binary framing is resumed by a federation, which
+  upgrades the journals in place without losing a frame.
 
-A pre-existing JSON journal must also still replay: a durable run over
-JSON wire is resumed by a binary-default federation, which upgrades the
-journals in place without losing a frame.
-
-``REPRO_QE14_SMOKE=1`` shrinks the corpus and skips the timing asserts
-that are meaningless on shared CI runners (the microbench ratio is
-still asserted — it is a pure-CPU property, not a scaling one).
+``REPRO_QE14_SMOKE=1`` shrinks the corpus (the microbench ratio is still
+asserted — it is a pure-CPU property, not a scaling one).
 """
 
 import json
@@ -41,11 +34,14 @@ import time
 
 import pytest
 
+from repro.durability.log import detect_codec
 from repro.metrics.report import render_table
 from repro.parallel import ShardConfig, ShardedFederation
 from repro.parallel.codec import BinaryDecoder, BinaryEncoder
 from repro.parallel.wire import event_from_wire, event_to_wire
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.durability.json_era import downgrade_to_json
 
 SMOKE = bool(os.environ.get("REPRO_QE14_SMOKE"))
 
@@ -54,12 +50,7 @@ WINDOWS_PER_FORCE = 3 if SMOKE else 6
 EVENTS_PER_FORCE = 120 if SMOKE else 400
 WAVE = 128
 ROUNDS = 7 if SMOKE else 11
-REPS = 1 if SMOKE else 2
 MICRO_SPEEDUP_FLOOR = 3.0
-E2E_SPEEDUP_FLOOR = 1.15
-
-#: The scaling assertion needs actual cores to scale onto.
-CORES = len(os.sched_getaffinity(0))
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -83,7 +74,7 @@ def make_workload():
 
 
 def json_pass(waves):
-    """The production JSON path: wire dicts + compact dumps, both ways."""
+    """The JSON path as it was: wire dicts + compact dumps, both ways."""
     for wave in waves:
         frame = {
             "kind": "events",
@@ -172,48 +163,27 @@ def test_qe14_codec_microbench(benchmark, record_table):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: differential + throughput + journaling
+# End-to-end: differential + JSON-era journal upgrade
 # ---------------------------------------------------------------------------
 
 
-def drive(workload, shards, backend, wire_codec, durable_dir=None):
-    events = workload.events()  # generated outside the timed section
-    config = ShardConfig(
-        shards=shards,
-        backend=backend,
-        wire_codec=wire_codec,
-        durable_dir=durable_dir,
-        instrument=True,
-    )
+def drive(workload, shards, backend):
+    config = ShardConfig(shards=shards, backend=backend, instrument=True)
     with ShardedFederation(workload.blueprint(), config) as federation:
-        started = time.perf_counter()
-        federation.ingest(events)
+        federation.ingest(workload.events())
         federation.drain()
         notifications = list(federation.delivered)
-        elapsed = time.perf_counter() - started
     assert len(notifications) == workload.expected_notifications()
-    return {
-        "events": len(events),
-        "notifications": notifications,
-        "seconds": elapsed,
-        "events_per_s": len(events) / elapsed,
-    }
+    return notifications
 
 
-def best_of(reps, run, *args, **kwargs):
-    return min(
-        (run(*args, **kwargs) for __ in range(reps)),
-        key=lambda r: r["seconds"],
-    )
+def signatures(notifications):
+    return sorted(map(repr, (n.signature for n in notifications)))
 
 
-def signatures(result):
-    return sorted(map(repr, (n.signature for n in result["notifications"])))
-
-
-def per_instance(result):
+def per_instance(notifications):
     streams = {}
-    for n in result["notifications"]:
+    for n in notifications:
         streams.setdefault(n.process_instance_id, []).append(n.signature)
     return streams
 
@@ -221,27 +191,23 @@ def per_instance(result):
 @needs_fork
 def test_qe14_codecs_are_differentially_equivalent(record_table):
     workload = make_workload()
-    serial = drive(workload, shards=2, backend="serial", wire_codec="binary")
-    binary = drive(workload, shards=2, backend="process", wire_codec="binary")
-    as_json = drive(workload, shards=2, backend="process", wire_codec="json")
+    serial = drive(workload, shards=2, backend="serial")
+    process = drive(workload, shards=2, backend="process")
 
-    assert all(n.signature is not None for n in serial["notifications"])
+    assert all(n.signature is not None for n in serial)
     # Identical multiset of delivery provenance signatures...
-    assert signatures(binary) == signatures(serial)
-    assert signatures(as_json) == signatures(serial)
+    assert signatures(process) == signatures(serial)
     # ...with identical per-instance notification order.
-    assert per_instance(binary) == per_instance(serial)
-    assert per_instance(as_json) == per_instance(serial)
+    assert per_instance(process) == per_instance(serial)
 
     record_table(
         render_table(
             ("run", "events", "notifications"),
             [
-                (name, r["events"], len(r["notifications"]))
-                for name, r in (
-                    ("serial", serial),
-                    ("process/binary", binary),
-                    ("process/json", as_json),
+                (name, len(workload.events()), len(notifications))
+                for name, notifications in (
+                    ("serial (no encoding)", serial),
+                    ("process (binary wire)", process),
                 )
             ],
             title=f"QE14 codec differential ({FORCES} forces x "
@@ -251,116 +217,23 @@ def test_qe14_codecs_are_differentially_equivalent(record_table):
 
 
 @needs_fork
-def test_qe14_sharded_throughput_over_binary_wire(record_table):
-    workload = make_workload()
-    as_json = best_of(
-        REPS, drive, workload, shards=4, backend="process", wire_codec="json"
-    )
-    binary = best_of(
-        REPS, drive, workload, shards=4, backend="process", wire_codec="binary"
-    )
-    speedup = binary["events_per_s"] / as_json["events_per_s"]
-
-    record_table(
-        render_table(
-            ("wire codec", "events/s", "seconds", "speedup"),
-            [
-                (
-                    "json",
-                    f"{as_json['events_per_s'] / 1e3:.1f}k",
-                    f"{as_json['seconds']:.3f}",
-                    "1.00x",
-                ),
-                (
-                    "binary",
-                    f"{binary['events_per_s'] / 1e3:.1f}k",
-                    f"{binary['seconds']:.3f}",
-                    f"{speedup:.2f}x",
-                ),
-            ],
-            title="QE14 4-shard throughput, binary vs JSON wire",
-        )
-    )
-
-    if SMOKE or CORES < 4:
-        pytest.skip(
-            f"speedup recorded ({speedup:.2f}x) but not asserted "
-            f"({CORES} cores, smoke={SMOKE}): the wire cost is not the "
-            "bottleneck without cores to scale onto"
-        )
-    assert speedup >= E2E_SPEEDUP_FLOOR, (
-        f"binary wire speedup {speedup:.2f}x is below the "
-        f"{E2E_SPEEDUP_FLOOR}x floor"
-    )
-
-
-@needs_fork
-def test_qe14_journaling_is_cheaper_over_binary_frames(benchmark, record_table):
-    workload = make_workload()
-
-    def durable(wire_codec):
-        with tempfile.TemporaryDirectory(prefix="qe14-") as durable_dir:
-            return drive(
-                workload,
-                shards=2,
-                backend="process",
-                wire_codec=wire_codec,
-                durable_dir=durable_dir,
-            )
-
-    as_json = best_of(REPS, durable, "json")
-    binary = benchmark(durable, "binary")
-
-    record_table(
-        render_table(
-            ("journal codec", "events/s", "seconds"),
-            [
-                (
-                    "json",
-                    f"{as_json['events_per_s'] / 1e3:.1f}k",
-                    f"{as_json['seconds']:.3f}",
-                ),
-                (
-                    "binary",
-                    f"{binary['events_per_s'] / 1e3:.1f}k",
-                    f"{binary['seconds']:.3f}",
-                ),
-            ],
-            title="QE14 durable journaling, binary vs JSON frames",
-        )
-    )
-
-    if SMOKE:
-        pytest.skip(
-            f"journal codec delta recorded (json {as_json['seconds']:.3f}s, "
-            f"binary {binary['seconds']:.3f}s) but not asserted in the "
-            "smoke configuration"
-        )
-    assert binary["seconds"] < as_json["seconds"], (
-        f"binary-journal run ({binary['seconds']:.3f}s) must come in "
-        f"strictly below the JSON-journal run ({as_json['seconds']:.3f}s)"
-    )
-
-
-@needs_fork
 def test_qe14_preexisting_json_journal_replays(record_table):
-    """A binary-default federation resumes over JSON-era journals.
+    """A federation resumes over JSON-era journals.
 
     The journals upgrade in place (codec flips, absolute frame numbering
     survives) and the resumed run behaves *identically* to resuming over
-    binary-era journals — the codec of the pre-existing directory must
-    be unobservable.
+    binary-era journals — the era of the pre-existing directory must be
+    unobservable.
     """
     workload = make_workload()
     events = workload.events()
     half = len(events) // 2
 
-    def two_phase(first_codec):
+    def two_phase(json_era):
         with tempfile.TemporaryDirectory(prefix="qe14-replay-") as durable_dir:
             config = ShardConfig(
                 shards=2,
                 backend="process",
-                wire_codec=first_codec,
                 durable_dir=durable_dir,
                 instrument=True,
             )
@@ -371,24 +244,23 @@ def test_qe14_preexisting_json_journal_replays(record_table):
                 frames = [
                     shard.journal.frame_count for shard in federation.shards
                 ]
-            config = ShardConfig(  # binary default
-                shards=2,
-                backend="process",
-                durable_dir=durable_dir,
-                instrument=True,
-            )
+                journals = [shard.journal.path for shard in federation.shards]
+            if json_era:
+                for path in journals:
+                    downgrade_to_json(path)
+                    assert detect_codec(path) == "json"
             with ShardedFederation(workload.blueprint(), config) as federation:
                 for shard, count in zip(federation.shards, frames):
                     # Upgraded journal, absolute numbering preserved.
-                    assert shard.journal.codec == "binary"
+                    assert detect_codec(shard.journal.path) == "binary"
                     assert shard.journal.frame_count == count
                 federation.ingest(events[half:])
                 federation.drain()
                 collected += list(federation.delivered)
         return collected
 
-    upgraded = two_phase("json")
-    reference = two_phase("binary")
+    upgraded = two_phase(json_era=True)
+    reference = two_phase(json_era=False)
     assert sorted(map(repr, (n.signature for n in upgraded))) == sorted(
         map(repr, (n.signature for n in reference))
     )

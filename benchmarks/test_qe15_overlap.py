@@ -11,9 +11,11 @@ The workload makes that shape deterministic: ``force_weights`` makes
 every task force co-sharded with force 0 emit 4x the events, so one of
 the 4 shards is ~4x hotter than its neighbours, and the driver
 interleaves chunked ingest with a drain+stats collective per chunk.
-``overlap=False`` keeps the multiplexer but serialises the collectives
-(the pre-overlap behaviour); the speedup is that switch alone — same
-codec, same workers, same credit windows.
+:class:`SerialGatherFederation` below is the baseline: a test-local
+facade that keeps the multiplexer but asks one shard at a time (the
+pre-overlap behaviour, which no runtime switch selects any more); the
+speedup is that difference alone — same codec, same workers, same
+credit windows.
 
 Two measurements:
 
@@ -29,8 +31,7 @@ Two measurements:
   arrive, never *what* merges.
 
 ``REPRO_QE15_SMOKE=1`` shrinks the stream for CI, where the point is
-exercising both collective paths end-to-end, not measuring speedups on
-shared runners.
+the differential, not measuring speedups on shared runners.
 """
 
 import multiprocessing
@@ -90,6 +91,18 @@ def make_workload():
     )
 
 
+class SerialGatherFederation(ShardedFederation):
+    """The baseline: every collective is one blocking round trip per
+    shard, in shard order — the cost is the sum of the shards'."""
+
+    def _collect(self, op, tolerant=False):
+        results = []
+        for shard in self.shards:
+            shard.begin(op)
+            results.append((shard, shard.end(op, None)))
+        return results
+
+
 def drive(workload, overlap, backend="process"):
     """Chunked ingest with a drain + stats collective per chunk."""
     events = workload.events()  # generated outside the timed section
@@ -100,10 +113,10 @@ def drive(workload, overlap, backend="process"):
         instrument=True,
         ship_logs=True,
         trace_sample_every=1,
-        overlap=overlap,
         join_timeout=10.0,
     )
-    with ShardedFederation(workload.blueprint(), config) as federation:
+    facade = ShardedFederation if overlap else SerialGatherFederation
+    with facade(workload.blueprint(), config) as federation:
         started = time.perf_counter()
         for start in range(0, len(events), chunk):
             federation.ingest(events[start : start + chunk])

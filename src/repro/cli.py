@@ -518,14 +518,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .durability.log import (
-        CONTROL_COMPACTED,
-        FrameLog,
-        detect_codec,
-        log_base,
-        read_file_frames,
-        scan,
-    )
+    from .durability.log import compact_journal, load_journal
     from .durability.snapshot import ShardSnapshot
     from .durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
     from .metrics.report import render_table
@@ -561,31 +554,20 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
     reports = []
     for name, journal_path, snapshot_path in targets:
-        # The reader auto-detects the codec from the file's first bytes
-        # (binary journals open with a magic header); an explicit
-        # --format is an assertion about what the file should be.
-        codec = detect_codec(journal_path) or "json"
-        if args.format != "auto" and codec != args.format:
-            print(
-                f"error: {journal_path} is a {codec} journal, "
-                f"not {args.format}",
-                file=sys.stderr,
-            )
-            return 1
-        file_frames, valid_bytes, torn = scan(journal_path)
-        base = log_base(journal_path)
-        payload_frames = file_frames - (1 if base else 0)
+        # One decoding pass per file; everything below reads from it.
+        # The codec column keeps a journal from before the binary codec
+        # ("json") visible until a federation or --compact upgrades it.
+        loaded = load_journal(journal_path)
+        base = loaded.base
+        payload_frames = len(loaded.payload)
         kinds: dict = {}
         frame_dump: List[dict] = []
-        for frame in read_file_frames(journal_path):
-            kind = frame.get("kind")
-            if kind == CONTROL_COMPACTED:
-                continue
-            kinds[str(kind)] = kinds.get(str(kind), 0) + 1
+        for frame in loaded.payload:
+            kind = str(frame.get("kind"))
+            kinds[kind] = kinds.get(kind, 0) + 1
             if args.dump:
-                # frame_to_jsonable renders a binary journal's raw
-                # events as their wire dicts, so both codecs
-                # pretty-print identically.
+                # frame_to_jsonable renders raw events as their wire
+                # dicts, so journals of both eras print identically.
                 frame_dump.append(frame_to_jsonable(frame))
         snapshot = None
         if snapshot_path is not None and os.path.exists(snapshot_path):
@@ -593,12 +575,12 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         report = {
             "name": name,
             "path": journal_path,
-            "codec": codec,
+            "codec": loaded.codec,
             "frames": payload_frames,
             "base": base,
             "next_index": base + payload_frames,
             "bytes": os.path.getsize(journal_path),
-            "torn_tail": torn,
+            "torn_tail": loaded.torn,
             "kinds": kinds,
             "snapshot_frame": (
                 snapshot.frame_index if snapshot is not None else None
@@ -611,10 +593,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 snapshot.frame_index if snapshot is not None else None
             )
             if keep_from is not None and keep_from > base:
-                # Keep the file's own codec: offline compaction must
-                # never silently re-encode someone's journal.
-                with FrameLog(journal_path, codec=codec) as log:
-                    survivors = log.compact(keep_from)
+                survivors = compact_journal(journal_path, loaded, keep_from)
                 report["compacted_to"] = keep_from
                 report["frames"] = survivors
                 report["base"] = keep_from
@@ -1124,21 +1103,15 @@ def build_parser() -> argparse.ArgumentParser:
     journal.add_argument(
         "--compact",
         action="store_true",
-        help="drop journal frames the shard's snapshot already covers",
-    )
-    journal.add_argument(
-        "--format",
-        choices=("auto", "json", "binary"),
-        default="auto",
-        help="expected journal codec: 'auto' (default) detects it from "
-        "the file's magic bytes; an explicit codec fails when the file "
-        "does not match",
+        help="drop journal frames the shard's snapshot already covers; "
+        "the rewrite is always binary, so compacting a journal from "
+        "before the binary codec (codec column 'json') upgrades it",
     )
     journal.add_argument(
         "--dump",
         action="store_true",
-        help="print every payload frame (binary journals render their "
-        "raw events as wire dicts, identical to the JSON codec's output)",
+        help="print every payload frame as JSON (raw events render as "
+        "their wire dicts)",
     )
     journal.add_argument(
         "--json",

@@ -23,7 +23,7 @@ deterministically and the facade's ``(time, shard, seq)`` merge keys
 suppress notifications it already merged.
 """
 
-from .log import CONTROL_COMPACTED, FrameLog, log_base, read_file_frames, scan
+from .log import CONTROL_COMPACTED, FrameLog, load_journal
 from .snapshot import SNAPSHOT_VERSION, ShardSnapshot
 from .state import (
     capture_operator,
@@ -52,10 +52,8 @@ __all__ = [
     "capture_operators",
     "decode_state",
     "encode_state",
-    "log_base",
-    "read_file_frames",
+    "load_journal",
     "restore_operator",
     "restore_operators",
-    "scan",
     "shard_directory",
 ]

@@ -1,18 +1,18 @@
 """The write-ahead frame log: length-prefixed frames on disk.
 
-One :class:`FrameLog` is one append-only file of wire frames in either
-channel codec.  A **binary** journal (the default, matching the shard
-channel's default) starts with the :data:`JOURNAL_MAGIC` header and
-carries :mod:`repro.parallel.codec` frames — the exact bytes-for-bytes
-encoding the worker pipe speaks, raw events included; a **JSON** journal
-is the 4-byte length prefix + UTF-8 JSON framing of
-:mod:`repro.parallel.wire`.  Readers auto-detect the codec from the
-first bytes (the magic's first byte can never begin a valid JSON frame:
-as a length prefix it would exceed ``MAX_FRAME_BYTES``), so journals
-written before the binary codec existed keep replaying — and opening a
-journal under the *other* codec atomically re-encodes it, converting
-event frames between their raw and wire forms, so one file never mixes
-codecs.
+One :class:`FrameLog` is one append-only file of
+:mod:`repro.parallel.codec` frames behind the :data:`JOURNAL_MAGIC`
+header — byte for byte the encoding the worker pipe speaks, raw events
+included.  That is the only format this module *writes*.  It still
+*reads* the format journals had before the binary codec existed (the
+4-byte length prefix + UTF-8 JSON framing of :mod:`repro.parallel.wire`,
+no header): :func:`load_journal` tells the two apart from the first
+bytes (the magic's first byte can never begin a valid JSON frame: as a
+length prefix it would exceed ``MAX_FRAME_BYTES``), ``repro journal``
+inspects such a file as it is, and opening it as a :class:`FrameLog`
+upgrades it once, atomically, event frames converting from their wire
+dicts to raw events — so old durable directories keep replaying and one
+file never mixes encodings.
 
 Binary journals are *self-contained*: the interning tables start empty
 at the first frame, every define-record is inline, and compaction
@@ -37,31 +37,21 @@ frame ``{"kind": "compacted", "base": N}`` as the new first frame, so a
 compacted log is self-describing and offline tools need no sidecar.
 
 A killed writer can leave a *torn* final frame (partial header or
-payload).  :func:`scan` tolerates it: the log is valid up to the last
-complete frame, and opening a log for append truncates the torn tail so
-the next frame starts clean — the standard WAL repair rule.
+payload).  :func:`load_journal` tolerates it: the log is valid up to the
+last complete frame, and opening a log for append truncates the torn
+tail so the next frame starts clean — the standard WAL repair rule.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional
 
 from ..errors import DurabilityError, WireError
-from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability import Counter, default_registry
-from ..parallel.codec import (
-    WIRE_CODECS,
-    BinaryDecoder,
-    BinaryEncoder,
-)
-from ..parallel.wire import (
-    MAX_FRAME_BYTES,
-    event_from_wire,
-    event_to_wire,
-    frame_bytes,
-)
+from ..parallel.codec import BinaryDecoder, BinaryEncoder
+from ..parallel.wire import MAX_FRAME_BYTES, event_from_wire, read_frame
 
 #: Frame kind of the compaction control frame (never replayed).
 CONTROL_COMPACTED = "compacted"
@@ -85,14 +75,46 @@ def detect_codec(path: str) -> Optional[str]:
     return "binary" if head == JOURNAL_MAGIC else "json"
 
 
-def _load(
-    path: str,
-) -> Tuple[str, List[Dict[str, Any]], int, bool, Optional[BinaryDecoder]]:
-    """Read a whole journal: ``(codec, frames, valid_bytes, torn, decoder)``.
+class LoadedJournal(NamedTuple):
+    """One decoding pass over a journal file."""
+
+    #: ``"binary"``, or ``"json"`` for a file no :class:`FrameLog` has
+    #: opened since the binary codec exists.
+    codec: str
+    #: Every complete frame physically present, a leading control frame
+    #: included; JSON-era event frames still hold their wire dicts.
+    frames: List[Dict[str, Any]]
+    #: Offset just past the last complete frame (the magic included).
+    valid_bytes: int
+    #: Bytes beyond ``valid_bytes`` exist but form no whole frame (a
+    #: crash mid-append).
+    torn: bool
+    #: The binary decoder that read the file: its tables seed an
+    #: append-side encoder (``None`` for a JSON file).
+    decoder: Optional[BinaryDecoder]
+
+    def _compacted(self) -> bool:
+        return bool(
+            self.frames and self.frames[0].get("kind") == CONTROL_COMPACTED
+        )
+
+    @property
+    def base(self) -> int:
+        """The absolute index of the first payload frame in the file."""
+        return int(self.frames[0]["base"]) if self._compacted() else 0
+
+    @property
+    def payload(self) -> List[Dict[str, Any]]:
+        """The frames without the control frame: ``payload[i]`` has
+        absolute index ``base + i``."""
+        return self.frames[1:] if self._compacted() else self.frames
+
+
+def load_journal(path: str) -> LoadedJournal:
+    """Read a whole journal, whichever era wrote it (torn tail ignored).
 
     Binary frames must decode in file order against one decoder (the
-    interning tables are stream state); the decoder comes back so an
-    append-side encoder can adopt its tables.
+    interning tables are stream state).
     """
     codec = detect_codec(path) or "json"
     frames: List[Dict[str, Any]] = []
@@ -124,8 +146,6 @@ def _load(
                     break
                 valid = stream.tell()
         else:
-            from ..parallel.wire import read_frame
-
             valid = 0
             while True:
                 try:
@@ -141,59 +161,66 @@ def _load(
         # A clean EOF and a lone partial header both end the loop;
         # compare against the file size to tell them apart.
         torn = os.path.getsize(path) > valid
-    return codec, frames, valid, torn, decoder
+    return LoadedJournal(codec, frames, valid, torn, decoder)
 
 
-def scan(path: str) -> Tuple[int, int, bool]:
-    """Scan a frame log file: ``(file_frames, valid_bytes, torn_tail)``.
+def _upgraded(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """A JSON-era *frame* as the binary journal holds it.
 
-    ``file_frames`` counts every complete frame physically present
-    (including a leading control frame); ``valid_bytes`` is the offset
-    just past the last complete frame (the codec magic included);
-    ``torn_tail`` is true when bytes beyond it exist but do not form a
-    whole frame (a crash mid-append).  The codec is auto-detected.
-    """
-    __, frames, valid, torn, __decoder = _load(path)
-    return len(frames), valid, torn
-
-
-def read_file_frames(path: str, skip: int = 0) -> List[Dict[str, Any]]:
-    """Complete frames from file frame *skip* on (torn tail ignored).
-
-    The codec is auto-detected; binary journals return their frames
-    with native values (raw events included)."""
-    __, frames, __valid, __torn, __decoder = _load(path)
-    return frames[skip:]
-
-
-def log_base(path: str) -> int:
-    """The absolute index of the first payload frame in the file."""
-    __, frames, __valid, __torn, __decoder = _load(path)
-    if frames and frames[0].get("kind") == CONTROL_COMPACTED:
-        return int(frames[0]["base"])
-    return 0
-
-
-def convert_frame(frame: Dict[str, Any], codec: str) -> Dict[str, Any]:
-    """*frame* in the channel form of *codec*.
-
-    Only ``events`` frames differ between codecs: binary channels carry
-    the events themselves, JSON channels their ``event_to_wire`` dicts.
-    Every other frame kind is codec-neutral and passes through.
+    Only ``events`` frames differ: the JSON framing carried
+    ``event_to_wire`` dicts where the codec carries the events
+    themselves.  Every other frame kind passes through.
     """
     if frame.get("kind") != "events":
         return frame
-    events = frame.get("events") or []
-    if codec == "binary":
-        if events and not isinstance(events[0], Event):
-            frame = dict(frame)
-            frame["events"] = [event_from_wire(data) for data in events]
-    elif events and isinstance(events[0], Event):
-        frame = dict(frame)
-        frame["events"] = [
-            event_to_wire(event, provenance=True) for event in events
-        ]
-    return frame
+    upgraded = dict(frame)
+    upgraded["events"] = [
+        event_from_wire(data) for data in frame.get("events") or []
+    ]
+    return upgraded
+
+
+def _write_journal(path: str, frames: List[Dict[str, Any]]) -> BinaryEncoder:
+    """Atomically replace *path* with a journal of exactly *frames*.
+
+    Written under a fresh encoder, which is returned: its tables match
+    the new file, so it is the one to keep appending with.
+    """
+    replacement = f"{path}.recode"
+    encoder = BinaryEncoder()
+    with open(replacement, "wb") as stream:
+        stream.write(JOURNAL_MAGIC)
+        for frame in frames:
+            stream.write(encoder.encode_frame(frame))
+        stream.flush()
+        os.fsync(stream.fileno())
+    os.replace(replacement, path)
+    return encoder
+
+
+def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
+    """Offline :meth:`FrameLog.compact` of an already loaded file.
+
+    No second read: ``repro journal --compact`` reports from, and
+    compacts, one :func:`load_journal` pass.  The rewrite is binary, so a
+    JSON-era journal comes out upgraded (and a torn tail dropped).
+    Returns the surviving payload frame count.
+    """
+    payload = journal.payload
+    if keep_from <= journal.base:
+        return len(payload)
+    if keep_from > journal.base + len(payload):
+        raise DurabilityError(
+            f"cannot compact past the end of the log "
+            f"({keep_from} > {journal.base + len(payload)} frames)"
+        )
+    survivors = payload[keep_from - journal.base:]
+    if journal.codec == "json":
+        survivors = [_upgraded(frame) for frame in survivors]
+    _write_journal(
+        path, [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
+    )
+    return len(survivors)
 
 
 def _journal_counters() -> Dict[str, Counter]:
@@ -214,14 +241,13 @@ class FrameLog:
     ) -> None:
         if fsync_every < 0:
             raise DurabilityError("fsync_every must be >= 0 (0 = never)")
-        if codec not in WIRE_CODECS:
+        # Vestigial: ``perf/`` still spells ``codec="binary"``.
+        if codec != "binary":
             raise DurabilityError(
-                f"unknown journal codec {codec!r}; "
-                f"expected one of {WIRE_CODECS}"
+                f"unknown journal codec {codec!r}; expected 'binary'"
             )
         self.path = path
         self.fsync_every = fsync_every
-        self.codec = codec
         self._unsynced = 0
         self.appended = 0
         self.bytes_written = 0
@@ -238,82 +264,59 @@ class FrameLog:
         file_frames = 0
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
-            detected, frames, valid, torn, decoder = _load(path)
-            if frames and frames[0].get("kind") == CONTROL_COMPACTED:
-                self.base = int(frames[0]["base"])
-                file_frames = len(frames) - 1
-            else:
-                file_frames = len(frames)
-            if detected != codec:
-                # Re-encode the whole file under the requested codec so
-                # it never mixes framings; the torn tail (if any) dies
-                # with the rewrite.  Event frames convert between their
-                # raw and wire forms; the fresh encoder used for the
-                # rewrite becomes the append encoder (its tables match
-                # the file exactly).
-                self._recode(frames)
+            journal = load_journal(path)
+            self.base = journal.base
+            file_frames = len(journal.payload)
+            if journal.codec == "json":
+                # A journal from before the binary codec: rewrite it
+                # once, so the file never mixes framings; the torn tail
+                # (if any) dies with the rewrite.  The fresh encoder
+                # used for the rewrite becomes the append encoder (its
+                # tables match the file exactly).
+                self._encoder = _write_journal(
+                    path, [_upgraded(frame) for frame in journal.frames]
+                )
                 _SLOG.emit(
                     "durability",
                     "journal_recoded",
                     level="warning",
                     path=path,
                     frames=file_frames,
-                    from_codec=detected,
-                    to_codec=codec,
+                    from_codec="json",
+                    to_codec="binary",
                 )
             else:
-                if torn:
+                decoder = journal.decoder
+                if journal.torn:
                     # Torn tail from a previous crashed writer: truncate
                     # to the last complete frame so appends start clean.
                     with open(path, "r+b") as repair:
-                        repair.truncate(valid)
+                        repair.truncate(journal.valid_bytes)
                     _SLOG.emit(
                         "durability",
                         "journal_tail_truncated",
                         level="warning",
                         path=path,
                         frames=file_frames,
-                        valid_bytes=valid,
+                        valid_bytes=journal.valid_bytes,
                     )
-                    if codec == "binary":
-                        # A tail torn mid-decode may have polluted the
-                        # decoder's intern tables with defines that just
-                        # got truncated away; re-read the repaired file
-                        # so the seed matches the surviving bytes.
-                        __d, __f, __v, __t, decoder = _load(path)
-                if codec == "binary" and decoder is not None:
-                    # Seed the append encoder with the tables the file's
-                    # frames established, so new refs stay consistent.
-                    self._encoder.seed(
-                        decoder.interned_strings,
-                        decoder.interned_compounds,
-                    )
+                    # A tail torn mid-decode may have polluted the
+                    # decoder's intern tables with defines that just
+                    # got truncated away; re-read the repaired file
+                    # so the seed matches the surviving bytes.
+                    decoder = load_journal(path).decoder
+                assert decoder is not None
+                # Seed the append encoder with the tables the file's
+                # frames established, so new refs stay consistent.
+                self._encoder.seed(
+                    decoder.interned_strings, decoder.interned_compounds
+                )
         #: Absolute count of payload frames ever appended (next index).
         self.frame_count = self.base + file_frames
         self._stream = open(path, "ab")
-        if fresh and codec == "binary":
+        if fresh:
             self._stream.write(JOURNAL_MAGIC)
             self._stream.flush()
-
-    def _encode(self, frame: Mapping[str, Any]) -> bytes:
-        if self.codec == "binary":
-            return self._encoder.encode_frame(
-                convert_frame(dict(frame), "binary")
-            )
-        return frame_bytes(convert_frame(dict(frame), "json"))
-
-    def _recode(self, frames: List[Dict[str, Any]]) -> None:
-        """Atomically rewrite the file under ``self.codec``."""
-        replacement = f"{self.path}.recode"
-        self._encoder = BinaryEncoder()
-        with open(replacement, "wb") as stream:
-            if self.codec == "binary":
-                stream.write(JOURNAL_MAGIC)
-            for frame in frames:
-                stream.write(self._encode(frame))
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(replacement, self.path)
 
     # -- writing -----------------------------------------------------------
 
@@ -324,7 +327,7 @@ class FrameLog:
         the OS with the batch's single write (at the fsync point, or —
         with ``fsync_every=0`` — immediately).
         """
-        data = self._encode(frame)
+        data = self._encoder.encode_frame(frame)
         self._buffer += data
         self.bytes_written += len(data)
         index = self.frame_count
@@ -367,14 +370,13 @@ class FrameLog:
                 f"cannot read from {start}"
             )
         self._flush_buffer()
-        skip = (start - self.base) + (1 if self.base else 0)
-        return read_file_frames(self.path, skip)
+        return load_journal(self.path).payload[start - self.base:]
 
     def compact(self, keep_from: int) -> int:
         """Drop frames below absolute index *keep_from* (atomic rewrite).
 
         Called after a snapshot: frames the snapshot already covers are
-        dead weight for recovery.  A binary journal is rewritten under a
+        dead weight for recovery.  The journal is rewritten under a
         **fresh** encoder — the interning tables reset at the compaction
         boundary, so the surviving cut is self-contained — and the fresh
         encoder takes over for subsequent appends.  Returns the
@@ -390,8 +392,9 @@ class FrameLog:
         self.sync()
         survivors = self.tail(keep_from)
         self._stream.close()
-        self._recode(
-            [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
+        self._encoder = _write_journal(
+            self.path,
+            [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors,
         )
         self._stream = open(self.path, "ab")
         self.base = keep_from

@@ -44,12 +44,10 @@ class ShardSnapshot:
     blueprint: Dict[str, Any]
     #: ``ShardHost.snapshot_state()`` payload (operators, seq, counters).
     state: Dict[str, Any]
-    #: Wire codec of the journal this snapshot compacted — offline tools
-    #: read it instead of sniffing the journal's magic.  Snapshots
-    #: written before the binary codec existed carry no field and
-    #: default to ``"json"``; the version stays 1 (the field is
-    #: additive and optional).
-    codec: str = "json"
+    #: Vestigial — neither stored nor read (a ``codec`` key in an older
+    #: snapshot file is ignored); kept only because ``perf/`` still
+    #: constructs snapshots with ``codec="binary"``.
+    codec: str = "binary"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -58,7 +56,6 @@ class ShardSnapshot:
             "frame_index": self.frame_index,
             "blueprint": self.blueprint,
             "state": self.state,
-            "codec": self.codec,
         }
 
     @staticmethod
@@ -74,7 +71,6 @@ class ShardSnapshot:
             frame_index=int(data["frame_index"]),
             blueprint=dict(data["blueprint"]),
             state=dict(data["state"]),
-            codec=str(data.get("codec", "json")),
         )
 
     # -- persistence -------------------------------------------------------

@@ -19,7 +19,7 @@ durability loop:
   rebuilt pipeline.  Replay regenerates the per-shard notification
   stream deterministically, so notifications the facade already merged
   come back with the same ``(time, shard, seq)`` keys — the sequence
-  high-watermark in :meth:`SupervisedShard.flush` drops them, and the
+  high-watermark in :meth:`SupervisedShard.end` drops them, and the
   merged stream continues exactly where it left off.
 
 The retry discipline is asymmetric by design: **mutations are never
@@ -31,9 +31,9 @@ would double-apply), while **reads are retried once** after recovery
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..errors import ShardCrashError
+from ..errors import ParallelError, ShardCrashError
 from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability import Counter, default_registry
@@ -105,14 +105,13 @@ class SupervisedShard:
         self._genesis = blueprint.to_wire()
         self._respawn = respawn
         directory = shard_directory(config.durable_dir, self.shard_id)
-        # The journal shares the channel's codec: a journaled frame is
-        # exactly the frame that crossed (or will cross) the worker
-        # pipe, so recovery replays it verbatim.  Opening a journal left
-        # by a deployment on the *other* codec re-encodes it in place.
+        # A journaled frame is exactly the frame that crossed (or will
+        # cross) the worker pipe, so recovery replays it verbatim.
+        # Opening a journal written before the binary codec existed
+        # upgrades it in place, once.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,
-            codec=config.wire_codec,
         )
         self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
         #: Frames below this index predate this federation (a reused
@@ -120,7 +119,7 @@ class SupervisedShard:
         self._genesis_index = self.journal.frame_count
         self._snapshot: Optional[ShardSnapshot] = None
         #: Highest notification sequence the facade has merged; replayed
-        #: duplicates at or below it are dropped in :meth:`flush`.
+        #: duplicates at or below it are dropped in :meth:`end`.
         self._seq_high = -1
         #: Highest structured-log sequence number forwarded to the
         #: facade; records a recovered worker re-emits during journal
@@ -137,17 +136,9 @@ class SupervisedShard:
         return self.inner.alive
 
     @property
-    def wire_codec(self) -> str:
-        """The negotiated channel (and journal) codec."""
-        return self.inner.wire_codec
-
-    @property
     def channel(self) -> "MuxChannel":
         """The current worker's multiplexer channel (changes on respawn)."""
         return self.inner.channel
-
-    def has_credit(self) -> bool:
-        return self.inner.has_credit()
 
     # -- observability forwarding ------------------------------------------
 
@@ -226,85 +217,38 @@ class SupervisedShard:
 
     # -- reads (idempotent, retried once after recovery) -------------------
 
-    def _fresh_records(
-        self, records: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Drop replayed duplicates at or below the merge watermark."""
-        fresh = [
-            record
-            for record in records
-            if int(record["seq"]) > self._seq_high
-        ]
-        if fresh:
-            self._seq_high = int(fresh[-1]["seq"])
-        return fresh
-
-    def flush(self) -> List[Dict[str, Any]]:
+    def begin(self, op: str) -> None:
         try:
-            records = self.inner.flush()
+            self.inner.begin(op)
         except ShardCrashError:
             self.recover()
-            records = self.inner.flush()
-        return self._fresh_records(records)
+            self.inner.begin(op)
 
-    def stats(self) -> Dict[str, int]:
+    def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any:
         try:
-            stats = dict(self.inner.stats())
-        except ShardCrashError:
-            self.recover()
-            stats = dict(self.inner.stats())
-        return self._augment_stats(stats)
-
-    def _augment_stats(self, stats: Dict[str, int]) -> Dict[str, int]:
-        stats["recoveries"] = self.recoveries
-        stats["journal_frames"] = self.journal.frame_count
-        return stats
-
-    def sync(self) -> None:
-        try:
-            self.inner.sync()
-        except ShardCrashError:
-            self.recover()
-            self.inner.sync()
-
-    # -- split-phase collectives (recover-and-retry on either phase) -------
-
-    def begin_flush(self) -> None:
-        try:
-            self.inner.begin_flush()
-        except ShardCrashError:
-            self.recover()
-            self.inner.begin_flush()
-
-    def end_flush(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
-        try:
-            records = self.inner.end_flush(frame)
+            result = self.inner.end(op, frame)
         except ShardCrashError:
             # The worker died between broadcast and gather; the
             # replacement replays the journal, then a fresh blocking
             # round trip re-asks the question (reads are idempotent).
             self.recover()
-            records = self.inner.flush()
-        return self._fresh_records(records)
-
-    def begin_stats(self) -> None:
-        try:
-            self.inner.begin_stats()
-        except ShardCrashError:
-            self.recover()
-            self.inner.begin_stats()
-
-    def end_stats(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Dict[str, int], List[str]]:
-        try:
-            stats, errors = self.inner.end_stats(frame)
-        except ShardCrashError:
-            self.recover()
-            stats, errors = self.inner._stats_round_trip()
-        return self._augment_stats(dict(stats)), errors
+            self.inner.begin(op)
+            result = self.inner.end(op)
+        if op == "flush":
+            # Drop replayed duplicates at or below the merge watermark.
+            fresh = [
+                record
+                for record in result
+                if int(record["seq"]) > self._seq_high
+            ]
+            if fresh:
+                self._seq_high = int(fresh[-1]["seq"])
+            return fresh
+        stats, errors = result
+        stats = dict(stats)
+        stats["recoveries"] = self.recoveries
+        stats["journal_frames"] = self.journal.frame_count
+        return stats, errors
 
     # -- snapshots ---------------------------------------------------------
 
@@ -353,7 +297,6 @@ class SupervisedShard:
             frame_index=frame_index,
             blueprint=self._blueprint.to_wire(),
             state=state,
-            codec=self.wire_codec,
         )
         # Invariant for offline tools: a snapshot on disk never covers
         # frames the journal has not durably written.
@@ -380,9 +323,9 @@ class SupervisedShard:
         Boot state is the latest snapshot (blueprint + operator state)
         or the genesis blueprint; then every journal frame above the
         covered index replays through the rebuilt pipeline in order.
-        The final ``sync()`` round-trips the channel so a restore or
-        replay failure surfaces here — as a recovery error — rather
-        than poisoning the next regular operation.
+        The final stats round trip surfaces a restore or replay failure
+        here — as a recovery error — rather than letting it poison the
+        next regular operation.
         """
         if self.recoveries >= self.config.max_recoveries:
             raise ShardCrashError(
@@ -430,7 +373,12 @@ class SupervisedShard:
                 strip_trace_sampling(frame),
                 credit=frame.get("kind") == "events",
             )
-        self.inner.sync()
+        self.inner.begin("stats")
+        __, errors = self.inner.end("stats")
+        if errors:
+            raise ParallelError(
+                f"shard {self.shard_id} reported errors: {errors}"
+            )
         _SLOG.emit(
             "durability",
             "shard_recovered",

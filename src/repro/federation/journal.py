@@ -118,12 +118,10 @@ class Journal:
     def load_frames(cls, path: str) -> "Journal":
         """Load a :meth:`save_frames` file (replayable via
         :func:`recover_core` exactly like an in-memory journal)."""
-        from ..durability.log import CONTROL_COMPACTED, read_file_frames
+        from ..durability.log import load_journal
 
         journal = cls()
-        for frame in read_file_frames(path):
-            if frame.get("kind") == CONTROL_COMPACTED:
-                continue
+        for frame in load_journal(path).payload:
             journal.append(frame)
         return journal
 

@@ -18,34 +18,22 @@ Entry points:
 * :class:`~repro.parallel.host.FederationBlueprint` /
   :class:`~repro.parallel.host.ShardSpec` — the data-only bootstrap;
 * :class:`~repro.parallel.router.ShardRouter` — affinity routing;
-* :mod:`~repro.parallel.codec` — the binary wire codec the shard
-  channels and write-ahead journals speak by default
-  (``ShardConfig(wire_codec="json")`` restores the debuggable JSON
-  framing).
+* :mod:`~repro.parallel.codec` — the binary wire codec, the one
+  encoding shard channels and write-ahead journals write
+  (``repro journal --dump`` renders it as JSON for a human).
 """
 
-from .codec import (
-    WIRE_CODECS,
-    BinaryDecoder,
-    BinaryEncoder,
-    make_reader,
-    make_writer,
-)
+from .codec import BinaryDecoder, BinaryEncoder
 from .federation import (
     BACKENDS,
+    Shard,
     ShardConfig,
     ShardedFederation,
     ShardNotification,
 )
 from .host import FederationBlueprint, RecordingDeliveryQueue, ShardHost, ShardSpec
 from .router import ShardRouter
-from .wire import (
-    event_from_wire,
-    event_to_wire,
-    read_frame,
-    register_event_type,
-    write_frame,
-)
+from .wire import event_from_wire, event_to_wire, register_event_type
 
 __all__ = [
     "BACKENDS",
@@ -53,18 +41,14 @@ __all__ = [
     "BinaryEncoder",
     "FederationBlueprint",
     "RecordingDeliveryQueue",
+    "Shard",
     "ShardConfig",
     "ShardHost",
     "ShardNotification",
     "ShardRouter",
     "ShardSpec",
     "ShardedFederation",
-    "WIRE_CODECS",
     "event_from_wire",
     "event_to_wire",
-    "make_reader",
-    "make_writer",
-    "read_frame",
     "register_event_type",
-    "write_frame",
 ]

@@ -1,13 +1,12 @@
-"""The binary wire codec: one serialization fast path for shards and
-the journal.
+"""The binary wire codec: the one serialization of shard pipes and the
+journal.
 
-Frames on a binary channel keep the JSON path's *framing* — a 4-byte
-big-endian length prefix per frame — but the payload is a compact
-type-tagged binary encoding instead of a UTF-8 JSON document, and the
-values inside are the *native* objects the pipeline speaks: ``Event``
-instances, nested tuples, frozensets, and provenance node trees cross
-the channel without the ``event_to_wire`` / ``encode_value`` tag-dict
-detour (``$fs`` / ``$t`` / ``$d``) the JSON path pays per value.
+A frame is a 4-byte big-endian length prefix and a compact type-tagged
+binary payload, and the values inside are the *native* objects the
+pipeline speaks: ``Event`` instances, nested tuples, frozensets, and
+provenance node trees cross the channel without the ``event_to_wire`` /
+``encode_value`` tag-dict detour (``$fs`` / ``$t`` / ``$d``) of the JSON
+rendering in :mod:`repro.parallel.wire`.
 
 **Value encoding.**  Every value is one tag byte followed by its body:
 
@@ -25,7 +24,7 @@ tag       body
 ``LIST``  varint count + members
 ``TUPLE`` varint count + members
 ``FSET``  varint count + members, sorted by ``repr`` for
-          deterministic bytes (mirrors the JSON path)
+          deterministic bytes
 ``DICT``  varint count + alternating key/value members
 ``EVENT`` event type name, key-schema tuple, the parameter
           values in key order (``type`` skipped), provenance flag
@@ -71,16 +70,7 @@ from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 from ..errors import WireError
 from ..events.event import Event
 from ..observability.provenance import ProvenanceNode
-from .wire import (
-    MAX_FRAME_BYTES,
-    _read_exact,
-    read_frame,
-    resolve_event_type,
-    write_frame,
-)
-
-#: The codecs a shard channel (and the journal) can speak.
-WIRE_CODECS = ("binary", "json")
+from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
 
 #: Strings longer than this many UTF-8 bytes are not interned (one-off
 #: payload text should not occupy table slots).
@@ -115,33 +105,23 @@ _HEADER = struct.Struct(">I")
 _new_event = object.__new__
 
 # ---------------------------------------------------------------------------
-# Channel negotiation (the hello frame)
+# Channel opening (the hello bytes)
 # ---------------------------------------------------------------------------
 
-#: First bytes on a worker pipe: magic, protocol version, codec byte.
+#: First bytes on a worker pipe: magic, then the protocol byte.
 HELLO_MAGIC = b"RPW1"
-_HELLO_BYTE = {"json": 0, "binary": 1}
-_HELLO_CODEC = {byte: codec for codec, byte in _HELLO_BYTE.items()}
+#: The one payload encoding this build speaks (the binary codec).  A
+#: peer announcing anything else is from another build and is refused.
+HELLO_PROTOCOL = 1
 
 
-def hello_bytes(codec: str) -> bytes:
-    """The channel-opening bytes: magic + codec byte, before any frame.
-
-    Exposed separately from :func:`write_hello` for writers that manage
-    raw file descriptors (the facade's multiplexer) rather than
-    buffered streams.
-    """
-    return HELLO_MAGIC + bytes((_HELLO_BYTE[codec],))
+def hello_bytes() -> bytes:
+    """The channel-opening bytes: magic + protocol byte, before any frame."""
+    return HELLO_MAGIC + bytes((HELLO_PROTOCOL,))
 
 
-def write_hello(stream: IO[bytes], codec: str) -> None:
-    """Open a channel: magic + codec byte, before any frame."""
-    stream.write(hello_bytes(codec))
-    stream.flush()
-
-
-def read_hello(stream: IO[bytes]) -> str:
-    """Read the peer's hello; returns the negotiated codec name."""
+def read_hello(stream: IO[bytes]) -> None:
+    """Read and check the peer's hello; :class:`WireError` on a mismatch."""
     data = _read_exact(stream, len(HELLO_MAGIC) + 1, allow_eof=False)
     assert data is not None
     if data[: len(HELLO_MAGIC)] != HELLO_MAGIC:
@@ -149,10 +129,11 @@ def read_hello(stream: IO[bytes]) -> str:
             f"bad channel hello {data[:len(HELLO_MAGIC)]!r} "
             f"(expected {HELLO_MAGIC!r})"
         )
-    codec = _HELLO_CODEC.get(data[-1])
-    if codec is None:
-        raise WireError(f"unknown wire codec byte {data[-1]!r} in hello")
-    return codec
+    if data[-1] != HELLO_PROTOCOL:
+        raise WireError(
+            f"unsupported wire protocol byte {data[-1]!r} in hello "
+            f"(expected {HELLO_PROTOCOL!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +396,7 @@ class BinaryEncoder:
 
 #: Exceptions a corrupt payload can surface as; all become WireError.
 _DECODE_ERRORS = (
+    AttributeError,
     IndexError,
     KeyError,
     OverflowError,
@@ -721,8 +703,6 @@ class BinaryDecoder:
 class BinaryFrameWriter:
     """Writes binary frames to a stream; one encoder, one write per frame."""
 
-    codec = "binary"
-
     def __init__(self, stream: IO[bytes]) -> None:
         self._stream = stream
         self.encoder = BinaryEncoder()
@@ -733,14 +713,9 @@ class BinaryFrameWriter:
         self._stream.write(self.encoder.encode_frame(frame))
         self._stream.flush()
 
-    def reset(self) -> None:
-        self.encoder.reset()
-
 
 class BinaryFrameReader:
     """Reads binary frames from a stream; mirrors one writer's tables."""
-
-    codec = "binary"
 
     def __init__(self, stream: IO[bytes]) -> None:
         self._stream = stream
@@ -759,82 +734,17 @@ class BinaryFrameReader:
         assert data is not None
         return self.decoder.decode_payload(data)
 
-    def reset(self) -> None:
-        self.decoder.reset()
 
+def events_frame(events: List[Event], codec: str = "binary") -> Dict[str, Any]:
+    """The ``events`` frame: the events themselves, encoded natively.
 
-class JsonFrameWriter:
-    """The JSON debug/compat path behind the same writer surface."""
-
-    codec = "json"
-
-    def __init__(self, stream: IO[bytes]) -> None:
-        self._stream = stream
-
-    def write(self, frame: Mapping[str, Any]) -> None:
-        write_frame(self._stream, frame)
-
-    def reset(self) -> None:  # noqa: D102 - no state to reset
-        pass
-
-
-class JsonFrameReader:
-    """The JSON debug/compat path behind the same reader surface."""
-
-    codec = "json"
-
-    def __init__(self, stream: IO[bytes]) -> None:
-        self._stream = stream
-
-    def read(self) -> Optional[Dict[str, Any]]:
-        return read_frame(self._stream)
-
-    def reset(self) -> None:  # noqa: D102 - no state to reset
-        pass
-
-
-FrameWriter = Any  # BinaryFrameWriter | JsonFrameWriter
-FrameReader = Any  # BinaryFrameReader | JsonFrameReader
-
-
-def make_writer(stream: IO[bytes], codec: str) -> Any:
-    """The frame writer for *codec* over *stream*."""
-    if codec == "binary":
-        return BinaryFrameWriter(stream)
-    if codec == "json":
-        return JsonFrameWriter(stream)
-    raise WireError(
-        f"unknown wire codec {codec!r}; expected one of {WIRE_CODECS}"
-    )
-
-
-def make_reader(stream: IO[bytes], codec: str) -> Any:
-    """The frame reader for *codec* over *stream*."""
-    if codec == "binary":
-        return BinaryFrameReader(stream)
-    if codec == "json":
-        return JsonFrameReader(stream)
-    raise WireError(
-        f"unknown wire codec {codec!r}; expected one of {WIRE_CODECS}"
-    )
-
-
-def events_frame(events: List[Event], codec: str) -> Dict[str, Any]:
-    """The ``events`` frame for *codec*.
-
-    A binary channel carries the events themselves (the codec encodes
-    them natively); a JSON channel carries their ``event_to_wire``
-    dicts.  The same shapes land in the write-ahead journal, which
-    shares the channel's codec.
+    The same frame lands in the write-ahead journal.  ``codec`` is
+    vestigial — ``perf/`` still passes ``"binary"``; anything else is
+    refused.
     """
-    if codec == "binary":
-        return {"kind": "events", "events": list(events)}
-    from .wire import event_to_wire
-
-    return {
-        "kind": "events",
-        "events": [event_to_wire(event) for event in events],
-    }
+    if codec != "binary":
+        raise WireError(f"unknown wire codec {codec!r}; expected 'binary'")
+    return {"kind": "events", "events": list(events)}
 
 
 # ---------------------------------------------------------------------------
@@ -843,12 +753,11 @@ def events_frame(events: List[Event], codec: str) -> Dict[str, Any]:
 
 
 def frame_to_jsonable(value: Any) -> Any:
-    """A decoded binary frame as the JSON path would have carried it.
+    """A decoded frame in the tagged JSON form of :mod:`.wire`.
 
-    ``repro journal inspect`` uses this so a binary journal
-    pretty-prints identically to a JSON one: raw events become their
+    ``repro journal --dump`` prints this: raw events become their
     ``event_to_wire`` form, tuples/frozensets their ``$t``/``$fs``
-    tags.
+    tags — the shape a JSON-era journal holds on disk.
     """
     from .wire import encode_value, event_to_wire
 

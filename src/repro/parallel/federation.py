@@ -33,12 +33,14 @@ plus :class:`~repro.errors.ShardCrashError` on the next interaction —
 never a hang: reads fail fast on EOF, and shutdown uses a poison pill
 with a join timeout before escalating to ``terminate()``.
 
-**Overlapped I/O.**  On the process backend every collective —
-:meth:`ShardedFederation.drain`, deploy/undeploy sync, ``stats()``,
-``refresh_observability()`` — broadcasts its request to every live
-shard first and then gathers the responses as they arrive through one
-:class:`~repro.parallel.mux.ChannelMultiplexer`, so a collective costs
-the slowest shard, not the sum of all shards.  Ingest is flow
+**One shard protocol, overlapped I/O.**  Whatever the backend, the
+facade drives its shards through :class:`Shard` alone.  Every collective
+— :meth:`ShardedFederation.drain`, deploy/undeploy sync, ``stats()``,
+``refresh_observability()`` — calls ``begin`` on every live shard first,
+gathers the process shards' responses as they arrive in one
+:class:`~repro.parallel.mux.ChannelMultiplexer` wave, and hands each
+shard its response through ``end``, so a collective costs the slowest
+shard, not the sum of all shards.  Ingest is flow
 controlled per shard: event frames carry sequence numbers, workers ack
 them (piggybacked on responses, standalone past a threshold), and at
 most ``ShardConfig.max_inflight`` frames ride each pipe — a hot shard
@@ -52,7 +54,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from ..errors import ParallelError, ShardCrashError
 from ..events.event import Event
@@ -72,20 +74,11 @@ from ..observability.trace import (
     TraceAssembler,
     TraceContext,
 )
-from .codec import (
-    WIRE_CODECS,
-    events_frame,
-    hello_bytes,
-)
+from .codec import events_frame, hello_bytes
 from .host import FederationBlueprint, ShardHost, ShardSpec
 from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
 from .router import ShardRouter
-from .wire import (
-    SEQ_KEY,
-    as_tuples,
-    attach_trace,
-    decode_value,
-)
+from .wire import SEQ_KEY, attach_trace
 
 BACKENDS = ("serial", "process")
 
@@ -161,23 +154,12 @@ class ShardConfig:
     #: touches (1 = trace every wave).  Only meaningful with
     #: ``instrument`` on.
     trace_sample_every: int = DEFAULT_SAMPLE_EVERY
-    #: Serialization of the worker pipes and the write-ahead journal:
-    #: ``binary`` (the interned fast path of
-    #: :mod:`repro.parallel.codec`) or ``json`` (the debug/compat
-    #: path — ``strace`` a worker and read the traffic).  Serial shards
-    #: never serialize; the knob only affects the process backend.
-    wire_codec: str = "binary"
     #: Event frames allowed in flight (sent, not yet acked) per shard
     #: before ingest defers that shard's batches in the facade buffer.
     #: The window bounds facade- and pipe-side memory per shard while a
     #: worker stalls; acks ride the worker's response frames plus
     #: standalone ack frames every ``max_inflight // 2`` event frames.
     max_inflight: int = 32
-    #: Overlap the collective operations (broadcast the request to all
-    #: shards, then gather responses as they arrive).  ``False`` falls
-    #: back to one shard at a time — full round trips in shard order —
-    #: which is the comparison baseline QE15 measures against.
-    overlap: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -203,11 +185,6 @@ class ShardConfig:
             raise ParallelError("max_recoveries must be >= 0")
         if self.trace_sample_every < 1:
             raise ParallelError("trace_sample_every must be >= 1")
-        if self.wire_codec not in WIRE_CODECS:
-            raise ParallelError(
-                f"unknown wire codec {self.wire_codec!r}; "
-                f"expected one of {WIRE_CODECS}"
-            )
         if self.max_inflight < 1:
             raise ParallelError("max_inflight must be >= 1")
 
@@ -233,28 +210,11 @@ class ShardNotification:
 
 
 def _notification_from_record(
-    shard: int, record: Dict[str, Any], raw: bool = False
+    shard: int, record: Dict[str, Any]
 ) -> ShardNotification:
-    """Build one merged notification from a shard's drain record.
-
-    ``raw`` marks records off a binary channel: the signature is
-    already nested tuples and the parameters are native values, so the
-    JSON path's ``decode_value`` / ``as_tuples`` normalization is
-    skipped entirely.
-    """
-    signature = record.get("signature")
-    if raw:
-        return ShardNotification(
-            shard=shard,
-            seq=record["seq"],
-            time=record["time"],
-            participant_id=record["participant"],
-            schema_name=record["schema"],
-            description=record["description"],
-            process_instance_id=record.get("instance"),
-            signature=signature,
-            parameters=record.get("parameters") or {},
-        )
+    """Build one merged notification from a shard's drain record (native
+    values: the signature is nested tuples whether the record crossed a
+    pipe or not)."""
     return ShardNotification(
         shard=shard,
         seq=record["seq"],
@@ -263,34 +223,70 @@ def _notification_from_record(
         schema_name=record["schema"],
         description=record["description"],
         process_instance_id=record.get("instance"),
-        signature=as_tuples(decode_value(signature))
-        if signature is not None
-        else None,
-        parameters=decode_value(record.get("parameters") or {}),
+        signature=record.get("signature"),
+        parameters=record.get("parameters") or {},
     )
+
+
+class Shard(Protocol):
+    """What the facade needs of one shard — and all a new transport
+    has to implement.
+
+    Collectives are split-phase: ``begin(op)`` sends the request without
+    waiting (``op`` is a key of :data:`_COLLECTIVE_RESPONSE`), and
+    ``end(op, frame)`` turns the response into the result — the record
+    list for ``"flush"``, a ``(stats, errors)`` pair for ``"stats"``.
+    The facade gathers the frames of every shard that has a ``channel``
+    in one multiplexer wave; ``frame=None`` tells the shard to obtain
+    its response itself.
+    """
+
+    shard_id: int
+    backend: str
+    observability_sink: ObservabilitySink
+
+    @property
+    def alive(self) -> bool: ...
+
+    @property
+    def channel(self) -> Optional[MuxChannel]:
+        """The multiplexer channel; ``None`` when there is no pipe."""
+
+    def send_events(
+        self, events: List[Event], ctx: Optional[TraceContext] = None
+    ) -> None: ...
+
+    def deploy(self, spec: ShardSpec) -> None: ...
+
+    def undeploy(self, spec_id: str) -> None: ...
+
+    def begin(self, op: str) -> None: ...
+
+    def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any: ...
+
+    def close(self) -> None: ...
 
 
 class SerialShard:
     """An in-process shard: direct calls, no encoding, no IPC."""
 
     backend = "serial"
-    #: Serial records use the JSON-path record shape (``encode_value``'d
-    #: parameters), so the facade decodes them like a JSON channel's.
-    wire_codec = "json"
+    channel = None
 
-    def __init__(self, shard_id: int, config: ShardConfig) -> None:
+    def __init__(
+        self,
+        shard_id: int,
+        config: ShardConfig,
+        blueprint: FederationBlueprint,
+    ) -> None:
         self.shard_id = shard_id
         self.alive = True
         self.host = ShardHost(shard_id, config.shards)
+        self.host.apply_blueprint(blueprint)
         #: Receives this shard's observability payloads (set by the
         #: facade); serial shards harvest straight from the host on
         #: every read, mirroring the frames a worker would send.
         self.observability_sink: ObservabilitySink = None
-        self._pending_flush: Optional[List[Dict[str, Any]]] = None
-        self._pending_stats: Optional[Dict[str, int]] = None
-
-    def bootstrap(self, blueprint: FederationBlueprint) -> None:
-        self.host.apply_blueprint(blueprint)
 
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
@@ -303,36 +299,17 @@ class SerialShard:
     def undeploy(self, spec_id: str) -> None:
         self.host.undeploy_spec(spec_id)
 
-    def flush(self) -> List[Dict[str, Any]]:
-        records = self.host.drain_results()
+    def begin(self, op: str) -> None:
+        """Nothing to send: :meth:`end` computes the answer."""
+
+    def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any:
+        result: Any = (
+            self.host.drain_results()
+            if op == "flush"
+            else (self.host.stats(), [])
+        )
         self._harvest()
-        return records
-
-    def stats(self) -> Dict[str, int]:
-        stats = self.host.stats()
-        self._harvest()
-        return stats
-
-    # -- split-phase collectives (degenerate: serial shards answer
-    # -- synchronously, so "begin" already computes the response) ----------
-
-    def begin_flush(self) -> None:
-        self._pending_flush = self.flush()
-
-    def end_flush(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
-        records, self._pending_flush = self._pending_flush, None
-        return records if records is not None else self.flush()
-
-    def begin_stats(self) -> None:
-        self._pending_stats = self.stats()
-
-    def end_stats(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Dict[str, int], List[str]]:
-        stats, self._pending_stats = self._pending_stats, None
-        return (stats if stats is not None else self.stats()), []
+        return result
 
     def _harvest(self) -> None:
         """Feed the sink what a worker would piggyback on this exchange.
@@ -352,9 +329,6 @@ class SerialShard:
                 "spans": self.host.drain_spans(),
             }
         )
-
-    def sync(self) -> None:
-        """Nothing buffered, nothing remote: always consistent."""
 
     def close(self) -> None:
         if self.alive:
@@ -388,9 +362,6 @@ class ProcessShard:
         self.mux = mux
         self.channel = channel
         self.alive = True
-        #: The negotiated channel codec (the hello bytes already told
-        #: the worker).
-        self.wire_codec = config.wire_codec
         #: Sequence number of the next event frame; survives a respawn
         #: (the supervisor copies it onto the replacement shard) so
         #: journal-replayed frames keep their original numbers.
@@ -423,8 +394,8 @@ class ProcessShard:
         With ``credit`` the send first waits for in-flight window space
         — the per-frame backpressure point of barrier paths like
         :meth:`ShardedFederation.flush_buffers` and journal replay
-        (streaming ingest checks :meth:`has_credit` instead and defers
-        without waiting).
+        (streaming ingest checks the channel's ``has_credit`` instead
+        and defers without waiting).
         """
         if not self.alive:
             raise ShardCrashError(
@@ -453,16 +424,12 @@ class ProcessShard:
             raise self._crashed(crashed[self.shard_id])
         return frames[self.shard_id]
 
-    def has_credit(self) -> bool:
-        """Whether an event frame can ship without stalling."""
-        return self.channel.has_credit()
-
     def make_events_frame(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> Dict[str, Any]:
         """Build the sequenced events frame (consumes one sequence
         number); the supervisor journals exactly this frame."""
-        frame = attach_trace(events_frame(events, self.wire_codec), ctx)
+        frame = attach_trace(events_frame(events), ctx)
         frame[SEQ_KEY] = self._next_seq
         self._next_seq += 1
         return frame
@@ -482,57 +449,22 @@ class ProcessShard:
 
     # -- split-phase collectives ------------------------------------------
 
-    def begin_flush(self) -> None:
-        self._send({"kind": "flush"})
+    def begin(self, op: str) -> None:
+        self._send({"kind": op})
 
-    def end_flush(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
+    def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any:
+        """Without *frame* this is the one-shard blocking round trip:
+        what the supervisor's retry and post-recovery sync use, outside
+        any federation-wide wave."""
         if frame is None:
-            frame = self._receive("results")
-        self._harvest(frame)
-        return frame["notifications"]
-
-    def begin_stats(self) -> None:
-        self._send({"kind": "stats"})
-
-    def end_stats(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Dict[str, int], List[str]]:
-        if frame is None:
-            frame = self._receive("stats")
-        self._harvest(frame)
-        return frame["stats"], list(frame.get("errors", ()))
-
-    def flush(self) -> List[Dict[str, Any]]:
-        self.begin_flush()
-        return self.end_flush()
-
-    def _harvest(self, frame: Dict[str, Any]) -> None:
+            frame = self._receive(_COLLECTIVE_RESPONSE[op])
         sink = self.observability_sink
         payload = frame.get("observability")
         if sink is not None and payload:
             sink(payload)
-
-    def stats(self) -> Dict[str, int]:
-        stats, errors = self._stats_round_trip()
-        if errors:
-            raise ParallelError(
-                f"shard {self.shard_id} reported errors: {errors}"
-            )
-        return stats
-
-    def sync(self) -> None:
-        """Round-trip the channel; surfaces deferred worker errors."""
-        __, errors = self._stats_round_trip()
-        if errors:
-            raise ParallelError(
-                f"shard {self.shard_id} reported errors: {errors}"
-            )
-
-    def _stats_round_trip(self) -> Tuple[Dict[str, int], List[str]]:
-        self.begin_stats()
-        return self.end_stats()
+        if op == "flush":
+            return frame["notifications"]
+        return frame["stats"], list(frame.get("errors", ()))
 
     def close(self) -> None:
         if not self.alive:
@@ -616,15 +548,12 @@ def _spawn_worker(
     process.start()
     os.close(in_read)
     os.close(out_write)
-    # Codec negotiation: the hello bytes are the first thing on the
-    # event pipe, before any frame — the worker configures both channel
-    # directions (and its host's raw/wire record shape) from them.
+    # The hello bytes are the first thing on the event pipe, before any
+    # frame; the worker refuses a channel that opens with anything else.
     # Written before the channel flips the fd non-blocking: five bytes
     # always fit a fresh pipe.
-    os.write(in_write, hello_bytes(config.wire_codec))
-    channel = MuxChannel(
-        shard_id, in_write, out_read, config.wire_codec, config.max_inflight
-    )
+    os.write(in_write, hello_bytes())
+    channel = MuxChannel(shard_id, in_write, out_read, config.max_inflight)
     mux.register(channel)
     return ProcessShard(shard_id, config, process, mux, channel)
 
@@ -717,7 +646,7 @@ class ShardedFederation:
             if self.config.durable_dir is not None:
                 from ..durability.supervisor import SupervisedShard
 
-                self.shards: List[Any] = [
+                self.shards: List[Shard] = [
                     SupervisedShard(
                         worker,
                         self.config,
@@ -742,11 +671,9 @@ class ShardedFederation:
                 self._restore_logging = _SLOG.enabled
                 _SLOG.enabled = True
             self.shards = [
-                SerialShard(shard_id, self.config)
+                SerialShard(shard_id, self.config, blueprint)
                 for shard_id in range(self.config.shards)
             ]
-            for shard in self.shards:
-                shard.bootstrap(blueprint)
         for shard in self.shards:
             shard.observability_sink = (
                 lambda payload, sid=shard.shard_id: self._on_observability(
@@ -766,12 +693,11 @@ class ShardedFederation:
     # -- backpressure plumbing ----------------------------------------------
 
     def _live_channels(self) -> List[MuxChannel]:
-        channels: List[MuxChannel] = []
-        for shard in getattr(self, "shards", ()):
-            channel = getattr(shard, "channel", None)
-            if channel is not None and shard.alive:
-                channels.append(channel)
-        return channels
+        return [
+            shard.channel
+            for shard in getattr(self, "shards", ())
+            if shard.channel is not None and shard.alive
+        ]
 
     def _count_stall(self, shard_id: int) -> None:
         if self._stalls is not None:
@@ -784,9 +710,9 @@ class ShardedFederation:
         the live siblings' pipe ends and the shards' journal fds."""
         fds: List[int] = []
         for shard in self.shards:
-            inner = getattr(shard, "inner", shard)
-            if getattr(inner, "alive", False) and inner.backend == "process":
-                fds.extend((inner.channel.in_fd, inner.channel.out_fd))
+            channel = shard.channel
+            if channel is not None and shard.alive:
+                fds.extend((channel.in_fd, channel.out_fd))
             journal = getattr(shard, "journal", None)
             if journal is not None:
                 try:
@@ -845,7 +771,9 @@ class ShardedFederation:
                 # and keep the wave moving.
                 if not self._deferred[index]:
                     self._deferred[index] = True
-                    self.shards[index].channel.stalls += 1
+                    channel = self.shards[index].channel
+                    assert channel is not None  # no pipe, no window
+                    channel.stalls += 1
                     self._count_stall(index)
                 if self._mux is not None:
                     self._mux.pump(0.0)
@@ -862,11 +790,10 @@ class ShardedFederation:
         the crash (or triggers supervised recovery) instead of
         deferring forever.
         """
-        shard = self.shards[index]
-        channel = getattr(shard, "channel", None)
+        channel = self.shards[index].channel
         if channel is None or channel.dead is not None:
             return True
-        return bool(channel.has_credit())
+        return channel.has_credit()
 
     def _ship(self, index: int, ctx: Optional[TraceContext]) -> None:
         """Ship as many full batches of shard *index* as credit allows."""
@@ -933,7 +860,7 @@ class ShardedFederation:
 
     def _collect(
         self, op: str, tolerant: bool = False
-    ) -> List[Tuple[Any, Any]]:
+    ) -> List[Tuple[Shard, Any]]:
         """One broadcast-then-gather collective across the federation.
 
         Broadcasts the *op* request (``"flush"`` or ``"stats"``) to
@@ -949,47 +876,37 @@ class ShardedFederation:
         a plain shard's crash raises after the wave, with the shard
         attributed.  With ``tolerant``, dead shards are skipped and
         crashes drop the shard from the result instead of raising.
-
-        With ``ShardConfig.overlap`` off (or on the serial backend) the
-        same code degenerates to one blocking round trip per shard in
-        shard order — the pre-overlap behavior, kept as the QE15
-        comparison baseline.
         """
-        shards = [s for s in self.shards if not tolerant or s.alive]
-        begun: List[Any] = []
+        begun: List[Shard] = []
         failures: List[ShardCrashError] = []
-        for shard in shards:
+        for shard in self.shards:
+            if tolerant and not shard.alive:
+                continue
             try:
-                if op == "flush":
-                    shard.begin_flush()
-                else:
-                    shard.begin_stats()
+                shard.begin(op)
                 begun.append(shard)
             except ShardCrashError as error:
                 if not tolerant:
                     failures.append(error)
         frames: Dict[int, Dict[str, Any]] = {}
-        if self._mux is not None and self.config.overlap:
-            wants = {
-                shard.shard_id: _COLLECTIVE_RESPONSE[op]
-                for shard in begun
-                if getattr(shard, "channel", None) is not None
-            }
-            if wants:
-                started = perf_counter()
-                frames, __ = self._mux.gather(wants)
-                if self._gather_latency is not None:
-                    self._gather_latency.observe(
-                        (perf_counter() - started) * 1e6, labels=(op,)
-                    )
-        results: List[Tuple[Any, Any]] = []
+        wants = {
+            shard.shard_id: _COLLECTIVE_RESPONSE[op]
+            for shard in begun
+            if shard.channel is not None
+        }
+        if wants and self._mux is not None:
+            started = perf_counter()
+            frames, __ = self._mux.gather(wants)
+            if self._gather_latency is not None:
+                self._gather_latency.observe(
+                    (perf_counter() - started) * 1e6, labels=(op,)
+                )
+        results: List[Tuple[Shard, Any]] = []
         for shard in begun:
-            frame = frames.get(shard.shard_id)
             try:
-                if op == "flush":
-                    results.append((shard, shard.end_flush(frame)))
-                else:
-                    results.append((shard, shard.end_stats(frame)))
+                results.append(
+                    (shard, shard.end(op, frames.get(shard.shard_id)))
+                )
             except ShardCrashError as error:
                 if not tolerant:
                     failures.append(error)
@@ -1026,9 +943,8 @@ class ShardedFederation:
         self.flush_buffers()
         merged: List[ShardNotification] = []
         for shard, records in self._collect("flush"):
-            raw = shard.wire_codec == "binary"
             merged.extend(
-                _notification_from_record(shard.shard_id, record, raw)
+                _notification_from_record(shard.shard_id, record)
                 for record in records
             )
         merged.sort(key=lambda n: n.merge_key)
@@ -1118,7 +1034,7 @@ class ShardedFederation:
             }
             # Credit-window columns (after the collect: its piggybacked
             # acks retire credits, so these read the settled window).
-            channel = getattr(shard, "channel", None)
+            channel = shard.channel
             if channel is not None:
                 row["inflight"] = channel.outstanding
                 row["credits"] = max(

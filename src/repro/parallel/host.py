@@ -38,7 +38,6 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
 from ..observability.registry import default_registry
 from ..observability.trace import TraceContext, is_recorded
-from .wire import encode_value
 
 #: Upper bound on buffered sampled span batches awaiting shipment; the
 #: hot path never blocks on observability — beyond this, batches are
@@ -183,12 +182,6 @@ class ShardHost:
         #: facade (process-backend workers only; the worker entry point
         #: sets it from the shard options).
         self.ship_logs: bool = False
-        #: Record shape of :meth:`drain_results`: ``True`` on a binary
-        #: channel (native tuples/values — the codec ships them
-        #: directly), ``False`` on the JSON path (``encode_value``'d
-        #: JSON-safe records).  The worker entry point sets it from the
-        #: negotiated codec.
-        self.wire_raw: bool = False
 
     # -- sources -----------------------------------------------------------
 
@@ -318,11 +311,11 @@ class ShardHost:
         global enqueue order) the deterministic merge needs, and — when
         instrumentation is on — the id-free provenance ``signature()`` of
         the delivery, computed *here* so the report is not capped by the
-        tracker's ring buffer.
+        tracker's ring buffer.  Values are native (nested tuples,
+        frozensets): the binary codec ships them as they are.
         """
         records = self.queue.records
         seq_offset = self.queue.seq_offset
-        raw = self.wire_raw
         out: List[Dict[str, Any]] = []
         for seq in range(self._reported, len(records)):
             notification = records[seq]
@@ -337,8 +330,6 @@ class ShardHost:
                     notification.time,
                     chain.signature(),
                 )
-                if not raw:
-                    signature = encode_value(signature)
             out.append(
                 {
                     "seq": seq_offset + seq,
@@ -349,9 +340,7 @@ class ShardHost:
                     "description": notification.description,
                     "instance": parameters.get("processInstanceId"),
                     "signature": signature,
-                    "parameters": parameters
-                    if raw
-                    else encode_value(parameters),
+                    "parameters": parameters,
                 }
             )
         self._reported = len(records)

@@ -1,11 +1,9 @@
 """Overlapped shard I/O: one selector over every worker pipe pair.
 
 The federation facade talks to N forked workers over N pipe pairs.
-Before this module, every collective operation round-tripped the
-workers *one at a time* — a 4-shard drain cost the **sum** of per-shard
-latencies — and ingest had no flow control: a slow shard either blocked
-the whole wave inside a blocking ``write`` or buffered unboundedly in
-the pipe.
+Round-tripping the workers *one at a time* would make a 4-shard drain
+cost the **sum** of per-shard latencies, and blocking writes would let
+a slow shard stall the whole wave (or buffer unboundedly in the pipe).
 
 :class:`ChannelMultiplexer` owns every channel (a :class:`MuxChannel`
 per worker) and drives all of them from one ``selectors`` loop:
@@ -49,7 +47,6 @@ so there is no locking and the credit arithmetic cannot race.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 from collections import deque
@@ -57,7 +54,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import WireError
 from .codec import BinaryDecoder, BinaryEncoder
-from .wire import ACK_KIND, ACKED_KEY, MAX_FRAME_BYTES, SEQ_KEY, frame_bytes
+from .wire import ACK_KIND, ACKED_KEY, MAX_FRAME_BYTES, SEQ_KEY
 
 #: Bytes requested per ``os.read`` when a channel's read end is ready.
 READ_CHUNK = 1 << 16
@@ -82,7 +79,6 @@ class MuxChannel:
         shard_id: int,
         in_fd: int,
         out_fd: int,
-        codec: str,
         max_inflight: int,
     ) -> None:
         self.shard_id = shard_id
@@ -90,19 +86,14 @@ class MuxChannel:
         self.in_fd = in_fd
         #: Worker-to-facade pipe end (responses, acks, errors).
         self.out_fd = out_fd
-        self.codec = codec
         self.max_inflight = max_inflight
         os.set_blocking(in_fd, False)
         os.set_blocking(out_fd, False)
         # A fresh channel means fresh interning tables on both pipe
         # directions — the respawn-resets-the-tables contract of the
         # binary codec holds because the encoder/decoder live here.
-        if codec == "binary":
-            self._encoder: Optional[BinaryEncoder] = BinaryEncoder()
-            self._decoder: Optional[BinaryDecoder] = BinaryDecoder()
-        else:
-            self._encoder = None
-            self._decoder = None
+        self._encoder = BinaryEncoder()
+        self._decoder = BinaryDecoder()
         #: Encoded frames (length prefix included) awaiting pipe space.
         self._outq: Deque[bytes] = deque()
         #: Bytes of the queue head already written to the pipe.
@@ -140,12 +131,6 @@ class MuxChannel:
 
     # -- outbound ----------------------------------------------------------
 
-    def encode(self, frame: Mapping[str, Any]) -> bytes:
-        """*frame* as channel bytes, length prefix included."""
-        if self._encoder is not None:
-            return self._encoder.encode_frame(frame)
-        return frame_bytes(frame)
-
     def queue(self, frame: Mapping[str, Any]) -> None:
         """Queue *frame* for transmission and pump what fits now.
 
@@ -155,7 +140,7 @@ class MuxChannel:
         """
         if self.dead is not None:
             raise BrokenPipeError(self.dead)
-        data = self.encode(frame)
+        data = self._encoder.encode_frame(frame)
         seq = frame.get(SEQ_KEY)
         if frame.get("kind") == "events" and isinstance(seq, int):
             if self.last_sent_seq is None:
@@ -225,21 +210,13 @@ class MuxChannel:
             payload = bytes(buffer[position + 4:position + 4 + length])
             position += 4 + length
             try:
-                frame = self._decode(payload)
-            except (WireError, ValueError) as error:
+                frame = self._decoder.decode_payload(payload)
+            except WireError as error:
                 self.fail(f"receive failed: {error}")
                 break
             self._dispatch(frame)
         if position:
             del buffer[:position]
-
-    def _decode(self, payload: bytes) -> Dict[str, Any]:
-        if self._decoder is not None:
-            return self._decoder.decode_payload(payload)
-        decoded = json.loads(payload.decode("utf-8"))
-        if not isinstance(decoded, dict):
-            raise WireError(f"frame is not an object: {decoded!r}")
-        return decoded
 
     def _dispatch(self, frame: Dict[str, Any]) -> None:
         """Route one decoded frame: credits here, the rest to the inbox.

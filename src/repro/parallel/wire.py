@@ -1,12 +1,19 @@
-"""Wire protocol of the sharded execution layer.
+"""Wire vocabulary of the sharded execution layer, and its JSON form.
 
 Workers and the :class:`~repro.parallel.federation.ShardedFederation`
 facade exchange *frames*: a 4-byte big-endian length prefix followed by a
-UTF-8 JSON document.  Framing keeps the channel self-synchronizing over a
-plain OS pipe; JSON keeps it debuggable (``strace`` a worker and read the
-traffic).
+payload.  Pipes and journals write exactly one payload encoding, the
+binary codec of :mod:`repro.parallel.codec`; this module holds what both
+ends share whatever the bytes — the frame keys (sequence numbers, acks,
+trace contexts), the event-type registry — and the *tagged JSON* form of
+events and values.  JSON is no longer written to any channel; it stays
+where it is the only path for a supported input or a human: journals
+written before the binary codec existed (read by
+:func:`repro.durability.log.load_journal`, upgraded once on open),
+``repro journal --dump``, and the operator-state snapshots of
+:mod:`repro.durability.state`.
 
-Events cross the wire in the canonical self-contained encoding the rest
+In that form events use the canonical self-contained encoding the rest
 of the repository already speaks: the event *type name* plus the flat
 parameter mapping (:mod:`repro.events.canonical` — the type name alone
 recovers the :class:`~repro.events.event.EventType`, including on-demand
@@ -21,15 +28,15 @@ parameter value shapes JSON cannot express natively are tagged:
 * a mapping that itself contains a ``$``-prefixed key is wrapped as
   ``{"$d": {...}}`` so the tags can never be forged by payload data.
 
-Recognition provenance travels as a parallel node tree so a worker's
-instrumented pipeline can report full chains without pickling.
+Recognition provenance is a parallel node tree, so full chains render
+without pickling.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional
+from typing import Any, Dict, IO, List, Mapping, Optional
 
 from ..errors import WireError
 from ..events.canonical import CANONICAL_PREFIX, canonical_type, is_canonical
@@ -256,20 +263,8 @@ def strip_trace_sampling(frame: Dict[str, Any]) -> Dict[str, Any]:
     return stripped
 
 
-def as_tuples(value: Any) -> Any:
-    """Normalize a JSON round-tripped signature back to nested tuples.
-
-    ``ProvenanceNode.signature()`` values are nested tuples; JSON turns
-    tuples into lists, so worker-reported signatures are re-normalized
-    before comparison with locally computed ones.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(as_tuples(member) for member in value)
-    return value
-
-
 # ---------------------------------------------------------------------------
-# Framing
+# Framing, and the JSON payload of journals older than the binary codec
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct(">I")
@@ -280,19 +275,14 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 def frame_bytes(message: Mapping[str, Any]) -> bytes:
-    """One length-prefixed JSON frame as bytes (a single write's worth)."""
+    """One length-prefixed JSON frame: the inverse of :func:`read_frame`."""
     data = json.dumps(message, separators=(",", ":")).encode("utf-8")
     return _HEADER.pack(len(data)) + data
 
 
-def write_frame(stream: IO[bytes], message: Mapping[str, Any]) -> None:
-    """Write one length-prefixed JSON frame and flush it."""
-    stream.write(frame_bytes(message))
-    stream.flush()
-
-
 def read_frame(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF, :class:`WireError` mid-frame."""
+    """Read one JSON frame; ``None`` on clean EOF, :class:`WireError`
+    mid-frame (a torn journal tail)."""
     header = _read_exact(stream, _HEADER.size, allow_eof=True)
     if header is None:
         return None
@@ -305,21 +295,6 @@ def read_frame(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
         return json.loads(data.decode("utf-8"))
     except ValueError as error:
         raise WireError(f"malformed frame payload: {error}") from None
-
-
-def iter_frames(stream: IO[bytes]) -> "Iterator[Dict[str, Any]]":
-    """Yield frames until clean EOF; :class:`WireError` on a torn tail.
-
-    The shared read loop of the worker channel and the write-ahead
-    journal: both speak the same framing, so torn-tail detection (a
-    partial header or payload at the end of a crashed writer's file)
-    lives here once.
-    """
-    while True:
-        frame = read_frame(stream)
-        if frame is None:
-            return
-        yield frame
 
 
 def _read_exact(

@@ -60,16 +60,9 @@ from typing import Any, Dict, List
 from ..errors import ReproError
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
-from .codec import make_reader, make_writer, read_hello
+from .codec import BinaryFrameReader, BinaryFrameWriter, read_hello
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .wire import (
-    ACKED_KEY,
-    SEQ_KEY,
-    ack_frame,
-    event_from_wire,
-    extract_trace,
-    write_frame,
-)
+from .wire import ACKED_KEY, SEQ_KEY, ack_frame, extract_trace
 
 
 def worker_main(
@@ -130,17 +123,15 @@ def worker_main(
     out = os.fdopen(out_fd, "wb")
     exit_code = 0
     errors: List[str] = []
-    writer: Any = None
+    # Built before anything can fail, the hello check included: the
+    # crash path below needs the writer for the worker's last words.
+    reader = BinaryFrameReader(inp)
+    writer = BinaryFrameWriter(out)
     try:
-        # Codec negotiation: the parent's hello bytes precede every
-        # frame on the event pipe and configure both channel directions.
-        codec = read_hello(inp)
-        raw = codec == "binary"
-        reader = make_reader(inp, codec)
-        writer = make_writer(out, codec)
+        # The parent's hello bytes precede every frame on the event pipe.
+        read_hello(inp)
         host = ShardHost(shard_id, shard_count)
         host.ship_logs = ship_logs
-        host.wire_raw = raw
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))
         # Credit bookkeeping: event frames since the last ack crossed
         # the pipe (in either piggybacked or standalone form).  The
@@ -167,15 +158,8 @@ def worker_main(
                     if seq is not None:
                         unacked += 1
                     try:
-                        # A binary channel delivers the events
-                        # themselves; the JSON path their wire dicts.
                         host.ingest(
-                            list(frame["events"])
-                            if raw
-                            else [
-                                event_from_wire(data)
-                                for data in frame["events"]
-                            ],
+                            list(frame["events"]),
                             extract_trace(frame),
                             seq=seq,
                         )
@@ -239,13 +223,7 @@ def worker_main(
         exit_code = 1
         frame = {"kind": "error", "error": f"{type(error).__name__}: {error}"}
         try:
-            if writer is not None:
-                writer.write(frame)
-            else:
-                # The hello never arrived: the parent's reader codec is
-                # unknown, so fall back to the JSON framing (the parent
-                # still sees a fail-fast error, worst case as EOF).
-                write_frame(out, frame)
+            writer.write(frame)
         except OSError:
             pass
     finally:

@@ -6,7 +6,7 @@ shard supervisors journal into — and ``Journal.load_frames`` reads it
 back for replay through ``recover_core``.
 """
 
-from repro.durability.log import CONTROL_COMPACTED, FrameLog, scan
+from repro.durability.log import CONTROL_COMPACTED, FrameLog, load_journal
 from repro.federation.journal import Journal, recover_core
 
 from tests.federation.test_journal import run_scenario, snapshot
@@ -27,9 +27,9 @@ class TestFrameFormatUnification:
         __, journal = run_scenario()
         path = str(tmp_path / "audit.log")
         journal.save_frames(path)
-        file_frames, __, torn = scan(path)
-        assert file_frames == len(journal)
-        assert not torn
+        loaded = load_journal(path)
+        assert len(loaded.frames) == len(journal)
+        assert not loaded.torn
 
     def test_load_skips_control_frames(self, tmp_path):
         __, journal = run_scenario()

@@ -13,11 +13,13 @@ import signal
 
 import pytest
 
-from repro.durability.log import read_file_frames, scan
+from repro.durability.log import detect_codec, load_journal
 from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
 from repro.errors import ParallelError, ShardCrashError
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.durability.json_era import downgrade_to_json
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -217,10 +219,13 @@ class TestCrashRecovery:
             kill_worker(federation.shards[0])
             assert federation.stats()["recoveries"] == 1  # recovered once
             kill_worker(federation.shards[0])
-            with pytest.raises(ShardCrashError, match="giving up"):
-                federation.shards[0].stats()
-            # The facade's aggregate view degrades instead of raising.
+            # The per-shard rows (like the aggregate below) degrade
+            # instead of raising ...
+            assert federation.shard_stats()[0]["alive"] is False
             assert not federation.healthy()
+            # ... and a collective that needs every shard says why.
+            with pytest.raises(ShardCrashError, match="giving up"):
+                federation.drain()
             assert federation.stats()["shards_alive"] == 1
 
 
@@ -247,8 +252,7 @@ class TestDurableLifecycle:
             snapshot = root / f"shard-{shard_id}" / SNAPSHOT_FILENAME
             assert journal.is_file()
             assert snapshot.is_file()
-            __, ___, torn = scan(str(journal))
-            assert not torn
+            assert not load_journal(str(journal)).torn
             loaded = json.loads(snapshot.read_text())
             assert loaded["shard_id"] == shard_id
             assert loaded["frame_index"] > 0
@@ -271,7 +275,7 @@ class TestDurableLifecycle:
             federation.ingest(workload.events())
             merged = federation.drain()
         assert len(merged) == workload.expected_notifications()
-        frames = read_file_frames(str(journal_path))
+        frames = load_journal(str(journal_path)).frames
         assert frames and all(f["kind"] == "events" for f in frames)
 
     def test_journaled_frames_replay_byte_for_byte(self, tmp_path):
@@ -288,7 +292,9 @@ class TestDurableLifecycle:
             shard.journal.sync()
             frames = shard.journal.tail(0)
             shipped = sum(len(frame["events"]) for frame in frames)
-            assert shipped == shard.stats()["events_ingested"]
+            assert shipped == (
+                federation.shard_stats()[0]["events_ingested"]
+            )
             assert all(frame["kind"] == "events" for frame in frames)
 
 
@@ -309,11 +315,9 @@ class TestBinaryChannelRecovery:
             workload.blueprint(), durable_config(tmp_path)
         ) as federation:
             shard = federation.shards[0]
-            assert shard.wire_codec == "binary"
             federation.ingest(events[:cut])  # no drain: waves in flight
             old_channel = shard.inner.channel
             # The dead channel's encoder holds interned names.
-            assert old_channel._encoder is not None
             assert old_channel._encoder._count > 0
             kill_worker(shard)
             federation.ingest(events[cut:])  # first send recovers
@@ -322,7 +326,6 @@ class TestBinaryChannelRecovery:
             assert new_channel is not old_channel
             # The replacement channel re-interned (replay + new waves)
             # on its own fresh table.
-            assert new_channel._encoder is not None
             assert new_channel._encoder._count > 0
             assert federation.stats()["recoveries"] == 1
             merged = list(federation.delivered)
@@ -330,30 +333,29 @@ class TestBinaryChannelRecovery:
         assert signatures(merged) == signatures(reference_run(workload))
 
     def test_journal_replays_a_preexisting_json_journal(self, tmp_path):
-        # A durable directory written by a JSON-codec deployment keeps
-        # replaying after the binary codec becomes the default: opening
-        # the journal re-encodes it (events frames convert to their raw
-        # form), and the frame numbering is preserved.
+        # A durable directory written before the binary codec existed
+        # keeps replaying: opening the journal upgrades it (events
+        # frames convert to their raw form), and the frame numbering is
+        # preserved.
         workload = small_workload(seed=53)
         events = workload.events()
         cut = len(events) // 2
-        json_config = durable_config(tmp_path, wire_codec="json")
-        with ShardedFederation(
-            workload.blueprint(), json_config
-        ) as federation:
+        config = durable_config(tmp_path)
+        with ShardedFederation(workload.blueprint(), config) as federation:
             federation.ingest(events[:cut])
             federation.drain()
             first = list(federation.delivered)
             frames_before = [
                 shard.journal.frame_count for shard in federation.shards
             ]
-        binary_config = durable_config(tmp_path)  # binary default
-        with ShardedFederation(
-            workload.blueprint(), binary_config
-        ) as federation:
+            journals = [shard.journal.path for shard in federation.shards]
+        for path in journals:
+            downgrade_to_json(path)
+            assert detect_codec(path) == "json"
+        with ShardedFederation(workload.blueprint(), config) as federation:
             for shard, count in zip(federation.shards, frames_before):
                 # The upgraded journal kept the absolute numbering.
-                assert shard.journal.codec == "binary"
+                assert detect_codec(shard.journal.path) == "binary"
                 assert shard.journal.frame_count == count
             federation.ingest(events[cut:])
             federation.drain()

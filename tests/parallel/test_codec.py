@@ -13,12 +13,12 @@ from repro.parallel.codec import (
     INTERN_MAX,
     BinaryDecoder,
     BinaryEncoder,
+    BinaryFrameReader,
+    BinaryFrameWriter,
     events_frame,
     frame_to_jsonable,
-    make_reader,
-    make_writer,
+    hello_bytes,
     read_hello,
-    write_hello,
 )
 from repro.parallel.wire import event_to_wire
 
@@ -289,11 +289,20 @@ class TestDecodeErrors:
         with pytest.raises(WireError):
             BinaryDecoder().decode_payload(payload)
 
+    def test_event_with_a_non_string_type_name_raises(self):
+        from repro.parallel.codec import T_EVENT, T_INT, T_NONE
+
+        # Found by the arbitrary-bytes property: the type name of an
+        # event decodes to None (or an int), not a string.
+        for name in (bytes((T_NONE,)), bytes((T_INT, 10))):
+            with pytest.raises(WireError):
+                BinaryDecoder().decode_payload(bytes((T_EVENT,)) + name)
+
 
 class TestChannelWrappers:
     def test_writer_reader_round_trip(self):
         stream = io.BytesIO()
-        writer = make_writer(stream, "binary")
+        writer = BinaryFrameWriter(stream)
         frames = [
             events_frame([activity_event(time=t)], "binary")
             for t in range(3)
@@ -301,50 +310,39 @@ class TestChannelWrappers:
         for frame in frames:
             writer.write(frame)
         stream.seek(0)
-        reader = make_reader(stream, "binary")
+        reader = BinaryFrameReader(stream)
         for frame in frames:
             back = reader.read()
             assert back["kind"] == frame["kind"]
         assert reader.read() is None
 
-    def test_json_wrappers_speak_the_legacy_framing(self):
-        stream = io.BytesIO()
-        make_writer(stream, "json").write({"kind": "stats"})
-        stream.seek(0)
-        from repro.parallel.wire import read_frame
-
-        assert read_frame(stream) == {"kind": "stats"}
-
     def test_unknown_codec_rejected(self):
+        # ``perf/`` still spells the codec; anything but "binary" is
+        # refused rather than silently ignored.
+        assert events_frame([], "binary") == events_frame([])
         with pytest.raises(WireError):
-            make_writer(io.BytesIO(), "msgpack")
-        with pytest.raises(WireError):
-            make_reader(io.BytesIO(), "msgpack")
+            events_frame([], "json")
 
     def test_hello_negotiation(self):
-        for codec in ("binary", "json"):
-            stream = io.BytesIO()
-            write_hello(stream, codec)
-            stream.seek(0)
-            assert read_hello(stream) == codec
+        # One protocol byte, still checked: the hello round-trips.
+        read_hello(io.BytesIO(hello_bytes()))
 
     def test_bad_hello_raises(self):
         stream = io.BytesIO(b"XXXX\x01")
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="bad channel hello"):
             read_hello(stream)
-        stream = io.BytesIO(HELLO_MAGIC + b"\x09")
-        with pytest.raises(WireError):
-            read_hello(stream)
+        # Byte 0 is what a JSON-wire peer of an older build announced.
+        for byte in (b"\x00", b"\x09"):
+            with pytest.raises(WireError, match="protocol byte"):
+                read_hello(io.BytesIO(HELLO_MAGIC + byte))
 
 
 class TestDebugRendering:
     def test_frame_to_jsonable_matches_the_json_path(self):
         event = activity_event()
-        binary_form = frame_to_jsonable(events_frame([event], "binary"))
-        json_form = events_frame([event], "json")
-        # The JSON path omits provenance on channel frames; for an event
-        # without provenance the rendering is identical.
-        assert binary_form == json_form
+        rendered = frame_to_jsonable(events_frame([event]))
+        # What a JSON-era journal holds for the same frame.
+        assert rendered == {"kind": "events", "events": [event_to_wire(event)]}
 
     def test_frame_to_jsonable_is_json_serializable(self):
         import json
@@ -366,8 +364,3 @@ class TestDebugRendering:
         }
         text = json.dumps(frame_to_jsonable(frame))
         assert "T_activity" in text
-
-    def test_events_frame_json_uses_wire_dicts(self):
-        event = activity_event()
-        frame = events_frame([event], "json")
-        assert frame["events"][0] == event_to_wire(event)

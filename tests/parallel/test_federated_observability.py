@@ -239,7 +239,7 @@ class TestStatsAggregation:
         ) as federation:
             federation.ingest(workload.events())
             federation.drain()
-            original = federation.shards[1].stats
+            original = federation.shards[1].host.stats
 
             def odd_stats():
                 stats = dict(original())
@@ -247,7 +247,7 @@ class TestStatsAggregation:
                 stats["degraded"] = True
                 return stats
 
-            federation.shards[1].stats = odd_stats
+            federation.shards[1].host.stats = odd_stats
             totals = federation.stats()
         assert totals["shard1/wal_state"] == "compacting"
         # Booleans are flags, not counters: sum(True) would read as 1.

@@ -16,36 +16,28 @@ from repro.parallel.mux import (
     MuxChannel,
     inflight_snapshot,
 )
-from repro.parallel.wire import (
-    ACKED_KEY,
-    SEQ_KEY,
-    ack_frame,
-    frame_bytes,
-)
+from repro.parallel.wire import ACKED_KEY, SEQ_KEY, ack_frame
 
 
 class FakeWorker:
     """One channel plus the worker-side pipe ends, with cleanup."""
 
-    def __init__(self, shard_id=0, codec="json", max_inflight=4):
+    def __init__(self, shard_id=0, max_inflight=4):
         to_worker_read, to_worker_write = os.pipe()
         to_facade_read, to_facade_write = os.pipe()
         self.channel = MuxChannel(
-            shard_id, to_worker_write, to_facade_read, codec, max_inflight
+            shard_id, to_worker_write, to_facade_read, max_inflight
         )
         #: The worker's read end of the facade-to-worker pipe.
         self.request_fd = to_worker_read
         #: The worker's write end of the worker-to-facade pipe.
         self.response_fd = to_facade_write
-        self._encoder = BinaryEncoder() if codec == "binary" else None
-        self._decoder = BinaryDecoder() if codec == "binary" else None
+        self._encoder = BinaryEncoder()
+        self._decoder = BinaryDecoder()
 
     def respond(self, frame):
         """Write *frame* to the facade as the worker would."""
-        if self._encoder is not None:
-            os.write(self.response_fd, self._encoder.encode_frame(frame))
-        else:
-            os.write(self.response_fd, frame_bytes(frame))
+        os.write(self.response_fd, self._encoder.encode_frame(frame))
 
     def respond_raw(self, data):
         os.write(self.response_fd, data)
@@ -68,12 +60,7 @@ class FakeWorker:
             length = int.from_bytes(data[position:position + 4], "big")
             payload = bytes(data[position + 4:position + 4 + length])
             position += 4 + length
-            if self._decoder is not None:
-                frames.append(self._decoder.decode_payload(payload))
-            else:
-                import json
-
-                frames.append(json.loads(payload.decode("utf-8")))
+            frames.append(self._decoder.decode_payload(payload))
         return frames
 
     def close(self):
@@ -85,9 +72,11 @@ class FakeWorker:
                 pass
 
 
-@pytest.fixture(params=["json", "binary"])
-def worker(request):
-    fake = FakeWorker(codec=request.param)
+# One codec; the id keeps these tests' names what they were while
+# ``"json"`` was a second parameter.
+@pytest.fixture(params=["binary"])
+def worker():
+    fake = FakeWorker()
     yield fake
     fake.close()
 
@@ -103,10 +92,7 @@ class TestMuxChannel:
         ]
 
     def test_partial_frames_reassemble_byte_by_byte(self, worker):
-        if worker._encoder is not None:
-            data = worker._encoder.encode_frame({"kind": "stats", "n": 7})
-        else:
-            data = frame_bytes({"kind": "stats", "n": 7})
+        data = worker._encoder.encode_frame({"kind": "stats", "n": 7})
         for index, byte in enumerate(data):
             worker.respond_raw(bytes([byte]))
             worker.channel.pump_reads()
@@ -188,13 +174,13 @@ class TestMuxChannel:
             worker.channel.queue({"kind": "stats_request"})
 
     def test_partial_writes_resume_where_they_stopped(self):
-        worker = FakeWorker(codec="json")
+        worker = FakeWorker()
         try:
             channel = worker.channel
             # Far larger than a pipe buffer, so the first pump stops at
             # a partial write mid-frame.
             frame = {"kind": "events", "blob": "x" * 400_000}
-            expected = frame_bytes(frame)
+            expected = BinaryEncoder().encode_frame(frame)
             channel.queue(frame)
             assert channel.wants_write
             assert 0 < channel.pending_bytes < len(expected)

@@ -5,12 +5,15 @@ and the lifecycle, not throughput (QE11 owns that).
 """
 
 import multiprocessing
+import os
 import signal
 
 import pytest
 
 from repro.errors import ParallelError, ShardCrashError
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
+from repro.parallel.mux import ChannelMultiplexer, MuxChannel
+from repro.parallel.worker import worker_main
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 pytestmark = pytest.mark.skipif(
@@ -99,7 +102,8 @@ class TestProcessBackend:
             victim.process._popen._send_signal(signal.SIGKILL)  # noqa: SLF001
             victim.process.join(10.0)
             with pytest.raises(ShardCrashError):
-                victim.stats()
+                victim.begin("stats")
+                victim.end("stats")
             assert not victim.alive
             assert not federation.healthy()
             rows = federation.shard_stats()
@@ -123,31 +127,53 @@ class TestProcessBackend:
             assert process.exitcode == 0
 
 
-class TestWireCodecs:
-    def test_json_codec_matches_the_binary_default(self):
-        # The differential guard of the codec switch: both codecs carry
-        # the same workload to the same notification stream (and the
-        # same provenance signature multiset).
+    def test_corrupt_hello_surfaces_as_an_attributed_worker_error(self):
+        # A worker that refuses the channel hello fails before it has a
+        # host, but not before it has a writer: its last words must
+        # arrive as a decodable ``error`` frame, attributed — not as a
+        # receive failure on bytes the facade cannot parse.
         workload = small_workload()
-        runs = {}
-        for codec in ("binary", "json"):
-            with ShardedFederation(
-                workload.blueprint(), process_config(wire_codec=codec)
-            ) as federation:
-                assert all(
-                    shard.wire_codec == codec
-                    for shard in federation.shards
-                )
-                federation.ingest(workload.events())
-                runs[codec] = federation.drain()
-        assert len(runs["binary"]) == workload.expected_notifications()
-        assert sorted(
-            map(repr, (n.signature for n in runs["binary"]))
-        ) == sorted(map(repr, (n.signature for n in runs["json"])))
+        in_read, in_write = os.pipe()
+        out_read, out_write = os.pipe()
+        process = multiprocessing.get_context("fork").Process(
+            target=worker_main,
+            args=(
+                0,
+                1,
+                in_read,
+                out_write,
+                [in_write, out_read],
+                {},
+                workload.blueprint().to_wire(),
+            ),
+            daemon=True,
+        )
+        process.start()
+        os.close(in_read)
+        os.close(out_write)
+        os.write(in_write, b"XXXX\x01")
+        mux = ChannelMultiplexer()
+        channel = MuxChannel(0, in_write, out_read, max_inflight=4)
+        mux.register(channel)
+        try:
+            frames, crashed = mux.gather({0: "stats"})
+            process.join(10.0)
+        finally:
+            mux.close()
+            channel.close_fds()
+        assert frames == {}
+        assert crashed[0].startswith(
+            "worker error: WireError: bad channel hello"
+        )
+        assert not process.is_alive()
+        assert process.exitcode == 1
 
+
+class TestWireCodecs:
     def test_unknown_codec_is_rejected_at_config_time(self):
-        with pytest.raises(ParallelError, match="wire codec"):
-            ShardConfig(shards=1, wire_codec="msgpack")
+        # There is one wire and no knob for it.
+        with pytest.raises(TypeError, match="wire_codec"):
+            ShardConfig(shards=1, wire_codec="json")
 
 
 class TestOverlappedIO:
@@ -208,30 +234,31 @@ class TestOverlappedIO:
         finally:
             federation.close()
 
-    def test_serial_gather_mode_matches_the_overlapped_run(self):
-        # ``overlap=False`` keeps the legacy one-shard-at-a-time round
-        # trips (QE15's baseline); both modes must produce the same
-        # notification multiset and the same per-instance order.
+    def test_each_collective_is_one_gather_wave(self, monkeypatch):
+        # Count-based pin of "one gather": on 4 process shards a drain
+        # and a stats each cost exactly one multiplexer gather that
+        # names every shard — never a per-shard round trip.
         workload = small_workload()
+        waves = []
+        gather = ChannelMultiplexer.gather
 
-        def per_instance(notifications):
-            streams = {}
-            for n in notifications:
-                streams.setdefault(n.process_instance_id, []).append(
-                    n.signature
-                )
-            return streams
+        def counted(mux, wants):
+            waves.append(dict(wants))
+            return gather(mux, wants)
 
-        runs = {}
-        for overlap in (True, False):
-            with ShardedFederation(
-                workload.blueprint(), process_config(overlap=overlap)
-            ) as federation:
-                assert federation.config.overlap is overlap
-                federation.ingest(workload.events())
-                runs[overlap] = federation.drain()
-        assert len(runs[True]) == workload.expected_notifications()
-        assert per_instance(runs[True]) == per_instance(runs[False])
+        with ShardedFederation(
+            workload.blueprint(), process_config(shards=4)
+        ) as federation:
+            federation.ingest(workload.events())
+            federation.flush_buffers()
+            monkeypatch.setattr(ChannelMultiplexer, "gather", counted)
+            merged = federation.drain()
+            assert waves == [dict.fromkeys(range(4), "results")]
+            del waves[:]
+            federation.stats()
+            assert waves == [dict.fromkeys(range(4), "stats")]
+            monkeypatch.undo()
+        assert len(merged) == workload.expected_notifications()
 
     def test_max_inflight_is_validated(self):
         with pytest.raises(ParallelError, match="max_inflight"):

@@ -17,15 +17,14 @@ from repro.events.producers import (
 from repro.observability.provenance import ProvenanceNode
 from repro.parallel.wire import (
     MAX_FRAME_BYTES,
-    as_tuples,
     decode_value,
     encode_value,
     event_from_wire,
     event_to_wire,
+    frame_bytes,
     read_frame,
     register_event_type,
     resolve_event_type,
-    write_frame,
 )
 
 
@@ -191,24 +190,19 @@ class TestValueEncoding:
         with pytest.raises(WireError):
             encode_value(object())
 
-    def test_as_tuples_normalizes_json_lists(self):
-        assert as_tuples([1, [2, 3], "x"]) == (1, (2, 3), "x")
-
 
 class TestFraming:
     def test_round_trip(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, {"kind": "stats", "n": 3})
-        write_frame(buffer, {"kind": "flush"})
-        buffer.seek(0)
+        buffer = io.BytesIO(
+            frame_bytes({"kind": "stats", "n": 3})
+            + frame_bytes({"kind": "flush"})
+        )
         assert read_frame(buffer) == {"kind": "stats", "n": 3}
         assert read_frame(buffer) == {"kind": "flush"}
         assert read_frame(buffer) is None  # clean EOF
 
     def test_truncated_payload_raises(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, {"kind": "events", "events": list(range(50))})
-        data = buffer.getvalue()
+        data = frame_bytes({"kind": "events", "events": list(range(50))})
         truncated = io.BytesIO(data[: len(data) - 5])
         with pytest.raises(WireError):
             read_frame(truncated)
