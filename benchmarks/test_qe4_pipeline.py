@@ -41,6 +41,8 @@ def build_chain(depth: int):
 
 def drive(depth: int):
     producer, description = build_chain(depth)
+    detected = []
+    description.on_detected(detected.append)
     probe = LatencyProbe(dag_depth=depth)
 
     def inject() -> int:
@@ -59,7 +61,7 @@ def drive(depth: int):
         return EVENTS
 
     summary = probe.measure(inject)
-    assert len(description.detected()) == EVENTS
+    assert len(detected) == EVENTS
     return summary
 
 

@@ -19,7 +19,7 @@ to be composite events *detected* by the composite event specification."
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Set, Tuple, Union
 
 from ..errors import DagValidationError, SlotError
 from ..events.event import Event
@@ -27,6 +27,33 @@ from ..events.producers import EventProducer
 from .operators.base import EventOperator
 
 Node = Union[EventProducer, EventOperator]
+#: One installed edge: the source node and the ``remove_consumer``
+#: arguments that undo it.
+Link = Tuple[Node, Tuple[Any, ...]]
+
+
+def wire(source: Node, target: EventOperator, slot: int) -> Link:
+    """Make the DAG edge *source* → *slot* of *target* a live link.
+
+    The one statement of the rule, used by authoring-time
+    :meth:`EventGraph.connect` and by the plan cache alike.  An operator
+    edge joins the upstream operator's fan-out.  A producer leaf registers
+    the target's linked step itself on the producer's routing index:
+    operators with a static match key (the filters) are only visited for
+    events carrying their key; everything else rides the wildcard bucket.
+    """
+    if isinstance(source, EventOperator):
+        source.add_consumer(target.consume, slot)
+        return (source, (target.consume, slot))
+    step = target.step(slot)
+    source.add_consumer(step, target.routing_keys(slot))
+    return (source, (step,))
+
+
+def unwire(links: List[Link]) -> None:
+    """Undo :func:`wire` for each of *links*."""
+    for source, registration in links:
+        source.remove_consumer(*registration)
 
 
 def _node_name(node: Node) -> str:
@@ -47,9 +74,9 @@ class EventGraph:
         #: validation and deploy walk a node's edges, not all of them.
         self._inputs: Dict[int, List[Tuple[Node, int]]] = {}
         self._outputs: Dict[int, List[EventOperator]] = {}
-        #: Live consumer callables this graph installed on (shared)
-        #: producers, kept so undeploy can detach them.
-        self._producer_links: List[Tuple[EventProducer, Callable[[Event], None]]] = []
+        #: The links this graph installed on (shared) producers, kept so
+        #: undeploy can detach them.
+        self._producer_links: List[Link] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -105,17 +132,9 @@ class EventGraph:
         inputs.append((source, slot))
         self._outputs.setdefault(id(source), []).append(target)
         self._edges.append((source, target, slot))
-        if isinstance(source, EventOperator):
-            source.add_consumer(target.consume, slot)
-        else:
-            # Producer leaves register the operator's linked step itself,
-            # through the routing index: operators with a static match key
-            # (the filters) are only visited for events carrying their
-            # key; everything else rides the wildcard bucket.
-            handle = source.add_consumer(
-                target.step(slot), keys=target.routing_keys(slot)
-            )
-            self._producer_links.append((source, handle))
+        link = wire(source, target, slot)
+        if isinstance(source, EventProducer):
+            self._producer_links.append(link)
 
     def detach_producers(self) -> None:
         """Remove this graph's consumer links from the shared producers.
@@ -125,8 +144,7 @@ class EventGraph:
         registrations installed by :meth:`connect` must be reaped or the
         undeployed detector would keep receiving events.
         """
-        for producer, handle in self._producer_links:
-            producer.remove_consumer(handle)
+        unwire(self._producer_links)
         self._producer_links.clear()
 
     # -- inspection ---------------------------------------------------------------
@@ -203,7 +221,6 @@ class AwarenessDescription:
     def __init__(self, graph: EventGraph, root: EventOperator) -> None:
         self.graph = graph
         self.root = root
-        self._detected: List[Event] = []
         self._listeners: List[Callable[[Event], None]] = []
         self._listener_snapshot: Tuple[Callable[[Event], None], ...] = ()
         root.add_consumer(self._collect, 0)
@@ -211,7 +228,6 @@ class AwarenessDescription:
     # -- detection stream --------------------------------------------------------
 
     def _collect(self, slot: int, event: Event) -> None:
-        self._detected.append(event)
         # Snapshot is rebuilt on on_detected, not copied per detection.
         for listener in self._listener_snapshot:
             listener(event)
@@ -225,10 +241,6 @@ class AwarenessDescription:
         if listener in self._listeners:
             self._listeners.remove(listener)
             self._listener_snapshot = tuple(self._listeners)
-
-    def detected(self) -> Tuple[Event, ...]:
-        """All composite events detected so far (test/bench convenience)."""
-        return tuple(self._detected)
 
     # -- structure ------------------------------------------------------------------
 

@@ -8,18 +8,18 @@ processing, and send recognized composite events, complete with delivery
 instructions, to the awareness delivery component."
 
 A :class:`DetectorAgent` is compiled from one specification window.  The
-live operator wiring was installed while the window was authored (edges
-double as consumer links), so the agent's job is: validate the window,
+live operator wiring is not the agent's business — authoring installs it
+edge by edge, and the awareness engine's plan cache re-installs it on the
+shared plan at deploy — so the agent's job is: validate the window,
 register as listener on every schema's detection stream, and forward the
-delivery-instruction events to its sink (the delivery agent, or an event
-bus publishing ``T_delivery``).
+delivery-instruction events, by direct call, to its sinks (the delivery
+agent's ``deliver`` when the engine deploys it).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..events.bus import EventBus
 from ..events.event import Event
 from .specification import SpecificationWindow
 
@@ -33,7 +33,6 @@ class DetectorAgent:
         self,
         window: SpecificationWindow,
         sink: Optional[Sink] = None,
-        bus: Optional[EventBus] = None,
         detach_hook: Optional[Callable[[], None]] = None,
     ) -> None:
         window.validate()
@@ -52,11 +51,8 @@ class DetectorAgent:
         self._sink_snapshot: Tuple[Sink, ...] = ()
         if sink is not None:
             self._sinks.append(sink)
-        if bus is not None:
-            self._sinks.append(bus.publish)
         self._sink_snapshot = tuple(self._sinks)
         self.recognized = 0
-        self._recognized_events: List[Event] = []
         for schema in window.schemas():
             schema.description.on_detected(self._forward)
 
@@ -86,14 +82,9 @@ class DetectorAgent:
 
     def _forward(self, event: Event) -> None:
         self.recognized += 1
-        self._recognized_events.append(event)
         # Snapshot is rebuilt on add_sink, not copied per recognition.
         for sink in self._sink_snapshot:
             sink(event)
-
-    def recognized_events(self) -> Tuple[Event, ...]:
-        """All composite events recognized so far (with delivery data)."""
-        return tuple(self._recognized_events)
 
     def schema_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.window.schemas())

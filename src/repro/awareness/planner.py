@@ -44,29 +44,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import SpecificationError
+from .description import Link, unwire, wire
 from .operators.base import EventOperator
 from .specification import SpecificationWindow
 
 PlanKey = Tuple[Any, ...]
-#: One installed edge: the source node and the ``remove_consumer``
-#: arguments that undo it.
-Link = Tuple[Any, Tuple[Any, ...]]
-
-
-def _wire(source: Any, target: EventOperator, slot: int) -> Link:
-    """Feed *source*'s output into *slot* of *target*."""
-    if isinstance(source, EventOperator):
-        source.add_consumer(target.consume, slot)
-        return (source, (target.consume, slot))
-    # A producer leaf calls the operator's linked step itself.
-    step = target.step(slot)
-    source.add_consumer(step, target.routing_keys(slot))
-    return (source, (step,))
-
-
-def _unwire(links: List[Link]) -> None:
-    for source, registration in links:
-        source.remove_consumer(*registration)
 
 
 class SharedNode:
@@ -196,11 +178,11 @@ class PlanCache:
             if id(target) in output_ids:
                 # The per-window delivery root: always a fresh fan-out
                 # entry on the (possibly shared) source node.
-                output_links.append(_wire(source, target, slot))
+                output_links.append(wire(source, target, slot))
                 continue
             entry = fresh.get(id(target))
             if entry is not None:
-                entry.links.append(_wire(source, entry.operator, slot))
+                entry.links.append(wire(source, entry.operator, slot))
             # else the target resolved to an already-interned node: its
             # input wiring was installed when that node was interned.
 
@@ -219,12 +201,12 @@ class PlanCache:
         dying node's own consumer registrations on still-live upstream
         nodes are removed before those upstreams are considered.
         """
-        _unwire(plan.output_links)
+        unwire(plan.output_links)
         for entry in reversed(plan.entries):
             entry.refcount -= 1
             if entry.refcount == 0:
                 del self._nodes[entry.key]
-                _unwire(entry.links)
+                unwire(entry.links)
         self._plans.remove(plan)
 
     # -- canonicalization --------------------------------------------------

@@ -35,13 +35,11 @@ class RetrospectionResult:
 
     def __init__(self, window: SpecificationWindow, detected: List[Event]):
         self.window = window
-        self._detected = detected
-
-    def detected(self) -> Tuple[Event, ...]:
-        return tuple(self._detected)
+        #: The replay's detections, in replay order.
+        self.detections: Tuple[Event, ...] = tuple(detected)
 
     def __len__(self) -> int:
-        return len(self._detected)
+        return len(self.detections)
 
     def would_have_notified(self) -> Tuple[Tuple[int, str, str], ...]:
         """(time, schema name, delivery role) for each detection."""
@@ -55,11 +53,11 @@ class RetrospectionResult:
                     else event["deliveryRole"]
                 ),
             )
-            for event in self._detected
+            for event in self.detections
         )
 
     def render(self) -> str:
-        lines = [f"retrospective detections: {len(self._detected)}"]
+        lines = [f"retrospective detections: {len(self.detections)}"]
         for time, schema_name, role in self.would_have_notified():
             lines.append(f"  t={time:>5}  {schema_name} -> {role}")
         return "\n".join(lines)

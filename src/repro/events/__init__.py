@@ -38,7 +38,6 @@ from .queues import (
     DeliveryQueue,
     MemoryDeliveryQueue,
     Notification,
-    QueueRegistry,
     SqliteDeliveryQueue,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "NewsServiceSource",
     "Notification",
     "ParameterSpec",
-    "QueueRegistry",
     "SqliteDeliveryQueue",
     "Subscription",
     "canonical_event",

@@ -1,41 +1,30 @@
-"""Publish/subscribe event bus with predicate-indexed routing.
+"""The agent fabric's event tap: topic → subscriber list, nothing more.
 
 The CMI Enactment System is "a collection of communicating agents acting as
-a single server" (Section 6.1).  The bus is the communication fabric between
-those agents: event source agents publish primitive events, detector agents
-subscribe to the primitive types they consume, and the delivery agent
-subscribes to the output-operator event type.
+a single server" (Section 6.1).  In this reproduction the agents of the
+event path do not talk through the bus: a source agent's producer routes
+each primitive event straight to the detector steps registered on its key
+index (:meth:`repro.events.producers.EventProducer.add_consumer`), and a
+detector agent hands recognitions to the delivery agent by direct call.
+The bus is what is left of the fabric for everyone *else*: every producer
+attached to it publishes each event it emits, after that event's detector
+steps ran, and whoever wants to watch a stream — a monitor, a test, an
+observer of ``T_context`` — subscribes to the topic and sees every event
+of it.  No agent in ``src/`` subscribes; the bus routes nothing and has no
+key index.  The one routing index lives on the producers.
 
 Topics are event type names.  Dispatch is synchronous but *queued*: an event
 published while another event is being dispatched is appended to a FIFO and
 delivered after the current dispatch completes, so cascades triggered by
-handlers (e.g. a detector reacting to an event by modifying a context, which
+handlers (e.g. a tap reacting to an event by modifying a context, which
 publishes another event) see a consistent, non-reentrant order.
-
-**Indexed routing.**  A topic may register a *routing key extractor*
-(:meth:`EventBus.set_key_extractor`) that maps each event to a hashable
-routing key — e.g. ``T_context`` keys on ``(contextName, fieldName)``.
-Subscribers that know the static keys they can match pass them to
-:meth:`EventBus.subscribe`; dispatch then only visits the subscribers in the
-event's key bucket plus the *wildcard bucket* of unkeyed subscribers, making
-per-event cost O(matching subscribers) instead of O(all subscribers).
-Unkeyed topics and unkeyed subscribers behave exactly as before.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import MetricsRegistry
@@ -43,110 +32,53 @@ from ..observability import STRUCTURED_LOG as _SLOG
 from .event import Event
 
 Handler = Callable[[Event], None]
-KeyExtractor = Callable[[Event], Hashable]
 
 
 @dataclass
 class Subscription:
-    """A handle returned by :meth:`EventBus.subscribe`; use to unsubscribe.
-
-    ``keys`` is the tuple of routing keys the subscription is indexed
-    under, or ``None`` for a wildcard subscription that sees every event
-    of its topic.
-    """
+    """A handle returned by :meth:`EventBus.subscribe`; use to unsubscribe."""
 
     topic: str
     handler: Handler
-    keys: Optional[Tuple[Hashable, ...]] = None
     active: bool = True
 
 
 class _Topic:
-    """Per-topic subscription state: wildcard bucket + routing index.
+    """One topic's subscribers, in subscription order.
 
-    ``wildcard`` holds unkeyed subscriptions (dispatch visits all of
-    them); ``index`` maps each routing key to the keyed subscriptions
-    registered under it.  Dispatch iterates cached tuple snapshots so the
-    hot path never copies a list; snapshots are rebuilt lazily after a
-    subscribe/unsubscribe invalidates them.
+    Dispatch iterates a cached tuple snapshot so the hot path never
+    copies a list; the snapshot is rebuilt lazily after a
+    subscribe/unsubscribe invalidates it.
     """
 
-    __slots__ = ("wildcard", "index", "extractor", "_wildcard_snap", "_index_snap", "_needs_reap")
+    __slots__ = ("subscriptions", "_snapshot", "needs_reap")
 
     def __init__(self) -> None:
-        self.wildcard: List[Subscription] = []
-        self.index: Dict[Hashable, List[Subscription]] = {}
-        self.extractor: Optional[KeyExtractor] = None
-        self._wildcard_snap: Optional[Tuple[Subscription, ...]] = None
-        self._index_snap: Dict[Hashable, Tuple[Subscription, ...]] = {}
-        self._needs_reap = False
-
-    # -- mutation ---------------------------------------------------------
+        self.subscriptions: List[Subscription] = []
+        self._snapshot: Optional[Tuple[Subscription, ...]] = None
+        #: Set by an unsubscribe during dispatch; see :meth:`reap`.
+        self.needs_reap = False
 
     def add(self, subscription: Subscription) -> None:
-        if subscription.keys is None:
-            self.wildcard.append(subscription)
-            self._wildcard_snap = None
-        else:
-            for key in subscription.keys:
-                self.index.setdefault(key, []).append(subscription)
-                self._index_snap.pop(key, None)
+        self.subscriptions.append(subscription)
+        self._snapshot = None
 
     def discard(self, subscription: Subscription) -> None:
-        if subscription.keys is None:
-            if subscription in self.wildcard:
-                self.wildcard.remove(subscription)
-            self._wildcard_snap = None
-        else:
-            for key in subscription.keys:
-                bucket = self.index.get(key)
-                if bucket and subscription in bucket:
-                    bucket.remove(subscription)
-                    if not bucket:
-                        del self.index[key]
-                self._index_snap.pop(key, None)
+        if subscription in self.subscriptions:
+            self.subscriptions.remove(subscription)
+            self._snapshot = None
 
     def reap(self) -> None:
         """Drop inactive subscriptions left by unsubscribe-during-dispatch."""
-        if any(not s.active for s in self.wildcard):
-            self.wildcard = [s for s in self.wildcard if s.active]
-            self._wildcard_snap = None
-        for key in [k for k, bucket in self.index.items() if any(not s.active for s in bucket)]:
-            bucket = [s for s in self.index[key] if s.active]
-            if bucket:
-                self.index[key] = bucket
-            else:
-                del self.index[key]
-            self._index_snap.pop(key, None)
-        self._needs_reap = False
+        self.subscriptions = [s for s in self.subscriptions if s.active]
+        self._snapshot = None
+        self.needs_reap = False
 
-    def mark_dirty(self) -> None:
-        self._needs_reap = True
-
-    # -- dispatch-side views ----------------------------------------------
-
-    def wildcard_snapshot(self) -> Tuple[Subscription, ...]:
-        snap = self._wildcard_snap
+    def snapshot(self) -> Tuple[Subscription, ...]:
+        snap = self._snapshot
         if snap is None:
-            snap = self._wildcard_snap = tuple(self.wildcard)
+            snap = self._snapshot = tuple(self.subscriptions)
         return snap
-
-    def bucket_snapshot(self, key: Hashable) -> Tuple[Subscription, ...]:
-        snap = self._index_snap.get(key)
-        if snap is None:
-            bucket = self.index.get(key)
-            if not bucket:
-                return ()
-            snap = self._index_snap[key] = tuple(bucket)
-        return snap
-
-    def all_subscriptions(self) -> List[Subscription]:
-        seen: List[Subscription] = list(self.wildcard)
-        for bucket in self.index.values():
-            for subscription in bucket:
-                if subscription not in seen:
-                    seen.append(subscription)
-        return seen
 
 
 class EventBus:
@@ -156,8 +88,9 @@ class EventBus:
     dispatch: the exception is recorded in :attr:`handler_errors` (and the
     per-topic ``failed`` counter), and the remaining subscribers still
     receive the event.  The default is fail-fast, which is what unit tests
-    want; a long-running federation turns isolation on so one broken
-    detector cannot silence the rest of the awareness engine.
+    want (see :meth:`_drain` for what an abort leaves behind: nothing); a
+    long-running federation turns isolation on so one broken tap cannot
+    fail the enactment operation whose event it was watching.
     """
 
     def __init__(
@@ -195,84 +128,11 @@ class EventBus:
 
     # -- subscription ----------------------------------------------------------
 
-    def set_key_extractor(self, topic: str, extractor: KeyExtractor) -> None:
-        """Register the routing key extractor for *topic*.
-
-        Idempotent for the same extractor; re-registering a different one
-        is allowed (last wins) but existing keyed subscriptions keep the
-        keys they registered under, so callers should install extractors
-        before keyed subscribers appear.
-        """
-        self._topics.setdefault(topic, _Topic()).extractor = extractor
-
-    def key_extractor(self, topic: str) -> Optional[KeyExtractor]:
-        entry = self._topics.get(topic)
-        return entry.extractor if entry is not None else None
-
-    def subscribe(
-        self,
-        topic: str,
-        handler: Handler,
-        keys: Optional[Iterable[Hashable]] = None,
-    ) -> Subscription:
-        """Register *handler* for events whose type name equals *topic*.
-
-        With ``keys`` the subscription is indexed: the handler only sees
-        events whose routing key (per the topic's key extractor) is one of
-        *keys*.  Without ``keys`` the handler joins the wildcard bucket
-        and sees every event of the topic — the pre-index behavior.
-        """
-        subscription = Subscription(
-            topic=topic,
-            handler=handler,
-            keys=tuple(keys) if keys is not None else None,
-        )
+    def subscribe(self, topic: str, handler: Handler) -> Subscription:
+        """Register *handler* for every event whose type name equals *topic*."""
+        subscription = Subscription(topic=topic, handler=handler)
         self._topics.setdefault(topic, _Topic()).add(subscription)
         return subscription
-
-    def subscribe_many(
-        self,
-        topic: str,
-        registrations: Iterable[
-            Tuple[Handler, Optional[Iterable[Hashable]]]
-        ],
-    ) -> List[Subscription]:
-        """Register a batch of ``(handler, keys)`` pairs on one topic.
-
-        Spec fan-out at shard startup registers hundreds of keyed
-        subscribers in one burst; per-call :meth:`subscribe` pays a topic
-        lookup and a snapshot invalidation for every registration.  This
-        path resolves the topic once, extends each key bucket once, and
-        invalidates each touched snapshot once, so a cold start is
-        O(subscribers + touched keys).  Registration order — the order
-        dispatch visits equal-key subscribers — is exactly the order of
-        *registrations*, as if :meth:`subscribe` had been called in a
-        loop.
-        """
-        entry = self._topics.setdefault(topic, _Topic())
-        index = entry.index
-        out: List[Subscription] = []
-        touched_keys = set()
-        touched_wildcard = False
-        for handler, keys in registrations:
-            subscription = Subscription(
-                topic=topic,
-                handler=handler,
-                keys=tuple(keys) if keys is not None else None,
-            )
-            if subscription.keys is None:
-                entry.wildcard.append(subscription)
-                touched_wildcard = True
-            else:
-                for key in subscription.keys:
-                    index.setdefault(key, []).append(subscription)
-                    touched_keys.add(key)
-            out.append(subscription)
-        if touched_wildcard:
-            entry._wildcard_snap = None
-        for key in touched_keys:
-            entry._index_snap.pop(key, None)
-        return out
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Deactivate and remove *subscription*.
@@ -287,7 +147,7 @@ class EventBus:
         if entry is None:
             return
         if self._dispatching:
-            entry.mark_dirty()
+            entry.needs_reap = True
         else:
             entry.discard(subscription)
 
@@ -295,7 +155,7 @@ class EventBus:
         entry = self._topics.get(topic)
         if entry is None:
             return 0
-        return sum(1 for s in entry.all_subscriptions() if s.active)
+        return sum(1 for s in entry.subscriptions if s.active)
 
     # -- publication -------------------------------------------------------------
 
@@ -321,35 +181,37 @@ class EventBus:
         self._drain()
 
     def _drain(self) -> None:
+        """Dispatch the queue until it is empty.
+
+        A handler that raises on a fail-fast bus *aborts* the drain: the
+        exception reaches the publisher and every event still queued is
+        dropped with it, so nothing is left behind to surface inside a
+        later, unrelated publish.  ``bus_published_total`` counts the
+        events whose dispatch was attempted — the one that raised
+        included, the dropped ones not.
+        """
         self._dispatching = True
         queue = self._queue
         try:
             while queue:
-                # Batch hand-off: a run of consecutive same-topic events
-                # (the common shape after publish_batch) shares one topic
-                # resolution and one counter update.  Handlers still see
-                # one call per event in FIFO order.
-                event = queue.popleft()
-                topic = event.type_name
-                run: Optional[List[Event]] = None
-                while queue and queue[0].type_name == topic:
-                    if run is None:
-                        run = [event]
-                    run.append(queue.popleft())
+                # A run of consecutive same-topic events (the common shape
+                # after publish_batch) shares one topic resolution and one
+                # counter update.  Handlers still see one call per event
+                # in FIFO order.
+                topic = queue[0].type_name
                 entry = self._topics.get(topic)
-                if run is None:
-                    self._published.inc(1, (topic,))
-                    if entry is not None:
-                        self._dispatch(entry, topic, event)
-                else:
-                    self._published.inc(len(run), (topic,))
-                    if entry is not None:
-                        for event in run:
-                            self._dispatch(entry, topic, event)
+                attempted = 0
+                try:
+                    while queue and queue[0].type_name == topic:
+                        attempted += 1
+                        self._dispatch(entry, topic, queue.popleft())
+                finally:
+                    self._published.inc(attempted, (topic,))
         finally:
+            queue.clear()
             self._dispatching = False
 
-    def _dispatch(self, entry: _Topic, topic: str, event: Event) -> None:
+    def _dispatch(self, entry: Optional[_Topic], topic: str, event: Event) -> None:
         if _OBS.enabled:
             tracer = _OBS.tracer
             if tracer._light_depth:
@@ -365,31 +227,20 @@ class EventBus:
                     "bus.dispatch", event._params["time"], attrs
                 )
             try:
-                self._dispatch_entry(entry, topic, event)
+                if entry is not None:
+                    self._deliver(entry, topic, event)
             finally:
                 if span is None:
                     tracer._light_depth -= 1
                 else:
                     tracer.end(span)
-        else:
-            self._dispatch_entry(entry, topic, event)
+        elif entry is not None:
+            self._deliver(entry, topic, event)
 
-    def _dispatch_entry(self, entry: _Topic, topic: str, event: Event) -> None:
-        if entry._needs_reap:
+    def _deliver(self, entry: _Topic, topic: str, event: Event) -> None:
+        if entry.needs_reap:
             entry.reap()
-        if entry.extractor is not None and entry.index:
-            key = entry.extractor(event)
-            keyed = entry.bucket_snapshot(key)
-            if keyed:
-                self._deliver(topic, keyed, event)
-        wildcard = entry.wildcard_snapshot()
-        if wildcard:
-            self._deliver(topic, wildcard, event)
-
-    def _deliver(
-        self, topic: str, subscriptions: Tuple[Subscription, ...], event: Event
-    ) -> None:
-        for subscription in subscriptions:
+        for subscription in entry.snapshot():
             if not subscription.active:
                 continue
             try:

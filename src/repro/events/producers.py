@@ -13,9 +13,11 @@ here with the exact parameter lists of the paper:
   fieldName, oldFieldValue and newFieldValue.
 
 Producers translate the CORE engine's change records into self-contained
-:class:`~repro.events.event.Event` objects and publish them on the bus.
-They are the engine-side half of the *event source agents* of Section 6.3
-(the agent wrapper lives in :mod:`repro.awareness.sources`).
+:class:`~repro.events.event.Event` objects, route each one to the detector
+steps registered for it, and then publish it on the attached bus for
+whoever taps the stream.  They are the engine-side half of the *event
+source agents* of Section 6.3 (the agent wrapper lives in
+:mod:`repro.awareness.sources`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import MetricsRegistry
 from .bus import EventBus
 from .event import Event, EventType, ParameterSpec, base_parameters
+
+#: What a producer calls with each routed event (the result is ignored).
+Consumer = Callable[[Event], object]
 
 #: Type name of activity state change events (``T_activity``).
 ACTIVITY_EVENT_TYPE_NAME = "T_activity"
@@ -88,22 +93,27 @@ SYSTEM_EVENT_TYPE = EventType(
 
 
 class EventProducer:
-    """Base class: an identified producer of one event type.
+    """Base class: an identified producer of one event type, and the router
+    of its events.
 
-    ``emit`` publishes to the bus (when attached) and also hands the event
-    to directly-registered consumers, which is what awareness description
-    leaves use when a detector runs without a bus (unit tests, benchmarks).
+    Detector leaves register on the producer (:meth:`add_consumer` — the
+    awareness wiring rule hands it an operator's linked ``step`` and that
+    operator's static routing keys); ``emit`` calls the registered
+    consumers first and then, when a bus is attached, publishes the event
+    there for whoever taps the stream.  This index is the only place an
+    event is routed.
 
-    **Indexed routing.**  Producers whose subclass installs a *routing key
-    extractor* (``T_activity`` keys on ``(parentProcessSchemaId,
-    activityVariableId)``, ``T_context`` on ``(contextName, fieldName)``)
-    dispatch each event only to the consumers registered under the event's
-    key plus the wildcard consumers, so per-event cost is O(matching
-    consumers) instead of O(all consumers).  Consumers that cannot name
-    static keys (dynamic predicates, monitors) register unkeyed and see
-    everything, exactly as before.  Setting :attr:`indexed` to ``False``
-    falls back to the linear scan over every consumer — the QE7 benchmark
-    uses this to measure the index win.
+    Producers whose subclass installs a *routing key extractor*
+    (``T_activity`` keys on ``(parentProcessSchemaId,
+    activityVariableId)``, ``T_context`` on ``(contextName, fieldName)``,
+    ``T_system`` on the metric name) dispatch each event to the consumers
+    registered under the event's key, then to the wildcard consumers, so
+    per-event cost is O(matching consumers) instead of O(all consumers).
+    Consumers that cannot name static keys (dynamic predicates, monitors)
+    register unkeyed and see everything.  A producer *without* an
+    extractor (a bare :class:`EventProducer`, an external source) cannot
+    tell which key an event carries, so it files every consumer as
+    wildcard whatever keys it was offered.
     """
 
     def __init__(
@@ -115,13 +125,10 @@ class EventProducer:
         self.producer_id = producer_id
         self.output_type = output_type
         self._bus: Optional[EventBus] = None
-        #: (consumer, keys) registration records, in registration order.
-        self._consumers: List[Tuple[Callable[[Event], None], Optional[Tuple[Hashable, ...]]]] = []
-        self._wildcard: List[Callable[[Event], None]] = []
-        self._index: Dict[Hashable, List[Callable[[Event], None]]] = {}
+        self._wildcard: List[Consumer] = []
+        #: Routing key -> consumers; non-empty only under an extractor.
+        self._index: Dict[Hashable, List[Consumer]] = {}
         self._key_extractor: Optional[Callable[[Event], Hashable]] = None
-        #: Set False to force the linear scan over all consumers.
-        self.indexed = True
         #: Emission totals live in the registry (the system registry when
         #: wired by a source agent, a private one otherwise); ``emitted``
         #: stays available as a read-only view.
@@ -132,7 +139,7 @@ class EventProducer:
             ("producer",),
         ).child((producer_id,))
         #: Shared attribute dict for this producer's ``source.emit`` spans.
-        self._span_attrs = {
+        self._span_attrs: Dict[str, object] = {
             "producer": producer_id,
             "type": output_type.name,
         }
@@ -144,16 +151,12 @@ class EventProducer:
 
     def attach(self, bus: EventBus) -> None:
         self._bus = bus
-        if self._key_extractor is not None:
-            bus.set_key_extractor(self.output_type.name, self._key_extractor)
 
     def set_key_extractor(
         self, extractor: Callable[[Event], Hashable]
     ) -> None:
         """Install the routing key extractor for this producer's events."""
         self._key_extractor = extractor
-        if self._bus is not None:
-            self._bus.set_key_extractor(self.output_type.name, extractor)
 
     @property
     def key_extractor(self) -> Optional[Callable[[Event], Hashable]]:
@@ -161,30 +164,26 @@ class EventProducer:
 
     def add_consumer(
         self,
-        consumer: Callable[[Event], None],
+        consumer: Consumer,
         keys: Optional[Iterable[Hashable]] = None,
-    ) -> Callable[[Event], None]:
+    ) -> Consumer:
         """Register *consumer*; returns it as the removal handle.
 
         With ``keys`` the consumer is indexed under those routing keys and
-        only sees events whose key matches; without, it joins the wildcard
-        bucket and sees every event.  Awareness descriptions and the plan
-        cache register an operator's linked ``step`` here directly.
+        only sees events whose key matches; without (or on a producer with
+        no key extractor), it joins the wildcard bucket and sees every
+        event.  Awareness descriptions and the plan cache register an
+        operator's linked ``step`` here directly.
         """
-        key_tuple = tuple(keys) if keys is not None else None
-        self._consumers.append((consumer, key_tuple))
-        if key_tuple is None:
+        if keys is None or self._key_extractor is None:
             self._wildcard.append(consumer)
         else:
-            for key in key_tuple:
+            for key in keys:
                 self._index.setdefault(key, []).append(consumer)
         return consumer
 
-    def remove_consumer(self, consumer: Callable[[Event], None]) -> None:
+    def remove_consumer(self, consumer: Consumer) -> None:
         """Remove *consumer* from the wildcard bucket and the key index."""
-        for record in list(self._consumers):
-            if record[0] is consumer:
-                self._consumers.remove(record)
         if consumer in self._wildcard:
             self._wildcard.remove(consumer)
         for key in [k for k, bucket in self._index.items() if consumer in bucket]:
@@ -195,7 +194,9 @@ class EventProducer:
                 del self._index[key]
 
     def consumer_count(self) -> int:
-        return len(self._consumers)
+        """Registered consumers; one under several keys counts once."""
+        keyed = {id(c) for bucket in self._index.values() for c in bucket}
+        return len(self._wildcard) + len(keyed)
 
     def indexed_key_count(self) -> int:
         """Distinct routing keys with at least one indexed consumer."""
@@ -244,16 +245,19 @@ class EventProducer:
         return events
 
     def _dispatch(self, event: Event) -> None:
-        if self.indexed and self._key_extractor is not None and self._index:
-            bucket = self._index.get(self._key_extractor(event))
+        """Key bucket, then wildcard — registration order within each.
+
+        Both are copied before iterating: a consumer may register or
+        remove consumers (its own entry included) while it runs.
+        """
+        extractor = self._key_extractor
+        if extractor is not None and self._index:
+            bucket = self._index.get(extractor(event))
             if bucket:
                 for consumer in tuple(bucket):
                     consumer(event)
-            for consumer in tuple(self._wildcard):
-                consumer(event)
-        else:
-            for consumer, __ in tuple(self._consumers):
-                consumer(event)
+        for consumer in tuple(self._wildcard):
+            consumer(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.producer_id!r})"
@@ -278,7 +282,8 @@ def system_routing_key(event: Event) -> Hashable:
     sampled.  SLO filters key on the metric name alone (the series label
     is checked in the filter predicate), so one sampling pass dispatches
     each sample only to the rules that watch its metric."""
-    return event._params["metric"]
+    metric: str = event._params["metric"]
+    return metric
 
 
 class ActivityEventProducer(EventProducer):

@@ -252,18 +252,3 @@ class SqliteDeliveryQueue(DeliveryQueue):
     def _check_open(self) -> None:
         if self._conn is None:
             raise QueueError(f"queue at {self.path!r} is closed")
-
-
-class QueueRegistry:
-    """Hands out the queue shared by the delivery agent and the viewers.
-
-    A single queue object stores all participants' notifications
-    (partitioned by participant id); the registry simply owns its
-    lifecycle and lets the federation choose memory or SQLite backing.
-    """
-
-    def __init__(self, queue: Optional[DeliveryQueue] = None) -> None:
-        self.queue = queue if queue is not None else MemoryDeliveryQueue()
-
-    def close(self) -> None:
-        self.queue.close()

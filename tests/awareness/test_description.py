@@ -84,7 +84,7 @@ class TestDescription:
             )
         )
         assert len(seen) == 1
-        assert description.detected() == tuple(seen)
+        assert seen[0].type_name == flt.output_type.name
 
     def test_validate_requires_wired_slots(self):
         graph, producer, flt = graph_with_filter()

@@ -63,14 +63,14 @@ class TestDetectorAgent:
         )
         assert detector.recognized == 1
         assert len(sink_a) == len(sink_b) == 1
-        assert detector.recognized_events()[0]["schemaName"] == "AS_W"
+        assert sink_a[0]["schemaName"] == "AS_W"
 
     def test_bus_sink_publishes_delivery_events(self):
         window = window_with_schema()
         bus = EventBus()
         got = []
         bus.subscribe("T_delivery", got.append)
-        DetectorAgent(window, bus=bus)
+        DetectorAgent(window).add_sink(bus.publish)
 
         from repro.core.context import ContextChange
 

@@ -229,9 +229,7 @@ class Reference:
             for slot in range(entry.operator.arity)
         }
         key = producer.key_extractor(event)
-        registered = producer._consumers
-        routed = [c for c, keys in registered if keys is not None and key in keys]
-        routed += [c for c, keys in registered if keys is None]
+        routed = producer._index.get(key, []) + producer._wildcard
         for consumer in routed:
             operator, slot = leaves[consumer]
             self.consume(operator, slot, event)

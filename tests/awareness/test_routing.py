@@ -195,6 +195,38 @@ class TestUndeploy:
         assert len(notifications) == 1  # delivered once, not once per deploy
 
 
+class TestBoundedMemory:
+    def test_recognitions_leave_no_per_event_container(self):
+        """A deployed window counts what it recognises and keeps none of
+        it: no sequence field of the detector or its descriptions grows
+        with the stream."""
+        from collections import deque
+
+        system, process = build_system()
+        detector = deploy_field_watcher(system, "alpha", "alpha")
+        holders = [detector] + [
+            schema.description for schema in detector.window.schemas()
+        ]
+
+        def container_sizes():
+            return {
+                (type(holder).__name__, name): len(value)
+                for holder in holders
+                for name, value in vars(holder).items()
+                if isinstance(value, (list, tuple, deque))
+            }
+
+        ref = system.coordination.start_process(process).context("Ctx")
+        ref.set("alpha", -1)
+        before = container_sizes()
+        assert before  # the scan does look at something (sinks, listeners)
+        for value in range(1000):
+            ref.set("alpha", value)
+
+        assert detector.recognized == 1001
+        assert container_sizes() == before
+
+
 class TestCallBudget:
     """Count-based pin on the linked detector plan (no wall clock).
 

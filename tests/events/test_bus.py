@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.context import ContextChange
 from repro.events.bus import EventBus
 from repro.events.event import Event, EventType, base_parameters
+from tests.awareness.test_routing import build_system, deploy_field_watcher
 
 
 def make_event(type_name="T_a", time=1):
@@ -39,6 +41,11 @@ class TestSubscribe:
         bus.publish(make_event())
         assert got == []
         assert bus.subscriber_count("T_a") == 0
+
+    def test_subscriptions_are_unkeyed(self):
+        """Routing lives on the producers; a tap sees its whole topic."""
+        with pytest.raises(TypeError):
+            EventBus().subscribe("T_a", lambda e: None, keys=[1])
 
 
 class TestDispatchOrder:
@@ -108,8 +115,8 @@ class TestUnsubscribeDuringDispatch:
         bus.publish(make_event(time=2))
         # ...after which it must be gone from the subscriber list.
         entry = bus._topics["T_a"]
-        assert subscription not in entry.all_subscriptions()
-        assert keep in entry.all_subscriptions()
+        assert subscription not in entry.subscriptions
+        assert keep in entry.subscriptions
 
     def test_subscribe_and_unsubscribe_same_dispatch(self):
         bus = EventBus()
@@ -124,66 +131,6 @@ class TestUnsubscribeDuringDispatch:
         bus.publish(make_event(time=1))
         bus.publish(make_event(time=2))
         assert late_events == []
-
-
-class TestKeyedSubscriptions:
-    @staticmethod
-    def keyed_bus():
-        bus = EventBus()
-        bus.set_key_extractor("T_a", lambda event: event.time)
-        return bus
-
-    def test_keyed_subscriber_sees_only_its_key(self):
-        bus = self.keyed_bus()
-        got = []
-        bus.subscribe("T_a", got.append, keys=[1])
-        bus.publish(make_event(time=1))
-        bus.publish(make_event(time=2))
-        assert [e.time for e in got] == [1]
-
-    def test_wildcard_subscriber_sees_everything(self):
-        bus = self.keyed_bus()
-        keyed, wild = [], []
-        bus.subscribe("T_a", keyed.append, keys=[1])
-        bus.subscribe("T_a", wild.append)
-        bus.publish(make_event(time=1))
-        bus.publish(make_event(time=2))
-        assert [e.time for e in keyed] == [1]
-        assert [e.time for e in wild] == [1, 2]
-
-    def test_subscription_under_several_keys(self):
-        bus = self.keyed_bus()
-        got = []
-        bus.subscribe("T_a", got.append, keys=[1, 3])
-        for t in (1, 2, 3):
-            bus.publish(make_event(time=t))
-        assert [e.time for e in got] == [1, 3]
-
-    def test_unsubscribe_keyed_removes_index_entries(self):
-        bus = self.keyed_bus()
-        got = []
-        subscription = bus.subscribe("T_a", got.append, keys=[1])
-        bus.unsubscribe(subscription)
-        bus.publish(make_event(time=1))
-        assert got == []
-        assert bus.subscriber_count("T_a") == 0
-
-    def test_keys_without_extractor_fall_back_to_wildcard_dispatch(self):
-        """Keyed subscriptions on a topic with no extractor are never
-        reachable by key, but unkeyed topics keep plain-topic dispatch."""
-        bus = EventBus()
-        wild = []
-        bus.subscribe("T_a", wild.append)
-        bus.publish(make_event(time=1))
-        assert len(wild) == 1
-
-    def test_delivered_count_tracks_keyed_deliveries(self):
-        bus = self.keyed_bus()
-        bus.subscribe("T_a", lambda e: None, keys=[1])
-        bus.subscribe("T_a", lambda e: None)
-        bus.publish(make_event(time=1))
-        bus.publish(make_event(time=2))
-        assert bus.delivered_count("T_a") == 3
 
 
 class TestPublishBatch:
@@ -215,6 +162,45 @@ class TestErrorIsolation:
         bus.subscribe("T_a", lambda e: (_ for _ in ()).throw(ValueError("boom")))
         with pytest.raises(ValueError):
             bus.publish(make_event())
+
+    @staticmethod
+    def raising_at_one(bus):
+        seen = []
+
+        def handler(event):
+            seen.append((event.type_name, event.time))
+            if event.time == 1:
+                raise ValueError("boom")
+
+        bus.subscribe("T_a", handler)
+        bus.subscribe("T_b", handler)
+        return seen
+
+    def test_fail_fast_abort_leaves_nothing_queued(self):
+        """The aborted drain drops the rest of the batch — the same-topic
+        run and the other topic alike — and counts only the attempted
+        event as published; nothing surfaces in a later publish."""
+        bus = EventBus()
+        seen = self.raising_at_one(bus)
+        batch = [make_event("T_a", t) for t in (1, 2, 3)] + [make_event("T_b", 4)]
+        with pytest.raises(ValueError):
+            bus.publish_batch(batch)
+        assert seen == [("T_a", 1)]
+        assert bus.published_count() == 1
+        del seen[:]
+        bus.publish(make_event("T_a", 5))
+        assert seen == [("T_a", 5)]
+        assert bus.published_count() == 2
+        assert bus.published_count("T_b") == 0
+
+    def test_isolated_handler_error_loses_no_event_of_the_batch(self):
+        bus = EventBus(isolate_errors=True)
+        seen = self.raising_at_one(bus)
+        batch = [make_event("T_a", t) for t in (1, 2, 3)] + [make_event("T_b", 4)]
+        bus.publish_batch(batch)
+        assert seen == [("T_a", 1), ("T_a", 2), ("T_a", 3), ("T_b", 4)]
+        assert bus.published_count() == 4
+        assert bus.failed_count() == 1
 
     def test_isolated_errors_are_recorded_and_dispatch_continues(self):
         bus = EventBus(isolate_errors=True)
@@ -268,49 +254,46 @@ class TestStatistics:
         assert "T_a" in bus.topics()
 
 
-class TestSubscribeMany:
-    def test_batch_matches_a_loop_of_subscribes(self):
-        batched, looped = EventBus(), EventBus()
-        for bus in (batched, looped):
-            bus.set_key_extractor("T_a", lambda e: e.params["source"])
-        order_batched, order_looped = [], []
-        registrations = [
-            (lambda e, i=i, out=order_batched: out.append(i), keys)
-            for i, keys in enumerate(
-                [None, ("test",), ("other",), ("test", "other")]
-            )
-        ]
-        batched_subs = batched.subscribe_many("T_a", registrations)
-        for i, keys in enumerate(
-            [None, ("test",), ("other",), ("test", "other")]
-        ):
-            looped.subscribe(
-                "T_a", lambda e, i=i, out=order_looped: out.append(i), keys
-            )
-        batched.publish(make_event())
-        looped.publish(make_event())
-        assert order_batched == order_looped
-        assert len(batched_subs) == 4
+class TestTapContract:
+    """The bus as the system uses it: an unkeyed tap on a producer's
+    stream, fed after the producer routed the event to the detectors."""
 
-    def test_batch_after_dispatch_invalidates_snapshots(self):
-        # The first publish builds the per-key dispatch snapshots; the
-        # batch registration must invalidate exactly the touched ones.
-        bus = EventBus()
-        bus.set_key_extractor("T_a", lambda e: e.params["source"])
-        first, second = [], []
-        bus.subscribe("T_a", first.append, keys=("test",))
-        bus.publish(make_event())
-        bus.subscribe_many(
-            "T_a", [(second.append, ("test",)), (second.append, None)]
+    def test_tap_sees_each_event_once_in_order_after_its_detector_steps(self):
+        system, process = build_system()
+        detector = deploy_field_watcher(system, "alpha", "alpha")
+        tapped = []
+        system.bus.subscribe(
+            "T_context",
+            lambda e: tapped.append(
+                (e["fieldName"], e["newFieldValue"], detector.recognized)
+            ),
         )
-        bus.publish(make_event())
-        assert len(first) == 2
-        assert len(second) == 2  # keyed + wildcard both saw the event
+        instance = system.coordination.start_process(process)
+        ref = instance.context("Ctx")
 
-    def test_batch_subscriptions_unsubscribe_normally(self):
-        bus = EventBus()
-        got = []
-        (subscription,) = bus.subscribe_many("T_a", [(got.append, None)])
-        bus.unsubscribe(subscription)
-        bus.publish(make_event())
-        assert got == []
+        # produce(): one event per field change, tapped right after the
+        # detector recognised it (only alpha is watched).
+        ref.set("alpha", 1)
+        ref.set("beta", 2)
+        ref.set("alpha", 3)
+        assert tapped == [("alpha", 1, 1), ("beta", 2, 1), ("alpha", 3, 2)]
+
+        # produce_batch(): the whole batch is routed first, then tapped.
+        del tapped[:]
+        producer = system.awareness.context_source.producer
+        changes = [
+            ContextChange(
+                time=system.core.clock.now(),
+                context_id=ref.context_id,
+                context_name="Ctx",
+                associations=frozenset({("P-X", instance.instance_id)}),
+                field_name=name,
+                old_value=None,
+                new_value=value,
+            )
+            for name, value in (("alpha", 4), ("beta", 5), ("alpha", 6))
+        ]
+        emitted = producer.produce_batch(changes)
+        assert tapped == [("alpha", 4, 4), ("beta", 5, 4), ("alpha", 6, 4)]
+        assert system.bus.published_count("T_context") == 3 + len(emitted)
+        assert system.bus.delivered_count("T_context") == 6

@@ -1,13 +1,19 @@
 """Tests for the primitive event producers E_activity and E_context."""
 
+import pytest
+
+from repro.awareness.operators.filters import ContextFilter
 from repro.core.context import ContextChange
 from repro.core.instances import ActivityStateChange
 from repro.events.bus import EventBus
+from repro.events.event import Event, EventType, base_parameters
+from repro.events.external import ExternalEventSource
 from repro.events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     ActivityEventProducer,
     ContextEventProducer,
+    EventProducer,
 )
 
 
@@ -27,16 +33,21 @@ def activity_change(**overrides):
     return ActivityStateChange(**base)
 
 
-def context_change():
+def context_change(field_name="TaskForceDeadline"):
     return ContextChange(
         time=7,
         context_id="ctx-1",
         context_name="TaskForceContext",
         associations=frozenset({("P-TF", "proc-1"), ("P-IR", "proc-2")}),
-        field_name="TaskForceDeadline",
+        field_name=field_name,
         old_value=100,
         new_value=50,
     )
+
+
+DEADLINE = ("TaskForceContext", "TaskForceDeadline")
+STATUS = ("TaskForceContext", "Status")
+PLAIN_TYPE = EventType("T_plain", base_parameters())
 
 
 class TestActivityProducer:
@@ -120,22 +131,85 @@ class TestIndexedRouting:
         assert producer.consumer_count() == 0
         assert producer.indexed_key_count() == 0
 
-    def test_linear_mode_matches_indexed_mode(self):
-        for indexed in (True, False):
-            producer = ContextEventProducer()
-            producer.indexed = indexed
-            matching, other = [], []
+    def test_consumer_under_several_keys_is_called_once_per_match(self):
+        producer = ContextEventProducer()
+        got = []
+        producer.add_consumer(got.append, keys=[DEADLINE, STATUS])
+        for field in ("TaskForceDeadline", "Other", "Status"):
+            producer.produce(context_change(field))
+        assert [e["fieldName"] for e in got] == ["TaskForceDeadline", "Status"]
+        assert producer.consumer_count() == 1
+        assert producer.indexed_key_count() == 2
+
+    def test_keyed_bucket_runs_before_wildcard_in_registration_order(self):
+        producer = ContextEventProducer()
+        order = []
+        for name, keys in (
+            ("wild-1", None),
+            ("keyed-1", [DEADLINE]),
+            ("wild-2", None),
+            ("keyed-2", [DEADLINE]),
+        ):
+            producer.add_consumer(lambda e, name=name: order.append(name), keys)
+        producer.produce(context_change())
+        assert order == ["keyed-1", "keyed-2", "wild-1", "wild-2"]
+
+    def test_wildcard_only_producer_delivers_in_registration_order(self):
+        producer = ContextEventProducer()
+        order = []
+        for name in ("a", "b", "c"):
+            producer.add_consumer(lambda e, name=name: order.append(name))
+        producer.produce(context_change())
+        assert order == ["a", "b", "c"]
+
+    def test_keyed_consumer_removing_itself_mid_call_spares_its_siblings(self):
+        producer = ContextEventProducer()
+        order = []
+
+        def once(event):
+            order.append("once")
+            producer.remove_consumer(once)
+
+        producer.add_consumer(lambda e: order.append("before"), keys=[DEADLINE])
+        producer.add_consumer(once, keys=[DEADLINE])
+        producer.add_consumer(lambda e: order.append("after"), keys=[DEADLINE])
+        producer.produce(context_change())
+        producer.produce(context_change())
+        assert order == ["before", "once", "after", "before", "after"]
+        assert producer.consumer_count() == 2
+
+    @pytest.mark.parametrize("kind", [EventProducer, ExternalEventSource])
+    def test_keys_on_a_producer_without_extractor_file_as_wildcard(self, kind):
+        """No extractor, no way to tell an event's key: the consumer must
+        see everything rather than nothing."""
+        producer = kind("E_plain", PLAIN_TYPE)
+        order = []
+        producer.add_consumer(lambda e: order.append("keyed"), keys=["k"])
+        producer.add_consumer(lambda e: order.append("unkeyed"))
+        producer.emit(Event(PLAIN_TYPE, {"time": 1, "source": "test"}))
+        assert order == ["keyed", "unkeyed"]
+        assert producer.indexed_key_count() == 0
+        assert producer.consumer_count() == 2
+
+    @pytest.mark.parametrize("keyed, calls", [(True, 1), (False, 32)])
+    def test_index_visits_only_the_matching_leaf(self, keyed, calls):
+        """Count-based, no wall clock: 32 ``Filter_context`` leaves on 32
+        fields and one event.  Keyed, the index calls exactly one of them;
+        registered unkeyed — the linear scan — all 32 are called and 31
+        reject the event.  What is recognised is the same."""
+        producer = ContextEventProducer()
+        filters = [
+            ContextFilter("P-TF", "TaskForceContext", f"field{i}")
+            for i in range(32)
+        ]
+        for flt in filters:
             producer.add_consumer(
-                matching.append,
-                keys=[("TaskForceContext", "TaskForceDeadline")],
+                flt.step(0), keys=flt.routing_keys(0) if keyed else None
             )
-            producer.add_consumer(other.append, keys=[("Ctx", "x")])
-            producer.produce(context_change())
-            assert len(matching) == 1, f"indexed={indexed}"
-            # Linear mode scans everyone, but only registration differs;
-            # the keyed consumer list is what the filter would reject from.
-            if indexed:
-                assert other == []
+        producer.produce(context_change("field7"))
+        assert sum(f.consumed for f in filters) == calls
+        assert sum(f.produced for f in filters) == 1
+        assert filters[7].produced == 1
 
     def test_activity_producer_routes_by_schema_and_variable(self):
         producer = ActivityEventProducer()
@@ -145,15 +219,6 @@ class TestIndexedRouting:
         producer.produce(activity_change())
         assert len(assess) == 1
         assert other == []
-
-    def test_attach_installs_bus_key_extractor(self):
-        bus = EventBus()
-        producer = ContextEventProducer()
-        producer.attach(bus)
-        extractor = bus.key_extractor("T_context")
-        assert extractor is not None
-        event = producer.produce(context_change())
-        assert extractor(event) == ("TaskForceContext", "TaskForceDeadline")
 
     def test_produce_batch_emits_all_and_publishes_once_drained(self):
         bus = EventBus()

@@ -8,7 +8,6 @@ from repro.errors import QueueError
 from repro.events.queues import (
     MemoryDeliveryQueue,
     Notification,
-    QueueRegistry,
     SqliteDeliveryQueue,
 )
 
@@ -133,18 +132,6 @@ class TestNotificationSerialization:
             k: (list(v) if isinstance(v, tuple) else v)
             for k, v in params.items()
         }
-
-
-class TestQueueRegistry:
-    def test_default_is_memory_queue(self):
-        registry = QueueRegistry()
-        assert isinstance(registry.queue, MemoryDeliveryQueue)
-
-    def test_close_delegates(self):
-        registry = QueueRegistry(SqliteDeliveryQueue())
-        registry.close()
-        with pytest.raises(QueueError):
-            registry.queue.enqueue(note())
 
 
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)
