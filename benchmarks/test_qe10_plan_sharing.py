@@ -69,8 +69,8 @@ deliver fire_{index} to team-{index} as "surge" named AS_U_{index}
 class PrivatePlans(PlanCache):
     """The unshared baseline: one private cache per deployed window."""
 
-    def deploy(self, window):
-        return PlanCache().deploy(window)
+    def deploy(self, window, sink):
+        return PlanCache().deploy(window, sink)
 
 
 def build_system(n_windows, n_fields, template, share_plans):

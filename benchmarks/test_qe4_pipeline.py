@@ -9,9 +9,11 @@ should grow roughly linearly with depth.
 
 import time
 
-from repro.awareness.operators import ContextFilter, Count
-from repro.awareness.description import AwarenessDescription, EventGraph
+from repro.awareness.detector import DetectorAgent
+from repro.awareness.planner import PlanCache
+from repro.awareness.specification import SpecificationWindow
 from repro.core.context import ContextChange
+from repro.core.roles import RoleRef
 from repro.events.producers import ContextEventProducer
 from repro.metrics.latency import LATENCY_HEADERS, LatencyProbe
 from repro.metrics.report import render_table
@@ -21,28 +23,24 @@ DEPTHS = (1, 2, 4, 6)
 
 
 def build_chain(depth: int):
-    """Filter followed by (depth - 1) Count stages; returns (producer, AD)."""
-    graph = EventGraph()
-    producer = graph.add_producer(ContextEventProducer())
-    flt = graph.add_operator(
-        ContextFilter("P", "Ctx", "deadline", instance_name="flt")
-    )
-    graph.connect(producer, flt, 0)
-    tail = flt
+    """Filter followed by (depth - 1) Count stages; returns (producer, window)."""
+    producer = ContextEventProducer()
+    window = SpecificationWindow("P", {"ContextEvent": producer})
+    tail = window.place("Filter_context", "Ctx", "deadline", instance_name="flt")
+    window.connect(producer, tail, 0)
     for level in range(depth - 1):
-        stage = graph.add_operator(Count("P", instance_name=f"count-{level}"))
-        graph.connect(tail, stage, 0)
+        stage = window.place("Count", instance_name=f"count-{level}")
+        window.connect(tail, stage, 0)
         tail = stage
-    description = AwarenessDescription(graph, tail)
-    description.validate()
-    assert description.depth() == depth
-    return producer, description
+    schema = window.output(tail, RoleRef("watchers"))
+    assert schema.description.depth() == depth + 1  # the chain plus its Output
+    return producer, window
 
 
 def drive(depth: int):
-    producer, description = build_chain(depth)
+    producer, window = build_chain(depth)
     detected = []
-    description.on_detected(detected.append)
+    DetectorAgent(window, PlanCache(), sink=detected.append)
     probe = LatencyProbe(dag_depth=depth)
 
     def inject() -> int:

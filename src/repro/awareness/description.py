@@ -11,49 +11,24 @@ window; interior nodes and leaves may be shared amongst all awareness
 schemata of a window, Section 6.2).  :class:`AwarenessDescription` is the
 sub-DAG rooted at one operator — the ``AD_P`` of an awareness schema.
 
-Wiring an edge both records it for validation and connects the live event
-flow: events entering a leaf flow through the operators' linked steps to the
-root.  "Composite events that are output from the root of the DAG are said
-to be composite events *detected* by the composite event specification."
+Everything here is build-time structure (Section 6.2): drawing an edge
+checks and records it, and no event flows.  A window is a description until
+it is deployed — :class:`~repro.awareness.planner.PlanCache` is the one
+place where recorded edges become live consumer links (Section 6.4: the
+schemata "are automatically transformed into one or more detector agents").
+"Composite events that are output from the root of the DAG are said to be
+composite events *detected* by the composite event specification."
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from ..errors import DagValidationError, SlotError
-from ..events.event import Event
 from ..events.producers import EventProducer
 from .operators.base import EventOperator
 
 Node = Union[EventProducer, EventOperator]
-#: One installed edge: the source node and the ``remove_consumer``
-#: arguments that undo it.
-Link = Tuple[Node, Tuple[Any, ...]]
-
-
-def wire(source: Node, target: EventOperator, slot: int) -> Link:
-    """Make the DAG edge *source* → *slot* of *target* a live link.
-
-    The one statement of the rule, used by authoring-time
-    :meth:`EventGraph.connect` and by the plan cache alike.  An operator
-    edge joins the upstream operator's fan-out.  A producer leaf registers
-    the target's linked step itself on the producer's routing index:
-    operators with a static match key (the filters) are only visited for
-    events carrying their key; everything else rides the wildcard bucket.
-    """
-    if isinstance(source, EventOperator):
-        source.add_consumer(target.consume, slot)
-        return (source, (target.consume, slot))
-    step = target.step(slot)
-    source.add_consumer(step, target.routing_keys(slot))
-    return (source, (step,))
-
-
-def unwire(links: List[Link]) -> None:
-    """Undo :func:`wire` for each of *links*."""
-    for source, registration in links:
-        source.remove_consumer(*registration)
 
 
 def _node_name(node: Node) -> str:
@@ -74,9 +49,6 @@ class EventGraph:
         #: validation and deploy walk a node's edges, not all of them.
         self._inputs: Dict[int, List[Tuple[Node, int]]] = {}
         self._outputs: Dict[int, List[EventOperator]] = {}
-        #: The links this graph installed on (shared) producers, kept so
-        #: undeploy can detach them.
-        self._producer_links: List[Link] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -94,10 +66,11 @@ class EventGraph:
         return operator
 
     def connect(self, source: Node, target: EventOperator, slot: int) -> None:
-        """Wire *source*'s output stream into *target*'s input *slot*.
+        """Draw the edge *source* → input *slot* of *target*.
 
-        Checks the slot's type constraint and its cardinality (exactly one
-        producer per slot), then installs the live consumer link.
+        Checks membership, the slot's type constraint, its cardinality
+        (exactly one producer per slot) and acyclicity, then records the
+        edge; deploy turns recorded edges into live links.
         """
         if target not in self._operators:
             raise DagValidationError(
@@ -132,20 +105,6 @@ class EventGraph:
         inputs.append((source, slot))
         self._outputs.setdefault(id(source), []).append(target)
         self._edges.append((source, target, slot))
-        link = wire(source, target, slot)
-        if isinstance(source, EventProducer):
-            self._producer_links.append(link)
-
-    def detach_producers(self) -> None:
-        """Remove this graph's consumer links from the shared producers.
-
-        Called on undeploy: the producers outlive the window (they belong
-        to the engine's source agents), so the index entries and wildcard
-        registrations installed by :meth:`connect` must be reaped or the
-        undeployed detector would keep receiving events.
-        """
-        unwire(self._producer_links)
-        self._producer_links.clear()
 
     # -- inspection ---------------------------------------------------------------
 
@@ -214,35 +173,13 @@ class EventGraph:
 class AwarenessDescription:
     """``AD_P``: the sub-DAG of a graph rooted at one operator.
 
-    The description is itself an event producer for the events produced by
-    its root operator instance: register interest via :meth:`on_detected`.
+    Pure structure; the events its root detects reach whoever deployed
+    the window (see :class:`~repro.awareness.detector.DetectorAgent`).
     """
 
     def __init__(self, graph: EventGraph, root: EventOperator) -> None:
         self.graph = graph
         self.root = root
-        self._listeners: List[Callable[[Event], None]] = []
-        self._listener_snapshot: Tuple[Callable[[Event], None], ...] = ()
-        root.add_consumer(self._collect, 0)
-
-    # -- detection stream --------------------------------------------------------
-
-    def _collect(self, slot: int, event: Event) -> None:
-        # Snapshot is rebuilt on on_detected, not copied per detection.
-        for listener in self._listener_snapshot:
-            listener(event)
-
-    def on_detected(self, listener: Callable[[Event], None]) -> None:
-        self._listeners.append(listener)
-        self._listener_snapshot = tuple(self._listeners)
-
-    def remove_listener(self, listener: Callable[[Event], None]) -> None:
-        """Unregister *listener*; a no-op when it is not registered."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-            self._listener_snapshot = tuple(self._listeners)
-
-    # -- structure ------------------------------------------------------------------
 
     @property
     def process_schema_id(self) -> str:

@@ -7,54 +7,44 @@ Engine.  The agent(s) consume primitive events, perform the event
 processing, and send recognized composite events, complete with delivery
 instructions, to the awareness delivery component."
 
-A :class:`DetectorAgent` is compiled from one specification window.  The
-live operator wiring is not the agent's business — authoring installs it
-edge by edge, and the awareness engine's plan cache re-installs it on the
-shared plan at deploy — so the agent's job is: validate the window,
-register as listener on every schema's detection stream, and forward the
-delivery-instruction events, by direct call, to its sinks (the delivery
-agent's ``deliver`` when the engine deploys it).
+A :class:`DetectorAgent` *is* one specification window deployed on a
+:class:`~repro.awareness.planner.PlanCache` — the awareness engine passes
+its shared cache, anything that runs a window without an engine a private
+one.  Authoring leaves a window inert; constructing the agent is the
+transformation: the cache validates the window, links its operators into
+the plan and wires every schema's Output root straight to this agent,
+which forwards the delivery-instruction events, by direct call, to its
+sinks (the delivery agent's ``deliver`` when the engine deploys it).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..events.event import Event
+from .planner import PlanCache
 from .specification import SpecificationWindow
 
 Sink = Callable[[Event], None]
 
 
 class DetectorAgent:
-    """Embodies the awareness schemas of one specification window."""
+    """Embodies the awareness schemas of one deployed specification window."""
 
     def __init__(
         self,
         window: SpecificationWindow,
+        cache: PlanCache,
         sink: Optional[Sink] = None,
-        detach_hook: Optional[Callable[[], None]] = None,
     ) -> None:
-        window.validate()
         self.window = window
-        #: When the engine deployed the window through the plan cache the
-        #: live wiring belongs to the shared plan, not to this window's
-        #: graph; detach then releases the plan instead of the leaves.
-        self._detach_hook = detach_hook
-        #: The :class:`~repro.awareness.planner.DeployedPlan` this window
-        #: resolved to (set by the engine under plan sharing, ``None``
-        #: otherwise).  Durability snapshots enumerate the *live*
-        #: operators through it — the shared nodes, not the window's
-        #: authoring-time copies.
-        self.plan: Optional[Any] = None
-        self._sinks: List[Sink] = []
-        self._sink_snapshot: Tuple[Sink, ...] = ()
-        if sink is not None:
-            self._sinks.append(sink)
-        self._sink_snapshot = tuple(self._sinks)
+        self._sinks: List[Sink] = [] if sink is None else [sink]
+        self._sink_snapshot: Tuple[Sink, ...] = tuple(self._sinks)
         self.recognized = 0
-        for schema in window.schemas():
-            schema.description.on_detected(self._forward)
+        #: What the window resolved to.  Durability snapshots enumerate
+        #: the *live* operators through it — the shared nodes, not the
+        #: window's own instances.
+        self.plan = cache.deploy(window, self._forward)
 
     @property
     def process_schema_id(self) -> str:
@@ -65,22 +55,16 @@ class DetectorAgent:
         self._sink_snapshot = tuple(self._sinks)
 
     def detach(self) -> None:
-        """Disconnect this detector's leaves from the shared producers.
+        """Release the plan (idempotent): no event reaches this agent again.
 
-        After detaching, events no longer reach the window's operators;
-        the engine calls this on undeploy so the routing index holds no
-        ghost entries for retired detectors.  The detection listeners are
-        unregistered too, so a later redeploy of the same window does not
-        double-deliver through this retired agent.
+        The engine calls this on undeploy, so the routing index holds no
+        ghost entries for retired detectors and a later redeploy of the
+        same window does not double-deliver through this retired agent.
         """
-        if self._detach_hook is not None:
-            self._detach_hook()
-        else:
-            self.window.graph.detach_producers()
-        for schema in self.window.schemas():
-            schema.description.remove_listener(self._forward)
+        self.plan.detach()
 
-    def _forward(self, event: Event) -> None:
+    def _forward(self, slot: int, event: Event) -> None:
+        """Consumer of slot 0 of every Output root of the window."""
         self.recognized += 1
         # Snapshot is rebuilt on add_sink, not copied per recognition.
         for sink in self._sink_snapshot:

@@ -11,7 +11,8 @@ responsible for implementation of the CMM Awareness Model".  It owns:
   (Section 6.5).
 
 Its public surface is small: :meth:`AwarenessEngine.create_window` starts a
-designer authoring session against this engine's event sources;
+designer authoring session against this engine's event sources (pure
+structure — the window sees no event);
 :meth:`AwarenessEngine.deploy` turns a finished window into a live detector
 agent; :meth:`AwarenessEngine.viewer_for` gives a participant their
 awareness information viewer.
@@ -19,7 +20,7 @@ awareness information viewer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.engine import CoreEngine
 from ..core.roles import Participant
@@ -81,10 +82,9 @@ class AwarenessEngine:
             assignments=assignments,
             metrics=self.metrics,
         )
-        self._detectors: List[DetectorAgent] = []
-        #: Live detector per deployed window (keyed by window identity),
-        #: making :meth:`deploy` idempotent.
-        self._deployed: Dict[int, DetectorAgent] = {}
+        #: Live detector per deployed window (keyed by window identity,
+        #: in deploy order), making :meth:`deploy` idempotent.
+        self._detectors: Dict[int, DetectorAgent] = {}
         #: Recognitions carried by detectors that have since been retired;
         #: keeps the ``composites_recognized`` gauge monotonic across
         #: undeploys.
@@ -96,7 +96,7 @@ class AwarenessEngine:
         self.metrics.callback_gauge(
             "composites_recognized",
             lambda: self._recognized_retired
-            + sum(d.recognized for d in self._detectors),
+            + sum(d.recognized for d in self._detectors.values()),
             "Composite events recognized across detector agents, including "
             "detectors since retired",
         )
@@ -141,7 +141,11 @@ class AwarenessEngine:
     # -- designer side --------------------------------------------------------------
 
     def create_window(self, process_schema_id: str) -> SpecificationWindow:
-        """Open an authoring window bound to this engine's event sources."""
+        """Open an authoring window naming this engine's event sources.
+
+        Authoring only records structure: nothing is registered on the
+        producers, and the window sees no event, until :meth:`deploy`.
+        """
         producers: Dict[str, EventProducer] = {
             ACTIVITY_SOURCE: self.activity_source.producer,
             CONTEXT_SOURCE: self.context_source.producer,
@@ -154,7 +158,8 @@ class AwarenessEngine:
     def deploy(self, window: SpecificationWindow) -> DetectorAgent:
         """Compile a window into a detector agent feeding delivery.
 
-        The window is resolved against the engine's
+        This is where the window's operators first become live: it is
+        validated and resolved against the engine's
         :class:`~repro.awareness.planner.PlanCache`: sub-DAGs
         structurally equal to an already-deployed window's are not
         instantiated again — the existing shared nodes fan out to this
@@ -167,17 +172,11 @@ class AwarenessEngine:
         recognitions).  Redeploying a window retired with
         :meth:`undeploy` rewires it freshly.
         """
-        existing = self._deployed.get(id(window))
+        existing = self._detectors.get(id(window))
         if existing is not None:
             return existing
-        window.validate()
-        plan = self.planner.deploy(window)
-        detector = DetectorAgent(
-            window, sink=self.delivery.deliver, detach_hook=plan.detach
-        )
-        detector.plan = plan
-        self._detectors.append(detector)
-        self._deployed[id(window)] = detector
+        detector = DetectorAgent(window, self.planner, sink=self.delivery.deliver)
+        self._detectors[id(window)] = detector
         if _SLOG.enabled:
             _SLOG.emit(
                 "awareness",
@@ -185,7 +184,7 @@ class AwarenessEngine:
                 tick=self.core.clock.now(),
                 process=window.process_schema_id,
                 schemas=[schema.name for schema in window.schemas()],
-                shared_operators=plan.shared_hits,
+                shared_operators=detector.plan.shared_hits,
             )
         return detector
 
@@ -201,10 +200,9 @@ class AwarenessEngine:
         ``composites_recognized`` gauge monotonic.
         """
         detector.detach()
-        if detector in self._detectors:
+        if self._detectors.get(id(detector.window)) is detector:
             self._recognized_retired += detector.recognized
-            self._detectors.remove(detector)
-            self._deployed.pop(id(detector.window), None)
+            del self._detectors[id(detector.window)]
         if _SLOG.enabled:
             _SLOG.emit(
                 "awareness",
@@ -221,7 +219,7 @@ class AwarenessEngine:
     # -- statistics -------------------------------------------------------------------------
 
     def detectors(self) -> Tuple[DetectorAgent, ...]:
-        return tuple(self._detectors)
+        return tuple(self._detectors.values())
 
     def stats(self) -> Dict[str, int]:
         """Event-flow counters across the Figure 5 pipeline.

@@ -92,8 +92,8 @@ class EventOperator:
         #: Per-process-instance state.  Kernels hold this very dict, so
         #: it is only ever mutated in place (snapshot restore included).
         self._partitions: Dict[Any, Any] = {}
-        #: Downstream consumers: (callable, slot_index) pairs wired by the
-        #: awareness description / detector.
+        #: Downstream consumers: (callable, slot_index) pairs, wired by the
+        #: plan cache at deploy.
         self._consumers: List[Tuple[Consumer, int]] = []
         #: What ``emit`` calls, one entry per `_consumers` record: the
         #: consumer's own step when it is another operator's ``consume``,
@@ -147,16 +147,6 @@ class EventOperator:
                 del self._consumers[index]
                 del self._fanout[index]
                 return
-
-    def reset_consumers(self) -> None:
-        """Drop every wired consumer.
-
-        The plan cache calls this when it interns an operator: the
-        authoring-time wiring of the window the instance came from is
-        replaced by the shared plan's fan-out, installed edge by edge.
-        """
-        self._consumers.clear()
-        self._fanout.clear()
 
     def plan_params(self) -> Optional[Tuple[Any, ...]]:
         """Hashable design-time parameters for plan sharing, or ``None``.

@@ -23,16 +23,19 @@ Three pieces:
   "N customized copies of one template" case and keeps recognition
   provenance chains byte-identical to an unshared engine.
 
-* **PlanCache** — owned by the awareness engine; interns live operator
-  instances by key.  Deploying a window resolves each of its operators
-  to a cached node (dropping the window's private copy) or interns the
-  window's own instance as the cache entry, then re-wires the DAG edges
-  in authoring order: edges into freshly-interned nodes install the
-  shared wiring (a producer leaf registers the operator's linked
-  ``step`` itself, an operator edge joins the upstream node's fan-out),
-  edges into already-shared nodes are skipped (the wiring exists), and
-  edges into the per-window Output roots add one fan-out entry on the
-  shared node — which that node's ``emit`` sees at once.
+* **PlanCache** — the only linker: a specification window is inert
+  structure until it is deployed here (the awareness engine owns one
+  shared cache; a window can be run without an engine on a private
+  one).  Deploying resolves each of the window's operators to a cached
+  node (dropping the window's private copy) or interns the window's own
+  instance as the cache entry, then wires the recorded DAG edges in
+  authoring order: edges into freshly-interned nodes install the shared
+  wiring (a producer leaf registers the operator's linked ``step``
+  itself, an operator edge joins the upstream node's fan-out), edges
+  into already-shared nodes are skipped (the wiring exists), and edges
+  into the per-window Output roots add one fan-out entry on the shared
+  node — which that node's ``emit`` sees at once.  Each Output root is
+  wired straight to the deploying detector agent.
 
 * **DeployedPlan** — the refcounted handle: ``undeploy`` detaches only
   the output fan-out plus whatever shared nodes no surviving window
@@ -44,11 +47,38 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import SpecificationError
-from .description import Link, unwire, wire
-from .operators.base import EventOperator
+from .description import Node
+from .operators.base import Consumer, EventOperator
 from .specification import SpecificationWindow
 
 PlanKey = Tuple[Any, ...]
+#: One installed link: the source node and the ``remove_consumer``
+#: arguments that undo it.
+Link = Tuple[Node, Tuple[Any, ...]]
+
+
+def wire(source: Node, target: EventOperator, slot: int) -> Link:
+    """Make the DAG edge *source* → *slot* of *target* a live link.
+
+    The one statement of the rule; :meth:`PlanCache.deploy` is its only
+    caller.  An operator edge joins the upstream operator's fan-out.  A
+    producer leaf registers the target's linked step itself on the
+    producer's routing index: operators with a static match key (the
+    filters) are only visited for events carrying their key; everything
+    else rides the wildcard bucket.
+    """
+    if isinstance(source, EventOperator):
+        source.add_consumer(target.consume, slot)
+        return (source, (target.consume, slot))
+    step = target.step(slot)
+    source.add_consumer(step, target.routing_keys(slot))
+    return (source, (step,))
+
+
+def unwire(links: List[Link]) -> None:
+    """Undo the installation of each of *links*."""
+    for source, registration in links:
+        source.remove_consumer(*registration)
 
 
 class SharedNode:
@@ -126,17 +156,21 @@ class PlanCache:
 
     # -- deployment --------------------------------------------------------
 
-    def deploy(self, window: SpecificationWindow) -> DeployedPlan:
-        """Resolve *window* against the cache and wire the shared plan.
+    def deploy(
+        self, window: SpecificationWindow, consumer: Consumer
+    ) -> DeployedPlan:
+        """Validate *window*, resolve it against the cache and link it.
 
-        The window's authoring-time leaf links fed its private operator
-        copies; they are detached first — from here on the cache owns all
-        live wiring for this window, and :meth:`DeployedPlan.detach` is
-        the only unwire path.
+        Authoring only recorded the window's edges, so nothing is live
+        before this call and nothing is wired when validation fails; the
+        cache owns all live wiring for the window, and
+        :meth:`DeployedPlan.detach` is the only unwire path.  *consumer*
+        becomes the slot-0 consumer of each schema's Output root.
         """
+        window.validate()
         graph = window.graph
-        graph.detach_producers()
-        output_ids = {id(schema.description.root) for schema in window.schemas()}
+        roots = [schema.description.root for schema in window.schemas()]
+        output_ids = {id(root) for root in roots}
         order = self._topological(graph, output_ids)
 
         keys: Dict[int, PlanKey] = {}
@@ -149,10 +183,7 @@ class PlanCache:
             keys[id(operator)] = key
             entry = self._nodes.get(key)
             if entry is None:
-                # This window's own instance becomes the cache entry; its
-                # authoring wiring is dropped and re-installed edge by
-                # edge below, so only plan-resolved consumers remain.
-                operator.reset_consumers()
+                # This window's own instance becomes the cache entry.
                 entry = SharedNode(
                     key,
                     operator,
@@ -168,9 +199,9 @@ class PlanCache:
             entries.append(entry)
             resolved[id(operator)] = entry.operator
 
-        # Re-wire following the authoring edge order, so a canonical
-        # window's consumer lists come out byte-for-byte as connect()
-        # built them — detection order is invariant under sharing.
+        # Wire following the authoring edge order, so a canonical
+        # window's consumer lists come out in the order its edges were
+        # drawn — detection order is invariant under sharing.
         output_links: List[Link] = []
         for source, target, slot in graph.edges():
             if isinstance(source, EventOperator):
@@ -185,6 +216,9 @@ class PlanCache:
                 entry.links.append(wire(source, entry.operator, slot))
             # else the target resolved to an already-interned node: its
             # input wiring was installed when that node was interned.
+        for root in roots:
+            root.add_consumer(consumer, 0)
+            output_links.append((root, (consumer, 0)))
 
         self.operators_resolved += len(entries)
         self.operators_deduped += shared_hits
@@ -269,8 +303,7 @@ class PlanCache:
                     remaining.append(operator)
             if not progressed:
                 raise SpecificationError(
-                    "window contains operators whose inputs do not resolve; "
-                    "validate() it before deploying"
+                    "window contains operators whose inputs do not resolve"
                 )
             pending = remaining
         return order

@@ -4,10 +4,11 @@ Awareness descriptions process events as they happen; a specification
 deployed in the middle of a long-running crisis only sees the future.  But
 the monitoring audit trail holds the past (Section 2's WfMC monitoring
 API, :class:`~repro.federation.monitor.ProcessMonitor`), so the question
-"what would this schema have detected so far?" is answerable: compile the
+"what would this schema have detected so far?" is answerable: author the
 specification against *fresh* primitive producers — isolated from the live
-engine so nothing is delivered twice — and replay the logged activity and
-context changes through it in time order.
+engine so nothing is delivered twice — deploy it on a private plan cache
+with a collecting sink, and replay the logged activity and context changes
+through it in time order.
 
 Uses: designers dry-running a specification against real history before
 deploying it; analysts investigating an incident ("had we had this schema,
@@ -18,11 +19,15 @@ retrospection observes, it does not notify.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
+from ..core.context import ContextChange
+from ..core.instances import ActivityStateChange
 from ..events.event import Event
 from ..events.producers import ActivityEventProducer, ContextEventProducer
 from ..federation.monitor import ProcessMonitor
+from .detector import DetectorAgent
+from .planner import PlanCache
 from .specification import SpecificationWindow
 
 #: A builder receives the isolated window and authors the description(s);
@@ -33,7 +38,7 @@ WindowBuilder = Callable[[SpecificationWindow], None]
 class RetrospectionResult:
     """Everything the replayed specification detected, with timing."""
 
-    def __init__(self, window: SpecificationWindow, detected: List[Event]):
+    def __init__(self, window: SpecificationWindow, detected: List[Event]) -> None:
         self.window = window
         #: The replay's detections, in replay order.
         self.detections: Tuple[Event, ...] = tuple(detected)
@@ -67,14 +72,11 @@ def retrospect(
     process_schema_id: str,
     specification: Union[str, WindowBuilder],
     monitor: ProcessMonitor,
-    extra_events: Sequence[Event] = (),
 ) -> RetrospectionResult:
     """Replay the audit history through a freshly compiled specification.
 
     *specification* is DSL text or a builder callable; *monitor* supplies
-    the activity and context history.  *extra_events* lets callers splice
-    in external-source history (must already be primitive ``Event``
-    objects); they are merged by time with the audit logs.
+    the activity and context history.
     """
     activity_producer = ActivityEventProducer()
     context_producer = ContextEventProducer()
@@ -91,35 +93,23 @@ def retrospect(
         from .dsl import compile_specification
 
         compile_specification(window, specification)
-    window.validate()
 
     detected: List[Event] = []
-    for schema in window.schemas():
-        schema.description.on_detected(detected.append)
+    DetectorAgent(window, PlanCache(), sink=detected.append)
 
     # Merge the histories in time order; within a tick, keep log order
     # (activity before context mirrors live interleaving closely enough:
     # state changes tick the clock, context writes share it).
-    merged: List[Tuple[int, int, str, object]] = []
-    for order, change in enumerate(monitor.log()):
-        merged.append((change.time, order, "activity", change))
+    merged: List[Tuple[int, int, Union[ActivityStateChange, ContextChange]]] = []
+    for order, activity in enumerate(monitor.log()):
+        merged.append((activity.time, order, activity))
     for order, change in enumerate(monitor.context_log()):
-        merged.append((change.time, order, "context", change))
-    for order, event in enumerate(extra_events):
-        merged.append((event.time, order, "extra", event))
-    merged.sort(key=lambda entry: (entry[0], entry[1]))
+        merged.append((change.time, order, change))
+    merged.sort(key=lambda entry: entry[:2])
 
-    for __, ___, kind, payload in merged:
-        if kind == "activity":
-            activity_producer.produce(payload)  # type: ignore[arg-type]
-        elif kind == "context":
-            context_producer.produce(payload)  # type: ignore[arg-type]
+    for __, ___, payload in merged:
+        if isinstance(payload, ActivityStateChange):
+            activity_producer.produce(payload)
         else:
-            # External events enter through their own producer diamonds in
-            # live runs; retrospectively we hand them to any operator that
-            # consumes their type via the window's extra sources.
-            for producer in window.graph.producers():
-                if producer.output_type == payload.event_type:  # type: ignore[union-attr]
-                    producer.emit(payload)  # type: ignore[arg-type]
-                    break
+            context_producer.produce(payload)
     return RetrospectionResult(window, detected)

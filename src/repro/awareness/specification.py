@@ -22,7 +22,7 @@ DESIGN.md).  A designer authors a schema in the paper's three steps:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.roles import RoleRef
 from ..errors import SpecificationError
@@ -50,7 +50,6 @@ class SpecificationWindow:
         for name, producer in producers.items():
             self._sources[name] = self.graph.add_producer(producer)
         self._schemas: Dict[str, AwarenessSchema] = {}
-        self._placed: List[EventOperator] = []
 
     # -- step 1: place operators -------------------------------------------------
 
@@ -71,7 +70,7 @@ class SpecificationWindow:
         self._sources[name] = self.graph.add_producer(producer)
         return producer
 
-    def place(self, family: str, *args, **kwargs) -> EventOperator:
+    def place(self, family: str, *args: Any, **kwargs: Any) -> EventOperator:
         """Place (and parameterize) an operator instance in the window.
 
         The operator's first parameter P — the window's process schema —
@@ -81,15 +80,11 @@ class SpecificationWindow:
         """
         operator_class = self.registry.lookup(family)
         operator = operator_class(self.process_schema_id, *args, **kwargs)
-        self.graph.add_operator(operator)
-        self._placed.append(operator)
-        return operator
+        return self.graph.add_operator(operator)
 
     def place_operator(self, operator: EventOperator) -> EventOperator:
         """Place a pre-constructed operator (application-specific classes)."""
-        self.graph.add_operator(operator)
-        self._placed.append(operator)
-        return operator
+        return self.graph.add_operator(operator)
 
     # -- step 2: connect edges ------------------------------------------------------
 

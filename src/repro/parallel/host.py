@@ -383,7 +383,7 @@ class ShardHost:
 
         The live operators are the interned
         :class:`~repro.awareness.planner.SharedNode` instances the
-        window's deploy resolved to — *not* the window's authoring-time
+        window's deploy resolved to — *not* the window's own (inert)
         copies — so enumeration walks each detector's
         :attr:`~repro.awareness.detector.DetectorAgent.plan` entries
         (topological order), deduplicated by identity (shared sub-DAGs

@@ -64,28 +64,6 @@ class TestGraphConstruction:
 
 
 class TestDescription:
-    def test_detection_stream_collects_root_outputs(self):
-        graph, producer, flt = graph_with_filter()
-        description = AwarenessDescription(graph, flt)
-        description.validate()
-        seen = []
-        description.on_detected(seen.append)
-        from repro.core.context import ContextChange
-
-        producer.produce(
-            ContextChange(
-                time=1,
-                context_id="c1",
-                context_name="Ctx",
-                associations=frozenset({("P", "i1")}),
-                field_name="deadline",
-                old_value=None,
-                new_value=10,
-            )
-        )
-        assert len(seen) == 1
-        assert seen[0].type_name == flt.output_type.name
-
     def test_validate_requires_wired_slots(self):
         graph, producer, flt = graph_with_filter()
         conjunction = graph.add_operator(And("P"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.awareness.detector import DetectorAgent
+from repro.awareness.planner import PlanCache
 from repro.awareness.sources import ActivitySourceAgent, ContextSourceAgent
 from repro.awareness.specification import SpecificationWindow
 from repro.core import (
@@ -40,12 +41,12 @@ class TestDetectorAgent:
             "P-X", {"ContextEvent": ContextEventProducer()}
         )
         with pytest.raises(SpecificationError):
-            DetectorAgent(window)
+            DetectorAgent(window, PlanCache())
 
     def test_forwards_recognized_events_to_all_sinks(self):
         window = window_with_schema()
         sink_a, sink_b = [], []
-        detector = DetectorAgent(window, sink=sink_a.append)
+        detector = DetectorAgent(window, PlanCache(), sink=sink_a.append)
         detector.add_sink(sink_b.append)
 
         from repro.core.context import ContextChange
@@ -70,7 +71,7 @@ class TestDetectorAgent:
         bus = EventBus()
         got = []
         bus.subscribe("T_delivery", got.append)
-        DetectorAgent(window).add_sink(bus.publish)
+        DetectorAgent(window, PlanCache()).add_sink(bus.publish)
 
         from repro.core.context import ContextChange
 
@@ -88,7 +89,7 @@ class TestDetectorAgent:
         assert len(got) == 1
 
     def test_schema_names_and_process(self):
-        detector = DetectorAgent(window_with_schema())
+        detector = DetectorAgent(window_with_schema(), PlanCache())
         assert detector.schema_names() == ("AS_W",)
         assert detector.process_schema_id == "P-X"
 
@@ -192,9 +193,9 @@ class TestCustomOperatorExtension:
         nth = window.place("EveryNth", 3)
         window.connect(window.source("ContextEvent"), flt, 0)
         window.connect(flt, nth, 0)
-        schema = window.output(nth, RoleRef("watchers"), schema_name="AS_N")
+        window.output(nth, RoleRef("watchers"), schema_name="AS_N")
         detected = []
-        schema.description.on_detected(detected.append)
+        DetectorAgent(window, PlanCache(), sink=detected.append)
 
         from repro.core.context import ContextChange
 

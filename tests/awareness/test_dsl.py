@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification, tokenize
+from repro.awareness.planner import PlanCache
 from repro.awareness.specification import SpecificationWindow
 from repro.core.roles import RoleRef
 from repro.errors import SpecificationError
@@ -71,9 +73,8 @@ class TestSection54:
         hand-built Section 5.4 schema."""
         window = make_window()
         compile_specification(window, SECTION_54_SPEC)
-        schema = window.schema("AS_InfoRequest")
         detected = []
-        schema.description.on_detected(detected.append)
+        DetectorAgent(window, PlanCache(), sink=detected.append)
         producer = window.source("ContextEvent")
         from repro.core.context import ContextChange
 

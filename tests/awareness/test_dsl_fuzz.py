@@ -3,8 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification, window_to_dsl
+from repro.awareness.planner import PlanCache
 from repro.awareness.specification import SpecificationWindow
+from repro.core.context import ContextChange
 from repro.events.producers import ActivityEventProducer, ContextEventProducer
 
 
@@ -118,6 +121,30 @@ def random_specs(draw):
     return close_specification(lines, nodes, role)
 
 
+#: (field index, value) per tick, fed as changes of one context instance.
+field_changes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    max_size=15,
+)
+
+
+def produce(window, tick, field_index, value):
+    window.source("ContextEvent").produce(
+        ContextChange(
+            time=tick,
+            context_id="c1",
+            context_name="Ctx",
+            associations=frozenset({("P-F", "i1")}),
+            field_name=f"field{field_index}",
+            old_value=None,
+            new_value=value,
+        )
+    )
+
+
 class TestDslFuzz:
     @given(spec=random_specs())
     @settings(max_examples=80, deadline=None)
@@ -146,8 +173,6 @@ class TestDslFuzz:
     ):
         """Drive the same event stream through the original and the
         round-tripped window; detection streams must match exactly."""
-        from repro.core.context import ContextChange
-
         windows = []
         for __ in range(2):
             window = make_window()
@@ -158,32 +183,12 @@ class TestDslFuzz:
 
         detected = [[], []]
         for index, window in enumerate(windows):
-            window.schema("AS_Fuzz").description.on_detected(
-                detected[index].append
-            )
+            DetectorAgent(window, PlanCache(), sink=detected[index].append)
 
-        events = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=3),  # field index
-                    st.integers(min_value=-5, max_value=5),  # value
-                ),
-                max_size=15,
-            )
-        )
+        events = data.draw(field_changes)
         for tick, (field_index, value) in enumerate(events, start=1):
             for window in windows:
-                window.source("ContextEvent").produce(
-                    ContextChange(
-                        time=tick,
-                        context_id="c1",
-                        context_name="Ctx",
-                        associations=frozenset({("P-F", "i1")}),
-                        field_name=f"field{field_index}",
-                        old_value=None,
-                        new_value=value,
-                    )
-                )
+                produce(window, tick, field_index, value)
         # The canonical decompile deliberately reorders commutative
         # operator definitions (PR 4's within-wave sort), which can change
         # consumer registration order and therefore the *intra-tick*
@@ -200,3 +205,30 @@ class TestDslFuzz:
 
         assert len(detected[0]) == len(detected[1])
         assert per_tick(detected[0]) == per_tick(detected[1])
+
+    @given(spec=random_specs(), events=field_changes, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_deploy_time_does_not_matter(self, spec, events, data):
+        """Authoring is inert: a window authored before a prefix of the
+        stream and deployed after it detects exactly what the same
+        specification authored after the prefix detects."""
+        cut = data.draw(st.integers(min_value=0, max_value=len(events)))
+        detected = {}
+        for authored_early in (True, False):
+            window = make_window()
+            if authored_early:
+                compile_specification(window, spec)
+            for tick, change in enumerate(events[:cut], start=1):
+                produce(window, tick, *change)
+            if not authored_early:
+                compile_specification(window, spec)
+            for operator in window.operators():
+                assert operator.consumed == 0
+                assert not operator._partitions
+            seen = detected[authored_early] = []
+            DetectorAgent(window, PlanCache(), sink=seen.append)
+            for tick, change in enumerate(events[cut:], start=cut + 1):
+                produce(window, tick, *change)
+        assert [dict(event.params) for event in detected[True]] == [
+            dict(event.params) for event in detected[False]
+        ]

@@ -23,6 +23,7 @@ live shared nodes mid-stream.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification
 from repro.awareness.operators.base import EventOperator
 from repro.awareness.planner import PlanCache
@@ -323,11 +324,8 @@ class Rig:
             return
         window = SpecificationWindow(SCHEMA, self.producers)
         compile_specification(window, text)
-        window.validate()
         seen = self.detected.setdefault(label, [])
-        for schema in window.schemas():
-            schema.description.on_detected(seen.append)
-        self.plans[label] = self.cache.deploy(window)
+        self.plans[label] = DetectorAgent(window, self.cache, sink=seen.append).plan
 
     def operators(self):
         found = {}

@@ -33,8 +33,8 @@ from repro.workloads.taskforce import TaskForceApplication
 class PrivatePlans(PlanCache):
     """The unshared baseline: one private cache per deployed window."""
 
-    def deploy(self, window):
-        return PlanCache().deploy(window)
+    def deploy(self, window, sink):
+        return PlanCache().deploy(window, sink)
 
 
 def build_system(share_plans):

@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.awareness.dsl import compile_specification
 from repro.awareness.operators.count import Count
+from repro.errors import SpecificationError
 from repro.events.canonical import canonical_event
 
 
@@ -204,6 +205,68 @@ class TestLifecycle:
         assert system.awareness.stats()["composites_recognized"] == before
         system.awareness.undeploy(detector)  # idempotent: no double fold
         assert system.awareness.stats()["composites_recognized"] == before
+
+
+class TestAuthoringIsInert:
+    """A window is a description until deployed: it sees no event and
+    registers nothing on the engine's producers."""
+
+    THIRD = """
+flt = Filter_context[Ctx, alpha](ContextEvent)
+total = Count[](flt)
+fire = Compare1[==, 3](total)
+deliver fire to watchers as "third" named AS_Third
+"""
+
+    def _notifications_after_prefix(self, authored_early):
+        system, process = build_system()
+        ref = system.coordination.start_process(process).context("Ctx")
+        window = system.awareness.create_window("P-X")
+        if authored_early:
+            compile_specification(window, self.THIRD)
+        ref.set("alpha", 1)
+        ref.set("alpha", 2)
+        if not authored_early:
+            compile_specification(window, self.THIRD)
+        assert all(op.consumed == 0 for op in window.operators())
+        system.awareness.deploy(window)
+        delivered = []
+        for value in (3, 4, 5):
+            ref.set("alpha", value)
+            delivered.append(system.awareness.stats()["notifications_delivered"])
+        return delivered
+
+    def test_deploy_time_does_not_matter(self):
+        """Events produced between authoring and deploy are not counted:
+        the third event *after deploy* fires, whenever the window was
+        drawn."""
+        assert self._notifications_after_prefix(authored_early=True) == [0, 0, 1]
+        assert self._notifications_after_prefix(authored_early=False) == [0, 0, 1]
+
+    def test_authoring_leaves_no_trace_on_the_producers(self):
+        system, __ = build_system()
+        producers = (
+            system.awareness.activity_source.producer,
+            system.awareness.context_source.producer,
+        )
+
+        def registrations():
+            return [(p.consumer_count(), p.indexed_key_count()) for p in producers]
+
+        baseline = registrations()
+        abandoned = system.awareness.create_window("P-X")
+        compile_specification(abandoned, self.THIRD)
+        assert registrations() == baseline
+
+        invalid = system.awareness.create_window("P-X")
+        compile_specification(invalid, self.THIRD)
+        dangling = invalid.place("Filter_activity", "w")
+        invalid.connect(invalid.source("ActivityEvent"), dangling, 0)
+        with pytest.raises(SpecificationError):
+            system.awareness.deploy(invalid)
+        assert registrations() == baseline
+        assert system.awareness.detectors() == ()
+        assert system.awareness.planner.stats()["nodes_live"] == 0
 
 
 class TestBatchPath:

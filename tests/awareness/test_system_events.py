@@ -7,8 +7,10 @@ suppression), the ``Filter_system`` and ``Edge`` operators, the
 
 import pytest
 
+from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification, window_to_dsl
 from repro.awareness.operators import Edge, SystemFilter
+from repro.awareness.planner import PlanCache
 from repro.awareness.sources import (
     DEFAULT_SYSTEM_METRICS,
     SystemTelemetrySource,
@@ -272,9 +274,8 @@ class TestHealthDsl:
     def test_compiles_and_detects_on_rising_edge(self):
         window = self.make_window()
         compile_specification(window, HEALTH_SPEC)
-        schema = window.schema("AS_QueueDepth")
         detected = []
-        schema.description.on_detected(detected.append)
+        DetectorAgent(window, PlanCache(), sink=detected.append)
         producer = window.source("SystemEvent")
         producer.produce(1, "queue_depth", None, 10)
         producer.produce(2, "queue_depth", None, 60)
