@@ -28,7 +28,6 @@ from .snapshot import SNAPSHOT_VERSION, ShardSnapshot
 from .state import (
     capture_operator,
     capture_operators,
-    decode_state,
     encode_state,
     restore_operator,
     restore_operators,
@@ -50,7 +49,6 @@ __all__ = [
     "SupervisedShard",
     "capture_operator",
     "capture_operators",
-    "decode_state",
     "encode_state",
     "load_journal",
     "restore_operator",

@@ -15,20 +15,23 @@ dicts to raw events — so old durable directories keep replaying and one
 file never mixes encodings.
 
 Binary journals are *self-contained*: the interning tables start empty
-at the first frame, every define-record is inline, and compaction
-rewrites the file under a fresh encoder — a decoder starting at byte
-four replays any cut.  Reopening a binary journal for append decodes
-the existing frames once and seeds the append encoder with the decoder's
-tables, so new frames keep referencing the established ids.
+at the first frame and every define-record is inline, so a decoder
+starting at byte four replays any cut.  A journal file has exactly two
+writers (DESIGN note 19): *append*, and :func:`_write_journal`, which
+atomically replaces the whole file under a **fresh** encoder and hands
+that encoder back to keep appending with.  Compaction is such a rewrite,
+and so is opening an existing file: its frames are decoded once and
+written back, so the append encoder's tables are never copied from
+anywhere — they are the ones that wrote the bytes on disk.
 
 Write policy is *coalescing with fsync batching*: appends accumulate in
 a buffer that is written with a **single** ``os.write`` per fsync batch
-(``journal_writes_total`` counts the physical writes), and ``os.fsync``
-runs once per ``fsync_every`` appends and on :meth:`sync`.  A machine
-crash — or now a facade-process crash mid-batch — can lose at most the
-last ``fsync_every`` frames; with ``fsync_every=0`` every append is
-written and flushed to the OS immediately (no coalescing, never
-fsynced), preserving the pre-batching process-crash durability.
+(:attr:`FrameLog.writes_total` counts the physical writes), and
+``os.fsync`` runs once per ``fsync_every`` appends and on :meth:`sync`.
+A machine crash — or now a facade-process crash mid-batch — can lose at
+most the last ``fsync_every`` frames; with ``fsync_every=0`` every
+append is written and flushed to the OS immediately (no coalescing,
+never fsynced), preserving the pre-batching process-crash durability.
 
 Frame *indices are absolute* (counted from the journal's creation):
 snapshots record the absolute index they cover, and compaction — which
@@ -38,20 +41,21 @@ compacted log is self-describing and offline tools need no sidecar.
 
 A killed writer can leave a *torn* final frame (partial header or
 payload).  :func:`load_journal` tolerates it: the log is valid up to the
-last complete frame, and opening a log for append truncates the torn
-tail so the next frame starts clean — the standard WAL repair rule.
+last complete frame, and the rewrite that opening a log for append
+performs drops the torn tail with it — atomically and fsynced, so the
+next frame starts clean (the standard WAL repair rule).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from ..errors import DurabilityError, WireError
 from ..observability import STRUCTURED_LOG as _SLOG
-from ..observability import Counter, default_registry
-from ..parallel.codec import BinaryDecoder, BinaryEncoder
-from ..parallel.wire import MAX_FRAME_BYTES, event_from_wire, read_frame
+from ..parallel.codec import BinaryEncoder, BinaryFrameReader
+from ..parallel.wire import event_from_wire, read_frame
 
 #: Frame kind of the compaction control frame (never replayed).
 CONTROL_COMPACTED = "compacted"
@@ -84,14 +88,9 @@ class LoadedJournal(NamedTuple):
     #: Every complete frame physically present, a leading control frame
     #: included; JSON-era event frames still hold their wire dicts.
     frames: List[Dict[str, Any]]
-    #: Offset just past the last complete frame (the magic included).
-    valid_bytes: int
-    #: Bytes beyond ``valid_bytes`` exist but form no whole frame (a
-    #: crash mid-append).
+    #: Bytes beyond the last complete frame exist but form no whole
+    #: frame (a crash mid-append).
     torn: bool
-    #: The binary decoder that read the file: its tables seed an
-    #: append-side encoder (``None`` for a JSON file).
-    decoder: Optional[BinaryDecoder]
 
     def _compacted(self) -> bool:
         return bool(
@@ -109,75 +108,55 @@ class LoadedJournal(NamedTuple):
         absolute index ``base + i``."""
         return self.frames[1:] if self._compacted() else self.frames
 
+    def as_binary(self, frames: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Some of this journal's *frames* as a binary journal holds them.
+
+        Only the ``events`` frames of a JSON-era file differ: that
+        framing carried ``event_to_wire`` dicts where the codec carries
+        the events themselves.  Every other frame passes through.
+        """
+        if self.codec != "json":
+            return frames
+        upgraded = []
+        for frame in frames:
+            if frame.get("kind") == "events":
+                wire_events = frame.get("events") or []
+                events = [event_from_wire(data) for data in wire_events]
+                frame = dict(frame, events=events)
+            upgraded.append(frame)
+        return upgraded
+
 
 def load_journal(path: str) -> LoadedJournal:
     """Read a whole journal, whichever era wrote it (torn tail ignored).
 
-    Binary frames must decode in file order against one decoder (the
-    interning tables are stream state).
+    Binary frames decode in file order against one reader (the interning
+    tables are stream state).  Either reader answers ``None`` at a clean
+    end of file and raises :class:`WireError` at anything that is not a
+    whole frame — a partial header, a length prefix beyond
+    ``MAX_FRAME_BYTES``, a partial or undecodable payload — which is
+    where a torn file stops being read.
     """
     codec = detect_codec(path) or "json"
     frames: List[Dict[str, Any]] = []
     torn = False
-    decoder: Optional[BinaryDecoder] = None
+    read: Callable[[], Optional[Dict[str, Any]]]
     with open(path, "rb") as stream:
         if codec == "binary":
-            decoder = BinaryDecoder()
-            valid = len(stream.read(len(JOURNAL_MAGIC)))
-            while True:
-                header = stream.read(4)
-                if not header:
-                    break
-                if len(header) < 4:
-                    torn = True
-                    break
-                length = int.from_bytes(header, "big")
-                if length > MAX_FRAME_BYTES:
-                    torn = True
-                    break
-                payload = stream.read(length)
-                if len(payload) < length:
-                    torn = True
-                    break
-                try:
-                    frames.append(decoder.decode_payload(payload))
-                except WireError:
-                    torn = True
-                    break
-                valid = stream.tell()
+            stream.seek(len(JOURNAL_MAGIC))
+            read = BinaryFrameReader(stream).read
         else:
-            valid = 0
-            while True:
-                try:
-                    frame = read_frame(stream)
-                except WireError:
-                    torn = True
-                    break
-                if frame is None:
-                    break
-                frames.append(frame)
-                valid = stream.tell()
-    if not torn:
-        # A clean EOF and a lone partial header both end the loop;
-        # compare against the file size to tell them apart.
-        torn = os.path.getsize(path) > valid
-    return LoadedJournal(codec, frames, valid, torn, decoder)
-
-
-def _upgraded(frame: Dict[str, Any]) -> Dict[str, Any]:
-    """A JSON-era *frame* as the binary journal holds it.
-
-    Only ``events`` frames differ: the JSON framing carried
-    ``event_to_wire`` dicts where the codec carries the events
-    themselves.  Every other frame kind passes through.
-    """
-    if frame.get("kind") != "events":
-        return frame
-    upgraded = dict(frame)
-    upgraded["events"] = [
-        event_from_wire(data) for data in frame.get("events") or []
-    ]
-    return upgraded
+            read = partial(read_frame, stream)
+        while True:
+            try:
+                frame = read()
+            except WireError:
+                torn = True
+                break
+            if frame is None:
+                break
+            frames.append(frame)
+    return LoadedJournal(codec, frames, torn)
 
 
 def _write_journal(path: str, frames: List[Dict[str, Any]]) -> BinaryEncoder:
@@ -198,6 +177,36 @@ def _write_journal(path: str, frames: List[Dict[str, Any]]) -> BinaryEncoder:
     return encoder
 
 
+def _compact(
+    path: str,
+    base: int,
+    end: int,
+    keep_from: int,
+    tail: Callable[[int], List[Dict[str, Any]]],
+) -> Optional[BinaryEncoder]:
+    """The compaction rule, for a live log and an offline file alike.
+
+    The journal at *path* holds the frames with absolute indices
+    ``base .. end - 1``; drop those below *keep_from*.  ``None`` means
+    nothing to drop and the file untouched; otherwise the file was
+    rewritten and the returned encoder matches it.  *tail* yields the
+    frames from an absolute index on, and is only asked when something
+    survives: at a snapshot boundary (``keep_from == end``) the old
+    bytes are replaced unread.
+    """
+    if keep_from <= base:
+        return None
+    if keep_from > end:
+        raise DurabilityError(
+            f"cannot compact past the end of the log "
+            f"({keep_from} > {end} frames)"
+        )
+    survivors = tail(keep_from) if keep_from < end else []
+    return _write_journal(
+        path, [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
+    )
+
+
 def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
     """Offline :meth:`FrameLog.compact` of an already loaded file.
 
@@ -206,31 +215,16 @@ def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
     JSON-era journal comes out upgraded (and a torn tail dropped).
     Returns the surviving payload frame count.
     """
-    payload = journal.payload
-    if keep_from <= journal.base:
-        return len(payload)
-    if keep_from > journal.base + len(payload):
-        raise DurabilityError(
-            f"cannot compact past the end of the log "
-            f"({keep_from} > {journal.base + len(payload)} frames)"
-        )
-    survivors = payload[keep_from - journal.base:]
-    if journal.codec == "json":
-        survivors = [_upgraded(frame) for frame in survivors]
-    _write_journal(
-        path, [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
+    base, payload = journal.base, journal.payload
+    end = base + len(payload)
+    _compact(
+        path,
+        base,
+        end,
+        keep_from,
+        lambda start: journal.as_binary(payload[start - base:]),
     )
-    return len(survivors)
-
-
-def _journal_counters() -> Dict[str, Counter]:
-    registry = default_registry()
-    return {
-        "writes": registry.counter(
-            "journal_writes_total",
-            "Physical journal writes (one per coalesced frame batch)",
-        ),
-    }
+    return end - max(base, keep_from)
 
 
 class FrameLog:
@@ -249,12 +243,10 @@ class FrameLog:
         self.path = path
         self.fsync_every = fsync_every
         self._unsynced = 0
-        self.appended = 0
         self.bytes_written = 0
         #: Physical write calls issued (appends - writes = syscalls the
-        #: coalescing saved); also exported as ``journal_writes_total``.
+        #: coalescing saved).
         self.writes_total = 0
-        self._metrics = _journal_counters()
         #: Pending encoded frames awaiting one coalesced write.
         self._buffer = bytearray()
         self._encoder = BinaryEncoder()
@@ -264,18 +256,17 @@ class FrameLog:
         file_frames = 0
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
+            # Whatever the previous writer left — a clean file, a torn
+            # tail, the JSON framing — is read once and written back
+            # whole: the append encoder is the one that wrote the bytes
+            # on disk, never a copy of some decoder's tables.
             journal = load_journal(path)
             self.base = journal.base
             file_frames = len(journal.payload)
+            self._encoder = _write_journal(
+                path, journal.as_binary(journal.frames)
+            )
             if journal.codec == "json":
-                # A journal from before the binary codec: rewrite it
-                # once, so the file never mixes framings; the torn tail
-                # (if any) dies with the rewrite.  The fresh encoder
-                # used for the rewrite becomes the append encoder (its
-                # tables match the file exactly).
-                self._encoder = _write_journal(
-                    path, [_upgraded(frame) for frame in journal.frames]
-                )
                 _SLOG.emit(
                     "durability",
                     "journal_recoded",
@@ -285,31 +276,13 @@ class FrameLog:
                     from_codec="json",
                     to_codec="binary",
                 )
-            else:
-                decoder = journal.decoder
-                if journal.torn:
-                    # Torn tail from a previous crashed writer: truncate
-                    # to the last complete frame so appends start clean.
-                    with open(path, "r+b") as repair:
-                        repair.truncate(journal.valid_bytes)
-                    _SLOG.emit(
-                        "durability",
-                        "journal_tail_truncated",
-                        level="warning",
-                        path=path,
-                        frames=file_frames,
-                        valid_bytes=journal.valid_bytes,
-                    )
-                    # A tail torn mid-decode may have polluted the
-                    # decoder's intern tables with defines that just
-                    # got truncated away; re-read the repaired file
-                    # so the seed matches the surviving bytes.
-                    decoder = load_journal(path).decoder
-                assert decoder is not None
-                # Seed the append encoder with the tables the file's
-                # frames established, so new refs stay consistent.
-                self._encoder.seed(
-                    decoder.interned_strings, decoder.interned_compounds
+            elif journal.torn:
+                _SLOG.emit(
+                    "durability",
+                    "journal_tail_truncated",
+                    level="warning",
+                    path=path,
+                    frames=file_frames,
                 )
         #: Absolute count of payload frames ever appended (next index).
         self.frame_count = self.base + file_frames
@@ -332,7 +305,6 @@ class FrameLog:
         self.bytes_written += len(data)
         index = self.frame_count
         self.frame_count += 1
-        self.appended += 1
         self._unsynced += 1
         if self.fsync_every:
             if self._unsynced >= self.fsync_every:
@@ -350,7 +322,6 @@ class FrameLog:
             self._stream.write(self._buffer)
             self._stream.flush()
             self.writes_total += 1
-            self._metrics["writes"].inc()
             del self._buffer[:]
 
     def sync(self) -> None:
@@ -377,28 +348,22 @@ class FrameLog:
 
         Called after a snapshot: frames the snapshot already covers are
         dead weight for recovery.  The journal is rewritten under a
-        **fresh** encoder — the interning tables reset at the compaction
-        boundary, so the surviving cut is self-contained — and the fresh
-        encoder takes over for subsequent appends.  Returns the
+        **fresh** encoder — the interning tables are born empty at the
+        compaction boundary, so the surviving cut is self-contained —
+        and that encoder takes over for subsequent appends.  Returns the
         surviving payload frame count.
         """
-        if keep_from <= self.base:
-            return self.frame_count - self.base
-        if keep_from > self.frame_count:
-            raise DurabilityError(
-                f"cannot compact past the end of the log "
-                f"({keep_from} > {self.frame_count} frames)"
-            )
+        # Nothing buffered may outlive the encoder that encoded it.
         self.sync()
-        survivors = self.tail(keep_from)
-        self._stream.close()
-        self._encoder = _write_journal(
-            self.path,
-            [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors,
+        encoder = _compact(
+            self.path, self.base, self.frame_count, keep_from, self.tail
         )
-        self._stream = open(self.path, "ab")
-        self.base = keep_from
-        return len(survivors)
+        if encoder is not None:
+            self._stream.close()
+            self._encoder = encoder
+            self._stream = open(self.path, "ab")
+            self.base = keep_from
+        return self.frame_count - self.base
 
     def fileno(self) -> int:
         return self._stream.fileno()

@@ -9,19 +9,17 @@ scalars, lists, tuples, frozensets, non-string-keyed mappings, and held
 :class:`~repro.events.event.Event` objects (correlation operators keep
 the constituent events of a pending composition).
 
-The encoding extends the wire tags of :mod:`repro.parallel.wire` with two
-more:
+That is the tagged JSON of :mod:`repro.parallel.wire` — the one codec
+for values JSON cannot express natively (``$t``, ``$fs``, ``$ev`` for a
+held event with its provenance chain, ``$m`` for a mapping with
+non-string keys).
 
-* ``{"$ev": <wire event>}`` — a held event, encoded with its provenance
-  chain so a recovered correlation emits byte-identical provenance;
-* ``{"$m": [[key, value], ...]}`` — a mapping whose keys are not plain
-  strings (And partitions key slots by ``int``).
-
-Anything else — an open file, a callable, an application object — raises
-:class:`~repro.errors.SnapshotUnsupportedError`; the shard then reports
-"no snapshot" and recovery falls back to full-journal replay, which is
-always correct (the journal covers the shard's whole life until its
-first compaction, and compaction only runs after a successful snapshot).
+Anything it cannot express — an open file, a callable, an application
+object — raises :class:`~repro.errors.SnapshotUnsupportedError`; the
+shard then reports "no snapshot" and recovery falls back to full-journal
+replay, which is always correct (the journal covers the shard's whole
+life until its first compaction, and compaction only runs after a
+successful snapshot).
 """
 
 from __future__ import annotations
@@ -29,64 +27,18 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..awareness.operators.base import EventOperator
-from ..errors import SnapshotUnsupportedError
-from ..events.event import Event
-from ..parallel.wire import event_from_wire, event_to_wire
-
-_SCALARS = (str, int, float, bool)
+from ..errors import SnapshotUnsupportedError, WireError
+from ..parallel.wire import decode_value, encode_value
 
 
 def encode_state(value: Any) -> Any:
     """JSON-safe encoding of one piece of operator state."""
-    if value is None or isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, Event):
-        return {"$ev": event_to_wire(value, provenance=True)}
-    if isinstance(value, list):
-        return [encode_state(member) for member in value]
-    if isinstance(value, tuple):
-        return {"$t": [encode_state(member) for member in value]}
-    if isinstance(value, frozenset):
-        members = sorted(
-            (encode_state(member) for member in value), key=repr
-        )
-        return {"$fs": members}
-    if isinstance(value, dict):
-        if all(
-            isinstance(key, str) and not key.startswith("$")
-            for key in value
-        ):
-            return {key: encode_state(member) for key, member in value.items()}
-        return {
-            "$m": [
-                [encode_state(key), encode_state(member)]
-                for key, member in value.items()
-            ]
-        }
-    raise SnapshotUnsupportedError(
-        f"operator state {value!r} ({type(value).__name__}) is not "
-        f"snapshot-encodable"
-    )
-
-
-def decode_state(value: Any) -> Any:
-    """Inverse of :func:`encode_state`."""
-    if isinstance(value, list):
-        return [decode_state(member) for member in value]
-    if isinstance(value, dict):
-        if "$ev" in value:
-            return event_from_wire(value["$ev"])
-        if "$t" in value:
-            return tuple(decode_state(member) for member in value["$t"])
-        if "$fs" in value:
-            return frozenset(decode_state(member) for member in value["$fs"])
-        if "$m" in value:
-            return {
-                decode_state(key): decode_state(member)
-                for key, member in value["$m"]
-            }
-        return {key: decode_state(member) for key, member in value.items()}
-    return value
+    try:
+        return encode_value(value)
+    except WireError as error:
+        raise SnapshotUnsupportedError(
+            f"operator state is not snapshot-encodable: {error}"
+        ) from None
 
 
 def capture_operator(operator: EventOperator) -> Dict[str, Any]:
@@ -112,7 +64,7 @@ def restore_operator(operator: EventOperator, record: Dict[str, Any]) -> None:
     operator.produced = int(record["produced"])
     operator._partitions.clear()
     for key, state in record["partitions"]:
-        operator._partitions[decode_state(key)] = decode_state(state)
+        operator._partitions[decode_value(key)] = decode_value(state)
 
 
 def capture_operators(

@@ -70,10 +70,6 @@ def _counters() -> Dict[str, Counter]:
             "shard_recoveries",
             "Shard workers respawned and replayed after a crash",
         ),
-        "journal_frames": registry.counter(
-            "journal_frames_total",
-            "Frames appended to shard write-ahead journals",
-        ),
         "snapshots": registry.counter(
             "shard_snapshots_total",
             "Shard snapshots persisted",
@@ -107,8 +103,8 @@ class SupervisedShard:
         directory = shard_directory(config.durable_dir, self.shard_id)
         # A journaled frame is exactly the frame that crossed (or will
         # cross) the worker pipe, so recovery replays it verbatim.
-        # Opening a journal written before the binary codec existed
-        # upgrades it in place, once.
+        # Opening the journal of a reused durable directory rewrites it
+        # once: a torn tail is dropped, JSON-era framing upgraded.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,
@@ -187,7 +183,6 @@ class SupervisedShard:
         self, frame: Dict[str, Any], credit: bool = False
     ) -> None:
         self.journal.append(frame)
-        self._metrics["journal_frames"].inc()
         try:
             self.inner._send(frame, credit=credit)
         except ShardCrashError:

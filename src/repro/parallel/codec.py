@@ -49,16 +49,18 @@ Compound ids are assigned in **post-order** (a definition completes,
 and numbers, after its members) because that is the only order an
 streaming decoder can mirror without backpatching.
 
-Tables are *per channel instance*: a fresh worker (respawn after a
-crash) gets a fresh writer/reader pair, and a compacted journal is
-rewritten under a fresh encoder, so every replay cut is
-self-contained — a decoder starting at the file's first frame sees
-every ``DEF`` it needs.
+Tables are *per channel instance* and only ever **born empty**: there
+is no way to reset, copy or seed them.  A fresh worker (respawn after a
+crash) gets a fresh writer/reader pair, and every non-append write of a
+journal file — compaction, and the rewrite that opening an existing
+file performs — happens under a fresh encoder that then keeps
+appending, so every replay cut is self-contained: a decoder starting at
+the file's first frame sees every ``DEF`` it needs.
 
 **Error discipline.**  A truncated, torn, or corrupt payload raises
 :class:`~repro.errors.WireError` — never ``IndexError`` or a crash —
-and leaves the decoder's tables undefined: callers must
-:meth:`~BinaryDecoder.reset` (or discard) the decoder after an error.
+and leaves the decoder's tables undefined: callers must discard the
+decoder (and its peer encoder) after an error.
 """
 
 from __future__ import annotations
@@ -185,32 +187,6 @@ class BinaryEncoder:
         #: hashable tuple/frozenset -> precomputed ``CREF`` bytes.
         self._crefs: Dict[Any, bytes] = {}
         self._ccount = 0
-
-    def reset(self) -> None:
-        """Drop the interning tables (respawn / compaction boundary)."""
-        self._refs.clear()
-        self._count = 0
-        self._crefs.clear()
-        self._ccount = 0
-
-    def seed(self, strings: List[str], compounds: List[Any]) -> None:
-        """Adopt a decoder's tables (reopening an existing journal).
-
-        ``strings`` / ``compounds`` must be the define-order tables of a
-        :class:`BinaryDecoder` that consumed every frame this encoder's
-        stream already carries; encoding continues exactly where the
-        previous writer left off.
-        """
-        self.reset()
-        for index, text in enumerate(strings):
-            self._refs[text] = _ref_bytes(T_REF, index)
-        self._count = len(strings)
-        for index, compound in enumerate(compounds):
-            try:
-                self._crefs[compound] = _ref_bytes(T_CREF, index)
-            except TypeError:  # pragma: no cover - decoder never defines
-                pass  # an unhashable compound; defensive only
-        self._ccount = len(compounds)
 
     # -- encoding ----------------------------------------------------------
 
@@ -415,14 +391,9 @@ class BinaryDecoder:
         self._compounds: List[Any] = []
         self._types: Dict[str, Any] = {}
 
-    def reset(self) -> None:
-        """Drop the interning tables (respawn / compaction boundary)."""
-        self._strings.clear()
-        self._compounds.clear()
-
     @property
     def interned_strings(self) -> List[str]:
-        """The string table in define order (for :meth:`BinaryEncoder.seed`)."""
+        """The string table in define order."""
         return list(self._strings)
 
     @property
@@ -436,7 +407,7 @@ class BinaryDecoder:
         """Decode one frame payload (``bytes`` or ``memoryview``).
 
         Raises :class:`WireError` on truncated, trailing, or corrupt
-        bytes; the tables are then undefined — reset or discard.
+        bytes; the tables are then undefined — discard the decoder.
         """
         try:
             value, pos = self._value(data, 0)

@@ -18,15 +18,22 @@ of the repository already speaks: the event *type name* plus the flat
 parameter mapping (:mod:`repro.events.canonical` — the type name alone
 recovers the :class:`~repro.events.event.EventType`, including on-demand
 ``C[P]`` canonical types), mirroring how
-:mod:`repro.core.serialization` ships process definitions as data.  Two
-parameter value shapes JSON cannot express natively are tagged:
+:mod:`repro.core.serialization` ships process definitions as data.  The
+value shapes JSON cannot express natively are tagged:
 
 * ``frozenset`` (the ``processAssociations`` set of a ``T_context``
   event) becomes ``{"$fs": [...]}``, members sorted for deterministic
   bytes;
 * ``tuple`` (association pairs, digest tuples) becomes ``{"$t": [...]}``;
-* a mapping that itself contains a ``$``-prefixed key is wrapped as
-  ``{"$d": {...}}`` so the tags can never be forged by payload data.
+* an event held as a value (a correlation operator's pending
+  constituent, in a snapshot) becomes ``{"$ev": <wire event>}``, with
+  its provenance chain so a recovered correlation emits byte-identical
+  provenance;
+* a mapping whose keys are not all plain strings (And partitions key
+  slots by ``int``), or that itself contains a ``$``-prefixed key,
+  becomes ``{"$m": [[key, value], ...]}`` so the tags can never be
+  forged by payload data.  (``{"$d": {...}}``, the older wrapping of
+  the ``$``-prefixed case, is still read.)
 
 Recognition provenance is a parallel node tree, so full chains render
 without pickling.
@@ -94,9 +101,11 @@ def resolve_event_type(type_name: str) -> EventType:
 
 
 def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of one event parameter value."""
+    """JSON-safe encoding of one event parameter or operator-state value."""
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
+    if isinstance(value, Event):
+        return {"$ev": event_to_wire(value, provenance=True)}
     if isinstance(value, frozenset):
         members = sorted((encode_value(member) for member in value), key=repr)
         return {"$fs": members}
@@ -105,13 +114,18 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [encode_value(member) for member in value]
     if isinstance(value, Mapping):
-        encoded = {key: encode_value(member) for key, member in value.items()}
-        if any(key.startswith("$") for key in encoded):
-            return {"$d": encoded}
-        return encoded
+        if all(
+            isinstance(key, str) and not key.startswith("$") for key in value
+        ):
+            return {key: encode_value(member) for key, member in value.items()}
+        return {
+            "$m": [
+                [encode_value(key), encode_value(member)]
+                for key, member in value.items()
+            ]
+        }
     raise WireError(
-        f"event parameter value {value!r} ({type(value).__name__}) is not "
-        f"wire-encodable"
+        f"value {value!r} ({type(value).__name__}) is not wire-encodable"
     )
 
 
@@ -124,11 +138,15 @@ def decode_value(value: Any) -> Any:
             return frozenset(decode_value(member) for member in value["$fs"])
         if "$t" in value:
             return tuple(decode_value(member) for member in value["$t"])
-        if "$d" in value:
+        if "$ev" in value:
+            return event_from_wire(value["$ev"])
+        if "$m" in value:
             return {
-                key: decode_value(member)
-                for key, member in value["$d"].items()
+                decode_value(key): decode_value(member)
+                for key, member in value["$m"]
             }
+        if "$d" in value:  # written before ``$m`` covered ``$`` keys
+            value = value["$d"]
         return {key: decode_value(member) for key, member in value.items()}
     return value
 

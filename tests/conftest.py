@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     ActivityVariable,
@@ -15,6 +16,13 @@ from repro import (
     RoleRef,
 )
 from repro.workloads.taskforce import TaskForceApplication
+
+# ``--hypothesis-profile=soak`` (nightly.yml): long, derandomized runs of
+# the properties that read the loaded profile instead of pinning
+# ``max_examples`` — so far the journal crash-point property.
+settings.register_profile(
+    "soak", max_examples=2000, derandomize=True, deadline=None
+)
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ class TestAppendAndScan:
         assert indices == [0, 1, 2, 3, 4]
         loaded = load_journal(path)
         assert loaded.frames == frames_for(5)
-        assert loaded.valid_bytes == os.path.getsize(path)
         assert not loaded.torn
 
     def test_reopen_continues_the_numbering(self, tmp_path):
@@ -108,20 +107,25 @@ class TestTornTailRepair:
         with FrameLog(path) as log:
             assert log.frame_count == 3
             assert log.append({"kind": "events", "n": 3}) == 3
-        assert load_journal(path).frames == frames_for(4)
+        repaired = load_journal(path)
+        assert (repaired.frames, repaired.torn) == (frames_for(4), False)
 
     def test_partial_header_is_truncated_on_reopen(self, tmp_path):
         path = str(tmp_path / "journal.log")
         with FrameLog(path) as log:
             for frame in frames_for(2):
                 log.append(frame)
+        intact = open(path, "rb").read()
         with open(path, "ab") as handle:
             handle.write(b"\x00\x00")  # 2 of the 4 header bytes
         loaded = load_journal(path)
         assert (len(loaded.frames), loaded.torn) == (2, True)
         with FrameLog(path) as log:
             assert log.frame_count == 2
-        assert os.path.getsize(path) == loaded.valid_bytes
+        # The reopened file holds exactly the complete frames.
+        repaired = load_journal(path)
+        assert (repaired.frames, repaired.torn) == (frames_for(2), False)
+        assert open(path, "rb").read() == intact
 
 
 class TestCompaction:

@@ -1,0 +1,186 @@
+"""The two writers of a journal file: append and rewrite (DESIGN note 19).
+
+Count pins — a snapshot-boundary compaction reads nothing back, and
+opening an existing journal decodes each frame exactly once whatever
+state the previous writer left it in.  The crash-point property over
+the same surface lives in ``test_journal_crash_property.py``.
+"""
+
+import builtins
+import io
+
+import pytest
+
+from repro.durability import log as log_module
+from repro.durability.log import CONTROL_COMPACTED, JOURNAL_MAGIC, FrameLog
+from repro.parallel.codec import (
+    BinaryDecoder,
+    BinaryFrameReader,
+    events_frame,
+    frame_to_jsonable,
+)
+from repro.parallel.wire import MAX_FRAME_BYTES
+from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.durability.json_era import downgrade_to_json
+
+
+def event_batch(size):
+    events = ShardStreamWorkload(
+        ShardStreamConfig(forces=2, events_per_force=size)
+    ).events()
+    assert len(events) >= size
+    return events[:size]
+
+
+def decode_from_byte_four(path):
+    """Every frame of the file, through a reader with empty tables
+    (events rendered to their wire dicts so ``==`` can compare them)."""
+    with open(path, "rb") as stream:
+        assert stream.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
+        reader = BinaryFrameReader(io.BytesIO(stream.read()))
+    frames = []
+    while True:
+        frame = reader.read()
+        if frame is None:
+            return frames
+        frames.append(frame_to_jsonable(frame))
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts ``BinaryDecoder.decode_payload`` calls."""
+    calls = []
+    real = BinaryDecoder.decode_payload
+
+    def counted(self, data):
+        calls.append(len(data))
+        return real(self, data)
+
+    monkeypatch.setattr(BinaryDecoder, "decode_payload", counted)
+    return calls
+
+
+class TestSnapshotBoundaryCompaction:
+    def test_nothing_is_read_back_when_nothing_is_kept(
+        self, tmp_path, monkeypatch, decode_calls
+    ):
+        path = str(tmp_path / "journal.log")
+        batch = event_batch(128)
+        log = FrameLog(path, fsync_every=16)
+        for seq in range(256):
+            log.append(dict(events_frame(batch), seq=seq))
+        assert log.frame_count == 256
+
+        reads = []
+        real_open = builtins.open
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if file == path and "r" in mode and "+" not in mode:
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted_open)
+        assert log.compact(log.frame_count) == 0
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert (decode_calls, reads) == ([], [])
+
+        assert (log.base, log.frame_count) == (256, 256)
+        assert log.tail(256) == []
+        control = {"kind": CONTROL_COMPACTED, "base": 256}
+        assert decode_from_byte_four(path) == [control]
+        appended = dict(events_frame(batch[:3]), seq=256)
+        assert log.append(appended) == 256
+        log.close()
+        assert decode_from_byte_four(path) == [
+            control,
+            frame_to_jsonable(appended),
+        ]
+
+
+    def test_buffered_frames_do_not_outlive_their_encoder(self, tmp_path):
+        path = str(tmp_path / "journal.log")
+        batch = event_batch(8)
+        log = FrameLog(path, fsync_every=16)
+        for seq in range(3):  # all three still in the coalescing buffer
+            log.append(dict(events_frame(batch), seq=seq))
+        assert log.compact(3) == 0
+        appended = dict(events_frame(batch), seq=3)
+        assert log.append(appended) == 3
+        log.close()
+        assert decode_from_byte_four(path) == [
+            {"kind": CONTROL_COMPACTED, "base": 3},
+            frame_to_jsonable(appended),
+        ]
+
+
+class TestOpenDecodesOnce:
+    """Whatever the previous writer left: one decoding pass, one rewrite."""
+
+    FRAMES = 6
+
+    def journal(self, tmp_path):
+        path = str(tmp_path / "journal.log")
+        batch = event_batch(8)
+        with FrameLog(path) as log:
+            for seq in range(self.FRAMES):
+                log.append(dict(events_frame(batch), seq=seq))
+        return path
+
+    def reopen(self, path, decode_calls, binary_decodes=FRAMES):
+        del decode_calls[:]
+        with FrameLog(path) as log:
+            # The pin: opening decoded each complete frame exactly once.
+            assert len(decode_calls) == binary_decodes
+            assert (log.base, log.frame_count) == (0, self.FRAMES)
+            assert log.append({"kind": "undeploy", "spec_id": "s"}) == self.FRAMES
+        frames = decode_from_byte_four(path)
+        assert [frame.get("seq") for frame in frames[:-1]] == list(
+            range(self.FRAMES)
+        )
+        assert frames[-1] == {"kind": "undeploy", "spec_id": "s"}
+
+    def test_clean_file(self, tmp_path, decode_calls):
+        self.reopen(self.journal(tmp_path), decode_calls)
+
+    def test_torn_payload(self, tmp_path, decode_calls):
+        path = self.journal(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write((1 << 16).to_bytes(4, "big"))
+            handle.write(b"\x0b\x02\x06")
+        self.reopen(path, decode_calls)
+
+    def test_torn_header(self, tmp_path, decode_calls):
+        path = self.journal(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x00")
+        self.reopen(path, decode_calls)
+
+    def test_oversize_length_prefix(self, tmp_path, decode_calls):
+        path = self.journal(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x0b" * 64)
+        self.reopen(path, decode_calls)
+
+    def test_undecodable_payload(self, tmp_path, decode_calls):
+        path = self.journal(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write((3).to_bytes(4, "big") + b"\xff\xff\xff")
+        # The garbage is a whole frame by length: one failed attempt.
+        self.reopen(path, decode_calls, binary_decodes=self.FRAMES + 1)
+
+    def test_json_era_file(self, tmp_path, decode_calls, monkeypatch):
+        path = self.journal(tmp_path)
+        downgrade_to_json(path)
+        json_reads = []
+        real = log_module.read_frame
+
+        def counted(stream):
+            frame = real(stream)
+            if frame is not None:
+                json_reads.append(frame)
+            return frame
+
+        monkeypatch.setattr(log_module, "read_frame", counted)
+        self.reopen(path, decode_calls, binary_decodes=0)
+        assert len(json_reads) == self.FRAMES

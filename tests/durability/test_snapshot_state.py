@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.durability.snapshot import SNAPSHOT_VERSION, ShardSnapshot
-from repro.durability.state import decode_state, encode_state
+from repro.durability.state import encode_state
 from repro.errors import DurabilityError, SnapshotUnsupportedError
 from repro.observability import instrumented
 from repro.parallel.host import ShardHost
+from repro.parallel.wire import decode_value as decode_state
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 

@@ -4,7 +4,7 @@ Three invariants, fuzzed:
 
 * **round-trip** — any frame built from wire-encodable values (nested
   tuples, frozensets, ``$``-prefixed keys included) decodes to an equal
-  value, across multi-frame streams and intern-table resets;
+  value, across multi-frame streams and fresh-pair boundaries;
 * **every frame kind** — the protocol frames the worker channel and the
   journal actually carry survive the codec unchanged;
 * **corruption safety** — truncated or torn payloads raise
@@ -93,13 +93,14 @@ def test_stream_round_trip_shares_tables(stream):
     st.lists(frames, min_size=1, max_size=3),
 )
 def test_reset_boundary_keeps_streams_decodable(before, after):
-    # Respawn/compaction: both sides reset together, then continue.
+    # Respawn/compaction/reopen: the only reset is a fresh pair, both
+    # sides replaced together.
     encoder = BinaryEncoder()
     decoder = BinaryDecoder()
     for frame in before:
         assert _roundtrip(encoder, decoder, frame) == frame
-    encoder.reset()
-    decoder.reset()
+    encoder = BinaryEncoder()
+    decoder = BinaryDecoder()
     for frame in after:
         assert _roundtrip(encoder, decoder, frame) == frame
 

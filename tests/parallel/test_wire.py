@@ -179,8 +179,10 @@ class TestValueEncoding:
     def test_dollar_keys_in_payload_mappings_are_protected(self):
         value = {"$fs": "not a frozenset", "plain": 1}
         encoded = encode_value(value)
-        assert "$d" in encoded
+        assert "$m" in encoded
         assert decode_value(encoded) == value
+        # The older wrapping of the same case is still read.
+        assert decode_value({"$d": value}) == value
 
     def test_nested_structures(self):
         value = (1, frozenset({("a", 2)}), [None, {"k": (3,)}])
