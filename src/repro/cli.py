@@ -581,6 +581,15 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             "next_index": base + payload_frames,
             "bytes": os.path.getsize(journal_path),
             "torn_tail": loaded.torn,
+            # Physical frames (a control frame included) by encoding: a
+            # binary file no FrameLog has opened since an earlier build
+            # wrote it still holds stream-interned frames.
+            "self_contained": loaded.self_contained,
+            "stream_interned": (
+                len(loaded.frames) - loaded.self_contained
+                if loaded.codec == "binary"
+                else 0
+            ),
             "kinds": kinds,
             "snapshot_frame": (
                 snapshot.frame_index if snapshot is not None else None
@@ -598,6 +607,8 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 report["frames"] = survivors
                 report["base"] = keep_from
                 report["bytes"] = os.path.getsize(journal_path)
+                report["self_contained"] = survivors + 1
+                report["stream_interned"] = 0
         reports.append(report)
 
     if args.json:
@@ -605,13 +616,15 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         return 0
     print(
         render_table(
-            ("journal", "codec", "frames", "base", "bytes", "torn",
-             "snapshot@"),
+            ("journal", "codec", "frames", "self-cont.", "interned", "base",
+             "bytes", "torn", "snapshot@"),
             [
                 (
                     report["name"],
                     report["codec"],
                     report["frames"],
+                    report["self_contained"],
+                    report["stream_interned"],
                     report["base"],
                     report["bytes"],
                     "YES" if report["torn_tail"] else "no",

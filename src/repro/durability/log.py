@@ -2,36 +2,34 @@
 
 One :class:`FrameLog` is one append-only file of
 :mod:`repro.parallel.codec` frames behind the :data:`JOURNAL_MAGIC`
-header — byte for byte the encoding the worker pipe speaks, raw events
-included.  That is the only format this module *writes*.  It still
-*reads* the format journals had before the binary codec existed (the
-4-byte length prefix + UTF-8 JSON framing of :mod:`repro.parallel.wire`,
-no header): :func:`load_journal` tells the two apart from the first
-bytes (the magic's first byte can never begin a valid JSON frame: as a
-length prefix it would exceed ``MAX_FRAME_BYTES``), ``repro journal``
-inspects such a file as it is, and opening it as a :class:`FrameLog`
-upgrades it once, atomically, event frames converting from their wire
-dicts to raw events — so old durable directories keep replaying and one
-file never mixes encodings.
+header, every one *self-contained*
+(:func:`~repro.parallel.codec.encode_standalone`: its interning tables
+are born empty at its first byte and die with it).  A journal is thus a
+sequence of independently decodable records — any cut replays — and a
+record's bytes are a valid pipe frame: the supervisor encodes a frame
+once and hands the same bytes to :meth:`FrameLog.append_encoded` and to
+the worker's channel.  That is the only format this module *writes*.
 
-Binary journals are *self-contained*: the interning tables start empty
-at the first frame and every define-record is inline, so a decoder
-starting at byte four replays any cut.  A journal file has exactly two
-writers (DESIGN note 19): *append*, and :func:`_write_journal`, which
-atomically replaces the whole file under a **fresh** encoder and hands
-that encoder back to keep appending with.  Compaction is such a rewrite,
-and so is opening an existing file: its frames are decoded once and
-written back, so the append encoder's tables are never copied from
-anywhere — they are the ones that wrote the bytes on disk.
+It still *reads* two older ones through the same :func:`load_journal`
+pass, and opening such a file as a :class:`FrameLog` upgrades it once,
+atomically: binary journals an earlier build wrote *stream-interned*
+(tables shared along the file; ``repro journal`` counts both kinds), and
+the format from before the binary codec (4-byte length prefix + UTF-8
+JSON of :mod:`repro.parallel.wire`, no header, event frames holding wire
+dicts; told apart by the first bytes, see :data:`JOURNAL_MAGIC`).
+
+A journal file has exactly two writers (DESIGN notes 19, 20) and neither
+owns tables: *append*, and :func:`_write_journal`, which atomically
+replaces the whole file.  Compaction is such a rewrite, and so is
+opening an existing file: its frames are decoded once and written back.
 
 Write policy is *coalescing with fsync batching*: appends accumulate in
-a buffer that is written with a **single** ``os.write`` per fsync batch
-(:attr:`FrameLog.writes_total` counts the physical writes), and
-``os.fsync`` runs once per ``fsync_every`` appends and on :meth:`sync`.
-A machine crash — or now a facade-process crash mid-batch — can lose at
-most the last ``fsync_every`` frames; with ``fsync_every=0`` every
-append is written and flushed to the OS immediately (no coalescing,
-never fsynced), preserving the pre-batching process-crash durability.
+a buffer written with a **single** ``os.write`` per fsync batch
+(:attr:`FrameLog.writes_total` counts them), and ``os.fsync`` runs once
+per ``fsync_every`` appends and on :meth:`sync`.  A machine or facade
+crash mid-batch can lose at most the last ``fsync_every`` frames; with
+``fsync_every=0`` every append is written and flushed to the OS at once
+(no coalescing, never fsynced): only a machine crash can lose frames.
 
 Frame *indices are absolute* (counted from the journal's creation):
 snapshots record the absolute index they cover, and compaction — which
@@ -54,7 +52,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from ..errors import DurabilityError, WireError
 from ..observability import STRUCTURED_LOG as _SLOG
-from ..parallel.codec import BinaryEncoder, BinaryFrameReader
+from ..parallel.codec import BinaryFrameReader, encode_standalone
 from ..parallel.wire import event_from_wire, read_frame
 
 #: Frame kind of the compaction control frame (never replayed).
@@ -91,6 +89,9 @@ class LoadedJournal(NamedTuple):
     #: Bytes beyond the last complete frame exist but form no whole
     #: frame (a crash mid-append).
     torn: bool
+    #: How many of ``frames`` are self-contained records; the rest of a
+    #: binary file is stream-interned, written by an earlier build.
+    self_contained: int
 
     def _compacted(self) -> bool:
         return bool(
@@ -130,23 +131,22 @@ class LoadedJournal(NamedTuple):
 def load_journal(path: str) -> LoadedJournal:
     """Read a whole journal, whichever era wrote it (torn tail ignored).
 
-    Binary frames decode in file order against one reader (the interning
-    tables are stream state).  Either reader answers ``None`` at a clean
-    end of file and raises :class:`WireError` at anything that is not a
-    whole frame — a partial header, a length prefix beyond
-    ``MAX_FRAME_BYTES``, a partial or undecodable payload — which is
-    where a torn file stops being read.
+    Binary frames decode in file order against one reader (an earlier
+    build's stream-interned frames share tables along the file).  Either
+    reader answers ``None`` at a clean end of file and raises
+    :class:`WireError` at anything that is not a whole frame — a partial
+    header, a length prefix beyond ``MAX_FRAME_BYTES``, a partial or
+    undecodable payload — which is where a torn file stops being read.
     """
-    codec = detect_codec(path) or "json"
     frames: List[Dict[str, Any]] = []
     torn = False
     read: Callable[[], Optional[Dict[str, Any]]]
     with open(path, "rb") as stream:
-        if codec == "binary":
-            stream.seek(len(JOURNAL_MAGIC))
-            read = BinaryFrameReader(stream).read
-        else:
-            read = partial(read_frame, stream)
+        binary = stream.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
+        reader = BinaryFrameReader(stream)
+        read = reader.read if binary else partial(read_frame, stream)
+        if not binary:
+            stream.seek(0)
         while True:
             try:
                 frame = read()
@@ -156,25 +156,20 @@ def load_journal(path: str) -> LoadedJournal:
             if frame is None:
                 break
             frames.append(frame)
-    return LoadedJournal(codec, frames, torn)
+    codec = "binary" if binary else "json"
+    return LoadedJournal(codec, frames, torn, reader.decoder.standalone_frames)
 
 
-def _write_journal(path: str, frames: List[Dict[str, Any]]) -> BinaryEncoder:
-    """Atomically replace *path* with a journal of exactly *frames*.
-
-    Written under a fresh encoder, which is returned: its tables match
-    the new file, so it is the one to keep appending with.
-    """
+def _write_journal(path: str, frames: List[Dict[str, Any]]) -> None:
+    """Atomically replace *path* with a journal of exactly *frames*."""
     replacement = f"{path}.recode"
-    encoder = BinaryEncoder()
     with open(replacement, "wb") as stream:
         stream.write(JOURNAL_MAGIC)
         for frame in frames:
-            stream.write(encoder.encode_frame(frame))
+            stream.write(encode_standalone(frame))
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(replacement, path)
-    return encoder
 
 
 def _compact(
@@ -183,28 +178,28 @@ def _compact(
     end: int,
     keep_from: int,
     tail: Callable[[int], List[Dict[str, Any]]],
-) -> Optional[BinaryEncoder]:
+) -> bool:
     """The compaction rule, for a live log and an offline file alike.
 
     The journal at *path* holds the frames with absolute indices
-    ``base .. end - 1``; drop those below *keep_from*.  ``None`` means
-    nothing to drop and the file untouched; otherwise the file was
-    rewritten and the returned encoder matches it.  *tail* yields the
-    frames from an absolute index on, and is only asked when something
-    survives: at a snapshot boundary (``keep_from == end``) the old
-    bytes are replaced unread.
+    ``base .. end - 1``; drop those below *keep_from*.  ``False`` means
+    nothing to drop and the file untouched, ``True`` that it was
+    rewritten.  *tail* yields the frames from an absolute index on, and
+    is only asked when something survives: at a snapshot boundary
+    (``keep_from == end``) the old bytes are replaced unread.
     """
     if keep_from <= base:
-        return None
+        return False
     if keep_from > end:
         raise DurabilityError(
             f"cannot compact past the end of the log "
             f"({keep_from} > {end} frames)"
         )
     survivors = tail(keep_from) if keep_from < end else []
-    return _write_journal(
+    _write_journal(
         path, [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
     )
+    return True
 
 
 def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
@@ -249,7 +244,6 @@ class FrameLog:
         self.writes_total = 0
         #: Pending encoded frames awaiting one coalesced write.
         self._buffer = bytearray()
-        self._encoder = BinaryEncoder()
         #: Absolute index of the file's first payload frame (compaction
         #: shifts it forward; indices handed out stay stable).
         self.base = 0
@@ -257,15 +251,12 @@ class FrameLog:
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
             # Whatever the previous writer left — a clean file, a torn
-            # tail, the JSON framing — is read once and written back
-            # whole: the append encoder is the one that wrote the bytes
-            # on disk, never a copy of some decoder's tables.
+            # tail, stream-interned frames, the JSON framing — is read
+            # once and written back whole, every record self-contained.
             journal = load_journal(path)
             self.base = journal.base
             file_frames = len(journal.payload)
-            self._encoder = _write_journal(
-                path, journal.as_binary(journal.frames)
-            )
+            _write_journal(path, journal.as_binary(journal.frames))
             if journal.codec == "json":
                 _SLOG.emit(
                     "durability",
@@ -294,13 +285,16 @@ class FrameLog:
     # -- writing -----------------------------------------------------------
 
     def append(self, frame: Mapping[str, Any]) -> int:
-        """Append one frame; returns its absolute index.
+        """Append one frame, encoded here; returns its absolute index."""
+        return self.append_encoded(encode_standalone(frame))
 
-        The encoded frame lands in the coalescing buffer; it reaches
-        the OS with the batch's single write (at the fsync point, or —
-        with ``fsync_every=0`` — immediately).
+    def append_encoded(self, data: bytes) -> int:
+        """Append one self-contained encoded frame; returns its index.
+
+        The bytes land in the coalescing buffer; they reach the OS with
+        the batch's single write (at the fsync point, or — with
+        ``fsync_every=0`` — immediately).
         """
-        data = self._encoder.encode_frame(frame)
         self._buffer += data
         self.bytes_written += len(data)
         index = self.frame_count
@@ -347,20 +341,15 @@ class FrameLog:
         """Drop frames below absolute index *keep_from* (atomic rewrite).
 
         Called after a snapshot: frames the snapshot already covers are
-        dead weight for recovery.  The journal is rewritten under a
-        **fresh** encoder — the interning tables are born empty at the
-        compaction boundary, so the surviving cut is self-contained —
-        and that encoder takes over for subsequent appends.  Returns the
-        surviving payload frame count.
+        dead weight for recovery.  Returns the surviving payload frame
+        count.
         """
-        # Nothing buffered may outlive the encoder that encoded it.
+        # The buffered frames belong to the file being replaced.
         self.sync()
-        encoder = _compact(
+        if _compact(
             self.path, self.base, self.frame_count, keep_from, self.tail
-        )
-        if encoder is not None:
+        ):
             self._stream.close()
-            self._encoder = encoder
             self._stream = open(self.path, "ab")
             self.base = keep_from
         return self.frame_count - self.base

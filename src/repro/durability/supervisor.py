@@ -4,9 +4,10 @@
 durability loop:
 
 * **journal-then-send** — every mutating frame (event batch, deploy,
-  undeploy) is appended to the shard's write-ahead :class:`FrameLog`
-  *before* it crosses the worker pipe, so the facade can reconstruct the
-  exact frame sequence a dead worker had received (or was about to);
+  undeploy) is encoded once, self-contained, and the same bytes are
+  appended to the shard's write-ahead :class:`FrameLog` *before* they
+  cross the worker pipe, so the facade can reconstruct the exact frame
+  sequence a dead worker had received (or was about to);
 * **snapshot cadence** — every ``snapshot_every`` journaled frames the
   worker is asked for its recoverable state (the request rides the
   ordered pipe, so the reply reflects exactly the frames journaled so
@@ -38,6 +39,7 @@ from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability import Counter, default_registry
 from ..observability.trace import TraceContext
+from ..parallel.codec import encode_standalone
 from ..parallel.host import FederationBlueprint, ShardSpec
 from ..parallel.wire import strip_trace_sampling
 from .log import FrameLog
@@ -101,10 +103,8 @@ class SupervisedShard:
         self._genesis = blueprint.to_wire()
         self._respawn = respawn
         directory = shard_directory(config.durable_dir, self.shard_id)
-        # A journaled frame is exactly the frame that crossed (or will
-        # cross) the worker pipe, so recovery replays it verbatim.
         # Opening the journal of a reused durable directory rewrites it
-        # once: a torn tail is dropped, JSON-era framing upgraded.
+        # once: a torn tail is dropped, older encodings are upgraded.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,
@@ -182,9 +182,12 @@ class SupervisedShard:
     def _journal_and_send(
         self, frame: Dict[str, Any], credit: bool = False
     ) -> None:
-        self.journal.append(frame)
+        # Encoded once, self-contained: the journal record and the pipe
+        # frame are the same bytes, so recovery replays what was sent.
+        data = encode_standalone(frame)
+        self.journal.append_encoded(data)
         try:
-            self.inner._send(frame, credit=credit)
+            self.inner._send(frame, credit=credit, encoded=data)
         except ShardCrashError:
             # The frame is already in the journal: recovery replays it
             # into the replacement worker.  Resending would double-apply.
@@ -193,12 +196,10 @@ class SupervisedShard:
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> None:
-        # The sequence number is assigned before journaling, so the
-        # journaled frame is byte-for-byte the frame that crosses (or
-        # crossed) the pipe — replay re-credits the in-flight window
-        # from the original numbers.  Journal-before-send still holds
-        # for queued writes: by the time a frame enters the channel's
-        # outbound queue it is already on disk.
+        # The sequence number is assigned before journaling, so replay
+        # re-credits the in-flight window from the original numbers.
+        # Journal-before-send holds for queued writes too: a frame
+        # enters the channel's outbound queue after the journal has it.
         self._journal_and_send(
             self.inner.make_events_frame(events, ctx), credit=True
         )

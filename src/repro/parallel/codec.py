@@ -34,6 +34,9 @@ tag       body
 ``CDEF``  *defines* the next compound id; body is the
           TUPLE/FSET it wraps
 ``CREF``  varint compound id
+``SELF``  payload offset 0 only: the frame is *self-contained* —
+          its tables are born empty here and die with it; body
+          is the frame's ``DICT``
 ========  =====================================================
 
 **Per-channel interning.**  Each channel direction owns one encoder and
@@ -51,16 +54,23 @@ streaming decoder can mirror without backpatching.
 
 Tables are *per channel instance* and only ever **born empty**: there
 is no way to reset, copy or seed them.  A fresh worker (respawn after a
-crash) gets a fresh writer/reader pair, and every non-append write of a
-journal file — compaction, and the rewrite that opening an existing
-file performs — happens under a fresh encoder that then keeps
-appending, so every replay cut is self-contained: a decoder starting at
-the file's first frame sees every ``DEF`` it needs.
+crash) gets a fresh writer/reader pair.
+
+**Self-contained frames.**  A frame that must outlive its channel — the
+supervisor journals *and* sends it — is encoded once by
+:func:`encode_standalone`: a fresh encoder, the payload led by ``SELF``.
+Any decoder accepts it in any table state, its stream tables untouched
+(only the event-type resolution cache is shared), so the same bytes are
+a journal record and a pipe frame.  It pays for its definitions every
+time (≈ +0.3 µs and +3.6 B per event on the seeded stream, EXPERIMENTS
+PERF3), which is why plain shard traffic keeps the stream tables.
 
 **Error discipline.**  A truncated, torn, or corrupt payload raises
 :class:`~repro.errors.WireError` — never ``IndexError`` or a crash —
-and leaves the decoder's tables undefined: callers must discard the
-decoder (and its peer encoder) after an error.
+and leaves the decoder's stream tables undefined unless the frame was
+self-contained: callers must discard the decoder (and its peer encoder)
+after an error.  Nesting deeper than the interpreter's recursion limit
+is such an error on both sides, never a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -73,6 +83,7 @@ from ..errors import WireError
 from ..events.event import Event
 from ..observability.provenance import ProvenanceNode
 from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
+from .wire import encode_value, event_to_wire, provenance_to_wire
 
 #: Strings longer than this many UTF-8 bytes are not interned (one-off
 #: payload text should not occupy table slots).
@@ -99,6 +110,7 @@ T_EVENT = 12
 T_PROV = 13
 T_CDEF = 14
 T_CREF = 15
+T_SELF = 16
 
 _pack_into = struct.pack_into
 _pack_d = struct.Struct(">d").pack
@@ -156,14 +168,16 @@ def _ref_bytes(tag: int, n: int) -> bytes:
     return bytes(out)
 
 
-#: Precomputed ``INT`` encodings for small non-negative ints (logical
-#: times, sequence numbers, counters — the bulk of numeric traffic).
-_INT_CACHE: List[bytes] = []
-for _small in range(2048):
-    _cached = bytearray((T_INT,))
-    _varint(_cached, _small << 1)
-    _INT_CACHE.append(bytes(_cached))
-del _small, _cached
+#: Precomputed encodings of the small ids: ``INT`` for non-negative ints
+#: (times, sequence numbers, counters — the bulk of numeric traffic),
+#: ``REF`` / ``CREF`` for the definitions every self-contained frame repeats.
+_SMALL = 2048
+_INT_CACHE = [_ref_bytes(T_INT, n << 1) for n in range(_SMALL)]
+_REF_CACHE = [_ref_bytes(T_REF, n) for n in range(_SMALL)]
+_CREF_CACHE = [_ref_bytes(T_CREF, n) for n in range(_SMALL)]
+
+_HEAD = b"\x00\x00\x00\x00"
+_SELF_HEAD = _HEAD + bytes((T_SELF,))
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +195,25 @@ class BinaryEncoder:
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        #: str -> precomputed ``REF`` bytes.
+        #: str -> precomputed ``REF`` bytes, in id order.
         self._refs: Dict[str, bytes] = {}
-        self._count = 0
         #: hashable tuple/frozenset -> precomputed ``CREF`` bytes.
         self._crefs: Dict[Any, bytes] = {}
-        self._ccount = 0
 
     # -- encoding ----------------------------------------------------------
 
     def encode_frame(self, frame: Mapping[str, Any]) -> bytes:
         """One length-prefixed binary frame, ready for a single write."""
+        return self._frame(frame, _HEAD)
+
+    def _frame(self, frame: Mapping[str, Any], head: bytes) -> bytes:
         buf = self._buf
         del buf[:]
-        buf += b"\x00\x00\x00\x00"
-        self._value(buf, frame if type(frame) is dict else dict(frame))
+        buf += head
+        try:
+            self._value(buf, frame if type(frame) is dict else dict(frame))
+        except RecursionError:
+            raise WireError("nesting too deep: not wire-encodable") from None
         size = len(buf) - 4
         if size > MAX_FRAME_BYTES:
             raise WireError(
@@ -207,16 +225,14 @@ class BinaryEncoder:
     def _define(self, buf: bytearray, text: str) -> None:
         raw = text.encode("utf-8")
         size = len(raw)
-        if size <= INTERN_MAX and self._count < INTERN_CAP:
-            buf.append(T_DEF)
-            _varint(buf, size)
-            buf += raw
-            self._refs[text] = _ref_bytes(T_REF, self._count)
-            self._count += 1
-        else:
-            buf.append(T_STR)
-            _varint(buf, size)
-            buf += raw
+        count = len(self._refs)  # ids are dense: the next one
+        interned = size <= INTERN_MAX and count < INTERN_CAP
+        buf.append(T_DEF if interned else T_STR)
+        _varint(buf, size)
+        buf += raw
+        if interned:
+            ref = _REF_CACHE[count] if count < _SMALL else None
+            self._refs[text] = ref or _ref_bytes(T_REF, count)
 
     def _value(self, buf: bytearray, value: Any) -> None:
         kind = type(value)
@@ -227,7 +243,7 @@ class BinaryEncoder:
             else:
                 self._define(buf, value)
         elif kind is int:
-            if 0 <= value < 2048:
+            if 0 <= value < _SMALL:
                 buf += _INT_CACHE[value]
             else:
                 buf.append(T_INT)
@@ -250,14 +266,12 @@ class BinaryEncoder:
         elif kind is tuple or kind is frozenset:
             try:
                 ref = self._crefs.get(value)
-                internable = True
+                intern = len(self._crefs) < INTERN_CAP
             except TypeError:  # tuple holding an unhashable member
-                ref = None
-                internable = False
+                ref, intern = None, False
             if ref is not None:
                 buf += ref
                 return
-            intern = internable and self._ccount < INTERN_CAP
             if intern:
                 buf.append(T_CDEF)
             members = (
@@ -272,8 +286,9 @@ class BinaryEncoder:
                 # Post-order id assignment: nested compounds complete
                 # (and number) first, matching the decoder's
                 # append-after-decode order.
-                self._crefs[value] = _ref_bytes(T_CREF, self._ccount)
-                self._ccount += 1
+                count = len(self._crefs)
+                ref = _CREF_CACHE[count] if count < _SMALL else None
+                self._crefs[value] = ref or _ref_bytes(T_CREF, count)
         elif kind is dict:
             buf.append(T_DICT)
             _varint(buf, len(value))
@@ -332,7 +347,7 @@ class BinaryEncoder:
                     buf += ref
                 else:
                     self._define(buf, value)
-            elif kind is int and 0 <= value < 2048:
+            elif kind is int and 0 <= value < _SMALL:
                 buf += int_cache[value]
             elif kind is tuple or kind is frozenset:
                 try:
@@ -366,6 +381,11 @@ class BinaryEncoder:
             self._provenance(buf, child)
 
 
+def encode_standalone(frame: Mapping[str, Any]) -> bytes:
+    """*frame* as one self-contained frame: a fresh encoder's whole life."""
+    return BinaryEncoder()._frame(frame, _SELF_HEAD)
+
+
 # ---------------------------------------------------------------------------
 # Decoder
 # ---------------------------------------------------------------------------
@@ -376,6 +396,7 @@ _DECODE_ERRORS = (
     IndexError,
     KeyError,
     OverflowError,
+    RecursionError,
     TypeError,
     UnicodeDecodeError,
     ValueError,
@@ -390,6 +411,8 @@ class BinaryDecoder:
         self._strings: List[str] = []
         self._compounds: List[Any] = []
         self._types: Dict[str, Any] = {}
+        #: Self-contained payloads decoded (``repro journal`` reports it).
+        self.standalone_frames = 0
 
     @property
     def interned_strings(self) -> List[str]:
@@ -406,18 +429,24 @@ class BinaryDecoder:
     def decode_payload(self, data: Any) -> Dict[str, Any]:
         """Decode one frame payload (``bytes`` or ``memoryview``).
 
-        Raises :class:`WireError` on truncated, trailing, or corrupt
-        bytes; the tables are then undefined — discard the decoder.
+        A self-contained payload (leading ``SELF``) decodes against
+        tables of its own and leaves the stream tables as they were,
+        whatever happens.  Otherwise :class:`WireError` (truncated,
+        trailing or corrupt bytes) means: discard the decoder.
         """
+        stream = self._strings, self._compounds
         try:
-            value, pos = self._value(data, 0)
-        except WireError:
-            raise
+            scoped = data[0] == T_SELF
+            if scoped:
+                self._strings, self._compounds = [], []
+            value, pos = self._value(data, int(scoped))
         except _DECODE_ERRORS as error:
             raise WireError(
                 f"malformed binary frame payload: "
                 f"{type(error).__name__}: {error}"
             ) from None
+        finally:
+            self._strings, self._compounds = stream
         if pos != len(data):
             raise WireError(
                 f"binary frame payload has {len(data) - pos} trailing "
@@ -428,12 +457,13 @@ class BinaryDecoder:
                 f"binary frame payload decoded to "
                 f"{type(value).__name__}, not a frame mapping"
             )
+        self.standalone_frames += scoped
         return value
 
     def _value(self, data: Any, pos: int) -> Tuple[Any, int]:
         tag = data[pos]
         pos += 1
-        if tag == T_REF:
+        if tag == T_REF or tag == T_INT or tag == T_CREF:
             n = data[pos]
             pos += 1
             if n >= 0x80:
@@ -446,57 +476,28 @@ class BinaryDecoder:
                     if b < 0x80:
                         break
                     shift += 7
-            return self._strings[n], pos
-        if tag == T_INT:
-            n = data[pos]
-            pos += 1
-            if n >= 0x80:
-                n &= 0x7F
-                shift = 7
-                while True:
-                    b = data[pos]
-                    pos += 1
-                    n |= (b & 0x7F) << shift
-                    if b < 0x80:
-                        break
-                    shift += 7
-            return (n >> 1) ^ -(n & 1), pos
-        if tag == T_CREF:
-            n = data[pos]
-            pos += 1
-            if n >= 0x80:
-                n &= 0x7F
-                shift = 7
-                while True:
-                    b = data[pos]
-                    pos += 1
-                    n |= (b & 0x7F) << shift
-                    if b < 0x80:
-                        break
-                    shift += 7
+            if tag == T_REF:
+                return self._strings[n], pos
+            if tag == T_INT:
+                return (n >> 1) ^ -(n & 1), pos
             return self._compounds[n], pos
-        # Events come fourth: an ``events`` frame is mostly a list of
+        # Events come next: an ``events`` frame is mostly a list of
         # them, and each list member dispatches through here.
         if tag == T_EVENT:
             return self._event(data, pos)
-        if tag == T_DEF:
+        if tag == T_DEF or tag == T_STR:
             n, pos = self._varint(data, pos)
             end = pos + n
             if end > len(data):
                 raise WireError("binary frame truncated inside a string")
             text = str(data[pos:end], "utf-8")
-            self._strings.append(text)
+            if tag == T_DEF:
+                self._strings.append(text)
             return text, end
         if tag == T_CDEF:
             value, pos = self._value(data, pos)
             self._compounds.append(value)
             return value, pos
-        if tag == T_STR:
-            n, pos = self._varint(data, pos)
-            end = pos + n
-            if end > len(data):
-                raise WireError("binary frame truncated inside a string")
-            return str(data[pos:end], "utf-8"), end
         if tag == T_NONE:
             return None, pos
         if tag == T_TRUE:
@@ -541,6 +542,8 @@ class BinaryDecoder:
             return items, pos
         if tag == T_PROV:
             return self._provenance(data, pos)
+        if tag == T_SELF:
+            raise WireError("self-contained tag inside a frame payload")
         raise WireError(f"unknown binary value tag {tag}")
 
     def _varint(self, data: Any, pos: int) -> Tuple[int, int]:
@@ -730,8 +733,6 @@ def frame_to_jsonable(value: Any) -> Any:
     ``event_to_wire`` form, tuples/frozensets their ``$t``/``$fs``
     tags — the shape a JSON-era journal holds on disk.
     """
-    from .wire import encode_value, event_to_wire
-
     if isinstance(value, Event):
         return event_to_wire(value, provenance=True)
     if isinstance(value, dict):
@@ -743,7 +744,5 @@ def frame_to_jsonable(value: Any) -> Any:
     if isinstance(value, (tuple, frozenset)):
         return encode_value(value)
     if isinstance(value, ProvenanceNode):
-        from .wire import provenance_to_wire
-
         return provenance_to_wire(value)
     return value

@@ -76,7 +76,7 @@ from ..observability.trace import (
 )
 from .codec import events_frame, hello_bytes
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
+from .mux import ChannelMultiplexer, MuxChannel, event_seq, inflight_snapshot
 from .router import ShardRouter
 from .wire import SEQ_KEY, attach_trace
 
@@ -341,9 +341,8 @@ class ProcessShard:
 
     The pipes live inside a :class:`~repro.parallel.mux.MuxChannel`
     owned by the federation's :class:`ChannelMultiplexer`: writes are
-    queued and pumped non-blocking, reads are readiness-driven, and a
-    fresh shard means fresh interning tables on both pipe directions —
-    the respawn-resets-the-tables contract lives in the channel.
+    queued and pumped non-blocking, reads are readiness-driven, and the
+    channel owns both directions' interning tables (fresh per shard).
     """
 
     backend = "process"
@@ -388,14 +387,20 @@ class ProcessShard:
             f"exit code {self.process.exitcode})"
         )
 
-    def _send(self, frame: Dict[str, Any], credit: bool = False) -> None:
+    def _send(
+        self,
+        frame: Dict[str, Any],
+        credit: bool = False,
+        encoded: Optional[bytes] = None,
+    ) -> None:
         """Queue *frame* on the channel (non-blocking).
 
         With ``credit`` the send first waits for in-flight window space
         — the per-frame backpressure point of barrier paths like
         :meth:`ShardedFederation.flush_buffers` and journal replay
         (streaming ingest checks the channel's ``has_credit`` instead
-        and defers without waiting).
+        and defers without waiting).  *encoded* is *frame* as the
+        supervisor journaled it (self-contained); else the channel encodes.
         """
         if not self.alive:
             raise ShardCrashError(
@@ -404,7 +409,10 @@ class ProcessShard:
         if credit and not self.mux.wait_for_credit(self.channel):
             raise self._crashed(self.channel.dead or "send failed")
         try:
-            self.channel.queue(frame)
+            if encoded is None:
+                self.channel.queue(frame)
+            else:
+                self.channel.queue_encoded(encoded, event_seq(frame))
         except BrokenPipeError as error:
             raise self._crashed(str(error)) from None
         if self.channel.dead is not None:

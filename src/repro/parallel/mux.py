@@ -9,8 +9,9 @@ a slow shard stall the whole wave (or buffer unboundedly in the pipe).
 per worker) and drives all of them from one ``selectors`` loop:
 
 * **Non-blocking buffered writes.**  Both pipe ends are switched to
-  non-blocking mode.  A queued frame is encoded once and appended to
-  the channel's outbound byte queue; :meth:`MuxChannel.pump_writes`
+  non-blocking mode.  A queued frame is encoded once (here, or by the
+  supervisor when it also journals it) and appended to the channel's
+  outbound byte queue; :meth:`MuxChannel.pump_writes`
   drains the queue as far as the pipe accepts (partial writes resume at
   the recorded offset).  The facade never sleeps inside a single
   shard's full pipe while other shards starve.
@@ -63,6 +64,13 @@ READ_CHUNK = 1 << 16
 #: or credit stall.  Short enough that a worker death surfaces quickly,
 #: long enough not to spin.
 POLL_INTERVAL = 0.05
+
+
+def event_seq(frame: Mapping[str, Any]) -> Optional[int]:
+    """The credit-window sequence *frame* carries, if it is an event frame."""
+    seq = frame.get(SEQ_KEY)
+    events = frame.get("kind") == "events" and isinstance(seq, int)
+    return seq if events else None
 
 
 class MuxChannel:
@@ -132,17 +140,20 @@ class MuxChannel:
     # -- outbound ----------------------------------------------------------
 
     def queue(self, frame: Mapping[str, Any]) -> None:
-        """Queue *frame* for transmission and pump what fits now.
+        """Encode *frame* on this channel's stream tables and queue it."""
+        self.queue_encoded(self._encoder.encode_frame(frame), event_seq(frame))
 
-        Event frames carrying :data:`SEQ_KEY` advance the credit
-        window; callers gate on :meth:`has_credit` (or
-        :meth:`ChannelMultiplexer.wait_for_credit`) first.
+    def queue_encoded(self, data: bytes, seq: Optional[int] = None) -> None:
+        """Queue one encoded frame and pump what fits now.
+
+        *data* comes from this channel's stream encoder, in queue order,
+        or is self-contained.  A *seq* (the frame's :func:`event_seq`)
+        advances the credit window; callers gate on :meth:`has_credit`
+        (or :meth:`ChannelMultiplexer.wait_for_credit`) first.
         """
         if self.dead is not None:
             raise BrokenPipeError(self.dead)
-        data = self._encoder.encode_frame(frame)
-        seq = frame.get(SEQ_KEY)
-        if frame.get("kind") == "events" and isinstance(seq, int):
+        if seq is not None:
             if self.last_sent_seq is None:
                 # First event frame on this channel: whatever sequence
                 # it carries defines the window's origin.
@@ -398,14 +409,6 @@ class ChannelMultiplexer:
                 return False
             self.pump(POLL_INTERVAL)
         return True
-
-    def flush_channel(self, channel: MuxChannel) -> bool:
-        """Drive *channel*'s outbound queue dry; ``False`` if it died."""
-        while channel.wants_write:
-            self.pump(POLL_INTERVAL)
-            if channel.dead is not None:
-                return False
-        return channel.dead is None
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -47,6 +47,21 @@ def decode_from_byte_four(path):
         frames.append(frame_to_jsonable(frame))
 
 
+def decode_each_record_alone(path):
+    """Every frame of the file, each through a decoder of its own: a
+    self-contained record needs nothing that came before it."""
+    with open(path, "rb") as stream:
+        data = stream.read()
+    assert data[: len(JOURNAL_MAGIC)] == JOURNAL_MAGIC
+    frames, position = [], len(JOURNAL_MAGIC)
+    while position < len(data):
+        end = position + 4 + int.from_bytes(data[position:position + 4], "big")
+        payload = data[position + 4:end]
+        frames.append(frame_to_jsonable(BinaryDecoder().decode_payload(payload)))
+        position = end
+    return frames
+
+
 @pytest.fixture
 def decode_calls(monkeypatch):
     """Counts ``BinaryDecoder.decode_payload`` calls."""
@@ -98,20 +113,26 @@ class TestSnapshotBoundaryCompaction:
         ]
 
 
-    def test_buffered_frames_do_not_outlive_their_encoder(self, tmp_path):
+    @pytest.mark.parametrize("keep_from", [2, 3])
+    def test_buffered_frames_do_not_outlive_their_file(self, tmp_path, keep_from):
+        # Frames still in the coalescing buffer belong to the file the
+        # compaction replaces: covered ones must not be written after
+        # the control frame, survivors exactly once — and what follows
+        # needs nothing from before the boundary.
         path = str(tmp_path / "journal.log")
         batch = event_batch(8)
         log = FrameLog(path, fsync_every=16)
-        for seq in range(3):  # all three still in the coalescing buffer
-            log.append(dict(events_frame(batch), seq=seq))
-        assert log.compact(3) == 0
-        appended = dict(events_frame(batch), seq=3)
-        assert log.append(appended) == 3
+        written = [dict(events_frame(batch), seq=seq) for seq in range(4)]
+        for frame in written[:3]:  # all three still in the buffer
+            log.append(frame)
+        assert log.compact(keep_from) == 3 - keep_from
+        assert log.append(written[3]) == 3
         log.close()
-        assert decode_from_byte_four(path) == [
-            {"kind": CONTROL_COMPACTED, "base": 3},
-            frame_to_jsonable(appended),
+        expected = [{"kind": CONTROL_COMPACTED, "base": keep_from}] + [
+            frame_to_jsonable(frame) for frame in written[keep_from:]
         ]
+        assert decode_from_byte_four(path) == expected
+        assert decode_each_record_alone(path) == expected
 
 
 class TestOpenDecodesOnce:

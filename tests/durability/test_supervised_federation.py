@@ -20,6 +20,8 @@ from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 from tests.durability.json_era import downgrade_to_json
+from tests.durability.test_frame_log import rendered
+from tests.durability.test_journal_writers import decode_each_record_alone
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -300,14 +302,15 @@ class TestDurableLifecycle:
 
 class TestBinaryChannelRecovery:
     def test_crash_mid_wave_resets_the_intern_tables(self, tmp_path):
-        # The facade-side encoder interns strings per channel.  A
-        # respawned worker starts with empty decoder tables, so the
-        # facade must NOT keep the dead channel's encoder: recovery
-        # builds a fresh multiplexer channel (encoder and decoder
-        # included), and the journal replay re-defines every name from
-        # scratch.  Crash mid-wave — with interned names in flight and
-        # nothing drained — and the continued stream must still match
-        # the uninterrupted run.
+        # Recovery builds a fresh multiplexer channel — stream tables
+        # born empty on both ends — and there is no other table state
+        # to lose: journaled frames are self-contained, each carrying
+        # its own definitions, so neither the dead channel nor the
+        # journal holds any.  The decoded tail replays through the new
+        # channel's stream tables; the waves after it are
+        # self-contained again.  Crash mid-wave — frames
+        # in flight, nothing drained — and the continued stream must
+        # still match the uninterrupted run.
         workload = small_workload(seed=47)
         events = workload.events()
         cut = len(events) // 2
@@ -317,18 +320,20 @@ class TestBinaryChannelRecovery:
             shard = federation.shards[0]
             federation.ingest(events[:cut])  # no drain: waves in flight
             old_channel = shard.inner.channel
-            # The dead channel's encoder holds interned names.
-            assert old_channel._encoder._count > 0
             kill_worker(shard)
             federation.ingest(events[cut:])  # first send recovers
             merged = federation.drain()
-            new_channel = shard.inner.channel
-            assert new_channel is not old_channel
-            # The replacement channel re-interned (replay + new waves)
-            # on its own fresh table.
-            assert new_channel._encoder._count > 0
+            assert shard.inner.channel is not old_channel
             assert federation.stats()["recoveries"] == 1
             merged = list(federation.delivered)
+            shard.journal.sync()
+            journal = load_journal(shard.journal.path)
+            # Every record written before, during and after the crash
+            # decodes on its own, under a decoder that has seen nothing.
+            assert journal.self_contained == len(journal.frames) > 0
+            assert decode_each_record_alone(shard.journal.path) == rendered(
+                journal.frames
+            )
         assert len(merged) == workload.expected_notifications()
         assert signatures(merged) == signatures(reference_run(workload))
 

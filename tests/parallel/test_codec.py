@@ -15,12 +15,24 @@ from repro.parallel.codec import (
     BinaryEncoder,
     BinaryFrameReader,
     BinaryFrameWriter,
+    T_DICT,
+    T_SELF,
+    T_STR,
+    encode_standalone,
     events_frame,
     frame_to_jsonable,
     hello_bytes,
     read_hello,
 )
 from repro.parallel.wire import event_to_wire
+
+
+#: A few KB of nesting run the recursive decoder out of interpreter
+#: stack: ``{"a": [[[...]]]}`` 5 000 lists, tuples, bare ``CDEF`` tags deep.
+DEEP_PAYLOADS = [
+    b"\x0b\x01\x05\x01a" + nesting * 5000 + b"\x00"
+    for nesting in (b"\x08\x01", b"\x09\x01", b"\x0e")
+]
 
 
 def roundtrip(frame, encoder=None, decoder=None):
@@ -271,6 +283,91 @@ class TestDecodeErrors:
         for name in (bytes((T_NONE,)), bytes((T_INT, 10))):
             with pytest.raises(WireError):
                 BinaryDecoder().decode_payload(bytes((T_EVENT,)) + name)
+
+
+    @pytest.mark.parametrize("payload", DEEP_PAYLOADS)
+    def test_nesting_beyond_the_stack_raises_wire_error(self, payload):
+        with pytest.raises(WireError, match="RecursionError"):
+            BinaryDecoder().decode_payload(payload)
+        with pytest.raises(WireError, match="RecursionError"):
+            BinaryDecoder().decode_payload(bytes((T_SELF,)) + payload)
+
+    def test_encoding_beyond_the_stack_raises_wire_error(self):
+        deep = []
+        for __ in range(3000):
+            deep = [deep]
+        for encode in (BinaryEncoder().encode_frame, encode_standalone):
+            with pytest.raises(WireError, match="not wire-encodable"):
+                encode({"a": deep})
+
+    def test_self_contained_tag_is_refused_past_offset_zero(self):
+        inner = encode_standalone({"k": 1})[4:]
+        assert inner[0] == T_SELF
+        nested = bytes((T_SELF,)) + inner  # scoped inside scoped
+        member = bytes((T_DICT, 1, T_STR, 1)) + b"a" + inner
+        for payload in (nested, member, bytes((T_SELF,)) + member):
+            with pytest.raises(WireError, match="self-contained tag"):
+                BinaryDecoder().decode_payload(payload)
+
+    def test_a_corrupt_self_contained_frame_spares_the_stream_tables(self):
+        encoder, decoder = BinaryEncoder(), BinaryDecoder()
+        roundtrip({"k": "v"}, encoder, decoder)
+        payload = encode_standalone(events_frame([activity_event()]))[4:]
+        for cut in range(len(payload)):
+            with pytest.raises(WireError):
+                decoder.decode_payload(payload[:cut])
+        assert decoder.interned_strings == ["k", "v"]
+        assert decoder.standalone_frames == 0
+        assert roundtrip({"k": "v", "n": "k"}, encoder, decoder) == {
+            "k": "v",
+            "n": "k",
+        }
+
+
+class TestSelfContainedFrames:
+    def test_decodes_in_any_table_state_and_defines_nothing(self):
+        frame = events_frame([activity_event(time=t) for t in range(3)])
+        data = encode_standalone(frame)
+        assert data[4] == T_SELF
+        assert int.from_bytes(data[:4], "big") == len(data) - 4
+        encoder, decoder = BinaryEncoder(), BinaryDecoder()
+        roundtrip(events_frame([activity_event()]), encoder, decoder)
+        before = decoder.interned_strings, decoder.interned_compounds
+        for reader in (BinaryDecoder(), decoder, decoder):
+            back = reader.decode_payload(memoryview(data)[4:])
+            assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+        assert (decoder.interned_strings, decoder.interned_compounds) == before
+        assert decoder.standalone_frames == 2
+        # The stream the decoder mirrors carries on undisturbed.
+        again = roundtrip(events_frame([activity_event()]), encoder, decoder)
+        assert dict(again["events"][0].params) == dict(activity_event().params)
+
+    def test_every_call_starts_from_empty_tables(self):
+        frame = events_frame([activity_event()])
+        assert encode_standalone(frame) == encode_standalone(frame)
+        stream = BinaryEncoder()
+        stream.encode_frame(frame)
+        # What interning buys a stream, a self-contained frame forgoes.
+        assert len(stream.encode_frame(frame)) < len(encode_standalone(frame))
+
+    def test_table_definitions_use_the_precomputed_small_ids(self):
+        from repro.parallel import codec
+
+        encoder = BinaryEncoder()
+        encoder.encode_frame({"k": ("a", "b"), "big": 1})
+        assert encoder._refs["k"] is codec._REF_CACHE[0]
+        assert encoder._crefs[("a", "b")] is codec._CREF_CACHE[0]
+        for table, tag in (
+            (codec._INT_CACHE, codec.T_INT),
+            (codec._REF_CACHE, codec.T_REF),
+            (codec._CREF_CACHE, codec.T_CREF),
+        ):
+            shift = 1 if tag == codec.T_INT else 0
+            assert len(table) == codec._SMALL
+            assert all(
+                table[n] == codec._ref_bytes(tag, n << shift)
+                for n in (0, 1, 127, 128, codec._SMALL - 1)
+            )
 
 
 class TestChannelWrappers:

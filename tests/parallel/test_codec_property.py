@@ -1,12 +1,16 @@
 """Property tests for the binary codec (Hypothesis).
 
-Three invariants, fuzzed:
+Four invariants, fuzzed:
 
 * **round-trip** — any frame built from wire-encodable values (nested
   tuples, frozensets, ``$``-prefixed keys included) decodes to an equal
   value, across multi-frame streams and fresh-pair boundaries;
 * **every frame kind** — the protocol frames the worker channel and the
   journal actually carry survive the codec unchanged;
+* **self-contained frames** — stream-interned and self-contained frames
+  interleave through one decoder in any order; a self-contained frame's
+  bytes decode the same whatever the decoder has seen and leave its
+  stream tables alone;
 * **corruption safety** — truncated or torn payloads raise
   :class:`~repro.errors.WireError`, never ``IndexError`` or another
   crash.
@@ -20,7 +24,15 @@ from hypothesis import strategies as st
 from repro.errors import WireError
 from repro.events.event import Event
 from repro.events.producers import ACTIVITY_EVENT_TYPE
-from repro.parallel.codec import BinaryDecoder, BinaryEncoder
+from repro.parallel.codec import (
+    T_SELF,
+    BinaryDecoder,
+    BinaryEncoder,
+    encode_standalone,
+    frame_to_jsonable,
+)
+
+SELF = bytes((T_SELF,))
 
 # Floats are restricted to non-NaN (NaN != NaN breaks equality-based
 # round-trip assertions; the codec itself carries NaN fine).
@@ -105,6 +117,52 @@ def test_reset_boundary_keeps_streams_decodable(before, after):
         assert _roundtrip(encoder, decoder, frame) == frame
 
 
+#: More examples under a loaded profile that asks for them (``soak``).
+PROFILE_EXAMPLES = settings.default.max_examples
+INTERLEAVINGS = PROFILE_EXAMPLES if PROFILE_EXAMPLES > 100 else 40
+
+
+def _tables(decoder):
+    return decoder.interned_strings, decoder.interned_compounds
+
+
+@settings(max_examples=INTERLEAVINGS, deadline=None)
+@given(st.data())
+def test_self_contained_frames_interleave_with_a_stream(data):
+    # Declared below, drawn here: generic frames and every protocol kind.
+    stream = data.draw(
+        st.lists(
+            st.tuples(st.booleans(), st.one_of(frames, protocol_frames)),
+            min_size=1,
+            max_size=8,
+        ),
+        "(self-contained?, frame)",
+    )
+    encoder = BinaryEncoder()
+    decoder = BinaryDecoder()
+    standalone = []
+    for alone, frame in stream:
+        before = _tables(decoder)
+        if alone:
+            payload = memoryview(encode_standalone(frame))[4:]
+            standalone.append((payload, frame))
+        else:
+            payload = memoryview(encoder.encode_frame(frame))[4:]
+        back = decoder.decode_payload(payload)
+        assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+        if alone:
+            assert _tables(decoder) == before
+    # The same bytes again: fresh decoder, mid-stream decoder, after
+    # other self-contained frames — one answer, no table moved.
+    settled = _tables(decoder)
+    for payload, frame in standalone + standalone[::-1]:
+        for reader in (BinaryDecoder(), decoder):
+            back = reader.decode_payload(payload)
+            assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+    assert _tables(decoder) == settled
+    assert decoder.standalone_frames == 3 * len(standalone)
+
+
 @settings(max_examples=30, deadline=None)
 @given(frames, st.data())
 def test_truncated_payload_raises_wire_error(frame, data):
@@ -118,11 +176,17 @@ def test_truncated_payload_raises_wire_error(frame, data):
 @given(st.binary(max_size=200))
 def test_arbitrary_bytes_never_crash(garbage):
     # Fuzzed payloads either decode (to *something* dict-shaped) or
-    # raise WireError; any other exception is a bug.
-    try:
-        BinaryDecoder().decode_payload(garbage)
-    except WireError:
-        pass
+    # raise WireError; any other exception is a bug.  Led by the
+    # self-contained tag they also leave the stream tables alone.
+    decoder = BinaryDecoder()
+    tables = None
+    for payload in (garbage, SELF + garbage):
+        try:
+            decoder.decode_payload(payload)
+        except WireError:
+            pass
+        assert tables is None or _tables(decoder) == tables
+        tables = _tables(decoder)  # whatever the plain garbage defined
 
 
 @settings(max_examples=30, deadline=None)

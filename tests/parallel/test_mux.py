@@ -10,13 +10,20 @@ import os
 
 import pytest
 
-from repro.parallel.codec import BinaryDecoder, BinaryEncoder
+from repro.parallel.codec import (
+    BinaryDecoder,
+    BinaryEncoder,
+    encode_standalone,
+)
 from repro.parallel.mux import (
     ChannelMultiplexer,
     MuxChannel,
+    event_seq,
     inflight_snapshot,
 )
 from repro.parallel.wire import ACKED_KEY, SEQ_KEY, ack_frame
+
+from tests.parallel.test_codec import DEEP_PAYLOADS
 
 
 class FakeWorker:
@@ -168,10 +175,41 @@ class TestMuxChannel:
         assert worker.channel.dead is not None
         assert "receive failed" in worker.channel.dead
 
+    def test_nesting_beyond_the_stack_fails_the_channel_not_the_facade(
+        self, worker
+    ):
+        payload = DEEP_PAYLOADS[0]
+        worker.respond({"kind": "stats", "stats": {}})
+        worker.respond_raw(len(payload).to_bytes(4, "big") + payload)
+        worker.channel.pump_reads()  # returns: no RecursionError escapes
+        assert len(worker.channel.inbox) == 1
+        assert "receive failed" in worker.channel.dead
+        assert "RecursionError" in worker.channel.dead
+
+    def test_queue_encoded_forwards_the_bytes_it_is_given(self, worker):
+        channel = worker.channel
+        frame = {"kind": "events", "events": [], SEQ_KEY: 5}
+        data = encode_standalone(frame)
+        channel.queue({"kind": "stats_request"})
+        channel.queue_encoded(data, event_seq(frame))
+        channel.queue({"kind": "stats_request"})
+        # The credit window moved as for a queued frame ...
+        assert (channel.last_acked_seq, channel.outstanding) == (4, 1)
+        # ... and the worker's one decoder reads it between stream frames.
+        assert worker.sent_frames() == [
+            {"kind": "stats_request"},
+            frame,
+            {"kind": "stats_request"},
+        ]
+        assert event_seq({"kind": "deploy", SEQ_KEY: 1}) is None
+        assert event_seq({"kind": "events"}) is None
+
     def test_queueing_on_a_dead_channel_raises(self, worker):
         worker.channel.fail("worker error: boom")
         with pytest.raises(BrokenPipeError):
             worker.channel.queue({"kind": "stats_request"})
+        with pytest.raises(BrokenPipeError):
+            worker.channel.queue_encoded(encode_standalone({"kind": "x"}))
 
     def test_partial_writes_resume_where_they_stopped(self):
         worker = FakeWorker()
