@@ -21,7 +21,8 @@ tag       body
 ``STR``   varint byte length + UTF-8 (not interned)
 ``DEF``   varint byte length + UTF-8; *defines* the next string id
 ``REF``   varint string id (see interning below)
-``LIST``  varint count + members
+``LIST``  varint record count + records: a member, or a ``ROWS``
+          record standing for many
 ``TUPLE`` varint count + members
 ``FSET``  varint count + members, sorted by ``repr`` for
           deterministic bytes
@@ -37,6 +38,9 @@ tag       body
 ``SELF``  payload offset 0 only: the frame is *self-contained* —
           its tables are born empty here and die with it; body
           is the frame's ``DICT``
+``ROWS``  inside a ``LIST`` only: an *event run* — event type
+          name, key-schema tuple, varint row count, then one
+          column per key (``type`` skipped); see below
 ========  =====================================================
 
 **Per-channel interning.**  Each channel direction owns one encoder and
@@ -46,7 +50,7 @@ one mirroring decoder.  The first time a short string (≤
 later occurrence is a 2–3 byte ``REF``.  Hashable tuples and frozensets
 (association pairs, ``processAssociations`` sets, and — crucially — the
 per-event *key schema*, the tuple of parameter names) intern the same
-way through ``CDEF``/``CREF``: a steady-state event is its type-name
+way through ``CDEF``/``CREF``: a steady-state ``EVENT`` is its type-name
 ref, its key-schema ref, and its parameter values, nothing else.
 Compound ids are assigned in **post-order** (a definition completes,
 and numbers, after its members) because that is the only order an
@@ -65,6 +69,55 @@ a journal record and a pipe frame.  It pays for its definitions every
 time (≈ +0.3 µs and +3.6 B per event on the seeded stream, EXPERIMENTS
 PERF3), which is why plain shard traffic keeps the stream tables.
 
+**Event runs.**  A wave's ``events`` list is, on the traffic the paper's
+§7 describes, a hundred-odd events of one type and one key schema, and
+visiting every value of every event in Python is what the row-wise
+``EVENT`` record costs.  So inside a list, every maximal stretch of
+:data:`ROWS_MIN` or more events that share their ``EventType``, their
+``tuple(params)`` and ``provenance is None`` travels as one ``ROWS``
+record, column by column, and the per-event work — the uniformity
+checks, the transposition, folding a column's equal values, packing —
+is ``map`` / ``zip`` / ``dict.fromkeys`` / ``array``; what is left in
+Python is per column, and on decode the construction of each ``Event``.
+A column is one kind byte and a body:
+
+===========  ====================================================
+kind         body
+===========  ====================================================
+``CONST``    one value: every row holds it
+``VALUES``   the rows' values, one by one (an unhashable value, all
+             values distinct, ints past 64 bits, or values that are
+             equal but not of one type: ``1`` and ``True``)
+``DICT``     varint count + the distinct values in first-seen order,
+             a width code (``B`` / ``H``), then one id per row
+``INT``      a width code (``B H I Q`` unsigned, ``b h i q`` signed:
+             the narrowest holding ``min``..``max``), then the rows
+             as a fixed-width **little-endian** ``array``
+===========  ====================================================
+
+The distinct values of a ``DICT`` column (and a ``CONST``) go through
+the ordinary value encoding, so they intern on the channel like any
+other string or compound; the ids are the column's own.  ``type`` is
+skipped because the record's type name already says it (the decoder
+puts it back, last, as for an ``EVENT``).  An event that carries
+provenance, a lone event, a short stretch and anything that is not an
+event keep their own records in the same ordered list: a provenance
+tree is per event and has no columns, and below :data:`ROWS_MIN` rows
+the per-column set-up costs more than it saves.  A constant column
+makes a row cost zero bytes, so no payload length bounds the row count:
+a record holds at most :data:`ROWS_MAX` rows, the encoder splits a
+longer stretch and the decoder refuses a larger count before it builds
+anything.  The run is a value like any other — ``encode_frame``,
+:func:`encode_standalone`, the journal and the pipe carry it unchanged,
+and files holding ``EVENT`` rows (earlier builds) read as before.
+
+**Type-exact tables.**  ``1 == True == 1.0`` and ``0.0 == -0.0``, and
+they hash alike: a table keyed by ``==`` would hand ``(1, "a")`` out for
+``(True, "a")``.  A compound hit counts only if the stored value is the
+same type for type (:func:`_exact`; the first comer keeps the slot, a
+confusable twin travels inline), and a column folds equal values only
+under the same check.
+
 **Error discipline.**  A truncated, torn, or corrupt payload raises
 :class:`~repro.errors.WireError` — never ``IndexError`` or a crash —
 and leaves the decoder's stream tables undefined unless the frame was
@@ -76,8 +129,12 @@ is such an error on both sides, never a ``RecursionError``.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
+from itertools import count, groupby, repeat
+from operator import attrgetter, is_
 from types import MappingProxyType
-from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
+from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import WireError
 from ..events.event import Event
@@ -111,6 +168,40 @@ T_PROV = 13
 T_CDEF = 14
 T_CREF = 15
 T_SELF = 16
+T_ROWS = 17
+
+#: Most events one ``ROWS`` record may hold.  A constant column costs no
+#: bytes per row, so the payload length cannot bound the row count: the
+#: encoder splits a longer stretch, the decoder refuses a larger count.
+ROWS_MAX = 4096
+
+#: Fewest events worth a ``ROWS`` record.  A record pays a fixed price
+#: per column (≈ 25 µs for the eight of ``T_context``); below eight rows,
+#: encode plus decode, the row-wise ``EVENT`` records are cheaper
+#: (EXPERIMENTS PERF4).
+ROWS_MIN = 8
+
+# Column kinds of a ``ROWS`` record.
+C_CONST = 0
+C_VALUES = 1
+C_DICT = 2
+C_INT = 3
+
+#: ``array`` typecodes by width code; ids use the first two only.  All
+#: eight have the same item size on every platform CPython supports.
+_INT_CODES = "BHIQbhiq"
+_ID_CODES = _INT_CODES[:2]
+_BIG_ENDIAN = sys.byteorder == "big"
+
+#: Value types for which ``==`` already is type-exact equality.
+_EQ_EXACT = frozenset((str, type(None)))
+
+_get_type = attrgetter("_event_type")
+_get_provenance = attrgetter("provenance")
+_get_params = attrgetter("_params")
+#: Unbound, a method descriptor is called at half the cost of a
+#: ``methodcaller`` (no attribute lookup per row).
+_get_values = MappingProxyType.values
 
 _pack_into = struct.pack_into
 _pack_d = struct.Struct(">d").pack
@@ -181,6 +272,95 @@ _SELF_HEAD = _HEAD + bytes((T_SELF,))
 
 
 # ---------------------------------------------------------------------------
+# Type-exact equality, and the stretches of a list that travel as runs
+# ---------------------------------------------------------------------------
+
+
+def _exact(a: Any, b: Any) -> bool:
+    """Whether ``a == b`` also holds type for type.
+
+    ``1``, ``True`` and ``1.0`` (and ``0.0`` / ``-0.0``) are equal and
+    hash alike, so a table keyed by ``==`` alone hands one of them out
+    for the other.  Called where ``a == b`` is given; anything but the
+    hashable wire values is only ever exactly itself.
+    """
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is tuple or kind is frozenset:
+        if _EQ_EXACT.issuperset(map(type, a)):
+            return True
+        if kind is tuple:
+            return all(map(_exact, a, b))
+        twin = {member: member for member in b}
+        return all(map(_exact, a, map(twin.__getitem__, a)))
+    if kind is float:
+        return _pack_d(a) == _pack_d(b)
+    return kind in _EQ_EXACT or kind is int or kind is bool
+
+
+def _exactly(
+    column: Tuple[Any, ...], kinds: Any, distinct: List[Any], ids: Iterable[int]
+) -> bool:
+    """Whether every value of *column* (their types: *kinds*) is, type
+    for type, the equal ``distinct[id]`` that *ids* folds it into."""
+    return (
+        kinds <= _EQ_EXACT
+        or kinds == {int}
+        or all(map(is_, column, map(distinct.__getitem__, ids)))
+        or all(map(_exact, column, map(distinct.__getitem__, ids)))
+    )
+
+
+def _int_code(lo: int, hi: int) -> Optional[int]:
+    """The narrowest width code holding ``lo..hi``; ``None`` past 64 bits."""
+    if lo >= 0:
+        for code, bits in enumerate((8, 16, 32, 64)):
+            if hi < 1 << bits:
+                return code
+    else:
+        for code, bits in enumerate((7, 15, 31, 63), 4):
+            if -(1 << bits) <= lo and hi < 1 << bits:
+                return code
+    return None
+
+
+def _run_key(member: Any) -> Optional[Tuple[Any, Tuple[Any, ...]]]:
+    """What consecutive list members share to travel as one run."""
+    if type(member) is Event and member.provenance is None:
+        return member._event_type, tuple(member._params)
+    return None
+
+
+def _stretches(members: List[Any]) -> List[Tuple[Any, List[Any]]]:
+    """*members* cut into ``(key schema or None, stretch)`` pieces: the
+    maximal stretches of events of one type, one key schema and no
+    provenance, and what lies between them (``None``).  A wave's
+    ``events`` list is one stretch, and finding that out is one pass of
+    C per condition; only a mixed list is visited member by member.
+    """
+    n = len(members)
+    if list(map(type, members)).count(Event) == n:
+        params = list(map(_get_params, members))
+        keys = tuple(params[0])
+        if (
+            list(map(_get_type, members)).count(members[0]._event_type) == n
+            and list(map(_get_provenance, members)).count(None) == n
+            and list(map(len, params)).count(len(keys)) == n
+            # Transposed, every row of keys repeats one name n times.
+            and [
+                names.count(key) for names, key in zip(zip(*params), keys)
+            ] == [n] * len(keys)
+        ):
+            return [(keys, members)]
+    return [
+        (key and key[1], list(group)) for key, group in groupby(members, _run_key)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
 
@@ -197,8 +377,9 @@ class BinaryEncoder:
         self._buf = bytearray()
         #: str -> precomputed ``REF`` bytes, in id order.
         self._refs: Dict[str, bytes] = {}
-        #: hashable tuple/frozenset -> precomputed ``CREF`` bytes.
-        self._crefs: Dict[Any, bytes] = {}
+        #: hashable tuple/frozenset -> (precomputed ``CREF`` bytes, the
+        #: value that defined the id: a later hit must match its types).
+        self._crefs: Dict[Any, Tuple[bytes, Any]] = {}
 
     # -- encoding ----------------------------------------------------------
 
@@ -251,8 +432,6 @@ class BinaryEncoder:
                     buf,
                     (value << 1) if value >= 0 else (((-value) << 1) - 1),
                 )
-        # Events come third: an ``events`` frame is mostly a list of
-        # them, and each list member dispatches through here.
         elif kind is Event:
             buf.append(T_EVENT)
             self._event(buf, value)
@@ -265,12 +444,14 @@ class BinaryEncoder:
             buf += _pack_d(value)
         elif kind is tuple or kind is frozenset:
             try:
-                ref = self._crefs.get(value)
-                intern = len(self._crefs) < INTERN_CAP
+                hit = self._crefs.get(value)
+                intern = hit is None and len(self._crefs) < INTERN_CAP
             except TypeError:  # tuple holding an unhashable member
-                ref, intern = None, False
-            if ref is not None:
-                buf += ref
+                hit, intern = None, False
+            # A hit that is equal but not type-exact (``(1,)`` found by
+            # ``(True,)``) is no hit: the newcomer travels inline.
+            if hit is not None and _exact(value, hit[1]):
+                buf += hit[0]
                 return
             if intern:
                 buf.append(T_CDEF)
@@ -286,9 +467,9 @@ class BinaryEncoder:
                 # Post-order id assignment: nested compounds complete
                 # (and number) first, matching the decoder's
                 # append-after-decode order.
-                count = len(self._crefs)
-                ref = _CREF_CACHE[count] if count < _SMALL else None
-                self._crefs[value] = ref or _ref_bytes(T_CREF, count)
+                n = len(self._crefs)
+                ref = _CREF_CACHE[n] if n < _SMALL else _ref_bytes(T_CREF, n)
+                self._crefs[value] = ref, value
         elif kind is dict:
             buf.append(T_DICT)
             _varint(buf, len(value))
@@ -298,17 +479,13 @@ class BinaryEncoder:
                 encode(buf, member)
         elif kind is list:
             buf.append(T_LIST)
+            if len(value) > 1 and Event in map(type, value):
+                self._records(buf, value)
+                return
             _varint(buf, len(value))
             encode = self._value
-            event = self._event
             for member in value:
-                # A wave's ``events`` list is the hot list shape: skip
-                # the generic dispatch frame for its members.
-                if type(member) is Event:
-                    buf.append(T_EVENT)
-                    event(buf, member)
-                else:
-                    encode(buf, member)
+                encode(buf, member)
         elif kind is ProvenanceNode:
             buf.append(T_PROV)
             self._provenance(buf, value)
@@ -320,45 +497,12 @@ class BinaryEncoder:
             )
 
     def _event(self, buf: bytearray, event: Event) -> None:
-        refs_get = self._refs.get
-        crefs_get = self._crefs.get
-        name = event._event_type.name
-        ref = refs_get(name)
-        if ref is not None:
-            buf += ref
-        else:
-            self._define(buf, name)
-        params = event._params
-        keys = tuple(params)
-        ref = crefs_get(keys)
-        if ref is not None:
-            buf += ref
-        else:
-            self._value(buf, keys)
-        int_cache = _INT_CACHE
         encode = self._value
+        encode(buf, event._event_type.name)
+        params = event._params
+        encode(buf, tuple(params))
         for key, value in params.items():
-            if key == "type":
-                continue
-            kind = type(value)
-            if kind is str:
-                ref = refs_get(value)
-                if ref is not None:
-                    buf += ref
-                else:
-                    self._define(buf, value)
-            elif kind is int and 0 <= value < _SMALL:
-                buf += int_cache[value]
-            elif kind is tuple or kind is frozenset:
-                try:
-                    ref = crefs_get(value)
-                except TypeError:
-                    ref = None
-                if ref is not None:
-                    buf += ref
-                else:
-                    encode(buf, value)
-            else:
+            if key != "type":
                 encode(buf, value)
         chain = event.provenance
         if chain is None:
@@ -366,6 +510,82 @@ class BinaryEncoder:
         else:
             buf.append(1)
             self._provenance(buf, chain)
+
+    def _records(self, buf: bytearray, members: List[Any]) -> None:
+        """The body of a ``LIST`` that holds events: its record count,
+        then a ``ROWS`` record per stretch of :data:`ROWS_MIN` or more
+        (split at :data:`ROWS_MAX`) and every other member as itself."""
+        records: List[Tuple[Any, Any]] = []
+        for keys, stretch in _stretches(members):
+            if keys is None or len(stretch) < ROWS_MIN:
+                records += zip(repeat(None), stretch)
+            else:
+                records += [
+                    (keys, stretch[start:start + ROWS_MAX])
+                    for start in range(0, len(stretch), ROWS_MAX)
+                ]
+        _varint(buf, len(records))
+        for keys, record in records:
+            if keys is None:
+                self._value(buf, record)
+            else:
+                self._rows(buf, record, keys)
+
+    def _rows(
+        self, buf: bytearray, events: List[Event], keys: Tuple[Any, ...]
+    ) -> None:
+        """One ``ROWS`` record: *events* share an event type, the key
+        schema *keys* and ``provenance is None``."""
+        buf.append(T_ROWS)
+        self._value(buf, events[0]._event_type.name)
+        self._value(buf, keys)
+        _varint(buf, len(events))
+        columns = zip(*map(_get_values, map(_get_params, events)))
+        for key, column in zip(keys, columns):
+            if key != "type":
+                self._column(buf, column)
+
+    def _column(self, buf: bytearray, column: Tuple[Any, ...]) -> None:
+        first = column[0]
+        kinds = set(map(type, column))
+        if column.count(first) == len(column):
+            if _exactly(column, kinds, [first], repeat(0)):
+                buf.append(C_CONST)
+                self._value(buf, first)
+                return
+        elif kinds == {int}:
+            code = _int_code(min(column), max(column))
+            if code is not None:
+                buf.append(C_INT)
+                self._array(buf, _INT_CODES, code, column)
+                return
+        else:
+            try:
+                distinct = list(dict.fromkeys(column))
+            except TypeError:  # an unhashable value
+                distinct = column
+            if len(distinct) < len(column):
+                ids = list(map(dict(zip(distinct, count())).__getitem__, column))
+                if _exactly(column, kinds, distinct, ids):
+                    buf.append(C_DICT)
+                    _varint(buf, len(distinct))
+                    for value in distinct:
+                        self._value(buf, value)
+                    self._array(buf, _ID_CODES, int(len(distinct) > 256), ids)
+                    return
+        buf.append(C_VALUES)
+        encode = self._value
+        for value in column:
+            encode(buf, value)
+
+    def _array(
+        self, buf: bytearray, codes: str, code: int, items: Iterable[int]
+    ) -> None:
+        packed = array(codes[code], items)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        buf.append(code)
+        buf += packed
 
     def _provenance(self, buf: bytearray, node: ProvenanceNode) -> None:
         encode = self._value
@@ -481,8 +701,6 @@ class BinaryDecoder:
             if tag == T_INT:
                 return (n >> 1) ^ -(n & 1), pos
             return self._compounds[n], pos
-        # Events come next: an ``events`` frame is mostly a list of
-        # them, and each list member dispatches through here.
         if tag == T_EVENT:
             return self._event(data, pos)
         if tag == T_DEF or tag == T_STR:
@@ -508,11 +726,7 @@ class BinaryDecoder:
             return _unpack_d(data, pos)[0], pos + 8
         if tag == T_TUPLE or tag == T_FSET:
             n, pos = self._varint(data, pos)
-            out: List[Any] = []
-            decode = self._value
-            for __ in range(n):
-                member, pos = decode(data, pos)
-                out.append(member)
+            out, pos = self._values(data, pos, n)
             return (
                 tuple(out) if tag == T_TUPLE else frozenset(out)
             ), pos
@@ -529,21 +743,20 @@ class BinaryDecoder:
             n, pos = self._varint(data, pos)
             items: List[Any] = []
             decode = self._value
-            event = self._event
-            append = items.append
             for __ in range(n):
-                # A wave's ``events`` list is the hot list shape: skip
-                # the generic dispatch frame for its members.
-                if data[pos] == T_EVENT:
-                    member, pos = event(data, pos + 1)
+                # A ``ROWS`` record is a list member that is many items.
+                if data[pos] == T_ROWS:
+                    pos = self._rows(data, pos + 1, items)
                 else:
                     member, pos = decode(data, pos)
-                append(member)
+                    items.append(member)
             return items, pos
         if tag == T_PROV:
             return self._provenance(data, pos)
         if tag == T_SELF:
             raise WireError("self-contained tag inside a frame payload")
+        if tag == T_ROWS:
+            raise WireError("event run outside a list")
         raise WireError(f"unknown binary value tag {tag}")
 
     def _varint(self, data: Any, pos: int) -> Tuple[int, int]:
@@ -561,86 +774,98 @@ class BinaryDecoder:
                 return n, pos
             shift += 7
 
-    def _event(self, data: Any, pos: int) -> Tuple[Event, int]:
-        strings = self._strings
-        compounds = self._compounds
+    def _values(self, data: Any, pos: int, n: int) -> Tuple[List[Any], int]:
+        out: List[Any] = []
         decode = self._value
-        # Type name: nearly always a single-byte REF.
-        tag = data[pos]
-        if tag == T_REF:
-            b = data[pos + 1]
-            if b < 0x80:
-                name = strings[b]
-                pos += 2
-            else:
-                name, pos = decode(data, pos)
-        else:
-            name, pos = decode(data, pos)
+        for __ in range(n):
+            value, pos = decode(data, pos)
+            out.append(value)
+        return out, pos
+
+    def _head(self, data: Any, pos: int) -> Tuple[Any, Tuple[Any, ...], int]:
+        """What ``EVENT`` and ``ROWS`` both open with: the event type
+        (resolved from its name, once per decoder) and the key schema."""
+        name, pos = self._value(data, pos)
         event_type = self._types.get(name)
         if event_type is None:
             event_type = self._types[name] = resolve_event_type(name)
-        # Key schema: nearly always a single-byte CREF.
-        tag = data[pos]
-        if tag == T_CREF:
-            b = data[pos + 1]
-            if b < 0x80:
-                keys = compounds[b]
-                pos += 2
-            else:
-                keys, pos = decode(data, pos)
-        else:
-            keys, pos = decode(data, pos)
+        keys, pos = self._value(data, pos)
         if type(keys) is not tuple:
             raise WireError("event key schema is not a tuple")
+        return event_type, keys, pos
+
+    def _event(self, data: Any, pos: int) -> Tuple[Event, int]:
+        decode = self._value
+        event_type, keys, pos = self._head(data, pos)
         params: Dict[str, Any] = {}
         for key in keys:
-            if key == "type":
-                continue
-            tag = data[pos]
-            if tag == T_REF:
-                b = data[pos + 1]
-                if b < 0x80:
-                    value: Any = strings[b]
-                    pos += 2
-                else:
-                    value, pos = decode(data, pos)
-            elif tag == T_INT:
-                b = data[pos + 1]
-                if b < 0x80:
-                    value = (b >> 1) ^ -(b & 1)
-                    pos += 2
-                else:
-                    b2 = data[pos + 2]
-                    if b2 < 0x80:
-                        n = (b & 0x7F) | (b2 << 7)
-                        value = (n >> 1) ^ -(n & 1)
-                        pos += 3
-                    else:
-                        value, pos = decode(data, pos)
-            elif tag == T_CREF:
-                b = data[pos + 1]
-                if b < 0x80:
-                    value = compounds[b]
-                    pos += 2
-                else:
-                    value, pos = decode(data, pos)
-            else:
-                value, pos = decode(data, pos)
-            params[key] = value
-        # Inlined ``Event.trusted``: the decoder owns *params* and knows
-        # ``"type"`` was skipped on encode, so the setdefault is a plain
-        # store and the classmethod dispatch is skipped entirely.
-        params["type"] = event_type.name
-        event = _new_event(Event)
-        event._event_type = event_type
-        event._params = MappingProxyType(params)
-        event.provenance = None
+            if key != "type":
+                params[key], pos = decode(data, pos)
+        # ``type`` was skipped on encode; ``trusted`` puts it back, last.
+        event = Event.trusted(event_type, params)
         flag = data[pos]
         pos += 1
         if flag:
-            chain, pos = self._provenance(data, pos)
-            event.provenance = chain
+            event.provenance, pos = self._provenance(data, pos)
         return event, pos
+
+    def _rows(self, data: Any, pos: int, out: List[Any]) -> int:
+        """Decode the ``ROWS`` record at *pos*, appending its events to
+        *out*; the position after it."""
+        event_type, keys, pos = self._head(data, pos)
+        n, pos = self._varint(data, pos)
+        if n > ROWS_MAX:
+            raise WireError(f"event run of {n} rows exceeds {ROWS_MAX}")
+        names = [key for key in keys if key != "type"]
+        columns: List[Iterable[Any]] = []
+        for __ in names:
+            kind = data[pos]
+            pos += 1
+            if kind == C_CONST:
+                value, pos = self._value(data, pos)
+                columns.append(repeat(value, n))
+            elif kind == C_INT:
+                column, pos = self._array(data, pos, n, _INT_CODES)
+                columns.append(column)
+            elif kind == C_DICT:
+                size, pos = self._varint(data, pos)
+                table, pos = self._values(data, pos, size)
+                ids, pos = self._array(data, pos, n, _ID_CODES)
+                columns.append(map(table.__getitem__, ids))
+            elif kind == C_VALUES:
+                column, pos = self._values(data, pos, n)
+                columns.append(column)
+            else:
+                raise WireError(f"unknown event run column kind {kind}")
+        # ``type`` goes last, as ``_event`` puts it.
+        names.append("type")
+        columns.append(repeat(event_type.name, n))
+        append = out.append
+        for params in map(dict, map(zip, repeat(names), zip(*columns))):
+            # ``Event.trusted``, inlined: the one per-event step left.
+            event = _new_event(Event)
+            event._event_type = event_type
+            event._params = MappingProxyType(params)
+            event.provenance = None
+            append(event)
+        return pos
+
+    def _array(
+        self, data: Any, pos: int, n: int, codes: str
+    ) -> Tuple[Any, int]:
+        """*n* fixed-width little-endian items led by their width code."""
+        code = data[pos]
+        if code >= len(codes):
+            raise WireError(f"unknown event run width code {code}")
+        items = array(codes[code])
+        pos += 1
+        end = pos + n * items.itemsize
+        if end > len(data):
+            raise WireError("binary frame truncated inside an event run column")
+        items.frombytes(data[pos:end])
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return items, end
 
     def _provenance(self, data: Any, pos: int) -> Tuple[ProvenanceNode, int]:
         decode = self._value

@@ -159,9 +159,7 @@ def worker_main(
                         unacked += 1
                     try:
                         host.ingest(
-                            list(frame["events"]),
-                            extract_trace(frame),
-                            seq=seq,
+                            frame["events"], extract_trace(frame), seq=seq
                         )
                     finally:
                         # The frame consumed a credit even if ingest

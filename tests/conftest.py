@@ -20,7 +20,7 @@ from repro.workloads.taskforce import TaskForceApplication
 # ``--hypothesis-profile=soak`` (nightly.yml): long, derandomized runs of
 # the properties that read the loaded profile instead of pinning
 # ``max_examples`` — the journal crash-point property and the codec's
-# self-contained/stream-interned interleaving property.
+# self-contained/stream-interned interleaving and event-run properties.
 settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None
 )

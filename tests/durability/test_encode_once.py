@@ -1,11 +1,13 @@
 """Encode once: a journaled frame's bytes are the pipe's bytes (DESIGN note 20).
 
-Count pins on a supervised federation (one ``BinaryEncoder._event`` per
-ingested event on the facade; the bytes appended to ``journal.log`` are
-the bytes queued on the channel), the journal an earlier build left
-behind — stream-interned frames, self-contained ones after them — read,
-reopened, compacted and replayed into a respawned worker, and what
-``repro journal`` says about such a file.
+Count pins on a supervised federation (every ingested event passes one
+of the encoder's two event doors — ``_rows`` for a run, ``_event`` for a
+row — exactly once on the facade; the bytes appended to ``journal.log``
+are the bytes queued on the channel), the journal an earlier build left
+behind — row-wise ``EVENT`` records, stream-interned frames first and
+self-contained ones after them — read, reopened, compacted and replayed
+into a respawned worker, and what ``repro journal`` says about such a
+file.
 """
 
 import json
@@ -24,6 +26,7 @@ from repro.durability.log import (
 from repro.errors import WireError
 from repro.parallel import ShardSpec, ShardedFederation
 from repro.parallel.codec import (
+    ROWS_MIN,
     T_SELF,
     BinaryEncoder,
     encode_standalone,
@@ -31,7 +34,12 @@ from repro.parallel.codec import (
 )
 from repro.parallel.mux import MuxChannel
 
-from tests.parallel.test_codec import DEEP_PAYLOADS
+from tests.parallel.test_codec import (
+    DEEP_PAYLOADS,
+    HOSTILE_RUNS,
+    RowwiseEncoder,
+    rowwise_standalone,
+)
 from tests.durability.test_frame_log import rendered
 from tests.durability.test_journal_writers import (
     decode_each_record_alone,
@@ -50,15 +58,20 @@ needs_fork = pytest.mark.skipif(
     reason="the process backend requires the fork start method",
 )
 
-def write_stream_interned(path, frames):
-    """*frames* as the parent build journaled them: one encoder along
-    the whole file, tables shared from frame to frame.  Written in place
-    (same inode), so a live ``FrameLog`` keeps appending after it."""
-    encoder = BinaryEncoder()
+def write_as_earlier_builds(path, frames, interned=None):
+    """*frames* as earlier builds journaled them, events row by row: the
+    first *interned* of them (default: half) under one encoder along the
+    file, tables shared from frame to frame; the rest self-contained, as
+    the parent build appended to such a file.  Written in place (same
+    inode), so a live ``FrameLog`` keeps appending after it."""
+    interned = len(frames) // 2 if interned is None else interned
+    encoder = RowwiseEncoder()
     with open(path, "wb") as stream:
         stream.write(JOURNAL_MAGIC)
-        for frame in frames:
+        for frame in frames[:interned]:
             stream.write(encoder.encode_frame(frame))
+        for frame in frames[interned:]:
+            stream.write(rowwise_standalone(frame))
 
 
 @needs_fork
@@ -72,16 +85,20 @@ class TestOneEncodePerJournaledFrame:
             process_schema_id=workload.config.process_schema_id,
             text=workload.specification_text(0).replace("AS_TF", "AS_XX"),
         )
-        encoded_events = []
-        real_event = BinaryEncoder._event
-        monkeypatch.setattr(
-            BinaryEncoder,
-            "_event",
-            lambda self, buf, event: (
-                encoded_events.append(1),
-                real_event(self, buf, event),
-            )[1],
-        )
+        # The encoder's two doors for an event: a row, or a run's rows.
+        as_rows, in_runs = [], []
+        real_event, real_rows = BinaryEncoder._event, BinaryEncoder._rows
+
+        def counted_event(self, buf, event):
+            as_rows.append(event)
+            return real_event(self, buf, event)
+
+        def counted_rows(self, buf, events, keys):
+            in_runs.extend(events)
+            return real_rows(self, buf, events, keys)
+
+        monkeypatch.setattr(BinaryEncoder, "_event", counted_event)
+        monkeypatch.setattr(BinaryEncoder, "_rows", counted_rows)
         appended, queued = {}, {}
         real_append = FrameLog.append_encoded
         real_queue = MuxChannel.queue_encoded
@@ -129,15 +146,20 @@ class TestOneEncodePerJournaledFrame:
                 kinds = {f["kind"] for f in load_journal(shard.journal.path).frames}
                 assert kinds == {"events", "deploy", "undeploy"}
         assert len(merged) == workload.expected_notifications()
-        # The pin: one encode per ingested event on the facade (the
-        # parent encoded each twice, once for the journal, once for the
-        # pipe).  The workers' encoders live in other processes.
-        assert len(encoded_events) == ingested > 0
+        # The pin: one encode per ingested event on the facade, whichever
+        # door it took (encoding a frame twice, once for the journal and
+        # once for the pipe, reads 2x here).  The workers' encoders live
+        # in other processes.
+        assert len(as_rows) + len(in_runs) == ingested > 0
+        assert len({id(event) for event in as_rows + in_runs}) == ingested
+        # Waves of ``batch_size`` events are uniform: they travel as runs.
+        assert len(in_runs) > len(as_rows)
 
 
 @needs_fork
 class TestJournalOfAnEarlierBuild:
-    """First half stream-interned, tail self-contained: one reader."""
+    """Row-wise frames, stream-interned then self-contained, and this
+    build's runs after them: one reader."""
 
     def test_recovery_replays_a_mixed_journal_exactly(self, tmp_path):
         workload = small_workload(seed=59)
@@ -147,12 +169,14 @@ class TestJournalOfAnEarlierBuild:
         with ShardedFederation(workload.blueprint(), config) as federation:
             federation.ingest(events[:cut])
             federation.drain()
+            earlier = {}
             for shard in federation.shards:
-                # What the parent build would have left on disk so far.
+                # What earlier builds would have left on disk so far.
                 shard.journal.sync()
                 old = load_journal(shard.journal.path).frames
-                assert len(old) > 1
-                write_stream_interned(shard.journal.path, old)
+                assert len(old) > 2
+                write_as_earlier_builds(shard.journal.path, old)
+                earlier[shard.shard_id] = len(old)
             federation.ingest(events[cut : cut + cut // 2])
             federation.drain()
             shard = federation.shards[0]
@@ -160,6 +184,13 @@ class TestJournalOfAnEarlierBuild:
             mixed = load_journal(shard.journal.path)
             assert 0 < mixed.self_contained < len(mixed.frames)
             assert not mixed.torn
+            # The appends since are this build's: whole waves as runs.
+            fresh = mixed.frames[earlier[shard.shard_id]:]
+            assert any(len(f.get("events", ())) >= ROWS_MIN for f in fresh)
+            with open(shard.journal.path, "rb") as stream:
+                assert stream.read().endswith(
+                    b"".join(map(encode_standalone, fresh))
+                )
             kill_worker(shard)  # replay: tail(0) over the mixed file
             federation.ingest(events[cut + cut // 2 :])
             federation.drain()
@@ -189,10 +220,9 @@ class TestJournalOfAnEarlierBuild:
         path = str(tmp_path / "journal.log")
         batch = event_batch(8)
         frames = [dict(events_frame(batch), seq=seq) for seq in range(5)]
-        write_stream_interned(path, frames[:3])
+        write_as_earlier_builds(path, frames[:4], interned=3)
         with open(path, "ab") as stream:
-            for frame in frames[3:]:
-                stream.write(encode_standalone(frame))
+            stream.write(encode_standalone(frames[4]))
         assert main(["journal", path, "--json"]) == 0
         (report,) = json.loads(capsys.readouterr().out)["journals"]
         assert (report["codec"], report["frames"]) == ("binary", 5)
@@ -208,10 +238,26 @@ class TestJournalOfAnEarlierBuild:
         assert (report["frames"], report["base"]) == (4, 1)
         # The control frame is a record too.
         assert (report["self_contained"], report["stream_interned"]) == (5, 0)
+        # One way, as every upgrade so far: what the rewrite leaves is
+        # this build's encoding of each frame, runs included.
+        with open(path, "rb") as stream:
+            assert stream.read() == JOURNAL_MAGIC + b"".join(
+                map(
+                    encode_standalone,
+                    [{"kind": CONTROL_COMPACTED, "base": 1}] + frames[1:],
+                )
+            )
 
 
 class TestHostileJournalBytes:
     def test_nesting_beyond_the_stack_is_the_torn_point(self, tmp_path):
+        self.torn_at(tmp_path, DEEP_PAYLOADS[0])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_RUNS))
+    def test_a_corrupt_event_run_is_the_torn_point(self, tmp_path, name):
+        self.torn_at(tmp_path, HOSTILE_RUNS[name])
+
+    def torn_at(self, tmp_path, hostile):
         path = str(tmp_path / "journal.log")
         frames = [{"kind": "events", "n": index} for index in range(3)]
         with FrameLog(path) as log:
@@ -219,7 +265,7 @@ class TestHostileJournalBytes:
                 log.append(frame)
         for lead in (b"", bytes((T_SELF,))):
             with open(path, "ab") as stream:
-                payload = lead + DEEP_PAYLOADS[0]
+                payload = lead + hostile
                 stream.write(len(payload).to_bytes(4, "big") + payload)
                 stream.write(encode_standalone({"kind": "events", "n": 99}))
             loaded = load_journal(path)

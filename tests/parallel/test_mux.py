@@ -23,7 +23,7 @@ from repro.parallel.mux import (
 )
 from repro.parallel.wire import ACKED_KEY, SEQ_KEY, ack_frame
 
-from tests.parallel.test_codec import DEEP_PAYLOADS
+from tests.parallel.test_codec import DEEP_PAYLOADS, HOSTILE_RUNS
 
 
 class FakeWorker:
@@ -185,6 +185,18 @@ class TestMuxChannel:
         assert len(worker.channel.inbox) == 1
         assert "receive failed" in worker.channel.dead
         assert "RecursionError" in worker.channel.dead
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_RUNS))
+    def test_a_corrupt_event_run_fails_the_channel_not_the_facade(
+        self, worker, name
+    ):
+        payload = HOSTILE_RUNS[name]
+        worker.respond({"kind": "stats", "stats": {}})
+        worker.respond_raw(len(payload).to_bytes(4, "big") + payload)
+        worker.respond({"kind": "stats", "stats": {}})
+        worker.channel.pump_reads()  # returns: nothing but WireError inside
+        assert len(worker.channel.inbox) == 1
+        assert "receive failed" in worker.channel.dead
 
     def test_queue_encoded_forwards_the_bytes_it_is_given(self, worker):
         channel = worker.channel
