@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from . import EnactmentSystem, Participant
 from .errors import ReproError
+from .events.event import Event
+from .observability.provenance import ProvenanceNode
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -514,6 +516,36 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     return 0
 
 
+def _displayable(value: Any) -> Any:
+    """A decoded journal value as plain JSON for ``repro journal --dump``.
+
+    Display only, owing no round trip: events become their type name
+    and parameters (plus provenance), tuples lists, frozensets lists in
+    ``repr`` order, non-string mapping keys their ``repr``.
+    """
+    if isinstance(value, Event):
+        params = {k: v for k, v in value.params.items() if k != "type"}
+        shown = {"type": value.type_name, "params": _displayable(params)}
+        if value.provenance is not None:
+            shown["provenance"] = _displayable(value.provenance)
+        return shown
+    if isinstance(value, ProvenanceNode):
+        return {
+            name: _displayable(getattr(value, name))
+            for name in ProvenanceNode.__slots__
+        }
+    if isinstance(value, dict):
+        return {
+            key if isinstance(key, str) else repr(key): _displayable(member)
+            for key, member in value.items()
+        }
+    if isinstance(value, frozenset):
+        value = sorted(value, key=repr)
+    if isinstance(value, (list, tuple)):
+        return [_displayable(member) for member in value]
+    return value
+
+
 def _cmd_journal(args: argparse.Namespace) -> int:
     import json
     import os
@@ -522,7 +554,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     from .durability.snapshot import ShardSnapshot
     from .durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
     from .metrics.report import render_table
-    from .parallel.codec import frame_to_jsonable
 
     targets: List[tuple] = []
     if os.path.isfile(args.dir):
@@ -555,8 +586,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     reports = []
     for name, journal_path, snapshot_path in targets:
         # One decoding pass per file; everything below reads from it.
-        # The codec column keeps a journal from before the binary codec
-        # ("json") visible until a federation or --compact upgrades it.
         loaded = load_journal(journal_path)
         base = loaded.base
         payload_frames = len(loaded.payload)
@@ -566,16 +595,13 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             kind = str(frame.get("kind"))
             kinds[kind] = kinds.get(kind, 0) + 1
             if args.dump:
-                # frame_to_jsonable renders raw events as their wire
-                # dicts, so journals of both eras print identically.
-                frame_dump.append(frame_to_jsonable(frame))
+                frame_dump.append(_displayable(frame))
         snapshot = None
         if snapshot_path is not None and os.path.exists(snapshot_path):
             snapshot = ShardSnapshot.load(snapshot_path)
         report = {
             "name": name,
             "path": journal_path,
-            "codec": loaded.codec,
             "frames": payload_frames,
             "base": base,
             "next_index": base + payload_frames,
@@ -585,11 +611,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             # binary file no FrameLog has opened since an earlier build
             # wrote it still holds stream-interned frames.
             "self_contained": loaded.self_contained,
-            "stream_interned": (
-                len(loaded.frames) - loaded.self_contained
-                if loaded.codec == "binary"
-                else 0
-            ),
+            "stream_interned": len(loaded.frames) - loaded.self_contained,
             "kinds": kinds,
             "snapshot_frame": (
                 snapshot.frame_index if snapshot is not None else None
@@ -616,12 +638,11 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         return 0
     print(
         render_table(
-            ("journal", "codec", "frames", "self-cont.", "interned", "base",
-             "bytes", "torn", "snapshot@"),
+            ("journal", "frames", "self-cont.", "interned", "base", "bytes",
+             "torn", "snapshot@"),
             [
                 (
                     report["name"],
-                    report["codec"],
                     report["frames"],
                     report["self_contained"],
                     report["stream_interned"],
@@ -1117,14 +1138,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact",
         action="store_true",
         help="drop journal frames the shard's snapshot already covers; "
-        "the rewrite is always binary, so compacting a journal from "
-        "before the binary codec (codec column 'json') upgrades it",
+        "it upgrades nothing (a journal or snapshot from before the "
+        "binary codec is refused)",
     )
     journal.add_argument(
         "--dump",
         action="store_true",
-        help="print every payload frame as JSON (raw events render as "
-        "their wire dicts)",
+        help="print every payload frame as JSON for reading (events "
+        "render as type and parameters, tuples and frozensets as lists)",
     )
     journal.add_argument(
         "--json",

@@ -10,13 +10,15 @@ record's bytes are a valid pipe frame: the supervisor encodes a frame
 once and hands the same bytes to :meth:`FrameLog.append_encoded` and to
 the worker's channel.  That is the only format this module *writes*.
 
-It still *reads* two older ones through the same :func:`load_journal`
-pass, and opening such a file as a :class:`FrameLog` upgrades it once,
+It still *reads* one older one through the same :func:`load_journal`
+pass, and opening such a file as a :class:`FrameLog` rewrites it once,
 atomically: binary journals an earlier build wrote *stream-interned*
-(tables shared along the file; ``repro journal`` counts both kinds), and
-the format from before the binary codec (4-byte length prefix + UTF-8
-JSON of :mod:`repro.parallel.wire`, no header, event frames holding wire
-dicts; told apart by the first bytes, see :data:`JOURNAL_MAGIC`).
+(tables shared along the file; ``repro journal`` counts both kinds).
+The format from before the binary codec (4-byte length prefix + UTF-8
+JSON, no header) is *refused* with a :class:`DurabilityError` naming the
+file and :data:`LAST_JSON_ERA_BUILD`, the last build that reads it
+(DESIGN note 22): a file that does not start with :data:`JOURNAL_MAGIC`
+is never read as anything else.
 
 A journal file has exactly two writers (DESIGN notes 19, 20) and neither
 owns tables: *append*, and :func:`_write_journal`, which atomically
@@ -47,50 +49,47 @@ next frame starts clean (the standard WAL repair rule).
 from __future__ import annotations
 
 import os
-from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple
 
 from ..errors import DurabilityError, WireError
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..parallel.codec import BinaryFrameReader, encode_standalone
-from ..parallel.wire import event_from_wire, read_frame
 
 #: Frame kind of the compaction control frame (never replayed).
 CONTROL_COMPACTED = "compacted"
 
 #: First bytes of a binary journal file.  The leading ``0xC3`` byte is
-#: deliberate: read as a JSON frame's length prefix it decodes to ~3.2
-#: GB — far beyond ``MAX_FRAME_BYTES`` — so a JSON reader fails fast
-#: instead of misparsing, and auto-detection is unambiguous.
+#: deliberate: read as a JSON-era frame's length prefix it decodes to
+#: ~3.2 GB, so no reader of either era could mistake one for the other.
 JOURNAL_MAGIC = b"\xc3RJ1"
 
+#: The last commit whose build reads the JSON-era formats (journals
+#: without :data:`JOURNAL_MAGIC`, version-1 JSON snapshots).  A
+#: federation of that build opened on a durable directory rewrites its
+#: journals in the binary format; a version-1 snapshot is replaced by
+#: the next snapshot its shard takes under this build.
+LAST_JSON_ERA_BUILD = "7c7dc71"
 
-def detect_codec(path: str) -> Optional[str]:
-    """The codec of the journal at *path*; ``None`` if missing/empty."""
-    try:
-        with open(path, "rb") as stream:
-            head = stream.read(len(JOURNAL_MAGIC))
-    except FileNotFoundError:
-        return None
-    if not head:
-        return None
-    return "binary" if head == JOURNAL_MAGIC else "json"
+
+def json_era_refusal(path: str, what: str) -> DurabilityError:
+    """The one-way refusal of a file written in a JSON-era format."""
+    return DurabilityError(
+        f"{path!r} is {what}; this build reads only the binary codec — "
+        f"the last build that reads it is commit {LAST_JSON_ERA_BUILD}"
+    )
 
 
 class LoadedJournal(NamedTuple):
     """One decoding pass over a journal file."""
 
-    #: ``"binary"``, or ``"json"`` for a file no :class:`FrameLog` has
-    #: opened since the binary codec exists.
-    codec: str
     #: Every complete frame physically present, a leading control frame
-    #: included; JSON-era event frames still hold their wire dicts.
+    #: included.
     frames: List[Dict[str, Any]]
     #: Bytes beyond the last complete frame exist but form no whole
     #: frame (a crash mid-append).
     torn: bool
-    #: How many of ``frames`` are self-contained records; the rest of a
-    #: binary file is stream-interned, written by an earlier build.
+    #: How many of ``frames`` are self-contained records; the rest were
+    #: written stream-interned by an earlier build.
     self_contained: int
 
     def _compacted(self) -> bool:
@@ -109,55 +108,40 @@ class LoadedJournal(NamedTuple):
         absolute index ``base + i``."""
         return self.frames[1:] if self._compacted() else self.frames
 
-    def as_binary(self, frames: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Some of this journal's *frames* as a binary journal holds them.
-
-        Only the ``events`` frames of a JSON-era file differ: that
-        framing carried ``event_to_wire`` dicts where the codec carries
-        the events themselves.  Every other frame passes through.
-        """
-        if self.codec != "json":
-            return frames
-        upgraded = []
-        for frame in frames:
-            if frame.get("kind") == "events":
-                wire_events = frame.get("events") or []
-                events = [event_from_wire(data) for data in wire_events]
-                frame = dict(frame, events=events)
-            upgraded.append(frame)
-        return upgraded
-
 
 def load_journal(path: str) -> LoadedJournal:
-    """Read a whole journal, whichever era wrote it (torn tail ignored).
+    """Read a whole journal (torn tail ignored).
 
-    Binary frames decode in file order against one reader (an earlier
-    build's stream-interned frames share tables along the file).  Either
-    reader answers ``None`` at a clean end of file and raises
+    Frames decode in file order against one reader (an earlier build's
+    stream-interned frames share tables along the file).  The reader
+    answers ``None`` at a clean end of file and raises
     :class:`WireError` at anything that is not a whole frame — a partial
     header, a length prefix beyond ``MAX_FRAME_BYTES``, a partial or
     undecodable payload — which is where a torn file stops being read.
+    A file that does not start with :data:`JOURNAL_MAGIC` is refused,
+    unless it stops inside it (a writer killed while creating the file).
     """
     frames: List[Dict[str, Any]] = []
-    torn = False
-    read: Callable[[], Optional[Dict[str, Any]]]
     with open(path, "rb") as stream:
-        binary = stream.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
+        head = stream.read(len(JOURNAL_MAGIC))
+        torn = 0 < len(head) < len(JOURNAL_MAGIC)
+        if head != JOURNAL_MAGIC[: len(head)]:
+            raise json_era_refusal(
+                path,
+                f"no binary journal (header {head!r}, expected "
+                f"{JOURNAL_MAGIC!r}): a JSON-era journal is refused",
+            )
         reader = BinaryFrameReader(stream)
-        read = reader.read if binary else partial(read_frame, stream)
-        if not binary:
-            stream.seek(0)
         while True:
             try:
-                frame = read()
+                frame = reader.read()
             except WireError:
                 torn = True
                 break
             if frame is None:
                 break
             frames.append(frame)
-    codec = "binary" if binary else "json"
-    return LoadedJournal(codec, frames, torn, reader.decoder.standalone_frames)
+    return LoadedJournal(frames, torn, reader.decoder.standalone_frames)
 
 
 def _write_journal(path: str, frames: List[Dict[str, Any]]) -> None:
@@ -206,18 +190,13 @@ def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
     """Offline :meth:`FrameLog.compact` of an already loaded file.
 
     No second read: ``repro journal --compact`` reports from, and
-    compacts, one :func:`load_journal` pass.  The rewrite is binary, so a
-    JSON-era journal comes out upgraded (and a torn tail dropped).
-    Returns the surviving payload frame count.
+    compacts, one :func:`load_journal` pass (a torn tail is dropped with
+    the rewrite).  Returns the surviving payload frame count.
     """
     base, payload = journal.base, journal.payload
     end = base + len(payload)
     _compact(
-        path,
-        base,
-        end,
-        keep_from,
-        lambda start: journal.as_binary(payload[start - base:]),
+        path, base, end, keep_from, lambda start: payload[start - base:]
     )
     return end - max(base, keep_from)
 
@@ -251,23 +230,13 @@ class FrameLog:
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
             # Whatever the previous writer left — a clean file, a torn
-            # tail, stream-interned frames, the JSON framing — is read
-            # once and written back whole, every record self-contained.
+            # tail, stream-interned frames — is read once and written
+            # back whole, every record self-contained.
             journal = load_journal(path)
             self.base = journal.base
             file_frames = len(journal.payload)
-            _write_journal(path, journal.as_binary(journal.frames))
-            if journal.codec == "json":
-                _SLOG.emit(
-                    "durability",
-                    "journal_recoded",
-                    level="warning",
-                    path=path,
-                    frames=file_frames,
-                    from_codec="json",
-                    to_codec="binary",
-                )
-            elif journal.torn:
+            _write_journal(path, journal.frames)
+            if journal.torn:
                 _SLOG.emit(
                     "durability",
                     "journal_tail_truncated",

@@ -1,55 +1,40 @@
-"""Snapshot codec for live operator state.
+"""Capture and restore of live operator state.
 
 An operator's run-time state is its partition map (:class:`EventOperator`
-replicates per process instance) plus its consumed/produced counters.
-The partition values are whatever the family's kernel built — ``{"count": n}``
-for Count, ``[bool]`` for Edge, slot→event maps for And, pointer/seen
-dicts for Seq — so the codec must express arbitrary compositions of JSON
-scalars, lists, tuples, frozensets, non-string-keyed mappings, and held
-:class:`~repro.events.event.Event` objects (correlation operators keep
-the constituent events of a pending composition).
+replicates per process instance, the paper's §5.1.2 operator replicas)
+plus its consumed/produced counters.  The partition values are whatever
+the family's kernel built — ``{"count": n}`` for Count, ``[bool]`` for
+Edge, ``{slot: value}`` for Compare2, ``{slot: event}`` for And,
+``{"pointer": i, "seen": [event, ...]}`` for Seq — and a capture carries
+them raw: every one is a value the binary codec of
+:mod:`repro.parallel.codec` already moves type for type (held events
+with their provenance chains, ``int`` keys, tuples, frozensets), over
+the worker pipe and into the snapshot file alike.
 
-That is the tagged JSON of :mod:`repro.parallel.wire` — the one codec
-for values JSON cannot express natively (``$t``, ``$fs``, ``$ev`` for a
-held event with its provenance chain, ``$m`` for a mapping with
-non-string keys).
-
-Anything it cannot express — an open file, a callable, an application
-object — raises :class:`~repro.errors.SnapshotUnsupportedError`; the
-shard then reports "no snapshot" and recovery falls back to full-journal
-replay, which is always correct (the journal covers the shard's whole
-life until its first compaction, and compaction only runs after a
-successful snapshot).
+A capture is not a copy of the values: it must be encoded before the
+host moves on.  A custom family registered through
+:class:`~repro.awareness.operators.registry.OperatorRegistry` can hold
+state the codec cannot express (an open file, a callable); no built-in
+family does.  :meth:`~repro.parallel.host.ShardHost.snapshot_state`
+probes for that and answers ``None``, and recovery falls back to
+full-journal replay, which is always correct (the journal covers the
+shard's whole life until its first compaction, and compaction only runs
+after a successful snapshot).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..awareness.operators.base import EventOperator
-from ..errors import SnapshotUnsupportedError, WireError
-from ..parallel.wire import decode_value, encode_value
-
-
-def encode_state(value: Any) -> Any:
-    """JSON-safe encoding of one piece of operator state."""
-    try:
-        return encode_value(value)
-    except WireError as error:
-        raise SnapshotUnsupportedError(
-            f"operator state is not snapshot-encodable: {error}"
-        ) from None
 
 
 def capture_operator(operator: EventOperator) -> Dict[str, Any]:
-    """One operator's recoverable state as a JSON-safe record."""
+    """One operator's recoverable state: counters and raw partitions."""
     return {
         "consumed": operator.consumed,
         "produced": operator.produced,
-        "partitions": [
-            [encode_state(key), encode_state(state)]
-            for key, state in operator._partitions.items()
-        ],
+        "partitions": dict(operator._partitions),
     }
 
 
@@ -63,25 +48,5 @@ def restore_operator(operator: EventOperator, record: Dict[str, Any]) -> None:
     operator.consumed = int(record["consumed"])
     operator.produced = int(record["produced"])
     operator._partitions.clear()
-    for key, state in record["partitions"]:
-        operator._partitions[decode_value(key)] = decode_value(state)
+    operator._partitions.update(record["partitions"])
 
-
-def capture_operators(
-    operators: List[EventOperator],
-) -> List[Dict[str, Any]]:
-    """Capture an enumerated operator list, preserving order."""
-    return [capture_operator(operator) for operator in operators]
-
-
-def restore_operators(
-    operators: List[EventOperator], records: List[Dict[str, Any]]
-) -> None:
-    if len(operators) != len(records):
-        raise SnapshotUnsupportedError(
-            f"snapshot holds {len(records)} operator states but the "
-            f"rebuilt pipeline enumerates {len(operators)} operators — "
-            f"the blueprint diverged from the snapshot"
-        )
-    for operator, record in zip(operators, records):
-        restore_operator(operator, record)

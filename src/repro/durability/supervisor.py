@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Respawn = Callable[[int, Dict[str, Any]], "ProcessShard"]
 
 JOURNAL_FILENAME = "journal.log"
+#: The name predates the binary snapshot format and is kept so a leftover
+#: version-1 file is met, and refused, by the loader (DESIGN note 22).
 SNAPSHOT_FILENAME = "snapshot.json"
 
 
@@ -104,7 +106,8 @@ class SupervisedShard:
         self._respawn = respawn
         directory = shard_directory(config.durable_dir, self.shard_id)
         # Opening the journal of a reused durable directory rewrites it
-        # once: a torn tail is dropped, older encodings are upgraded.
+        # once (a torn tail is dropped, stream-interned records become
+        # self-contained); a JSON-era journal is refused.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,

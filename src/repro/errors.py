@@ -149,7 +149,8 @@ class DurabilityError(ParallelError):
 
 
 class SnapshotUnsupportedError(DurabilityError):
-    """A live operator holds state the snapshot encoder cannot express."""
+    """A snapshot does not fit the pipeline it is restored into (the
+    blueprint diverged from the one the snapshot was taken under)."""
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ Entry points:
   :class:`~repro.parallel.host.ShardSpec` — the data-only bootstrap;
 * :class:`~repro.parallel.router.ShardRouter` — affinity routing;
 * :mod:`~repro.parallel.codec` — the binary wire codec, the one
-  encoding shard channels and write-ahead journals write
-  (``repro journal --dump`` renders it as JSON for a human).
+  value encoding shard channels, write-ahead journals and snapshots
+  write (``repro journal --dump`` renders it for a human).
 """
 
 from .codec import BinaryDecoder, BinaryEncoder
@@ -33,7 +33,7 @@ from .federation import (
 )
 from .host import FederationBlueprint, RecordingDeliveryQueue, ShardHost, ShardSpec
 from .router import ShardRouter
-from .wire import event_from_wire, event_to_wire, register_event_type
+from .wire import register_event_type
 
 __all__ = [
     "BACKENDS",
@@ -48,7 +48,5 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "ShardedFederation",
-    "event_from_wire",
-    "event_to_wire",
     "register_event_type",
 ]

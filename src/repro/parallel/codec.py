@@ -1,12 +1,11 @@
-"""The binary wire codec: the one serialization of shard pipes and the
-journal.
+"""The binary wire codec: the one value serialization of shard pipes,
+journals and snapshots.
 
 A frame is a 4-byte big-endian length prefix and a compact type-tagged
 binary payload, and the values inside are the *native* objects the
-pipeline speaks: ``Event`` instances, nested tuples, frozensets, and
-provenance node trees cross the channel without the ``event_to_wire`` /
-``encode_value`` tag-dict detour (``$fs`` / ``$t`` / ``$d``) of the JSON
-rendering in :mod:`repro.parallel.wire`.
+pipeline speaks: ``Event`` instances, nested tuples, frozensets,
+mappings with keys of any type, and provenance node trees cross the
+channel as they are, and come back type for type.
 
 **Value encoding.**  Every value is one tag byte followed by its body:
 
@@ -67,7 +66,9 @@ Any decoder accepts it in any table state, its stream tables untouched
 (only the event-type resolution cache is shared), so the same bytes are
 a journal record and a pipe frame.  It pays for its definitions every
 time (≈ +0.3 µs and +3.6 B per event on the seeded stream, EXPERIMENTS
-PERF3), which is why plain shard traffic keeps the stream tables.
+PERF3), which is why plain shard traffic keeps the stream tables.  A
+shard snapshot file is one such frame behind its own header
+(:mod:`repro.durability.snapshot`).
 
 **Event runs.**  A wave's ``events`` list is, on the traffic the paper's
 §7 describes, a hundred-odd events of one type and one key schema, and
@@ -140,7 +141,6 @@ from ..errors import WireError
 from ..events.event import Event
 from ..observability.provenance import ProvenanceNode
 from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
-from .wire import encode_value, event_to_wire, provenance_to_wire
 
 #: Strings longer than this many UTF-8 bytes are not interned (one-off
 #: payload text should not occupy table slots).
@@ -945,29 +945,3 @@ def events_frame(events: List[Event], codec: str = "binary") -> Dict[str, Any]:
         raise WireError(f"unknown wire codec {codec!r}; expected 'binary'")
     return {"kind": "events", "events": list(events)}
 
-
-# ---------------------------------------------------------------------------
-# Debug rendering
-# ---------------------------------------------------------------------------
-
-
-def frame_to_jsonable(value: Any) -> Any:
-    """A decoded frame in the tagged JSON form of :mod:`.wire`.
-
-    ``repro journal --dump`` prints this: raw events become their
-    ``event_to_wire`` form, tuples/frozensets their ``$t``/``$fs``
-    tags — the shape a JSON-era journal holds on disk.
-    """
-    if isinstance(value, Event):
-        return event_to_wire(value, provenance=True)
-    if isinstance(value, dict):
-        return {
-            key: frame_to_jsonable(member) for key, member in value.items()
-        }
-    if isinstance(value, list):
-        return [frame_to_jsonable(member) for member in value]
-    if isinstance(value, (tuple, frozenset)):
-        return encode_value(value)
-    if isinstance(value, ProvenanceNode):
-        return provenance_to_wire(value)
-    return value

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Protocol, Tuple
 
-from ..errors import ParallelError, ShardCrashError
+from ..errors import DurabilityError, ParallelError, ShardCrashError
 from ..events.event import Event
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
@@ -654,15 +654,24 @@ class ShardedFederation:
             if self.config.durable_dir is not None:
                 from ..durability.supervisor import SupervisedShard
 
-                self.shards: List[Shard] = [
-                    SupervisedShard(
-                        worker,
-                        self.config,
-                        blueprint,
-                        self._respawn_worker,
-                    )
-                    for worker in workers
-                ]
+                self.shards: List[Shard] = []
+                try:
+                    for worker in workers:
+                        self.shards.append(
+                            SupervisedShard(
+                                worker,
+                                self.config,
+                                blueprint,
+                                self._respawn_worker,
+                            )
+                        )
+                except DurabilityError:
+                    # A journal this build refuses: reap every worker.
+                    for shard in self.shards:
+                        shard.journal.close()
+                    for worker in workers:
+                        worker.discard()
+                    raise
             else:
                 self.shards = list(workers)
         else:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..awareness.dsl import compile_specification
 from ..core.roles import Participant
-from ..errors import ParallelError, SnapshotUnsupportedError
+from ..errors import ParallelError, SnapshotUnsupportedError, WireError
 from ..events.event import Event
 from ..events.producers import EventProducer
 from ..events.queues import MemoryDeliveryQueue, Notification
@@ -38,6 +38,7 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
 from ..observability.registry import default_registry
 from ..observability.trace import TraceContext, is_recorded
+from .codec import encode_standalone
 
 #: Upper bound on buffered sampled span batches awaiting shipment; the
 #: hot path never blocks on observability — beyond this, batches are
@@ -167,8 +168,8 @@ class ShardHost:
         self._frames: int = 0
         #: Highest event-frame sequence number received (the worker's
         #: cumulative credit ack).  ``None`` until a sequenced frame
-        #: arrives — unsequenced frames (serial shards, legacy JSON
-        #: journals) never participate in the credit window.
+        #: arrives — unsequenced frames (serial shards) never participate
+        #: in the credit window.
         self.last_seq: Optional[int] = None
         self._reported: int = 0
         #: Bus publishes counted by a previous incarnation (snapshot
@@ -407,16 +408,19 @@ class ShardHost:
     def snapshot_state(self) -> Optional[Dict[str, Any]]:
         """The host's recoverable state, or ``None`` if unencodable.
 
-        ``None`` (some live operator holds state the snapshot codec
-        cannot express) is a supported answer: the supervisor keeps the
-        full journal and recovery replays from the beginning, which is
-        always correct — just slower.
+        The operator state is captured raw (it aliases the live
+        partitions until encoded) and probed once through the codec.
+        ``None`` (some live operator of a custom family holds state the
+        codec cannot express) is a supported answer: the supervisor
+        keeps the full journal and recovery replays from the beginning,
+        which is always correct — just slower.
         """
-        from ..durability.state import capture_operators
+        from ..durability.state import capture_operator
 
+        operators = [capture_operator(op) for op in self.live_operators()]
         try:
-            operators = capture_operators(self.live_operators())
-        except SnapshotUnsupportedError:
+            encode_standalone({"operators": operators})
+        except WireError:
             return None
         return {
             "operators": operators,
@@ -444,9 +448,17 @@ class ShardHost:
         the journal tail above the snapshot's frame index is then
         replayed through :meth:`ingest` / :meth:`deploy_spec` as usual.
         """
-        from ..durability.state import restore_operators
+        from ..durability.state import restore_operator
 
-        restore_operators(self.live_operators(), state["operators"])
+        operators, records = self.live_operators(), state["operators"]
+        if len(operators) != len(records):
+            raise SnapshotUnsupportedError(
+                f"snapshot holds {len(records)} operator states but the "
+                f"rebuilt pipeline enumerates {len(operators)} operators — "
+                f"the blueprint diverged from the snapshot"
+            )
+        for operator, record in zip(operators, records):
+            restore_operator(operator, record)
         detectors = list(self._detectors.values())
         recognized = state["recognized"]
         if len(detectors) != len(recognized):

@@ -1,60 +1,30 @@
-"""Wire vocabulary of the sharded execution layer, and its JSON form.
+"""Wire vocabulary of the sharded execution layer.
 
 Workers and the :class:`~repro.parallel.federation.ShardedFederation`
 facade exchange *frames*: a 4-byte big-endian length prefix followed by a
-payload.  Pipes and journals write exactly one payload encoding, the
-binary codec of :mod:`repro.parallel.codec`; this module holds what both
-ends share whatever the bytes — the frame keys (sequence numbers, acks,
-trace contexts), the event-type registry — and the *tagged JSON* form of
-events and values.  JSON is no longer written to any channel; it stays
-where it is the only path for a supported input or a human: journals
-written before the binary codec existed (read by
-:func:`repro.durability.log.load_journal`, upgraded once on open),
-``repro journal --dump``, and the operator-state snapshots of
-:mod:`repro.durability.state`.
-
-In that form events use the canonical self-contained encoding the rest
-of the repository already speaks: the event *type name* plus the flat
-parameter mapping (:mod:`repro.events.canonical` — the type name alone
-recovers the :class:`~repro.events.event.EventType`, including on-demand
-``C[P]`` canonical types), mirroring how
-:mod:`repro.core.serialization` ships process definitions as data.  The
-value shapes JSON cannot express natively are tagged:
-
-* ``frozenset`` (the ``processAssociations`` set of a ``T_context``
-  event) becomes ``{"$fs": [...]}``, members sorted for deterministic
-  bytes;
-* ``tuple`` (association pairs, digest tuples) becomes ``{"$t": [...]}``;
-* an event held as a value (a correlation operator's pending
-  constituent, in a snapshot) becomes ``{"$ev": <wire event>}``, with
-  its provenance chain so a recovered correlation emits byte-identical
-  provenance;
-* a mapping whose keys are not all plain strings (And partitions key
-  slots by ``int``), or that itself contains a ``$``-prefixed key,
-  becomes ``{"$m": [[key, value], ...]}`` so the tags can never be
-  forged by payload data.  (``{"$d": {...}}``, the older wrapping of
-  the ``$``-prefixed case, is still read.)
-
-Recognition provenance is a parallel node tree, so full chains render
-without pickling.
+payload.  Pipes, journals and snapshots write exactly one payload
+encoding, the binary codec of :mod:`repro.parallel.codec`; this module
+holds what every end shares whatever the bytes: the frame keys
+(sequence numbers, acks, trace contexts), the event-type registry that
+turns a type name back into its
+:class:`~repro.events.event.EventType` (including on-demand ``C[P]``
+canonical types, :mod:`repro.events.canonical`), and the exact-read
+helper under every frame reader.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from typing import Any, Dict, IO, List, Mapping, Optional
 
 from ..errors import WireError
 from ..events.canonical import CANONICAL_PREFIX, canonical_type, is_canonical
-from ..events.event import Event, EventType
+from ..events.event import EventType
 from ..events.external import NEWS_EVENT_TYPE
 from ..events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
 )
-from ..observability.provenance import ProvenanceNode
 
 #: Non-canonical event types resolvable by name.  Applications with
 #: custom external event types extend this via :func:`register_event_type`
@@ -93,125 +63,6 @@ def resolve_event_type(type_name: str) -> EventType:
     if event_type is None:
         raise WireError(f"cannot resolve wire event type {type_name!r}")
     return event_type
-
-
-# ---------------------------------------------------------------------------
-# Parameter value encoding
-# ---------------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of one event parameter or operator-state value."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, Event):
-        return {"$ev": event_to_wire(value, provenance=True)}
-    if isinstance(value, frozenset):
-        members = sorted((encode_value(member) for member in value), key=repr)
-        return {"$fs": members}
-    if isinstance(value, tuple):
-        return {"$t": [encode_value(member) for member in value]}
-    if isinstance(value, list):
-        return [encode_value(member) for member in value]
-    if isinstance(value, Mapping):
-        if all(
-            isinstance(key, str) and not key.startswith("$") for key in value
-        ):
-            return {key: encode_value(member) for key, member in value.items()}
-        return {
-            "$m": [
-                [encode_value(key), encode_value(member)]
-                for key, member in value.items()
-            ]
-        }
-    raise WireError(
-        f"value {value!r} ({type(value).__name__}) is not wire-encodable"
-    )
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, list):
-        return [decode_value(member) for member in value]
-    if isinstance(value, dict):
-        if "$fs" in value:
-            return frozenset(decode_value(member) for member in value["$fs"])
-        if "$t" in value:
-            return tuple(decode_value(member) for member in value["$t"])
-        if "$ev" in value:
-            return event_from_wire(value["$ev"])
-        if "$m" in value:
-            return {
-                decode_value(key): decode_value(member)
-                for key, member in value["$m"]
-            }
-        if "$d" in value:  # written before ``$m`` covered ``$`` keys
-            value = value["$d"]
-        return {key: decode_value(member) for key, member in value.items()}
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Events
-# ---------------------------------------------------------------------------
-
-
-def event_to_wire(event: Event, provenance: bool = False) -> Dict[str, Any]:
-    """Encode one event (type name + parameters [+ provenance chain])."""
-    out: Dict[str, Any] = {
-        "type": event.type_name,
-        "params": {
-            key: encode_value(value)
-            for key, value in event._params.items()
-            if key != "type"
-        },
-    }
-    if provenance and event.provenance is not None:
-        out["provenance"] = provenance_to_wire(event.provenance)
-    return out
-
-
-def event_from_wire(data: Mapping[str, Any]) -> Event:
-    """Decode one event; restores frozensets/tuples and the provenance."""
-    event_type = resolve_event_type(data["type"])
-    params = {
-        key: decode_value(value) for key, value in data["params"].items()
-    }
-    event = Event.trusted(event_type, params)
-    chain = data.get("provenance")
-    if chain is not None:
-        event.provenance = provenance_from_wire(chain)
-    return event
-
-
-# ---------------------------------------------------------------------------
-# Provenance chains
-# ---------------------------------------------------------------------------
-
-
-def provenance_to_wire(node: ProvenanceNode) -> Dict[str, Any]:
-    """Encode a provenance node tree (summaries keep their raw shape)."""
-    return {
-        "id": node.event_id,
-        "node": node.node,
-        "kind": node.kind,
-        "type": node.event_type,
-        "t": node.logical_time,
-        "summary": encode_value(node.summary),
-        "in": [provenance_to_wire(child) for child in node.inputs],
-    }
-
-
-def provenance_from_wire(data: Mapping[str, Any]) -> ProvenanceNode:
-    return ProvenanceNode(
-        event_id=data["id"],
-        node=data["node"],
-        kind=data["kind"],
-        event_type=data["type"],
-        logical_time=data["t"],
-        summary=decode_value(data["summary"]),
-        inputs=tuple(provenance_from_wire(child) for child in data["in"]),
-    )
 
 
 #: Key under which an ``events`` frame carries its trace context —
@@ -282,37 +133,12 @@ def strip_trace_sampling(frame: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Framing, and the JSON payload of journals older than the binary codec
+# Framing
 # ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct(">I")
 
 #: Refuse frames above this size — a corrupted length prefix must not
 #: turn into a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-def frame_bytes(message: Mapping[str, Any]) -> bytes:
-    """One length-prefixed JSON frame: the inverse of :func:`read_frame`."""
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(data)) + data
-
-
-def read_frame(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
-    """Read one JSON frame; ``None`` on clean EOF, :class:`WireError`
-    mid-frame (a torn journal tail)."""
-    header = _read_exact(stream, _HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    data = _read_exact(stream, length, allow_eof=False)
-    assert data is not None
-    try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as error:
-        raise WireError(f"malformed frame payload: {error}") from None
 
 
 def _read_exact(

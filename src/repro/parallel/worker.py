@@ -37,9 +37,9 @@ cursor — so the facade's federation views refresh on every read without
 extra round trips, and span/log shipping rides frames that already
 exist;
 * ``{"kind": "snapshot"}`` → ``{"kind": "snapshot", "state": {...}}`` —
-  the host's recoverable state (``state`` is ``null`` when a live
-  operator holds state the snapshot codec cannot express; the
-  supervisor then keeps the full journal instead);
+  the host's recoverable state, raw operator partitions included
+  (``state`` is ``None`` when a live operator holds state the codec
+  cannot express; the supervisor then keeps the full journal instead);
 * ``{"kind": "restore", "state": {...}}`` — load a snapshot payload
   into the freshly booted host (sent once, right after fork, before the
   journal tail is replayed);

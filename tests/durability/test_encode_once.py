@@ -34,13 +34,13 @@ from repro.parallel.codec import (
 )
 from repro.parallel.mux import MuxChannel
 
+from tests.exact import as_decoded, exactly
 from tests.parallel.test_codec import (
     DEEP_PAYLOADS,
     HOSTILE_RUNS,
     RowwiseEncoder,
     rowwise_standalone,
 )
-from tests.durability.test_frame_log import rendered
 from tests.durability.test_journal_writers import (
     decode_each_record_alone,
     event_batch,
@@ -206,12 +206,13 @@ class TestJournalOfAnEarlierBuild:
         # Reopening upgrades it; compaction keeps it upgraded.
         with FrameLog(path) as log:
             assert log.frame_count == len(left.frames)
-            assert rendered(log.tail(0)) == rendered(left.frames)
+            assert exactly(log.tail(0), left.frames)
             assert log.compact(2) == len(left.frames) - 2
         upgraded = load_journal(path)
         assert upgraded.self_contained == len(upgraded.frames)
-        assert decode_each_record_alone(path) == rendered(
-            [{"kind": CONTROL_COMPACTED, "base": 2}] + left.frames[2:]
+        assert exactly(
+            decode_each_record_alone(path),
+            [{"kind": CONTROL_COMPACTED, "base": 2}] + left.frames[2:],
         )
 
     def test_offline_compaction_and_the_cli_see_both_kinds(
@@ -225,13 +226,13 @@ class TestJournalOfAnEarlierBuild:
             stream.write(encode_standalone(frames[4]))
         assert main(["journal", path, "--json"]) == 0
         (report,) = json.loads(capsys.readouterr().out)["journals"]
-        assert (report["codec"], report["frames"]) == ("binary", 5)
+        assert report["frames"] == 5
         assert (report["self_contained"], report["stream_interned"]) == (2, 3)
         assert main(["journal", path]) == 0
         table = capsys.readouterr().out
         assert "self-cont." in table and "interned" in table
         loaded = load_journal(path)
-        assert rendered(loaded.frames) == rendered(frames)
+        assert exactly(loaded.frames, as_decoded(frames))
         assert compact_journal(path, loaded, 1) == 4
         assert main(["journal", path, "--json"]) == 0
         (report,) = json.loads(capsys.readouterr().out)["journals"]

@@ -8,27 +8,38 @@ import pytest
 from repro.cli import main
 from repro.durability.log import (
     CONTROL_COMPACTED,
+    JOURNAL_MAGIC,
+    LAST_JSON_ERA_BUILD,
     FrameLog,
-    detect_codec,
     load_journal,
 )
-from repro.durability.snapshot import ShardSnapshot
-from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
+from repro.durability.supervisor import JOURNAL_FILENAME
 from repro.errors import DurabilityError
-from repro.observability.logging import logging_enabled
-from repro.parallel.codec import events_frame, frame_to_jsonable
-from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
-
-from tests.durability.json_era import downgrade_to_json
 
 
 def frames_for(count, start=0):
     return [{"kind": "events", "n": index} for index in range(start, count)]
 
 
-def rendered(frames):
-    """Frames holding raw events, in a form ``==`` can compare."""
-    return [frame_to_jsonable(frame) for frame in frames]
+#: A journal as builds before the binary codec wrote it: no header, each
+#: frame a 4-byte big-endian length and compact UTF-8 JSON, events as
+#: tagged wire dicts.  This build refuses it.
+JSON_ERA_JOURNAL = (
+    b'\x00\x00\x00\x1d{"kind":"compacted","base":2}'
+    b'\x00\x00\x00\xd4{"kind":"events","seq":2,"events":[{"type":"T_context",'
+    b'"params":{"time":7,"source":"E_context","contextName":"Ctx",'
+    b'"processAssociations":{"$fs":[{"$t":["P","tf-1"]}]},'
+    b'"fieldName":"Deadline","newFieldValue":20}}]}'
+    b'\x00\x00\x00"{"kind":"undeploy","spec_id":"s1"}'
+)
+
+
+def assert_json_era_refusal(error, path):
+    """The refusal names the file, the format and the last reader."""
+    message = str(error)
+    assert str(path) in message
+    assert "JSON-era journal" in message
+    assert LAST_JSON_ERA_BUILD in message
 
 
 class TestAppendAndScan:
@@ -182,148 +193,61 @@ class TestCompaction:
             assert log.base == 3
 
 
-class TestJsonEraUpgrade:
-    """Journals written before the binary codec: read as they are,
-    upgraded once on open — the only JSON journal paths left."""
+class TestJsonEraRefusal:
+    """A journal from before the binary codec is refused, one way, by
+    every reader; nothing is rewritten (DESIGN note 22)."""
 
-    @staticmethod
-    def event_frames(count):
-        events = ShardStreamWorkload(
-            ShardStreamConfig(forces=2, events_per_force=10)
-        ).events()
-        assert len(events) >= 2 * count
-        return [
-            dict(events_frame(events[2 * i : 2 * i + 2]), seq=i)
-            for i in range(count)
-        ]
-
-    def json_journal(self, tmp_path, frames, compact_to=0):
-        path = str(tmp_path / "journal.log")
-        with FrameLog(path) as log:
-            for frame in frames:
-                log.append(frame)
-            log.compact(compact_to)
-        downgrade_to_json(path)
-        assert detect_codec(path) == "json"
+    def json_era_journal(self, directory):
+        path = directory / "journal.log"
+        path.write_bytes(JSON_ERA_JOURNAL)
         return path
 
-    def test_open_upgrades_in_place_and_keeps_the_frames(self, tmp_path):
-        frames = self.event_frames(4)
-        path = self.json_journal(tmp_path, frames)
-        with FrameLog(path) as log:
-            assert log.frame_count == 4
-            assert rendered(log.tail(0)) == rendered(frames)
-            assert log.append(frames[0]) == 4
-        assert detect_codec(path) == "binary"
+    def test_the_literal_is_what_that_era_wrote(self):
+        # Three whole ``>I``-prefixed JSON frames, nothing else.
+        position, kinds = 0, []
+        while position < len(JSON_ERA_JOURNAL):
+            size = int.from_bytes(JSON_ERA_JOURNAL[position:position + 4], "big")
+            frame = json.loads(JSON_ERA_JOURNAL[position + 4:position + 4 + size])
+            kinds.append(frame["kind"])
+            position += 4 + size
+        assert (position, kinds) == (
+            len(JSON_ERA_JOURNAL),
+            ["compacted", "events", "undeploy"],
+        )
+
+    def test_opening_refuses_and_leaves_the_file_alone(self, tmp_path):
+        path = self.json_era_journal(tmp_path)
+        for reader in (FrameLog, load_journal):
+            with pytest.raises(DurabilityError) as refused:
+                reader(str(path))
+            assert_json_era_refusal(refused.value, path)
+        assert path.read_bytes() == JSON_ERA_JOURNAL
+        assert os.listdir(tmp_path) == ["journal.log"]
+
+    def test_repro_journal_refuses_it_with_exit_one(self, tmp_path, capsys):
+        shard = tmp_path / "shard-0"
+        shard.mkdir()
+        path = self.json_era_journal(shard)
+        os.rename(path, shard / JOURNAL_FILENAME)
+        path = shard / JOURNAL_FILENAME
+        for flags in ([], ["--dump"], ["--compact"], ["--json"]):
+            assert main(["journal", str(tmp_path)] + flags) == 1
+            assert_json_era_refusal(capsys.readouterr().err, path)
+        assert path.read_bytes() == JSON_ERA_JOURNAL
+
+    def test_a_file_cut_inside_the_header_is_a_fresh_journal(self, tmp_path):
+        # A writer killed while creating the file, not an older format.
+        path = tmp_path / "journal.log"
+        for cut in range(1, len(JOURNAL_MAGIC)):
+            path.write_bytes(JOURNAL_MAGIC[:cut])
+            assert load_journal(str(path)).torn
+            with FrameLog(str(path)) as log:
+                assert (log.base, log.frame_count) == (0, 0)
+                assert log.append({"kind": "undeploy", "spec_id": "s"}) == 0
+            assert load_journal(str(path)).frames == [
+                {"kind": "undeploy", "spec_id": "s"}
+            ]
 
     def test_any_other_codec_is_refused(self, tmp_path):
         with pytest.raises(DurabilityError, match="codec"):
             FrameLog(str(tmp_path / "journal.log"), codec="json")
-
-    def test_torn_tail_dies_with_the_upgrade(self, tmp_path):
-        frames = self.event_frames(3)
-        path = self.json_journal(tmp_path, frames)
-        with open(path, "ab") as handle:
-            handle.write((1 << 16).to_bytes(4, "big"))
-            handle.write(b'{"kind": "ev')
-        loaded = load_journal(path)
-        assert (loaded.codec, len(loaded.frames), loaded.torn) == (
-            "json",
-            3,
-            True,
-        )
-        with FrameLog(path) as log:
-            assert log.frame_count == 3
-            assert log.append(frames[0]) == 3
-        loaded = load_journal(path)
-        assert (loaded.codec, len(loaded.frames), loaded.torn) == (
-            "binary",
-            4,
-            False,
-        )
-
-    def test_absolute_numbering_survives_a_compacted_json_journal(
-        self, tmp_path
-    ):
-        frames = self.event_frames(6)
-        path = self.json_journal(tmp_path, frames, compact_to=4)
-        assert load_journal(path).base == 4
-        with FrameLog(path) as log:
-            assert (log.base, log.frame_count) == (4, 6)
-            assert rendered(log.tail(4)) == rendered(frames[4:])
-            with pytest.raises(DurabilityError):
-                log.tail(3)
-            assert log.append(frames[0]) == 6
-        assert load_journal(path).frames[0] == {
-            "kind": CONTROL_COMPACTED,
-            "base": 4,
-        }
-
-    def test_the_upgrade_happens_once(self, tmp_path):
-        path = self.json_journal(tmp_path, self.event_frames(2))
-        with logging_enabled() as log:
-            FrameLog(path).close()
-            (record,) = log.records(event="journal_recoded")
-            assert (record["from_codec"], record["frames"]) == ("json", 2)
-            upgraded = open(path, "rb").read()
-            FrameLog(path).close()
-            assert len(log.records(event="journal_recoded")) == 1
-        assert open(path, "rb").read() == upgraded
-
-    def test_repro_journal_inspects_without_upgrading(
-        self, tmp_path, capsys
-    ):
-        frames = self.event_frames(3)
-        path = self.json_journal(tmp_path, frames)
-        before = open(path, "rb").read()
-        assert main(["journal", path, "--json", "--dump"]) == 0
-        (report,) = json.loads(capsys.readouterr().out)["journals"]
-        assert report["codec"] == "json"
-        assert (report["frames"], report["base"]) == (3, 0)
-        assert report["kinds"] == {"events": 3}
-        assert open(path, "rb").read() == before
-        # ... and prints what a binary journal of the same frames does.
-        with FrameLog(path):
-            pass
-        assert main(["journal", path, "--json", "--dump"]) == 0
-        (after,) = json.loads(capsys.readouterr().out)["journals"]
-        assert after["codec"] == "binary"
-        assert after["frame_list"] == report["frame_list"]
-
-    def test_repro_journal_compact_upgrades_what_it_rewrites(
-        self, tmp_path, capsys
-    ):
-        frames = self.event_frames(5)
-        shard_dir = tmp_path / "shard-0"
-        shard_dir.mkdir()
-        path = self.json_journal(shard_dir, frames)
-        os.rename(path, shard_dir / JOURNAL_FILENAME)
-        path = str(shard_dir / JOURNAL_FILENAME)
-
-        def compact(frame_index):
-            ShardSnapshot(0, frame_index, {}, {}).save(
-                str(shard_dir / SNAPSHOT_FILENAME)
-            )
-            code = main(["journal", str(tmp_path), "--compact", "--json"])
-            captured = capsys.readouterr()
-            return code, captured
-
-        code, captured = compact(3)
-        (report,) = json.loads(captured.out)["journals"]
-        assert code == 0
-        assert report["codec"] == "json"  # what the one pass found
-        assert (report["compacted_to"], report["frames"], report["base"]) == (
-            3,
-            2,
-            3,
-        )
-        loaded = load_journal(path)
-        assert (loaded.codec, loaded.base, loaded.torn) == ("binary", 3, False)
-        assert rendered(loaded.payload) == rendered(frames[3:])
-        assert report["bytes"] == os.path.getsize(path)
-        # A snapshot beyond the journal's end is refused, file untouched.
-        before = open(path, "rb").read()
-        code, captured = compact(9)
-        assert code == 1
-        assert "cannot compact past the end" in captured.err
-        assert open(path, "rb").read() == before

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from repro.durability import log as log_module
 from repro.durability.log import CONTROL_COMPACTED, FrameLog
 
-from tests.durability.test_frame_log import frames_for, rendered
+from tests.durability.test_frame_log import frames_for
 from tests.durability.test_journal_writers import decode_from_byte_four
+from tests.exact import as_decoded, exactly
 from tests.parallel.test_codec_property import frames, protocol_frames
 
 #: 30 examples keep tier-1 inside its 3 s budget; a loaded profile that
@@ -110,7 +111,7 @@ class Model:
             self.base,
             self.base + len(self.frames),
         )
-        assert rendered(log.tail(self.base)) == rendered(self.frames)
+        assert exactly(log.tail(self.base), as_decoded(self.frames))
         return log
 
 
@@ -134,10 +135,10 @@ def reopen_after_crash(model, directory, cut, sibling):
         survived = reopened.frame_count - model.base
         assert model.durable <= survived <= len(model.frames)
         kept = model.frames[:survived]
-        assert rendered(reopened.tail(model.base)) == rendered(kept)
+        assert exactly(reopened.tail(model.base), as_decoded(kept))
         assert reopened.append(MARKER) == model.base + survived
-    assert decode_from_byte_four(copy) == rendered(
-        control(model.base) + kept + [MARKER]
+    assert exactly(
+        decode_from_byte_four(copy), as_decoded(control(model.base) + kept + [MARKER])
     )
 
 

@@ -11,18 +11,14 @@ import io
 
 import pytest
 
-from repro.durability import log as log_module
 from repro.durability.log import CONTROL_COMPACTED, JOURNAL_MAGIC, FrameLog
-from repro.parallel.codec import (
-    BinaryDecoder,
-    BinaryFrameReader,
-    events_frame,
-    frame_to_jsonable,
-)
+from repro.errors import DurabilityError
+from repro.parallel.codec import BinaryDecoder, BinaryFrameReader, events_frame
 from repro.parallel.wire import MAX_FRAME_BYTES
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
-from tests.durability.json_era import downgrade_to_json
+from tests.durability.test_frame_log import JSON_ERA_JOURNAL
+from tests.exact import as_decoded, exactly
 
 
 def event_batch(size):
@@ -34,8 +30,7 @@ def event_batch(size):
 
 
 def decode_from_byte_four(path):
-    """Every frame of the file, through a reader with empty tables
-    (events rendered to their wire dicts so ``==`` can compare them)."""
+    """Every frame of the file, through a reader with empty tables."""
     with open(path, "rb") as stream:
         assert stream.read(len(JOURNAL_MAGIC)) == JOURNAL_MAGIC
         reader = BinaryFrameReader(io.BytesIO(stream.read()))
@@ -44,7 +39,7 @@ def decode_from_byte_four(path):
         frame = reader.read()
         if frame is None:
             return frames
-        frames.append(frame_to_jsonable(frame))
+        frames.append(frame)
 
 
 def decode_each_record_alone(path):
@@ -57,7 +52,7 @@ def decode_each_record_alone(path):
     while position < len(data):
         end = position + 4 + int.from_bytes(data[position:position + 4], "big")
         payload = data[position + 4:end]
-        frames.append(frame_to_jsonable(BinaryDecoder().decode_payload(payload)))
+        frames.append(BinaryDecoder().decode_payload(payload))
         position = end
     return frames
 
@@ -107,10 +102,7 @@ class TestSnapshotBoundaryCompaction:
         appended = dict(events_frame(batch[:3]), seq=256)
         assert log.append(appended) == 256
         log.close()
-        assert decode_from_byte_four(path) == [
-            control,
-            frame_to_jsonable(appended),
-        ]
+        assert exactly(decode_from_byte_four(path), as_decoded([control, appended]))
 
 
     @pytest.mark.parametrize("keep_from", [2, 3])
@@ -128,11 +120,11 @@ class TestSnapshotBoundaryCompaction:
         assert log.compact(keep_from) == 3 - keep_from
         assert log.append(written[3]) == 3
         log.close()
-        expected = [{"kind": CONTROL_COMPACTED, "base": keep_from}] + [
-            frame_to_jsonable(frame) for frame in written[keep_from:]
-        ]
-        assert decode_from_byte_four(path) == expected
-        assert decode_each_record_alone(path) == expected
+        expected = as_decoded(
+            [{"kind": CONTROL_COMPACTED, "base": keep_from}] + written[keep_from:]
+        )
+        assert exactly(decode_from_byte_four(path), expected)
+        assert exactly(decode_each_record_alone(path), expected)
 
 
 class TestOpenDecodesOnce:
@@ -190,18 +182,12 @@ class TestOpenDecodesOnce:
         # The garbage is a whole frame by length: one failed attempt.
         self.reopen(path, decode_calls, binary_decodes=self.FRAMES + 1)
 
-    def test_json_era_file(self, tmp_path, decode_calls, monkeypatch):
-        path = self.journal(tmp_path)
-        downgrade_to_json(path)
-        json_reads = []
-        real = log_module.read_frame
-
-        def counted(stream):
-            frame = real(stream)
-            if frame is not None:
-                json_reads.append(frame)
-            return frame
-
-        monkeypatch.setattr(log_module, "read_frame", counted)
-        self.reopen(path, decode_calls, binary_decodes=0)
-        assert len(json_reads) == self.FRAMES
+    def test_json_era_file(self, tmp_path, decode_calls):
+        # Refused at the first four bytes: nothing decoded, nothing
+        # rewritten.
+        path = tmp_path / "journal.log"
+        path.write_bytes(JSON_ERA_JOURNAL)
+        with pytest.raises(DurabilityError, match="JSON-era journal"):
+            FrameLog(str(path))
+        assert decode_calls == []
+        assert path.read_bytes() == JSON_ERA_JOURNAL

@@ -1,16 +1,29 @@
-"""Snapshot codec and host-level snapshot/restore determinism."""
+"""Operator state through the codec, the snapshot file, and host-level
+snapshot/restore determinism."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.durability.snapshot import SNAPSHOT_VERSION, ShardSnapshot
-from repro.durability.state import encode_state
-from repro.errors import DurabilityError, SnapshotUnsupportedError
+from repro.awareness.operators import And, Seq
+from repro.awareness.operators.compare import Compare2, Edge
+from repro.awareness.operators.count import Count
+from repro.cli import main
+from repro.durability.log import LAST_JSON_ERA_BUILD, FrameLog
+from repro.durability.snapshot import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, ShardSnapshot
+from repro.durability.state import capture_operator, restore_operator
+from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
+from repro.errors import DurabilityError, SnapshotUnsupportedError, WireError
+from repro.events.canonical import canonical_event
 from repro.observability import instrumented
+from repro.observability.provenance import ProvenanceNode
+from repro.parallel.codec import T_LIST, T_SELF, BinaryDecoder, BinaryEncoder, encode_standalone
 from repro.parallel.host import ShardHost
-from repro.parallel.wire import decode_value as decode_state
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.exact import as_decoded, exactly
 
 
 def workload():
@@ -25,6 +38,12 @@ def booted_host(wl, shard_id=0, shard_count=1):
     return host
 
 
+def through_codec(value):
+    """*value* as the worker pipe and the snapshot file carry it."""
+    data = encode_standalone({"value": value})
+    return BinaryDecoder().decode_payload(data[4:])["value"]
+
+
 class TestStateCodec:
     def test_scalars_and_containers_round_trip(self):
         state = {
@@ -34,12 +53,13 @@ class TestStateCodec:
             "keys": frozenset({1, 2}),
             7: {"nested": None},
         }
-        decoded = decode_state(json.loads(json.dumps(encode_state(state))))
+        decoded = through_codec(state)
         assert decoded == state
+        assert exactly(decoded, state)
 
     def test_dollar_prefixed_string_keys_survive(self):
         state = {"$ev": "not an event", "$m": [1, 2]}
-        assert decode_state(encode_state(state)) == state
+        assert through_codec(state) == state
 
     def test_held_events_keep_their_provenance(self):
         wl = workload()
@@ -52,16 +72,134 @@ class TestStateCodec:
                 for value in operator._partitions.values():
                     held = value
             assert held is not None  # count state exists after one event
-        decoded = decode_state(
-            json.loads(json.dumps(encode_state(event)))
-        )
+        decoded = through_codec(event)
         assert decoded.type_name == event.type_name
         assert dict(decoded.params) == dict(event.params)
         host.close()
 
     def test_unencodable_state_raises(self):
-        with pytest.raises(SnapshotUnsupportedError):
-            encode_state({"handle": object()})
+        with pytest.raises(WireError):
+            encode_standalone({"handle": object()})
+
+
+# -- every stateful family ------------------------------------------------------
+
+#: The built-in families whose kernels keep per-instance state.
+FAMILIES = {
+    "Count": lambda: Count("P"),
+    "Edge": lambda: Edge("P", lambda value: value > 1),
+    "Compare2": lambda: Compare2("P", "<="),
+    "And": lambda: And("P", copy=2, arity=3),  # int-keyed slot memory
+    "Seq": lambda: Seq("P", arity=3),  # held events in a list
+}
+
+feeds = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # slot (modulo the family's arity)
+        st.sampled_from(["tf-1", "tf-2"]),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.booleans(),  # carries a provenance chain
+    ),
+    max_size=24,
+)
+
+
+def traced(time):
+    leaf = ProvenanceNode(
+        event_id=time,
+        node="source:E_context",
+        kind="primitive",
+        event_type="T_context",
+        logical_time=time,
+        summary=("context", "Ctx", "Deadline", time),
+    )
+    return ProvenanceNode(
+        event_id=time + 1000,
+        node="Filter_context:Deadline",
+        kind="composite",
+        event_type="C[P]",
+        logical_time=time,
+        summary="filtered",
+        inputs=(leaf,),
+    )
+
+
+def feed_events(feed, start=0):
+    for time, (slot, instance, value, chained) in enumerate(feed, start):
+        event = canonical_event("P", instance, time=time, source="t", int_info=value)
+        if chained:
+            event.provenance = traced(time)
+        yield slot, event
+
+
+def drive(operator, steps):
+    outputs = []
+    for slot, event in steps:
+        outputs += operator.consume(slot % operator.arity, event)
+    return [dict(output.params) for output in outputs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), feeds, feeds)
+def test_every_stateful_family_round_trips_exactly(family, head, tail):
+    operator = FAMILIES[family]()
+    drive(operator, feed_events(head))
+    record = capture_operator(operator)
+    restored = FAMILIES[family]()
+    partitions = restored._partitions
+    restore_operator(restored, through_codec(record))
+    assert restored._partitions is partitions
+    assert exactly(restored._partitions, as_decoded(operator._partitions))
+    assert (restored.consumed, restored.produced) == (
+        operator.consumed,
+        operator.produced,
+    )
+    # And the restored replica continues as the original does.
+    steps = list(feed_events(tail, start=len(head)))
+    assert drive(restored, steps) == drive(operator, steps)
+
+
+# -- the snapshot file ----------------------------------------------------------
+
+
+def saved_snapshot(tmp_path):
+    """A real snapshot file: a host part-way through the seeded stream."""
+    wl = workload()
+    events = wl.events()[:12]
+    host = booted_host(wl)
+    host.ingest(events)
+    state = host.snapshot_state()
+    host.close()
+    path = tmp_path / SNAPSHOT_FILENAME
+    ShardSnapshot(0, len(events), wl.blueprint().to_wire(), state).save(str(path))
+    return path
+
+
+def framed(payload):
+    return SNAPSHOT_MAGIC + len(payload).to_bytes(4, "big") + payload
+
+
+#: What version 1 wrote: the record as JSON, no header.
+V1_SNAPSHOT = (
+    b'{"version":1,"shard_id":0,"frame_index":6,"blueprint":{},'
+    b'"state":{"operators":[],"seq":0}}'
+)
+
+
+def hostile_snapshots(good):
+    record = {"shard_id": 0, "frame_index": 6, "blueprint": {}, "state": {}}
+    return {
+        "empty file": b"",
+        "wrong magic": b"\xc3RJ1" + good[len(SNAPSHOT_MAGIC):],
+        "v1 JSON body": V1_SNAPSHOT,
+        "record not SELF-led": SNAPSHOT_MAGIC + BinaryEncoder().encode_frame(record),
+        "record decoding to a non-dict": framed(bytes((T_SELF, T_LIST, 0))),
+        "record missing a field": SNAPSHOT_MAGIC
+        + encode_standalone({"shard_id": 0, "frame_index": 6, "state": {}}),
+        "field of the wrong type": SNAPSHOT_MAGIC
+        + encode_standalone(dict(record, frame_index="6")),
+        "trailing bytes": good + b"\x00",
+    }
 
 
 class TestShardSnapshotFile:
@@ -77,6 +215,15 @@ class TestShardSnapshotFile:
         loaded = ShardSnapshot.load(path)
         assert loaded == snapshot
 
+    def test_a_host_snapshot_round_trips_exactly(self, tmp_path):
+        path = saved_snapshot(tmp_path)
+        data = path.read_bytes()
+        assert data.startswith(SNAPSHOT_MAGIC)
+        loaded = ShardSnapshot.load(str(path))
+        again = tmp_path / "again"
+        loaded.save(str(again))
+        assert again.read_bytes() == data
+
     def test_missing_snapshot_is_none(self, tmp_path):
         assert ShardSnapshot.load(str(tmp_path / "nope.json")) is None
 
@@ -86,11 +233,64 @@ class TestShardSnapshotFile:
         with pytest.raises(DurabilityError):
             ShardSnapshot.load(str(path))
 
-    def test_version_drift_is_an_error(self):
-        data = ShardSnapshot(0, 0, {}, {}).to_dict()
-        data["version"] = SNAPSHOT_VERSION + 1
+    def test_version_drift_is_an_error(self, tmp_path):
+        path = tmp_path / "snapshot.json"
+        ShardSnapshot(0, 0, {}, {}).save(str(path))
+        data = path.read_bytes()
+        drifted = str(SNAPSHOT_VERSION + 1).encode()
+        path.write_bytes(SNAPSHOT_MAGIC[:-1] + drifted + data[len(SNAPSHOT_MAGIC):])
+        with pytest.raises(DurabilityError, match="version-2 snapshot"):
+            ShardSnapshot.load(str(path))
+
+    def test_a_v1_json_snapshot_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_bytes(V1_SNAPSHOT)
+        with pytest.raises(DurabilityError) as refused:
+            ShardSnapshot.load(str(path))
+        message = str(refused.value)
+        assert str(path) in message
+        assert "version-1 JSON snapshot" in message
+        assert LAST_JSON_ERA_BUILD in message
+
+
+class TestHostileSnapshotBytes:
+    """Whatever the bytes, ``load`` answers a snapshot or a
+    :class:`DurabilityError` — never ``IndexError``, ``RecursionError``
+    or ``MemoryError`` — and ``repro journal`` exits 1 on the error."""
+
+    @pytest.mark.parametrize("name", sorted(hostile_snapshots(b"")))
+    def test_named_corruptions_are_refused(self, tmp_path, name, capsys):
+        good = saved_snapshot(tmp_path).read_bytes()
+        shard = tmp_path / "durable" / "shard-0"
+        shard.mkdir(parents=True)
+        FrameLog(str(shard / JOURNAL_FILENAME)).close()
+        path = shard / SNAPSHOT_FILENAME
+        path.write_bytes(hostile_snapshots(good)[name])
         with pytest.raises(DurabilityError):
-            ShardSnapshot.from_dict(data)
+            ShardSnapshot.load(str(path))
+        assert main(["journal", str(tmp_path / "durable")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_a_file_cut_at_every_byte_is_refused(self, tmp_path):
+        path = saved_snapshot(tmp_path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DurabilityError):
+                ShardSnapshot.load(str(path))
+
+    def test_a_flipped_byte_never_escapes_as_another_error(self, tmp_path):
+        path = saved_snapshot(tmp_path)
+        data = path.read_bytes()
+        for index in range(len(data)):
+            flipped = bytearray(data)
+            flipped[index] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded = ShardSnapshot.load(str(path))
+            except DurabilityError:
+                continue
+            assert type(loaded.state) is dict and type(loaded.shard_id) is int
 
 
 class TestHostSnapshotRestore:
@@ -115,7 +315,7 @@ class TestHostSnapshotRestore:
             # The crash-recovery shape: a fresh host from the same
             # blueprint, the snapshot restored, the tail replayed.
             recovered = booted_host(wl)
-            recovered.restore_state(json.loads(json.dumps(state)))
+            recovered.restore_state(through_codec(state))
             recovered.ingest(events[cut:])
             after = recovered.drain_results()
             recovered.close()

@@ -6,22 +6,23 @@ exact-continuation contract QE12 measures at scale), counters intact,
 journals and snapshots on disk where the issue says they must be.
 """
 
-import json
 import multiprocessing
 import os
 import signal
 
 import pytest
 
-from repro.durability.log import detect_codec, load_journal
+from repro.durability.log import JOURNAL_MAGIC, load_journal
+from repro.durability.snapshot import ShardSnapshot
 from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
-from repro.errors import ParallelError, ShardCrashError
+from repro.errors import DurabilityError, ParallelError, ShardCrashError
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
+from repro.parallel.codec import T_DICT, T_SELF
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
-from tests.durability.json_era import downgrade_to_json
-from tests.durability.test_frame_log import rendered
+from tests.durability.test_frame_log import JSON_ERA_JOURNAL
 from tests.durability.test_journal_writers import decode_each_record_alone
+from tests.exact import exactly
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -255,9 +256,9 @@ class TestDurableLifecycle:
             assert journal.is_file()
             assert snapshot.is_file()
             assert not load_journal(str(journal)).torn
-            loaded = json.loads(snapshot.read_text())
-            assert loaded["shard_id"] == shard_id
-            assert loaded["frame_index"] > 0
+            loaded = ShardSnapshot.load(str(snapshot))
+            assert loaded.shard_id == shard_id
+            assert loaded.frame_index > 0
 
     def test_torn_journal_tail_is_repaired_on_boot(self, tmp_path):
         workload = small_workload()
@@ -268,8 +269,8 @@ class TestDurableLifecycle:
         # A previous facade died mid-append: a complete frame would have
         # been longer than what hit the disk.
         with open(journal_path, "wb") as handle:
-            handle.write((1 << 16).to_bytes(4, "big"))
-            handle.write(b'{"kind": "ev')
+            handle.write(JOURNAL_MAGIC + (1 << 16).to_bytes(4, "big"))
+            handle.write(bytes((T_SELF, T_DICT, 1)))
         with ShardedFederation(
             workload.blueprint(), durable_config(tmp_path)
         ) as federation:
@@ -331,43 +332,26 @@ class TestBinaryChannelRecovery:
             # Every record written before, during and after the crash
             # decodes on its own, under a decoder that has seen nothing.
             assert journal.self_contained == len(journal.frames) > 0
-            assert decode_each_record_alone(shard.journal.path) == rendered(
-                journal.frames
+            assert exactly(
+                decode_each_record_alone(shard.journal.path), journal.frames
             )
         assert len(merged) == workload.expected_notifications()
         assert signatures(merged) == signatures(reference_run(workload))
 
-    def test_journal_replays_a_preexisting_json_journal(self, tmp_path):
-        # A durable directory written before the binary codec existed
-        # keeps replaying: opening the journal upgrades it (events
-        # frames convert to their raw form), and the frame numbering is
-        # preserved.
+    def test_a_json_era_journal_is_refused_at_boot(self, tmp_path):
+        # A durable directory written before the binary codec existed is
+        # refused by the supervisor opening it, with every worker reaped
+        # and the journal untouched (DESIGN note 22).
         workload = small_workload(seed=53)
-        events = workload.events()
-        cut = len(events) // 2
         config = durable_config(tmp_path)
-        with ShardedFederation(workload.blueprint(), config) as federation:
-            federation.ingest(events[:cut])
-            federation.drain()
-            first = list(federation.delivered)
-            frames_before = [
-                shard.journal.frame_count for shard in federation.shards
-            ]
-            journals = [shard.journal.path for shard in federation.shards]
-        for path in journals:
-            downgrade_to_json(path)
-            assert detect_codec(path) == "json"
-        with ShardedFederation(workload.blueprint(), config) as federation:
-            for shard, count in zip(federation.shards, frames_before):
-                # The upgraded journal kept the absolute numbering.
-                assert detect_codec(shard.journal.path) == "binary"
-                assert shard.journal.frame_count == count
-            federation.ingest(events[cut:])
-            federation.drain()
-            second = list(federation.delivered)
-        # Both halves delivered; no crash, no frame loss.
-        combined = signatures(first) + signatures(second)
-        assert len(combined) == workload.expected_notifications()
+        shard = tmp_path / "durable" / "shard-1"
+        shard.mkdir(parents=True)
+        (shard / JOURNAL_FILENAME).write_bytes(JSON_ERA_JOURNAL)
+        children = len(multiprocessing.active_children())
+        with pytest.raises(DurabilityError, match="JSON-era journal"):
+            ShardedFederation(workload.blueprint(), config)
+        assert len(multiprocessing.active_children()) == children
+        assert (shard / JOURNAL_FILENAME).read_bytes() == JSON_ERA_JOURNAL
 
 
 class TestInflightRecovery:

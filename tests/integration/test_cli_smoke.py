@@ -191,3 +191,67 @@ class TestShardingSmoke:
             )
         ).expected_notifications()
         assert payload["notifications_merged"] == expected
+
+
+class TestJournalSmoke:
+    def test_dump_renders_runs_frozensets_and_provenance_as_json(
+        self, capsys, tmp_path
+    ):
+        from repro.durability.log import FrameLog
+        from repro.observability.provenance import ProvenanceNode
+        from repro.parallel.codec import ROWS_MIN, events_frame
+
+        events = ShardStreamWorkload(
+            ShardStreamConfig(forces=1, events_per_force=ROWS_MIN)
+        ).events()[:ROWS_MIN]  # one uniform T_context run
+        leaf = ProvenanceNode(
+            event_id=1,
+            node="source:E_context",
+            kind="primitive",
+            event_type="T_context",
+            logical_time=1,
+            summary=("context", "Ctx", "Deadline", 20),
+        )
+        chained = events[0].derive(time=99)
+        chained.provenance = ProvenanceNode(
+            event_id=2,
+            node="Count:c",
+            kind="composite",
+            event_type="C[P]",
+            logical_time=99,
+            summary="count=1",
+            inputs=(leaf,),
+        )
+        frame = dict(
+            events_frame(events + [chained]),
+            extra=(1, frozenset({"b", "a"})),
+            slots={0: "int key"},
+        )
+        path = str(tmp_path / "journal.log")
+        with FrameLog(path) as log:
+            log.append(frame)
+
+        code, out = run_cli(capsys, "journal", path, "--json", "--dump")
+        assert code == 0
+        (report,) = json.loads(out)["journals"]
+        assert "codec" not in report
+        (shown,) = report["frame_list"]
+        json.dumps(shown)  # plain JSON all the way down
+        first = shown["events"][0]
+        assert first["type"] == "T_context"
+        associations = first["params"]["processAssociations"]
+        assert associations == sorted(associations, key=repr)
+        assert all(isinstance(pair, list) for pair in associations)
+        last = shown["events"][-1]
+        assert last["params"]["time"] == 99
+        assert last["provenance"]["node"] == "Count:c"
+        assert last["provenance"]["inputs"][0]["summary"] == [
+            "context", "Ctx", "Deadline", 20,
+        ]
+        assert shown["extra"] == [1, ["a", "b"]]
+        assert shown["slots"] == {"0": "int key"}
+
+        code, out = run_cli(capsys, "journal", path)
+        assert code == 0
+        header = out.splitlines()[1]
+        assert "frames" in header and "codec" not in header

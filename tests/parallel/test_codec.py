@@ -36,12 +36,12 @@ from repro.parallel.codec import (
     T_TUPLE,
     encode_standalone,
     events_frame,
-    frame_to_jsonable,
     hello_bytes,
     read_hello,
 )
-from repro.parallel.wire import event_to_wire, provenance_to_wire
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.exact import as_decoded, exactly
 
 
 #: A few KB of nesting run the recursive decoder out of interpreter
@@ -142,41 +142,6 @@ CONFUSABLE = [
     frozenset({(0, "x")}),
     frozenset({(0.0, "x")}),
 ]
-
-
-def exactly(a, b):
-    """Deep equality that ``==`` is too lax for: the same types all the
-    way down (``1`` is not ``True`` is not ``1.0``, ``0.0`` is not
-    ``-0.0``), dict keys in the same order, an event's type the same
-    object, its provenance equal."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, float):
-        return repr(a) == repr(b)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(map(exactly, a, b))
-    if isinstance(a, frozenset):
-        twin = {member: member for member in b}
-        return a == b and all(exactly(member, twin[member]) for member in a)
-    if isinstance(a, dict):
-        return exactly(list(a.items()), list(b.items()))
-    if isinstance(a, Event):
-        return (
-            a.event_type is b.event_type
-            and exactly(dict(a.params), dict(b.params))
-            and exactly(a.provenance, b.provenance)
-        )
-    if isinstance(a, ProvenanceNode):
-        return exactly(provenance_to_wire(a), provenance_to_wire(b))
-    return a == b
-
-
-def as_decoded(event):
-    """*event* as it comes back: ``type`` is the last parameter."""
-    params = {k: v for k, v in event.params.items() if k != "type"}
-    twin = Event.trusted(event.event_type, params)
-    twin.provenance = event.provenance
-    return twin
 
 
 def stream_events(count, forces=4):
@@ -502,7 +467,7 @@ class TestSelfContainedFrames:
         before = decoder.interned_strings, decoder.interned_compounds
         for reader in (BinaryDecoder(), decoder, decoder):
             back = reader.decode_payload(memoryview(data)[4:])
-            assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+            assert exactly(back, as_decoded(frame))
         assert (decoder.interned_strings, decoder.interned_compounds) == before
         assert decoder.standalone_frames == 2
         # The stream the decoder mirrors carries on undisturbed.
@@ -992,31 +957,3 @@ class TestChannelWrappers:
             with pytest.raises(WireError, match="protocol byte"):
                 read_hello(io.BytesIO(HELLO_MAGIC + byte))
 
-
-class TestDebugRendering:
-    def test_frame_to_jsonable_matches_the_json_path(self):
-        event = activity_event()
-        rendered = frame_to_jsonable(events_frame([event]))
-        # What a JSON-era journal holds for the same frame.
-        assert rendered == {"kind": "events", "events": [event_to_wire(event)]}
-
-    def test_frame_to_jsonable_is_json_serializable(self):
-        import json
-
-        event = activity_event(
-            provenance=ProvenanceNode(
-                event_id=1,
-                node="p",
-                kind="primitive",
-                event_type="T_activity",
-                logical_time=1,
-                summary=("activity", "a", "x", "y"),
-            )
-        )
-        frame = {
-            "kind": "events",
-            "events": [event],
-            "extra": (1, frozenset({"a"})),
-        }
-        text = json.dumps(frame_to_jsonable(frame))
-        assert "T_activity" in text

@@ -5,7 +5,7 @@ Five invariants, fuzzed:
 * **round-trip** — any frame built from wire-encodable values (nested
   tuples, frozensets, ``$``-prefixed keys included) decodes to the same
   value — compared type for type and key order for key order
-  (:func:`tests.parallel.test_codec.exactly`; ``==`` cannot tell ``1``
+  (:func:`tests.exact.exactly`; ``==`` cannot tell ``1``
   from ``True`` from ``1.0``) — across multi-frame streams and
   fresh-pair boundaries;
 * **event runs** — any list of events (uniform waves, two types
@@ -40,16 +40,10 @@ from repro.parallel.codec import (
     BinaryDecoder,
     BinaryEncoder,
     encode_standalone,
-    frame_to_jsonable,
 )
 
-from tests.parallel.test_codec import (
-    CONFUSABLE,
-    as_decoded,
-    exactly,
-    leaf,
-    run_payload,
-)
+from tests.exact import as_decoded, exactly
+from tests.parallel.test_codec import CONFUSABLE, leaf, run_payload
 
 SELF = bytes((T_SELF,))
 
@@ -169,7 +163,7 @@ def test_self_contained_frames_interleave_with_a_stream(data):
         else:
             payload = memoryview(encoder.encode_frame(frame))[4:]
         back = decoder.decode_payload(payload)
-        assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+        assert exactly(back, as_decoded(frame))
         if alone:
             assert _tables(decoder) == before
     # The same bytes again: fresh decoder, mid-stream decoder, after
@@ -178,7 +172,7 @@ def test_self_contained_frames_interleave_with_a_stream(data):
     for payload, frame in standalone + standalone[::-1]:
         for reader in (BinaryDecoder(), decoder):
             back = reader.decode_payload(payload)
-            assert frame_to_jsonable(back) == frame_to_jsonable(frame)
+            assert exactly(back, as_decoded(frame))
     assert _tables(decoder) == settled
     assert decoder.standalone_frames == 3 * len(standalone)
 

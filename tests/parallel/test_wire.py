@@ -1,4 +1,5 @@
-"""Wire-format round-trips: every primitive plane, composites, framing."""
+"""Wire vocabulary through the one codec: every primitive plane,
+composites, the event-type registry, framing."""
 
 import io
 
@@ -15,21 +16,29 @@ from repro.events.producers import (
     SYSTEM_EVENT_TYPE,
 )
 from repro.observability.provenance import ProvenanceNode
+from repro.parallel.codec import (
+    BinaryDecoder,
+    BinaryEncoder,
+    BinaryFrameReader,
+    encode_standalone,
+)
 from repro.parallel.wire import (
     MAX_FRAME_BYTES,
-    decode_value,
-    encode_value,
-    event_from_wire,
-    event_to_wire,
-    frame_bytes,
-    read_frame,
     register_event_type,
     resolve_event_type,
 )
 
+from tests.exact import exactly
 
-def roundtrip(event, provenance=False):
-    return event_from_wire(event_to_wire(event, provenance=provenance))
+
+def roundtrip(value):
+    """*value* through one self-contained codec record and back."""
+    data = encode_standalone({"v": value})
+    return BinaryDecoder().decode_payload(data[4:])["v"]
+
+
+def frame_bytes(frame):
+    return BinaryEncoder().encode_frame(frame)
 
 
 class TestEventRoundTrips:
@@ -154,7 +163,7 @@ class TestEventRoundTrips:
             },
         )
         event.provenance = chain
-        back = roundtrip(event, provenance=True)
+        back = roundtrip(event)
         assert back.params["time"] == 90
         assert back.params["intInfo"] == 4
         assert back.provenance is not None
@@ -163,8 +172,12 @@ class TestEventRoundTrips:
         assert primitive.summary == ("context", "TaskForceCtx", "Deadline", 20)
 
     def test_unknown_type_name_raises(self):
-        with pytest.raises(WireError):
-            event_from_wire({"type": "T_unheard_of", "params": {}})
+        unheard_of = EventType("T_unheard_of", base_parameters())
+        data = encode_standalone(
+            {"v": Event.trusted(unheard_of, {"time": 1, "source": "s"})}
+        )
+        with pytest.raises(WireError, match="T_unheard_of"):
+            BinaryDecoder().decode_payload(data[4:])
 
     def test_registered_custom_type_resolves(self):
         custom = EventType(
@@ -177,45 +190,43 @@ class TestEventRoundTrips:
 
 class TestValueEncoding:
     def test_dollar_keys_in_payload_mappings_are_protected(self):
-        value = {"$fs": "not a frozenset", "plain": 1}
-        encoded = encode_value(value)
-        assert "$m" in encoded
-        assert decode_value(encoded) == value
-        # The older wrapping of the same case is still read.
-        assert decode_value({"$d": value}) == value
+        value = {"$fs": "not a frozenset", "$m": [1, 2], "plain": 1}
+        assert exactly(roundtrip(value), value)
 
     def test_nested_structures(self):
-        value = (1, frozenset({("a", 2)}), [None, {"k": (3,)}])
-        assert decode_value(encode_value(value)) == value
+        value = (1, frozenset({("a", 2)}), [None, {"k": (3,)}, {7: "int key"}])
+        assert exactly(roundtrip(value), value)
 
     def test_unencodable_value_raises(self):
         with pytest.raises(WireError):
-            encode_value(object())
+            encode_standalone({"v": object()})
 
 
 class TestFraming:
     def test_round_trip(self):
-        buffer = io.BytesIO(
-            frame_bytes({"kind": "stats", "n": 3})
-            + frame_bytes({"kind": "flush"})
+        reader = BinaryFrameReader(
+            io.BytesIO(
+                frame_bytes({"kind": "stats", "n": 3})
+                + frame_bytes({"kind": "flush"})
+            )
         )
-        assert read_frame(buffer) == {"kind": "stats", "n": 3}
-        assert read_frame(buffer) == {"kind": "flush"}
-        assert read_frame(buffer) is None  # clean EOF
+        assert reader.read() == {"kind": "stats", "n": 3}
+        assert reader.read() == {"kind": "flush"}
+        assert reader.read() is None  # clean EOF
 
     def test_truncated_payload_raises(self):
         data = frame_bytes({"kind": "events", "events": list(range(50))})
         truncated = io.BytesIO(data[: len(data) - 5])
         with pytest.raises(WireError):
-            read_frame(truncated)
+            BinaryFrameReader(truncated).read()
 
     def test_truncated_header_raises(self):
         with pytest.raises(WireError):
-            read_frame(io.BytesIO(b"\x00\x00"))
+            BinaryFrameReader(io.BytesIO(b"\x00\x00")).read()
 
     def test_oversized_length_prefix_is_refused(self):
         import struct
 
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        with pytest.raises(WireError):
-            read_frame(io.BytesIO(header))
+        with pytest.raises(WireError, match="exceeds"):
+            BinaryFrameReader(io.BytesIO(header)).read()
