@@ -8,7 +8,8 @@ are born empty at its first byte and die with it).  A journal is thus a
 sequence of independently decodable records — any cut replays — and a
 record's bytes are a valid pipe frame: the supervisor encodes a frame
 once and hands the same bytes to :meth:`FrameLog.append_encoded` and to
-the worker's channel.  That is the only format this module *writes*.
+the worker's channel, and recovery forwards :meth:`FrameLog.tail`'s
+records undecoded.  That is the only format this module *writes*.
 
 It still *reads* one older one through the same :func:`load_journal`
 pass, and opening such a file as a :class:`FrameLog` rewrites it once,
@@ -43,17 +44,19 @@ A killed writer can leave a *torn* final frame (partial header or
 payload).  :func:`load_journal` tolerates it: the log is valid up to the
 last complete frame, and the rewrite that opening a log for append
 performs drops the torn tail with it — atomically and fsynced, so the
-next frame starts clean (the standard WAL repair rule).
+next frame starts clean (the standard WAL repair rule).  A file damaged
+behind a live log is refused by :meth:`FrameLog.tail`, never read short.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from ..errors import DurabilityError, WireError
 from ..observability import STRUCTURED_LOG as _SLOG
-from ..parallel.codec import BinaryFrameReader, encode_standalone
+from ..parallel.codec import BinaryDecoder, encode_standalone
+from ..parallel.wire import MAX_FRAME_BYTES
 
 #: Frame kind of the compaction control frame (never replayed).
 CONTROL_COMPACTED = "compacted"
@@ -109,48 +112,60 @@ class LoadedJournal(NamedTuple):
         return self.frames[1:] if self._compacted() else self.frames
 
 
+def _split(data: bytes) -> Tuple[List[bytes], bool]:
+    """A journal file's records (length prefix + payload), split on the
+    prefixes alone, and whether bytes follow the last whole record."""
+    records: List[bytes] = []
+    position = len(JOURNAL_MAGIC)
+    while position + 4 <= len(data):
+        length = int.from_bytes(data[position:position + 4], "big")
+        end = position + 4 + length
+        if length > MAX_FRAME_BYTES or end > len(data):
+            break
+        records.append(data[position:end])
+        position = end
+    return records, position < len(data)
+
+
 def load_journal(path: str) -> LoadedJournal:
     """Read a whole journal (torn tail ignored).
 
-    Frames decode in file order against one reader (an earlier build's
-    stream-interned frames share tables along the file).  The reader
-    answers ``None`` at a clean end of file and raises
-    :class:`WireError` at anything that is not a whole frame — a partial
-    header, a length prefix beyond ``MAX_FRAME_BYTES``, a partial or
-    undecodable payload — which is where a torn file stops being read.
-    A file that does not start with :data:`JOURNAL_MAGIC` is refused,
-    unless it stops inside it (a writer killed while creating the file).
+    Records decode in file order against one decoder (an earlier
+    build's stream-interned frames share tables along the file).  A
+    torn file stops being read at anything that is not a whole frame —
+    a partial header, a length prefix beyond ``MAX_FRAME_BYTES``, a
+    partial or undecodable payload.  A file that does not start with
+    :data:`JOURNAL_MAGIC` is refused, unless it stops inside it (a
+    writer killed while creating the file).
     """
-    frames: List[Dict[str, Any]] = []
     with open(path, "rb") as stream:
-        head = stream.read(len(JOURNAL_MAGIC))
-        torn = 0 < len(head) < len(JOURNAL_MAGIC)
-        if head != JOURNAL_MAGIC[: len(head)]:
-            raise json_era_refusal(
-                path,
-                f"no binary journal (header {head!r}, expected "
-                f"{JOURNAL_MAGIC!r}): a JSON-era journal is refused",
-            )
-        reader = BinaryFrameReader(stream)
-        while True:
-            try:
-                frame = reader.read()
-            except WireError:
-                torn = True
-                break
-            if frame is None:
-                break
-            frames.append(frame)
-    return LoadedJournal(frames, torn, reader.decoder.standalone_frames)
+        data = stream.read()
+    head = data[: len(JOURNAL_MAGIC)]
+    if head != JOURNAL_MAGIC[: len(head)]:
+        raise json_era_refusal(
+            path,
+            f"no binary journal (header {head!r}, expected "
+            f"{JOURNAL_MAGIC!r}): a JSON-era journal is refused",
+        )
+    records, torn = _split(data)
+    decoder = BinaryDecoder()
+    frames: List[Dict[str, Any]] = []
+    for record in records:
+        try:
+            frames.append(decoder.decode_payload(record[4:]))
+        except WireError:
+            torn = True
+            break
+    torn = torn or 0 < len(head) < len(JOURNAL_MAGIC)
+    return LoadedJournal(frames, torn, decoder.standalone_frames)
 
 
-def _write_journal(path: str, frames: List[Dict[str, Any]]) -> None:
-    """Atomically replace *path* with a journal of exactly *frames*."""
+def _write_journal(path: str, records: List[bytes]) -> None:
+    """Atomically replace *path* with a journal of exactly *records*."""
     replacement = f"{path}.recode"
     with open(replacement, "wb") as stream:
         stream.write(JOURNAL_MAGIC)
-        for frame in frames:
-            stream.write(encode_standalone(frame))
+        stream.writelines(records)
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(replacement, path)
@@ -161,16 +176,16 @@ def _compact(
     base: int,
     end: int,
     keep_from: int,
-    tail: Callable[[int], List[Dict[str, Any]]],
+    tail: Callable[[int], List[bytes]],
 ) -> bool:
     """The compaction rule, for a live log and an offline file alike.
 
     The journal at *path* holds the frames with absolute indices
     ``base .. end - 1``; drop those below *keep_from*.  ``False`` means
     nothing to drop and the file untouched, ``True`` that it was
-    rewritten.  *tail* yields the frames from an absolute index on, and
-    is only asked when something survives: at a snapshot boundary
-    (``keep_from == end``) the old bytes are replaced unread.
+    rewritten.  *tail* yields the encoded records from an absolute index
+    on, and is only asked when something survives: at a snapshot
+    boundary (``keep_from == end``) the old bytes are replaced unread.
     """
     if keep_from <= base:
         return False
@@ -180,9 +195,8 @@ def _compact(
             f"({keep_from} > {end} frames)"
         )
     survivors = tail(keep_from) if keep_from < end else []
-    _write_journal(
-        path, [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
-    )
+    control = encode_standalone({"kind": CONTROL_COMPACTED, "base": keep_from})
+    _write_journal(path, [control] + survivors)
     return True
 
 
@@ -195,9 +209,11 @@ def compact_journal(path: str, journal: LoadedJournal, keep_from: int) -> int:
     """
     base, payload = journal.base, journal.payload
     end = base + len(payload)
-    _compact(
-        path, base, end, keep_from, lambda start: payload[start - base:]
-    )
+
+    def survivors(start: int) -> List[bytes]:
+        return list(map(encode_standalone, payload[start - base:]))
+
+    _compact(path, base, end, keep_from, survivors)
     return end - max(base, keep_from)
 
 
@@ -235,7 +251,7 @@ class FrameLog:
             journal = load_journal(path)
             self.base = journal.base
             file_frames = len(journal.payload)
-            _write_journal(path, journal.frames)
+            _write_journal(path, list(map(encode_standalone, journal.frames)))
             if journal.torn:
                 _SLOG.emit(
                     "durability",
@@ -296,15 +312,29 @@ class FrameLog:
 
     # -- reading / maintenance --------------------------------------------
 
-    def tail(self, start: int) -> List[Dict[str, Any]]:
-        """Frames from absolute index *start* on (buffered appends included)."""
+    def tail(self, start: int) -> List[bytes]:
+        """Records from absolute index *start* on (buffered appends
+        included), as :meth:`append_encoded` took them: opening made
+        every record self-contained, so none is decoded.  A file that
+        splits into fewer records than were appended is refused."""
         if start < self.base:
             raise DurabilityError(
                 f"frames before index {self.base} were compacted away; "
                 f"cannot read from {start}"
             )
         self._flush_buffer()
-        return load_journal(self.path).payload[start - self.base:]
+        with open(self.path, "rb") as stream:
+            records, __ = _split(stream.read())
+        # A compacted file leads with its control record.
+        payload = records[1:] if self.base else records
+        found = self.base + len(payload)
+        if found < self.frame_count:
+            raise DurabilityError(
+                f"journal {self.path!r} is damaged: frames {found}.."
+                f"{self.frame_count - 1} are missing (it splits into "
+                f"{len(records)} records)"
+            )
+        return payload[start - self.base:]
 
     def compact(self, keep_from: int) -> int:
         """Drop frames below absolute index *keep_from* (atomic rewrite).

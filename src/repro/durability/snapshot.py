@@ -11,8 +11,8 @@ processed every journal frame below that position:
 * the **host state** (:meth:`ShardHost.snapshot_state`): per-operator
   partition maps and counters, per-detector recognition counts, the
   absolute delivery sequence (so recovered notifications continue the
-  per-shard numbering the deterministic merge sorts on), and the ingest
-  counters.
+  per-shard numbering the deterministic merge sorts on), the
+  notifications no flush has reported yet, and the ingest counters.
 
 On disk a snapshot is :data:`SNAPSHOT_MAGIC` followed by one
 self-contained codec record

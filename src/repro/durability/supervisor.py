@@ -16,12 +16,12 @@ durability loop:
 * **recovery** — when the worker dies (:class:`ShardCrashError` from any
   interaction), a replacement is forked from the snapshot's blueprint
   (or the genesis blueprint when no snapshot succeeded yet), the
-  snapshot state is restored, and the journal tail replays through the
-  rebuilt pipeline.  Replay regenerates the per-shard notification
-  stream deterministically, so notifications the facade already merged
-  come back with the same ``(time, shard, seq)`` keys — the sequence
-  high-watermark in :meth:`SupervisedShard.end` drops them, and the
-  merged stream continues exactly where it left off.
+  snapshot state is restored, and the journal tail's bytes replay
+  through the rebuilt pipeline.  Replay regenerates the per-shard
+  notification stream deterministically, so notifications the facade
+  already merged come back with the same ``(time, shard, seq)`` keys —
+  the sequence high-watermark in :meth:`SupervisedShard.end` drops
+  them, and the merged stream continues exactly where it left off.
 
 The retry discipline is asymmetric by design: **mutations are never
 resent** (the journaled frame is part of the replay tail — a resend
@@ -41,7 +41,7 @@ from ..observability import Counter, default_registry
 from ..observability.trace import TraceContext
 from ..parallel.codec import encode_standalone
 from ..parallel.host import FederationBlueprint, ShardSpec
-from ..parallel.wire import strip_trace_sampling
+from ..parallel.mux import event_seq
 from .log import FrameLog
 from .snapshot import ShardSnapshot
 
@@ -190,7 +190,7 @@ class SupervisedShard:
         data = encode_standalone(frame)
         self.journal.append_encoded(data)
         try:
-            self.inner._send(frame, credit=credit, encoded=data)
+            self.inner._send(data, credit=credit, seq=event_seq(frame))
         except ShardCrashError:
             # The frame is already in the journal: recovery replays it
             # into the replacement worker.  Resending would double-apply.
@@ -199,8 +199,8 @@ class SupervisedShard:
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> None:
-        # The sequence number is assigned before journaling, so replay
-        # re-credits the in-flight window from the original numbers.
+        # The sequence number is assigned before journaling, so a
+        # replayed frame keeps it: the worker's replay mark compares it.
         # Journal-before-send holds for queued writes too: a frame
         # enters the channel's outbound queue after the journal has it.
         self._journal_and_send(
@@ -320,11 +320,12 @@ class SupervisedShard:
         """Respawn the worker and replay it back to the present.
 
         Boot state is the latest snapshot (blueprint + operator state)
-        or the genesis blueprint; then every journal frame above the
+        or the genesis blueprint; then every journal record above the
         covered index replays through the rebuilt pipeline in order.
         The final stats round trip surfaces a restore or replay failure
         here — as a recovery error — rather than letting it poison the
-        next regular operation.
+        next regular operation; a damaged journal fails :meth:`tail`
+        before any worker is forked.
         """
         if self.recoveries >= self.config.max_recoveries:
             raise ShardCrashError(
@@ -353,25 +354,21 @@ class SupervisedShard:
         self.journal.sync()
         tail = self.journal.tail(start)
         self.inner = self._respawn(self.shard_id, blueprint_wire)
-        # The replacement continues the old sequence counter, so
-        # replayed frames keep their journaled numbers and new frames
-        # never collide with them.  The fresh channel's credit window
-        # lazily re-bases on the first replayed frame's sequence — the
-        # in-flight window is re-credited, not inherited.
+        # The replacement continues the old sequence counter, so new
+        # frames never collide with the journaled numbers.
         self.inner._next_seq = old._next_seq
         self._install_sink()
         if snapshot is not None:
             self.inner._send({"kind": "restore", "state": snapshot.state})
-        for frame in tail:
-            # The sampled waves in the tail already shipped their spans
-            # before the crash; replay with the sampling decision forced
-            # off so the assembler never sees the same wave twice.  (The
-            # journal file itself is untouched.)  Event frames replay
-            # under the same credit discipline as live traffic.
-            self.inner._send(
-                strip_trace_sampling(frame),
-                credit=frame.get("kind") == "events",
-            )
+        # The worker owns the replay decision: event frames below the
+        # mark are replays, recorded unsampled (their spans shipped
+        # before the crash).  So the tail goes as the journal's bytes,
+        # outside the credit window: the stats round trip below ingests
+        # all of it before any live frame is queued, and the window
+        # re-bases on the first live frame.
+        self.inner._send({"kind": "replay", "below": old._next_seq})
+        for record in tail:
+            self.inner._send(record)
         self.inner.begin("stats")
         __, errors = self.inner.end("stats")
         if errors:

@@ -54,7 +54,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
 
 from ..errors import DurabilityError, ParallelError, ShardCrashError
 from ..events.event import Event
@@ -76,7 +76,7 @@ from ..observability.trace import (
 )
 from .codec import events_frame, hello_bytes
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .mux import ChannelMultiplexer, MuxChannel, event_seq, inflight_snapshot
+from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
 from .router import ShardRouter
 from .wire import SEQ_KEY, attach_trace
 
@@ -389,18 +389,19 @@ class ProcessShard:
 
     def _send(
         self,
-        frame: Dict[str, Any],
+        frame: Union[Dict[str, Any], bytes],
         credit: bool = False,
-        encoded: Optional[bytes] = None,
+        seq: Optional[int] = None,
     ) -> None:
         """Queue *frame* on the channel (non-blocking).
 
         With ``credit`` the send first waits for in-flight window space
         — the per-frame backpressure point of barrier paths like
-        :meth:`ShardedFederation.flush_buffers` and journal replay
-        (streaming ingest checks the channel's ``has_credit`` instead
-        and defers without waiting).  *encoded* is *frame* as the
-        supervisor journaled it (self-contained); else the channel encodes.
+        :meth:`ShardedFederation.flush_buffers` (streaming ingest checks
+        the channel's ``has_credit`` instead and defers without
+        waiting).  A mapping is encoded by the channel; ``bytes`` are a
+        self-contained journal record, queued as they are, with *seq*
+        its credit-window sequence (``None``: outside the window).
         """
         if not self.alive:
             raise ShardCrashError(
@@ -409,10 +410,10 @@ class ProcessShard:
         if credit and not self.mux.wait_for_credit(self.channel):
             raise self._crashed(self.channel.dead or "send failed")
         try:
-            if encoded is None:
-                self.channel.queue(frame)
+            if isinstance(frame, bytes):
+                self.channel.queue_encoded(frame, seq)
             else:
-                self.channel.queue_encoded(encoded, event_seq(frame))
+                self.channel.queue(frame)
         except BrokenPipeError as error:
             raise self._crashed(str(error)) from None
         if self.channel.dead is not None:

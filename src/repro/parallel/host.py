@@ -172,6 +172,10 @@ class ShardHost:
         #: in the credit window.
         self.last_seq: Optional[int] = None
         self._reported: int = 0
+        #: Report-form records no drain has collected yet: built early
+        #: by a snapshot, which must carry them (the frames behind them
+        #: will not replay), or restored from one.
+        self._pending: List[Dict[str, Any]] = []
         #: Bus publishes counted by a previous incarnation (snapshot
         #: restore); the fresh bus restarts at zero.
         self._published_offset: int = 0
@@ -315,9 +319,14 @@ class ShardHost:
         tracker's ring buffer.  Values are native (nested tuples,
         frozensets): the binary codec ships them as they are.
         """
+        out = self._collect()
+        self._pending = []
+        return out
+
+    def _collect(self) -> List[Dict[str, Any]]:
+        """Bring every undrained record into ``_pending``; return it."""
         records = self.queue.records
         seq_offset = self.queue.seq_offset
-        out: List[Dict[str, Any]] = []
         for seq in range(self._reported, len(records)):
             notification = records[seq]
             parameters = dict(notification.parameters)
@@ -331,7 +340,7 @@ class ShardHost:
                     notification.time,
                     chain.signature(),
                 )
-            out.append(
+            self._pending.append(
                 {
                     "seq": seq_offset + seq,
                     "id": notification.notification_id,
@@ -345,7 +354,7 @@ class ShardHost:
                 }
             )
         self._reported = len(records)
-        return out
+        return self._pending
 
     # -- observability shipping --------------------------------------------
 
@@ -430,6 +439,7 @@ class ShardHost:
             ],
             "recognized_retired": self.system.awareness._recognized_retired,
             "seq": self.queue.seq_offset + len(self.queue.records),
+            "pending": list(self._collect()),
             "ingested": self._ingested,
             "published": (
                 self._published_offset + self.system.bus.published_count()
@@ -472,6 +482,7 @@ class ShardHost:
             state.get("recognized_retired", 0)
         )
         self.queue.seq_offset = int(state["seq"])
+        self._pending = list(state["pending"])
         self._ingested = int(state["ingested"])
         self._published_offset = int(state["published"])
         log_seq = state.get("log_seq")

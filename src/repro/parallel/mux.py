@@ -113,9 +113,9 @@ class MuxChannel:
         self.inbox: Deque[Dict[str, Any]] = deque()
         #: Highest event-frame sequence queued on *this* channel, and
         #: the worker's cumulative ack.  Both lazily initialise from the
-        #: first event frame queued, so a respawned channel replaying a
-        #: journal tail (original sequence numbers, arbitrary start)
-        #: counts only its own frames as in flight.
+        #: first event frame queued, so a respawned channel (its journal
+        #: replay unsequenced, its first live frame continuing the old
+        #: numbering) counts only its own frames as in flight.
         self.last_sent_seq: Optional[int] = None
         self.last_acked_seq: Optional[int] = None
         #: Times a send had to wait (or defer) for the credit window.

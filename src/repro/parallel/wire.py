@@ -74,7 +74,8 @@ TRACE_KEY = "trace"
 #: number — the credit-based flow control's unit of account.  Seqs are
 #: assigned by the facade in send order and survive a respawn (the
 #: replacement channel inherits the counter), so a journal-replayed
-#: frame keeps its original number.
+#: frame keeps its original number — which is how a worker tells it
+#: from a live one (below the ``replay`` frame's mark).
 SEQ_KEY = "seq"
 
 #: Key under which a worker response piggybacks its cumulative ack: the
@@ -99,9 +100,10 @@ def attach_trace(frame: Dict[str, Any], ctx: Optional[Any]) -> Dict[str, Any]:
     """Stamp *frame* with *ctx*'s wire form (no-op when ctx is ``None``).
 
     The facade's head-sampling decision travels inside the frame itself,
-    so a worker (or a journal replay) sees exactly the decision the
-    facade made for that wave of events — the cross-shard propagation
-    contract of DESIGN note 11.
+    so a worker sees exactly the decision the facade made for that wave
+    of events — the cross-shard propagation contract of DESIGN note 11.
+    A journal replay carries the same bytes; the worker records a
+    replayed wave unsampled (DESIGN note 23).
     """
     if ctx is not None:
         frame[TRACE_KEY] = ctx.to_wire()
@@ -113,23 +115,6 @@ def extract_trace(frame: Mapping[str, Any]) -> Optional[Any]:
     from ..observability.trace import TraceContext
 
     return TraceContext.from_wire(frame.get(TRACE_KEY))
-
-
-def strip_trace_sampling(frame: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of *frame* with the trace sampling decision forced off.
-
-    Journal replay uses this: the spans of a sampled wave were already
-    shipped and assembled the first time around, so replaying the frame
-    verbatim would re-record and double-count them.  The trace identity
-    is kept (the frame remains attributable); only the record decision
-    is cleared.  Frames without a trace context pass through unchanged.
-    """
-    trace = frame.get(TRACE_KEY)
-    if not trace:
-        return frame
-    stripped = dict(frame)
-    stripped[TRACE_KEY] = [trace[0], trace[1], 0]
-    return stripped
 
 
 # ---------------------------------------------------------------------------

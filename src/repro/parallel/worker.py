@@ -14,7 +14,7 @@ Protocol frames (see :mod:`repro.parallel.wire` for the framing):
   "trace": [tid, psid, 0|1]}`` — ingest a routed batch; ``seq`` is the
   facade's per-shard frame sequence number (the credit window's unit),
   and the optional ``trace`` context carries the facade's head-sampling
-  decision, honored verbatim (no re-sampling);
+  decision, honored verbatim (no re-sampling) unless it is a replay;
 * ``{"kind": "deploy", "spec": {...}}`` / ``{"kind": "undeploy",
   "spec_id": ...}`` — detector lifecycle;
 * ``{"kind": "stats"}`` → ``{"kind": "stats", "stats": {...},
@@ -43,6 +43,10 @@ exist;
 * ``{"kind": "restore", "state": {...}}`` — load a snapshot payload
   into the freshly booted host (sent once, right after fork, before the
   journal tail is replayed);
+* ``{"kind": "replay", "below": N}`` — the journal's bytes follow; an
+  ``events`` frame with ``seq`` below ``N`` is a replay, ingested with
+  its trace context forced unsampled (its spans shipped before the
+  crash) and never acked alone (it took no credit);
 * ``{"kind": "shutdown"}`` → ``{"kind": "bye"}`` and a clean exit — the
   poison pill.
 
@@ -55,6 +59,7 @@ EOF, not a hang.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Any, Dict, List
 
 from ..errors import ReproError
@@ -139,6 +144,8 @@ def worker_main(
         # dedicated exchange per frame.
         ack_every = max(1, int(options.get("ack_every", 1)))
         unacked = 0
+        # Event frames sequenced below this mark are journal replays.
+        replay_below = 0
 
         def piggyback_ack(response: Dict[str, Any]) -> Dict[str, Any]:
             nonlocal unacked
@@ -155,12 +162,16 @@ def worker_main(
             try:
                 if kind == "events":
                     seq = frame.get(SEQ_KEY)
-                    if seq is not None:
+                    ctx = extract_trace(frame)
+                    if seq is not None and seq < replay_below:
+                        # A replay: its spans shipped before the crash,
+                        # and it took no credit, so it earns no ack.
+                        if ctx is not None:
+                            ctx = replace(ctx, sampled=False)
+                    elif seq is not None:
                         unacked += 1
                     try:
-                        host.ingest(
-                            frame["events"], extract_trace(frame), seq=seq
-                        )
+                        host.ingest(frame["events"], ctx, seq=seq)
                     finally:
                         # The frame consumed a credit even if ingest
                         # failed recoverably — ack it regardless, or
@@ -208,6 +219,8 @@ def worker_main(
                     # state, not unshipped backlog, so the shipping
                     # cursor must not count them as dropped.
                     log_cursor = _SLOG.seq
+                elif kind == "replay":
+                    replay_below = frame["below"]
                 elif kind == "shutdown":
                     writer.write({"kind": "bye"})
                     break

@@ -27,7 +27,7 @@ from repro.durability.log import CONTROL_COMPACTED, FrameLog
 
 from tests.durability.test_frame_log import frames_for
 from tests.durability.test_journal_writers import decode_from_byte_four
-from tests.exact import as_decoded, exactly
+from tests.exact import as_decoded, decoded, exactly
 from tests.parallel.test_codec_property import frames, protocol_frames
 
 #: 30 examples keep tier-1 inside its 3 s budget; a loaded profile that
@@ -111,7 +111,7 @@ class Model:
             self.base,
             self.base + len(self.frames),
         )
-        assert exactly(log.tail(self.base), as_decoded(self.frames))
+        assert exactly(decoded(log.tail(self.base)), as_decoded(self.frames))
         return log
 
 
@@ -135,7 +135,7 @@ def reopen_after_crash(model, directory, cut, sibling):
         survived = reopened.frame_count - model.base
         assert model.durable <= survived <= len(model.frames)
         kept = model.frames[:survived]
-        assert exactly(reopened.tail(model.base), as_decoded(kept))
+        assert exactly(decoded(reopened.tail(model.base)), as_decoded(kept))
         assert reopened.append(MARKER) == model.base + survived
     assert exactly(
         decode_from_byte_four(copy), as_decoded(control(model.base) + kept + [MARKER])
@@ -210,7 +210,7 @@ class TestRewriteCrashPoints:
                 FrameLog(path)
         with FrameLog(path) as log:
             assert (log.base, log.frame_count) == (0, 5)
-            assert log.tail(0) == frames_for(5)
+            assert decoded(log.tail(0)) == frames_for(5)
             assert log.append(MARKER) == 5
         assert decode_from_byte_four(path) == frames_for(5) + [MARKER]
         assert not os.path.exists(path + ".recode")
@@ -232,7 +232,7 @@ class TestRewriteCrashPoints:
             # numbering is the same through both.
             assert log.base == (keep_from if renamed else 0)
             assert log.frame_count == 7
-            assert log.tail(keep_from) == frames_for(7)[keep_from:]
+            assert decoded(log.tail(keep_from)) == frames_for(7)[keep_from:]
             assert log.append(MARKER) == 7
         assert decode_from_byte_four(path) == (
             control(log.base) + frames_for(7)[log.base:] + [MARKER]

@@ -18,7 +18,7 @@ from repro.parallel.wire import MAX_FRAME_BYTES
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 from tests.durability.test_frame_log import JSON_ERA_JOURNAL
-from tests.exact import as_decoded, exactly
+from tests.exact import as_decoded, decoded, exactly
 
 
 def event_batch(size):
@@ -42,19 +42,26 @@ def decode_from_byte_four(path):
         frames.append(frame)
 
 
-def decode_each_record_alone(path):
-    """Every frame of the file, each through a decoder of its own: a
-    self-contained record needs nothing that came before it."""
+def journal_records(path):
+    """The file's records (length prefix + payload), split by hand."""
     with open(path, "rb") as stream:
         data = stream.read()
     assert data[: len(JOURNAL_MAGIC)] == JOURNAL_MAGIC
-    frames, position = [], len(JOURNAL_MAGIC)
+    records, position = [], len(JOURNAL_MAGIC)
     while position < len(data):
         end = position + 4 + int.from_bytes(data[position:position + 4], "big")
-        payload = data[position + 4:end]
-        frames.append(BinaryDecoder().decode_payload(payload))
+        records.append(data[position:end])
         position = end
-    return frames
+    return records
+
+
+def decode_each_record_alone(path):
+    """Every frame of the file, each through a decoder of its own: a
+    self-contained record needs nothing that came before it."""
+    return [
+        BinaryDecoder().decode_payload(record[4:])
+        for record in journal_records(path)
+    ]
 
 
 @pytest.fixture
@@ -96,7 +103,7 @@ class TestSnapshotBoundaryCompaction:
         assert (decode_calls, reads) == ([], [])
 
         assert (log.base, log.frame_count) == (256, 256)
-        assert log.tail(256) == []
+        assert decoded(log.tail(256)) == []
         control = {"kind": CONTROL_COMPACTED, "base": 256}
         assert decode_from_byte_four(path) == [control]
         appended = dict(events_frame(batch[:3]), seq=256)

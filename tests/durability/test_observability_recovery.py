@@ -3,9 +3,10 @@
 A recovered worker replays the journal tail: the same events run again,
 the same structured-log records are re-emitted, and — without care —
 the same sampled waves would re-ship their span batches.  The defenses
-under test: the supervisor replays frames with the trace sampling
-decision stripped (spans ship once, pre-crash), and filters re-shipped
-log records through the ``_seq`` high-watermark (the snapshot restores
+under test: the worker ingests every event frame below the supervisor's
+``replay`` mark with its trace sampling decision forced off (spans ship
+once, pre-crash), and the supervisor filters re-shipped log records
+through the ``_seq`` high-watermark (the snapshot restores
 the worker's emission counter, so replayed records collide exactly with
 the sequence numbers already merged).
 """

@@ -22,7 +22,7 @@ from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 from tests.durability.test_frame_log import JSON_ERA_JOURNAL
 from tests.durability.test_journal_writers import decode_each_record_alone
-from tests.exact import exactly
+from tests.exact import decoded, exactly, signatures
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -55,10 +55,6 @@ def kill_worker(shard):
     worker = shard.inner
     worker.process._popen._send_signal(signal.SIGKILL)  # noqa: SLF001
     worker.process.join(10.0)
-
-
-def signatures(notifications):
-    return sorted(map(repr, (n.signature for n in notifications)))
 
 
 def reference_run(workload):
@@ -293,7 +289,7 @@ class TestDurableLifecycle:
             federation.drain()
             shard = federation.shards[0]
             shard.journal.sync()
-            frames = shard.journal.tail(0)
+            frames = decoded(shard.journal.tail(0))
             shipped = sum(len(frame["events"]) for frame in frames)
             assert shipped == (
                 federation.shard_stats()[0]["events_ingested"]

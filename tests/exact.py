@@ -1,8 +1,10 @@
-"""Type-exact comparison of decoded values, shared by the codec,
-journal and snapshot tests."""
+"""Exact comparison shared by the tests: decoded values type for type
+(codec, journal and snapshot tests), and delivered notification streams
+signature for signature (recovery tests)."""
 
 from repro.events.event import Event
 from repro.observability.provenance import ProvenanceNode
+from repro.parallel.codec import BinaryDecoder
 
 
 def exactly(a, b):
@@ -48,3 +50,32 @@ def as_decoded(value):
     if isinstance(value, list):
         return [as_decoded(member) for member in value]
     return value
+
+
+def decoded(records):
+    """The frames of journal *records* (length prefix + self-contained
+    payload, as ``FrameLog.tail`` hands them out)."""
+    decoder = BinaryDecoder()
+    return [decoder.decode_payload(record[4:]) for record in records]
+
+
+def signatures(notifications):
+    """The provenance-signature multiset of a delivered stream."""
+    return sorted(map(repr, (n.signature for n in notifications)))
+
+
+def per_instance(notifications):
+    """Each process instance's signatures, in delivery order."""
+    streams = {}
+    for notification in notifications:
+        streams.setdefault(notification.process_instance_id, []).append(
+            notification.signature
+        )
+    return streams
+
+
+def assert_same_stream(got, expected):
+    """*got* delivers what *expected* does: the same signature multiset,
+    and the same order within every process instance."""
+    assert signatures(got) == signatures(expected)
+    assert per_instance(got) == per_instance(expected)
