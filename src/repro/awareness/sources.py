@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Deque,
     Dict,
@@ -53,14 +52,7 @@ from ..events.producers import (
     ContextEventProducer,
     SystemEventProducer,
 )
-from ..observability import (
-    CallbackGauge,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MultiCallbackGauge,
-)
+from ..observability import MetricsRegistry, stage_p95
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.event import Event
@@ -167,8 +159,8 @@ DEFAULT_SYSTEM_METRICS: Tuple[str, ...] = (
     "shard_recoveries",
 )
 
-#: Name of the derived per-stage p95 latency metric (microseconds), read
-#: off the tracer's ``pipeline_stage_us`` histogram when present.
+#: Name of the derived per-stage p95 latency metric (microseconds):
+#: :func:`~repro.observability.trace.stage_p95` of the registry.
 STAGE_P95_METRIC = "stage_p95_us"
 
 
@@ -226,8 +218,6 @@ class SystemTelemetrySource:
         self._rates: Dict[Tuple[str, int], Deque[int]] = {}
         self._stale: Dict[str, Tuple[int, int]] = {}
         self._published: Dict[Tuple[str, Optional[str]], int] = {}
-        #: Metric name -> (kind, instrument), filled lazily by `_collect`.
-        self._resolved: Dict[str, Tuple[int, Any]] = {}
         self._observers: List[Callable[[List[Sample], int], None]] = []
         self._last_sample = clock.now()
         clock.on_advance(self._on_advance)
@@ -288,47 +278,14 @@ class SystemTelemetrySource:
         return samples
 
     def _collect(self) -> List[Sample]:
-        samples: List[Sample] = []
         registry = self.metrics
-        resolved = self._resolved
-        for name in self.sampled_metrics:
-            entry = resolved.get(name)
-            if entry is None:
-                # Instruments are registered once and never replaced, so
-                # the (kind, instrument) resolution is cached; unresolved
-                # names are re-probed each pass in case they appear later.
-                instrument = registry.get(name)
-                if instrument is None:
-                    continue
-                if isinstance(instrument, Counter):
-                    kind = 0
-                elif isinstance(instrument, MultiCallbackGauge):
-                    kind = 1
-                elif isinstance(instrument, (Gauge, CallbackGauge)):
-                    kind = 2
-                else:
-                    continue
-                entry = resolved[name] = (kind, instrument)
-            kind, instrument = entry
-            if kind == 0:
-                samples.append((name, None, int(instrument.total())))
-            elif kind == 1:
-                series = instrument.series()
-                total = 0.0
-                for labels, value in sorted(series.items()):
-                    total += value
-                    samples.append((name, ",".join(labels), int(value)))
-                samples.append((name, None, int(total)))
-            else:
-                for labels, value in sorted(instrument.series().items()):
-                    label = ",".join(labels) if labels else None
-                    samples.append((name, label, int(value)))
-        histogram = registry.get("pipeline_stage_us")
-        if isinstance(histogram, Histogram):
-            for labels in sorted(histogram.series_labels()):
-                p95 = _histogram_p95(histogram, labels)
-                if p95 is not None:
-                    samples.append((STAGE_P95_METRIC, ",".join(labels), p95))
+        samples: List[Sample] = [
+            (name, label, int(value))
+            for name in self.sampled_metrics
+            for label, value in registry.readings(name)
+        ]
+        for labels, p95 in stage_p95(registry).items():
+            samples.append((STAGE_P95_METRIC, ",".join(labels), int(p95)))
         return samples
 
     def _derive(self, samples: List[Sample]) -> None:
@@ -354,23 +311,3 @@ class SystemTelemetrySource:
             self._stale[metric] = (max(last, value), misses)
             samples.append((f"stale[{metric}]", None, misses))
 
-
-def _histogram_p95(histogram: Histogram, labels: Tuple[str, ...]) -> Optional[int]:
-    """The 95th-percentile upper bucket edge of one histogram series.
-
-    Bucketed quantile in Prometheus style: the smallest bucket edge whose
-    cumulative count covers 95% of observations (overflow observations
-    report the last finite edge).  ``None`` for an empty series.
-    """
-    counts, __, count = histogram.snapshot(labels)
-    if count == 0:
-        return None
-    need = 0.95 * count
-    running = 0
-    for index, bucket_count in enumerate(counts):
-        running += bucket_count
-        if running >= need:
-            if index >= len(histogram.buckets):
-                return int(histogram.buckets[-1])
-            return int(histogram.buckets[index])
-    return int(histogram.buckets[-1])

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional
 
 from . import EnactmentSystem, Participant
 from .errors import ReproError
@@ -116,11 +117,15 @@ def _cmd_demonstration(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_workload(args: argparse.Namespace):
-    """The seeded shard workload the observability commands drive."""
+@contextmanager
+def _observed_federation(args: argparse.Namespace) -> Iterator[Any]:
+    """The seeded shard workload, ingested into a federation that traces
+    every wave and ships its workers' logs — what ``trace``, ``health``
+    and ``export`` read with ``--shards``."""
+    from .parallel import ShardConfig, ShardedFederation
     from .workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
-    return ShardStreamWorkload(
+    workload = ShardStreamWorkload(
         ShardStreamConfig(
             forces=max(4, args.shards * 2),
             windows_per_force=2,
@@ -128,41 +133,33 @@ def _shard_workload(args: argparse.Namespace):
             seed=args.seed,
         )
     )
+    config = ShardConfig(
+        shards=args.shards,
+        backend=args.backend,
+        batch_size=32,
+        instrument=True,
+        ship_logs=True,
+        trace_sample_every=1,
+    )
+    with ShardedFederation(workload.blueprint(), config) as federation:
+        federation.ingest(workload.events())
+        yield federation
 
 
 def _cmd_trace_shards(args: argparse.Namespace) -> int:
     import json
 
     from .metrics.report import render_table
-    from .observability.registry import Histogram
-    from .parallel import ShardConfig, ShardedFederation
+    from .observability import stage_p95
 
-    workload = _shard_workload(args)
-    config = ShardConfig(
-        shards=args.shards,
-        backend=args.backend,
-        batch_size=32,
-        instrument=True,
-        trace_sample_every=1,
-    )
-    with ShardedFederation(workload.blueprint(), config) as federation:
-        federation.ingest(workload.events())
+    with _observed_federation(args) as federation:
         federation.drain()
         federation.refresh_observability()
         assembler = federation.trace_assembler
         traces = federation.traces()
-        merged = federation.metrics_registry()
+        p95 = stage_p95(federation.metrics_registry())
 
     shown = list(traces[-args.limit :] if args.limit else traces)
-    histogram = merged.get("pipeline_stage_us")
-    p95 = (
-        {
-            labels: histogram.quantile(0.95, labels)
-            for labels in sorted(histogram.series_labels())
-        }
-        if isinstance(histogram, Histogram)
-        else {}
-    )
     if args.json:
         print(
             json.dumps(
@@ -280,19 +277,7 @@ def _parse_limit_overrides(pairs: List[str]) -> dict:
 def _cmd_health_shards(args: argparse.Namespace, rules: list) -> int:
     import json
 
-    from .parallel import ShardConfig, ShardedFederation
-
-    workload = _shard_workload(args)
-    config = ShardConfig(
-        shards=args.shards,
-        backend=args.backend,
-        batch_size=32,
-        instrument=True,
-        ship_logs=True,
-        trace_sample_every=1,
-    )
-    with ShardedFederation(workload.blueprint(), config) as federation:
-        federation.ingest(workload.events())
+    with _observed_federation(args) as federation:
         if args.no_drain:
             # Leave the participant queues full: worker-side backpressure
             # gauges (queue depth, delivery lag) stay observable so their
@@ -393,19 +378,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.shards > 0:
-        from .parallel import ShardConfig, ShardedFederation
-
-        workload = _shard_workload(args)
-        config = ShardConfig(
-            shards=args.shards,
-            backend=args.backend,
-            batch_size=32,
-            instrument=True,
-            ship_logs=True,
-            trace_sample_every=1,
-        )
-        with ShardedFederation(workload.blueprint(), config) as federation:
-            federation.ingest(workload.events())
+        with _observed_federation(args) as federation:
             federation.drain()
             federation.refresh_observability()
             text = federation.render_metrics()

@@ -62,7 +62,6 @@ from .registry import (
     MetricsRegistry,
     MultiCallbackGauge,
     default_registry,
-    set_default_registry,
 )
 from .trace import (
     DEFAULT_MAX_TRACES,
@@ -72,6 +71,7 @@ from .trace import (
     TraceContext,
     Tracer,
     is_recorded,
+    stage_p95,
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ __all__ = [
     "instrumented",
     "is_recorded",
     "logging_enabled",
-    "set_default_registry",
+    "stage_p95",
     "structured_log",
 ]
 

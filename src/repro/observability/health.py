@@ -23,7 +23,12 @@ Three rule kinds cover the classic SLO shapes:
 The evaluator additionally mirrors every rule against the sampling passes
 (via the source's observer hook) so :meth:`HealthEvaluator.health` can
 answer "what is firing right now" without draining any queue — the data
-behind ``repro health`` and the federation rollup.
+behind ``repro health`` and the federation rollup.  Whether a rule fires
+is decided in one place, :meth:`RuleState.update` over an instrument's
+:meth:`~repro.observability.registry.MetricsRegistry.readings`, and what
+a set of rule states means in one place, :func:`status_of`; the sharded
+federation (``repro health --shards``) reaches its verdict through the
+same two.
 """
 
 from __future__ import annotations
@@ -66,9 +71,10 @@ class SloRule:
 
     ``metric`` is the *sampled* name the rule's filter watches (derived
     rules watch ``rate[m/w]`` / ``stale[m]`` and keep the underlying name
-    in ``base_metric``).  ``series_label`` selects which series of the
-    metric the rule reads: ``None`` is the unlabelled total, ``"*"`` is
-    any series (the rule breaches when *any* reading does).
+    in ``base_metric``).  ``series_label`` selects which of the metric's
+    readings the rule sees: ``None`` is the instrument's total, a label
+    string one series, ``"*"`` every reading (the rule breaches when
+    *any* reading does).
     """
 
     name: str
@@ -288,6 +294,36 @@ class RuleState:
             "fired_count": self.fired_count,
         }
 
+    def update(
+        self, readings: Iterable[Tuple[Optional[str], int]], tick: int
+    ) -> bool:
+        """Fold one pass's readings of the rule's metric into the state;
+        True when the rule fired or cleared.  Readings the rule's
+        ``series_label`` does not select are ignored, and a pass with
+        none it selects leaves the state as it was."""
+        rule = self.rule
+        wanted = rule.series_label
+        relevant = [
+            value
+            for label, value in readings
+            if wanted == "*" or label == wanted
+        ]
+        if not relevant:
+            return False
+        breaching = [value for value in relevant if rule.breached(value)]
+        self.last_value = breaching[0] if breaching else max(relevant)
+        if breaching:
+            self.last_breach_tick = tick
+            if self.firing:
+                return False
+            self.firing = True
+            self.fired_count += 1
+            return True
+        if not self.firing:
+            return False
+        self.firing = False
+        return True
+
 
 @dataclass(frozen=True)
 class SystemHealth:
@@ -434,141 +470,44 @@ class HealthEvaluator:
             by_metric.setdefault(metric, []).append((label, value))
         for state in self._states.values():
             rule = state.rule
-            readings = by_metric.get(rule.metric)
-            if readings is None:
+            changed = state.update(by_metric.get(rule.metric, ()), now)
+            if not (changed and _LOG.enabled):
                 continue
-            if rule.series_label == "*":
-                relevant = [value for __, value in readings]
+            if state.firing:
+                _LOG.emit(
+                    "health",
+                    "slo_fired",
+                    level="warning",
+                    system=self.system_name,
+                    tick=now,
+                    rule=rule.name,
+                    metric=rule.metric,
+                    value=state.last_value,
+                    limit=rule.limit,
+                    severity=rule.severity,
+                )
             else:
-                relevant = [
-                    value
-                    for label, value in readings
-                    if label == rule.series_label
-                ]
-            if not relevant:
-                continue
-            breaching = [value for value in relevant if rule.breached(value)]
-            state.last_value = breaching[0] if breaching else max(relevant)
-            if breaching:
-                state.last_breach_tick = now
-                if not state.firing:
-                    state.firing = True
-                    state.fired_count += 1
-                    if _LOG.enabled:
-                        _LOG.emit(
-                            "health",
-                            "slo_fired",
-                            level="warning",
-                            system=self.system_name,
-                            tick=now,
-                            rule=rule.name,
-                            metric=rule.metric,
-                            value=state.last_value,
-                            limit=rule.limit,
-                            severity=rule.severity,
-                        )
-            elif state.firing:
-                state.firing = False
-                if _LOG.enabled:
-                    _LOG.emit(
-                        "health",
-                        "slo_cleared",
-                        system=self.system_name,
-                        tick=now,
-                        rule=rule.name,
-                        metric=rule.metric,
-                        value=state.last_value,
-                    )
+                _LOG.emit(
+                    "health",
+                    "slo_cleared",
+                    system=self.system_name,
+                    tick=now,
+                    rule=rule.name,
+                    metric=rule.metric,
+                    value=state.last_value,
+                )
 
     # -- status ------------------------------------------------------------
 
     def health(self) -> SystemHealth:
         """The system's current status from the mirrored rule states."""
-        status = "ok"
-        for state in self._states.values():
-            if not state.firing:
-                continue
-            if state.rule.severity == SEVERITY_FAILING:
-                status = SEVERITY_FAILING
-            elif status == "ok":
-                status = SEVERITY_DEGRADED
+        states = tuple(self._states.values())
         return SystemHealth(
             system=self.system_name,
-            status=status,
+            status=status_of(states),
             tick=self._last_tick,
-            rules=tuple(self._states.values()),
+            rules=states,
         )
-
-
-def evaluate_registry(
-    registry: Any,
-    rules: Optional[Tuple[SloRule, ...]] = None,
-    system_name: str = "federation",
-    tick: int = 0,
-) -> SystemHealth:
-    """Evaluate threshold SLO rules directly against a metrics registry.
-
-    The pipeline-compiled :class:`HealthEvaluator` needs a live telemetry
-    source; the *merged* federation registry
-    (:class:`~repro.observability.selfawareness.FederationMetricsView`)
-    has no such source — it is a point-in-time aggregate of worker
-    snapshots.  This function closes the gap: each threshold rule reads
-    every series of its instrument (in the merged registry that means
-    one series per shard, thanks to the leading ``shard`` label) and
-    fires when *any* reading breaches, so one worker-side SLO breach
-    surfaces in the federation status.  Rate and staleness rules need
-    sampling history and are skipped here.
-    """
-    from .registry import (
-        CallbackGauge,
-        Counter,
-        Gauge,
-        MultiCallbackGauge,
-    )
-
-    states: List[RuleState] = []
-    for rule in rules if rules is not None else default_rules():
-        if rule.kind != "threshold":
-            continue
-        state = RuleState(rule=rule)
-        states.append(state)
-        instrument = registry.get(rule.metric)
-        if instrument is None or not isinstance(
-            instrument, (Counter, Gauge, CallbackGauge, MultiCallbackGauge)
-        ):
-            continue
-        readings = [
-            (labels, int(value))
-            for labels, value in instrument.series().items()
-            if rule.series_label in (None, "*")
-            or rule.series_label in labels
-        ]
-        if not readings:
-            continue
-        breaching = [
-            value for __, value in readings if rule.breached(value)
-        ]
-        state.last_value = (
-            breaching[0] if breaching else max(value for __, value in readings)
-        )
-        if breaching:
-            state.firing = True
-            state.fired_count = 1
-            state.last_breach_tick = tick
-    status = "ok"
-    for state in states:
-        if not state.firing:
-            continue
-        if state.rule.severity == SEVERITY_FAILING:
-            status = SEVERITY_FAILING
-        elif status == "ok":
-            status = SEVERITY_DEGRADED
-    return SystemHealth(
-        system=system_name,
-        status=status,
-        tick=tick,
-        rules=tuple(states),
-    )
 
 
 def worst_status(statuses: Iterable[str]) -> str:
@@ -577,3 +516,9 @@ def worst_status(statuses: Iterable[str]) -> str:
     for status in statuses:
         worst = max(worst, STATUS_ORDER.index(status))
     return STATUS_ORDER[worst]
+
+
+def status_of(states: Iterable[RuleState]) -> str:
+    """What a set of rule states means: the worst severity among the
+    firing rules, ``ok`` when none fires."""
+    return worst_status(state.rule.severity for state in states if state.firing)

@@ -23,14 +23,15 @@ bounded (:data:`DEFAULT_MAX_SERIES`) so a buggy caller cannot turn the
 registry into an unbounded memory leak — exceeding the bound raises
 :class:`MetricsError` rather than silently dropping data.
 
-All mutating operations are thread-safe (one lock per instrument), and
-registries render to both a Prometheus-style text exposition and plain
-JSON-able dicts.
+All mutating operations are thread-safe (one lock per instrument).  A
+registry is read three ways: :meth:`MetricsRegistry.readings` (what SLO
+rules and the telemetry source see), the lossless
+:meth:`MetricsRegistry.snapshot` (what shards ship), and the
+Prometheus-style :meth:`MetricsRegistry.render_text`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from typing import (
@@ -50,6 +51,9 @@ from ..errors import ReproError
 DEFAULT_MAX_SERIES = 1024
 
 LabelValues = Tuple[str, ...]
+
+#: One reading of an instrument: ``(series label or None, value)``.
+Reading = Tuple[Optional[str], float]
 
 
 class MetricsError(ReproError):
@@ -84,6 +88,17 @@ class Instrument:
         self.max_series = max_series
         self._lock = threading.Lock()
 
+    def series(self) -> Dict[LabelValues, float]:
+        """Every series' current value; histograms have none."""
+        raise MetricsError(
+            f"instrument {self.name!r} is a {self.kind}; read its buckets "
+            f"through snapshot()"
+        )
+
+    def value(self, labels: LabelValues = ()) -> float:
+        _check_labels(self.name, self.label_names, labels)
+        return self.series().get(labels, 0.0)
+
     def _check_capacity(self, series: Mapping[LabelValues, object]) -> None:
         if len(series) >= self.max_series:
             raise MetricsError(
@@ -93,10 +108,8 @@ class Instrument:
             )
 
 
-class Counter(Instrument):
-    """A monotonically increasing per-series total."""
-
-    kind = "counter"
+class _StoredInstrument(Instrument):
+    """Counter and gauge: one stored value per series."""
 
     def __init__(
         self,
@@ -107,6 +120,21 @@ class Counter(Instrument):
     ) -> None:
         super().__init__(name, description, label_names, max_series)
         self._values: Dict[LabelValues, float] = {}
+
+    def value(self, labels: LabelValues = ()) -> float:
+        _check_labels(self.name, self.label_names, labels)
+        with self._lock:
+            return self._values.get(labels, 0.0)
+
+    def series(self) -> Dict[LabelValues, float]:
+        with self._lock:
+            return dict(self._values)
+
+
+class Counter(_StoredInstrument):
+    """A monotonically increasing per-series total."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, labels: LabelValues = ()) -> None:
         if amount < 0:
@@ -130,18 +158,9 @@ class Counter(Instrument):
                 self._values[labels] = 0.0
         return BoundCounter(self, labels)
 
-    def value(self, labels: LabelValues = ()) -> float:
-        _check_labels(self.name, self.label_names, labels)
-        with self._lock:
-            return self._values.get(labels, 0.0)
-
     def total(self) -> float:
         with self._lock:
             return sum(self._values.values())
-
-    def series(self) -> Dict[LabelValues, float]:
-        with self._lock:
-            return dict(self._values)
 
 
 class BoundCounter:
@@ -162,20 +181,10 @@ class BoundCounter:
         return self._counter.value(self._labels)
 
 
-class Gauge(Instrument):
+class Gauge(_StoredInstrument):
     """A settable point-in-time value per series."""
 
     kind = "gauge"
-
-    def __init__(
-        self,
-        name: str,
-        description: str = "",
-        label_names: Sequence[str] = (),
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> None:
-        super().__init__(name, description, label_names, max_series)
-        self._values: Dict[LabelValues, float] = {}
 
     def set(self, value: float, labels: LabelValues = ()) -> None:
         _check_labels(self.name, self.label_names, labels)
@@ -194,15 +203,6 @@ class Gauge(Instrument):
 
     def dec(self, amount: float = 1.0, labels: LabelValues = ()) -> None:
         self.inc(-amount, labels)
-
-    def value(self, labels: LabelValues = ()) -> float:
-        _check_labels(self.name, self.label_names, labels)
-        with self._lock:
-            return self._values.get(labels, 0.0)
-
-    def series(self) -> Dict[LabelValues, float]:
-        with self._lock:
-            return dict(self._values)
 
 
 class CallbackGauge(Instrument):
@@ -253,10 +253,6 @@ class MultiCallbackGauge(Instrument):
     ) -> None:
         super().__init__(name, description, label_names, max_series)
         self._callback = callback
-
-    def value(self, labels: LabelValues = ()) -> float:
-        _check_labels(self.name, self.label_names, labels)
-        return float(self.series().get(labels, 0.0))
 
     def series(self) -> Dict[LabelValues, float]:
         computed = dict(self._callback())
@@ -570,16 +566,31 @@ class MetricsRegistry:
     def value(self, name: str, labels: LabelValues = ()) -> float:
         """The current value of one counter/gauge series (0.0 if absent)."""
         instrument = self.get(name)
-        if instrument is None:
-            return 0.0
-        if isinstance(
-            instrument, (Counter, Gauge, CallbackGauge, MultiCallbackGauge)
-        ):
-            return instrument.value(labels)
-        raise MetricsError(
-            f"instrument {name!r} is a {instrument.kind}; use as_dict() "
-            f"for histogram series"
-        )
+        return 0.0 if instrument is None else instrument.value(labels)
+
+    def readings(self, name: str) -> List[Reading]:
+        """What a rule or the telemetry source sees of one instrument.
+
+        One ``(label, value)`` pair per series, in label order — the
+        series' label values comma-joined, ``None`` for an unlabelled
+        instrument's single series — then, for a labelled instrument,
+        ``(None, total)``: the sum over its series.  So ``None`` always
+        names the instrument's total.  Empty for an absent instrument or
+        a histogram, which is read by quantile
+        (:func:`~repro.observability.trace.stage_p95`).
+        """
+        instrument = self.get(name)
+        if instrument is None or isinstance(instrument, Histogram):
+            return []
+        series = sorted(instrument.series().items())
+        total = sum(value for __, value in series)
+        if not instrument.label_names:
+            return [(None, total)]
+        readings: List[Reading] = [
+            (",".join(labels), value) for labels, value in series
+        ]
+        readings.append((None, total))
+        return readings
 
     def unregister(self, name: str) -> None:
         with self._lock:
@@ -590,67 +601,13 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # -- rendering ---------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, object]:
-        """A JSON-able snapshot of every instrument and series."""
-        out: Dict[str, object] = {}
-        for name in self.names():
-            instrument = self.get(name)
-            if instrument is None:  # pragma: no cover - racy unregister
-                continue
-            if isinstance(instrument, Histogram):
-                series_out = []
-                for labels in instrument.series_labels():
-                    counts, total, count = instrument.snapshot(labels)
-                    series_out.append(
-                        {
-                            "labels": dict(
-                                zip(instrument.label_names, labels)
-                            ),
-                            "buckets": list(instrument.buckets),
-                            "counts": list(counts),
-                            "sum": total,
-                            "count": count,
-                        }
-                    )
-                out[name] = {
-                    "kind": instrument.kind,
-                    "description": instrument.description,
-                    "series": series_out,
-                }
-            elif isinstance(
-                instrument,
-                (Counter, Gauge, CallbackGauge, MultiCallbackGauge),
-            ):
-                out[name] = {
-                    "kind": instrument.kind,
-                    "description": instrument.description,
-                    "series": [
-                        {
-                            "labels": dict(
-                                zip(instrument.label_names, labels)
-                            ),
-                            "value": value,
-                        }
-                        for labels, value in sorted(
-                            instrument.series().items()
-                        )
-                    ],
-                }
-        return out
-
-    def render_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
     # -- snapshot codec ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """A lossless, JSON-able snapshot of every instrument.
 
-        Unlike :meth:`as_dict` (a human-facing rendering), the snapshot
-        preserves label *tuples*, bucket boundaries, and per-bucket counts
-        exactly, so :meth:`merge` on another registry reproduces every
+        The snapshot preserves label *tuples*, bucket boundaries, and
+        per-bucket counts exactly, so :meth:`merge` on another registry reproduces every
         series bit-for-bit.  Callback gauges are captured at their
         collection-time values and decode as plain gauges — the callable
         itself cannot cross a process boundary.
@@ -672,16 +629,11 @@ class MetricsRegistry:
                     for labels in instrument.series_labels()
                     for counts, total, count in (instrument.snapshot(labels),)
                 ]
-            elif isinstance(
-                instrument,
-                (Counter, Gauge, CallbackGauge, MultiCallbackGauge),
-            ):
+            else:
                 entry["series"] = [
                     [list(labels), value]
                     for labels, value in sorted(instrument.series().items())
                 ]
-            else:  # pragma: no cover - no other kinds exist
-                continue
             out[name] = entry
         return out
 
@@ -784,10 +736,7 @@ class MetricsRegistry:
                     lines.append(f"{name}_bucket{extra} {cumulative[-1]}")
                     lines.append(f"{name}_sum{base} {total:g}")
                     lines.append(f"{name}_count{base} {count}")
-            elif isinstance(
-                instrument,
-                (Counter, Gauge, CallbackGauge, MultiCallbackGauge),
-            ):
+            else:
                 for labels, value in sorted(instrument.series().items()):
                     rendered = _render_labels(instrument.label_names, labels)
                     lines.append(f"{name}{rendered} {value:g}")
@@ -811,11 +760,3 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide default :class:`MetricsRegistry`."""
     return _DEFAULT_REGISTRY
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default registry; returns the previous one."""
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous

@@ -26,13 +26,17 @@ from ..events.queues import Notification
 from ..federation.system import EnactmentSystem
 from .health import (
     DEFAULT_HEALTH_ROLE,
+    STATUS_EXIT_CODES,
     HealthEvaluator,
+    RuleState,
     SloRule,
     SystemHealth,
-    evaluate_registry,
+    default_rules,
+    status_of,
     worst_status,
 )
-from .registry import Histogram, MetricsRegistry
+from .registry import MetricsRegistry
+from .trace import stage_p95
 
 
 class SelfAwareness:
@@ -115,8 +119,6 @@ class FederationHealth:
 
     @property
     def exit_code(self) -> int:
-        from .health import STATUS_EXIT_CODES
-
         return STATUS_EXIT_CODES[self.status]
 
     def as_dict(self) -> Dict[str, Any]:
@@ -218,31 +220,49 @@ class FederationMetricsView:
         """Prometheus text exposition across the whole federation."""
         return self.registry().render_text()
 
-    def stage_p95(self) -> Dict[Tuple[str, str], float]:
-        """p95 stage latency (µs) per ``(shard, stage)`` from the merged
-        ``pipeline_stage_us`` histogram."""
-        merged = self.registry()
-        histogram = merged.get("pipeline_stage_us")
-        if not isinstance(histogram, Histogram):
-            return {}
-        return {
-            (labels[0], labels[1]): histogram.quantile(0.95, labels)
-            for labels in histogram.series_labels()
-        }
+    def stage_p95(self) -> Dict[Tuple[str, ...], float]:
+        """p95 stage latency (µs) per ``(shard, stage)``: :func:`stage_p95`
+        of the merged registry."""
+        return stage_p95(self.registry())
 
     def health(
         self,
         rules: Optional[Tuple[SloRule, ...]] = None,
         tick: int = 0,
     ) -> SystemHealth:
-        """Threshold SLO rules evaluated over the merged registry.
+        """Threshold SLO rules over every shard's latest snapshot.
 
-        A breach in any one shard's series fires the federation rule —
-        the worker-side SLO surfacing the tentpole asks for.
+        Each shard is read as its own system, exactly as ``repro health``
+        reads one: its snapshot's :meth:`MetricsRegistry.readings`, so a
+        rule on a labelled instrument sees that shard's total as well as
+        its series.  One rule state per rule takes every shard's
+        readings, so a breach in any one shard fires it and the
+        federation is as sick as its sickest shard.  Rate and staleness
+        rules are skipped: they need the sampling history a telemetry
+        source keeps, and a point-in-time snapshot has none.
         """
-        return evaluate_registry(
-            self.registry(),
-            rules=rules,
-            system_name="federation",
+        shards: List[MetricsRegistry] = []
+        for shard in sorted(self._snapshots):
+            registry = MetricsRegistry()
+            registry.merge(self._snapshots[shard])
+            shards.append(registry)
+        states = tuple(
+            RuleState(rule=rule)
+            for rule in (rules if rules is not None else default_rules())
+            if rule.kind == "threshold"
+        )
+        for state in states:
+            state.update(
+                [
+                    (label, int(value))
+                    for registry in shards
+                    for label, value in registry.readings(state.rule.metric)
+                ],
+                tick,
+            )
+        return SystemHealth(
+            system="federation",
+            status=status_of(states),
             tick=tick,
+            rules=states,
         )

@@ -33,18 +33,22 @@ Provenance is *not* sampled — recognition chains stay complete.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, cast
 
 from ..metrics.latency import STAGE_LATENCY_BUCKETS_US
-from .registry import BoundHistogram, Histogram, MetricsRegistry
+from .registry import BoundHistogram, Histogram, LabelValues, MetricsRegistry
 
 #: Default capacity of the recent-trace ring buffer.
 DEFAULT_MAX_TRACES = 256
 
 #: Default trace sampling period: record one in this many traces fully.
 DEFAULT_SAMPLE_EVERY = 16
+
+#: The per-stage latency histogram every bound tracer records into.
+STAGE_HISTOGRAM = "pipeline_stage_us"
 
 JsonSpan = Dict[str, object]
 
@@ -93,7 +97,7 @@ _LIGHT_AS_SPAN = cast("Span", _LIGHT)
 
 
 class Span:
-    """One timed pipeline stage; a context manager that nests naturally."""
+    """One timed pipeline stage of a recorded trace."""
 
     __slots__ = (
         "name",
@@ -102,13 +106,10 @@ class Span:
         "start",
         "duration",
         "children",
-        "light",
-        "_tracer",
     )
 
     def __init__(
         self,
-        tracer: "Tracer",
         name: str,
         logical_time: Optional[int],
         attributes: Optional[Dict[str, object]],
@@ -119,15 +120,6 @@ class Span:
         self.start = 0.0
         self.duration = 0.0
         self.children: List[Span] = []
-        self.light = False
-        self._tracer = tracer
-
-    def __enter__(self) -> "Span":
-        self._tracer._enter_span(self)
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self._tracer._exit_span(self)
 
     @property
     def duration_us(self) -> float:
@@ -202,7 +194,7 @@ class Tracer:
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Record per-stage latency into *registry* (``pipeline_stage_us``)."""
         self._histogram = registry.histogram(
-            "pipeline_stage_us",
+            STAGE_HISTOGRAM,
             buckets=STAGE_LATENCY_BUCKETS_US,
             description="Wall-clock cost of one pipeline stage (microseconds)",
             label_names=("stage",),
@@ -211,14 +203,19 @@ class Tracer:
 
     # -- span lifecycle ----------------------------------------------------
 
+    @contextmanager
     def span(
         self,
         name: str,
         logical_time: Optional[int] = None,
         **attributes: object,
-    ) -> Span:
-        """Open a span; use as a context manager around the stage's work."""
-        return Span(self, name, logical_time, attributes or None)
+    ) -> Iterator[Span]:
+        """:meth:`begin` and :meth:`end` around a ``with`` block."""
+        span = self.begin(name, logical_time, attributes or None)
+        try:
+            yield span
+        finally:
+            self.end(span)
 
     def begin(
         self,
@@ -226,19 +223,15 @@ class Tracer:
         logical_time: Optional[int] = None,
         attributes: Optional[Dict[str, object]] = None,
     ) -> Span:
-        """Open and start a span in one call — the hot-path twin of
-        :meth:`span`.
+        """Open and start a span; close it with :meth:`end`, normally
+        from a ``finally`` block.
 
-        Callers pass a *pre-built* (and freely shared — spans never mutate
-        it) attributes dict and must close with :meth:`end`, normally from
-        a ``finally`` block.  This skips the context-manager protocol, the
-        kwargs packing, and one method hop per span, which matters at
-        hundreds of thousands of spans per second.  When the sampler
-        skips the current trace, the return value is a shared token and
-        the stage costs two integer updates.
+        This is where the sampling decision is made.  Callers pass a
+        *pre-built* (and freely shared — spans never mutate it)
+        attributes dict.  When the sampler skips the current trace, the
+        return value is a shared token and the stage costs two integer
+        updates; nothing is allocated.
         """
-        # Sampling logic duplicated in _enter_span: this path must not
-        # allocate anything for unsampled traces.
         if self._light_depth:
             self._light_depth += 1
             return _LIGHT_AS_SPAN
@@ -247,7 +240,7 @@ class Tracer:
             if self._trace_count % self.sample_every:
                 self._light_depth = 1
                 return _LIGHT_AS_SPAN
-        span = Span(self, name, logical_time, attributes)
+        span = Span(name, logical_time, attributes)
         stack = self._stack
         if stack:
             stack[-1].children.append(span)
@@ -278,7 +271,7 @@ class Tracer:
         if not sampled:
             self._light_depth = 1
             return _LIGHT_AS_SPAN
-        span = Span(self, name, logical_time, attributes)
+        span = Span(name, logical_time, attributes)
         self._stack.append(span)
         span.start = perf_counter()
         return span
@@ -286,32 +279,6 @@ class Tracer:
     def end(self, span: Span) -> None:
         """Close a span opened with :meth:`begin`."""
         if span is _LIGHT_AS_SPAN:
-            self._light_depth -= 1
-            return
-        span.duration = perf_counter() - span.start
-        self._finish(span)
-
-    def _enter_span(self, span: Span) -> None:
-        """Context-manager entry (`with tracer.span(...)`): same sampling
-        decision as :meth:`begin`, recorded on the span's ``light`` flag."""
-        if self._light_depth:
-            self._light_depth += 1
-            span.light = True
-            return
-        if not self._stack:
-            self._trace_count += 1
-            if self._trace_count % self.sample_every:
-                self._light_depth = 1
-                span.light = True
-                return
-        stack = self._stack
-        if stack:
-            stack[-1].children.append(span)
-        stack.append(span)
-        span.start = perf_counter()
-
-    def _exit_span(self, span: Span) -> None:
-        if span.light:
             self._light_depth -= 1
             return
         span.duration = perf_counter() - span.start
@@ -388,7 +355,20 @@ class Tracer:
 
 def is_recorded(span: Span) -> bool:
     """True when *span* is a real recorded span, not the sampler's token."""
-    return span is not _LIGHT_AS_SPAN and not span.light
+    return span is not _LIGHT_AS_SPAN
+
+
+def stage_p95(registry: MetricsRegistry) -> Dict[LabelValues, float]:
+    """The p95 of every :data:`STAGE_HISTOGRAM` series in *registry*,
+    by label tuple (``(stage,)``, or ``(shard, stage)`` in a merged
+    federation registry): :meth:`Histogram.quantile` at 0.95."""
+    histogram = registry.get(STAGE_HISTOGRAM)
+    if not isinstance(histogram, Histogram):
+        return {}
+    return {
+        labels: histogram.quantile(0.95, labels)
+        for labels in sorted(histogram.series_labels())
+    }
 
 
 class TraceAssembler:
@@ -480,17 +460,17 @@ class TraceAssembler:
             span = cast(JsonSpan, entry["span"])
             lines.append(f"  shard {entry['shard']}:")
             lines.extend(
-                "    " + line for line in _render_json_span(span, 0)
+                "    " + line for line in _render_span_tree(span, 0)
             )
         return "\n".join(lines)
 
 
-def _render_json_span(span: JsonSpan, indent: int) -> List[str]:
+def _render_span_tree(span: JsonSpan, indent: int) -> List[str]:
     duration = span.get("duration_us", 0.0)
     time_part = (
         f" t={span['logical_time']}" if "logical_time" in span else ""
     )
     lines = [f"{'  ' * indent}{span.get('name')}{time_part} ({duration}us)"]
     for child in cast(List[JsonSpan], span.get("children", [])):
-        lines.extend(_render_json_span(child, indent + 1))
+        lines.extend(_render_span_tree(child, indent + 1))
     return lines

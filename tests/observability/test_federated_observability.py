@@ -4,7 +4,7 @@ Covers the facade-side pieces in isolation: registry snapshot/merge
 round trips (property-tested — the codec must be lossless for the
 metrics plane to aggregate honestly), the trace assembler's stitching
 and accounting, the structured-log drain cursor and the merged log
-view's ordering, and SLO evaluation straight against a merged registry.
+view's ordering, and SLO evaluation over the shards' snapshots.
 The end-to-end paths (real shards shipping over the wire) live in
 ``tests/parallel/test_federated_observability.py``.
 """
@@ -24,10 +24,7 @@ from repro.observability import (
     TraceAssembler,
     TraceContext,
 )
-from repro.observability.health import (
-    evaluate_registry,
-    threshold_rule,
-)
+from repro.observability.health import threshold_rule
 from repro.observability.registry import Gauge, Histogram
 from repro.observability.selfawareness import FederationMetricsView
 
@@ -385,10 +382,10 @@ class TestFederationLogView:
         assert "published" in view.render_lines()
 
 
-# -- SLO evaluation over a merged registry ---------------------------------
+# -- SLO evaluation over the shards' snapshots ------------------------------
 
 
-class TestEvaluateRegistry:
+class TestFederationHealth:
     def rules(self):
         return (
             threshold_rule("queue-depth", "queue_depth", ">", 50),
@@ -397,26 +394,26 @@ class TestEvaluateRegistry:
             ),
         )
 
-    def merged(self, depths):
-        merged = MetricsRegistry()
+    def view(self, depths, dead=()):
+        """One snapshot per shard: its queue depth, and a dead-shards
+        gauge of 1 on the shards listed in *dead*."""
+        view = FederationMetricsView()
         for shard, depth in depths.items():
             worker = MetricsRegistry()
             worker.gauge("queue_depth").set(depth)
-            merged.merge(worker.snapshot(), shard=str(shard))
-        return merged
+            if shard in dead:
+                worker.gauge("dead_shards").set(1)
+            view.update(shard, worker.snapshot())
+        return view
 
     def test_all_quiet_is_ok(self):
-        health = evaluate_registry(
-            self.merged({0: 3, 1: 7}), rules=self.rules()
-        )
+        health = self.view({0: 3, 1: 7}).health(rules=self.rules())
         assert health.status == "ok"
         assert health.exit_code == 0
         assert not health.firing()
 
     def test_one_breaching_shard_degrades_the_federation(self):
-        health = evaluate_registry(
-            self.merged({0: 3, 1: 99}), rules=self.rules(), tick=12
-        )
+        health = self.view({0: 3, 1: 99}).health(rules=self.rules(), tick=12)
         assert health.status == "degraded"
         assert health.exit_code == 1
         (firing,) = health.firing()
@@ -425,17 +422,14 @@ class TestEvaluateRegistry:
         assert firing.last_breach_tick == 12
 
     def test_failing_severity_dominates(self):
-        merged = self.merged({0: 99})
-        merged.gauge("dead_shards", label_names=("shard",)).set(1, ("0",))
-        health = evaluate_registry(merged, rules=self.rules())
+        health = self.view({0: 99}, dead=(0,)).health(rules=self.rules())
         assert health.status == "failing"
         assert health.exit_code == 2
 
     def test_non_threshold_rules_are_skipped(self):
         from repro.observability.health import rate_rule
 
-        health = evaluate_registry(
-            self.merged({0: 99}),
+        health = self.view({0: 99}).health(
             rules=(rate_rule("failures", "bus_failed_total", 5, ">", 0),),
         )
         assert health.rules == ()

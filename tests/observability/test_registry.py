@@ -216,14 +216,6 @@ class TestRendering:
         assert 'lat_us_bucket{le="+Inf"} 1' in text
         assert "lat_us_count 1" in text
 
-    def test_json_round_trips(self):
-        payload = json.loads(self.make_registry().render_json())
-        assert payload["events_total"]["kind"] == "counter"
-        assert payload["events_total"]["series"][0]["labels"] == {
-            "topic": "t1"
-        }
-        assert payload["lat_us"]["series"][0]["count"] == 1
-
     def test_reset_and_unregister(self):
         registry = self.make_registry()
         registry.unregister("depth")
@@ -274,9 +266,156 @@ class TestMultiCallbackGauge:
         self.make(registry)
         text = registry.render_text()
         assert 'queue_depth{participant="alice"} 3' in text
-        payload = json.loads(registry.render_json())
-        series = {
-            entry["labels"]["participant"]: entry["value"]
-            for entry in payload["queue_depth"]["series"]
-        }
-        assert series == {"alice": 3.0, "bob": 1.0}
+        payload = json.loads(json.dumps(registry.snapshot()))
+        assert payload["queue_depth"]["series"] == [
+            [["alice"], 3.0],
+            [["bob"], 1.0],
+        ]
+
+
+class TestReadings:
+    def test_unlabelled_instrument_reads_as_its_total(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(3)
+        registry.callback_gauge("g", lambda: 4)
+        registry.gauge("unset")
+        assert registry.readings("c") == [(None, 3.0)]
+        assert registry.readings("g") == [(None, 4.0)]
+        assert registry.readings("unset") == [(None, 0)]
+
+    def test_labelled_instrument_reads_series_then_total(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c", label_names=("topic", "kind"))
+        counter.inc(2, ("b", "x"))
+        counter.inc(5, ("a", "y"))
+        registry.multi_callback_gauge(
+            "depth", lambda: {("kim",): 9, ("lee",): 3}, "", ("participant",)
+        )
+        assert registry.readings("c") == [
+            ("a,y", 5.0),
+            ("b,x", 2.0),
+            (None, 7.0),
+        ]
+        assert registry.readings("depth") == [
+            ("kim", 9.0),
+            ("lee", 3.0),
+            (None, 12.0),
+        ]
+
+    def test_histograms_and_absent_names_have_no_readings(self):
+        registry = MetricsRegistry()
+        registry.histogram("h", (1.0,)).observe(0.5)
+        assert registry.readings("h") == []
+        assert registry.readings("nope") == []
+        with pytest.raises(MetricsError, match="histogram"):
+            registry.value("h")
+
+
+def fixed_registry():
+    """Every instrument kind, labelled and not."""
+    registry = MetricsRegistry()
+    registry.counter("plain_total").inc(3)
+    labelled = registry.counter("labelled_total", "by topic", ("topic",))
+    labelled.inc(2, ("b",))
+    labelled.inc(5, ("a",))
+    registry.gauge("plain_gauge", "a level").set(1.5)
+    gauge = registry.gauge("labelled_gauge", "", ("shard", "stage"))
+    gauge.set(-2, ("1", "x"))
+    gauge.set(4, ("0", "y"))
+    registry.callback_gauge("computed", lambda: 7, "computed at collection")
+    registry.multi_callback_gauge(
+        "per_participant",
+        lambda: {("lee",): 3, ("kim",): 9},
+        "per participant",
+        ("participant",),
+    )
+    histogram = registry.histogram(
+        "stage_us", (1, 10, 100), "stages", ("stage",)
+    )
+    for value in (0.5, 5, 50, 500):
+        histogram.observe(value, ("s1",))
+    histogram.observe(2, ("s0",))
+    registry.histogram("plain_us", (0.5, 2.5)).observe(1.0)
+    return registry
+
+
+#: What every shard ships of `fixed_registry()` on a drain reply.
+SNAPSHOT_BYTES = bytes.fromhex(
+    "0000029f100b080608636f6d70757465640b0406046b696e6406056761756765"
+    "060b6465736372697074696f6e0616636f6d707574656420617420636f6c6c65"
+    "6374696f6e060b6c6162656c5f6e616d65730800060673657269657308010802"
+    "080004401c000000000000060e6c6162656c6c65645f67617567650b04070107"
+    "0207030600070508020605736861726406057374616765070608020802080206"
+    "01300601790308080208020601310601780303060e6c6162656c6c65645f746f"
+    "74616c0b0407010607636f756e74657207030608627920746f70696307050801"
+    "0605746f70696307060802080208010601610440140000000000000802080106"
+    "0162044000000000000000060f7065725f7061727469636970616e740b040701"
+    "07020703060f706572207061727469636970616e7407050801060b7061727469"
+    "636970616e74070608020802080106036b696d04402200000000000008020801"
+    "06036c6565044008000000000000060b706c61696e5f67617567650b04070107"
+    "020703060761206c6576656c070508000706080108020800043ff80000000000"
+    "00060b706c61696e5f746f74616c0b0407010710070307080705080007060801"
+    "080208000440080000000000000608706c61696e5f75730b0507010609686973"
+    "746f6772616d070307080705080006076275636b6574730802043fe000000000"
+    "000004400400000000000007060801080408000803030003020300043ff00000"
+    "000000000302060873746167655f75730b050701071e07030606737461676573"
+    "07050801070a071f0803043ff000000000000004402400000000000004405900"
+    "0000000000070608020804080106027331080403020302030203020440815c00"
+    "0000000003080804080106027330080403000302030003000440000000000000"
+    "000302"
+)
+
+#: The Prometheus page of `fixed_registry()`.
+RENDERED_TEXT = """\
+# HELP computed computed at collection
+# TYPE computed gauge
+computed 7
+# TYPE labelled_gauge gauge
+labelled_gauge{shard="0",stage="y"} 4
+labelled_gauge{shard="1",stage="x"} -2
+# HELP labelled_total by topic
+# TYPE labelled_total counter
+labelled_total{topic="a"} 5
+labelled_total{topic="b"} 2
+# HELP per_participant per participant
+# TYPE per_participant gauge
+per_participant{participant="kim"} 9
+per_participant{participant="lee"} 3
+# HELP plain_gauge a level
+# TYPE plain_gauge gauge
+plain_gauge 1.5
+# TYPE plain_total counter
+plain_total 3
+# TYPE plain_us histogram
+plain_us_bucket{le="0.5"} 0
+plain_us_bucket{le="2.5"} 1
+plain_us_bucket{le="+Inf"} 1
+plain_us_sum 1
+plain_us_count 1
+# HELP stage_us stages
+# TYPE stage_us histogram
+stage_us_bucket{stage="s1",le="1"} 1
+stage_us_bucket{stage="s1",le="10"} 2
+stage_us_bucket{stage="s1",le="100"} 3
+stage_us_bucket{stage="s1",le="+Inf"} 4
+stage_us_sum{stage="s1"} 555.5
+stage_us_count{stage="s1"} 4
+stage_us_bucket{stage="s0",le="1"} 0
+stage_us_bucket{stage="s0",le="10"} 1
+stage_us_bucket{stage="s0",le="100"} 1
+stage_us_bucket{stage="s0",le="+Inf"} 1
+stage_us_sum{stage="s0"} 2
+stage_us_count{stage="s0"} 1"""
+
+
+class TestWireAndPagePins:
+    """The snapshot is the drain-reply payload and the page is parsed by
+    scrapers, so both are held to fixed bytes."""
+
+    def test_snapshot_bytes(self):
+        from repro.parallel.codec import encode_standalone
+
+        assert encode_standalone(fixed_registry().snapshot()) == SNAPSHOT_BYTES
+
+    def test_rendered_text(self):
+        assert fixed_registry().render_text() == RENDERED_TEXT
