@@ -201,12 +201,20 @@ class EventOperator:
 
     def consume_batch(self, slot: int, events: Sequence[Event]) -> List[Event]:
         """Feed a run of events into *slot*, one :meth:`consume` each;
-        returns the concatenated outputs."""
+        returns the concatenated outputs.
+
+        A door from outside the linked plan: each event is checked once
+        against its type (an :class:`EventTypeError` otherwise) before it
+        reaches the slot's step, whose type guard then names a slot of
+        the wrong type.  Producers and upstream operators call
+        :meth:`step` directly and are trusted.
+        """
         step = self.step(slot)
         outputs: List[Event] = []
         self._tap = outputs
         try:
             for event in events:
+                event._event_type.conforms(event._params)
                 step(event)
         finally:
             self._tap = None

@@ -99,9 +99,10 @@ class Compare1(EventOperator):
         bool_func, name = self.bool_func, self.instance_name
 
         def step(event: Event) -> None:
-            value = event._params.get("intInfo")
+            params = event._params
+            value = params.get("intInfo")
             if value is not None and bool_func(value):
-                emit(event.derive(source=name), event)
+                emit(Event.trusted(event._event_type, params | {"source": name}), event)
 
         return (step,)
 
@@ -163,7 +164,7 @@ class Edge(EventOperator):
             armed = not state[0]
             state[0] = satisfied
             if satisfied and armed:
-                emit(event.derive(source=name), event)
+                emit(Event.trusted(event._event_type, params | {"source": name}), event)
 
         return (step,)
 
@@ -225,12 +226,16 @@ class Compare2(EventOperator):
             state[slot] = value
             if len(state) == 2 and bool_func(state[0], state[1]):
                 emit(
-                    event.derive(
-                        source=name,
-                        description=(
-                            f"comparison satisfied: {state[0]} vs {state[1]} "
-                            f"({params.get('description')})"
-                        ),
+                    Event.trusted(
+                        event._event_type,
+                        params
+                        | {
+                            "source": name,
+                            "description": (
+                                f"comparison satisfied: {state[0]} vs "
+                                f"{state[1]} ({params.get('description')})"
+                            ),
+                        },
                     ),
                     event,
                 )

@@ -43,14 +43,23 @@ class Count(EventOperator):
         partitions, name = self._partitions, self.instance_name
 
         def step(event: Event) -> None:
-            key = event._params["processInstanceId"]
+            params = event._params
+            key = params["processInstanceId"]
             state = partitions.get(key)
             if state is None:
                 state = partitions[key] = {"count": 0}
             count = state["count"] = state["count"] + 1
+            # The input conformed (checked where it entered); the three
+            # replaced values are typed here.
             emit(
-                event.derive(
-                    source=name, intInfo=count, description=f"count={count}"
+                Event.trusted(
+                    event._event_type,
+                    params
+                    | {
+                        "source": name,
+                        "intInfo": count,
+                        "description": f"count={count}",
+                    },
                 ),
                 event,
             )

@@ -15,14 +15,20 @@ available primitive event types."
 
 Filters are the entry of every awareness description: they are where raw
 primitive events acquire the canonical type and its ``processInstanceId``
-partitioning parameter.
+partitioning parameter.  That makes them the *lift*: the primitive
+arrived checked against its own type (at the ingest door), and the one
+value whose canonical declaration is stricter than its primitive one —
+the instance id, nullable on ``T_activity``, a bare set member on
+``T_context`` — is checked here to be a non-null ``str``.  Each output is
+then built in one dict from typed values, trusted (no per-output
+conformance run) by every operator downstream.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
-from ...errors import ParameterError
+from ...errors import EventTypeError, ParameterError
 from ...events.canonical import canonical_event, canonical_type
 from ...events.event import Event, EventType
 from ...events.external import NEWS_EVENT_TYPE
@@ -30,8 +36,17 @@ from ...events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
+    check_associations,
 )
 from .base import Emit, EventOperator, OperatorSignature, Step
+
+
+def _not_an_instance_id(operator: str, parameter: str, value: Any) -> EventTypeError:
+    """The lift's refusal: *value* cannot become ``processInstanceId``."""
+    return EventTypeError(
+        f"operator {operator!r} needs {parameter!r} to be a non-null str "
+        f"to use it as processInstanceId, got {type(value).__name__} {value!r}"
+    )
 
 
 class ActivityFilter(EventOperator):
@@ -98,16 +113,24 @@ class ActivityFilter(EventOperator):
                 return
             if states_new is not None and new_state not in states_new:
                 return
+            instance = params["parentProcessInstanceId"]
+            if not isinstance(instance, str):
+                raise _not_an_instance_id(name, "parentProcessInstanceId", instance)
             emit(
-                canonical_event(
-                    schema,
-                    params["parentProcessInstanceId"],
-                    time=params["time"],
-                    source=name,
-                    str_info=new_state,
-                    description=f"activity {variable!r}: {old_state} -> {new_state}",
-                    source_event=params,
-                    event_type=output_type,
+                Event.trusted(
+                    output_type,
+                    {
+                        "time": params["time"],
+                        "source": name,
+                        "processSchemaId": schema,
+                        "processInstanceId": instance,
+                        "intInfo": None,
+                        "strInfo": new_state,
+                        "description": (
+                            f"activity {variable!r}: {old_state} -> {new_state}"
+                        ),
+                        "sourceEvent": params,
+                    },
                 ),
                 event,
             )
@@ -188,22 +211,27 @@ class ContextFilter(EventOperator):
             )
             str_info = new_value if isinstance(new_value, str) else None
             associations = params["processAssociations"]
+            # Before the sort: a member that is not a (str, str) pair
+            # would make it raise TypeError, or become an instance id.
+            check_associations(associations)
             if len(associations) > 1:
                 associations = sorted(associations)
             for schema_id, instance_id in associations:
                 if schema_id != schema:
                     continue
                 emit(
-                    canonical_event(
-                        schema,
-                        instance_id,
-                        time=params["time"],
-                        source=name,
-                        int_info=int_info,
-                        str_info=str_info,
-                        description=f"{digest}{new_value!r}",
-                        source_event=params,
-                        event_type=output_type,
+                    Event.trusted(
+                        output_type,
+                        {
+                            "time": params["time"],
+                            "source": name,
+                            "processSchemaId": schema,
+                            "processInstanceId": instance_id,
+                            "intInfo": int_info,
+                            "strInfo": str_info,
+                            "description": f"{digest}{new_value!r}",
+                            "sourceEvent": params,
+                        },
                     ),
                     event,
                 )
@@ -281,16 +309,18 @@ class SystemFilter(EventOperator):
             series = f"{metric}[{label}]" if label is not None else metric
             value = params["value"]
             emit(
-                canonical_event(
-                    schema,
-                    params["systemId"],
-                    time=params["time"],
-                    source=name,
-                    int_info=value,
-                    str_info=label,
-                    description=f"system metric {series} = {value}",
-                    source_event=params,
-                    event_type=output_type,
+                Event.trusted(
+                    output_type,
+                    {
+                        "time": params["time"],
+                        "source": name,
+                        "processSchemaId": schema,
+                        "processInstanceId": params["systemId"],
+                        "intInfo": value,
+                        "strInfo": label,
+                        "description": f"system metric {series} = {value}",
+                        "sourceEvent": params,
+                    },
                 ),
                 event,
             )
@@ -355,6 +385,8 @@ class ExternalFilter(EventOperator):
         instance_id = self.instance_for(event)
         if instance_id is None:
             return []
+        if not isinstance(instance_id, str):
+            raise _not_an_instance_id(self.instance_name, "instance_for", instance_id)
         return [
             canonical_event(
                 self.process_schema_id,

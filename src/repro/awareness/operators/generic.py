@@ -34,8 +34,14 @@ def _canonical_signature(process_schema_id: str, arity: int) -> OperatorSignatur
 
 def _compose(template: Event, completing: Event, source: str) -> Event:
     """Copy *template*'s parameters (except time) onto a new composite event
-    whose time is the completing constituent's time."""
-    return template.derive(time=completing.time, source=source)
+    whose time is the completing constituent's time.
+
+    Both constituents conformed (checked where they entered the plan), so
+    the output is built from typed values without a conformance run."""
+    return Event.trusted(
+        template._event_type,
+        template._params | {"time": completing._params["time"], "source": source},
+    )
 
 
 class And(EventOperator):
@@ -168,7 +174,7 @@ class Or(EventOperator):
         name = self.instance_name
 
         def step(event: Event) -> None:
-            emit(event.derive(source=name), event)
+            emit(Event.trusted(event._event_type, event._params | {"source": name}), event)
 
         return (step,) * self.arity
 

@@ -89,6 +89,11 @@ class EventTypeError(EventError):
     """An event does not conform to its declared event type."""
 
 
+class FrameRefusedError(EventTypeError):
+    """A shard's ingest door refused a frame whole: one of its events does
+    not conform, and no event of the frame reached the pipeline."""
+
+
 class QueueError(ReproError):
     """A persistent delivery queue failed or was misused."""
 

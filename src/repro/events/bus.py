@@ -202,7 +202,8 @@ class EventBus:
                 entry = self._topics.get(topic)
                 attempted = 0
                 try:
-                    while queue and queue[0].type_name == topic:
+                    # The slot, not the property: one call fewer an event.
+                    while queue and queue[0]._event_type.name == topic:
                         attempted += 1
                         self._dispatch(entry, topic, queue.popleft())
                 finally:

@@ -102,19 +102,24 @@ class EventType:
         #: Conformance plan: one ``(name, accept, spec)`` row per parameter
         #: that constrains anything, ``accept`` being the exact value
         #: types settled inline.  An undeclared tag maps to ``None``, which
-        #: is no value's type, so ``check`` gets to report it.
-        plan: List[Tuple[str, Tuple[Any, ...], ParameterSpec]] = []
+        #: is no value's type, so ``check`` gets to report it.  ``spec`` is
+        #: ``None`` on a row only absence fails (a required, nullable
+        #: ``any``): any present value passes it without a ``check`` call.
+        plan: List[Tuple[str, Tuple[Any, ...], Optional[ParameterSpec]]] = []
         for spec in self._parameters.values():
             accept: Tuple[Any, ...] = ()
+            check: Optional[ParameterSpec] = spec
             if spec.value_type != "any":
                 accept = (_SIMPLE_TYPES.get(spec.value_type),)
                 if spec.nullable:
                     accept += (type(None),)
-            elif spec.nullable and not spec.required:
-                continue
+            elif spec.nullable:
+                if not spec.required:
+                    continue
+                check = None
             if not spec.required:
                 accept += (type(_MISSING),)
-            plan.append((spec.name, accept, spec))
+            plan.append((spec.name, accept, check))
         self._plan = tuple(plan)
 
     def parameters(self) -> Tuple[ParameterSpec, ...]:
@@ -146,7 +151,8 @@ class EventType:
                         f"event of type {self.name!r} is missing required "
                         f"parameter {name!r}"
                     )
-                spec.check(value)
+                if spec is not None:
+                    spec.check(value)
         # Present: every event type declares ``type`` as a required parameter.
         if params["type"] != self.name:
             raise EventTypeError(
@@ -206,12 +212,17 @@ class Event:
     def trusted(cls, event_type: EventType, params: Dict[str, Any]) -> "Event":
         """Construct without re-validating *params* against *event_type*.
 
-        The dispatch-path fast constructor: the built-in producers and
-        operators translate already-typed engine records into events, so
-        checking every parameter spec again per event is pure overhead.
-        Callers must guarantee conformance (including a correct ``type``
-        parameter); events built from external input should use the
-        validating constructor.
+        The dispatch-path fast constructor.  Conformance is checked once,
+        where an event enters from outside the detector plan —
+        ``ShardHost.ingest`` for every frame (serial, process, journal
+        replay), ``EventOperator.consume`` for a hand-fed event — or is
+        guaranteed by construction, as when the built-in producers
+        translate already-typed engine records.  Inside the linked plan
+        the kernels build each output here from values that are already
+        typed, so a per-output check would re-prove what the door
+        proved.  Callers must guarantee conformance (including a correct
+        ``type`` parameter); events built from external input should use
+        the validating constructor or pass one of the doors.
         """
         self = object.__new__(cls)
         if "type" not in params:
@@ -258,7 +269,13 @@ class Event:
         return name in self._params
 
     def derive(self, event_type: Optional[EventType] = None, **overrides: Any) -> "Event":
-        """A copy with some parameters replaced (composite-event helper)."""
+        """A copy with some parameters replaced (composite-event helper).
+
+        The validating door for application code: the merged parameters
+        run the (new) type's full conformance plan.  The built-in
+        kernels do not call it; they build their outputs from typed
+        values through :meth:`trusted`.
+        """
         new_type = event_type or self._event_type
         merged = self._params | overrides
         merged["type"] = new_type.name

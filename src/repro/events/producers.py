@@ -22,10 +22,11 @@ source agents* of Section 6.3 (the agent wrapper lives in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.context import ContextChange
 from ..core.instances import ActivityStateChange
+from ..errors import EventTypeError
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import MetricsRegistry
 from .bus import EventBus
@@ -114,6 +115,12 @@ class EventProducer:
     extractor (a bare :class:`EventProducer`, an external source) cannot
     tell which key an event carries, so it files every consumer as
     wildcard whatever keys it was offered.
+
+    A producer checks nothing on ``emit``: the built-in producers build
+    their events from already-typed engine records, and an event that
+    enters from outside — a decoded frame, a journal replay — is checked
+    once at the ingest door against :meth:`admit` before any event of
+    its frame is emitted.  The steps it dispatches to trust that check.
     """
 
     def __init__(
@@ -125,6 +132,9 @@ class EventProducer:
         self.producer_id = producer_id
         self.output_type = output_type
         self._bus: Optional[EventBus] = None
+        #: The buckets are copy-on-write: registration replaces a list and
+        #: never mutates one, so a dispatch in flight keeps iterating the
+        #: list it started with.
         self._wildcard: List[Consumer] = []
         #: Routing key -> consumers; non-empty only under an extractor.
         self._index: Dict[Hashable, List[Consumer]] = {}
@@ -176,16 +186,18 @@ class EventProducer:
         operator's linked ``step`` here directly.
         """
         if keys is None or self._key_extractor is None:
-            self._wildcard.append(consumer)
+            self._wildcard = self._wildcard + [consumer]
         else:
             for key in keys:
-                self._index.setdefault(key, []).append(consumer)
+                self._index[key] = self._index.get(key, []) + [consumer]
         return consumer
 
     def remove_consumer(self, consumer: Consumer) -> None:
         """Remove *consumer* from the wildcard bucket and the key index."""
         if consumer in self._wildcard:
-            self._wildcard.remove(consumer)
+            wildcard = list(self._wildcard)
+            wildcard.remove(consumer)
+            self._wildcard = wildcard
         for key in [k for k, bucket in self._index.items() if consumer in bucket]:
             bucket = [c for c in self._index[key] if c is not consumer]
             if bucket:
@@ -201,6 +213,19 @@ class EventProducer:
     def indexed_key_count(self) -> int:
         """Distinct routing keys with at least one indexed consumer."""
         return len(self._index)
+
+    def admit(self, events: Sequence[Event]) -> None:
+        """Raise :class:`EventTypeError` unless every one of *events* is an
+        event this producer could have emitted.
+
+        The check of an event entering from outside the detector plan
+        (``ShardHost.ingest`` runs it on a whole frame before any event
+        of it is emitted): each event conforms to :attr:`output_type`,
+        once.  Downstream, the linked kernels trust what passed here.
+        """
+        conforms = self.output_type.conforms
+        for event in events:
+            conforms(event._params)
 
     def emit(self, event: Event) -> Event:
         self._emitted.inc()
@@ -247,20 +272,44 @@ class EventProducer:
     def _dispatch(self, event: Event) -> None:
         """Key bucket, then wildcard — registration order within each.
 
-        Both are copied before iterating: a consumer may register or
-        remove consumers (its own entry included) while it runs.
+        A consumer may register or remove consumers (its own entry
+        included) while it runs; the buckets are copy-on-write, so this
+        dispatch still iterates the lists as they were when it began.
         """
         extractor = self._key_extractor
         if extractor is not None and self._index:
             bucket = self._index.get(extractor(event))
             if bucket:
-                for consumer in tuple(bucket):
+                for consumer in bucket:
                     consumer(event)
-        for consumer in tuple(self._wildcard):
+        for consumer in self._wildcard:
             consumer(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.producer_id!r})"
+
+
+def check_associations(associations: Iterable[Any]) -> None:
+    """Raise :class:`EventTypeError` unless every member of a ``T_context``
+    association set is a ``(processSchemaId, processInstanceId)`` pair of
+    strings.
+
+    ``ParameterSpec`` can only say the parameter is a set; its members
+    are what a filter sorts and turns into ``processInstanceId``, so a
+    member of another shape must be refused before either happens.
+    """
+    for member in associations:
+        if not (
+            isinstance(member, tuple)
+            and len(member) == 2
+            and isinstance(member[0], str)
+            and isinstance(member[1], str)
+        ):
+            raise EventTypeError(
+                f"parameter 'processAssociations' expects "
+                f"(processSchemaId, processInstanceId) pairs of str, got "
+                f"{type(member).__name__} {member!r}"
+            )
 
 
 def activity_routing_key(event: Event) -> Hashable:
@@ -297,6 +346,26 @@ class ActivityEventProducer(EventProducer):
         super().__init__(producer_id, ACTIVITY_EVENT_TYPE, metrics)
         self.set_key_extractor(activity_routing_key)
 
+    def admit(self, events: Sequence[Event]) -> None:
+        """As :meth:`EventProducer.admit`, and the parent process is named
+        whole: ``parentProcessSchemaId`` and ``parentProcessInstanceId``
+        are both ``None`` (a top-level process) or both set, as the engine
+        emits them.  A filter lifts the instance id of a matching parent
+        schema, so a parent schema without its instance is refused here,
+        with its frame, rather than by the filter mid-frame."""
+        conforms = self.output_type.conforms
+        for event in events:
+            params = event._params
+            conforms(params)
+            schema = params["parentProcessSchemaId"]
+            instance = params["parentProcessInstanceId"]
+            if (schema is None) != (instance is None):
+                raise EventTypeError(
+                    f"parameters 'parentProcessSchemaId' ({schema!r}) and "
+                    f"'parentProcessInstanceId' ({instance!r}) must both be "
+                    f"null or both be set"
+                )
+
     def produce(self, change: ActivityStateChange) -> Event:
         """Translate a CORE state-change record into a ``T_activity`` event."""
         event = Event.trusted(
@@ -327,6 +396,15 @@ class ContextEventProducer(EventProducer):
     ) -> None:
         super().__init__(producer_id, CONTEXT_EVENT_TYPE, metrics)
         self.set_key_extractor(context_routing_key)
+
+    def admit(self, events: Sequence[Event]) -> None:
+        """As :meth:`EventProducer.admit`, and each association set holds
+        only ``(str, str)`` pairs (:func:`check_associations`)."""
+        conforms = self.output_type.conforms
+        for event in events:
+            params = event._params
+            conforms(params)
+            check_associations(params["processAssociations"])
 
     def _translate(self, change: ContextChange) -> Event:
         return Event.trusted(

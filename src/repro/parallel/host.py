@@ -11,7 +11,9 @@ the surface the sharding layer needs:
   are data, so a federation can be reconstructed in any process;
 * **event ingest** — routed primitive events enter through the engine's
   own source-agent producers (``emit_batch``, one bus batch per run of
-  same-type events);
+  same-type events), after the whole frame passed the door: every event
+  is checked once against its producer's type, and a frame with one
+  malformed event is refused whole;
 * **result capture** — a recording delivery queue remembers global
   enqueue order, giving every notification the per-shard sequence number
   the deterministic merge sorts on.
@@ -29,7 +31,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..awareness.dsl import compile_specification
 from ..core.roles import Participant
-from ..errors import ParallelError, SnapshotUnsupportedError, WireError
+from ..errors import (
+    EventTypeError,
+    FrameRefusedError,
+    ParallelError,
+    SnapshotUnsupportedError,
+    WireError,
+)
 from ..events.event import Event
 from ..events.producers import EventProducer
 from ..events.queues import MemoryDeliveryQueue, Notification
@@ -246,8 +254,16 @@ class ShardHost:
     ) -> None:
         """Feed routed primitive events into the pipeline, in order.
 
-        Consecutive same-type runs enter as one ``emit_batch``, so the
-        bus sees the same batch shapes an in-process engine would.
+        This is the door every frame passes — serial, process and
+        journal replay alike.  Each event is checked once against its
+        producer's type (:meth:`EventProducer.admit`) before any event of
+        the frame reaches a producer, so a malformed event refuses the
+        frame whole with a :class:`FrameRefusedError` (an
+        :class:`EventTypeError`) naming the shard,
+        whatever windows sit behind the producer; the linked kernels
+        downstream build on values that passed here.  Consecutive
+        same-type runs then enter as one ``emit_batch``, so the bus sees
+        the same batch shapes an in-process engine would.
 
         ``seq`` is the facade's frame sequence number; it is recorded
         *before* processing so the frame's credit is returned to the
@@ -291,11 +307,12 @@ class ShardHost:
 
     def _ingest(self, events: List[Event]) -> None:
         producers = self._producers
+        runs: List[Tuple[EventProducer, List[Event]]] = []
         i, n = 0, len(events)
         while i < n:
             type_name = events[i].type_name
             j = i + 1
-            while j < n and events[j].type_name == type_name:
+            while j < n and events[j]._event_type.name == type_name:
                 j += 1
             producer = producers.get(type_name)
             if producer is None:
@@ -303,9 +320,19 @@ class ShardHost:
                     f"shard {self.shard_id} cannot ingest events of type "
                     f"{type_name!r}; no source producer is registered"
                 )
-            producer.emit_batch(events[i:j])
-            self._ingested += j - i
+            run = events[i:j]
+            try:
+                producer.admit(run)
+            except EventTypeError as error:
+                raise FrameRefusedError(
+                    f"shard {self.shard_id} refused a frame of {n} events "
+                    f"at a {type_name!r} event: {error}"
+                ) from None
+            runs.append((producer, run))
             i = j
+        for producer, run in runs:
+            producer.emit_batch(run)
+            self._ingested += len(run)
 
     # -- results -----------------------------------------------------------
 

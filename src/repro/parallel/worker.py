@@ -46,7 +46,9 @@ exist;
 * ``{"kind": "replay", "below": N}`` — the journal's bytes follow; an
   ``events`` frame with ``seq`` below ``N`` is a replay, ingested with
   its trace context forced unsampled (its spans shipped before the
-  crash) and never acked alone (it took no credit);
+  crash) and never acked alone (it took no credit); the ingest door's
+  refusal of a replay is not reported again (the refused frame moved no
+  state, and its refusal was reported when it came live);
 * ``{"kind": "shutdown"}`` → ``{"kind": "bye"}`` and a clean exit — the
   poison pill.
 
@@ -62,7 +64,7 @@ import os
 from dataclasses import replace
 from typing import Any, Dict, List
 
-from ..errors import ReproError
+from ..errors import FrameRefusedError, ReproError
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
 from .codec import BinaryFrameReader, BinaryFrameWriter, read_hello
@@ -163,7 +165,8 @@ def worker_main(
                 if kind == "events":
                     seq = frame.get(SEQ_KEY)
                     ctx = extract_trace(frame)
-                    if seq is not None and seq < replay_below:
+                    replayed = seq is not None and seq < replay_below
+                    if replayed:
                         # A replay: its spans shipped before the crash,
                         # and it took no credit, so it earns no ack.
                         if ctx is not None:
@@ -172,6 +175,11 @@ def worker_main(
                         unacked += 1
                     try:
                         host.ingest(frame["events"], ctx, seq=seq)
+                    except FrameRefusedError:
+                        # A refused frame moved no state, so its replay
+                        # is a no-op; it was reported when it came live.
+                        if not replayed:
+                            raise
                     finally:
                         # The frame consumed a credit even if ingest
                         # failed recoverably — ack it regardless, or
@@ -228,8 +236,8 @@ def worker_main(
                     errors.append(f"unknown frame kind {kind!r}")
             except ReproError as error:
                 # Recoverable: the pipeline is still consistent.  Report
-                # with the next stats exchange instead of dying.
-                errors.append(f"{kind}: {error}")
+                # with the next stats exchange instead of dying, typed.
+                errors.append(f"{kind}: {type(error).__name__}: {error}")
     except BaseException as error:  # pragma: no cover - crash path
         exit_code = 1
         frame = {"kind": "error", "error": f"{type(error).__name__}: {error}"}

@@ -235,11 +235,20 @@ class TestCallBudget:
     calls (``sys.setprofile`` ``call`` events — interpreter frames, not C
     builtins) per event that runs the chain, everything between
     ``ShardHost.ingest`` and the delivery queue included.  The
-    per-operator ``consume`` dispatch this replaced took 37; the linked
-    kernels take 21.  (Counting builtin calls too — dict lookups,
-    ``isinstance`` — it was 76 and is 35, most of the difference being
-    the compiled conformance plan.)
+    per-operator ``consume`` dispatch the linked kernels replaced took
+    37.  The linked kernels took 19.25 while ``Count`` re-checked each
+    output through ``derive``.  With conformance checked once at the
+    ingest door and the outputs built from typed values, the chain takes
+    17.25: the door (2: the type check and the association check), the
+    bus's dispatch of the event (1), the routing dispatch and key (2),
+    the filter (5, its own association check included), the count (4)
+    and the edge (3), plus the frame's share of the bus batch and the
+    one delivery.
     """
+
+    #: The measured count; a change that adds a call per chain-event
+    #: must say why here.
+    BUDGET = 17.25
 
     EVENTS = 200
 
@@ -284,8 +293,8 @@ class TestCallBudget:
         host.close()
         return calls / len(events)
 
-    def test_one_chain_event_stays_within_thirty_python_calls(self):
-        assert self.python_calls_per_event(bystanders=8) <= 30
+    def test_one_chain_event_stays_within_the_call_budget(self):
+        assert self.python_calls_per_event(bystanders=8) <= self.BUDGET
 
     def test_windows_on_other_contexts_cost_the_chain_nothing(self):
         """The routing index still does its job after the re-wire: the

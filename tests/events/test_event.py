@@ -60,6 +60,17 @@ class TestEventType:
                 {"type": "T_test", "time": 1, "source": "s", "value": None}
             )
 
+    def test_a_required_any_parameter_fails_only_when_absent(self):
+        event_type = simple_type(
+            (ParameterSpec("v", "any"), ParameterSpec("w", "any", nullable=False))
+        )
+        base = {"type": "T_test", "time": 1, "source": "s"}
+        event_type.conforms({**base, "v": None, "w": object()})
+        with pytest.raises(EventTypeError, match="missing required parameter 'v'"):
+            event_type.conforms({**base, "w": 1})
+        with pytest.raises(EventTypeError, match="'w' must not be null"):
+            event_type.conforms({**base, "v": 1, "w": None})
+
     def test_type_name_mismatch_rejected(self):
         event_type = simple_type()
         with pytest.raises(EventTypeError):

@@ -8,12 +8,14 @@ from repro.core.instances import ActivityStateChange
 from repro.events.bus import EventBus
 from repro.events.event import Event, EventType, base_parameters
 from repro.events.external import ExternalEventSource
+from repro.errors import EventTypeError
 from repro.events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     ActivityEventProducer,
     ContextEventProducer,
     EventProducer,
+    check_associations,
 )
 
 
@@ -178,6 +180,24 @@ class TestIndexedRouting:
         assert order == ["before", "once", "after", "before", "after"]
         assert producer.consumer_count() == 2
 
+    @pytest.mark.parametrize("keys", [[DEADLINE], None])
+    def test_a_consumer_added_mid_call_waits_for_the_next_event(self, keys):
+        """Buckets are copy-on-write: the dispatch in flight iterates the
+        bucket as it was when it began, as the old tuple copy did."""
+        producer = ContextEventProducer()
+        order = []
+
+        def adder(event):
+            order.append("adder")
+            if len(order) == 1:
+                producer.add_consumer(lambda e: order.append("late"), keys)
+
+        producer.add_consumer(adder, keys)
+        producer.produce(context_change())
+        assert order == ["adder"]
+        producer.produce(context_change())
+        assert order == ["adder", "adder", "late"]
+
     @pytest.mark.parametrize("kind", [EventProducer, ExternalEventSource])
     def test_keys_on_a_producer_without_extractor_file_as_wildcard(self, kind):
         """No extractor, no way to tell an event's key: the consumer must
@@ -251,3 +271,41 @@ class TestContextProducer:
     def test_type_declarations(self):
         assert ACTIVITY_EVENT_TYPE.has_parameter("newState")
         assert CONTEXT_EVENT_TYPE.has_parameter("processAssociations")
+
+
+class TestAdmit:
+    """The ingest door's check of a producer's input."""
+
+    def test_conforming_events_pass(self):
+        producer = ContextEventProducer()
+        producer.admit([producer._translate(context_change())])
+
+    def test_a_non_conforming_event_is_refused(self):
+        event = Event.trusted(
+            CONTEXT_EVENT_TYPE,
+            dict(ContextEventProducer()._translate(context_change()).params, time="x"),
+        )
+        with pytest.raises(EventTypeError, match="'time' expects int"):
+            ContextEventProducer().admit([event])
+
+    @pytest.mark.parametrize(
+        "associations",
+        [
+            frozenset({("P-TF", 7)}),
+            frozenset({("P-TF", "proc-1"), ("P-TF", 1)}),
+            frozenset({("P-TF", "proc-1", "extra")}),
+            frozenset({"P-TF"}),
+        ],
+    )
+    def test_an_association_that_is_not_a_str_pair_is_refused(self, associations):
+        with pytest.raises(EventTypeError, match="processAssociations"):
+            check_associations(associations)
+        event = Event.trusted(
+            CONTEXT_EVENT_TYPE,
+            dict(
+                ContextEventProducer()._translate(context_change()).params,
+                processAssociations=associations,
+            ),
+        )
+        with pytest.raises(EventTypeError, match="processAssociations"):
+            ContextEventProducer().admit([event])
