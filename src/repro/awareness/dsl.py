@@ -54,11 +54,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.roles import RoleRef
 from ..errors import SpecificationError
-from .operators.compare import NAMED_BOOL_FUNCS_2, named_bool_func_2
+from .operators.compare import FLIPPED_BOOL_FUNCS_2, NAMED_BOOL_FUNCS_2
 from .schema import AwarenessSchema
 from .specification import SpecificationWindow
 
@@ -433,10 +434,11 @@ def _build_operator(
         threshold = params[1]
         if not isinstance(threshold, int):
             raise fail(f"{family} threshold must be an integer")
-        comparison = named_bool_func_2(params[0])
+        # ``value <op> threshold`` as one C call: the comparison with
+        # its operands swapped and the threshold bound.
         operator = window.place(
             family,
-            lambda value, c=comparison, t=threshold: c(value, t),
+            partial(FLIPPED_BOOL_FUNCS_2[params[0]], threshold),
             instance_name=statement.name,
         )
         # Stash the textual form so window_to_dsl can decompile it.

@@ -24,13 +24,17 @@ implemented here once:
 that can produce any number of output events for a single input event",
 and the framework links it as one: a family states its algorithm once, as
 a *kernel factory* (:meth:`EventOperator.bind`) that closes over its
-parameters and returns one ``step(event)`` per input slot; each output is
-pushed through ``emit`` straight into the steps of the operators
-downstream.  Producers and upstream operators call a slot's step
-directly (:meth:`EventOperator.step`); ``consume`` is the public door to
-the same step.  Application-specific families may instead implement the
-:meth:`~EventOperator.partition_key` / :meth:`~EventOperator.new_state` /
-:meth:`~EventOperator._apply` hooks, which the default ``bind`` drives.
+parameters and returns one kernel per input slot; each output is pushed
+through ``emit`` straight into the kernels of the operators downstream,
+one call per hop, with the slot type guard and the ``consumed`` count
+inline.  Producers call a slot's step (:meth:`EventOperator.step`: the
+kernel behind the same guard and count); ``consume`` is the public door
+to the same step.  Between a filter and an ``Output`` every event is a
+:class:`~repro.events.canonical.CanonicalEvent` record, whose fields
+the kernels read and set.  Application-specific families may instead
+implement the :meth:`~EventOperator.partition_key` /
+:meth:`~EventOperator.new_state` / :meth:`~EventOperator._apply` hooks,
+which the default ``bind`` drives.
 """
 
 from __future__ import annotations
@@ -43,13 +47,21 @@ from ...errors import ParameterError, SlotError
 from ...events.event import Event, EventType
 from ...observability import INSTRUMENTATION as _OBS
 
-#: One input slot of a linked operator: feed it an event.
-Step = Callable[[Event], object]
+#: One input slot of a linked operator: feed it an event of the slot's
+#: type (a ``CanonicalEvent`` record on every ``C_P`` slot).
+Step = Callable[[Any], object]
 #: ``emit(output, cause)`` hands one output downstream.  *cause* is the
 #: triggering input event, or the tuple of all constituents when the
 #: output composes several (And, Seq) — provenance links exactly those.
 Emit = Callable[[Event, Any], None]
 Consumer = Callable[[int, Event], object]
+#: One entry of an operator's fan-out: the downstream operator, its slot
+#: and the slot's type, then what ``emit`` calls — the slot's kernel (a
+#: direct hop) and its step (where a span could open).  A consumer that
+#: is not an operator has no operator (and no slot type to guard: the
+#: entry carries the emitting operator's output type) and its callable,
+#: the slot bound, for both of the last.
+Link = Tuple[Optional["EventOperator"], int, EventType, Step, Step]
 
 
 @dataclass(frozen=True)
@@ -95,16 +107,18 @@ class EventOperator:
         #: Downstream consumers: (callable, slot_index) pairs, wired by the
         #: plan cache at deploy.
         self._consumers: List[Tuple[Consumer, int]] = []
-        #: What ``emit`` calls, one entry per `_consumers` record: the
-        #: consumer's own step when it is another operator's ``consume``,
-        #: the callable with its slot bound otherwise.  Mutated in place —
-        #: a window deployed onto a live shared node is seen at once.
-        self._fanout: List[Step] = []
+        #: What ``emit`` calls, one :data:`Link` per `_consumers` record.
+        #: Mutated in place — a window deployed onto a live shared node
+        #: is seen at once.
+        self._fanout: List[Link] = []
         self.consumed = 0
         self.produced = 0
         #: Where :meth:`consume` collects the outputs it returns.
         self._tap: Optional[List[Event]] = None
-        self._steps: Optional[Tuple[Step, ...]] = None
+        #: The family's kernels and their guarded steps, one per slot;
+        #: empty until linked.
+        self._kernels: Tuple[Step, ...] = ()
+        self._steps: Tuple[Step, ...] = ()
 
     # -- wiring -----------------------------------------------------------------
 
@@ -123,15 +137,19 @@ class EventOperator:
     def add_consumer(self, consumer: Consumer, slot: int) -> None:
         """Wire this operator's output into *slot* of a downstream consumer."""
         owner = getattr(consumer, "__self__", None)
+        link: Link
         if (
             isinstance(owner, EventOperator)
             and getattr(consumer, "__func__", None) is EventOperator.consume
         ):
-            direct = owner.step(slot)
+            step = owner.step(slot)
+            expected = owner.signature.input_types[slot]
+            link = (owner, slot, expected, owner._kernels[slot], step)
         else:
-            direct = partial(consumer, slot)
+            bound = partial(consumer, slot)
+            link = (None, slot, self.signature.output_type, bound, bound)
         self._consumers.append((consumer, slot))
-        self._fanout.append(direct)
+        self._fanout.append(link)
 
     def remove_consumer(
         self, consumer: Consumer, slot: Optional[int] = None
@@ -178,22 +196,22 @@ class EventOperator:
     # -- event flow ---------------------------------------------------------------
 
     def step(self, slot: int) -> Step:
-        """The linked entry of input *slot*: what producers and upstream
-        operators call, once per event, with nothing in between.
+        """The linked entry of input *slot*: what producers call, once
+        per event — the slot's kernel behind the type guard and the
+        ``consumed`` count.
 
         Linking happens on first use (the subclass constructor has run by
-        then) and never again; later wiring changes reach the steps
+        then) and never again; later wiring changes reach the kernels
         through :attr:`_fanout`.
         """
         self._check_slot(slot)
-        steps = self._steps
-        if steps is None:
-            emit = self._emitter()
-            steps = self._steps = tuple(
+        if not self._steps:
+            self._kernels = tuple(self.bind(self._emitter()))
+            self._steps = tuple(
                 self._entry(index, kernel)
-                for index, kernel in enumerate(self.bind(emit))
+                for index, kernel in enumerate(self._kernels)
             )
-        return steps[slot]
+        return self._steps[slot]
 
     def consume(self, slot: int, event: Event) -> List[Event]:
         """Feed *event* into input *slot*; returns (and forwards) outputs."""
@@ -234,10 +252,7 @@ class EventOperator:
             # settles it.
             received = event._event_type
             if received is not expected and received.name != expected.name:
-                raise SlotError(
-                    f"operator {self.instance_name!r} slot {slot} expects "
-                    f"{expected.name!r}, got event of type {received.name!r}"
-                )
+                raise self._slot_error(slot, received)
             self.consumed += 1
             if not _OBS.enabled:
                 kernel(event)
@@ -249,9 +264,8 @@ class EventOperator:
                 # instead of paying two method calls (Tracer._light_depth).
                 tracer._light_depth += 1
             else:
-                span = tracer.begin(
-                    "operator.consume", event._params["time"], attrs
-                )
+                # ``time`` is a field of a record: no mapping is built.
+                span = tracer.begin("operator.consume", event.time, attrs)
             try:
                 kernel(event)
             finally:
@@ -262,26 +276,51 @@ class EventOperator:
 
         return step
 
+    def _slot_error(self, slot: int, received: EventType) -> SlotError:
+        expected = self.signature.input_types[slot]
+        return SlotError(
+            f"operator {self.instance_name!r} slot {slot} expects "
+            f"{expected.name!r}, got event of type {received.name!r}"
+        )
+
     def _emitter(self) -> Emit:
         """The ``emit`` this operator's kernels push outputs through:
         count, stamp provenance while instrumentation is on (never
-        sampled), forward to every wired consumer in wiring order."""
+        sampled), forward to every wired consumer in wiring order.
+
+        A hop is one call: the downstream slot's type guard and
+        ``consumed`` count run here, and its kernel is called directly.
+        Where a span could open — instrumentation on, in a trace the
+        sampler records — each hop goes through the downstream step
+        instead, so every ``operator.consume`` span opens as before.
+        (Inside a trace the sampler skipped, the step would only bump
+        the tracer's light depth and restore it.)"""
         fanout = self._fanout
         name, family = self.instance_name, self.family
 
         def emit(output: Event, cause: Any) -> None:
             self.produced += 1
-            if _OBS.enabled and output.provenance is None:
-                _OBS.provenance.record_operator(
-                    output,
-                    name,
-                    family,
-                    cause if type(cause) is tuple else (cause,),
-                )
             if self._tap is not None:
                 self._tap.append(output)
-            for step in fanout:
-                step(output)
+            if _OBS.enabled:
+                if output.provenance is None:
+                    _OBS.provenance.record_operator(
+                        output,
+                        name,
+                        family,
+                        cause if type(cause) is tuple else (cause,),
+                    )
+                if not _OBS.tracer._light_depth:
+                    for link in fanout:
+                        link[4](output)
+                    return
+            received = output._event_type
+            for owner, slot, expected, kernel, __ in fanout:
+                if owner is not None:
+                    if received is not expected and received.name != expected.name:
+                        raise owner._slot_error(slot, received)
+                    owner.consumed += 1
+                kernel(output)
 
         return emit
 

@@ -17,7 +17,10 @@ Filter_ctx(RequestDeadline))`` fires whenever the task-force deadline is
 (moved) at or before the information-request deadline.
 
 Named comparison functions (``"<="``, ``"<"``, ``"=="`` ...) are provided
-so the specification DSL can reference them by symbol.
+so the specification DSL can reference them by symbol.  The DSL's
+one-argument predicates are the same functions with their operands
+swapped, partially applied to the threshold
+(:data:`FLIPPED_BOOL_FUNCS_2`), so a test is one C call.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import canonical_type
-from ...events.event import Event
+from ...events.canonical import CanonicalEvent, canonical_type
 from .base import Emit, EventOperator, OperatorSignature, Step
 
 BoolFunc1 = Callable[[int], bool]
@@ -40,6 +42,19 @@ NAMED_BOOL_FUNCS_2: Dict[str, BoolFunc2] = {
     "<": _op.lt,
     ">=": _op.ge,
     ">": _op.gt,
+    "==": _op.eq,
+    "!=": _op.ne,
+}
+
+
+#: Each named comparison with its operands swapped: ``value < t`` is
+#: ``t > value``, so ``partial(FLIPPED_BOOL_FUNCS_2["<"], t)`` tests
+#: ``value < t`` with the threshold bound first.
+FLIPPED_BOOL_FUNCS_2: Dict[str, BoolFunc2] = {
+    "<=": _op.ge,
+    "<": _op.gt,
+    ">=": _op.le,
+    ">": _op.lt,
     "==": _op.eq,
     "!=": _op.ne,
 }
@@ -61,7 +76,7 @@ def _bool_func_1_key(operator: "EventOperator") -> object:
 
     DSL-authored predicates carry a ``_dsl_rendering`` — a textual form
     like ``Compare1[==, 3]`` — so structurally equal specifications share
-    even though each compilation builds a fresh lambda.  Hand-wired
+    even though each compilation builds a fresh ``partial``.  Hand-wired
     predicates fall back to the callable object itself: identity-based,
     so only windows literally passing the same function object share.
     """
@@ -98,11 +113,10 @@ class Compare1(EventOperator):
     def bind(self, emit: Emit) -> Sequence[Step]:
         bool_func, name = self.bool_func, self.instance_name
 
-        def step(event: Event) -> None:
-            params = event._params
-            value = params.get("intInfo")
+        def step(event: CanonicalEvent) -> None:
+            value = event.intInfo
             if value is not None and bool_func(value):
-                emit(Event.trusted(event._event_type, params | {"source": name}), event)
+                emit(event.relayed(name), event)
 
         return (step,)
 
@@ -150,21 +164,20 @@ class Edge(EventOperator):
         partitions = self._partitions
         bool_func, name = self.bool_func, self.instance_name
 
-        def step(event: Event) -> None:
-            params = event._params
-            key = params["processInstanceId"]
+        def step(event: CanonicalEvent) -> None:
+            key = event.processInstanceId
             # One cell per instance: did the last event satisfy the test?
             state = partitions.get(key)
             if state is None:
                 state = partitions[key] = [False]
-            value = params.get("intInfo")
+            value = event.intInfo
             if value is None:
                 return
             satisfied = bool(bool_func(value))
             armed = not state[0]
             state[0] = satisfied
             if satisfied and armed:
-                emit(Event.trusted(event._event_type, params | {"source": name}), event)
+                emit(event.relayed(name), event)
 
         return (step,)
 
@@ -213,32 +226,23 @@ class Compare2(EventOperator):
         partitions = self._partitions
         bool_func, name = self.bool_func, self.instance_name
 
-        def kernel(slot: int, event: Event) -> None:
-            params = event._params
-            key = params["processInstanceId"]
+        def kernel(slot: int, event: CanonicalEvent) -> None:
+            key = event.processInstanceId
             # Latest intInfo seen on each input position, per instance.
             state = partitions.get(key)
             if state is None:
                 state = partitions[key] = {}
-            value = params.get("intInfo")
+            value = event.intInfo
             if value is None:
                 return
             state[slot] = value
             if len(state) == 2 and bool_func(state[0], state[1]):
-                emit(
-                    Event.trusted(
-                        event._event_type,
-                        params
-                        | {
-                            "source": name,
-                            "description": (
-                                f"comparison satisfied: {state[0]} vs "
-                                f"{state[1]} ({params.get('description')})"
-                            ),
-                        },
-                    ),
-                    event,
+                output = event.relayed(name)
+                output.description = (
+                    f"comparison satisfied: {state[0]} vs {state[1]} "
+                    f"({event.description})"
                 )
+                emit(output, event)
 
         return (partial(kernel, 0), partial(kernel, 1))
 

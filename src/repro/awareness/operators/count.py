@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from ...events.canonical import canonical_type
-from ...events.event import Event
+from ...events.canonical import CanonicalEvent, canonical_type
 from .base import Emit, EventOperator, OperatorSignature, Step
 
 
@@ -42,27 +41,18 @@ class Count(EventOperator):
     def bind(self, emit: Emit) -> Sequence[Step]:
         partitions, name = self._partitions, self.instance_name
 
-        def step(event: Event) -> None:
-            params = event._params
-            key = params["processInstanceId"]
+        def step(event: CanonicalEvent) -> None:
+            key = event.processInstanceId
             state = partitions.get(key)
             if state is None:
                 state = partitions[key] = {"count": 0}
             count = state["count"] = state["count"] + 1
             # The input conformed (checked where it entered); the three
             # replaced values are typed here.
-            emit(
-                Event.trusted(
-                    event._event_type,
-                    params
-                    | {
-                        "source": name,
-                        "intInfo": count,
-                        "description": f"count={count}",
-                    },
-                ),
-                event,
-            )
+            output = event.relayed(name)
+            output.intInfo = count
+            output.description = f"count={count}"
+            emit(output, event)
 
         return (step,)
 

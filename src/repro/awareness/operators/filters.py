@@ -16,12 +16,14 @@ available primitive event types."
 Filters are the entry of every awareness description: they are where raw
 primitive events acquire the canonical type and its ``processInstanceId``
 partitioning parameter.  That makes them the *lift*: the primitive
-arrived checked against its own type (at the ingest door), and the one
-value whose canonical declaration is stricter than its primitive one —
-the instance id, nullable on ``T_activity``, a bare set member on
-``T_context`` — is checked here to be a non-null ``str``.  Each output is
-then built in one dict from typed values, trusted (no per-output
-conformance run) by every operator downstream.
+arrived checked against its own type (at the ingest door, where a
+``T_context`` association set's members are checked to be ``(str,
+str)`` pairs), and the one value whose canonical declaration is stricter
+than its primitive one — the instance id, nullable on ``T_activity`` —
+is checked here to be a non-null ``str``.  Each output is then built as
+one :class:`~repro.events.canonical.CanonicalEvent` record from typed
+values, trusted (no per-output conformance run) by every operator
+downstream.
 """
 
 from __future__ import annotations
@@ -29,16 +31,22 @@ from __future__ import annotations
 from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import EventTypeError, ParameterError
-from ...events.canonical import canonical_event, canonical_type
+from ...events.canonical import (
+    CANONICAL_KEYS,
+    CanonicalEvent,
+    canonical_event,
+    canonical_type,
+)
 from ...events.event import Event, EventType
 from ...events.external import NEWS_EVENT_TYPE
 from ...events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
-    check_associations,
 )
 from .base import Emit, EventOperator, OperatorSignature, Step
+
+_new = object.__new__
 
 
 def _not_an_instance_id(operator: str, parameter: str, value: Any) -> EventTypeError:
@@ -116,24 +124,20 @@ class ActivityFilter(EventOperator):
             instance = params["parentProcessInstanceId"]
             if not isinstance(instance, str):
                 raise _not_an_instance_id(name, "parentProcessInstanceId", instance)
-            emit(
-                Event.trusted(
-                    output_type,
-                    {
-                        "time": params["time"],
-                        "source": name,
-                        "processSchemaId": schema,
-                        "processInstanceId": instance,
-                        "intInfo": None,
-                        "strInfo": new_state,
-                        "description": (
-                            f"activity {variable!r}: {old_state} -> {new_state}"
-                        ),
-                        "sourceEvent": params,
-                    },
-                ),
-                event,
-            )
+            output = _new(CanonicalEvent)
+            output._event_type = output_type
+            output.provenance = None
+            output.time = params["time"]
+            output.source = name
+            output.processSchemaId = schema
+            output.processInstanceId = instance
+            output.intInfo = None
+            output.strInfo = new_state
+            output.description = f"activity {variable!r}: {old_state} -> {new_state}"
+            output.sourceEvent = params
+            output._keys = CANONICAL_KEYS
+            output._mapping = None
+            emit(output, event)
 
         return (step,)
 
@@ -210,31 +214,28 @@ class ContextFilter(EventOperator):
                 else None
             )
             str_info = new_value if isinstance(new_value, str) else None
+            # Every member is a (str, str) pair: T_context declares it,
+            # so the door checked it before the event got here.
             associations = params["processAssociations"]
-            # Before the sort: a member that is not a (str, str) pair
-            # would make it raise TypeError, or become an instance id.
-            check_associations(associations)
             if len(associations) > 1:
                 associations = sorted(associations)
             for schema_id, instance_id in associations:
                 if schema_id != schema:
                     continue
-                emit(
-                    Event.trusted(
-                        output_type,
-                        {
-                            "time": params["time"],
-                            "source": name,
-                            "processSchemaId": schema,
-                            "processInstanceId": instance_id,
-                            "intInfo": int_info,
-                            "strInfo": str_info,
-                            "description": f"{digest}{new_value!r}",
-                            "sourceEvent": params,
-                        },
-                    ),
-                    event,
-                )
+                output = _new(CanonicalEvent)
+                output._event_type = output_type
+                output.provenance = None
+                output.time = params["time"]
+                output.source = name
+                output.processSchemaId = schema
+                output.processInstanceId = instance_id
+                output.intInfo = int_info
+                output.strInfo = str_info
+                output.description = f"{digest}{new_value!r}"
+                output.sourceEvent = params
+                output._keys = CANONICAL_KEYS
+                output._mapping = None
+                emit(output, event)
 
         return (step,)
 
@@ -308,22 +309,20 @@ class SystemFilter(EventOperator):
                 return
             series = f"{metric}[{label}]" if label is not None else metric
             value = params["value"]
-            emit(
-                Event.trusted(
-                    output_type,
-                    {
-                        "time": params["time"],
-                        "source": name,
-                        "processSchemaId": schema,
-                        "processInstanceId": params["systemId"],
-                        "intInfo": value,
-                        "strInfo": label,
-                        "description": f"system metric {series} = {value}",
-                        "sourceEvent": params,
-                    },
-                ),
-                event,
-            )
+            output = _new(CanonicalEvent)
+            output._event_type = output_type
+            output.provenance = None
+            output.time = params["time"]
+            output.source = name
+            output.processSchemaId = schema
+            output.processInstanceId = params["systemId"]
+            output.intInfo = value
+            output.strInfo = label
+            output.description = f"system metric {series} = {value}"
+            output.sourceEvent = params
+            output._keys = CANONICAL_KEYS
+            output._mapping = None
+            emit(output, event)
 
         return (step,)
 

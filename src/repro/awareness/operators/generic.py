@@ -22,8 +22,7 @@ from functools import partial
 from typing import Any, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import canonical_type
-from ...events.event import Event
+from ...events.canonical import CanonicalEvent, canonical_type
 from .base import Emit, EventOperator, OperatorSignature, Step, check_copy_parameter
 
 
@@ -32,16 +31,15 @@ def _canonical_signature(process_schema_id: str, arity: int) -> OperatorSignatur
     return OperatorSignature((ctype,) * arity, ctype)
 
 
-def _compose(template: Event, completing: Event, source: str) -> Event:
+def _compose(template: CanonicalEvent, completing: CanonicalEvent, source: str) -> CanonicalEvent:
     """Copy *template*'s parameters (except time) onto a new composite event
     whose time is the completing constituent's time.
 
     Both constituents conformed (checked where they entered the plan), so
     the output is built from typed values without a conformance run."""
-    return Event.trusted(
-        template._event_type,
-        template._params | {"time": completing._params["time"], "source": source},
-    )
+    output = template.relayed(source)
+    output.time = completing.time
+    return output
 
 
 class And(EventOperator):
@@ -73,8 +71,8 @@ class And(EventOperator):
         partitions, name = self._partitions, self.instance_name
         slots, template_slot = range(self.arity), self.copy - 1
 
-        def kernel(slot: int, event: Event) -> None:
-            key = event._params["processInstanceId"]
+        def kernel(slot: int, event: CanonicalEvent) -> None:
+            key = event.processInstanceId
             # Slot memory per instance: the latest event seen on each slot.
             state = partitions.get(key)
             if state is None:
@@ -121,8 +119,8 @@ class Seq(EventOperator):
         partitions, name = self._partitions, self.instance_name
         arity, template_slot = self.arity, self.copy - 1
 
-        def kernel(slot: int, event: Event) -> None:
-            key = event._params["processInstanceId"]
+        def kernel(slot: int, event: CanonicalEvent) -> None:
+            key = event.processInstanceId
             state = partitions.get(key)
             if state is None:
                 state = partitions[key] = {"pointer": 0, "seen": []}
@@ -173,8 +171,8 @@ class Or(EventOperator):
     def bind(self, emit: Emit) -> Sequence[Step]:
         name = self.instance_name
 
-        def step(event: Event) -> None:
-            emit(Event.trusted(event._event_type, event._params | {"source": name}), event)
+        def step(event: CanonicalEvent) -> None:
+            emit(event.relayed(name), event)
 
         return (step,) * self.arity
 

@@ -20,7 +20,7 @@ from typing import Any, List, Optional
 
 from ...core.roles import RoleRef
 from ...errors import ParameterError
-from ...events.canonical import canonical_type
+from ...events.canonical import CanonicalEvent, canonical_type
 from ...events.event import Event, EventType, ParameterSpec, base_parameters
 from .base import EventOperator, OperatorSignature
 
@@ -96,26 +96,27 @@ class Output(EventOperator):
     # upstream sharing.
 
     def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        # Decorating an already-validated canonical event; the trusted
-        # constructor skips a third per-event conformance pass.
-        params = event.params
+        # Decorating an already-validated canonical event (a record: its
+        # fields are read, no mapping is built); the trusted constructor
+        # skips a third per-event conformance pass.
+        record: CanonicalEvent = event  # type: ignore[assignment]
         return [
             Event.trusted(
                 DELIVERY_EVENT_TYPE,
                 {
-                    "time": params["time"],
+                    "time": record.time,
                     "source": self.instance_name,
                     "schemaName": self.schema_name,
                     "deliveryRole": self.delivery_role.role_name,
                     "deliveryContext": self.delivery_role.context_name,
                     "assignment": self.assignment_name,
-                    "processSchemaId": params["processSchemaId"],
-                    "processInstanceId": params["processInstanceId"],
+                    "processSchemaId": record.processSchemaId,
+                    "processInstanceId": record.processInstanceId,
                     "userDescription": self.user_description
-                    or (params.get("description") or "awareness event"),
-                    "intInfo": params.get("intInfo"),
-                    "strInfo": params.get("strInfo"),
-                    "sourceEvent": params.get("sourceEvent"),
+                    or (record.description or "awareness event"),
+                    "intInfo": record.intInfo,
+                    "strInfo": record.strInfo,
+                    "sourceEvent": record.sourceEvent,
                 },
             )
         ]

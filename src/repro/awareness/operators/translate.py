@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import canonical_event, canonical_type
+from ...events.canonical import CanonicalEvent, canonical_event, canonical_type
 from ...events.event import Event
 from ...events.producers import ACTIVITY_EVENT_TYPE
 from .base import Emit, EventOperator, OperatorSignature, Step
@@ -96,9 +96,8 @@ class Translate(EventOperator):
                     "parentProcessInstanceId"
                 ]
 
-        def translate(event: Event) -> None:
-            params = event._params
-            invoked_instance = params["processInstanceId"]
+        def translate(event: CanonicalEvent) -> None:
+            invoked_instance = event.processInstanceId
             invoking_instance = mapping.get(invoked_instance)
             if invoking_instance is None:
                 return
@@ -106,15 +105,17 @@ class Translate(EventOperator):
                 canonical_event(
                     invoking,
                     invoking_instance,
-                    time=params["time"],
+                    time=event.time,
                     source=name,
-                    int_info=params.get("intInfo"),
-                    str_info=params.get("strInfo"),
+                    int_info=event.intInfo,
+                    str_info=event.strInfo,
                     description=(
                         f"translated from {invoked} instance "
-                        f"{invoked_instance}: {params.get('description')}"
+                        f"{invoked_instance}: {event.description}"
                     ),
-                    source_event=params,
+                    # The one mapping a canonical hop builds: the
+                    # invoked event is carried whole.
+                    source_event=event.params,
                 ),
                 event,
             )

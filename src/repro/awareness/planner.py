@@ -331,7 +331,7 @@ class PlanCache:
         for entry in sorted(self._nodes.values(), key=lambda e: e.plan_id):
             operator = entry.operator
             # DSL-authored comparisons render their textual form; the
-            # default describe() would print the compiled lambda.
+            # default describe() would print the compiled predicate.
             rendering = getattr(operator, "_dsl_rendering", None)
             rows.append(
                 {

@@ -16,9 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from ..errors import EventError, EventTypeError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .canonical import CanonicalEvent
 
 #: Parameter names every event must carry (self-containedness).
 REQUIRED_PARAMETERS = ("type", "time", "source")
@@ -42,13 +56,16 @@ class ParameterSpec:
 
     ``value_type`` is a coarse tag: ``"int"``, ``"str"``, ``"float"``,
     ``"bool"``, ``"set"``, or ``"any"``.  ``required`` parameters must be
-    present (possibly ``None`` only when ``nullable``).
+    present (possibly ``None`` only when ``nullable``).  ``members``, on
+    a ``"set"`` parameter, checks what the coarse tag cannot: the shape
+    of each member (it raises :class:`EventTypeError`).
     """
 
     name: str
     value_type: str = "any"
     required: bool = True
     nullable: bool = True
+    members: Optional[Callable[[Iterable[Any]], None]] = None
 
     def check(self, value: Any) -> None:
         if value is None:
@@ -74,6 +91,8 @@ class ParameterSpec:
                 f"parameter {self.name!r} expects {self.value_type}, got "
                 f"{type(value).__name__} {value!r}"
             )
+        if self.members is not None:
+            self.members(value)
 
 
 class EventType:
@@ -83,6 +102,12 @@ class EventType:
     descriptions of ``C_P`` for the same process schema are the same type),
     which is what stream type-checking uses.
     """
+
+    #: How this type's events are represented, decided here and nowhere
+    #: else: ``None`` — an event holds its parameter mapping — or the
+    #: record class whose typed fields hold them
+    #: (:class:`~repro.events.canonical.CanonicalEvent` for ``C_P``).
+    record: Optional[Type["CanonicalEvent"]] = None
 
     def __init__(self, name: str, parameters: Iterable[ParameterSpec]) -> None:
         self.name = name
@@ -121,6 +146,13 @@ class EventType:
                 accept += (type(_MISSING),)
             plan.append((spec.name, accept, check))
         self._plan = tuple(plan)
+        #: ``(name, members)`` per set parameter whose members are
+        #: checked; run after the plan, on present non-null values only.
+        self._members = tuple(
+            (spec.name, spec.members)
+            for spec in self._parameters.values()
+            if spec.members is not None
+        )
 
     def parameters(self) -> Tuple[ParameterSpec, ...]:
         return tuple(self._parameters.values())
@@ -138,7 +170,8 @@ class EventType:
         plan compiled in ``__init__``: a value of exactly a declared type
         (or a permitted ``None``) is settled inline; subclass instances,
         ``bool`` offered as ``int`` and every error go through
-        :meth:`ParameterSpec.check`, which owns the messages.
+        :meth:`ParameterSpec.check`, which owns the messages.  A set
+        parameter that declares ``members`` has them checked last.
         """
         for name, accept, spec in self._plan:
             try:
@@ -159,6 +192,10 @@ class EventType:
                 f"event declares type {params['type']!r} but was checked "
                 f"against {self.name!r}"
             )
+        for name, members in self._members:
+            value = params.get(name)
+            if value is not None:
+                members(value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventType):
@@ -188,6 +225,11 @@ class Event:
     parameter mapping is exposed read-only; ``event["time"]`` and
     ``event.get("intInfo")`` give dict-like access.
 
+    The event type decides the representation (:attr:`EventType.record`):
+    an ``Event`` holds its parameter mapping, and an event of a type with
+    a record class — every ``C_P`` — is built as that record whichever
+    constructor is called.
+
     ``provenance`` is the one instrumentation channel: while pipeline
     instrumentation is enabled (:mod:`repro.observability`) producers and
     operators stamp each event with the
@@ -200,13 +242,15 @@ class Event:
 
     __slots__ = ("_event_type", "_params", "provenance")
 
-    def __init__(self, event_type: EventType, params: Mapping[str, Any]) -> None:
+    _event_type: EventType
+    _params: Mapping[str, Any]
+    provenance: Optional[Any]
+
+    def __new__(cls, event_type: EventType, params: Mapping[str, Any]) -> "Event":
         merged = dict(params)
         merged.setdefault("type", event_type.name)
         event_type.conforms(merged)
-        self._event_type = event_type
-        self._params = MappingProxyType(merged)
-        self.provenance: Optional[Any] = None
+        return cls.trusted(event_type, merged)
 
     @classmethod
     def trusted(cls, event_type: EventType, params: Dict[str, Any]) -> "Event":
@@ -218,15 +262,19 @@ class Event:
         replay), ``EventOperator.consume`` for a hand-fed event — or is
         guaranteed by construction, as when the built-in producers
         translate already-typed engine records.  Inside the linked plan
-        the kernels build each output here from values that are already
+        the kernels build each output from values that are already
         typed, so a per-output check would re-prove what the door
         proved.  Callers must guarantee conformance (including a correct
         ``type`` parameter); events built from external input should use
-        the validating constructor or pass one of the doors.
+        the validating constructor or pass one of the doors.  A record
+        type still refuses a parameter it does not declare.
         """
-        self = object.__new__(cls)
         if "type" not in params:
             params["type"] = event_type.name
+        record = event_type.record
+        if record is not None:
+            return record.from_params(event_type, params)
+        self = object.__new__(cls)
         self._event_type = event_type
         self._params = MappingProxyType(params)
         self.provenance = None
@@ -274,7 +322,7 @@ class Event:
         The validating door for application code: the merged parameters
         run the (new) type's full conformance plan.  The built-in
         kernels do not call it; they build their outputs from typed
-        values through :meth:`trusted`.
+        values, as records.
         """
         new_type = event_type or self._event_type
         merged = self._params | overrides

@@ -59,6 +59,32 @@ ACTIVITY_EVENT_TYPE = EventType(
     ),
 )
 
+
+def check_associations(associations: Iterable[Any]) -> None:
+    """Raise :class:`EventTypeError` unless every member of a ``T_context``
+    association set is a ``(processSchemaId, processInstanceId)`` pair of
+    strings.
+
+    The ``members`` check of ``T_context``'s ``processAssociations``: the
+    coarse tag can only say the parameter is a set, and its members are
+    what a filter sorts and turns into ``processInstanceId``, so a member
+    of another shape is refused wherever the type is checked — the
+    validating constructor, the ingest door, ``consume``.
+    """
+    for member in associations:
+        if not (
+            isinstance(member, tuple)
+            and len(member) == 2
+            and isinstance(member[0], str)
+            and isinstance(member[1], str)
+        ):
+            raise EventTypeError(
+                f"parameter 'processAssociations' expects "
+                f"(processSchemaId, processInstanceId) pairs of str, got "
+                f"{type(member).__name__} {member!r}"
+            )
+
+
 CONTEXT_EVENT_TYPE = EventType(
     CONTEXT_EVENT_TYPE_NAME,
     (
@@ -66,7 +92,7 @@ CONTEXT_EVENT_TYPE = EventType(
         ParameterSpec("contextId", "str", nullable=False),
         ParameterSpec("contextName", "str", nullable=False),
         # The {(processSchemaId, processInstanceId)} association set.
-        ParameterSpec("processAssociations", "set", nullable=False),
+        ParameterSpec("processAssociations", "set", nullable=False, members=check_associations),
         ParameterSpec("fieldName", "str", nullable=False),
         ParameterSpec("oldFieldValue", "any"),
         ParameterSpec("newFieldValue", "any"),
@@ -289,29 +315,6 @@ class EventProducer:
         return f"{type(self).__name__}({self.producer_id!r})"
 
 
-def check_associations(associations: Iterable[Any]) -> None:
-    """Raise :class:`EventTypeError` unless every member of a ``T_context``
-    association set is a ``(processSchemaId, processInstanceId)`` pair of
-    strings.
-
-    ``ParameterSpec`` can only say the parameter is a set; its members
-    are what a filter sorts and turns into ``processInstanceId``, so a
-    member of another shape must be refused before either happens.
-    """
-    for member in associations:
-        if not (
-            isinstance(member, tuple)
-            and len(member) == 2
-            and isinstance(member[0], str)
-            and isinstance(member[1], str)
-        ):
-            raise EventTypeError(
-                f"parameter 'processAssociations' expects "
-                f"(processSchemaId, processInstanceId) pairs of str, got "
-                f"{type(member).__name__} {member!r}"
-            )
-
-
 def activity_routing_key(event: Event) -> Hashable:
     """Routing key of a ``T_activity`` event: which activity variable of
     which process schema changed state."""
@@ -396,15 +399,6 @@ class ContextEventProducer(EventProducer):
     ) -> None:
         super().__init__(producer_id, CONTEXT_EVENT_TYPE, metrics)
         self.set_key_extractor(context_routing_key)
-
-    def admit(self, events: Sequence[Event]) -> None:
-        """As :meth:`EventProducer.admit`, and each association set holds
-        only ``(str, str)`` pairs (:func:`check_associations`)."""
-        conforms = self.output_type.conforms
-        for event in events:
-            params = event._params
-            conforms(params)
-            check_associations(params["processAssociations"])
 
     def _translate(self, change: ContextChange) -> Event:
         return Event.trusted(

@@ -29,6 +29,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..events.canonical import CanonicalEvent
     from ..events.event import Event
 
 #: Default capacity of the recent-delivery ring buffer.
@@ -290,16 +291,23 @@ class ProvenanceTracker:
                 for provenance in (event.provenance for event in constituents)
                 if provenance is not None
             )
-        params = output._params
-        summary = params.get("description") or params.get("userDescription")
+        event_type = output._event_type
+        if event_type.record is None:
+            params = output._params
+            summary = params.get("description") or params.get("userDescription")
+            logical_time = params["time"]
+        else:
+            # A record (every C_P output): its fields, no mapping built.
+            record: "CanonicalEvent" = output  # type: ignore[assignment]
+            summary, logical_time = record.description, record.time
         event_id = self._next_id + 1
         self._next_id = event_id
         node = ProvenanceNode.__new__(ProvenanceNode)
         node.event_id = event_id
         node.node = node_name
         node.kind = kind
-        node.event_type = params["type"]
-        node.logical_time = params["time"]
+        node.event_type = event_type.name
+        node.logical_time = logical_time
         node.summary = summary or ""
         node.inputs = inputs
         output.provenance = node

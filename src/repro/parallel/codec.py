@@ -80,6 +80,10 @@ record, column by column, and the per-event work — the uniformity
 checks, the transposition, folding a column's equal values, packing —
 is ``map`` / ``zip`` / ``dict.fromkeys`` / ``array``; what is left in
 Python is per column, and on decode the construction of each ``Event``.
+A ``C_P`` record (:class:`~repro.events.canonical.CanonicalEvent`)
+travels as its parameter mapping, built for the purpose, so it encodes
+to the bytes a mapping-backed event of the same parameters would, and
+decodes to a record again (its event type decides, as everywhere).
 A column is one kind byte and a body:
 
 ===========  ====================================================
@@ -137,7 +141,8 @@ from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Tuple
 
-from ..errors import WireError
+from ..errors import EventTypeError, WireError
+from ..events.canonical import CanonicalEvent
 from ..events.event import Event
 from ..observability.provenance import ProvenanceNode
 from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
@@ -199,6 +204,8 @@ _EQ_EXACT = frozenset((str, type(None)))
 _get_type = attrgetter("_event_type")
 _get_provenance = attrgetter("provenance")
 _get_params = attrgetter("_params")
+#: Both representations of an event: they encode alike.
+_EVENT_CLASSES = frozenset((Event, CanonicalEvent))
 #: Unbound, a method descriptor is called at half the cost of a
 #: ``methodcaller`` (no attribute lookup per row).
 _get_values = MappingProxyType.values
@@ -329,7 +336,7 @@ def _int_code(lo: int, hi: int) -> Optional[int]:
 
 def _run_key(member: Any) -> Optional[Tuple[Any, Tuple[Any, ...]]]:
     """What consecutive list members share to travel as one run."""
-    if type(member) is Event and member.provenance is None:
+    if type(member) in _EVENT_CLASSES and member.provenance is None:
         return member._event_type, tuple(member._params)
     return None
 
@@ -342,7 +349,8 @@ def _stretches(members: List[Any]) -> List[Tuple[Any, List[Any]]]:
     C per condition; only a mixed list is visited member by member.
     """
     n = len(members)
-    if list(map(type, members)).count(Event) == n:
+    classes = list(map(type, members))
+    if classes.count(Event) == n or classes.count(CanonicalEvent) == n:
         params = list(map(_get_params, members))
         keys = tuple(params[0])
         if (
@@ -432,7 +440,7 @@ class BinaryEncoder:
                     buf,
                     (value << 1) if value >= 0 else (((-value) << 1) - 1),
                 )
-        elif kind is Event:
+        elif kind is Event or kind is CanonicalEvent:
             buf.append(T_EVENT)
             self._event(buf, value)
         elif kind is bool:
@@ -479,7 +487,7 @@ class BinaryEncoder:
                 encode(buf, member)
         elif kind is list:
             buf.append(T_LIST)
-            if len(value) > 1 and Event in map(type, value):
+            if len(value) > 1 and not _EVENT_CLASSES.isdisjoint(map(type, value)):
                 self._records(buf, value)
                 return
             _varint(buf, len(value))
@@ -802,7 +810,10 @@ class BinaryDecoder:
             if key != "type":
                 params[key], pos = decode(data, pos)
         # ``type`` was skipped on encode; ``trusted`` puts it back, last.
-        event = Event.trusted(event_type, params)
+        try:
+            event = Event.trusted(event_type, params)
+        except EventTypeError as error:  # a record type's undeclared key
+            raise WireError(f"malformed event record: {error}") from None
         flag = data[pos]
         pos += 1
         if flag:
@@ -840,8 +851,16 @@ class BinaryDecoder:
         # ``type`` goes last, as ``_event`` puts it.
         names.append("type")
         columns.append(repeat(event_type.name, n))
+        rows = map(dict, map(zip, repeat(names), zip(*columns)))
+        record = event_type.record
+        if record is not None:
+            try:
+                out += [record.from_params(event_type, params) for params in rows]
+            except EventTypeError as error:
+                raise WireError(f"malformed event run: {error}") from None
+            return pos
         append = out.append
-        for params in map(dict, map(zip, repeat(names), zip(*columns))):
+        for params in rows:
             # ``Event.trusted``, inlined: the one per-event step left.
             event = _new_event(Event)
             event._event_type = event_type

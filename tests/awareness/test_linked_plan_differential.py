@@ -5,20 +5,28 @@ Windows generated from the DSL grammar (``test_dsl_fuzz``'s generator:
 filters, And/Seq/Or/Compare2 joins, Count, Compare1, Edge) are deployed
 through a ``PlanCache`` twice.  One rig feeds a random typed event stream
 into the producers, so every event runs through the linked ``step``
-closures.  The other never calls a step: :class:`Reference` walks the
-same wiring with the generic loop the operator base class used to run —
-type guard, ``partition_key`` / ``new_state`` / ``_apply`` per operator
-per event, provenance stamped per output, an ``operator.consume`` span
-around algorithm and forwarding.  The per-family ``_apply`` bodies live
-in this file only.
+closures, one call per hop, and every ``C_P`` event is a
+``CanonicalEvent`` record.  The other never calls a step:
+:class:`Reference` walks the same wiring with the generic loop the
+operator base class used to run — type guard, ``partition_key`` /
+``new_state`` / ``_apply`` per operator per event, provenance stamped
+per output, an ``operator.consume`` span around algorithm and
+forwarding — and builds every output the way events were built before
+records: an ``Event`` holding its parameter mapping
+(:func:`mapping_event`).  The per-family ``_apply`` bodies live in this
+file only.
 
-Both rigs must agree on every detected event and its order per window,
-on provenance signatures and span trees (instrumentation on), on each
-operator's ``consumed`` / ``produced`` / ``_partitions``, on the position
-at which a mistyped event raises ``SlotError``, and all of that while a
-second and a third window are deployed onto, and undeployed from, the
-live shared nodes mid-stream.
+Both rigs must agree on every detected event — its parameters in order —
+and its order per window, on provenance signatures and span trees
+(instrumentation on), on each operator's ``consumed`` / ``produced`` /
+``_partitions`` (held events by their ordered parameters), on the
+position at which a mistyped event raises ``SlotError``, and all of that
+while a second and a third window are deployed onto, and undeployed
+from, the live shared nodes mid-stream.
 """
+
+from types import MappingProxyType
+
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +34,13 @@ from hypothesis import strategies as st
 from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification
 from repro.awareness.operators.base import EventOperator
+from repro.awareness.operators.output import DELIVERY_EVENT_TYPE
 from repro.awareness.planner import PlanCache
 from repro.awareness.specification import SpecificationWindow
 from repro.core.context import ContextChange
 from repro.core.instances import ActivityStateChange
 from repro.errors import SlotError
-from repro.events.canonical import canonical_event
+from repro.events.canonical import canonical_event, canonical_type
 from repro.events.event import Event
 from repro.events.producers import ActivityEventProducer, ContextEventProducer
 from repro.observability import INSTRUMENTATION as OBS
@@ -47,6 +56,56 @@ SCHEMA = "P-F"
 # One ``(partition_key, new_state, apply)`` triple per family, as the
 # operator classes defined them before linking.  ``apply`` returns the
 # outputs and, for compositions, all their constituents.
+
+
+class MappingEvent(Event):
+    """An event that holds its parameter mapping, as every event did
+    before ``C_P`` became a record.  The provenance tracker reads a
+    ``C_P`` event's ``description`` field; this one answers from its
+    mapping."""
+
+    __slots__ = ()
+
+    @property
+    def description(self):
+        return self._params.get("description")
+
+
+def mapping_event(event_type, params):
+    """An event that holds its parameter mapping, whatever its type: how
+    ``Event.trusted`` built every event before ``C_P`` became a record
+    (``type`` appended last when *params* lack it)."""
+    event = object.__new__(MappingEvent)
+    event._event_type = event_type
+    event._params = MappingProxyType({**params, "type": event_type.name})
+    event.provenance = None
+    return event
+
+
+def derive(event, **overrides):
+    """``Event.derive`` as it was: the merged parameters, checked, held
+    as a mapping."""
+    merged = dict(event.params) | overrides
+    event.event_type.conforms(merged)
+    return mapping_event(event.event_type, merged)
+
+
+def canonical(schema, instance, **params):
+    """A filter's output as ``canonical_event`` built it: every ``C_P``
+    parameter in declaration order, then ``type``."""
+    return mapping_event(
+        canonical_type(schema),
+        {
+            "time": params["time"],
+            "source": params["source"],
+            "processSchemaId": schema,
+            "processInstanceId": instance,
+            "intInfo": params.get("int_info"),
+            "strInfo": params.get("str_info"),
+            "description": params["description"],
+            "sourceEvent": params["source_event"],
+        },
+    )
 
 
 def by_instance(slot, event):
@@ -70,7 +129,7 @@ def apply_filter_context(op, slot, event, state):
         if schema_id != op.process_schema_id:
             continue
         outputs.append(
-            canonical_event(
+            canonical(
                 op.process_schema_id,
                 instance_id,
                 time=params["time"],
@@ -98,7 +157,7 @@ def apply_filter_activity(op, slot, event, state):
     if op.states_new is not None and params["newState"] not in op.states_new:
         return [], None
     return [
-        canonical_event(
+        canonical(
             op.process_schema_id,
             params["parentProcessInstanceId"],
             time=params["time"],
@@ -116,7 +175,8 @@ def apply_filter_activity(op, slot, event, state):
 def apply_count(op, slot, event, state):
     state["count"] += 1
     return [
-        event.derive(
+        derive(
+            event,
             source=op.instance_name,
             intInfo=state["count"],
             description=f"count={state['count']}",
@@ -128,7 +188,7 @@ def apply_compare1(op, slot, event, state):
     value = event.get("intInfo")
     if value is None or not op.bool_func(value):
         return [], None
-    return [event.derive(source=op.instance_name)], None
+    return [derive(event, source=op.instance_name)], None
 
 
 def apply_edge(op, slot, event, state):
@@ -140,7 +200,7 @@ def apply_edge(op, slot, event, state):
     state[0] = satisfied
     if not (satisfied and armed):
         return [], None
-    return [event.derive(source=op.instance_name)], None
+    return [derive(event, source=op.instance_name)], None
 
 
 def apply_compare2(op, slot, event, state):
@@ -151,7 +211,8 @@ def apply_compare2(op, slot, event, state):
     if len(state) < 2 or not op.bool_func(state[0], state[1]):
         return [], None
     return [
-        event.derive(
+        derive(
+            event,
             source=op.instance_name,
             description=(
                 f"comparison satisfied: {state[0]} vs {state[1]} "
@@ -165,7 +226,7 @@ def apply_and(op, slot, event, state):
     state[slot] = event
     if len(state) < op.arity:
         return [], None
-    output = state[op.copy - 1].derive(time=event.time, source=op.instance_name)
+    output = derive(state[op.copy - 1], time=event.time, source=op.instance_name)
     constituents = tuple(state[index] for index in sorted(state))
     state.clear()
     return [output], constituents
@@ -178,9 +239,7 @@ def apply_seq(op, slot, event, state):
     state["pointer"] += 1
     if state["pointer"] < op.arity:
         return [], None
-    output = state["seen"][op.copy - 1].derive(
-        time=event.time, source=op.instance_name
-    )
+    output = derive(state["seen"][op.copy - 1], time=event.time, source=op.instance_name)
     constituents = tuple(state["seen"])
     state["pointer"] = 0
     state["seen"] = []
@@ -188,7 +247,31 @@ def apply_seq(op, slot, event, state):
 
 
 def apply_or(op, slot, event, state):
-    return [event.derive(source=op.instance_name)], None
+    return [derive(event, source=op.instance_name)], None
+
+
+def apply_output(op, slot, event, state):
+    params = event.params
+    return [
+        mapping_event(
+            DELIVERY_EVENT_TYPE,
+            {
+                "time": params["time"],
+                "source": op.instance_name,
+                "schemaName": op.schema_name,
+                "deliveryRole": op.delivery_role.role_name,
+                "deliveryContext": op.delivery_role.context_name,
+                "assignment": op.assignment_name,
+                "processSchemaId": params["processSchemaId"],
+                "processInstanceId": params["processInstanceId"],
+                "userDescription": op.user_description
+                or (params.get("description") or "awareness event"),
+                "intInfo": params.get("intInfo"),
+                "strInfo": params.get("strInfo"),
+                "sourceEvent": params.get("sourceEvent"),
+            },
+        )
+    ], None
 
 
 REFERENCE = {
@@ -201,6 +284,7 @@ REFERENCE = {
     "And": (by_instance, dict, apply_and),
     "Seq": (by_instance, lambda: {"pointer": 0, "seen": []}, apply_seq),
     "Or": (unpartitioned, lambda: None, apply_or),
+    "Output": (unpartitioned, lambda: None, apply_output),
 }
 
 
@@ -240,11 +324,7 @@ class Reference:
         if event.event_type != expected:
             raise SlotError(f"{op.instance_name} slot {slot}: {event.type_name}")
         op.consumed += 1
-        if op.family in REFERENCE:
-            key_of, new_state, apply = REFERENCE[op.family]
-        else:  # Output: the generic hooks are still the implementation
-            key_of, new_state = op.partition_key, op.new_state
-            apply = lambda op, *args: (op._apply(*args), None)  # noqa: E731
+        key_of, new_state, apply = REFERENCE[op.family]
         key = key_of(slot, event)
         state = op._partitions.get(key)
         if state is None:
@@ -284,9 +364,10 @@ class Reference:
 
 
 def plain(value):
-    """Operator state with held events flattened to their parameters."""
+    """Operator state with held events flattened to their parameters, in
+    order."""
     if isinstance(value, Event):
-        return dict(value.params)
+        return list(value.params.items())
     if isinstance(value, dict):
         return {key: plain(member) for key, member in value.items()}
     if isinstance(value, list):
@@ -358,7 +439,7 @@ class Rig:
     def observe(self):
         return {
             "detected": {
-                label: [dict(event.params) for event in seen]
+                label: [list(event.params.items()) for event in seen]
                 for label, seen in self.detected.items()
             },
             "provenance": {
@@ -478,19 +559,28 @@ def window_sets(draw):
     }
 
 
+#: Tier-1 runs 120 and 80 examples; the nightly ``soak`` profile
+#: (``--hypothesis-profile=soak``) runs its own count of each.
+PROFILE_EXAMPLES = settings.default.max_examples
+SOAK = PROFILE_EXAMPLES > 100
+
+
 class TestLinkedPlanDifferential:
     @given(windows=window_sets(), actions=actions)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=PROFILE_EXAMPLES if SOAK else 120, deadline=None)
     def test_uninstrumented_runs_agree(self, windows, actions):
         assert run(True, windows, actions) == run(False, windows, actions)
 
-    @given(windows=window_sets(), actions=actions)
-    @settings(max_examples=80, deadline=None)
-    def test_instrumented_runs_agree(self, windows, actions):
+    @given(windows=window_sets(), actions=actions, every=st.sampled_from([1, 3]))
+    @settings(max_examples=PROFILE_EXAMPLES if SOAK else 80, deadline=None)
+    def test_instrumented_runs_agree(self, windows, actions, every):
+        """Every trace recorded (``every`` 1), or one in three: inside a
+        skipped trace a linked hop calls the kernel directly, where the
+        reference still opens and closes a light span."""
         observed = []
         for linked in (True, False):
             with instrumented() as obs:
-                sampling, obs.tracer.sample_every = obs.tracer.sample_every, 1
+                sampling, obs.tracer.sample_every = obs.tracer.sample_every, every
                 try:
                     outcome = run(linked, windows, actions)
                 finally:

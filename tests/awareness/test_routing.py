@@ -8,6 +8,8 @@ independently deployed specification windows never see each other's
 events — and retiring a window removes its index entries.
 """
 
+import pytest
+
 from repro import (
     ActivityVariable,
     BasicActivitySchema,
@@ -237,24 +239,26 @@ class TestCallBudget:
     ``ShardHost.ingest`` and the delivery queue included.  The
     per-operator ``consume`` dispatch the linked kernels replaced took
     37.  The linked kernels took 19.25 while ``Count`` re-checked each
-    output through ``derive``.  With conformance checked once at the
-    ingest door and the outputs built from typed values, the chain takes
-    17.25: the door (2: the type check and the association check), the
-    bus's dispatch of the event (1), the routing dispatch and key (2),
-    the filter (5, its own association check included), the count (4)
-    and the edge (3), plus the frame's share of the bus batch and the
-    one delivery.
+    output through ``derive``, and 17.25 once conformance was checked at
+    the ingest door alone.  With each operator -> operator hop one call,
+    every ``C_P`` event a record and the DSL's predicate a C call, the
+    chain takes 12.24: the door (2: the type check and ``T_context``'s
+    association members), the bus's dispatch of the event (1), the
+    routing dispatch and key (2), the filter (3: its step, kernel and
+    ``emit``), the count (3: kernel, ``relayed`` and ``emit``) and the
+    edge (1: its kernel), plus the frame's share of the bus batch and
+    the one delivery.
     """
 
-    #: The measured count; a change that adds a call per chain-event
-    #: must say why here.
-    BUDGET = 17.25
+    #: The measured count; a change that adds a call per
+    #: chain-event must say why here.
+    BUDGET = 12.24
 
     EVENTS = 200
 
-    def python_calls_per_event(self, bystanders):
-        import sys
-
+    def chain_frame(self, bystanders):
+        """A shard host with the chain and *bystanders* windows beside
+        it, and the frame of the chain's events."""
         from repro.parallel.host import ShardHost
         from repro.workloads.generator import (
             ShardStreamConfig,
@@ -276,6 +280,12 @@ class TestCallBudget:
             for event in workload.events()
             if event["contextName"] == workload.context_name(0)
         ]
+        return host, events
+
+    def python_calls_per_event(self, bystanders):
+        import sys
+
+        host, events = self.chain_frame(bystanders)
         calls = 0
 
         def profiler(frame, event, arg):
@@ -295,6 +305,40 @@ class TestCallBudget:
 
     def test_one_chain_event_stays_within_the_call_budget(self):
         assert self.python_calls_per_event(bystanders=8) <= self.BUDGET
+
+    @pytest.mark.parametrize("instrument", [False, True])
+    def test_a_chain_event_builds_no_parameter_mapping(self, instrument, monkeypatch):
+        """``C_P`` events are records: the filter's and the count's
+        outputs, the edge's one firing and the ``Output`` reading it —
+        traced or not — build no parameter mapping.  (Each chain-event
+        built two, the filter's and the count's, while every ``C_P``
+        event held one.)"""
+        from types import MappingProxyType
+
+        from repro.events import canonical, event
+        from repro.events.canonical import is_canonical
+        from repro.observability import instrumented
+
+        host, events = self.chain_frame(bystanders=8)
+        built = 0
+
+        def counting(mapping):
+            nonlocal built
+            if is_canonical(mapping.get("type", "")):
+                built += 1
+            return MappingProxyType(mapping)
+
+        # Every ``C_P`` parameter mapping in the package is born here.
+        monkeypatch.setattr(event, "MappingProxyType", counting)
+        monkeypatch.setattr(canonical, "MappingProxyType", counting, raising=False)
+        if instrument:
+            with instrumented():
+                host.ingest(events)
+        else:
+            host.ingest(events)
+        assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
+        host.close()
+        assert built == 0
 
     def test_windows_on_other_contexts_cost_the_chain_nothing(self):
         """The routing index still does its job after the re-wire: the

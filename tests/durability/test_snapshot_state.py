@@ -1,6 +1,7 @@
 """Operator state through the codec, the snapshot file, and host-level
 snapshot/restore determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,9 +17,11 @@ from repro.durability.snapshot import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, ShardSna
 from repro.durability.state import capture_operator, restore_operator
 from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
 from repro.errors import DurabilityError, SnapshotUnsupportedError, WireError
-from repro.events.canonical import canonical_event
+from repro.events.canonical import CanonicalEvent, canonical_event
+from repro.events.event import Event
 from repro.observability import instrumented
 from repro.observability.provenance import ProvenanceNode
+from repro.parallel import ShardSpec
 from repro.parallel.codec import T_LIST, T_SELF, BinaryDecoder, BinaryEncoder, encode_standalone
 from repro.parallel.host import ShardHost
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
@@ -132,6 +135,17 @@ def feed_events(feed, start=0):
         yield slot, event
 
 
+def held(value):
+    """Every event held anywhere in operator state *value*."""
+    if isinstance(value, Event):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [event for member in value for event in held(member)]
+    return []
+
+
 def drive(operator, steps):
     outputs = []
     for slot, event in steps:
@@ -150,6 +164,9 @@ def test_every_stateful_family_round_trips_exactly(family, head, tail):
     restore_operator(restored, through_codec(record))
     assert restored._partitions is partitions
     assert exactly(restored._partitions, as_decoded(operator._partitions))
+    # Held C_P events (And, Seq) come back as records, as they were held.
+    assert all(type(event) is CanonicalEvent for event in held(restored._partitions))
+    assert len(held(restored._partitions)) == len(held(operator._partitions))
     assert (restored.consumed, restored.produced) == (
         operator.consumed,
         operator.produced,
@@ -419,3 +436,53 @@ class TestHostSnapshotRestore:
         with pytest.raises(SnapshotUnsupportedError):
             other.restore_state(state)
         other.close()
+
+
+
+# -- bytes against the parent representation -------------------------------------
+
+#: Joins that hold filtered and counted ``C_P`` events, a comparison and
+#: a merge, over two contexts of the seeded stream.
+HELD_SPEC = ShardSpec(
+    spec_id="spec-held",
+    process_schema_id="P-ShardTF",
+    text=(
+        "d0 = Filter_context[TaskForceCtx000, Deadline](ContextEvent)\n"
+        "d1 = Filter_context[TaskForceCtx001, Deadline](ContextEvent)\n"
+        "n0 = Count[](d0)\n"
+        "s0 = Seq[2](d0, n0, d1)\n"
+        "a0 = And[1](n0, d1)\n"
+        "c0 = Compare2[<=](d0, n0)\n"
+        "o0 = Or[](s0, a0, c0)\n"
+        'deliver o0 to team-000 as "held" named AS_HELD'
+    ),
+)
+
+
+class TestSnapshotBytes:
+    """``C_P`` events are records; a snapshot of operator state holding
+    them is the bytes the build before records wrote for the same input
+    (SHA-256 of ``encode_standalone`` of the host's state after each
+    frame, recorded by that build)."""
+
+    def test_held_records_snapshot_to_the_bytes_of_held_mappings(self):
+        wl = workload()
+        plan = wl.blueprint()
+        plan.specifications = [HELD_SPEC]
+        host = ShardHost(0, 1)
+        host.apply_blueprint(plan)
+        events = wl.events()
+        digests, holding = [], []
+        for frame in (events[:5], events[5:9], events[9:24]):
+            host.ingest(frame)
+            state = host.snapshot_state()
+            holding.append(len(held([op["partitions"] for op in state["operators"]])))
+            digests.append(hashlib.sha256(encode_standalone(state)).hexdigest())
+        assert len(host.drain_results()) > 0
+        host.close()
+        assert all(holding)  # the joins did hold records at every cut
+        assert digests == [
+            "5a7259fb9783c530d6471dbecc1f2def9e17d6f45a79f377e0fe83bb7bb4b5b6",
+            "73a95a377503ddebdc888d8718877e02ed5494606becb9416d7888a78c5bb5ea",
+            "d0c115afe9fba9e9465c533c7ff8451d565efcf295e3d4cbaeea2332fadca258",
+        ]

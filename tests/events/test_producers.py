@@ -309,3 +309,32 @@ class TestAdmit:
         )
         with pytest.raises(EventTypeError, match="processAssociations"):
             ContextEventProducer().admit([event])
+
+    @pytest.mark.parametrize(
+        "associations",
+        [
+            frozenset({("P-TF", 7)}),
+            frozenset({("P-TF", "proc-1"), ("P-TF", 1)}),
+            frozenset({("P-TF", "proc-1", "extra")}),
+            frozenset({"P-TF"}),
+        ],
+    )
+    def test_the_validating_constructor_refuses_what_the_door_refuses(self, associations):
+        """The members belong to ``T_context``: constructing the event
+        fails as admitting it does, and so does checking the parameter
+        alone."""
+        params = dict(
+            ContextEventProducer()._translate(context_change()).params,
+            processAssociations=associations,
+        )
+        with pytest.raises(EventTypeError, match="processAssociations"):
+            Event(CONTEXT_EVENT_TYPE, params)
+        (spec,) = [
+            spec
+            for spec in CONTEXT_EVENT_TYPE.parameters()
+            if spec.name == "processAssociations"
+        ]
+        with pytest.raises(EventTypeError, match="processAssociations"):
+            spec.check(associations)
+        good = frozenset({("P-TF", "proc-1"), ("P-Other", "proc-2")})
+        assert Event(CONTEXT_EVENT_TYPE, dict(params, processAssociations=good))

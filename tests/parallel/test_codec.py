@@ -4,10 +4,12 @@ negotiation."""
 import hashlib
 import io
 import sys
+from types import MappingProxyType
 
 import pytest
 
 from repro.errors import WireError
+from repro.events.canonical import CanonicalEvent, canonical_event, canonical_type
 from repro.events.event import Event
 from repro.events.producers import ACTIVITY_EVENT_TYPE, CONTEXT_EVENT_TYPE
 from repro.observability.provenance import ProvenanceNode
@@ -809,6 +811,83 @@ class TestHostileRuns:
                     BinaryDecoder().decode_payload(bytes(mangled))
                 except WireError:
                     pass
+
+
+def mapping_backed(event_type, params):
+    """Test-local: an event holding its parameter mapping whatever its
+    type, as ``C_P`` events were held before they became records."""
+    event = object.__new__(Event)
+    event._event_type = event_type
+    event._params = MappingProxyType(dict(params))
+    event.provenance = None
+    return event
+
+
+def records(n, instance="tf-001"):
+    """*n* ``C_P`` records as the filters build them."""
+    return [
+        canonical_event(
+            "P-TF",
+            instance,
+            time=time,
+            source="f0",
+            int_info=time,
+            description=f"context 'Ctx' field 'Deadline' = {time!r}",
+            source_event={"time": time, "type": "T_context"},
+        )
+        for time in range(n)
+    ]
+
+
+class TestCanonicalRecords:
+    """A ``C_P`` record travels as its parameter mapping: the bytes a
+    mapping-backed event of the same parameters writes, and back as a
+    record."""
+
+    @pytest.mark.parametrize("n", [1, ROWS_MIN - 1, ROWS_MIN, 3 * ROWS_MIN])
+    def test_a_record_writes_the_bytes_of_a_mapping_backed_event(self, n):
+        events = records(n)
+        twins = [mapping_backed(e.event_type, e.params) for e in events]
+        leaf = ProvenanceNode(1, "f0", "primitive", "T_context", 0, "")
+        events[0].provenance = twins[0].provenance = leaf
+        for frame in ({"e": events[0]}, events_frame(events)):
+            twin = {"e": twins[0]} if "e" in frame else events_frame(twins)
+            assert encode_standalone(frame) == encode_standalone(twin)
+            encoder, twin_encoder = BinaryEncoder(), BinaryEncoder()
+            for __ in range(2):  # a frame that defines, then one that refers
+                assert encoder.encode_frame(frame) == twin_encoder.encode_frame(twin)
+
+    def test_a_record_of_its_own_shape_writes_that_shape(self):
+        ctype = canonical_type("P-TF")
+        params = {"type": ctype.name, "time": 4, "source": "app"}
+        params |= {"processInstanceId": "tf-1", "processSchemaId": "P-TF"}
+        event = Event(ctype, params)
+        assert type(event) is CanonicalEvent
+        assert list(event.params) == list(params)
+        twin = mapping_backed(ctype, params)
+        assert encode_standalone({"e": event}) == encode_standalone({"e": twin})
+        back = BinaryDecoder().decode_payload(encode_standalone({"e": event})[4:])["e"]
+        assert type(back) is CanonicalEvent
+        # As any event decodes: ``type`` last, every other key in order.
+        assert exactly(back, as_decoded(event))
+
+    @pytest.mark.parametrize("n", [1, ROWS_MIN, 3 * ROWS_MIN])
+    def test_records_decode_to_records(self, n):
+        events = records(n, instance="tf-002")
+        for encode in (BinaryEncoder().encode_frame, encode_standalone):
+            back = BinaryDecoder().decode_payload(encode(events_frame(events))[4:])["events"]
+            assert all(type(e) is CanonicalEvent for e in back)
+            assert exactly(back, as_decoded(events))
+            assert [e.intInfo for e in back] == list(range(n))
+            assert [e.processInstanceId for e in back] == ["tf-002"] * n
+
+    @pytest.mark.parametrize("n", [1, ROWS_MIN])
+    def test_an_undeclared_parameter_is_a_wire_error(self, n):
+        ctype = canonical_type("P-TF")
+        hostile = [mapping_backed(ctype, dict(e.params, stray=1)) for e in records(n)]
+        payload = encode_standalone(events_frame(hostile))[4:]
+        with pytest.raises(WireError, match="declares no parameter 'stray'"):
+            BinaryDecoder().decode_payload(payload)
 
 
 class TestRowwiseBuilds:

@@ -270,10 +270,27 @@ class TestOperatorDoors:
 
     @pytest.mark.parametrize("kind", ["instance", "mixed"])
     def test_the_context_lift_refuses_a_non_str_pair(self, kind):
+        """A non-str pair never reaches the lift: ``T_context`` declares
+        its association members, so the validating constructor, the
+        ``consume`` door and the ingest door each refuse the event, and
+        the filter (which no longer checks) meets only pairs of str."""
+        hostile = dict(context_event(4).params, **HOSTILE[kind])
+        with pytest.raises(EventTypeError, match="processAssociations"):
+            Event(CONTEXT_EVENT_TYPE, hostile)
+
         flt = ContextFilter(SCHEMA, CONTEXT, "Deadline")
         with pytest.raises(EventTypeError, match="processAssociations"):
-            flt.step(0)(context_event(4, **HOSTILE[kind]))
-        assert flt.produced == 0
+            flt.consume(0, context_event(4, **HOSTILE[kind]))
+        assert (flt.consumed, flt.produced) == (0, 0)
+
+        host = ShardHost(0, 1)
+        host.apply_blueprint(blueprint("count"))
+        before = operator_state(host)
+        with pytest.raises(FrameRefusedError, match="processAssociations"):
+            host.ingest([context_event(3), context_event(4, **HOSTILE[kind])])
+        assert operator_state(host) == before
+        assert host.stats()["events_ingested"] == 0
+        host.close()
 
     def test_the_activity_lift_refuses_a_null_parent_instance(self):
         flt = ActivityFilter(SCHEMA, "work")
