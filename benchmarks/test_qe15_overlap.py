@@ -15,7 +15,7 @@ interleaves chunked ingest with a drain+stats collective per chunk.
 facade that keeps the multiplexer but asks one shard at a time (the
 pre-overlap behaviour, which no runtime switch selects any more); the
 speedup is that difference alone — same codec, same workers, same
-credit windows.
+pipe flow control.
 
 Two measurements:
 

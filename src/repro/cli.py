@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from . import EnactmentSystem, Participant
 from .errors import ReproError
@@ -393,10 +393,45 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The per-shard table's columns: header, ``shard_stats()`` key.
+_SHARD_COLUMNS = (
+    ("shard", "shard"),
+    ("alive", "alive"),
+    ("events", "events_ingested"),
+    ("queue", "queue_depth"),
+    ("recognized", "composites_recognized"),
+    ("notifs", "notifications"),
+)
+_PROCESS_COLUMNS = (("stalls", "stalls"),)
+_DURABLE_COLUMNS = (("journal", "journal_frames"), ("recovered", "recoveries"))
+
+
+def _shard_table(
+    rows: List[Dict[str, Any]], process: bool, durable: bool, title: str = ""
+) -> str:
+    """The per-shard gauge table of ``repro shards`` and ``repro top``:
+    ``stalls`` on the process backend, journal columns when durable."""
+    from .metrics.report import render_table
+
+    columns = list(_SHARD_COLUMNS)
+    if process:
+        columns += _PROCESS_COLUMNS
+    if durable:
+        columns += _DURABLE_COLUMNS
+    body = [
+        [
+            ("yes" if row["alive"] else "NO") if key == "alive"
+            else row.get(key, 0)
+            for __, key in columns
+        ]
+        for row in rows
+    ]
+    return render_table([header for header, __ in columns], body, title)
+
+
 def _cmd_shards(args: argparse.Namespace) -> int:
     import json
 
-    from .metrics.report import render_table
     from .parallel import ShardConfig, ShardedFederation
     from .workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
@@ -447,40 +482,9 @@ def _cmd_shards(args: argparse.Namespace) -> int:
         f"{totals['events_ingested']} events over {args.forces} task "
         f"forces, {len(notifications)} notifications merged\n"
     )
-    headers = ["shard", "alive", "events", "queue", "recognized", "notifs"]
-    table = [
-        [
-            row["shard"],
-            "yes" if row["alive"] else "NO",
-            row.get("events_ingested", 0),
-            row.get("queue_depth", 0),
-            row.get("composites_recognized", 0),
-            row.get("notifications", 0),
-        ]
-        for row in rows
-    ]
-    if args.backend == "process":
-        # Credit-window columns: frames in flight, credits left in the
-        # window, and how often ingest stalled on this shard.
-        headers.extend(["inflight", "credits", "stalls"])
-        for line, row in zip(table, rows):
-            line.extend(
-                [
-                    row.get("inflight", 0),
-                    row.get("credits", 0),
-                    row.get("stalls", 0),
-                ]
-            )
-    if args.durable:
-        headers.extend(["journal", "recovered"])
-        for line, row in zip(table, rows):
-            line.extend(
-                [row.get("journal_frames", 0), row.get("recoveries", 0)]
-            )
     print(
-        render_table(
-            tuple(headers),
-            [tuple(line) for line in table],
+        _shard_table(
+            rows, args.backend == "process", bool(args.durable),
             title="per-shard gauges",
         )
     )
@@ -737,42 +741,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
             lines.append(
                 f"shards ({shard_cursor}/{len(shard_events)} events fed):"
             )
-            # Only --durable runs the block on the process backend,
-            # where the credit window exists.
-            process_backend = bool(args.durable)
-            credit_cols = (
-                f" {'inflight':>8} {'credits':>7}" if process_backend else ""
-            )
-            durable_cols = (
-                f" {'journal':>8} {'recovered':>9}" if args.durable else ""
-            )
+            # Only --durable runs the block on the process backend.
             lines.append(
-                f"  {'shard':>5} {'alive':>5} {'events':>7} {'queue':>6} "
-                f"{'recognized':>10} {'notifs':>7}{credit_cols}"
-                f"{durable_cols}"
+                _shard_table(
+                    shard_federation.shard_stats(),
+                    bool(args.durable),
+                    bool(args.durable),
+                )
             )
-            for row in shard_federation.shard_stats():
-                credit_vals = (
-                    f" {row.get('inflight', 0):>8} "
-                    f"{row.get('credits', 0):>7}"
-                    if process_backend
-                    else ""
-                )
-                durable_vals = (
-                    f" {row.get('journal_frames', 0):>8} "
-                    f"{row.get('recoveries', 0):>9}"
-                    if args.durable
-                    else ""
-                )
-                lines.append(
-                    f"  {row['shard']:>5} "
-                    f"{'yes' if row['alive'] else 'NO':>5} "
-                    f"{row.get('events_ingested', 0):>7} "
-                    f"{row.get('queue_depth', 0):>6} "
-                    f"{row.get('composites_recognized', 0):>10} "
-                    f"{row.get('notifications', 0):>7}{credit_vals}"
-                    f"{durable_vals}"
-                )
             health = shard_federation.health()
             lines.append(
                 f"  federation health: {health.status} "

@@ -102,7 +102,8 @@ class LoadedJournal(NamedTuple):
 
     @property
     def base(self) -> int:
-        """The absolute index of the first payload frame in the file."""
+        """The absolute index of the first payload frame in the file
+        (:func:`load_journal` checked it is an ``int`` >= 0)."""
         return int(self.frames[0]["base"]) if self._compacted() else 0
 
     @property
@@ -136,7 +137,9 @@ def load_journal(path: str) -> LoadedJournal:
     a partial header, a length prefix beyond ``MAX_FRAME_BYTES``, a
     partial or undecodable payload.  A file that does not start with
     :data:`JOURNAL_MAGIC` is refused, unless it stops inside it (a
-    writer killed while creating the file).
+    writer killed while creating the file), and so is a compaction
+    control frame whose ``base`` is not an ``int`` >= 0: reading it as
+    a torn tail would drop the whole journal.
     """
     with open(path, "rb") as stream:
         data = stream.read()
@@ -157,7 +160,15 @@ def load_journal(path: str) -> LoadedJournal:
             torn = True
             break
     torn = torn or 0 < len(head) < len(JOURNAL_MAGIC)
-    return LoadedJournal(frames, torn, decoder.standalone_frames)
+    journal = LoadedJournal(frames, torn, decoder.standalone_frames)
+    if journal._compacted():
+        base = frames[0].get("base")
+        if type(base) is not int or base < 0:
+            raise DurabilityError(
+                f"journal {path!r} is damaged: its compaction frame's "
+                f"base is {base!r}, not a frame index"
+            )
+    return journal
 
 
 def _write_journal(path: str, records: List[bytes]) -> None:
@@ -251,7 +262,10 @@ class FrameLog:
             journal = load_journal(path)
             self.base = journal.base
             file_frames = len(journal.payload)
-            _write_journal(path, list(map(encode_standalone, journal.frames)))
+            # A control frame at base 0 compacts nothing: it is dropped,
+            # so the file leads with one exactly when ``base`` is set.
+            kept = journal.frames if self.base else journal.payload
+            _write_journal(path, list(map(encode_standalone, kept)))
             if journal.torn:
                 _SLOG.emit(
                     "durability",

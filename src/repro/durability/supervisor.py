@@ -41,7 +41,6 @@ from ..observability import Counter, default_registry
 from ..observability.trace import TraceContext
 from ..parallel.codec import encode_standalone
 from ..parallel.host import FederationBlueprint, ShardSpec
-from ..parallel.mux import event_seq
 from .log import FrameLog
 from .snapshot import ShardSnapshot
 
@@ -182,15 +181,13 @@ class SupervisedShard:
 
     # -- mutations (journal-then-send, replay is the retry) ----------------
 
-    def _journal_and_send(
-        self, frame: Dict[str, Any], credit: bool = False
-    ) -> None:
+    def _journal_and_send(self, frame: Dict[str, Any]) -> None:
         # Encoded once, self-contained: the journal record and the pipe
         # frame are the same bytes, so recovery replays what was sent.
         data = encode_standalone(frame)
         self.journal.append_encoded(data)
         try:
-            self.inner._send(data, credit=credit, seq=event_seq(frame))
+            self.inner._send(data)
         except ShardCrashError:
             # The frame is already in the journal: recovery replays it
             # into the replacement worker.  Resending would double-apply.
@@ -203,9 +200,7 @@ class SupervisedShard:
         # replayed frame keeps it: the worker's replay mark compares it.
         # Journal-before-send holds for queued writes too: a frame
         # enters the channel's outbound queue after the journal has it.
-        self._journal_and_send(
-            self.inner.make_events_frame(events, ctx), credit=True
-        )
+        self._journal_and_send(self.inner.make_events_frame(events, ctx))
         self._maybe_snapshot()
 
     def deploy(self, spec: ShardSpec) -> None:
@@ -363,9 +358,8 @@ class SupervisedShard:
         # The worker owns the replay decision: event frames below the
         # mark are replays, recorded unsampled (their spans shipped
         # before the crash).  So the tail goes as the journal's bytes,
-        # outside the credit window: the stats round trip below ingests
-        # all of it before any live frame is queued, and the window
-        # re-bases on the first live frame.
+        # queued like any send; the stats round trip below ingests all
+        # of it before any live frame is queued.
         self.inner._send({"kind": "replay", "below": old._next_seq})
         for record in tail:
             self.inner._send(record)

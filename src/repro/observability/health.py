@@ -206,15 +206,17 @@ def backpressure_rule(
     limit: int = 50,
     severity: str = SEVERITY_DEGRADED,
 ) -> SloRule:
-    """Fires when ingest keeps stalling on shard credit windows.
+    """Fires when ingest keeps stalling on full shard pipes.
 
     A rate rule over the facade's ``backpressure_stalls_total``
-    counter: more than *limit* stalls across the last *window* sampling
-    passes means one or more shards persistently cannot keep up with
-    the event stream — the credit window is doing its job (bounding
-    memory), but throughput is now governed by the slowest shard.
-    Opt-in like :func:`restart_storm_rule`: without a process-backend
-    federation the metric never appears and the rule stays silent.
+    counter (one per deferral episode or blocking drain wait): more
+    than *limit* stalls across the last *window* sampling passes means
+    one or more shards persistently cannot keep up with the event
+    stream — the pipe is doing its job (bounding memory at one queued
+    frame per shard plus the pipe), but throughput is now governed by
+    the slowest shard.  Opt-in like :func:`restart_storm_rule`: without
+    a process-backend federation the metric never appears and the rule
+    stays silent.
     """
     return rate_rule(
         "ingest-backpressure",
@@ -223,7 +225,7 @@ def backpressure_rule(
         ">",
         limit,
         severity=severity,
-        description="Ingest repeatedly stalled on shard credit windows",
+        description="Ingest repeatedly stalled on full shard pipes",
     )
 
 

@@ -30,8 +30,10 @@ the serial stream with per-instance order intact (QE11 asserts this).
 
 **Crash containment.**  A dead worker surfaces as a structured log entry
 plus :class:`~repro.errors.ShardCrashError` on the next interaction —
-never a hang: reads fail fast on EOF, and shutdown uses a poison pill
-with a join timeout before escalating to ``terminate()``.
+never a hang: reads fail fast on EOF, and shutdown waits for the
+poison pill's answer at most ``join_timeout`` seconds before escalating
+to ``terminate()`` and then ``kill()`` (a stopped worker never acts on
+SIGTERM).
 
 **One shard protocol, overlapped I/O.**  Whatever the backend, the
 facade drives its shards through :class:`Shard` alone.  Every collective
@@ -40,12 +42,11 @@ facade drives its shards through :class:`Shard` alone.  Every collective
 gathers the process shards' responses as they arrive in one
 :class:`~repro.parallel.mux.ChannelMultiplexer` wave, and hands each
 shard its response through ``end``, so a collective costs the slowest
-shard, not the sum of all shards.  Ingest is flow
-controlled per shard: event frames carry sequence numbers, workers ack
-them (piggybacked on responses, standalone past a threshold), and at
-most ``ShardConfig.max_inflight`` frames ride each pipe — a hot shard
-defers *its own* batches in the facade buffer while the rest of the
-wave keeps shipping (see DESIGN note 13).
+shard, not the sum of all shards.  Ingest is flow controlled per shard
+by the pipe itself: an event frame is queued only on a channel with no
+unwritten bytes, so a hot shard whose pipe is full defers *its own*
+batches in the facade buffer while the rest of the wave keeps shipping
+(see DESIGN note 13).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from ..observability.trace import (
 )
 from .codec import events_frame, hello_bytes
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
+from .mux import ChannelMultiplexer, MuxChannel
 from .router import ShardRouter
 from .wire import SEQ_KEY, attach_trace
 
@@ -99,6 +100,9 @@ GATHER_LATENCY_BUCKETS = (
     250_000.0,
     1_000_000.0,
 )
+
+#: Seconds a worker gets to act on SIGTERM before it is killed.
+TERMINATE_GRACE = 0.5
 
 #: Response frame kind per collective operation.
 _COLLECTIVE_RESPONSE = {"flush": "results", "stats": "stats"}
@@ -124,8 +128,8 @@ class ShardConfig:
     #: Enable tracing/provenance inside each shard's pipeline (workers
     #: flip their own process-global instrumentation plane).
     instrument: bool = False
-    #: Seconds to wait for a worker to honor the poison pill before it
-    #: is terminated.
+    #: Seconds to wait for a worker to answer the poison pill, and then
+    #: to exit, before it is terminated (and killed if it stays).
     join_timeout: float = 5.0
     #: Root directory for per-shard journals and snapshots.  Setting it
     #: (process backend only) wraps every shard in a
@@ -154,12 +158,6 @@ class ShardConfig:
     #: touches (1 = trace every wave).  Only meaningful with
     #: ``instrument`` on.
     trace_sample_every: int = DEFAULT_SAMPLE_EVERY
-    #: Event frames allowed in flight (sent, not yet acked) per shard
-    #: before ingest defers that shard's batches in the facade buffer.
-    #: The window bounds facade- and pipe-side memory per shard while a
-    #: worker stalls; acks ride the worker's response frames plus
-    #: standalone ack frames every ``max_inflight // 2`` event frames.
-    max_inflight: int = 32
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -185,8 +183,6 @@ class ShardConfig:
             raise ParallelError("max_recoveries must be >= 0")
         if self.trace_sample_every < 1:
             raise ParallelError("trace_sample_every must be >= 1")
-        if self.max_inflight < 1:
-            raise ParallelError("max_inflight must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -387,31 +383,22 @@ class ProcessShard:
             f"exit code {self.process.exitcode})"
         )
 
-    def _send(
-        self,
-        frame: Union[Dict[str, Any], bytes],
-        credit: bool = False,
-        seq: Optional[int] = None,
-    ) -> None:
+    def _send(self, frame: Union[Dict[str, Any], bytes]) -> None:
         """Queue *frame* on the channel (non-blocking).
 
-        With ``credit`` the send first waits for in-flight window space
-        — the per-frame backpressure point of barrier paths like
-        :meth:`ShardedFederation.flush_buffers` (streaming ingest checks
-        the channel's ``has_credit`` instead and defers without
-        waiting).  A mapping is encoded by the channel; ``bytes`` are a
-        self-contained journal record, queued as they are, with *seq*
-        its credit-window sequence (``None``: outside the window).
+        A mapping is encoded by the channel; ``bytes`` are a
+        self-contained journal record, queued as they are.  Whether an
+        event frame may go now is the facade's decision
+        (:meth:`ShardedFederation.ingest` checks the channel is drained,
+        :meth:`ShardedFederation.flush_buffers` waits until it is).
         """
         if not self.alive:
             raise ShardCrashError(
                 f"shard {self.shard_id} worker is not running"
             )
-        if credit and not self.mux.wait_for_credit(self.channel):
-            raise self._crashed(self.channel.dead or "send failed")
         try:
             if isinstance(frame, bytes):
-                self.channel.queue_encoded(frame, seq)
+                self.channel.queue_encoded(frame)
             else:
                 self.channel.queue(frame)
         except BrokenPipeError as error:
@@ -419,8 +406,11 @@ class ProcessShard:
         if self.channel.dead is not None:
             raise self._crashed(self.channel.dead)
 
-    def _receive(self, expected: str) -> Dict[str, Any]:
-        """Gather this shard's next response frame (blocking).
+    def _receive(
+        self, expected: str, timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Gather this shard's next response frame (blocking, at most
+        *timeout* seconds when given).
 
         Out-of-band ``error`` frames a dying worker emits while a
         gather is pending are dispatched at the channel layer — they
@@ -428,7 +418,7 @@ class ProcessShard:
         surface here as the :class:`ShardCrashError` they are, never as
         a protocol violation.
         """
-        frames, crashed = self.mux.gather({self.shard_id: expected})
+        frames, crashed = self.mux.gather({self.shard_id: expected}, timeout)
         if self.shard_id in crashed:
             raise self._crashed(crashed[self.shard_id])
         return frames[self.shard_id]
@@ -448,7 +438,7 @@ class ProcessShard:
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> None:
-        self._send(self.make_events_frame(events, ctx), credit=True)
+        self._send(self.make_events_frame(events, ctx))
 
     def deploy(self, spec: ShardSpec) -> None:
         self._send({"kind": "deploy", "spec": spec.to_wire()})
@@ -476,37 +466,44 @@ class ProcessShard:
         return frame["stats"], list(frame.get("errors", ()))
 
     def close(self) -> None:
-        if not self.alive:
-            self.discard()
-            return
-        try:
-            self._send({"kind": "shutdown"})
-            self._receive("bye")
-        except (ShardCrashError, ParallelError):
-            pass  # already down is an acceptable way to shut down
-        self.alive = False
-        self.discard()
+        """Shut the worker down: the poison pill, its ``bye`` awaited at
+        most ``join_timeout`` seconds, then the reap."""
+        grace = 0.0
+        if self.alive:
+            try:
+                self._send({"kind": "shutdown"})
+                self._receive("bye", self.config.join_timeout)
+                grace = self.config.join_timeout
+            except (ShardCrashError, ParallelError):
+                pass  # already down (or wedged) is reaped below
+        self.discard(grace)
 
-    def discard(self) -> None:
-        """Tear the channel down and reap the worker (no handshake)."""
+    def discard(self, grace: float = 0.0) -> None:
+        """Tear the channel down and reap the worker (no handshake):
+        it gets *grace* seconds to exit on its own."""
         self.alive = False
         self.mux.unregister(self.channel)
         self.channel.close_fds()
-        self._reap()
+        self._reap(grace)
 
-    def _reap(self) -> None:
+    def _reap(self, grace: float) -> None:
         process = self.process
-        process.join(self.config.join_timeout)
-        if process.is_alive():  # pragma: no cover - timing-dependent
-            _SLOG.emit(
-                "parallel",
-                "worker_killed",
-                level="error",
-                shard=self.shard_id,
-                reason=f"join timeout ({self.config.join_timeout}s)",
-            )
-            process.terminate()
-            process.join(self.config.join_timeout)
+        process.join(grace)
+        if not process.is_alive():
+            return
+        _SLOG.emit(
+            "parallel",
+            "worker_killed",
+            level="error",
+            shard=self.shard_id,
+            reason=f"still running after {grace}s",
+        )
+        process.terminate()
+        process.join(TERMINATE_GRACE)
+        if process.is_alive():
+            # SIGTERM stays pending on a stopped process; SIGKILL does not.
+            process.kill()
+            process.join()
 
 
 def _spawn_worker(
@@ -532,9 +529,6 @@ def _spawn_worker(
     options = {
         "instrument": config.instrument,
         "ship_logs": config.ship_logs,
-        # A worker volunteers a standalone ack once this many event
-        # frames arrive without a response to piggyback the ack on.
-        "ack_every": max(1, config.max_inflight // 2),
     }
     from .worker import worker_main
 
@@ -562,7 +556,7 @@ def _spawn_worker(
     # Written before the channel flips the fd non-blocking: five bytes
     # always fit a fresh pipe.
     os.write(in_write, hello_bytes())
-    channel = MuxChannel(shard_id, in_write, out_read, config.max_inflight)
+    channel = MuxChannel(shard_id, in_write, out_read)
     mux.register(channel)
     return ProcessShard(shard_id, config, process, mux, channel)
 
@@ -621,8 +615,7 @@ class ShardedFederation:
             registry = default_registry()
             self._stalls = registry.counter(
                 "backpressure_stalls_total",
-                "Event sends deferred or blocked on a shard's in-flight "
-                "credit window",
+                "Event sends deferred or blocked on a shard's full pipe",
                 label_names=("shard",),
             )
             self._gather_latency = registry.histogram(
@@ -630,21 +623,6 @@ class ShardedFederation:
                 GATHER_LATENCY_BUCKETS,
                 "Latency of broadcast-then-gather collectives",
                 label_names=("op",),
-            )
-            facade_pid = os.getpid()
-
-            def _inflight() -> Dict[Tuple[str, ...], float]:
-                # Workers inherit this registry (and this callback)
-                # across fork; only the facade process owns channels.
-                if os.getpid() != facade_pid:
-                    return {}
-                return inflight_snapshot(self._live_channels())
-
-            registry.multi_callback_gauge(
-                "shard_inflight",
-                _inflight,
-                "Event frames in flight (sent, unacked) per shard",
-                label_names=("shard",),
             )
             self._mux.on_stall = lambda channel: self._count_stall(
                 channel.shard_id
@@ -702,20 +680,13 @@ class ShardedFederation:
             [] for __ in range(self.config.shards)
         ]
         #: Per-shard flag: the shard's buffer holds at least one full
-        #: batch the credit window would not admit.  Used to count one
+        #: batch its undrained channel would not take.  Used to count one
         #: stall per deferral episode instead of one per event.
         self._deferred: List[bool] = [False] * self.config.shards
         #: Everything drained so far, in merged order.
         self.delivered: List[ShardNotification] = []
 
     # -- backpressure plumbing ----------------------------------------------
-
-    def _live_channels(self) -> List[MuxChannel]:
-        return [
-            shard.channel
-            for shard in getattr(self, "shards", ())
-            if shard.channel is not None and shard.alive
-        ]
 
     def _count_stall(self, shard_id: int) -> None:
         if self._stalls is not None:
@@ -766,11 +737,11 @@ class ShardedFederation:
         here ship later under that wave's context (see
         :meth:`flush_buffers`).
 
-        Ingest never blocks on a slow shard: a full batch whose shard
-        has exhausted its in-flight credit window stays in the facade
-        buffer (bounded memory — event references, not copies) and
-        ships once the shard acks; meanwhile every other shard's
-        batches keep flowing.
+        Ingest never blocks on a slow shard: a full batch whose shard's
+        channel still holds unwritten bytes (its pipe is full) stays in
+        the facade buffer (event references, not copies) and ships once
+        the worker has read enough for the channel to drain; meanwhile
+        every other shard's batches keep flowing.
         """
         router = self.router
         shard_count = self.config.shards
@@ -784,13 +755,13 @@ class ShardedFederation:
             if len(buffer) < batch_size:
                 continue
             if not self._can_ship(index):
-                # Window full: defer this shard's batch, count the
-                # stall once per episode, give pending acks a poll,
+                # Pipe full: defer this shard's batch, count the stall
+                # once per episode, give the pipe a chance to drain,
                 # and keep the wave moving.
                 if not self._deferred[index]:
                     self._deferred[index] = True
                     channel = self.shards[index].channel
-                    assert channel is not None  # no pipe, no window
+                    assert channel is not None  # no pipe, no stall
                     channel.stalls += 1
                     self._count_stall(index)
                 if self._mux is not None:
@@ -809,12 +780,10 @@ class ShardedFederation:
         deferring forever.
         """
         channel = self.shards[index].channel
-        if channel is None or channel.dead is not None:
-            return True
-        return channel.has_credit()
+        return channel is None or channel.dead is not None or channel.drained
 
     def _ship(self, index: int, ctx: Optional[TraceContext]) -> None:
-        """Ship as many full batches of shard *index* as credit allows."""
+        """Ship full batches of shard *index* while its pipe takes them."""
         buffer = self._buffers[index]
         shard = self.shards[index]
         batch_size = self.config.batch_size
@@ -830,9 +799,8 @@ class ShardedFederation:
         """Ship every partial batch (events keep per-shard order).
 
         This is a barrier: deferred batches ship too, each send waiting
-        for its shard's credit window (the multiplexer keeps pumping
-        every channel during the wait, so the acks that free the window
-        can arrive).
+        until its shard's channel has drained (the multiplexer keeps
+        pumping every channel during the wait).
         """
         if not any(self._buffers):
             return
@@ -845,9 +813,13 @@ class ShardedFederation:
                 continue
             shard = self.shards[index]
             # Deferred batches may have stacked past one batch_size;
-            # ship them as separate frames so the credit window keeps
-            # counting what it meters (frames in flight).
+            # they ship as separate frames, one queued at a time.
             for start in range(0, len(buffer), batch_size):
+                # A dead channel returns at once: the send surfaces the
+                # crash (or recovers, and the next send sees the new one).
+                channel = shard.channel
+                if channel is not None and self._mux is not None:
+                    self._mux.wait_drained(channel)
                 shard.send_events(buffer[start:start + batch_size], ctx)
             self._buffers[index] = []
             self._deferred[index] = False
@@ -1050,14 +1022,8 @@ class ShardedFederation:
                 "alive": shard.alive,
                 "buffered": len(self._buffers[shard.shard_id]),
             }
-            # Credit-window columns (after the collect: its piggybacked
-            # acks retire credits, so these read the settled window).
             channel = shard.channel
             if channel is not None:
-                row["inflight"] = channel.outstanding
-                row["credits"] = max(
-                    0, channel.max_inflight - channel.outstanding
-                )
                 row["stalls"] = channel.stalls
             row.update(stats_by_id.get(shard.shard_id, {}))
             rows.append(row)

@@ -174,11 +174,6 @@ class ShardHost:
         self._detectors: Dict[str, Any] = {}
         self._ingested: int = 0
         self._frames: int = 0
-        #: Highest event-frame sequence number received (the worker's
-        #: cumulative credit ack).  ``None`` until a sequenced frame
-        #: arrives — unsequenced frames (serial shards) never participate
-        #: in the credit window.
-        self.last_seq: Optional[int] = None
         self._reported: int = 0
         #: Report-form records no drain has collected yet: built early
         #: by a snapshot, which must carry them (the frames behind them
@@ -250,7 +245,6 @@ class ShardHost:
         self,
         events: List[Event],
         ctx: Optional[TraceContext] = None,
-        seq: Optional[int] = None,
     ) -> None:
         """Feed routed primitive events into the pipeline, in order.
 
@@ -265,20 +259,13 @@ class ShardHost:
         same-type runs then enter as one ``emit_batch``, so the bus sees
         the same batch shapes an in-process engine would.
 
-        ``seq`` is the facade's frame sequence number; it is recorded
-        *before* processing so the frame's credit is returned to the
-        sender even when ingest fails recoverably partway through.
-
         With a :class:`TraceContext` and instrumentation on, the whole
         batch runs under a ``shard.ingest`` root span whose sampling
         decision is the facade's, verbatim (no local re-sampling); a
         recorded tree is buffered for shipment on the next stats/flush
         frame.
         """
-        if seq is not None:
-            if self.last_seq is None or seq > self.last_seq:
-                self.last_seq = seq
-            self._frames += 1
+        self._frames += 1
         if ctx is not None and _OBS.enabled:
             tracer = _OBS.tracer
             span = tracer.begin_root(

@@ -31,19 +31,18 @@ per worker) and drives all of them from one ``selectors`` loop:
   dead with the reason attributed; the gather still completes every
   other channel before the caller surfaces the crash.
 
-* **Credit-based backpressure.**  Event frames carry a sequence number
-  (:data:`~repro.parallel.wire.SEQ_KEY`); workers grant credits by
-  acking the highest sequence they fully ingested — piggybacked on
-  every stats/flush response plus standalone
-  :data:`~repro.parallel.wire.ACK_KIND` frames past a threshold.  The
-  facade caps in-flight event frames per channel
-  (``ShardConfig.max_inflight``); :meth:`ChannelMultiplexer.wait_for_credit`
-  stalls *only the hot shard's queue*, never the wave, and keeps
-  pumping every channel while it waits (so the ack that releases the
-  stall can actually arrive).
+* **The pipe is the flow control.**  The facade queues an event
+  frame on a channel only while that channel has no unwritten bytes
+  (:attr:`MuxChannel.drained`); otherwise ingest defers *only that
+  shard's* batches in the facade buffer and the rest of the wave keeps
+  shipping.  A stalled worker therefore holds at most one queued event
+  frame on the facade plus what its pipe holds — a bound the kernel
+  enforces, so workers never write acknowledgements.
+  :meth:`ChannelMultiplexer.wait_drained` is the barrier form: it
+  keeps pumping every channel until one has written everything.
 
 Everything here is single-threaded: the facade thread drives the loop,
-so there is no locking and the credit arithmetic cannot race.
+so there is no locking.
 """
 
 from __future__ import annotations
@@ -51,50 +50,37 @@ from __future__ import annotations
 import os
 import selectors
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from time import monotonic
+from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from ..errors import WireError
 from .codec import BinaryDecoder, BinaryEncoder
-from .wire import ACK_KIND, ACKED_KEY, MAX_FRAME_BYTES, SEQ_KEY
+from .wire import MAX_FRAME_BYTES
 
 #: Bytes requested per ``os.read`` when a channel's read end is ready.
 READ_CHUNK = 1 << 16
 
 #: Selector wait (seconds) per pump iteration inside a blocking gather
-#: or credit stall.  Short enough that a worker death surfaces quickly,
+#: or drain wait.  Short enough that a worker death surfaces quickly,
 #: long enough not to spin.
 POLL_INTERVAL = 0.05
-
-
-def event_seq(frame: Mapping[str, Any]) -> Optional[int]:
-    """The credit-window sequence *frame* carries, if it is an event frame."""
-    seq = frame.get(SEQ_KEY)
-    events = frame.get("kind") == "events" and isinstance(seq, int)
-    return seq if events else None
 
 
 class MuxChannel:
     """One worker's duplex channel under the multiplexer.
 
     Owns the raw (non-blocking) pipe fds, the outbound byte queue, the
-    inbound parse buffer, the decoded-frame inbox, and the credit
-    window accounting.  All state transitions happen on the facade
-    thread via the owning :class:`ChannelMultiplexer`.
+    inbound parse buffer and the decoded-frame inbox.  All state
+    transitions happen on the facade thread via the owning
+    :class:`ChannelMultiplexer`.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        in_fd: int,
-        out_fd: int,
-        max_inflight: int,
-    ) -> None:
+    def __init__(self, shard_id: int, in_fd: int, out_fd: int) -> None:
         self.shard_id = shard_id
         #: Facade-to-worker pipe end (events, requests).
         self.in_fd = in_fd
-        #: Worker-to-facade pipe end (responses, acks, errors).
+        #: Worker-to-facade pipe end (responses, errors).
         self.out_fd = out_fd
-        self.max_inflight = max_inflight
         os.set_blocking(in_fd, False)
         os.set_blocking(out_fd, False)
         # A fresh channel means fresh interning tables on both pipe
@@ -111,54 +97,33 @@ class MuxChannel:
         self._inbuf = bytearray()
         #: Decoded worker frames awaiting correlation, arrival order.
         self.inbox: Deque[Dict[str, Any]] = deque()
-        #: Highest event-frame sequence queued on *this* channel, and
-        #: the worker's cumulative ack.  Both lazily initialise from the
-        #: first event frame queued, so a respawned channel (its journal
-        #: replay unsequenced, its first live frame continuing the old
-        #: numbering) counts only its own frames as in flight.
-        self.last_sent_seq: Optional[int] = None
-        self.last_acked_seq: Optional[int] = None
-        #: Times a send had to wait (or defer) for the credit window.
+        #: Times a send had to wait (or defer) for the pipe to drain.
         self.stalls = 0
         #: Crash attribution; ``None`` while the channel is healthy.
         self.dead: Optional[str] = None
         self._closed = False
 
-    # -- credit window -----------------------------------------------------
+    # -- outbound ----------------------------------------------------------
 
     @property
-    def outstanding(self) -> int:
-        """Event frames sent on this channel but not yet acked."""
-        if self.last_sent_seq is None or self.last_acked_seq is None:
-            return 0
-        return max(0, self.last_sent_seq - self.last_acked_seq)
-
-    def has_credit(self) -> bool:
-        """Whether one more event frame fits the in-flight window."""
-        return self.dead is None and self.outstanding < self.max_inflight
-
-    # -- outbound ----------------------------------------------------------
+    def drained(self) -> bool:
+        """Whether every queued byte has been written to the pipe."""
+        return not self._outq
 
     def queue(self, frame: Mapping[str, Any]) -> None:
         """Encode *frame* on this channel's stream tables and queue it."""
-        self.queue_encoded(self._encoder.encode_frame(frame), event_seq(frame))
+        self.queue_encoded(self._encoder.encode_frame(frame))
 
-    def queue_encoded(self, data: bytes, seq: Optional[int] = None) -> None:
+    def queue_encoded(self, data: bytes) -> None:
         """Queue one encoded frame and pump what fits now.
 
         *data* comes from this channel's stream encoder, in queue order,
-        or is self-contained.  A *seq* (the frame's :func:`event_seq`)
-        advances the credit window; callers gate on :meth:`has_credit`
-        (or :meth:`ChannelMultiplexer.wait_for_credit`) first.
+        or is self-contained.  Callers that meter event frames check
+        :attr:`drained` (or :meth:`ChannelMultiplexer.wait_drained`)
+        first.
         """
         if self.dead is not None:
             raise BrokenPipeError(self.dead)
-        if seq is not None:
-            if self.last_sent_seq is None:
-                # First event frame on this channel: whatever sequence
-                # it carries defines the window's origin.
-                self.last_acked_seq = seq - 1
-            self.last_sent_seq = seq
         self._outq.append(data)
         self.pending_bytes += len(data)
         self.pump_writes()
@@ -230,23 +195,14 @@ class MuxChannel:
             del buffer[:position]
 
     def _dispatch(self, frame: Dict[str, Any]) -> None:
-        """Route one decoded frame: credits here, the rest to the inbox.
+        """Route one decoded frame to the inbox.
 
         ``error`` frames — a worker's last words, possibly racing a
         gather for a different response — mark the channel dead with
         the worker's reason attributed instead of being mistaken for a
-        protocol violation.  Standalone acks are pure credit grants and
-        never reach the inbox.
+        protocol violation.
         """
-        acked = frame.get(ACKED_KEY)
-        if isinstance(acked, int) and (
-            self.last_acked_seq is None or acked > self.last_acked_seq
-        ):
-            self.last_acked_seq = acked
-        kind = frame.get("kind")
-        if kind == ACK_KIND:
-            return
-        if kind == "error":
+        if frame.get("kind") == "error":
             self.fail(f"worker error: {frame.get('error')}")
             return
         self.inbox.append(frame)
@@ -280,7 +236,7 @@ class ChannelMultiplexer:
         #: with queued bytes); read registration is permanent.
         self._write_armed: Dict[int, bool] = {}
         #: Optional stall observer: called with the stalling channel
-        #: whenever a credit wait (or a deferred batch) begins.
+        #: whenever a drain wait begins.
         self.on_stall: Optional[Callable[[MuxChannel], None]] = None
 
     # -- registration ------------------------------------------------------
@@ -331,9 +287,9 @@ class ChannelMultiplexer:
     def pump(self, timeout: float = 0.0) -> None:
         """One multiplexing step across every channel.
 
-        Flushes what fits, reads what arrived, dispatches credits and
-        inbox frames.  ``timeout`` is the longest the step may sleep
-        waiting for readiness; ``0`` polls.
+        Flushes what fits, reads what arrived, dispatches inbox frames.
+        ``timeout`` is the longest the step may sleep waiting for
+        readiness; ``0`` polls.
         """
         self._arm_writes()
         if not self._channels:
@@ -348,7 +304,7 @@ class ChannelMultiplexer:
     # -- collectives -------------------------------------------------------
 
     def gather(
-        self, wants: Mapping[int, str]
+        self, wants: Mapping[int, str], timeout: Optional[float] = None
     ) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, str]]:
         """Wait for one *expected-kind* frame per channel in *wants*.
 
@@ -358,10 +314,12 @@ class ChannelMultiplexer:
         frame or a crash before this returns, so no stale response is
         left behind to poison the next collective.  A frame of any
         other kind on a gathered channel is the protocol violation it
-        always was (out-of-band ``error`` and ``ack`` frames are
-        dispatched before frames reach the inbox, so they can never be
-        mislabelled here).
+        always was (out-of-band ``error`` frames are dispatched before
+        frames reach the inbox, so they can never be mislabelled here).
+        With *timeout*, a channel still silent after that many seconds
+        is failed, so a stopped or wedged worker cannot hold the wave.
         """
+        deadline = None if timeout is None else monotonic() + timeout
         pending: Dict[int, str] = dict(wants)
         frames: Dict[int, Dict[str, Any]] = {}
         crashed: Dict[int, str] = {}
@@ -388,23 +346,30 @@ class ChannelMultiplexer:
                     del pending[shard_id]
             if not pending:
                 return frames, crashed
+            if deadline is not None and monotonic() >= deadline:
+                for shard_id, kind in pending.items():
+                    self._channels[shard_id].fail(
+                        f"no {kind!r} frame within {timeout}s"
+                    )
+                continue
             self.pump(POLL_INTERVAL)
 
     # -- backpressure ------------------------------------------------------
 
-    def wait_for_credit(self, channel: MuxChannel) -> bool:
-        """Block until *channel* has window space; ``False`` if it died.
+    def wait_drained(self, channel: MuxChannel) -> bool:
+        """Block until *channel* has written every queued byte;
+        ``False`` if it died first.
 
-        Every other channel keeps pumping while this one waits — acks,
-        responses, and crash notices all still flow, which is what
-        makes the wait finite.
+        A wait that has to block counts one stall.  Every other channel
+        keeps pumping meanwhile — responses and crash notices still
+        flow — and the wait ends when the worker reads its pipe.
         """
-        if channel.has_credit():
+        if channel.drained:
             return True
         channel.stalls += 1
         if self.on_stall is not None:
             self.on_stall(channel)
-        while not channel.has_credit():
+        while not channel.drained:
             if channel.dead is not None:
                 return False
             self.pump(POLL_INTERVAL)
@@ -417,12 +382,3 @@ class ChannelMultiplexer:
             self.unregister(channel)
         self._selector.close()
 
-
-def inflight_snapshot(
-    channels: List[MuxChannel],
-) -> Dict[Tuple[str, ...], float]:
-    """Per-shard in-flight frame counts, shaped for a multi-label gauge."""
-    return {
-        (str(channel.shard_id),): float(channel.outstanding)
-        for channel in channels
-    }

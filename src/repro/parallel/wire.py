@@ -5,7 +5,7 @@ facade exchange *frames*: a 4-byte big-endian length prefix followed by a
 payload.  Pipes, journals and snapshots write exactly one payload
 encoding, the binary codec of :mod:`repro.parallel.codec`; this module
 holds what every end shares whatever the bytes: the frame keys
-(sequence numbers, acks, trace contexts), the event-type registry that
+(sequence numbers, trace contexts), the event-type registry that
 turns a type name back into its
 :class:`~repro.events.event.EventType` (including on-demand ``C[P]``
 canonical types, :mod:`repro.events.canonical`), and the exact-read
@@ -71,29 +71,11 @@ def resolve_event_type(type_name: str) -> EventType:
 TRACE_KEY = "trace"
 
 #: Key under which an ``events`` frame carries its per-shard sequence
-#: number — the credit-based flow control's unit of account.  Seqs are
-#: assigned by the facade in send order and survive a respawn (the
-#: replacement channel inherits the counter), so a journal-replayed
-#: frame keeps its original number — which is how a worker tells it
-#: from a live one (below the ``replay`` frame's mark).
+#: number.  Seqs are assigned by the facade in send order and survive a
+#: respawn (the replacement shard inherits the counter), so a
+#: journal-replayed frame keeps its original number — which is how a
+#: worker tells it from a live one (below the ``replay`` frame's mark).
 SEQ_KEY = "seq"
-
-#: Key under which a worker response piggybacks its cumulative ack: the
-#: highest event-frame sequence number fully ingested so far.  Rides
-#: every ``stats``/``results`` frame; the facade uses it to retire
-#: in-flight credits without a dedicated exchange.
-ACKED_KEY = "acked"
-
-#: Frame kind of the standalone credit grant a worker emits once enough
-#: unacknowledged event frames accumulate between reads — the
-#: lightweight path that keeps a write-heavy stream flowing when no
-#: stats/flush response is due.
-ACK_KIND = "ack"
-
-
-def ack_frame(acked: int) -> Dict[str, Any]:
-    """A standalone credit grant: cumulative ack through *acked*."""
-    return {"kind": ACK_KIND, ACKED_KEY: acked}
 
 
 def attach_trace(frame: Dict[str, Any], ctx: Optional[Any]) -> Dict[str, Any]:

@@ -2,33 +2,28 @@
 
 ``worker_main`` is the forked child's entry point.  It owns one
 :class:`~repro.parallel.host.ShardHost` and serves frames from its input
-pipe in arrival order; it only ever *writes* in response to ``stats`` /
-``flush`` requests, so the channel cannot deadlock — the parent's event
-sends are pipelined fire-and-forget (pipe backpressure is the flow
-control) and every read the parent performs has exactly one pending
-response.
+pipe in arrival order; it only ever *writes* what it is asked for (a
+response to ``stats`` / ``flush`` / ``snapshot`` / ``shutdown``, or its
+last-words ``error``), so the channel cannot deadlock — the parent's
+event sends are pipelined fire-and-forget, the pipe is the flow control
+(a full pipe is what defers the facade's next event frame), and every
+read the parent performs has exactly one pending response.
 
 Protocol frames (see :mod:`repro.parallel.wire` for the framing):
 
 * ``{"kind": "events", "events": [...], "seq": N,
   "trace": [tid, psid, 0|1]}`` — ingest a routed batch; ``seq`` is the
-  facade's per-shard frame sequence number (the credit window's unit),
-  and the optional ``trace`` context carries the facade's head-sampling
-  decision, honored verbatim (no re-sampling) unless it is a replay;
+  facade's per-shard frame sequence number (what the ``replay`` mark
+  compares), and the optional ``trace`` context carries the facade's
+  head-sampling decision, honored verbatim (no re-sampling) unless it
+  is a replay;
 * ``{"kind": "deploy", "spec": {...}}`` / ``{"kind": "undeploy",
   "spec_id": ...}`` — detector lifecycle;
 * ``{"kind": "stats"}`` → ``{"kind": "stats", "stats": {...},
-  "errors": [...], "acked": N, "observability": {...}}``;
+  "errors": [...], "observability": {...}}``;
 * ``{"kind": "flush"}`` → ``{"kind": "results", "notifications": [...],
-  "acked": N, "observability": {...}}``
+  "observability": {...}}``
   — drain the recorded notification stream (sequence numbers included).
-
-Every response piggybacks ``acked`` — the highest event-frame ``seq``
-fully ingested — so the facade retires in-flight credits on reads it
-already performs.  When ``ack_every`` event frames arrive with no read
-pending (a pure write stream), the worker volunteers a standalone
-``{"kind": "ack", "acked": N}`` so the window never starves the sender
-of credits.
 
 Both read responses piggyback an ``observability`` payload — the shard's
 full metrics-registry snapshot, its buffered sampled span batches, and
@@ -46,9 +41,9 @@ exist;
 * ``{"kind": "replay", "below": N}`` — the journal's bytes follow; an
   ``events`` frame with ``seq`` below ``N`` is a replay, ingested with
   its trace context forced unsampled (its spans shipped before the
-  crash) and never acked alone (it took no credit); the ingest door's
-  refusal of a replay is not reported again (the refused frame moved no
-  state, and its refusal was reported when it came live);
+  crash); the ingest door's refusal of a replay is not reported again
+  (the refused frame moved no state, and its refusal was reported when
+  it came live);
 * ``{"kind": "shutdown"}`` → ``{"kind": "bye"}`` and a clean exit — the
   poison pill.
 
@@ -69,7 +64,7 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
 from .codec import BinaryFrameReader, BinaryFrameWriter, read_hello
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .wire import ACKED_KEY, SEQ_KEY, ack_frame, extract_trace
+from .wire import SEQ_KEY, extract_trace
 
 
 def worker_main(
@@ -140,21 +135,8 @@ def worker_main(
         host = ShardHost(shard_id, shard_count)
         host.ship_logs = ship_logs
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))
-        # Credit bookkeeping: event frames since the last ack crossed
-        # the pipe (in either piggybacked or standalone form).  The
-        # threshold keeps a pure write stream credited without a
-        # dedicated exchange per frame.
-        ack_every = max(1, int(options.get("ack_every", 1)))
-        unacked = 0
         # Event frames sequenced below this mark are journal replays.
         replay_below = 0
-
-        def piggyback_ack(response: Dict[str, Any]) -> Dict[str, Any]:
-            nonlocal unacked
-            if host.last_seq is not None:
-                response[ACKED_KEY] = host.last_seq
-                unacked = 0
-            return response
 
         while True:
             frame = reader.read()
@@ -166,52 +148,37 @@ def worker_main(
                     seq = frame.get(SEQ_KEY)
                     ctx = extract_trace(frame)
                     replayed = seq is not None and seq < replay_below
-                    if replayed:
-                        # A replay: its spans shipped before the crash,
-                        # and it took no credit, so it earns no ack.
-                        if ctx is not None:
-                            ctx = replace(ctx, sampled=False)
-                    elif seq is not None:
-                        unacked += 1
+                    if replayed and ctx is not None:
+                        # A replay: its spans shipped before the crash.
+                        ctx = replace(ctx, sampled=False)
                     try:
-                        host.ingest(frame["events"], ctx, seq=seq)
+                        host.ingest(frame["events"], ctx)
                     except FrameRefusedError:
                         # A refused frame moved no state, so its replay
                         # is a no-op; it was reported when it came live.
                         if not replayed:
                             raise
-                    finally:
-                        # The frame consumed a credit even if ingest
-                        # failed recoverably — ack it regardless, or
-                        # the facade's window leaks shut.
-                        if seq is not None and unacked >= ack_every:
-                            writer.write(ack_frame(seq))
-                            unacked = 0
                 elif kind == "deploy":
                     host.deploy_spec(ShardSpec.from_wire(frame["spec"]))
                 elif kind == "undeploy":
                     host.undeploy_spec(frame["spec_id"])
                 elif kind == "stats":
                     writer.write(
-                        piggyback_ack(
-                            {
-                                "kind": "stats",
-                                "stats": host.stats(),
-                                "errors": list(errors),
-                                "observability": observability(),
-                            }
-                        )
+                        {
+                            "kind": "stats",
+                            "stats": host.stats(),
+                            "errors": list(errors),
+                            "observability": observability(),
+                        }
                     )
                     errors.clear()
                 elif kind == "flush":
                     writer.write(
-                        piggyback_ack(
-                            {
-                                "kind": "results",
-                                "notifications": host.drain_results(),
-                                "observability": observability(),
-                            }
-                        )
+                        {
+                            "kind": "results",
+                            "notifications": host.drain_results(),
+                            "observability": observability(),
+                        }
                     )
                 elif kind == "snapshot":
                     writer.write(

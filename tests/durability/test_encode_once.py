@@ -104,9 +104,9 @@ class TestOneEncodePerJournaledFrame:
             appended.setdefault(self.path, []).append(data)
             return real_append(self, data)
 
-        def counted_queue(self, data, seq=None):
+        def counted_queue(self, data):
             queued.setdefault(self.shard_id, []).append(data)
-            return real_queue(self, data, seq)
+            return real_queue(self, data)
 
         monkeypatch.setattr(FrameLog, "append_encoded", counted_append)
         monkeypatch.setattr(MuxChannel, "queue_encoded", counted_queue)

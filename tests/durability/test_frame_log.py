@@ -15,6 +15,7 @@ from repro.durability.log import (
 )
 from repro.durability.supervisor import JOURNAL_FILENAME
 from repro.errors import DurabilityError
+from repro.parallel.codec import encode_standalone
 
 from tests.exact import decoded
 
@@ -34,6 +35,20 @@ JSON_ERA_JOURNAL = (
     b'"fieldName":"Deadline","newFieldValue":20}}]}'
     b'\x00\x00\x00"{"kind":"undeploy","spec_id":"s1"}'
 )
+
+
+#: Compaction bases that are not a frame index.
+MALFORMED_BASES = ["x", None, -3, True, 1.5]
+
+
+def journal_with_base(path, base):
+    """A journal whose compaction control frame claims *base*."""
+    path.write_bytes(
+        JOURNAL_MAGIC
+        + encode_standalone({"kind": CONTROL_COMPACTED, "base": base})
+        + encode_standalone({"kind": "undeploy", "spec_id": "s"})
+    )
+    return path
 
 
 def assert_json_era_refusal(error, path):
@@ -193,6 +208,46 @@ class TestCompaction:
             log.compact(3)
             assert log.compact(2) == 2  # still 2 payload frames on file
             assert log.base == 3
+
+
+class TestMalformedCompactionBase:
+    """A control frame whose ``base`` is not an ``int`` >= 0 refuses the
+    file with a :class:`DurabilityError` naming it — never an untyped
+    escape, never a torn tail that would drop the whole journal."""
+
+    @pytest.mark.parametrize("base", MALFORMED_BASES, ids=repr)
+    def test_readers_refuse_it_typed(self, tmp_path, base):
+        path = journal_with_base(tmp_path / "journal.log", base)
+        original = path.read_bytes()
+        for reader in (load_journal, FrameLog):
+            with pytest.raises(DurabilityError, match="base") as refused:
+                reader(str(path))
+            assert str(path) in str(refused.value)
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("base", MALFORMED_BASES, ids=repr)
+    def test_repro_journal_exits_nonzero_without_a_traceback(
+        self, tmp_path, capsys, base
+    ):
+        shard = tmp_path / "shard-0"
+        shard.mkdir()
+        path = journal_with_base(shard / JOURNAL_FILENAME, base)
+        for flags in ([], ["--dump"], ["--compact"], ["--json"]):
+            assert main(["journal", str(tmp_path)] + flags) != 0
+            err = capsys.readouterr().err
+            assert str(path) in err
+            assert "Traceback" not in err
+
+    def test_a_base_of_zero_compacts_nothing(self, tmp_path):
+        # Its control frame is dropped on open, so a tail never
+        # replays it as a payload frame.
+        path = journal_with_base(tmp_path / "journal.log", 0)
+        with FrameLog(str(path)) as log:
+            assert (log.base, log.frame_count) == (0, 1)
+            assert decoded(log.tail(0)) == [{"kind": "undeploy", "spec_id": "s"}]
+        assert load_journal(str(path)).frames == [
+            {"kind": "undeploy", "spec_id": "s"}
+        ]
 
 
 class TestJsonEraRefusal:

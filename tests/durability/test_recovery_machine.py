@@ -1,13 +1,21 @@
-"""Generated crash schedules against the serial oracle.
+"""Generated crash and stall schedules against the serial oracle.
 
 A Hypothesis state machine drives a 2-shard durable process federation
 (instrumented, ``batch_size=8``, ``snapshot_every=3``, so snapshots and
 journal compactions fall between kills) and, operation for operation, a
 serial 1-shard federation.  Rules: ingest the next slice of a seeded
 stream, deploy / undeploy / redeploy an extra window, drain, SIGKILL
-shard *k*, snapshot shard *k*.  After every drain the two delivered
-streams must agree: the provenance-signature multiset and the order
-within each process instance.
+shard *k*, snapshot shard *k*, SIGSTOP / SIGCONT shard *k*.  After every
+drain the two delivered streams must agree: the provenance-signature
+multiset and the order within each process instance.
+
+A stopped worker stalls only what waits on its answer.  Ingest does not
+(a full pipe defers the shard's batches in the facade buffer), so it
+runs against stopped workers; drain, deploy, undeploy, redeploy and
+snapshot each wait on every worker, so they resume the stopped ones
+first — and so does the cadence snapshot ingest takes every
+``snapshot_every`` frames, the one wait inside ingest.  A kill SIGKILLs
+a stopped worker as it is; teardown resumes before it closes.
 
 Tier-1 runs twelve programs of 20 steps; ``--hypothesis-profile=soak``
 (nightly) runs 2 000.
@@ -15,6 +23,7 @@ Tier-1 runs twelve programs of 20 steps; ``--hypothesis-profile=soak``
 
 import multiprocessing
 import shutil
+import signal
 import tempfile
 from pathlib import Path
 
@@ -71,9 +80,26 @@ class RecoveryMachine(RuleBasedStateMachine):
                 max_recoveries=STEPS,
             ),
         )
+        #: Stopped worker processes, by shard.
+        self.stopped = {}
+        for k, shard in enumerate(self.federation.shards):
+            shard.take_snapshot = self.resuming(k, shard.take_snapshot)
 
     def both(self):
         return self.federation, self.oracle
+
+    def resuming(self, k, wait):
+        """*wait*, after resuming shard *k*'s worker if it is stopped."""
+
+        def resumed_first(*args):
+            self.resume(k)
+            return wait(*args)
+
+        return resumed_first
+
+    def resume_all(self):
+        for k in list(self.stopped):
+            self.resume(k)
 
     @precondition(lambda self: self.position < len(self.events))
     @rule(length=st.integers(1, 48))
@@ -86,6 +112,7 @@ class RecoveryMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.deployed)
     @rule()
     def deploy(self):
+        self.resume_all()
         for federation in self.both():
             federation.deploy(self.extra)
         self.deployed = True
@@ -93,6 +120,7 @@ class RecoveryMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.deployed)
     @rule()
     def undeploy(self):
+        self.resume_all()
         for federation in self.both():
             federation.undeploy(self.extra.spec_id)
         self.deployed = False
@@ -100,25 +128,44 @@ class RecoveryMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.deployed)
     @rule()
     def redeploy(self):
+        self.resume_all()
         for federation in self.both():
             federation.undeploy(self.extra.spec_id)
             federation.deploy(self.extra)
 
     @rule()
     def drain(self):
+        self.resume_all()
         for federation in self.both():
             federation.drain()
         assert_same_stream(self.federation.delivered, self.oracle.delivered)
 
     @rule(k=st.integers(0, 1))
     def kill(self, k):
+        # SIGKILL ends a stopped process too: no resume first.
+        self.stopped.pop(k, None)
         kill_worker(self.federation.shards[k])
 
     @rule(k=st.integers(0, 1))
     def snapshot(self, k):
+        self.resume_all()
         self.federation.shards[k].take_snapshot()
 
+    @rule(k=st.integers(0, 1))
+    def stop(self, k):
+        process = self.federation.shards[k].inner.process
+        if process.is_alive():
+            process._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
+            self.stopped[k] = process
+
+    @rule(k=st.integers(0, 1))
+    def resume(self, k):
+        process = self.stopped.pop(k, None)
+        if process is not None:
+            process._popen._send_signal(signal.SIGCONT)  # noqa: SLF001
+
     def teardown(self):
+        self.resume_all()
         try:
             self.federation.close()
             self.oracle.close()

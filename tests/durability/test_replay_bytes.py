@@ -2,8 +2,8 @@
 
 Count pins on ``SupervisedShard.recover()``: the facade encodes only its
 own control frames and decodes only the worker's stats reply — nothing
-per replayed frame — never waits for credit, and queues the journal
-file's records as they are, outside the credit window.  The worker owns
+per replayed frame — never waits for a channel to drain, and queues the
+journal file's records as they are.  The worker owns
 the replay decision (a raw-pipe test of the ``replay`` mark).  A kill
 right after a snapshot replays an empty tail.  A journal damaged behind
 a live log ends in a typed error naming the file or the shard, never in
@@ -66,7 +66,7 @@ class TestReplayIsAByteCopy:
             encoded, decoded, waits, queued = [], [], [], []
             real_encode = BinaryEncoder.encode_frame
             real_decode = BinaryDecoder.decode_payload
-            real_wait = ChannelMultiplexer.wait_for_credit
+            real_wait = ChannelMultiplexer.wait_drained
             real_queue = MuxChannel.queue_encoded
 
             def counted_encode(self, frame):
@@ -82,15 +82,13 @@ class TestReplayIsAByteCopy:
                 waits.append(channel.shard_id)
                 return real_wait(self, channel)
 
-            def counted_queue(self, data, seq=None):
+            def counted_queue(self, data):
                 queued.append(data)
-                return real_queue(self, data, seq)
+                return real_queue(self, data)
 
             monkeypatch.setattr(BinaryEncoder, "encode_frame", counted_encode)
             monkeypatch.setattr(BinaryDecoder, "decode_payload", counted_decode)
-            monkeypatch.setattr(
-                ChannelMultiplexer, "wait_for_credit", counted_wait
-            )
+            monkeypatch.setattr(ChannelMultiplexer, "wait_drained", counted_wait)
             monkeypatch.setattr(MuxChannel, "queue_encoded", counted_queue)
             shard.recover()
             monkeypatch.undo()
@@ -98,17 +96,15 @@ class TestReplayIsAByteCopy:
             # The pins: the facade's only codec work is its own two
             # control frames and the stats reply — the parent decoded
             # every journal record and re-encoded every replayed frame —
-            # and it never waited for credit.
+            # and it never waited for the pipe.
             assert encoded == ["replay", "stats"]
             assert decoded == ["stats"]
             assert waits == []
             # What reached the channel between them is the file's bytes.
             assert queued[1:-1] == records
             assert all(type(data) is bytes for data in queued)
-            # Replayed frames never entered the credit window: it is
-            # empty, and re-bases on the first live frame.
-            assert shard.channel.outstanding == 0
-            assert shard.channel.last_sent_seq is None
+            # The stats round trip read past the whole tail.
+            assert shard.channel.drained
 
             federation.ingest(events[cut:])
             federation.drain()
@@ -145,8 +141,9 @@ class TestReplayIsAByteCopy:
 class TestTheWorkerOwnsTheReplayDecision:
     def test_a_replayed_wave_ships_no_spans_and_earns_no_ack(self):
         # A worker over raw pipes: a sampled events frame below the
-        # ``replay`` mark is ingested unsampled and unacked; one at the
-        # mark is a live frame.
+        # ``replay`` mark is ingested unsampled; one at the mark is a
+        # live frame.  Neither is acknowledged: the stats reply is the
+        # only frame the worker writes.
         workload = small_workload()
         batch = workload.events()[:8]
         in_read, in_write = os.pipe()
@@ -186,9 +183,8 @@ class TestTheWorkerOwnsTheReplayDecision:
                 replies.append(reply)
         process.join(10.0)
         assert not process.is_alive()
-        assert [reply["kind"] for reply in replies] == ["ack", "stats"]
-        assert replies[0]["acked"] == 1
-        stats = replies[1]
+        assert [reply["kind"] for reply in replies] == ["stats"]
+        stats = replies[0]
         assert stats["errors"] == []
         assert stats["stats"]["frames_ingested"] == 2
         batches = stats["observability"]["spans"]["batches"]

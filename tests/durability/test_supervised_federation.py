@@ -20,9 +20,20 @@ from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
 from repro.parallel.codec import T_DICT, T_SELF
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
-from tests.durability.test_frame_log import JSON_ERA_JOURNAL
+from tests.durability.test_frame_log import (
+    JSON_ERA_JOURNAL,
+    MALFORMED_BASES,
+    journal_with_base,
+)
 from tests.durability.test_journal_writers import decode_each_record_alone
-from tests.exact import decoded, exactly, signatures
+from tests.exact import assert_same_stream, decoded, exactly, signatures
+from tests.parallel.test_process_backend import (
+    assert_pipe_bounds_the_stall,
+    busiest_shard,
+    live_workers,
+    pipe_filling_workload,
+    serial_stream,
+)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -334,6 +345,21 @@ class TestBinaryChannelRecovery:
         assert len(merged) == workload.expected_notifications()
         assert signatures(merged) == signatures(reference_run(workload))
 
+    @pytest.mark.parametrize("base", MALFORMED_BASES, ids=repr)
+    def test_a_malformed_compaction_base_is_refused_at_boot(
+        self, tmp_path, base
+    ):
+        # The supervisor's open raises the typed error, so the facade
+        # reaps every worker it forked before re-raising.
+        workload = small_workload(seed=53)
+        shard = tmp_path / "durable" / "shard-0"
+        shard.mkdir(parents=True)
+        journal_with_base(shard / JOURNAL_FILENAME, base)
+        before = live_workers()
+        with pytest.raises(DurabilityError, match="base"):
+            ShardedFederation(workload.blueprint(), durable_config(tmp_path))
+        assert live_workers() == before
+
     def test_a_json_era_journal_is_refused_at_boot(self, tmp_path):
         # A durable directory written before the binary codec existed is
         # refused by the supervisor opening it, with every worker reaped
@@ -351,51 +377,28 @@ class TestBinaryChannelRecovery:
 
 
 class TestInflightRecovery:
-    def test_sigkill_with_a_full_credit_window_recovers_exactly(
-        self, tmp_path
-    ):
-        # The overlapped-I/O recovery contract: stop a worker so the
-        # credit window fills and batches defer facade-side, SIGKILL it
-        # with those frames in flight, and continue.  The journal holds
-        # every queued-then-sent frame (journal-before-send), the
-        # replacement worker replays the in-flight window, and the
-        # credit accounting re-bases on the replayed sequences — the
-        # final stream must equal the serial backend's, multiset and
-        # per-instance order both.
-        workload = small_workload(seed=61)
+    def test_sigkill_with_a_full_pipe_recovers_exactly(self, tmp_path):
+        # The overlapped-I/O recovery contract: stop a worker so its
+        # pipe fills and batches defer facade-side, SIGKILL it with a
+        # pipe's worth of frames unread, and continue.  The journal
+        # holds every queued frame (journal-before-send), the
+        # replacement worker replays them — the final stream must equal
+        # the serial backend's, multiset and per-instance order both.
+        workload = pipe_filling_workload(seed=61)
         events = workload.events()
         cut = len(events) // 2
-        config = durable_config(tmp_path, batch_size=4, max_inflight=2)
+        victim = busiest_shard(workload)
+        config = durable_config(tmp_path)
         with ShardedFederation(workload.blueprint(), config) as federation:
-            shard = federation.shards[0]
-            worker = shard.inner
-            worker.process._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
-            federation.ingest(events[:cut])  # fills the window, defers
-            channel = worker.channel
-            assert channel.outstanding == 2  # the window is full
-            assert channel.stalls > 0
+            shard = federation.shards[victim]
+            shard.inner.process._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
+            federation.ingest(events[:cut])  # fills the pipe, defers
+            assert_pipe_bounds_the_stall(federation, victim)
             kill_worker(shard)
             federation.ingest(events[cut:])  # first send recovers
             federation.drain()
             stats = federation.stats()
             merged = list(federation.delivered)
         assert stats["recoveries"] == 1
-        with ShardedFederation(
-            workload.blueprint(),
-            ShardConfig(shards=1, backend="serial", instrument=True),
-        ) as serial:
-            serial.ingest(workload.events())
-            base = serial.drain()
         assert len(merged) == workload.expected_notifications()
-        assert signatures(merged) == signatures(base)
-        by_instance = {}
-        for notification in merged:
-            by_instance.setdefault(
-                notification.process_instance_id, []
-            ).append(notification.signature)
-        reference = {}
-        for notification in base:
-            reference.setdefault(
-                notification.process_instance_id, []
-            ).append(notification.signature)
-        assert by_instance == reference
+        assert_same_stream(merged, serial_stream(workload))

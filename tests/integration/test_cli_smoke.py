@@ -167,6 +167,33 @@ class TestShardingSmoke:
         assert payload["notifications_merged"] == expected
         assert all(row["alive"] for row in payload["shards"])
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process backend requires the fork start method",
+    )
+    def test_shards_and_top_print_one_table_with_stalls(self, capsys, tmp_path):
+        # One renderer: the process backend's table shows the pipe's
+        # stall count and no credit-window columns, and the dashboard's
+        # durable shard block prints the same header row.
+        def header(out):
+            return next(line for line in out.splitlines() if line.startswith("shard "))
+
+        code, out = run_cli(
+            capsys, "shards", "--shards", "2", "--backend", "process",
+            "--forces", "4", "--events", "30",
+            "--durable", str(tmp_path / "shards"),
+        )
+        assert code == 0
+        columns = header(out).split(" | ")
+        assert columns[-3:] == ["stalls", "journal", "recovered"]
+        assert "credits" not in out and "inflight" not in out
+        code, out = run_cli(
+            capsys, "top", "--shards", "2", "--durable", str(tmp_path / "top"),
+            "--iterations", "1", "--refresh", "0", "--no-clear",
+        )
+        assert code == 0
+        assert header(out).split(" | ") == columns
+
     def test_serial_backend_agrees_with_the_workload_math(self, capsys):
         code, out = run_cli(
             capsys,

@@ -1,4 +1,4 @@
-"""The channel multiplexer: framing, credits, gather, crash attribution.
+"""The channel multiplexer: framing, drain, gather, crash attribution.
 
 These tests drive :class:`MuxChannel` and :class:`ChannelMultiplexer`
 over raw ``os.pipe`` pairs with the test playing the worker — no forked
@@ -6,7 +6,9 @@ processes, so every byte on the wire is under the test's control
 (partial frames, out-of-order responses, last-words error frames).
 """
 
+import fcntl
 import os
+import threading
 
 import pytest
 
@@ -15,13 +17,8 @@ from repro.parallel.codec import (
     BinaryEncoder,
     encode_standalone,
 )
-from repro.parallel.mux import (
-    ChannelMultiplexer,
-    MuxChannel,
-    event_seq,
-    inflight_snapshot,
-)
-from repro.parallel.wire import ACKED_KEY, SEQ_KEY, ack_frame
+from repro.parallel.mux import ChannelMultiplexer, MuxChannel
+from repro.parallel.wire import SEQ_KEY
 
 from tests.parallel.test_codec import DEEP_PAYLOADS, HOSTILE_RUNS
 
@@ -29,12 +26,10 @@ from tests.parallel.test_codec import DEEP_PAYLOADS, HOSTILE_RUNS
 class FakeWorker:
     """One channel plus the worker-side pipe ends, with cleanup."""
 
-    def __init__(self, shard_id=0, max_inflight=4):
+    def __init__(self, shard_id=0):
         to_worker_read, to_worker_write = os.pipe()
         to_facade_read, to_facade_write = os.pipe()
-        self.channel = MuxChannel(
-            shard_id, to_worker_write, to_facade_read, max_inflight
-        )
+        self.channel = MuxChannel(shard_id, to_worker_write, to_facade_read)
         #: The worker's read end of the facade-to-worker pipe.
         self.request_fd = to_worker_read
         #: The worker's write end of the worker-to-facade pipe.
@@ -48,6 +43,19 @@ class FakeWorker:
 
     def respond_raw(self, data):
         os.write(self.response_fd, data)
+
+    def read_later(self, count):
+        """A started thread that reads *count* request bytes, blocking
+        — the worker catching up while the facade waits."""
+
+        def read():
+            remaining = count
+            while remaining:
+                remaining -= len(os.read(self.request_fd, remaining))
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        return thread
 
     def sent_frames(self):
         """Decode every complete frame the facade has written so far."""
@@ -79,6 +87,14 @@ class FakeWorker:
                 pass
 
 
+def overfull_frame(channel):
+    """An events frame larger than *channel*'s pipe buffer, and its size
+    on the wire."""
+    size = fcntl.fcntl(channel.in_fd, fcntl.F_GETPIPE_SZ)
+    frame = {"kind": "events", "blob": "x" * (2 * size)}
+    return frame, len(BinaryEncoder().encode_frame(frame))
+
+
 # One codec; the id keeps these tests' names what they were while
 # ``"json"`` was a second parameter.
 @pytest.fixture(params=["binary"])
@@ -108,47 +124,20 @@ class TestMuxChannel:
         assert list(worker.channel.inbox) == [{"kind": "stats", "n": 7}]
         assert worker.channel.dead is None
 
-    def test_event_frames_open_the_credit_window(self, worker):
+    def test_a_channel_is_drained_until_its_pipe_refuses_bytes(self, worker):
         channel = worker.channel
-        assert channel.outstanding == 0
-        assert channel.has_credit()
-        # The first event frame defines the window origin — here a
-        # replayed journal tail starting at sequence 5.
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 5})
-        assert channel.last_acked_seq == 4
-        assert channel.outstanding == 1
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 6})
-        assert channel.outstanding == 2
-
-    def test_standalone_acks_grant_credit_without_reaching_the_inbox(
-        self, worker
-    ):
-        channel = worker.channel
+        assert channel.drained
         channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 1})
-        worker.respond(ack_frame(1))
+        assert channel.drained  # the pipe took it whole
+        frame, size = overfull_frame(channel)
+        channel.queue(frame)
+        assert not channel.drained
+        assert 0 < channel.pending_bytes < size
+        # Nothing the worker writes back drains it: only its reading can.
+        worker.respond({"kind": "stats", "stats": {}})
         channel.pump_reads()
-        assert channel.outstanding == 0
-        assert not channel.inbox
-
-    def test_piggybacked_acks_grant_credit_and_deliver_the_frame(
-        self, worker
-    ):
-        channel = worker.channel
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
-        worker.respond({"kind": "stats", "stats": {}, ACKED_KEY: 0})
-        channel.pump_reads()
-        assert channel.outstanding == 0
-        assert len(channel.inbox) == 1
-
-    def test_stale_acks_never_rewind_the_window(self, worker):
-        channel = worker.channel
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 1})
-        worker.respond(ack_frame(1))
-        worker.respond(ack_frame(0))
-        channel.pump_reads()
-        assert channel.last_acked_seq == 1
+        assert not channel.drained
+        assert [f["kind"] for f in channel.inbox] == ["stats"]
 
     def test_error_frames_mark_the_channel_dead_with_attribution(
         self, worker
@@ -203,18 +192,14 @@ class TestMuxChannel:
         frame = {"kind": "events", "events": [], SEQ_KEY: 5}
         data = encode_standalone(frame)
         channel.queue({"kind": "stats_request"})
-        channel.queue_encoded(data, event_seq(frame))
+        channel.queue_encoded(data)
         channel.queue({"kind": "stats_request"})
-        # The credit window moved as for a queued frame ...
-        assert (channel.last_acked_seq, channel.outstanding) == (4, 1)
-        # ... and the worker's one decoder reads it between stream frames.
+        # The worker's one decoder reads it between stream frames.
         assert worker.sent_frames() == [
             {"kind": "stats_request"},
             frame,
             {"kind": "stats_request"},
         ]
-        assert event_seq({"kind": "deploy", SEQ_KEY: 1}) is None
-        assert event_seq({"kind": "events"}) is None
 
     def test_queueing_on_a_dead_channel_raises(self, worker):
         worker.channel.fail("worker error: boom")
@@ -243,11 +228,6 @@ class TestMuxChannel:
             assert channel.pending_bytes == 0
         finally:
             worker.close()
-
-    def test_inflight_snapshot_shapes_gauge_labels(self, worker):
-        worker.channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
-        snapshot = inflight_snapshot([worker.channel])
-        assert snapshot == {(str(worker.channel.shard_id),): 1.0}
 
 
 class TestChannelMultiplexer:
@@ -299,30 +279,38 @@ class TestChannelMultiplexer:
         assert crashed == {0: "channel closed"}
         assert frames[1]["stats"] == {"ok": True}
 
-    def test_wait_for_credit_counts_the_stall_and_recovers(self, pair):
+    def test_gather_fails_a_channel_silent_past_the_timeout(self, pair):
+        mux, workers = pair
+        workers[1].respond({"kind": "stats", "stats": {}})
+        frames, crashed = mux.gather({0: "stats", 1: "stats"}, timeout=0.1)
+        assert 1 in frames
+        assert crashed == {0: "no 'stats' frame within 0.1s"}
+        assert workers[0].channel.dead == crashed[0]
+
+    def test_wait_drained_counts_the_stall_and_recovers(self, pair):
         mux, workers = pair
         stalled = []
         mux.on_stall = stalled.append
         channel = workers[0].channel
-        channel.max_inflight = 1
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
-        assert not channel.has_credit()
-        # The ack is already on the wire; the wait just has to pump.
-        workers[0].respond(ack_frame(0))
-        assert mux.wait_for_credit(channel)
+        frame, size = overfull_frame(channel)
+        channel.queue(frame)
+        assert not channel.drained
+        # The worker reads while the facade waits; the wait pumps.
+        reader = workers[0].read_later(size)
+        assert mux.wait_drained(channel)
+        reader.join()
         assert channel.stalls == 1
         assert stalled == [channel]
-        # With credit in hand the wait is free — no new stall.
-        assert mux.wait_for_credit(channel)
+        # A drained channel costs no wait — and no new stall.
+        assert mux.wait_drained(channel)
         assert channel.stalls == 1
 
-    def test_wait_for_credit_surfaces_a_dead_channel(self, pair):
+    def test_wait_drained_surfaces_a_dead_channel(self, pair):
         mux, workers = pair
         channel = workers[0].channel
-        channel.max_inflight = 1
-        channel.queue({"kind": "events", "events": [], SEQ_KEY: 0})
+        channel.queue(overfull_frame(channel)[0])
         os.close(workers[0].response_fd)
-        assert not mux.wait_for_credit(channel)
+        assert not mux.wait_drained(channel)
         assert channel.dead == "channel closed"
 
     def test_unregister_is_idempotent_and_identity_guarded(self, pair):

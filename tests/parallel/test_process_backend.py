@@ -4,17 +4,29 @@ Workloads here are deliberately tiny — these tests check the protocol
 and the lifecycle, not throughput (QE11 owns that).
 """
 
+import fcntl
 import multiprocessing
 import os
 import signal
+import threading
+import time
 
 import pytest
 
 from repro.errors import ParallelError, ShardCrashError
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
+from repro.parallel.codec import (
+    BinaryFrameReader,
+    encode_standalone,
+    events_frame,
+    hello_bytes,
+)
 from repro.parallel.mux import ChannelMultiplexer, MuxChannel
+from repro.parallel.wire import SEQ_KEY
 from repro.parallel.worker import worker_main
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+from tests.exact import assert_same_stream
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -26,6 +38,68 @@ def small_workload():
     return ShardStreamWorkload(
         ShardStreamConfig(forces=4, windows_per_force=2, events_per_force=30)
     )
+
+
+def pipe_capacity():
+    """Bytes one pipe buffers on this kernel (``F_GETPIPE_SZ``)."""
+    read, write = os.pipe()
+    try:
+        return fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read)
+        os.close(write)
+
+
+def pipe_filling_workload(seed=23):
+    """Four forces of ``capacity // 8`` events each: the larger of two
+    shards' shares (two forces at least) is ``capacity // 4`` events,
+    several pipes' worth at the codec's ~9 bytes an event."""
+    return ShardStreamWorkload(
+        ShardStreamConfig(
+            forces=4,
+            windows_per_force=1,
+            events_per_force=pipe_capacity() // 8,
+            seed=seed,
+        )
+    )
+
+
+def live_workers():
+    """The shard worker processes alive in this process's children."""
+    return {
+        child.pid
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-shard-")
+    }
+
+
+def busiest_shard(workload, shards=2):
+    """The shard the router hands the most of *workload*'s events."""
+    return max(
+        range(shards), key=lambda k: len(workload.shard_slice(shards, k))
+    )
+
+
+def serial_stream(workload):
+    with ShardedFederation(
+        workload.blueprint(),
+        ShardConfig(shards=1, backend="serial", instrument=True),
+    ) as serial:
+        serial.ingest(workload.events())
+        return serial.drain()
+
+
+def assert_pipe_bounds_the_stall(federation, index):
+    """A stopped worker's pipe is full: its batches wait in the facade
+    buffer, the stall is counted, and the channel holds at most one
+    queued event frame (the one the full pipe cut short)."""
+    channel = federation.shards[index].channel
+    assert fcntl.fcntl(channel.in_fd, fcntl.F_GETPIPE_SZ) == pipe_capacity()
+    assert channel.stalls > 0
+    assert federation._stalls.value(labels=(str(index),)) > 0  # noqa: SLF001
+    assert len(federation._buffers[index]) > 0  # noqa: SLF001
+    assert not channel.drained
+    assert len(channel._outq) <= 1  # noqa: SLF001
 
 
 def process_config(shards=2, **overrides):
@@ -153,7 +227,7 @@ class TestProcessBackend:
         os.close(out_write)
         os.write(in_write, b"XXXX\x01")
         mux = ChannelMultiplexer()
-        channel = MuxChannel(0, in_write, out_read, max_inflight=4)
+        channel = MuxChannel(0, in_write, out_read)
         mux.register(channel)
         try:
             frames, crashed = mux.gather({0: "stats"})
@@ -177,42 +251,98 @@ class TestWireCodecs:
 
 
 class TestOverlappedIO:
-    """Credit-based backpressure and the overlapped collective paths."""
+    """Pipe backpressure and the overlapped collective paths."""
 
     def test_stopped_worker_stalls_only_its_own_queue(self):
-        # SIGSTOP one worker mid-stream: ingest must keep going without
-        # blocking the wave, the stopped shard's in-flight frames must
-        # stay capped at the credit window (bounded facade memory), the
+        # SIGSTOP one worker and ingest enough to fill its pipe: ingest
+        # must return without blocking the wave, the stopped shard's
+        # overflow must wait in the facade buffer with at most one
+        # event frame queued on its channel (bounded facade memory), the
         # stall must be counted — and after SIGCONT the results must be
         # exactly the serial run's.
-        workload = small_workload()
-        with ShardedFederation(
-            workload.blueprint(),
-            ShardConfig(shards=1, backend="serial", instrument=True),
-        ) as serial:
-            serial.ingest(workload.events())
-            base = serial.drain()
-        federation = ShardedFederation(
-            workload.blueprint(),
-            process_config(batch_size=5, max_inflight=2),
-        )
+        workload = pipe_filling_workload()
+        victim = busiest_shard(workload)
+        federation = ShardedFederation(workload.blueprint(), process_config())
         try:
-            victim = federation.shards[0]
-            victim.process._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
+            worker = federation.shards[victim]
+            worker.process._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
             federation.ingest(workload.events())  # must not deadlock
-            channel = victim.channel
-            assert channel.outstanding <= 2
-            assert channel.stalls > 0
-            assert federation._stalls.value(labels=("0",)) > 0  # noqa: SLF001
-            # The overflow waits in the facade's buffer, not the pipe.
-            assert len(federation._buffers[0]) > 0  # noqa: SLF001
-            victim.process._popen._send_signal(signal.SIGCONT)  # noqa: SLF001
+            assert_pipe_bounds_the_stall(federation, victim)
+            worker.process._popen._send_signal(signal.SIGCONT)  # noqa: SLF001
             sharded = federation.drain()
         finally:
             federation.close()
-        assert sorted(map(repr, (n.signature for n in sharded))) == (
-            sorted(map(repr, (n.signature for n in base)))
+        assert_same_stream(sharded, serial_stream(workload))
+
+    def test_a_pure_ingest_stream_writes_nothing_back(self):
+        # The count pin of "workers write only what they are asked
+        # for": N event frames, then one stats request — the stats
+        # reply is the first and only frame the worker writes.
+        workload = small_workload()
+        events = workload.events()
+        frames = [
+            dict(events_frame(events[index:index + 3]), **{SEQ_KEY: index})
+            for index in range(0, len(events), 3)
+        ]
+        in_read, in_write = os.pipe()
+        out_read, out_write = os.pipe()
+        process = multiprocessing.get_context("fork").Process(
+            target=worker_main,
+            args=(
+                0,
+                1,
+                in_read,
+                out_write,
+                [in_write, out_read],
+                {},
+                workload.blueprint().to_wire(),
+            ),
+            daemon=True,
         )
+        process.start()
+        os.close(in_read)
+        os.close(out_write)
+        with os.fdopen(in_write, "wb") as stream:
+            stream.write(hello_bytes())
+            stream.write(b"".join(map(encode_standalone, frames)))
+            stream.write(encode_standalone({"kind": "stats"}))
+        replies = []
+        with os.fdopen(out_read, "rb") as stream:
+            reader = BinaryFrameReader(stream)
+            while (reply := reader.read()) is not None:
+                replies.append(reply)
+        process.join(10.0)
+        assert [reply["kind"] for reply in replies] == ["stats"]
+        assert replies[0]["errors"] == []
+        assert replies[0]["stats"]["frames_ingested"] == len(frames) == 40
+        assert "acked" not in replies[0]
+
+    def test_close_returns_from_a_stopped_worker(self):
+        # A stopped worker never answers the poison pill and never acts
+        # on SIGTERM: close() must still return within join_timeout
+        # plus a margin, with no worker left alive.  Run in a thread so
+        # a hang fails the test instead of stalling the suite.
+        join_timeout = 1.0
+        before = live_workers()
+        federation = ShardedFederation(
+            small_workload().blueprint(),
+            process_config(join_timeout=join_timeout),
+        )
+        processes = [shard.process for shard in federation.shards]
+        processes[0]._popen._send_signal(signal.SIGSTOP)  # noqa: SLF001
+        closer = threading.Thread(target=federation.close, daemon=True)
+        started = time.monotonic()
+        closer.start()
+        closer.join(join_timeout + 2.0)
+        elapsed = time.monotonic() - started
+        hung = closer.is_alive()
+        if hung:
+            for process in processes:
+                process.kill()
+            closer.join(10.0)
+        assert not hung, f"close() still blocked after {elapsed:.1f}s"
+        assert not any(process.is_alive() for process in processes)
+        assert live_workers() == before
 
     def test_out_of_band_worker_error_is_attributed(self):
         # A frame the worker cannot survive makes it emit a last-words
@@ -260,6 +390,7 @@ class TestOverlappedIO:
             monkeypatch.undo()
         assert len(merged) == workload.expected_notifications()
 
-    def test_max_inflight_is_validated(self):
-        with pytest.raises(ParallelError, match="max_inflight"):
-            ShardConfig(shards=1, max_inflight=0)
+    def test_the_pipe_is_the_only_window(self):
+        # The credit window and its knob are gone: no second bound.
+        with pytest.raises(TypeError, match="max_inflight"):
+            ShardConfig(shards=1, max_inflight=32)

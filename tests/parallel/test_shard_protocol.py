@@ -125,5 +125,5 @@ def test_the_shard_surface_is_begin_and_end():
             assert not hasattr(shard_class, name), (shard_class, name)
 
 
-def test_shard_config_has_twelve_fields():
-    assert len(dataclasses.fields(ShardConfig)) == 12
+def test_shard_config_has_eleven_fields():
+    assert len(dataclasses.fields(ShardConfig)) == 11
