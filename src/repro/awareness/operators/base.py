@@ -22,7 +22,9 @@ implemented here once:
 
 "An event operator instance can be thought of as a computational pipeline
 that can produce any number of output events for a single input event",
-and the framework links it as one: a family states its algorithm once, as
+and the framework links it as one: a family states its algorithm once,
+either as a source :attr:`~EventOperator.template` (the primitive
+filters, ``Count``, ``Compare1``, ``Edge``; see :mod:`.segments`) or as
 a *kernel factory* (:meth:`EventOperator.bind`) that closes over its
 parameters and returns one kernel per input slot; each output is pushed
 through ``emit`` straight into the kernels of the operators downstream,
@@ -31,7 +33,10 @@ inline.  Producers call a slot's step (:meth:`EventOperator.step`: the
 kernel behind the same guard and count); ``consume`` is the public door
 to the same step.  Between a filter and an ``Output`` every event is a
 :class:`~repro.events.canonical.CanonicalEvent` record, whose fields
-the kernels read and set.  Application-specific families may instead
+the kernels read and set.  The plan cache goes one step further for
+templated families: a run of them, each the only consumer of the one
+before, is linked as one generated segment, which builds a record only
+where the event leaves it.  Application-specific families may instead
 implement the :meth:`~EventOperator.partition_key` /
 :meth:`~EventOperator.new_state` / :meth:`~EventOperator._apply` hooks,
 which the default ``bind`` drives.
@@ -46,6 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ...errors import ParameterError, SlotError
 from ...events.event import Event, EventType
 from ...observability import INSTRUMENTATION as _OBS
+from .segments import Template, hop_kernel
 
 #: One input slot of a linked operator: feed it an event of the slot's
 #: type (a ``CanonicalEvent`` record on every ``C_P`` slot).
@@ -88,6 +94,11 @@ class EventOperator:
     #: wirings of the same streams intern to one shared node.
     plan_commutative: bool = False
 
+    #: The family's algorithm as source, for the families the plan cache
+    #: fuses into segments (:mod:`.segments`); ``None`` for families that
+    #: implement :meth:`bind` or the generic hooks.
+    template: Optional[Template] = None
+
     def __init__(
         self,
         process_schema_id: str,
@@ -119,6 +130,12 @@ class EventOperator:
         #: empty until linked.
         self._kernels: Tuple[Step, ...] = ()
         self._steps: Tuple[Step, ...] = ()
+        #: What the kernels push outputs through; set when linked.
+        self._emit: Optional[Emit] = None
+        #: The operators of the segment this one roots, itself first, as
+        #: the plan cache last linked it; empty while this operator runs
+        #: as its upstream's hop (or outside any plan).
+        self._segment: Tuple["EventOperator", ...] = ()
 
     # -- wiring -----------------------------------------------------------------
 
@@ -206,7 +223,8 @@ class EventOperator:
         """
         self._check_slot(slot)
         if not self._steps:
-            self._kernels = tuple(self.bind(self._emitter()))
+            self._emit = self._emitter()
+            self._kernels = tuple(self.bind(self._emit))
             self._steps = tuple(
                 self._entry(index, kernel)
                 for index, kernel in enumerate(self._kernels)
@@ -332,9 +350,12 @@ class EventOperator:
         A step runs the family's algorithm on one (already type-checked)
         event and calls ``emit(output, cause)`` for each output, in
         order.  Per-instance state lives in :attr:`_partitions`, keyed
-        by the canonical ``processInstanceId``, and nowhere else.  This
-        default drives the three generic hooks below.
+        by the canonical ``processInstanceId``, and nowhere else.  A
+        family with a :attr:`template` gets its hop kernel generated from
+        it; otherwise this default drives the three generic hooks below.
         """
+        if self.template is not None:
+            return (hop_kernel(self, emit),)
         partitions = self._partitions
 
         def kernel(slot: int, event: Event) -> None:

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from ...errors import ParameterError
 from ...events.canonical import CanonicalEvent, canonical_type
 from .base import Emit, EventOperator, OperatorSignature, Step
+from .segments import Template
 
 BoolFunc1 = Callable[[int], bool]
 BoolFunc2 = Callable[[int, int], bool]
@@ -110,15 +111,16 @@ class Compare1(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, _bool_func_1_key(self))
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        bool_func, name = self.bool_func, self.instance_name
-
-        def step(event: CanonicalEvent) -> None:
-            value = event.intInfo
-            if value is not None and bool_func(value):
-                emit(event.relayed(name), event)
-
-        return (step,)
+    template = Template(
+        cells=("bool_func", "instance_name"),
+        body="""
+$value = @intInfo
+if $value is None or not $bool_func($value):
+    $skip
+$emit
+""",
+        output={"source": "$instance_name"},
+    )
 
     def describe(self) -> str:
         return f"Compare1[{self.process_schema_id}, {self.bool_func!r}]"
@@ -160,26 +162,25 @@ class Edge(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, _bool_func_1_key(self))
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        partitions = self._partitions
-        bool_func, name = self.bool_func, self.instance_name
-
-        def step(event: CanonicalEvent) -> None:
-            key = event.processInstanceId
-            # One cell per instance: did the last event satisfy the test?
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = [False]
-            value = event.intInfo
-            if value is None:
-                return
-            satisfied = bool(bool_func(value))
-            armed = not state[0]
-            state[0] = satisfied
-            if satisfied and armed:
-                emit(event.relayed(name), event)
-
-        return (step,)
+    # One cell per instance: did the last event satisfy the test?
+    template = Template(
+        cells=("_partitions", "bool_func", "instance_name"),
+        body="""
+$state = $_partitions.get(@processInstanceId)
+if $state is None:
+    $state = $_partitions[@processInstanceId] = [False]
+$value = @intInfo
+if $value is None:
+    $skip
+$satisfied = bool($bool_func($value))
+$armed = not $state[0]
+$state[0] = $satisfied
+if not ($satisfied and $armed):
+    $skip
+$emit
+""",
+        output={"source": "$instance_name"},
+    )
 
     def describe(self) -> str:
         return f"Edge[{self.process_schema_id}, {self.bool_func!r}]"

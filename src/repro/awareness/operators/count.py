@@ -14,10 +14,11 @@ unnecessary.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
-from ...events.canonical import CanonicalEvent, canonical_type
-from .base import Emit, EventOperator, OperatorSignature, Step
+from ...events.canonical import canonical_type
+from .base import EventOperator, OperatorSignature
+from .segments import Template
 
 
 class Count(EventOperator):
@@ -38,23 +39,21 @@ class Count(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id,)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        partitions, name = self._partitions, self.instance_name
-
-        def step(event: CanonicalEvent) -> None:
-            key = event.processInstanceId
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = {"count": 0}
-            count = state["count"] = state["count"] + 1
-            # The input conformed (checked where it entered); the three
-            # replaced values are typed here.
-            output = event.relayed(name)
-            output.intInfo = count
-            output.description = f"count={count}"
-            emit(output, event)
-
-        return (step,)
+    template = Template(
+        cells=("_partitions", "instance_name"),
+        body="""
+$state = $_partitions.get(@processInstanceId)
+if $state is None:
+    $state = $_partitions[@processInstanceId] = {"count": 0}
+$count = $state["count"] = $state["count"] + 1
+$emit
+""",
+        output={
+            "source": "$instance_name",
+            "intInfo": "$count",
+            "description": 'f"count={$count}"',
+        },
+    )
 
     def current_count(self, process_instance_id: str) -> int:
         """The running count for one process instance (0 if none seen)."""

@@ -20,23 +20,19 @@ arrived checked against its own type (at the ingest door, where a
 ``T_context`` association set's members are checked to be ``(str,
 str)`` pairs), and the one value whose canonical declaration is stricter
 than its primitive one — the instance id, nullable on ``T_activity`` —
-is checked here to be a non-null ``str``.  Each output is then built as
-one :class:`~repro.events.canonical.CanonicalEvent` record from typed
-values, trusted (no per-output conformance run) by every operator
-downstream.
+is checked here to be a non-null ``str``.  Each output's fields are then
+typed values, trusted (no per-output conformance run) by every operator
+downstream; they become one
+:class:`~repro.events.canonical.CanonicalEvent` record where the event
+leaves the filter's segment (:mod:`.segments`).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 from ...errors import EventTypeError, ParameterError
-from ...events.canonical import (
-    CANONICAL_KEYS,
-    CanonicalEvent,
-    canonical_event,
-    canonical_type,
-)
+from ...events.canonical import canonical_event, canonical_type
 from ...events.event import Event, EventType
 from ...events.external import NEWS_EVENT_TYPE
 from ...events.producers import (
@@ -44,9 +40,8 @@ from ...events.producers import (
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
 )
-from .base import Emit, EventOperator, OperatorSignature, Step
-
-_new = object.__new__
+from .base import EventOperator, OperatorSignature
+from .segments import Template
 
 
 def _not_an_instance_id(operator: str, parameter: str, value: Any) -> EventTypeError:
@@ -104,42 +99,48 @@ class ActivityFilter(EventOperator):
         new = tuple(sorted(self.states_new)) if self.states_new is not None else None
         return (self.process_schema_id, self.activity_variable, old, new)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        schema, variable = self.process_schema_id, self.activity_variable
-        states_old, states_new = self.states_old, self.states_new
-        name, output_type = self.instance_name, self.output_type
-
-        def step(event: Event) -> None:
-            params = event._params
-            if (
-                params["parentProcessSchemaId"] != schema
-                or params["activityVariableId"] != variable
-            ):
-                return
-            old_state, new_state = params["oldState"], params["newState"]
-            if states_old is not None and old_state not in states_old:
-                return
-            if states_new is not None and new_state not in states_new:
-                return
-            instance = params["parentProcessInstanceId"]
-            if not isinstance(instance, str):
-                raise _not_an_instance_id(name, "parentProcessInstanceId", instance)
-            output = _new(CanonicalEvent)
-            output._event_type = output_type
-            output.provenance = None
-            output.time = params["time"]
-            output.source = name
-            output.processSchemaId = schema
-            output.processInstanceId = instance
-            output.intInfo = None
-            output.strInfo = new_state
-            output.description = f"activity {variable!r}: {old_state} -> {new_state}"
-            output.sourceEvent = params
-            output._keys = CANONICAL_KEYS
-            output._mapping = None
-            emit(output, event)
-
-        return (step,)
+    template = Template(
+        cells=(
+            "process_schema_id",
+            "activity_variable",
+            "states_old",
+            "states_new",
+            "instance_name",
+            "output_type",
+        ),
+        body="""
+$params = event._params
+if (
+    $params["parentProcessSchemaId"] != $process_schema_id
+    or $params["activityVariableId"] != $activity_variable
+):
+    $skip
+$old = $params["oldState"]
+$new = $params["newState"]
+if $states_old is not None and $old not in $states_old:
+    $skip
+if $states_new is not None and $new not in $states_new:
+    $skip
+$instance = $params["parentProcessInstanceId"]
+if not isinstance($instance, str):
+    raise _not_an_instance_id($instance_name, "parentProcessInstanceId", $instance)
+$emit
+""",
+        output={
+            "_event_type": "$output_type",
+            "time": '$params["time"]',
+            "source": "$instance_name",
+            "processSchemaId": "$process_schema_id",
+            "processInstanceId": "$instance",
+            "intInfo": "None",
+            "strInfo": "$new",
+            "description": 'f"activity {$activity_variable!r}: {$old} -> {$new}"',
+            "sourceEvent": "$params",
+            "_keys": "CANONICAL_KEYS",
+        },
+        lift=True,
+        names={"_not_an_instance_id": _not_an_instance_id},
+    )
 
     def describe(self) -> str:
         old = sorted(self.states_old) if self.states_old is not None else "*"
@@ -185,6 +186,8 @@ class ContextFilter(EventOperator):
         )
         self.context_name = context_name
         self.field_name = field_name
+        #: Every output's description starts with this (rendered once).
+        self._digest = f"context {context_name!r} field {field_name!r} = "
 
     def routing_keys(self, slot: int) -> List[Any]:
         """Static match key: only ``(Cname, Fname)`` context events can pass."""
@@ -194,50 +197,49 @@ class ContextFilter(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.context_name, self.field_name)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        schema = self.process_schema_id
-        context_name, field_name = self.context_name, self.field_name
-        name, output_type = self.instance_name, self.output_type
-        digest = f"context {context_name!r} field {field_name!r} = "
-
-        def step(event: Event) -> None:
-            params = event._params
-            if (
-                params["contextName"] != context_name
-                or params["fieldName"] != field_name
-            ):
-                return
-            new_value = params["newFieldValue"]
-            int_info = (
-                new_value
-                if isinstance(new_value, int) and not isinstance(new_value, bool)
-                else None
-            )
-            str_info = new_value if isinstance(new_value, str) else None
-            # Every member is a (str, str) pair: T_context declares it,
-            # so the door checked it before the event got here.
-            associations = params["processAssociations"]
-            if len(associations) > 1:
-                associations = sorted(associations)
-            for schema_id, instance_id in associations:
-                if schema_id != schema:
-                    continue
-                output = _new(CanonicalEvent)
-                output._event_type = output_type
-                output.provenance = None
-                output.time = params["time"]
-                output.source = name
-                output.processSchemaId = schema
-                output.processInstanceId = instance_id
-                output.intInfo = int_info
-                output.strInfo = str_info
-                output.description = f"{digest}{new_value!r}"
-                output.sourceEvent = params
-                output._keys = CANONICAL_KEYS
-                output._mapping = None
-                emit(output, event)
-
-        return (step,)
+    # Every member of the association set is a (str, str) pair:
+    # T_context declares it, so the door checked it before the event got
+    # here.
+    template = Template(
+        cells=(
+            "process_schema_id",
+            "context_name",
+            "field_name",
+            "_digest",
+            "instance_name",
+            "output_type",
+        ),
+        body="""
+$params = event._params
+if $params["contextName"] != $context_name or $params["fieldName"] != $field_name:
+    $skip
+$value = $params["newFieldValue"]
+$associations = $params["processAssociations"]
+if len($associations) > 1:
+    $associations = sorted($associations)
+for $schema_id, $instance in $associations:
+    if $schema_id != $process_schema_id:
+        continue
+    $emit
+""",
+        output={
+            "_event_type": "$output_type",
+            "time": '$params["time"]',
+            "source": "$instance_name",
+            "processSchemaId": "$process_schema_id",
+            "processInstanceId": "$instance",
+            "intInfo": (
+                "$value if isinstance($value, int)"
+                " and not isinstance($value, bool) else None"
+            ),
+            "strInfo": "$value if isinstance($value, str) else None",
+            "description": 'f"{$_digest}{$value!r}"',
+            "sourceEvent": "$params",
+            "_keys": "CANONICAL_KEYS",
+        },
+        lift=True,
+        loops=True,
+    )
 
     def describe(self) -> str:
         return (
@@ -293,38 +295,43 @@ class SystemFilter(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.metric, self.series_label)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        schema, metric, series_label = (
-            self.process_schema_id, self.metric, self.series_label
-        )
-        any_series = series_label == self.ANY_SERIES
-        name, output_type = self.instance_name, self.output_type
-
-        def step(event: Event) -> None:
-            params = event._params
-            if params["metric"] != metric:
-                return
-            label = params["seriesLabel"]
-            if not any_series and label != series_label:
-                return
-            series = f"{metric}[{label}]" if label is not None else metric
-            value = params["value"]
-            output = _new(CanonicalEvent)
-            output._event_type = output_type
-            output.provenance = None
-            output.time = params["time"]
-            output.source = name
-            output.processSchemaId = schema
-            output.processInstanceId = params["systemId"]
-            output.intInfo = value
-            output.strInfo = label
-            output.description = f"system metric {series} = {value}"
-            output.sourceEvent = params
-            output._keys = CANONICAL_KEYS
-            output._mapping = None
-            emit(output, event)
-
-        return (step,)
+    template = Template(
+        cells=(
+            "process_schema_id",
+            "metric",
+            "series_label",
+            "ANY_SERIES",
+            "instance_name",
+            "output_type",
+        ),
+        body="""
+$params = event._params
+if $params["metric"] != $metric:
+    $skip
+$label = $params["seriesLabel"]
+if $series_label != $ANY_SERIES and $label != $series_label:
+    $skip
+$value = $params["value"]
+$emit
+""",
+        output={
+            "_event_type": "$output_type",
+            "time": '$params["time"]',
+            "source": "$instance_name",
+            "processSchemaId": "$process_schema_id",
+            "processInstanceId": '$params["systemId"]',
+            "intInfo": "$value",
+            "strInfo": "$label",
+            "description": (
+                'f"system metric {$metric}[{$label}] = {$value}"'
+                " if $label is not None"
+                ' else f"system metric {$metric} = {$value}"'
+            ),
+            "sourceEvent": "$params",
+            "_keys": "CANONICAL_KEYS",
+        },
+        lift=True,
+    )
 
     def describe(self) -> str:
         if self.series_label is None:

@@ -44,11 +44,13 @@ Three pieces:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import SpecificationError
 from .description import Node
-from .operators.base import Consumer, EventOperator
+from .operators.base import Consumer, EventOperator, Step
+from .operators.segments import link_segment
 from .specification import SpecificationWindow
 
 PlanKey = Tuple[Any, ...]
@@ -57,12 +59,15 @@ PlanKey = Tuple[Any, ...]
 Link = Tuple[Node, Tuple[Any, ...]]
 
 
-def wire(source: Node, target: EventOperator, slot: int) -> Link:
+def wire(
+    source: Node, target: EventOperator, slot: int, door: Optional[Step] = None
+) -> Link:
     """Make the DAG edge *source* → *slot* of *target* a live link.
 
     The one statement of the rule; :meth:`PlanCache.deploy` is its only
     caller.  An operator edge joins the upstream operator's fan-out.  A
-    producer leaf registers the target's linked step itself on the
+    producer leaf registers *door* — the entry of the segment the target
+    roots — or, outside any segment, the target's linked step, on the
     producer's routing index: operators with a static match key (the
     filters) are only visited for events carrying their key; everything
     else rides the wildcard bucket.
@@ -71,14 +76,30 @@ def wire(source: Node, target: EventOperator, slot: int) -> Link:
         source.add_consumer(target.consume, slot)
         return (source, (target.consume, slot))
     step = target.step(slot)
-    source.add_consumer(step, target.routing_keys(slot))
-    return (source, (step,))
+    entry = step if door is None else door
+    source.add_consumer(entry, target.routing_keys(slot))
+    return (source, (entry,))
 
 
 def unwire(links: List[Link]) -> None:
     """Undo the installation of each of *links*."""
     for source, registration in links:
         source.remove_consumer(*registration)
+
+
+def _joins(upstream: EventOperator, operator: EventOperator) -> bool:
+    """True when the hop *upstream* -> *operator* runs inside one segment:
+    both are templated, *operator* is a single-input ``C_P`` family, and
+    it is *upstream*'s only consumer, on slot 0."""
+    fanout = upstream._fanout
+    return (
+        upstream.template is not None
+        and operator.template is not None
+        and not operator.template.lift
+        and len(fanout) == 1
+        and fanout[0][0] is operator
+        and fanout[0][1] == 0
+    )
 
 
 class SharedNode:
@@ -148,6 +169,8 @@ class PlanCache:
 
     def __init__(self) -> None:
         self._nodes: Dict[PlanKey, SharedNode] = {}
+        #: The same entries by ``id`` of their operator.
+        self._entries: Dict[int, SharedNode] = {}
         self._plans: List[DeployedPlan] = []
         self._next_plan_id = 1
         #: Cumulative counters (never decremented on undeploy).
@@ -165,22 +188,56 @@ class PlanCache:
         before this call and nothing is wired when validation fails; the
         cache owns all live wiring for the window, and
         :meth:`DeployedPlan.detach` is the only unwire path.  *consumer*
-        becomes the slot-0 consumer of each schema's Output root.
+        becomes the slot-0 consumer of each schema's Output root.  Every
+        node key is computed and hashed before anything is interned, and
+        a deploy that fails later is undone: a failed deploy leaves the
+        cache as it found it.
         """
         window.validate()
         graph = window.graph
         roots = [schema.description.root for schema in window.schemas()]
-        output_ids = {id(root) for root in roots}
-        order = self._topological(graph, output_ids)
+        order = self._topological(graph, {id(root) for root in roots})
 
         keys: Dict[int, PlanKey] = {}
-        resolved: Dict[int, EventOperator] = {}
-        fresh: Dict[int, SharedNode] = {}
-        entries: List[SharedNode] = []
-        shared_hits = 0
         for operator in order:
             key = self._node_key(operator, graph, keys)
+            try:
+                hash(key)
+            except TypeError as exc:
+                raise SpecificationError(
+                    f"operator {operator.instance_name!r} ({operator.family}) "
+                    f"has a plan parameter that cannot be keyed: {exc}"
+                ) from None
             keys[id(operator)] = key
+
+        plan = DeployedPlan(self, window, [], [], 0)
+        next_plan_id = self._next_plan_id
+        try:
+            self._link(plan, order, keys, roots, consumer)
+        except BaseException:
+            self._release(plan)
+            self._next_plan_id = next_plan_id
+            raise
+        self.operators_resolved += len(plan.entries)
+        self.operators_deduped += plan.shared_hits
+        self._plans.append(plan)
+        return plan
+
+    def _link(
+        self,
+        plan: DeployedPlan,
+        order: List[EventOperator],
+        keys: Dict[int, PlanKey],
+        roots: List[EventOperator],
+        consumer: Consumer,
+    ) -> None:
+        """Intern *order* and wire the window's edges into *plan*, then
+        relink the segments the new wiring changed."""
+        output_ids = {id(root) for root in roots}
+        resolved: Dict[int, EventOperator] = {}
+        fresh: Dict[int, SharedNode] = {}
+        for operator in order:
+            key = keys[id(operator)]
             entry = self._nodes.get(key)
             if entry is None:
                 # This window's own instance becomes the cache entry.
@@ -192,39 +249,51 @@ class PlanCache:
                 )
                 self._next_plan_id += 1
                 self._nodes[key] = entry
+                self._entries[id(operator)] = entry
+                operator._segment = ()
                 fresh[id(operator)] = entry
             else:
-                shared_hits += 1
+                plan.shared_hits += 1
             entry.refcount += 1
-            entries.append(entry)
+            plan.entries.append(entry)
             resolved[id(operator)] = entry.operator
 
         # Wire following the authoring edge order, so a canonical
         # window's consumer lists come out in the order its edges were
         # drawn — detection order is invariant under sharing.
-        output_links: List[Link] = []
-        for source, target, slot in graph.edges():
+        # A fresh leaf is registered on its producer last, when the
+        # segment it roots is known (in edge order among the leaves).
+        touched: List[Node] = [entry.operator for entry in fresh.values()]
+        leaves: List[Tuple[SharedNode, Node, int]] = []
+        for source, target, slot in plan.window.graph.edges():
             if isinstance(source, EventOperator):
                 source = resolved[id(source)]
             if id(target) in output_ids:
                 # The per-window delivery root: always a fresh fan-out
                 # entry on the (possibly shared) source node.
-                output_links.append(wire(source, target, slot))
+                plan.output_links.append(wire(source, target, slot))
+                if id(source) not in fresh:
+                    touched.append(source)
                 continue
             entry = fresh.get(id(target))
-            if entry is not None:
+            if entry is None:
+                # The target resolved to an already-interned node: its
+                # input wiring was installed when that node was interned.
+                continue
+            if isinstance(source, EventOperator):
                 entry.links.append(wire(source, entry.operator, slot))
-            # else the target resolved to an already-interned node: its
-            # input wiring was installed when that node was interned.
+                if id(source) not in fresh:
+                    touched.append(source)
+            else:
+                leaves.append((entry, source, slot))
         for root in roots:
             root.add_consumer(consumer, 0)
-            output_links.append((root, (consumer, 0)))
-
-        self.operators_resolved += len(entries)
-        self.operators_deduped += shared_hits
-        plan = DeployedPlan(self, window, entries, output_links, shared_hits)
-        self._plans.append(plan)
-        return plan
+            plan.output_links.append((root, (consumer, 0)))
+        self._relink(touched)
+        for entry, producer, slot in leaves:
+            operator = entry.operator
+            door = self._segment_entry(operator, door=True) if operator._segment else None
+            entry.links.append(wire(producer, operator, slot, door))
 
     # -- release -----------------------------------------------------------
 
@@ -233,15 +302,149 @@ class PlanCache:
 
         Entries are walked root-first (reverse topological order) so a
         dying node's own consumer registrations on still-live upstream
-        nodes are removed before those upstreams are considered.
+        nodes are removed before those upstreams are considered; then the
+        segments around every node that lost a consumer are relinked.
         """
+        touched = [source for source, __ in plan.output_links]
         unwire(plan.output_links)
         for entry in reversed(plan.entries):
             entry.refcount -= 1
             if entry.refcount == 0:
                 del self._nodes[entry.key]
+                del self._entries[id(entry.operator)]
+                touched += [source for source, __ in entry.links]
                 unwire(entry.links)
-        self._plans.remove(plan)
+        if plan in self._plans:
+            self._plans.remove(plan)
+        self._relink(touched)
+
+    # -- segments ----------------------------------------------------------
+
+    def _relink(self, touched: List[Node]) -> None:
+        """Re-form the segments around *touched* nodes (new ones, and
+        ones whose fan-out just changed) and swap in the entry of each
+        run whose membership changed.
+
+        A run changes only where a touched node sits: the run it is a
+        hop of (found from its root), and a node it feeds that just
+        started or stopped rooting a run of its own.  ``_segment`` is
+        non-empty exactly on the nodes installed as roots.
+        """
+        live = self._entries
+        # Only live nodes; an operator feeding or fed by a live node is
+        # live, so a touched one among those is in here too.
+        nodes = {id(node): node for node in touched if id(node) in live}
+        if not nodes:
+            return
+        roots: Dict[int, EventOperator] = {}
+        demoted: List[EventOperator] = []
+        for node in nodes.values():
+            if node.template is not None:
+                upstream = self._upstream(node)
+                if upstream is None or not _joins(upstream, node):
+                    roots[id(node)] = node
+                else:
+                    if node._segment:
+                        demoted.append(node)
+                    if id(upstream) not in nodes:
+                        # (a touched upstream is visited itself)
+                        root = self._root_of(upstream)
+                        roots[id(root)] = root
+            for link in node._fanout:
+                following = link[0]
+                if (
+                    following is None
+                    or id(following) in nodes
+                    or following.template is None
+                    or id(following) not in live
+                ):
+                    continue
+                joined = _joins(node, following)
+                if joined and following._segment:
+                    demoted.append(following)
+                elif not joined:
+                    roots[id(following)] = following
+        for operator in demoted:
+            self._install(operator, ())
+        for operator in roots.values():
+            members = self._members(operator)
+            if members != operator._segment:
+                self._install(operator, members)
+
+    def _upstream(self, operator: EventOperator) -> Optional[EventOperator]:
+        """What feeds live single-slot node *operator*, if an operator."""
+        links = self._entries[id(operator)].links
+        source = links[0][0] if links else None
+        return source if isinstance(source, EventOperator) else None
+
+    def _root_of(self, operator: EventOperator) -> EventOperator:
+        """The first operator of the run *operator* is a hop of."""
+        upstream = self._upstream(operator)
+        while upstream is not None and _joins(upstream, operator):
+            operator = upstream
+            upstream = self._upstream(operator)
+        return operator
+
+    def _members(self, root: EventOperator) -> Tuple[EventOperator, ...]:
+        """*root* and every live node its run continues into."""
+        members = [root]
+        operator = root
+        while len(operator._fanout) == 1:
+            following = operator._fanout[0][0]
+            if (
+                following is None
+                or id(following) not in self._entries
+                or not _joins(operator, following)
+            ):
+                break
+            members.append(following)
+            operator = following
+        return tuple(members)
+
+    def _install(
+        self, operator: EventOperator, members: Tuple[EventOperator, ...]
+    ) -> None:
+        """Make *operator*'s input entry run *members* as one segment, or
+        *operator*'s own hop when *members* is empty.  A leaf not yet
+        registered is only marked: :meth:`_link` registers its door."""
+        operator._segment = members
+        links = self._entries[id(operator)].links
+        if not links:
+            return
+        door = not isinstance(links[0][0], EventOperator)
+        if members:
+            fresh = self._segment_entry(operator, door)
+        else:
+            fresh = operator.step(0) if door else operator._kernels[0]
+        self._rebind(operator, None, fresh)
+
+    def _segment_entry(self, operator: EventOperator, door: bool) -> Step:
+        """The entry of the segment *operator* roots, rebinding itself
+        here once its shape is compiled."""
+        operator.step(0)  # a fresh leaf is linked here, before it is wired
+        return link_segment(operator._segment, door, partial(self._rebind, operator))
+
+    def _rebind(
+        self, operator: EventOperator, stale: Optional[Step], fresh: Step
+    ) -> None:
+        """Swap *fresh* in as *operator*'s input entry — the kernel of the
+        upstream fan-out link, or the producer's registration — in place;
+        given *stale*, only where that is still the entry."""
+        entry = self._entries.get(id(operator))
+        if entry is None or not entry.links:
+            return
+        source, registration = entry.links[0]
+        if isinstance(source, EventOperator):
+            fanout = source._fanout
+            for index, link in enumerate(fanout):
+                if link[0] is operator and link[1] == 0:
+                    if stale is None or link[3] is stale:
+                        fanout[index] = (link[0], link[1], link[2], fresh, link[4])
+                    return
+            return
+        if stale is None or registration[0] is stale:
+            source.replace_consumer(registration[0], fresh, operator.routing_keys(0))
+            entry.links[0] = (source, (fresh,))
 
     # -- canonicalization --------------------------------------------------
 
@@ -326,7 +529,16 @@ class PlanCache:
         }
 
     def describe(self) -> List[Dict[str, object]]:
-        """Inspection rows for ``repro plans``: one per live interned node."""
+        """Inspection rows for ``repro plans``: one per live interned node.
+
+        ``segment`` names the node whose generated segment this node runs
+        in (its own id when it roots one), or is ``None`` for a node that
+        runs on its family's kernel alone.
+        """
+        segment_of: Dict[int, str] = {}
+        for entry in self._nodes.values():
+            for member in entry.operator._segment:
+                segment_of[id(member)] = f"plan-{entry.plan_id}"
         rows: List[Dict[str, object]] = []
         for entry in sorted(self._nodes.values(), key=lambda e: e.plan_id):
             operator = entry.operator
@@ -340,6 +552,7 @@ class PlanCache:
                     "operator": rendering or operator.describe(),
                     "instance": operator.instance_name,
                     "shared": entry.shareable,
+                    "segment": segment_of.get(id(operator)),
                     "refs": entry.refcount,
                     "consumers": len(operator._consumers),
                     "consumed": operator.consumed,

@@ -23,7 +23,8 @@
 * ``top`` — a live federation dashboard driven by CMI's own awareness
   pipeline: queues, delivery lag, firing alerts, hottest detectors;
 * ``plans`` — deploy a fleet of per-participant copies of one awareness
-  specification and show how the plan cache shares their operator nodes;
+  specification and show how the plan cache shares their operator nodes
+  and which generated segment each node runs in;
 * ``journal`` — inspect (and optionally compact) the write-ahead
   journals and snapshots a durable sharded run left behind;
 * ``check-spec`` — parse and validate an awareness specification written
@@ -820,6 +821,7 @@ def _cmd_plans(args: argparse.Namespace) -> int:
             row["node_id"],
             row["instance"],
             row["operator"],
+            row["segment"] or "-",
             row["refs"],
             row["consumers"],
         )
@@ -827,7 +829,8 @@ def _cmd_plans(args: argparse.Namespace) -> int:
     ]
     print(
         render_table(
-            ("node", "instance", "operator", "refs", "consumers"), rows
+            ("node", "instance", "operator", "segment", "refs", "consumers"),
+            rows,
         )
     )
     return 0
@@ -1105,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plans = commands.add_parser(
         "plans",
-        help="deploy a fleet of customized windows and show plan sharing",
+        help="deploy a fleet of customized windows and show plan sharing and segments",
     )
     plans.add_argument(
         "--windows",

@@ -219,17 +219,45 @@ class EventProducer:
         return consumer
 
     def remove_consumer(self, consumer: Consumer) -> None:
-        """Remove *consumer* from the wildcard bucket and the key index."""
+        """Drop one registration of *consumer* — the first one equal to
+        it — from the wildcard bucket and from each key bucket."""
+        self._swap(consumer, None, None)
+
+    def replace_consumer(
+        self,
+        consumer: Consumer,
+        replacement: Consumer,
+        keys: Optional[Iterable[Hashable]] = None,
+    ) -> None:
+        """Put *replacement* where one registration of *consumer* is: in
+        the same buckets, at the same positions, so dispatch order holds.
+        *keys* (those *consumer* was registered under, if known) narrows
+        the search.  The plan cache swaps a detector leaf's entry this
+        way when it relinks the segment the leaf roots."""
+        self._swap(consumer, replacement, keys)
+
+    def _swap(
+        self,
+        consumer: Consumer,
+        replacement: Optional[Consumer],
+        keys: Optional[Iterable[Hashable]],
+    ) -> None:
+        """Replace (or, given ``None``, drop) the first entry equal to
+        *consumer* in the wildcard bucket and in each key bucket (of
+        *keys*, when given), copy-on-write."""
         if consumer in self._wildcard:
-            wildcard = list(self._wildcard)
-            wildcard.remove(consumer)
-            self._wildcard = wildcard
-        for key in [k for k, bucket in self._index.items() if consumer in bucket]:
-            bucket = [c for c in self._index[key] if c is not consumer]
-            if bucket:
-                self._index[key] = bucket
-            else:
-                del self._index[key]
+            self._wildcard = _swapped(self._wildcard, consumer, replacement)
+        index = self._index
+        if keys is None:
+            keys = [key for key, bucket in index.items() if consumer in bucket]
+        for key in keys:
+            bucket = index.get(key)
+            if bucket is not None and consumer in bucket:
+                bucket = _swapped(bucket, consumer, replacement)
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
 
     def consumer_count(self) -> int:
         """Registered consumers; one under several keys counts once."""
@@ -313,6 +341,20 @@ class EventProducer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.producer_id!r})"
+
+
+def _swapped(
+    bucket: List[Consumer], consumer: Consumer, replacement: Optional[Consumer]
+) -> List[Consumer]:
+    """A copy of *bucket* with its first entry equal to *consumer*
+    replaced by *replacement*, or dropped when that is ``None``."""
+    bucket = list(bucket)
+    index = bucket.index(consumer)
+    if replacement is None:
+        del bucket[index]
+    else:
+        bucket[index] = replacement
+    return bucket
 
 
 def activity_routing_key(event: Event) -> Hashable:

@@ -20,9 +20,15 @@ Both rigs must agree on every detected event — its parameters in order —
 and its order per window, on provenance signatures and span trees
 (instrumentation on), on each operator's ``consumed`` / ``produced`` /
 ``_partitions`` (held events by their ordered parameters), on the
-position at which a mistyped event raises ``SlotError``, and all of that
-while a second and a third window are deployed onto, and undeployed
-from, the live shared nodes mid-stream.
+position at which a mistyped event raises ``SlotError``, on what a
+correctly typed event offered straight to any live operator (a tap,
+mid-segment ones included) returns, and all of that while a second and a
+third window are deployed onto, and undeployed from, the live shared
+nodes mid-stream, and while instrumentation is switched on and off
+between events.  The linked rig runs runs of single-consumer hops as
+generated segments; a hand-wired window whose context, field and
+instance names hold quotes, newlines and Python source checks that no
+name reaches generated source.
 """
 
 from types import MappingProxyType
@@ -33,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification
+from repro.awareness.operators import segments
 from repro.awareness.operators.base import EventOperator
 from repro.awareness.operators.output import DELIVERY_EVENT_TYPE
 from repro.awareness.planner import PlanCache
@@ -306,20 +313,25 @@ class Reference:
             OBS.tracer.end(span)
 
     def _dispatch(self, producer, event):
-        # A leaf is registered as its operator's step; find the operator.
-        leaves = {
-            entry.operator.step(slot): (entry.operator, slot)
-            for plan in self.cache.plans()
-            for entry in plan.entries
-            for slot in range(entry.operator.arity)
-        }
+        # A leaf is registered as its operator's step, or as the door of
+        # the segment it roots; find the operator.
+        leaves = {}
+        for plan in self.cache.plans():
+            for entry in plan.entries:
+                operator = entry.operator
+                for slot in range(operator.arity):
+                    leaves[operator.step(slot)] = (operator, slot)
+                for source, registration in entry.links:
+                    if not isinstance(source, EventOperator):
+                        leaves.setdefault(registration[0], (operator, 0))
         key = producer.key_extractor(event)
         routed = producer._index.get(key, []) + producer._wildcard
         for consumer in routed:
             operator, slot = leaves[consumer]
             self.consume(operator, slot, event)
 
-    def consume(self, op, slot, event):
+    def consume(self, op, slot, event, tap=None):
+        """Run *op* on *event*; with *tap*, collect *op*'s outputs."""
         expected = op.signature.input_types[slot]
         if event.event_type != expected:
             raise SlotError(f"{op.instance_name} slot {slot}: {event.type_name}")
@@ -332,6 +344,8 @@ class Reference:
         if not OBS.enabled:
             for output in apply(op, slot, event, state)[0]:
                 op.produced += 1
+                if tap is not None:
+                    tap.append(output)
                 self._forward(op, output)
             return
         span = OBS.tracer.begin(
@@ -347,6 +361,8 @@ class Reference:
                         output, op.instance_name, op.family, constituents or (event,)
                     )
                 op.produced += 1
+                if tap is not None:
+                    tap.append(output)
                 self._forward(op, output)
         finally:
             OBS.tracer.end(span)
@@ -397,14 +413,19 @@ class Rig:
         self.plans = {}
         self.detected = {}
         self.slot_errors = []
+        self.tapped = []
 
     def toggle(self, label, text):
-        """Deploy window *label*, or undeploy it when it is live."""
+        """Deploy window *label*, or undeploy it when it is live.  *text*
+        is DSL source, or a function that wires the window by hand."""
         if label in self.plans:
             self.plans.pop(label).detach()
             return
         window = SpecificationWindow(SCHEMA, self.producers)
-        compile_specification(window, text)
+        if callable(text):
+            text(window)
+        else:
+            compile_specification(window, text)
         seen = self.detected.setdefault(label, [])
         self.plans[label] = DetectorAgent(window, self.cache, sink=seen.append).plan
 
@@ -436,6 +457,26 @@ class Rig:
         except SlotError:
             self.slot_errors.append((position, operator.instance_name))
 
+    def tap(self, position, index, events):
+        """Offer a correctly typed event to slot 0 of the index-th live
+        operator — from *events*, by the slot's type name — and keep
+        what that operator returns."""
+        operators = self.operators()
+        operator = operators[index % len(operators)]
+        event = events[operator.signature.input_types[0].name]
+        if self.reference is None:
+            outputs = operator.consume(0, event)
+        else:
+            outputs = []
+            self.reference.consume(operator, 0, event, tap=outputs)
+        self.tapped.append(
+            (
+                position,
+                operator.instance_name,
+                [list(output.params.items()) for output in outputs],
+            )
+        )
+
     def observe(self):
         return {
             "detected": {
@@ -466,53 +507,104 @@ class Rig:
                 for op in self.operators()
             ],
             "slot_errors": self.slot_errors,
+            "tapped": self.tapped,
         }
 
 
+def context_event(position, field, instances, value, context="Ctx"):
+    """A ``T_context`` event as the producer builds it."""
+    return ContextEventProducer()._translate(
+        ContextChange(
+            time=position,
+            context_id="c1",
+            context_name=context,
+            associations=frozenset((SCHEMA, i) for i in instances),
+            field_name=field,
+            old_value=None,
+            new_value=value,
+        )
+    )
+
+
+def activity_event(position, instance, old_state, new_state):
+    """A ``T_activity`` event as the producer builds it."""
+    change = ActivityStateChange(
+        time=position,
+        activity_instance_id=f"act-{instance}",
+        parent_process_schema_id=SCHEMA,
+        parent_process_instance_id=instance,
+        user=None,
+        activity_variable_id="work",
+        activity_process_schema_id=None,
+        old_state=old_state,
+        new_state=new_state,
+    )
+    # Built the way the producer builds it, fed the rig's way.
+    return ActivityEventProducer().produce(change)
+
+
+def forget_segment_shapes():
+    """Drop every compiled segment shape (hop forms stay), so a run's
+    segments each go through the stand-in that compiles their shape at
+    their first event and swaps the segment in."""
+    for key in [key for key in segments._FACTORIES if not isinstance(key, segments.Template)]:
+        del segments._FACTORIES[key]
+
+
 def run(linked, windows, actions):
+    if linked:
+        forget_segment_shapes()
     rig = Rig(linked)
-    rig.toggle("A", windows["A"])
-    for position, action in enumerate(actions, start=1):
-        kind = action[0]
-        if kind == "toggle":
-            rig.toggle(action[1], windows[action[1]])
-        elif kind == "poke":
-            # Neither T_context nor C[P-F]: wrong on every slot there is.
-            wrong = canonical_event("P-OTHER", "i1", time=position, source="test")
-            rig.poke(position, action[1], wrong)
-        elif kind == "context":
-            __, field, instances, value = action
-            rig.feed(
-                "ContextEvent",
-                rig.producers["ContextEvent"]._translate(
-                    ContextChange(
-                        time=position,
-                        context_id="c1",
-                        context_name="Ctx",
-                        associations=frozenset((SCHEMA, i) for i in instances),
-                        field_name=f"field{field}",
-                        old_value=None,
-                        new_value=value,
-                    )
-                ),
-            )
-        else:
-            __, instance, old_state, new_state = action
-            change = ActivityStateChange(
-                time=position,
-                activity_instance_id=f"act-{instance}",
-                parent_process_schema_id=SCHEMA,
-                parent_process_instance_id=instance,
-                user=None,
-                activity_variable_id="work",
-                activity_process_schema_id=None,
-                old_state=old_state,
-                new_state=new_state,
-            )
-            # Built the way the producer builds it, fed the rig's way.
-            silent = ActivityEventProducer()
-            rig.feed("ActivityEvent", silent.produce(change))
+    instrumentation = OBS.enabled
+    try:
+        rig.toggle("A", windows["A"])
+        for position, action in enumerate(actions, start=1):
+            act(rig, windows, position, action)
+    finally:
+        OBS.enabled = instrumentation
     return rig.observe()
+
+
+def act(rig, windows, position, action):
+    kind = action[0]
+    if kind == "toggle":
+        rig.toggle(action[1], windows[action[1]])
+    elif kind == "instrument":
+        # Between two events; spans and provenance follow the switch.
+        OBS.enabled = not OBS.enabled
+    elif kind == "poke":
+        # Neither T_context nor C[P-F]: wrong on every slot there is.
+        wrong = canonical_event("P-OTHER", "i1", time=position, source="test")
+        rig.poke(position, action[1], wrong)
+    elif kind == "tap":
+        __, index, field, instance, value = action
+        rig.tap(
+            position,
+            index,
+            {
+                "T_context": context_event(position, f"field{field}", (instance,), value),
+                "T_activity": activity_event(position, instance, "Ready", "Running"),
+                canonical_type(SCHEMA).name: canonical_event(
+                    SCHEMA,
+                    instance,
+                    time=position,
+                    source="tap",
+                    int_info=value if type(value) is int else None,
+                    description=f"tapped {value!r}",
+                ),
+            },
+        )
+    elif kind == "context":
+        __, field, instances, value = action
+        rig.feed("ContextEvent", context_event(position, f"field{field}", instances, value))
+    elif kind == "raw_context":
+        __, context, field, instances, value = action
+        rig.feed(
+            "ContextEvent", context_event(position, field, instances, value, context)
+        )
+    else:
+        __, instance, old_state, new_state = action
+        rig.feed("ActivityEvent", activity_event(position, instance, old_state, new_state))
 
 
 instances = st.sampled_from([("i1",), ("i1",), ("i2",), ("i1", "i2")])
@@ -535,6 +627,14 @@ actions = st.lists(
         st.tuples(st.just("activity"), st.sampled_from(["i1", "i2"]), states, states),
         st.tuples(st.just("toggle"), st.sampled_from(["B", "C"])),
         st.tuples(st.just("poke"), st.integers(0, 40)),
+        st.tuples(
+            st.just("tap"),
+            st.integers(0, 40),
+            st.integers(0, 3),
+            st.sampled_from(["i1", "i2"]),
+            values,
+        ),
+        st.tuples(st.just("instrument")),
     ),
     min_size=12,
     max_size=40,
@@ -588,9 +688,9 @@ class TestLinkedPlanDifferential:
                 outcome["spans"] = [span_shape(s) for s in obs.tracer.recent()]
             observed.append(outcome)
         assert observed[0] == observed[1]
-        # Instrumentation stamped every detection, so the equality above
-        # compared real chains.
-        assert all(
+        # Unless it was switched off mid-stream, instrumentation stamped
+        # every detection, so the equality above compared real chains.
+        assert ("instrument",) in actions or all(
             chain is not None
             for chains in observed[0]["provenance"].values()
             for chain in chains
@@ -625,10 +725,75 @@ class TestLinkedPlanDifferential:
             ("context", 0, ("i1", "i2"), "high"),
             ("toggle", "B"),
             ("context", 1, ("i1",), 5),
+            # The Edge, mid-segment behind the Count: a tap runs the rest
+            # of the run hop by hop and returns the Edge's output.
+            ("tap", 4, 0, "i1", 9),
+            ("instrument",),
+            ("context", 0, ("i1",), 6),
+            ("instrument",),
+            ("context", 1, ("i1",), 7),
         ]
         linked, reference = run(True, windows, script), run(False, windows, script)
         assert linked == reference
         assert len(linked["detected"]["A"]) == 1  # the And's second firing
         assert len(linked["detected"]["B"]) == 1  # it joined the shared Edge
-        assert len(linked["detected"]["C"]) == 2  # one per associated instance
+        assert len(linked["detected"]["C"]) == 3  # one per associated instance
         assert [position for position, __ in linked["slot_errors"]] == [4]
+        assert [(name, len(outputs)) for __, name, outputs in linked["tapped"]] == [
+            ("n2", 0)
+        ]
+
+    def test_names_never_reach_generated_source(self):
+        """A hand-wired window whose context, field and instance names
+        are quotes, newlines and Python source runs as a segment like any
+        other — split by a second window on its live Count, merged again
+        when that undeploys, tapped mid-segment, instrumented for a
+        while — and no name appears in any generated source."""
+        import linecache
+
+        from repro.core.roles import RoleRef
+
+        context = 'Ctx"\n\'\'\'; import os  # '
+        field = "f' + __import__('sys').exit(1) + '"
+        name = 'n\\n"""\nraise SystemExit\n'
+
+        def chain(window, schema):
+            leaf = window.place("Filter_context", context, field, instance_name=name + "f")
+            count = window.place("Count", instance_name=name + "n")
+            gate = window.place("Compare1", lambda v: v >= 2, instance_name=name + "g")
+            edge = window.place("Edge", lambda v: v % 2 == 0, instance_name=name + "e")
+            window.connect(window.source("ContextEvent"), leaf)
+            window.connect(leaf, count)
+            window.connect(count, gate)
+            window.connect(gate, edge)
+            window.output(edge, RoleRef("owners"), schema_name=schema)
+            return count
+
+        def split(window):
+            count = chain(window, "AS_Weird_B")
+            window.output(count, RoleRef("owners"), schema_name="AS_Weird_B2")
+
+        windows = {"A": lambda window: chain(window, "AS_Weird"), "B": split}
+        feed = [("raw_context", context, field, ("i1", "i2"), value) for value in range(6)]
+        script = (
+            feed[:2]
+            + [("toggle", "B")]
+            + feed[2:4]
+            + [("tap", 2, 0, "i1", 4), ("instrument",)]
+            + feed[4:5]
+            + [("instrument",), ("toggle", "B")]
+            + feed[5:]
+        )
+        # The operators are hand-placed per run, so each rig gets fresh ones.
+        linked, reference = run(True, windows, script), run(False, windows, script)
+        assert linked == reference
+        assert len(linked["detected"]["A"]) == 6  # three rising edges per instance
+        assert [tapped for __, tapped, __ in linked["tapped"]] == [name + "g"]
+        generated = "".join(
+            "".join(lines)
+            for filename, (__, __, lines, __) in list(linecache.cache.items())
+            if filename.startswith("<segment")
+        )
+        assert "def _factory" in generated
+        for text in (context, field, name, "import os", "__import__", "SystemExit"):
+            assert text not in generated

@@ -333,3 +333,183 @@ class TestBatchPath:
         )
         assert hits["consumed"] == 3
         assert detector.recognized == 2  # counts 2 and 3 pass the >= gate
+
+
+class TestFailedDeploy:
+    """A deploy that fails leaves the cache as it found it."""
+
+    def test_unhashable_predicate_is_refused_before_anything_is_interned(self):
+        from repro.core.roles import RoleRef
+
+        class Predicate:
+            __hash__ = None  # an unhashable hand-wired callable
+
+            def __call__(self, value):
+                return value >= 1
+
+        system, process = build_system()
+        planner = system.awareness.planner
+        window = system.awareness.create_window("P-X")
+        hits = window.place("Filter_context", "Ctx", "alpha", instance_name="hits")
+        total = window.place("Count", instance_name="total")
+        ready = window.place("Compare1", Predicate(), instance_name="ready")
+        window.connect(window.source("ContextEvent"), hits)
+        window.connect(hits, total)
+        window.connect(total, ready)
+        window.output(ready, RoleRef("watchers"), schema_name="AS_Bad")
+        with pytest.raises(SpecificationError, match="'ready'"):
+            system.awareness.deploy(window)
+        assert planner.stats()["nodes_live"] == 0
+        assert planner.stats()["windows_deployed"] == 0
+
+        # A valid window with the same filter and count keys interns its
+        # own, wired nodes and sees every event.
+        __, detector = deploy_template(system, 0)
+        ref = system.coordination.start_process(process).context("Ctx")
+        for value in (1, 2, 3):
+            ref.set("alpha", value)
+        assert planner.stats()["nodes_live"] == 3
+        assert detector.recognized == 2  # total reached 2, then 3
+
+
+class TestSegments:
+    """Runs of single-consumer hops are linked as one segment, and the
+    segments follow every deploy and undeploy."""
+
+    SPLIT = """
+hits = Filter_context[Ctx, alpha](ContextEvent)
+total = Count[](hits)
+deliver total to watchers as "every alpha" named AS_Split
+"""
+
+    def segments(self, system):
+        return {
+            row["instance"]: row["segment"]
+            for row in system.awareness.planner.describe()
+        }
+
+    def test_a_window_on_a_live_shared_node_splits_and_merges_the_run(self):
+        system, process = build_system()
+        __, detector = deploy_template(system, 0)
+        rows = {row["instance"]: row for row in system.awareness.planner.describe()}
+        root = rows["hits"]["node_id"]
+        assert self.segments(system) == {"hits": root, "total": root, "ready": root}
+
+        window = system.awareness.create_window("P-X")
+        compile_specification(window, self.SPLIT)
+        split = system.awareness.deploy(window)
+        # ``total`` now has two consumers: the run ends there.
+        assert self.segments(system) == {
+            "hits": root,
+            "total": root,
+            "ready": rows["ready"]["node_id"],
+        }
+        ref = system.coordination.start_process(process).context("Ctx")
+        ref.set("alpha", 1)
+        ref.set("alpha", 2)
+        assert (detector.recognized, split.recognized) == (1, 2)
+
+        system.awareness.undeploy(split)
+        assert self.segments(system) == {"hits": root, "total": root, "ready": root}
+        ref.set("alpha", 3)
+        assert (detector.recognized, split.recognized) == (2, 2)
+
+    def test_a_segment_compiles_at_its_first_event_and_swaps_itself_in(
+        self, monkeypatch
+    ):
+        """Deploys compile nothing: a segment of a shape not yet compiled
+        is a stand-in until its first event, which compiles the shape and
+        puts the segment where the stand-in was.  Stand-ins replaced by a
+        relink before any event are simply dropped."""
+        from repro.awareness.operators import segments
+
+        hops = {
+            key: factory
+            for key, factory in segments._FACTORIES.items()
+            if isinstance(key, segments.Template)
+        }
+        monkeypatch.setattr(segments, "_FACTORIES", dict(hops))
+        system, process = build_system()
+        producer = system.awareness.context_source.producer
+
+        def door():
+            (entry,) = producer._index[("Ctx", "alpha")]
+            return entry.__name__
+
+        __, detector = deploy_template(system, 0)
+        window = system.awareness.create_window("P-X")
+        compile_specification(window, self.SPLIT)
+        split = system.awareness.deploy(window)  # relinked before any event
+        assert door() == "first"
+        assert segments.shapes_compiled() == len(hops)
+
+        ref = system.coordination.start_process(process).context("Ctx")
+        ref.set("alpha", 1)
+        # The [hits, total] door and the [ready] link compiled and swapped in.
+        assert door() == "_run"
+        assert segments.shapes_compiled() == len(hops) + 2
+        ref.set("alpha", 2)
+        assert (detector.recognized, split.recognized) == (1, 2)
+
+        system.awareness.undeploy(split)  # merged: a shape never run yet
+        assert door() == "first"
+        ref.set("alpha", 3)
+        assert door() == "_run"
+        assert segments.shapes_compiled() == len(hops) + 3
+        assert (detector.recognized, split.recognized) == (2, 2)
+
+    def test_non_templated_families_run_outside_any_segment(self):
+        system, __ = build_system()
+        window = system.awareness.create_window("P-X")
+        compile_specification(
+            window,
+            """
+a = Filter_context[Ctx, alpha](ContextEvent)
+b = Filter_context[Ctx, beta](ContextEvent)
+both = And[2](a, b)
+n = Count[](both)
+deliver n to watchers as "both" named AS_And
+""",
+        )
+        system.awareness.deploy(window)
+        rows = {row["instance"]: row for row in system.awareness.planner.describe()}
+        assert rows["both"]["segment"] is None
+        assert rows["a"]["segment"] == rows["a"]["node_id"]
+        assert rows["n"]["segment"] == rows["n"]["node_id"]
+
+    def test_a_second_federation_compiles_no_segment(self, monkeypatch):
+        """Code is compiled once per segment shape, not per deploy, and
+        not at deploy at all: ``inproc_stream``'s 16 forces x 8 filter ->
+        count -> edge chains compile the chain's one segment shape when
+        the first event arrives (the hop forms were compiled with their
+        families), and a second host in the same process compiles
+        nothing."""
+        from repro.awareness.operators import segments
+        from repro.parallel.host import ShardHost
+        from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+        hops = {
+            key: factory
+            for key, factory in segments._FACTORIES.items()
+            if isinstance(key, segments.Template)
+        }
+        assert len(hops) == 6  # the six templated families
+        monkeypatch.setattr(segments, "_FACTORIES", dict(hops))
+        workload = ShardStreamWorkload(
+            ShardStreamConfig(forces=16, windows_per_force=8, events_per_force=40)
+        )
+        events = workload.events()
+        first = ShardHost(0, 1)
+        first.apply_blueprint(workload.blueprint())
+        assert segments.shapes_compiled() == len(hops)
+        first.ingest(events)
+        assert segments.shapes_compiled() == len(hops) + 1
+        second = ShardHost(0, 1)
+        second.apply_blueprint(workload.blueprint())
+        second.ingest(workload.events())
+        assert segments.shapes_compiled() == len(hops) + 1
+        # Both ran the stream whole.
+        expected = workload.expected_notifications()
+        assert len(first.drain_results()) == len(second.drain_results()) == expected
+        first.close()
+        second.close()

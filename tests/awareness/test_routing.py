@@ -242,17 +242,18 @@ class TestCallBudget:
     output through ``derive``, and 17.25 once conformance was checked at
     the ingest door alone.  With each operator -> operator hop one call,
     every ``C_P`` event a record and the DSL's predicate a C call, the
-    chain takes 12.24: the door (2: the type check and ``T_context``'s
-    association members), the bus's dispatch of the event (1), the
-    routing dispatch and key (2), the filter (3: its step, kernel and
-    ``emit``), the count (3: kernel, ``relayed`` and ``emit``) and the
-    edge (1: its kernel), plus the frame's share of the bus batch and
-    the one delivery.
+    chain took 12.24, 7 of them the filter (its step, kernel and
+    ``emit``), the count (kernel, ``relayed`` and ``emit``) and the
+    edge (its kernel).  Linked as one generated segment, the chain is 1
+    call, and the whole takes 6.24: the door (2: the type check and
+    ``T_context``'s association members), the bus's dispatch of the
+    event (1), the routing dispatch and key (2), the segment (1), plus
+    the frame's share of the bus batch and the one delivery.
     """
 
     #: The measured count; a change that adds a call per
     #: chain-event must say why here.
-    BUDGET = 12.24
+    BUDGET = 6.24
 
     EVENTS = 200
 
@@ -285,6 +286,11 @@ class TestCallBudget:
     def python_calls_per_event(self, bystanders):
         import sys
 
+        # The chain's segment shape is compiled when its first event
+        # arrives in a process: do that outside the count.
+        warm, events = self.chain_frame(0)
+        warm.ingest(events[:1])
+        warm.close()
         host, events = self.chain_frame(bystanders)
         calls = 0
 
@@ -339,6 +345,42 @@ class TestCallBudget:
         assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
         host.close()
         assert built == 0
+
+    @pytest.mark.parametrize("instrument", [False, True])
+    def test_a_record_is_built_only_where_the_event_escapes(
+        self, instrument, monkeypatch
+    ):
+        """Inside the chain's segment the filter's and the count's
+        outputs are locals: uninstrumented, the one record built is the
+        edge's firing, which leaves the segment for its ``Output``.
+        Instrumented, the chain runs hop by hop and every hop builds its
+        record, as before: the filter's and the count's for each event,
+        and the edge's one firing."""
+        from repro.awareness.operators import Count, ContextFilter, Edge, segments
+        from repro.observability import instrumented
+
+        built = 0
+
+        def counting(cls):
+            nonlocal built
+            built += 1
+            return object.__new__(cls)
+
+        # Fresh factories, compiled with the counting constructor: every
+        # record a kernel or segment builds is born there.
+        monkeypatch.setitem(segments._GLOBALS, "_new", counting)
+        monkeypatch.setattr(segments, "_FACTORIES", {})
+        for family in (ContextFilter, Count, Edge):
+            segments._compile(family.template, "hop", (family.template,))
+        host, events = self.chain_frame(bystanders=8)
+        if instrument:
+            with instrumented():
+                host.ingest(events)
+        else:
+            host.ingest(events)
+        assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
+        host.close()
+        assert built == (2 * len(events) + 1 if instrument else 1)
 
     def test_windows_on_other_contexts_cost_the_chain_nothing(self):
         """The routing index still does its job after the re-wire: the

@@ -133,6 +133,47 @@ class TestIndexedRouting:
         assert producer.consumer_count() == 0
         assert producer.indexed_key_count() == 0
 
+    def test_bound_method_registered_with_keys_is_removed(self):
+        """Removal matches by equality: ``holder.seen`` builds a fresh
+        bound method on each access, equal to the registered one."""
+
+        class Holder:
+            def __init__(self):
+                self.events = []
+
+            def seen(self, event):
+                self.events.append(event)
+
+        producer = ContextEventProducer()
+        holder = Holder()
+        producer.add_consumer(holder.seen, keys=[DEADLINE])
+        producer.remove_consumer(holder.seen)
+        producer.produce(context_change())
+        assert holder.events == []
+        assert producer.consumer_count() == 0
+        assert producer.indexed_key_count() == 0
+
+    @pytest.mark.parametrize("keys", [None, [DEADLINE]])
+    def test_removal_drops_one_of_two_registrations(self, keys):
+        """Registered twice, removed once: still called once per event,
+        from the wildcard bucket and from a key bucket alike."""
+        producer = ContextEventProducer()
+        got = []
+        producer.add_consumer(got.append, keys)
+        producer.add_consumer(got.append, keys)
+        producer.remove_consumer(got.append)
+        producer.produce(context_change())
+        assert len(got) == 1
+
+    def test_replace_consumer_keeps_the_position(self):
+        producer = ContextEventProducer()
+        order = []
+        first = producer.add_consumer(lambda e: order.append("first"), [DEADLINE])
+        producer.add_consumer(lambda e: order.append("second"), [DEADLINE])
+        producer.replace_consumer(first, lambda e: order.append("swapped"))
+        producer.produce(context_change())
+        assert order == ["swapped", "second"]
+
     def test_consumer_under_several_keys_is_called_once_per_match(self):
         producer = ContextEventProducer()
         got = []

@@ -70,6 +70,20 @@ class TestPlanCacheSmoke:
         assert stats["operators_resolved"] == nodes * PLAN_WINDOWS
         assert stats["operators_deduped"] == nodes * (PLAN_WINDOWS - 1)
         assert len(payload["nodes"]) == nodes
+        # The fleet's Filter -> Count -> Compare1 chain runs as one
+        # generated segment, rooted at the filter.
+        assert [row["family"] for row in payload["nodes"]] == [
+            "Filter_context",
+            "Count",
+            "Compare1",
+        ]
+        root = payload["nodes"][0]["node_id"]
+        assert [row["segment"] for row in payload["nodes"]] == [root] * nodes
+
+    def test_plans_table_shows_the_segment_column(self, capsys):
+        code, out = run_cli(capsys, "plans", "--windows", "2")
+        assert code == 0
+        assert "segment" in out.splitlines()[2]
 
 
 class TestFederatedObservabilitySmoke:
