@@ -26,7 +26,7 @@ from repro.workloads.taskforce import TaskForceApplication
 
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="cmi-durable-")
-    journal_path = os.path.join(workdir, "audit.jsonl")
+    journal_path = os.path.join(workdir, "audit.log")
     queue_path = os.path.join(workdir, "queue.db")
 
     # ---- first server lifetime -------------------------------------------------

@@ -153,7 +153,7 @@ class DeliveryAgent:
         }
         if _OBS.enabled:
             # The chain object itself, not a rendering: the viewer renders
-            # lazily, and persistent queues stringify it on serialization.
+            # lazily, and the persistent queue stores it as it is.
             parameters["provenance"] = getattr(event, "provenance", None)
         return Notification(
             notification_id=self._ids.new("ntf"),

@@ -157,6 +157,7 @@ DEFAULT_SYSTEM_METRICS: Tuple[str, ...] = (
     "work_items_open",
     "journal_divergence",
     "shard_recoveries",
+    "backpressure_stalls_total",
 )
 
 #: Name of the derived per-stage p95 latency metric (microseconds):

@@ -46,9 +46,8 @@ class AwarenessViewer:
         """The recognition chain of *notification*, if one was recorded.
 
         Chains exist only for notifications delivered while pipeline
-        instrumentation (:mod:`repro.observability`) was enabled; a
-        notification that crossed a serializing queue carries at most a
-        stringified chain, for which this returns ``None``.
+        instrumentation (:mod:`repro.observability`) was enabled; the
+        persistent queue carries them as they are.
         """
         chain = notification.parameters.get("provenance")
         return chain if isinstance(chain, ProvenanceNode) else None

@@ -10,6 +10,10 @@ Two implementations share one interface:
 * :class:`SqliteDeliveryQueue` — durable via the standard-library
   ``sqlite3`` module; a queue reopened on the same path sees all
   undelivered notifications, which is the paper's sign-on-later guarantee.
+  Each row is one self-contained record of the binary value codec
+  (:func:`~repro.parallel.codec.encode_standalone`), so a notification
+  reads back type for type: tuples, frozensets, nested mappings and its
+  provenance chain.
 
 Awareness information is stored as :class:`Notification` records: the
 digested composite-event parameters plus the user-friendly description the
@@ -18,7 +22,6 @@ output operator attached (Section 6.2).
 
 from __future__ import annotations
 
-import json
 import sqlite3
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -36,44 +39,6 @@ class Notification:
     description: str
     schema_name: str
     parameters: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "notification_id": self.notification_id,
-                "participant_id": self.participant_id,
-                "time": self.time,
-                "description": self.description,
-                "schema_name": self.schema_name,
-                "parameters": _jsonable(self.parameters),
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(payload: str) -> "Notification":
-        data = json.loads(payload)
-        return Notification(
-            notification_id=data["notification_id"],
-            participant_id=data["participant_id"],
-            time=data["time"],
-            description=data["description"],
-            schema_name=data["schema_name"],
-            parameters=data["parameters"],
-        )
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of event parameters to JSON-safe values."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 class DeliveryQueue:
@@ -173,7 +138,7 @@ class SqliteDeliveryQueue(DeliveryQueue):
             CREATE TABLE IF NOT EXISTS notifications (
                 seq INTEGER PRIMARY KEY AUTOINCREMENT,
                 participant_id TEXT NOT NULL,
-                payload TEXT NOT NULL
+                payload BLOB NOT NULL
             )
             """
         )
@@ -189,7 +154,7 @@ class SqliteDeliveryQueue(DeliveryQueue):
         self._check_open()
         self._conn.execute(
             "INSERT INTO notifications (participant_id, payload) VALUES (?, ?)",
-            (notification.participant_id, notification.to_json()),
+            (notification.participant_id, _encoded(notification)),
         )
         self._conn.commit()
 
@@ -200,7 +165,7 @@ class SqliteDeliveryQueue(DeliveryQueue):
             "ORDER BY seq",
             (participant_id,),
         ).fetchall()
-        return tuple(Notification.from_json(row[0]) for row in rows)
+        return tuple(self._decoded(row[0]) for row in rows)
 
     def retrieve(self, participant_id: str) -> Tuple[Notification, ...]:
         self._check_open()
@@ -242,7 +207,7 @@ class SqliteDeliveryQueue(DeliveryQueue):
         ).fetchone()
         if row is None:
             return None
-        return Notification.from_json(row[0]).time
+        return self._decoded(row[0]).time
 
     def close(self) -> None:
         if self._conn is not None:
@@ -252,3 +217,20 @@ class SqliteDeliveryQueue(DeliveryQueue):
     def _check_open(self) -> None:
         if self._conn is None:
             raise QueueError(f"queue at {self.path!r} is closed")
+
+    def _decoded(self, payload: object) -> Notification:
+        if not isinstance(payload, bytes):
+            raise QueueError(
+                f"queue at {self.path!r} holds a JSON row, the format of "
+                f"earlier builds; build 1f2fb7c is the last that reads it"
+            )
+        from ..parallel.codec import BinaryDecoder
+
+        return Notification(**BinaryDecoder().decode_payload(payload[4:]))
+
+
+def _encoded(notification: Notification) -> bytes:
+    """*notification* as one self-contained codec frame."""
+    from ..parallel.codec import encode_standalone
+
+    return encode_standalone(vars(notification))

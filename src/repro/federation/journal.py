@@ -19,8 +19,8 @@ Identifier determinism makes this simple: the CORE engine assigns ids from
 per-prefix counters, so replaying the same creation sequence yields the
 same ids, and journaled references resolve exactly.
 
-Journal records are JSON-able dicts; :class:`Journal` keeps them in memory
-and can persist to/load from a JSON-lines file.  Scoped-role *membership
+Journal records are dicts of codec values; :class:`Journal` keeps them in
+memory and persists them as a durability frame log.  Scoped-role *membership
 changes after creation* go through :meth:`CoreEngine.create_scoped_role`'s
 returned object and are outside the recoverable surface: the journal
 records them (``scoped_role_membership``) so the audit trail is complete,
@@ -31,7 +31,6 @@ engine APIs for anything that must survive recovery.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -82,29 +81,12 @@ class Journal:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the journal as JSON lines."""
-        with open(path, "w") as handle:
-            for record in self._records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Journal":
-        journal = cls()
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    journal.append(json.loads(line))
-        return journal
-
-    def save_frames(self, path: str) -> None:
         """Persist as a durability frame log.
 
         Same on-disk format as the shard write-ahead journals
-        (:class:`~repro.durability.log.FrameLog`): length-prefixed wire
+        (:class:`~repro.durability.log.FrameLog`): length-prefixed codec
         frames, torn-tail tolerant, inspectable with ``repro journal``.
-        Each CORE record is one frame.
+        Each CORE record is one frame, its values carried as they are.
         """
         from ..durability.log import FrameLog
 
@@ -115,11 +97,18 @@ class Journal:
                 log.append(record)
 
     @classmethod
-    def load_frames(cls, path: str) -> "Journal":
-        """Load a :meth:`save_frames` file (replayable via
-        :func:`recover_core` exactly like an in-memory journal)."""
+    def load(cls, path: str) -> "Journal":
+        """Load a :meth:`save` file (replayable via :func:`recover_core`
+        exactly like an in-memory journal).  A JSON-lines file, the
+        format of earlier builds, is refused."""
         from ..durability.log import load_journal
 
+        with open(path, "rb") as handle:
+            if handle.read(1) == b"{":
+                raise RecoveryError(
+                    f"{path!r} is a JSON-lines audit journal, the format of "
+                    f"earlier builds; build 1f2fb7c is the last that reads it"
+                )
         journal = cls()
         for frame in load_journal(path).payload:
             journal.append(frame)

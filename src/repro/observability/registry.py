@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -42,7 +43,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    cast,
 )
 
 from ..errors import ReproError
@@ -378,7 +378,7 @@ class Histogram(Instrument):
                 self._check_capacity(self._series)
                 series = self._series[labels] = HistogramSeries(len(self.buckets))
             for index, increment in enumerate(bucket_counts):
-                series.bucket_counts[index] += int(increment)
+                series.bucket_counts[index] += increment
             series.total += total
             series.count += count
 
@@ -601,44 +601,44 @@ class MetricsRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # -- snapshot codec ----------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, object]:
-        """A lossless, JSON-able snapshot of every instrument.
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """A lossless snapshot of every instrument, values as they are.
 
-        The snapshot preserves label *tuples*, bucket boundaries, and
-        per-bucket counts exactly, so :meth:`merge` on another registry reproduces every
-        series bit-for-bit.  Callback gauges are captured at their
-        collection-time values and decode as plain gauges — the callable
-        itself cannot cross a process boundary.
+        Per instrument: kind, description, label names and ``series``,
+        ``{label tuple: value}`` (a histogram adds its bucket edges and
+        maps to ``(bucket counts, sum, count)``), in label order so the
+        encoded bytes are a function of the contents.  Nothing aliases
+        live state: serial shards hand it over without a pipe.  Callback
+        gauges are captured at their collection-time values and merge as
+        plain gauges — the callable cannot cross a process boundary.
         """
-        out: Dict[str, object] = {}
+        out: Dict[str, Dict[str, Any]] = {}
         for name in self.names():
             instrument = self.get(name)
             if instrument is None:  # pragma: no cover - racy unregister
                 continue
-            entry: Dict[str, object] = {
+            entry: Dict[str, Any] = {
                 "kind": instrument.kind,
                 "description": instrument.description,
-                "label_names": list(instrument.label_names),
+                "label_names": instrument.label_names,
             }
             if isinstance(instrument, Histogram):
-                entry["buckets"] = list(instrument.buckets)
-                entry["series"] = [
-                    [list(labels), list(counts), total, count]
-                    for labels in instrument.series_labels()
-                    for counts, total, count in (instrument.snapshot(labels),)
-                ]
+                entry["buckets"] = instrument.buckets
+                entry["series"] = {
+                    labels: instrument.snapshot(labels)
+                    for labels in sorted(instrument.series_labels())
+                }
             else:
-                entry["series"] = [
-                    [list(labels), value]
-                    for labels, value in sorted(instrument.series().items())
-                ]
+                entry["series"] = dict(sorted(instrument.series().items()))
             out[name] = entry
         return out
 
     def merge(
-        self, snapshot: Mapping[str, object], shard: Optional[str] = None
+        self,
+        snapshot: Mapping[str, Mapping[str, Any]],
+        shard: Optional[str] = None,
     ) -> None:
         """Fold a :meth:`snapshot` into this registry.
 
@@ -648,64 +648,38 @@ class MetricsRegistry:
         the federation-aggregation path.  Bucket-layout disagreements
         raise :class:`MetricsError` rather than merging garbage.
         """
-        prefix_names = ("shard",) if shard is not None else ()
-        prefix_values = (shard,) if shard is not None else ()
-        for name, raw in snapshot.items():
-            entry = dict(cast(Mapping[str, object], raw))
-            kind = entry.get("kind")
-            description = str(entry.get("description", ""))
-            label_names = prefix_names + tuple(
-                str(label)
-                for label in cast(Sequence[object], entry.get("label_names", ()))
-            )
-            series = cast(Sequence[Sequence[object]], entry.get("series", ()))
-            if kind == "counter":
-                counter = self.counter(name, description, label_names)
-                for labels_raw, value in cast(
-                    Sequence[Tuple[Sequence[object], float]], series
-                ):
-                    labels = prefix_values + tuple(
-                        str(part) for part in labels_raw
-                    )
-                    counter.inc(float(value), labels)
-            elif kind == "gauge":
-                gauge = self.gauge(name, description, label_names)
-                for labels_raw, value in cast(
-                    Sequence[Tuple[Sequence[object], float]], series
-                ):
-                    labels = prefix_values + tuple(
-                        str(part) for part in labels_raw
-                    )
-                    gauge.set(float(value), labels)
-            elif kind == "histogram":
-                buckets = [
-                    float(edge)
-                    for edge in cast(Sequence[object], entry.get("buckets", ()))
-                ]
-                histogram = self.histogram(
-                    name, buckets, description, label_names
-                )
-                if list(histogram.buckets) != buckets:
-                    raise MetricsError(
-                        f"histogram {name!r} bucket layout mismatch on "
-                        f"merge: registry has {histogram.buckets}, snapshot "
-                        f"has {tuple(buckets)}"
-                    )
-                for row in series:
-                    labels_raw, counts, total, count = (
-                        cast(Sequence[object], row[0]),
-                        cast(Sequence[int], row[1]),
-                        float(cast(float, row[2])),
-                        int(cast(int, row[3])),
-                    )
-                    labels = prefix_values + tuple(
-                        str(part) for part in labels_raw
-                    )
-                    histogram.add_counts(labels, counts, total, count)
-            else:
+        prefix_names: Tuple[str, ...] = ("shard",) if shard is not None else ()
+        prefix: LabelValues = (shard,) if shard is not None else ()
+        for name, entry in snapshot.items():
+            kind = entry["kind"]
+            if kind not in ("counter", "gauge", "histogram"):
                 raise MetricsError(
                     f"snapshot entry {name!r} has unknown kind {kind!r}"
                 )
+            description = entry["description"]
+            label_names = prefix_names + entry["label_names"]
+            series: Mapping[LabelValues, Any] = entry["series"]
+            if kind == "counter":
+                counter = self.counter(name, description, label_names)
+                for labels, value in series.items():
+                    counter.inc(value, prefix + labels)
+            elif kind == "gauge":
+                gauge = self.gauge(name, description, label_names)
+                for labels, value in series.items():
+                    gauge.set(value, prefix + labels)
+            else:
+                buckets = entry["buckets"]
+                histogram = self.histogram(
+                    name, buckets, description, label_names
+                )
+                if histogram.buckets != buckets:
+                    raise MetricsError(
+                        f"histogram {name!r} bucket layout mismatch on "
+                        f"merge: registry has {histogram.buckets}, snapshot "
+                        f"has {buckets}"
+                    )
+                for labels, (counts, total, count) in series.items():
+                    histogram.add_counts(prefix + labels, counts, total, count)
 
     def render_text(self) -> str:
         """Prometheus-style text exposition (counters, gauges, histograms)."""

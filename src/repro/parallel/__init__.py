@@ -31,7 +31,7 @@ from .federation import (
     ShardedFederation,
     ShardNotification,
 )
-from .host import FederationBlueprint, RecordingDeliveryQueue, ShardHost, ShardSpec
+from .host import FederationBlueprint, ShardHost, ShardOutbox, ShardSpec
 from .router import ShardRouter
 from .wire import register_event_type
 
@@ -40,11 +40,11 @@ __all__ = [
     "BinaryDecoder",
     "BinaryEncoder",
     "FederationBlueprint",
-    "RecordingDeliveryQueue",
     "Shard",
     "ShardConfig",
     "ShardHost",
     "ShardNotification",
+    "ShardOutbox",
     "ShardRouter",
     "ShardSpec",
     "ShardedFederation",

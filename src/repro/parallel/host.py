@@ -14,9 +14,10 @@ the surface the sharding layer needs:
   same-type events), after the whole frame passed the door: every event
   is checked once against its producer's type, and a frame with one
   malformed event is refused whole;
-* **result capture** — a recording delivery queue remembers global
-  enqueue order, giving every notification the per-shard sequence number
-  the deterministic merge sorts on.
+* **result capture** — the shard's delivery queue is an outbox: each
+  notification becomes one report record, numbered in enqueue order (the
+  per-shard sequence number the deterministic merge sorts on), and
+  leaves the shard when the facade drains it.
 
 Delivery stays *per-shard* by design: the events of a process instance
 (and of every context routed with it) arrive on one shard, so the
@@ -40,7 +41,7 @@ from ..errors import (
 )
 from ..events.event import Event
 from ..events.producers import EventProducer
-from ..events.queues import MemoryDeliveryQueue, Notification
+from ..events.queues import DeliveryQueue, Notification
 from ..federation.system import EnactmentSystem
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
@@ -126,25 +127,69 @@ class FederationBlueprint:
         )
 
 
-class RecordingDeliveryQueue(MemoryDeliveryQueue):
-    """A memory queue that also remembers global enqueue order.
+class ShardOutbox(DeliveryQueue):
+    """A shard's delivery queue: the report records not yet drained.
 
-    The per-participant queues keep their normal semantics (``repro``
-    clients still retrieve from them); ``records`` is the shard's total
-    notification order, the source of per-shard sequence numbers.
+    Each enqueued notification becomes one record of the form
+    :meth:`ShardHost.drain_results` ships, in enqueue order, and leaves
+    the shard when the facade drains it; the depth and lag this queue
+    reports are what the facade has not drained.  Participants retrieve
+    from the facade, so ``pending`` / ``retrieve`` stay unimplemented.
     """
 
     def __init__(self) -> None:
-        super().__init__()
-        self.records: List[Notification] = []
-        #: Sequence numbers already issued by a previous incarnation of
-        #: this shard (restored from a snapshot); the shard's absolute
-        #: sequence for ``records[i]`` is ``seq_offset + i``.
-        self.seq_offset = 0
+        #: Report records not yet drained, oldest first.
+        self.records: List[Dict[str, Any]] = []
+        #: The next record's shard-local sequence number: notifications
+        #: enqueued so far, a previous incarnation's included (restored
+        #: from a snapshot).
+        self.seq = 0
 
     def enqueue(self, notification: Notification) -> None:
-        self.records.append(notification)
-        super().enqueue(notification)
+        parameters = dict(notification.parameters)
+        chain = parameters.pop("provenance", None)
+        signature: Any = None
+        if chain is not None:
+            signature = (
+                notification.participant_id,
+                notification.schema_name,
+                notification.description,
+                notification.time,
+                chain.signature(),
+            )
+        self.records.append(
+            {
+                "seq": self.seq,
+                "id": notification.notification_id,
+                "participant": notification.participant_id,
+                "time": notification.time,
+                "schema": notification.schema_name,
+                "description": notification.description,
+                "instance": parameters.get("processInstanceId"),
+                "signature": signature,
+                "parameters": parameters,
+            }
+        )
+        self.seq += 1
+
+    def drain(self) -> List[Dict[str, Any]]:
+        records, self.records = self.records, []
+        return records
+
+    def pending_count(self, participant_id: Optional[str] = None) -> int:
+        if participant_id is None:
+            return len(self.records)
+        return self.pending_by_participant().get(participant_id, 0)
+
+    def pending_by_participant(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for record in self.records:
+            participant = record["participant"]
+            counts[participant] = counts.get(participant, 0) + 1
+        return counts
+
+    def oldest_pending_time(self) -> Optional[int]:
+        return self.records[0]["time"] if self.records else None
 
 
 class ShardHost:
@@ -158,7 +203,7 @@ class ShardHost:
     ) -> None:
         self.shard_id = shard_id
         self.shard_count = shard_count
-        self.queue = RecordingDeliveryQueue()
+        self.queue = ShardOutbox()
         self.system = EnactmentSystem(
             queue=self.queue,
             name=name or f"shard-{shard_id}",
@@ -174,11 +219,6 @@ class ShardHost:
         self._detectors: Dict[str, Any] = {}
         self._ingested: int = 0
         self._frames: int = 0
-        self._reported: int = 0
-        #: Report-form records no drain has collected yet: built early
-        #: by a snapshot, which must carry them (the frames behind them
-        #: will not replay), or restored from one.
-        self._pending: List[Dict[str, Any]] = []
         #: Bus publishes counted by a previous incarnation (snapshot
         #: restore); the fresh bus restarts at zero.
         self._published_offset: int = 0
@@ -329,46 +369,11 @@ class ShardHost:
         Each record carries the shard-local sequence number (position in
         global enqueue order) the deterministic merge needs, and — when
         instrumentation is on — the id-free provenance ``signature()`` of
-        the delivery, computed *here* so the report is not capped by the
-        tracker's ring buffer.  Values are native (nested tuples,
+        the delivery, computed on this shard so the report is not capped
+        by the tracker's ring buffer.  Values are native (nested tuples,
         frozensets): the binary codec ships them as they are.
         """
-        out = self._collect()
-        self._pending = []
-        return out
-
-    def _collect(self) -> List[Dict[str, Any]]:
-        """Bring every undrained record into ``_pending``; return it."""
-        records = self.queue.records
-        seq_offset = self.queue.seq_offset
-        for seq in range(self._reported, len(records)):
-            notification = records[seq]
-            parameters = dict(notification.parameters)
-            chain = parameters.pop("provenance", None)
-            signature: Any = None
-            if chain is not None:
-                signature = (
-                    notification.participant_id,
-                    notification.schema_name,
-                    notification.description,
-                    notification.time,
-                    chain.signature(),
-                )
-            self._pending.append(
-                {
-                    "seq": seq_offset + seq,
-                    "id": notification.notification_id,
-                    "participant": notification.participant_id,
-                    "time": notification.time,
-                    "schema": notification.schema_name,
-                    "description": notification.description,
-                    "instance": parameters.get("processInstanceId"),
-                    "signature": signature,
-                    "parameters": parameters,
-                }
-            )
-        self._reported = len(records)
-        return self._pending
+        return self.queue.drain()
 
     # -- observability shipping --------------------------------------------
 
@@ -452,8 +457,8 @@ class ShardHost:
                 for detector in self._detectors.values()
             ],
             "recognized_retired": self.system.awareness._recognized_retired,
-            "seq": self.queue.seq_offset + len(self.queue.records),
-            "pending": list(self._collect()),
+            "seq": self.queue.seq,
+            "pending": list(self.queue.records),
             "ingested": self._ingested,
             "published": (
                 self._published_offset + self.system.bus.published_count()
@@ -495,8 +500,8 @@ class ShardHost:
         self.system.awareness._recognized_retired = int(
             state.get("recognized_retired", 0)
         )
-        self.queue.seq_offset = int(state["seq"])
-        self._pending = list(state["pending"])
+        self.queue.seq = int(state["seq"])
+        self.queue.records = list(state["pending"])
         self._ingested = int(state["ingested"])
         self._published_offset = int(state["published"])
         log_seq = state.get("log_seq")
@@ -512,9 +517,7 @@ class ShardHost:
             "events_ingested": self._ingested,
             "frames_ingested": self._frames,
             "composites_recognized": awareness["composites_recognized"],
-            "notifications": (
-                self.queue.seq_offset + len(self.queue.records)
-            ),
+            "notifications": self.queue.seq,
             "queue_depth": self.queue.pending_count(),
             "specs_deployed": len(self._detectors),
             "bus_published": (

@@ -19,8 +19,10 @@ from repro.workloads.taskforce import TaskForceApplication
 
 # ``--hypothesis-profile=soak`` (nightly.yml): long, derandomized runs of
 # the properties that read the loaded profile instead of pinning
-# ``max_examples`` — the journal crash-point property and the codec's
-# self-contained/stream-interned interleaving and event-run properties.
+# ``max_examples`` — among them the journal crash-point property, the
+# codec's self-contained/stream-interned interleaving and event-run
+# properties, the registry snapshot's codec trip and the persisted
+# notification round trip.
 settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None
 )

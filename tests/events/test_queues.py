@@ -1,15 +1,19 @@
 """Tests for persistent delivery queues (Section 6.5)."""
 
+import json
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QueueError
+from repro.errors import QueueError, WireError
 from repro.events.queues import (
     MemoryDeliveryQueue,
     Notification,
     SqliteDeliveryQueue,
 )
+from repro.observability import ProvenanceNode
 
 
 def note(nid="n1", participant="alice", time=1, params=None):
@@ -92,46 +96,126 @@ class TestSqlitePersistence:
             queue.pending("alice")
 
 
+def persisted(notification):
+    """*notification* as a durable queue hands it back."""
+    with SqliteDeliveryQueue() as queue:
+        queue.enqueue(notification)
+        (restored,) = queue.pending(notification.participant_id)
+    return restored
+
+
+def chain():
+    primitive = ProvenanceNode(
+        1, "E_context", "primitive", "T_context", 4,
+        ("context", "Ctx", "deadline", 99),
+    )
+    return ProvenanceNode(
+        2, "violated", "Compare2", "C_P", 5, "80 > 50", (primitive,)
+    )
+
+
+#: Parameter values a notification may carry: scalars, and tuples,
+#: frozensets, lists and string-keyed mappings of them.
+parameter_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(max_size=20),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.lists(inner, max_size=4),
+        st.frozensets(st.tuples(st.text(max_size=4), st.integers()), max_size=4),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def same_types(a, b):
+    """``a == b`` and every value the same type (``1`` is not ``True``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_types(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_types, a, b))
+    return a == b
+
+
 class TestNotificationSerialization:
+    """A durable queue carries a notification as it is (one codec record
+    per row), not a JSON rendering of it."""
+
     def test_round_trip(self):
         original = note(params={"intInfo": 3, "strInfo": "x"})
-        restored = Notification.from_json(original.to_json())
-        assert restored.notification_id == original.notification_id
-        assert restored.parameters == {"intInfo": 3, "strInfo": "x"}
+        assert persisted(original) == original
 
-    def test_frozensets_become_sorted_lists(self):
-        original = note(params={"assoc": frozenset([("b", "2"), ("a", "1")])})
-        restored = Notification.from_json(original.to_json())
-        assert restored.parameters["assoc"] == [["a", "1"], ["b", "2"]]
+    def test_values_come_back_type_for_type(self):
+        params = {
+            "assoc": frozenset([("b", "2"), ("a", "1")]),
+            "pair": ("P-X", 7),
+            "nested": {"deadline": (80, 50), "tags": ["x", None]},
+        }
+        restored = persisted(note(params={**params, "provenance": chain()}))
+        provenance = restored.parameters.pop("provenance")
+        assert same_types(restored.parameters, params)
+        # A chain node compares by identity; its signature is its value.
+        assert isinstance(provenance, ProvenanceNode)
+        assert provenance.signature() == chain().signature()
 
-    def test_non_json_values_fall_back_to_repr(self):
-        original = note(params={"obj": object()})
-        restored = Notification.from_json(original.to_json())
-        assert restored.parameters["obj"].startswith("<object object")
+    def test_unencodable_values_are_refused(self):
+        with SqliteDeliveryQueue() as queue:
+            with pytest.raises(WireError, match="not wire-encodable"):
+                queue.enqueue(note(params={"obj": object()}))
+            assert queue.pending_count() == 0
 
     @given(
-        params=st.dictionaries(
-            st.text(min_size=1, max_size=8),
-            st.one_of(
-                st.integers(),
-                st.text(max_size=20),
-                st.none(),
-                st.booleans(),
-                st.lists(st.integers(), max_size=4),
-            ),
-            max_size=6,
-        ),
+        params=st.dictionaries(st.text(max_size=8), parameter_values, max_size=6),
         time=st.integers(min_value=0, max_value=10**9),
     )
-    @settings(max_examples=100)
-    def test_json_round_trip_preserves_jsonable_parameters(self, params, time):
+    @settings(deadline=None)
+    def test_persisted_parameters_keep_their_types(self, params, time):
         original = note(params=params, time=time)
-        restored = Notification.from_json(original.to_json())
+        restored = persisted(original)
         assert restored.time == time
-        assert restored.parameters == {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in params.items()
+        assert same_types(restored.parameters, params)
+
+    def test_a_row_of_an_earlier_build_is_refused(self, tmp_path):
+        """Earlier builds stored each notification as JSON text."""
+        path = str(tmp_path / "queue.db")
+        row = {
+            "notification_id": "n1",
+            "participant_id": "alice",
+            "time": 1,
+            "description": "task force deadline moved",
+            "schema_name": "AS_InfoRequest",
+            "parameters": {"assoc": [["a", "1"]]},
         }
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "CREATE TABLE notifications (seq INTEGER PRIMARY KEY "
+                "AUTOINCREMENT, participant_id TEXT NOT NULL, "
+                "payload TEXT NOT NULL)"
+            )
+            conn.execute(
+                "INSERT INTO notifications (participant_id, payload) "
+                "VALUES (?, ?)",
+                ("alice", json.dumps(row, sort_keys=True)),
+            )
+        conn.close()
+        with SqliteDeliveryQueue(path) as queue:
+            assert queue.pending_count("alice") == 1
+            for read in (
+                lambda: queue.pending("alice"),
+                queue.oldest_pending_time,
+                lambda: queue.retrieve("alice"),
+            ):
+                with pytest.raises(QueueError, match="JSON row.*1f2fb7c"):
+                    read()
+            assert queue.pending_count("alice") == 1
 
 
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)

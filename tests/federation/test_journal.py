@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import EnactmentSystem, Participant
+from repro import ActivityVariable, BasicActivitySchema, ProcessActivitySchema
+from repro.core.context import ContextFieldSpec, ContextSchema
 from repro.core.engine import CoreEngine
 from repro.core.roles import RoleRef
 from repro.errors import RoleResolutionError
@@ -181,13 +183,32 @@ class TestRecovery:
         assert instance.current_state == "Running"
 
     def test_recovery_survives_save_load_round_trip(self, tmp_path):
+        """Field values come back as they were set: a tuple stays a
+        tuple and a frozenset a frozenset."""
         system, journal = run_scenario()
-        path = str(tmp_path / "audit.jsonl")
+        schema = ProcessActivitySchema("p-notes", "notes")
+        schema.add_activity_variable(
+            ActivityVariable("jot", BasicActivitySchema("b-jot", "jot"))
+        )
+        schema.mark_entry("jot")
+        schema.add_context_schema(
+            ContextSchema(
+                "Notes", [ContextFieldSpec("pair"), ContextFieldSpec("tags")]
+            )
+        )
+        system.core.register_schema(schema)
+        instance = system.core.create_process_instance(schema)
+        instance.context("Notes").set("pair", ("a", 1))
+        instance.context("Notes").set("tags", frozenset({"x", ("y", 2)}))
+        path = str(tmp_path / "audit.log")
         journal.save(path)
         reloaded = Journal.load(path)
-        assert len(reloaded) == len(journal)
+        assert reloaded.records() == journal.records()
         recovered = recover_core(reloaded)
         assert snapshot(recovered) == snapshot(system.core)
+        notes = recovered.instance(instance.instance_id).context("Notes")
+        assert type(notes.get("pair")) is tuple
+        assert notes.get("tags") == frozenset({"x", ("y", 2)})
 
     def test_corrupt_journal_fails_loudly(self):
         journal = Journal()

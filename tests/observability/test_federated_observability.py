@@ -1,15 +1,13 @@
 """The federation observability plane, unit level.
 
 Covers the facade-side pieces in isolation: registry snapshot/merge
-round trips (property-tested — the codec must be lossless for the
-metrics plane to aggregate honestly), the trace assembler's stitching
+round trips through the pipe codec (property-tested — the trip must be
+lossless for the metrics plane to aggregate honestly), the trace assembler's stitching
 and accounting, the structured-log drain cursor and the merged log
 view's ordering, and SLO evaluation over the shards' snapshots.
 The end-to-end paths (real shards shipping over the wire) live in
 ``tests/parallel/test_federated_observability.py``.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ from repro.observability import (
 from repro.observability.health import threshold_rule
 from repro.observability.registry import Gauge, Histogram
 from repro.observability.selfawareness import FederationMetricsView
+from repro.parallel.codec import BinaryDecoder, BinaryEncoder
 
 
 # -- snapshot / merge round trips (property-tested) ------------------------
@@ -99,20 +98,37 @@ def series_of(registry):
     return out
 
 
+def piped(snapshot, times=2):
+    """*snapshot* after the trip a stats reply takes: the pipe's
+    stream-interned codec, *times* frames over one channel (so the later
+    trips read interned label tuples)."""
+    encoder, decoder = BinaryEncoder(), BinaryDecoder()
+    for __ in range(times):
+        decoded = decoder.decode_payload(encoder.encode_frame(snapshot)[4:])
+    return decoded
+
+
 class TestSnapshotMergeRoundTrip:
-    @given(registry=registries())
-    @settings(max_examples=60, deadline=None)
-    def test_snapshot_json_merge_reproduces_every_series(self, registry):
-        # The wire trip every worker snapshot takes: snapshot -> JSON ->
-        # decode -> merge into an empty facade registry.
-        decoded = json.loads(json.dumps(registry.snapshot()))
+    @given(registry=registries(), shard=st.one_of(st.none(), label_values))
+    @settings(deadline=None)
+    def test_snapshot_codec_merge_reproduces_every_series(
+        self, registry, shard
+    ):
+        # The trip every worker snapshot takes: snapshot -> pipe codec ->
+        # merge into an empty facade registry, with or without a shard.
         rebuilt = MetricsRegistry()
-        rebuilt.merge(decoded)
-        assert series_of(rebuilt) == series_of(registry)
+        rebuilt.merge(piped(registry.snapshot()), shard=shard)
+        prefix = () if shard is None else (shard,)
+        assert series_of(rebuilt) == {
+            name: {prefix + labels: value for labels, value in series.items()}
+            for name, series in series_of(registry).items()
+        }
         for name in registry.names():
             original = registry.get(name)
             copy = rebuilt.get(name)
-            assert copy.label_names == original.label_names
+            assert copy.label_names == ("shard",) * len(prefix) + (
+                original.label_names
+            )
             if isinstance(original, Histogram):
                 assert copy.buckets == original.buckets
 
@@ -180,7 +196,7 @@ class TestSnapshotMergeRoundTrip:
             ("participant",),
         )
         rebuilt = MetricsRegistry()
-        rebuilt.merge(json.loads(json.dumps(registry.snapshot())), shard="2")
+        rebuilt.merge(piped(registry.snapshot()), shard="2")
         depth = rebuilt.get("depth")
         assert isinstance(depth, Gauge)
         assert depth.value(("2",)) == 17.0

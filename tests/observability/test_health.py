@@ -12,6 +12,7 @@ from repro.observability.health import (
     STATUS_EXIT_CODES,
     HealthEvaluator,
     SloRule,
+    backpressure_rule,
     default_rules,
     rate_rule,
     restart_storm_rule,
@@ -185,6 +186,46 @@ class TestRateFireAndClear:
         for __ in range(4):
             system.clock.advance(1)
         assert awareness.health().status == "ok"
+
+
+    def test_ingest_backpressure(self):
+        system = EnactmentSystem(name="stallsys")
+        stalls = system.metrics.counter(
+            "backpressure_stalls_total",
+            "Event sends deferred or blocked on a shard's full pipe",
+            ("shard",),
+        )
+        awareness = SelfAwareness(
+            system, rules=(backpressure_rule(window=3, limit=5),), interval=1
+        )
+        system.clock.advance(1)  # baseline pass
+        assert awareness.health().status == "ok"
+
+        stalls.inc(5, ("0",))  # at the limit, not past it
+        system.clock.advance(1)
+        assert awareness.health().status == "ok"
+        stalls.inc(1, ("1",))  # six stalls across the window
+        system.clock.advance(1)
+        health = awareness.health()
+        assert health.status == "degraded"
+        assert any(a.schema_name == "AS_Health_ingest-backpressure"
+                   for a in awareness.alerts())
+
+        for __ in range(4):
+            system.clock.advance(1)
+        assert awareness.health().status == "ok"
+
+    def test_ingest_backpressure_is_silent_without_the_metric(self):
+        system = EnactmentSystem(name="nostalls")
+        awareness = SelfAwareness(
+            system, rules=(backpressure_rule(window=3, limit=0),), interval=1
+        )
+        for __ in range(4):
+            system.clock.advance(1)
+        health = awareness.health()
+        assert health.status == "ok"
+        assert not health.firing()
+        assert not awareness.alerts()
 
 
 class TestStalenessFireAndClear:

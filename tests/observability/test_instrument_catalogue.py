@@ -60,3 +60,11 @@ def test_catalogue_names_every_registered_instrument(tmp_path):
         declared = tuple(re.findall(r"`([a-z_]+)`", labels))
         assert declared == instrument.label_names, name
         assert readers, f"{name} names no reader"
+        # A snapshot ships label tuples as they are; merge coerces none.
+        series = (
+            instrument.series_labels()
+            if kind == "histogram"
+            else tuple(instrument.series())
+        )
+        for labels in series:
+            assert all(type(value) is str for value in labels), (name, labels)

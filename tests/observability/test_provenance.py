@@ -1,17 +1,20 @@
 """Tests for recognition provenance chains and the disabled no-op path."""
 
+from repro import EnactmentSystem, Participant
 from repro.awareness.operators.count import Count
 from repro.awareness.operators.filters import ContextFilter
 from repro.awareness.operators.generic import And, Seq
 from repro.core.context import ContextChange
 from repro.events.canonical import canonical_event
 from repro.events.producers import ContextEventProducer
+from repro.events.queues import MemoryDeliveryQueue, SqliteDeliveryQueue
 from repro.observability import (
     INSTRUMENTATION,
     ProvenanceNode,
     ProvenanceTracker,
     instrumented,
 )
+from repro.workloads.taskforce import TaskForceApplication
 
 
 def context_change(index, field="field0"):
@@ -196,3 +199,36 @@ class TestDisabledPath:
             # The inner scope restores the outer scope's enabled state.
             assert INSTRUMENTATION.enabled
         assert not INSTRUMENTATION.enabled
+
+
+class TestViewerOverAPersistentQueue:
+    """"Why was I notified" survives the §6.5 persistent queue."""
+
+    @staticmethod
+    def viewer(queue):
+        system = EnactmentSystem(queue=queue)
+        lee = system.register_participant(Participant("u-lee", "dr-lee"))
+        kim = system.register_participant(Participant("u-kim", "dr-kim"))
+        role = system.core.roles.define_role("epidemiologist")
+        role.add_member(lee)
+        role.add_member(kim)
+        app = TaskForceApplication(system)
+        app.install_awareness()
+        with instrumented():
+            task_force = app.create_task_force(lee, [lee, kim], deadline=200)
+            app.request_information(task_force, kim, deadline=150)
+            app.change_task_force_deadline(task_force, 120)
+        viewer = system.awareness.viewer_for(kim)
+        viewer.retrieve()
+        return viewer
+
+    def test_the_chain_renders_as_it_does_from_memory(self):
+        persisted = self.viewer(SqliteDeliveryQueue())
+        live = self.viewer(MemoryDeliveryQueue())
+        (notification,) = persisted.received()
+        chain = persisted.provenance_for(notification)
+        assert chain is not None
+        (original,) = live.received()
+        assert chain.signature() == live.provenance_for(original).signature()
+        assert persisted.render(provenance=True) == live.render(provenance=True)
+        assert chain.render(indent=2) in persisted.render(provenance=True)

@@ -1,6 +1,5 @@
 """Tests for the metrics registry (counters, gauges, histograms, labels)."""
 
-import json
 import threading
 
 import pytest
@@ -261,16 +260,15 @@ class TestMultiCallbackGauge:
         with pytest.raises(MetricsError, match="not a multi-callback gauge"):
             registry.multi_callback_gauge("queue_depth", dict)
 
-    def test_rendered_in_text_and_json(self):
+    def test_rendered_in_text_and_snapshot(self):
         registry = MetricsRegistry()
         self.make(registry)
         text = registry.render_text()
         assert 'queue_depth{participant="alice"} 3' in text
-        payload = json.loads(json.dumps(registry.snapshot()))
-        assert payload["queue_depth"]["series"] == [
-            [["alice"], 3.0],
-            [["bob"], 1.0],
-        ]
+        assert registry.snapshot()["queue_depth"]["series"] == {
+            ("alice",): 3.0,
+            ("bob",): 1.0,
+        }
 
 
 class TestReadings:
@@ -339,30 +337,31 @@ def fixed_registry():
     return registry
 
 
-#: What every shard ships of `fixed_registry()` on a drain reply.
+#: `fixed_registry()`'s snapshot as one self-contained codec record (a
+#: drain reply carries the same values, stream-interned).
 SNAPSHOT_BYTES = bytes.fromhex(
-    "0000029f100b080608636f6d70757465640b0406046b696e6406056761756765"
+    "000002a2100b080608636f6d70757465640b0406046b696e6406056761756765"
     "060b6465736372697074696f6e0616636f6d707574656420617420636f6c6c65"
-    "6374696f6e060b6c6162656c5f6e616d65730800060673657269657308010802"
-    "080004401c000000000000060e6c6162656c6c65645f67617567650b04070107"
-    "0207030600070508020605736861726406057374616765070608020802080206"
-    "01300601790308080208020601310601780303060e6c6162656c6c65645f746f"
-    "74616c0b0407010607636f756e74657207030608627920746f70696307050801"
-    "0605746f70696307060802080208010601610440140000000000000802080106"
-    "0162044000000000000000060f7065725f7061727469636970616e740b040701"
-    "07020703060f706572207061727469636970616e7407050801060b7061727469"
-    "636970616e74070608020802080106036b696d04402200000000000008020801"
-    "06036c6565044008000000000000060b706c61696e5f67617567650b04070107"
-    "020703060761206c6576656c070508000706080108020800043ff80000000000"
-    "00060b706c61696e5f746f74616c0b0407010710070307080705080007060801"
-    "080208000440080000000000000608706c61696e5f75730b0507010609686973"
-    "746f6772616d070307080705080006076275636b6574730802043fe000000000"
-    "000004400400000000000007060801080408000803030003020300043ff00000"
-    "000000000302060873746167655f75730b050701071e07030606737461676573"
-    "07050801070a071f0803043ff000000000000004402400000000000004405900"
-    "0000000000070608020804080106027331080403020302030203020440815c00"
-    "0000000003080804080106027330080403000302030003000440000000000000"
-    "000302"
+    "6374696f6e060b6c6162656c5f6e616d65730e090006067365726965730b010f"
+    "0004401c000000000000060e6c6162656c6c65645f67617567650b0407010702"
+    "0703060007050e0902060573686172640605737461676507060b020e09020601"
+    "3006017903080e09020601310601780303060e6c6162656c6c65645f746f7461"
+    "6c0b0407010607636f756e74657207030608627920746f70696307050e090106"
+    "05746f70696307060b020e09010601610440140000000000000e090106016204"
+    "4000000000000000060f7065725f7061727469636970616e740b040701070207"
+    "03060f706572207061727469636970616e7407050e0901060b70617274696369"
+    "70616e7407060b020e090106036b696d0440220000000000000e090106036c65"
+    "65044008000000000000060b706c61696e5f67617567650b0407010702070306"
+    "0761206c6576656c07050f0007060b010f00043ff8000000000000060b706c61"
+    "696e5f746f74616c0b04070107100703070807050f0007060b010f0004400800"
+    "00000000000608706c61696e5f75730b0507010609686973746f6772616d0703"
+    "070807050f0006076275636b6574730e0902043fe00000000000000440040000"
+    "0000000007060b010f000e09030e0903030003020300043ff000000000000003"
+    "02060873746167655f75730b050701071e0703060673746167657307050e0901"
+    "070a071f0e0903043ff000000000000004402400000000000004405900000000"
+    "000007060b020e0901060273300e09030e090403000302030003000440000000"
+    "0000000003020e0901060273310e09030e090403020302030203020440815c00"
+    "000000000308"
 )
 
 #: The Prometheus page of `fixed_registry()`.

@@ -1,4 +1,7 @@
-"""The sharding facade, serial backend: API, merge, differential."""
+"""The sharding facade: API, merge, differential (serial backend unless
+a test names another)."""
+
+import multiprocessing
 
 import pytest
 
@@ -164,3 +167,28 @@ class TestShardHost:
         assert back.participants == blueprint.participants
         assert back.roles == blueprint.roles
         assert back.specifications == blueprint.specifications
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_a_drained_shard_holds_nothing(backend):
+    """A notification leaves its shard with the drain that merges it, so
+    a drained federation reads zero depth and lag and stays healthy."""
+    if backend == "process" and (
+        "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        pytest.skip("the process backend requires the fork start method")
+    workload = small_workload(
+        forces=2, windows_per_force=60, events_per_force=80
+    )
+    config = ShardConfig(shards=2, backend=backend)
+    with ShardedFederation(workload.blueprint(), config) as federation:
+        federation.ingest(workload.events())
+        merged = federation.drain()
+        stats = federation.stats()
+        health = federation.health()
+    assert len(merged) == stats["notifications"] > 0
+    assert len(merged) == workload.expected_notifications()
+    assert stats["queue_depth"] == 0
+    assert health.status == "ok"
+    readings = {state.rule.metric: state.last_value for state in health.rules}
+    assert readings["queue_depth"] == readings["delivery_lag"] == 0
