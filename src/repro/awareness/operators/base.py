@@ -22,24 +22,22 @@ implemented here once:
 
 "An event operator instance can be thought of as a computational pipeline
 that can produce any number of output events for a single input event",
-and the framework links it as one: a family states its algorithm once,
-either as a source :attr:`~EventOperator.template` (the primitive
-filters, ``Count``, ``Compare1``, ``Edge``; see :mod:`.segments`) or as
-a *kernel factory* (:meth:`EventOperator.bind`) that closes over its
-parameters and returns one kernel per input slot; each output is pushed
-through ``emit`` straight into the kernels of the operators downstream,
-one call per hop, with the slot type guard and the ``consumed`` count
-inline.  Producers call a slot's step (:meth:`EventOperator.step`: the
-kernel behind the same guard and count); ``consume`` is the public door
-to the same step.  Between a filter and an ``Output`` every event is a
-:class:`~repro.events.canonical.CanonicalEvent` record, whose fields
-the kernels read and set.  The plan cache goes one step further for
-templated families: a run of them, each the only consumer of the one
+and the framework links it as one.  Every family states its algorithm
+once, as a source :attr:`~EventOperator.template` (see :mod:`.segments`):
+its partitioned state is the :attr:`~EventOperator._partitions` dict,
+and the hop kernel generated from it, one per input slot, pushes each
+output through ``emit`` straight into the kernels of the operators
+downstream, one call per hop, with the slot type guard and the
+``consumed`` count inline.  Producers call a slot's step
+(:meth:`EventOperator.step`: the kernel behind the same guard and
+count); ``consume`` is the public door to the same step.  Between a
+filter and an ``Output`` every event is a
+:class:`~repro.events.canonical.CanonicalEvent` record, whose fields the
+kernels read and set.  The plan cache goes one step further for
+single-input families: a run of them, each the only consumer of the one
 before, is linked as one generated segment, which builds a record only
-where the event leaves it.  Application-specific families may instead
-implement the :meth:`~EventOperator.partition_key` /
-:meth:`~EventOperator.new_state` / :meth:`~EventOperator._apply` hooks,
-which the default ``bind`` drives.
+where the event leaves it.  A family without a template cannot be
+registered, and cannot be linked.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...errors import ParameterError, SlotError
+from ...errors import ParameterError, SlotError, SpecificationError
 from ...events.event import Event, EventType
 from ...observability import INSTRUMENTATION as _OBS
 from .segments import Template, hop_kernel
@@ -94,9 +92,8 @@ class EventOperator:
     #: wirings of the same streams intern to one shared node.
     plan_commutative: bool = False
 
-    #: The family's algorithm as source, for the families the plan cache
-    #: fuses into segments (:mod:`.segments`); ``None`` for families that
-    #: implement :meth:`bind` or the generic hooks.
+    #: The family's algorithm as source (:mod:`.segments`); every family
+    #: sets one.
     template: Optional[Template] = None
 
     def __init__(
@@ -112,8 +109,10 @@ class EventOperator:
         self.process_schema_id = process_schema_id
         self.signature = signature
         self.instance_name = instance_name or f"{self.family}"
-        #: Per-process-instance state.  Kernels hold this very dict, so
-        #: it is only ever mutated in place (snapshot restore included).
+        #: The family's state, per process instance (per invoked instance
+        #: for ``Translate``), and nowhere else.  Kernels hold this very
+        #: dict, so it is only ever mutated in place (snapshot restore
+        #: included).
         self._partitions: Dict[Any, Any] = {}
         #: Downstream consumers: (callable, slot_index) pairs, wired by the
         #: plan cache at deploy.
@@ -223,8 +222,12 @@ class EventOperator:
         """
         self._check_slot(slot)
         if not self._steps:
+            if self.template is None:
+                raise SpecificationError(
+                    f"operator family {type(self).__name__} has no template to link"
+                )
             self._emit = self._emitter()
-            self._kernels = tuple(self.bind(self._emit))
+            self._kernels = hop_kernel(self, self._emit)
             self._steps = tuple(
                 self._entry(index, kernel)
                 for index, kernel in enumerate(self._kernels)
@@ -341,43 +344,6 @@ class EventOperator:
                 kernel(output)
 
         return emit
-
-    # -- subclass hooks ---------------------------------------------------------------
-
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        """Kernel factory: one ``step(event)`` per input slot.
-
-        A step runs the family's algorithm on one (already type-checked)
-        event and calls ``emit(output, cause)`` for each output, in
-        order.  Per-instance state lives in :attr:`_partitions`, keyed
-        by the canonical ``processInstanceId``, and nowhere else.  A
-        family with a :attr:`template` gets its hop kernel generated from
-        it; otherwise this default drives the three generic hooks below.
-        """
-        if self.template is not None:
-            return (hop_kernel(self, emit),)
-        partitions = self._partitions
-
-        def kernel(slot: int, event: Event) -> None:
-            key = self.partition_key(slot, event)
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = self.new_state()
-            for output in self._apply(slot, event, state):
-                emit(output, event)
-
-        return [partial(kernel, slot) for slot in range(self.arity)]
-
-    def partition_key(self, slot: int, event: Event) -> Any:
-        """The replication key; canonical inputs partition by instance id."""
-        return event.get("processInstanceId")
-
-    def new_state(self) -> Any:
-        """Fresh private state for one partition (default: stateless)."""
-        return None
-
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        raise NotImplementedError
 
     # -- introspection ------------------------------------------------------------------
 

@@ -26,12 +26,11 @@ swapped, partially applied to the threshold
 from __future__ import annotations
 
 import operator as _op
-from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import CanonicalEvent, canonical_type
-from .base import Emit, EventOperator, OperatorSignature, Step
+from ...events.canonical import canonical_type
+from .base import EventOperator, OperatorSignature
 from .segments import Template
 
 BoolFunc1 = Callable[[int], bool]
@@ -223,29 +222,28 @@ class Compare2(EventOperator):
             symbol if symbol is not None else self.bool_func,
         )
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        partitions = self._partitions
-        bool_func, name = self.bool_func, self.instance_name
-
-        def kernel(slot: int, event: CanonicalEvent) -> None:
-            key = event.processInstanceId
-            # Latest intInfo seen on each input position, per instance.
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = {}
-            value = event.intInfo
-            if value is None:
-                return
-            state[slot] = value
-            if len(state) == 2 and bool_func(state[0], state[1]):
-                output = event.relayed(name)
-                output.description = (
-                    f"comparison satisfied: {state[0]} vs {state[1]} "
-                    f"({event.description})"
-                )
-                emit(output, event)
-
-        return (partial(kernel, 0), partial(kernel, 1))
+    # Latest intInfo seen on each input position, per instance.
+    template = Template(
+        cells=("_partitions", "bool_func", "instance_name"),
+        body="""
+$state = $_partitions.get(@processInstanceId)
+if $state is None:
+    $state = $_partitions[@processInstanceId] = {}
+$value = @intInfo
+if $value is None:
+    $skip
+$state[$slot] = $value
+if len($state) < 2 or not $bool_func($state[0], $state[1]):
+    $skip
+$emit
+""",
+        output={
+            "source": "$instance_name",
+            "description": (
+                'f"comparison satisfied: {$state[0]} vs {$state[1]} ({@description})"'
+            ),
+        },
+    )
 
     def describe(self) -> str:
         symbol = next(

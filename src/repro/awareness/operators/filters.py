@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 from ...errors import EventTypeError, ParameterError
-from ...events.canonical import canonical_event, canonical_type
+from ...events.canonical import canonical_type
 from ...events.event import Event, EventType
 from ...events.external import NEWS_EVENT_TYPE
 from ...events.producers import (
@@ -365,9 +365,6 @@ class ExternalFilter(EventOperator):
             instance_name,
         )
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None
-
     # routing_keys stays the base-class None: the match predicate is a
     # method (often over run-time state, e.g. bound queries), so external
     # filters ride the wildcard bucket and inspect every source event.
@@ -385,26 +382,42 @@ class ExternalFilter(EventOperator):
     def digest(self, event: Event) -> str:
         return f"external event from {event.source}"
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        if not self.matches(event):
-            return []
-        instance_id = self.instance_for(event)
-        if instance_id is None:
-            return []
-        if not isinstance(instance_id, str):
-            raise _not_an_instance_id(self.instance_name, "instance_for", instance_id)
-        return [
-            canonical_event(
-                self.process_schema_id,
-                instance_id,
-                time=event.time,
-                source=self.instance_name,
-                str_info=event.get("headline"),
-                description=self.digest(event),
-                source_event=event.params,
-                event_type=self.output_type,
-            )
-        ]
+    # The methods above are bound when the filter is linked.
+    template = Template(
+        cells=(
+            "matches",
+            "instance_for",
+            "digest",
+            "process_schema_id",
+            "instance_name",
+            "output_type",
+        ),
+        body="""
+if not $matches(event):
+    $skip
+$instance = $instance_for(event)
+if $instance is None:
+    $skip
+if not isinstance($instance, str):
+    raise _not_an_instance_id($instance_name, "instance_for", $instance)
+$params = event._params
+$emit
+""",
+        output={
+            "_event_type": "$output_type",
+            "time": '$params["time"]',
+            "source": "$instance_name",
+            "processSchemaId": "$process_schema_id",
+            "processInstanceId": "$instance",
+            "intInfo": "None",
+            "strInfo": '$params.get("headline")',
+            "description": "$digest(event)",
+            "sourceEvent": "$params",
+            "_keys": "CANONICAL_KEYS",
+        },
+        lift=True,
+        names={"_not_an_instance_id": _not_an_instance_id},
+    )
 
 
 class QueryCorrelationFilter(ExternalFilter):

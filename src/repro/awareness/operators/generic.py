@@ -18,12 +18,12 @@ their state per process instance:
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import CanonicalEvent, canonical_type
-from .base import Emit, EventOperator, OperatorSignature, Step, check_copy_parameter
+from ...events.canonical import canonical_type
+from .base import EventOperator, OperatorSignature, check_copy_parameter
+from .segments import Template
 
 
 def _canonical_signature(process_schema_id: str, arity: int) -> OperatorSignature:
@@ -31,15 +31,18 @@ def _canonical_signature(process_schema_id: str, arity: int) -> OperatorSignatur
     return OperatorSignature((ctype,) * arity, ctype)
 
 
-def _compose(template: CanonicalEvent, completing: CanonicalEvent, source: str) -> CanonicalEvent:
-    """Copy *template*'s parameters (except time) onto a new composite event
-    whose time is the completing constituent's time.
-
-    Both constituents conformed (checked where they entered the plan), so
-    the output is built from typed values without a conformance run."""
-    output = template.relayed(source)
-    output.time = completing.time
-    return output
+def _composite(body: str) -> Template:
+    """And's or Seq's template: *body* collects ``$constituents`` in slot
+    order.  The composite copies the ``copy`` constituent, except time,
+    which is the completing constituent's; provenance links every
+    constituent."""
+    return Template(
+        cells=("_partitions", "arity", "copy", "instance_name"),
+        body=body + "$held = $constituents[$copy - 1]\n$emit\n",
+        output={"time": "@time", "source": "$instance_name"},
+        base="$held",
+        cause="$constituents",
+    )
 
 
 class And(EventOperator):
@@ -67,24 +70,17 @@ class And(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.copy, self.arity)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        partitions, name = self._partitions, self.instance_name
-        slots, template_slot = range(self.arity), self.copy - 1
-
-        def kernel(slot: int, event: CanonicalEvent) -> None:
-            key = event.processInstanceId
-            # Slot memory per instance: the latest event seen on each slot.
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = {}
-            state[slot] = event
-            if len(state) < len(slots):
-                return
-            constituents = tuple(map(state.__getitem__, slots))
-            state.clear()
-            emit(_compose(constituents[template_slot], event, name), constituents)
-
-        return [partial(kernel, slot) for slot in slots]
+    # Slot memory per instance: the latest event seen on each slot.
+    template = _composite("""
+$state = $_partitions.get(@processInstanceId)
+if $state is None:
+    $state = $_partitions[@processInstanceId] = {}
+$state[$slot] = event
+if len($state) < $arity:
+    $skip
+$constituents = tuple(map($state.__getitem__, range($arity)))
+$state.clear()
+""")
 
     def describe(self) -> str:
         return f"And[{self.process_schema_id}, copy={self.copy}]/{self.arity}"
@@ -115,27 +111,20 @@ class Seq(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.copy, self.arity)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        partitions, name = self._partitions, self.instance_name
-        arity, template_slot = self.arity, self.copy - 1
-
-        def kernel(slot: int, event: CanonicalEvent) -> None:
-            key = event.processInstanceId
-            state = partitions.get(key)
-            if state is None:
-                state = partitions[key] = {"pointer": 0, "seen": []}
-            if slot != state["pointer"]:
-                return
-            state["seen"].append(event)
-            state["pointer"] += 1
-            if state["pointer"] < arity:
-                return
-            constituents = tuple(state["seen"])
-            state["pointer"] = 0
-            state["seen"] = []
-            emit(_compose(constituents[template_slot], event, name), constituents)
-
-        return [partial(kernel, slot) for slot in range(arity)]
+    template = _composite("""
+$state = $_partitions.get(@processInstanceId)
+if $state is None:
+    $state = $_partitions[@processInstanceId] = {"pointer": 0, "seen": []}
+if $slot != $state["pointer"]:
+    $skip
+$state["seen"].append(event)
+$state["pointer"] += 1
+if $state["pointer"] < $arity:
+    $skip
+$constituents = tuple($state["seen"])
+$state["pointer"] = 0
+$state["seen"] = []
+""")
 
     def describe(self) -> str:
         return f"Seq[{self.process_schema_id}, copy={self.copy}]/{self.arity}"
@@ -168,13 +157,9 @@ class Or(EventOperator):
     def plan_params(self) -> Tuple[Any, ...]:
         return (self.process_schema_id, self.arity)
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        name = self.instance_name
-
-        def step(event: CanonicalEvent) -> None:
-            emit(event.relayed(name), event)
-
-        return (step,) * self.arity
+    template = Template(
+        cells=("instance_name",), body="$emit", output={"source": "$instance_name"}
+    )
 
     def describe(self) -> str:
         return f"Or[{self.process_schema_id}]/{self.arity}"

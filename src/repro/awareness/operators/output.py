@@ -16,13 +16,14 @@ produced by the special output operator").
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Optional
 
 from ...core.roles import RoleRef
 from ...errors import ParameterError
-from ...events.canonical import CanonicalEvent, canonical_type
+from ...events.canonical import canonical_type
 from ...events.event import Event, EventType, ParameterSpec, base_parameters
 from .base import EventOperator, OperatorSignature
+from .segments import Template
 
 #: The event type consumed by the awareness delivery agent.
 DELIVERY_EVENT_TYPE = EventType(
@@ -86,40 +87,42 @@ class Output(EventOperator):
         self.user_description = user_description
         self.schema_name = schema_name or f"AS_{process_schema_id}"
 
-    def partition_key(self, slot: int, event: Event) -> Any:
-        return None  # stateless decoration
-
     # plan_params stays the base-class None by design: the output operator
     # *is* the window's delivery identity (role, assignment, description,
     # schema name), so the plan cache always keeps one per window — the
     # paper's per-participant customization survives any amount of
-    # upstream sharing.
+    # upstream sharing.  Not being a plan-cache entry, it never joins a
+    # segment either.
 
-    def _apply(self, slot: int, event: Event, state: Any) -> List[Event]:
-        # Decorating an already-validated canonical event (a record: its
-        # fields are read, no mapping is built); the trusted constructor
-        # skips a third per-event conformance pass.
-        record: CanonicalEvent = event  # type: ignore[assignment]
-        return [
-            Event.trusted(
-                DELIVERY_EVENT_TYPE,
-                {
-                    "time": record.time,
-                    "source": self.instance_name,
-                    "schemaName": self.schema_name,
-                    "deliveryRole": self.delivery_role.role_name,
-                    "deliveryContext": self.delivery_role.context_name,
-                    "assignment": self.assignment_name,
-                    "processSchemaId": record.processSchemaId,
-                    "processInstanceId": record.processInstanceId,
-                    "userDescription": self.user_description
-                    or (record.description or "awareness event"),
-                    "intInfo": record.intInfo,
-                    "strInfo": record.strInfo,
-                    "sourceEvent": record.sourceEvent,
-                },
-            )
-        ]
+    # Decorating an already-validated canonical event (a record: its
+    # fields are read, no mapping is built); the trusted constructor
+    # skips a third per-event conformance pass.
+    template = Template(
+        cells=(
+            "instance_name",
+            "schema_name",
+            "delivery_role",
+            "assignment_name",
+            "user_description",
+            "output_type",
+        ),
+        body="$emit",
+        make="""_trusted($output_type, {
+    "time": @time,
+    "source": $instance_name,
+    "schemaName": $schema_name,
+    "deliveryRole": $delivery_role.role_name,
+    "deliveryContext": $delivery_role.context_name,
+    "assignment": $assignment_name,
+    "processSchemaId": @processSchemaId,
+    "processInstanceId": @processInstanceId,
+    "userDescription": $user_description or (@description or "awareness event"),
+    "intInfo": @intInfo,
+    "strInfo": @strInfo,
+    "sourceEvent": @sourceEvent,
+})""",
+        names={"_trusted": Event.trusted},
+    )
 
     def describe(self) -> str:
         return (

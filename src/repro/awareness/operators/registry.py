@@ -7,11 +7,14 @@ specification tool and the textual DSL look operator families up by name,
 and applications register their own operator classes alongside the
 built-ins.
 
-Registered operator classes may override
+A registered family states its algorithm the way every built-in one
+does, as a :class:`~repro.awareness.operators.segments.Template` (its
+``template`` class attribute); a class without one is refused here.  It
+may also override
 :meth:`~repro.awareness.operators.base.EventOperator.routing_keys` when
-their parameters statically determine which primitive events can match
+its parameters statically determine which primitive events can match
 (the built-in filters do); the event substrate then index-routes events
-to them instead of scanning every deployed operator.
+to it instead of scanning every deployed operator.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ class OperatorRegistry:
         self._operators: Dict[str, Type[EventOperator]] = {}
 
     def register(self, name: str, operator_class: Type[EventOperator]) -> None:
-        if not issubclass(operator_class, EventOperator):
+        if not issubclass(operator_class, EventOperator) or not operator_class.template:
             raise SpecificationError(
-                f"{operator_class!r} is not an EventOperator subclass"
+                f"{operator_class!r} is not an EventOperator subclass with a template"
             )
         if name in self._operators:
             raise SpecificationError(f"operator {name!r} is already registered")

@@ -1,32 +1,33 @@
-"""Segments: runs of single-consumer hops linked as one generated function.
+"""Templates: every operator family's algorithm, and the code linked
+from it.
 
-Six families — the three primitive filters, ``Count``, ``Compare1`` and
-``Edge`` — state their algorithm once, as a :class:`Template`: Python
+Every family states its algorithm once, as a :class:`Template`: Python
 source over the operator attributes it closes over and its locals
-(``$name``) and its input's ``C_P`` fields (``@field``), with ``$emit``
-marking where the one output leaves and ``$skip`` where an input is
-dropped.  Two things are generated from it:
+(``$name``), its input's ``C_P`` fields (``@field``) and the input slot
+(``$slot``), with ``$emit`` marking where an output leaves and ``$skip``
+where an input is dropped.  Two things are generated from it:
 
-* the **hop** kernel (:func:`hop_kernel`), one operator on its own: the
-  input is a record, the output is built as a
-  :class:`~repro.events.canonical.CanonicalEvent` and pushed through the
-  operator's ``emit``.  It is what :meth:`EventOperator.step` links and
-  what a tap (``consume``) or an instrumented run goes through.
-* the **segment** (:func:`link_segment`): a run of hops where each
-  operator's only consumer is the next one's slot 0, as one function.
+* the **hop** kernel (:func:`hop_kernel`), one operator on its own, one
+  kernel per input slot: the input is an event, the output is built (a
+  :class:`~repro.events.canonical.CanonicalEvent` record, unless the
+  template *makes* another event) and pushed through the operator's
+  ``emit``.  It is what :meth:`EventOperator.step` links and what a tap
+  (``consume``) or an instrumented run goes through.
+* the **segment** (:func:`link_segment`): a run of single-input hops
+  where each operator's only consumer is the next one, as one function.
   Between two hops the ``C_P`` event is the previous hop's locals; a
   record is built only where the event escapes the segment, at the
   tail's ``emit`` (its fan-out).  While instrumentation is on, a segment
   hands its input to the root's hop form, so provenance and spans see
   every hop's record as before.
 
-A segment's source depends only on its families and variant, never on a
-specification value: the operators, their attributes (parameters,
-``_partitions`` dicts) and the tail's ``emit`` are arguments of a cached
-factory, so they become closure cells.  A hop form is compiled when its
-template is defined, a segment shape when the first event reaches a
-segment of it (see :func:`link_segment`); :func:`shapes_compiled` counts
-both.
+Generated source depends only on the templates and the variant, never on
+a specification value: the operators, their attributes (parameters,
+``_partitions`` dicts), the slot and the tail's ``emit`` are arguments
+of a cached factory, so they become closure cells.  A hop form is
+compiled when its template is defined, a segment shape when the first
+event reaches a segment of it (see :func:`link_segment`);
+:func:`shapes_compiled` counts both.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from __future__ import annotations
 import itertools
 import linecache
 import re
-from operator import attrgetter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...events.canonical import CANONICAL_KEYS, FIELDS, CanonicalEvent
 from ...observability import INSTRUMENTATION as _OBS
@@ -71,16 +72,20 @@ class Template:
     """One family's algorithm as source (see the module docstring).
 
     *cells* names the operator attributes the source reads as ``$name``
-    (closure values, read when the operator is linked); every other
-    ``$name`` is a local.  *names* are module-level helpers the source
-    calls by their own name.  *output* gives the expression of each
-    field the output sets; a family that does not *lift* copies every
-    other field from its input.  A lifting family (a filter) reads the
-    primitive ``event`` itself, sets every field, and only ever roots a
-    segment.  *loops* says ``$emit`` sits inside a loop of the body, so
-    a later hop drops an input with ``continue``.  Output expressions
-    read only the family's own names and its input's fields; a record is
-    built from them where the event escapes.
+    (closure values, read when the operator is linked); ``$slot`` is the
+    input slot the kernel serves, and every other ``$name`` is a local.
+    *names* are module-level helpers the source calls by their own name.
+    *output* gives the expression of each field the output sets; every
+    other field is copied from *base* (an expression of a held record)
+    or else from the input.  A family that *lifts* (a filter) sets every
+    field and only ever roots a segment.  *cause* is what provenance
+    links the output to (default: the input).  *make* is the expression
+    of an output that is not a ``C_P`` record (``Output``'s delivery
+    event); such a family is never fused.  *loops* says ``$emit`` sits
+    inside a loop of the body, so a later hop drops an input with
+    ``continue``.  Output expressions read only the family's own names
+    and its input's fields; a record is built from them where the event
+    escapes.
 
     The hop form is compiled when the template is defined, so a forked
     worker inherits it.
@@ -88,19 +93,20 @@ class Template:
 
     cells: Tuple[str, ...]
     body: str
-    output: Mapping[str, str]
+    output: Mapping[str, str] = field(default_factory=dict)
     lift: bool = False
     loops: bool = False
+    base: Optional[str] = None
+    cause: str = "event"
+    make: Optional[str] = None
     names: Mapping[str, Any] = field(default_factory=dict)
-    #: The cells' values, read off one operator, as a tuple.
-    values: Callable[[Any], Tuple[Any, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        values: Callable[[Any], Any] = attrgetter(*self.cells)
-        if len(self.cells) == 1:
-            values = lambda operator: (getattr(operator, self.cells[0]),)  # noqa: E731
-        object.__setattr__(self, "values", values)
         _compile(self, "hop", (self,))
+
+    def values(self, operator: Any) -> List[Any]:
+        """The cells' values, read off *operator* (when it is linked)."""
+        return list(map(getattr, itertools.repeat(operator), self.cells))
 
 
 def shapes_compiled() -> int:
@@ -108,11 +114,12 @@ def shapes_compiled() -> int:
     return len(_FACTORIES)
 
 
-def hop_kernel(operator: Any, emit: Callable[[Any, Any], None]) -> Step:
-    """*operator*'s hop kernel: its template on one record, the output
-    pushed through *emit*."""
+def hop_kernel(operator: Any, emit: Callable[[Any, Any], None]) -> Tuple[Step, ...]:
+    """*operator*'s hop kernels, one per input slot: its template on one
+    event, the outputs pushed through *emit*."""
     template = operator.template
-    return _FACTORIES[template](emit, *template.values(operator))
+    link = partial(_FACTORIES[template], emit, *template.values(operator))
+    return tuple(map(link, range(len(operator.signature.input_types))))
 
 
 def link_segment(
@@ -201,7 +208,9 @@ def _render(variant: str, templates: Tuple[Template, ...]) -> str:
     source = {name: f"event.{name}" for name in _RECORD}
     for index, template in enumerate(templates):
         arguments += [f"{name}_{index}" for name in template.cells]
-    body += _hop(templates, 0, source, "return", variant != "hop")
+    if variant == "hop":
+        arguments.append("_slot")
+    body += _hop(templates, 0, source, "return", variant)
     lines = [f"def _factory({', '.join(arguments)}):", "    def _run(event):"]
     lines += ["        " + line for line in body]
     lines += ["    return _run", ""]
@@ -213,15 +222,19 @@ def _hop(
     index: int,
     source: Dict[str, str],
     skip: str,
-    counted: bool,
+    variant: str,
 ) -> List[str]:
     """Lines of hop *index* and, at its ``$emit``, of everything after
     it; *source* maps each input field to the expression holding it."""
     template = templates[index]
+    # A segment's hops are single-input: each serves slot 0.
+    slot = "_slot" if variant == "hop" else "0"
 
     def local(match: "re.Match[str]") -> str:
         name = match.group(1)
-        return skip if name == "skip" else f"{name}_{index}"
+        if name == "skip":
+            return skip
+        return slot if name == "slot" else f"{name}_{index}"
 
     def input_field(match: "re.Match[str]") -> str:
         expression = source[match.group(1)]
@@ -237,15 +250,26 @@ def _hop(
         if text != "$emit":
             lines.append(pad + substitute(text))
             continue
-        output = {} if template.lift else dict(source)
+        if template.lift:
+            output = {}
+        elif template.base is not None:
+            base = substitute(template.base)
+            output = {name: f"{base}.{name}" for name in _RECORD}
+        else:
+            output = dict(source)
         output.update(
             (name, substitute(expression))
             for name, expression in template.output.items()
         )
         if index + 1 == len(templates):
-            lines += [pad + line for line in _escape(output)]
+            cause = substitute(template.cause)
+            if template.make is not None:
+                made = f"_emit({substitute(template.make)}, {cause})"
+                lines += [pad + line for line in made.splitlines()]
+            else:
+                lines += [pad + line for line in _escape(output, cause)]
             continue
-        if counted:
+        if variant != "hop":
             lines += [
                 f"{pad}_op{index}.produced += 1",
                 f"{pad}_op{index + 1}.consumed += 1",
@@ -253,19 +277,19 @@ def _hop(
         inner = "continue" if template.loops or skip == "continue" else "return"
         lines += [
             pad + line
-            for line in _hop(templates, index + 1, output, inner, counted)
+            for line in _hop(templates, index + 1, output, inner, variant)
         ]
     return lines
 
 
-def _escape(output: Dict[str, str]) -> List[str]:
+def _escape(output: Dict[str, str], cause: str) -> List[str]:
     """Build the record of *output* and push it through the tail's
-    ``emit`` (the input is the cause that provenance would link)."""
+    ``emit``, with *cause* for provenance to link."""
     lines = ["_out = _new(_Record)"]
     lines += [f"_out.{name} = {output[name]}" for name in _RECORD]
     lines += [
         "_out.provenance = None",
         "_out._mapping = None",
-        "_emit(_out, event)",
+        f"_emit(_out, {cause})",
     ]
     return lines

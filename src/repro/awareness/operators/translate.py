@@ -11,9 +11,10 @@ type) provides "the necessary information for the translation between
 process instances" — when an activity event shows that activity variable
 *Av* of an instance of *P_invoking* is an invocation of *P_invoked*, the
 operator learns the mapping ``invoked instance id -> invoking instance
-id``.  Canonical events of the invoked process arriving on the second slot
-are then re-issued as canonical events of the invoking instance; events of
-unmapped instances are ignored.
+id``, kept in the operator's partitions (keyed by the invoked instance),
+so a shard snapshot carries it.  Canonical events of the invoked process
+arriving on the second slot are then re-issued as canonical events of the
+invoking instance; events of unmapped instances are ignored.
 
 To combine events from two processes not directly related through a
 sub-activity invocation, processing must occur in a common ancestor, with
@@ -23,13 +24,13 @@ modelling guideline, but the EX54/FIG6 tests demonstrate it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from ...errors import ParameterError
-from ...events.canonical import CanonicalEvent, canonical_event, canonical_type
-from ...events.event import Event
+from ...events.canonical import canonical_type
 from ...events.producers import ACTIVITY_EVENT_TYPE
-from .base import Emit, EventOperator, OperatorSignature, Step
+from .base import EventOperator, OperatorSignature
+from .segments import Template
 
 
 class Translate(EventOperator):
@@ -62,10 +63,6 @@ class Translate(EventOperator):
         )
         self.invoked_schema_id = invoked_schema_id
         self.activity_variable = activity_variable
-        # invoked process instance id -> invoking process instance id.
-        # The mapping is global to the operator instance (it *defines* the
-        # per-instance relation), so partitioned state is not used.
-        self._mapping: Dict[str, str] = {}
 
     def plan_params(self) -> Tuple[Any, ...]:
         # The invocation mapping is learned deterministically from the
@@ -79,52 +76,51 @@ class Translate(EventOperator):
             self.activity_variable,
         )
 
-    def bind(self, emit: Emit) -> Sequence[Step]:
-        mapping, name = self._mapping, self.instance_name
-        invoking, invoked = self.process_schema_id, self.invoked_schema_id
-        variable = self.activity_variable
-
-        def learn(event: Event) -> None:
-            """Record invoked->invoking instance pairs from activity events."""
-            params = event._params
-            if (
-                params["parentProcessSchemaId"] == invoking
-                and params["activityVariableId"] == variable
-                and params["activityProcessSchemaId"] == invoked
-            ):
-                mapping[params["activityInstanceId"]] = params[
-                    "parentProcessInstanceId"
-                ]
-
-        def translate(event: CanonicalEvent) -> None:
-            invoked_instance = event.processInstanceId
-            invoking_instance = mapping.get(invoked_instance)
-            if invoking_instance is None:
-                return
-            emit(
-                canonical_event(
-                    invoking,
-                    invoking_instance,
-                    time=event.time,
-                    source=name,
-                    int_info=event.intInfo,
-                    str_info=event.strInfo,
-                    description=(
-                        f"translated from {invoked} instance "
-                        f"{invoked_instance}: {event.description}"
-                    ),
-                    # The one mapping a canonical hop builds: the
-                    # invoked event is carried whole.
-                    source_event=event.params,
-                ),
-                event,
-            )
-
-        return (learn, translate)
-
-    def known_invocations(self) -> int:
-        """How many subprocess invocations this operator has learned."""
-        return len(self._mapping)
+    # Slot 0 learns invoked instance -> invoking instance (one partition
+    # per invocation); slot 1 re-issues an invoked instance's events.
+    # The invoked event is carried whole: the one mapping a canonical
+    # hop builds.
+    template = Template(
+        cells=(
+            "_partitions",
+            "process_schema_id",
+            "invoked_schema_id",
+            "activity_variable",
+            "instance_name",
+            "output_type",
+        ),
+        body="""
+if $slot == 0:
+    $params = event._params
+    if (
+        $params["parentProcessSchemaId"] == $process_schema_id
+        and $params["activityVariableId"] == $activity_variable
+        and $params["activityProcessSchemaId"] == $invoked_schema_id
+    ):
+        $_partitions[$params["activityInstanceId"]] = $params["parentProcessInstanceId"]
+    $skip
+$invoking = $_partitions.get(@processInstanceId)
+if $invoking is None:
+    $skip
+$emit
+""",
+        output={
+            "_event_type": "$output_type",
+            "time": "@time",
+            "source": "$instance_name",
+            "processSchemaId": "$process_schema_id",
+            "processInstanceId": "$invoking",
+            "intInfo": "@intInfo",
+            "strInfo": "@strInfo",
+            "description": (
+                'f"translated from {$invoked_schema_id} instance'
+                ' {@processInstanceId}: {@description}"'
+            ),
+            "sourceEvent": "event.params",
+            "_keys": "CANONICAL_KEYS",
+        },
+        lift=True,
+    )
 
     def describe(self) -> str:
         return (

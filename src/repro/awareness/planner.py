@@ -87,18 +87,26 @@ def unwire(links: List[Link]) -> None:
         source.remove_consumer(*registration)
 
 
+def _fusible(operator: EventOperator) -> bool:
+    """True for a family a segment may hold: a single-input one whose
+    output is a ``C_P`` record.  Multi-input families and ``Output``
+    (which is no plan-cache entry either) run on their hop kernels."""
+    template = operator.template
+    single = len(operator.signature.input_types) == 1
+    return single and template is not None and template.make is None
+
+
 def _joins(upstream: EventOperator, operator: EventOperator) -> bool:
     """True when the hop *upstream* -> *operator* runs inside one segment:
-    both are templated, *operator* is a single-input ``C_P`` family, and
-    it is *upstream*'s only consumer, on slot 0."""
+    both are fusible, *operator* does not lift, and it is *upstream*'s
+    only consumer."""
     fanout = upstream._fanout
     return (
-        upstream.template is not None
-        and operator.template is not None
-        and not operator.template.lift
-        and len(fanout) == 1
+        len(fanout) == 1
         and fanout[0][0] is operator
-        and fanout[0][1] == 0
+        and _fusible(upstream)
+        and _fusible(operator)
+        and not operator.template.lift  # type: ignore[union-attr]
     )
 
 
@@ -339,7 +347,7 @@ class PlanCache:
         roots: Dict[int, EventOperator] = {}
         demoted: List[EventOperator] = []
         for node in nodes.values():
-            if node.template is not None:
+            if _fusible(node):
                 upstream = self._upstream(node)
                 if upstream is None or not _joins(upstream, node):
                     roots[id(node)] = node
@@ -355,7 +363,7 @@ class PlanCache:
                 if (
                     following is None
                     or id(following) in nodes
-                    or following.template is None
+                    or not _fusible(following)
                     or id(following) not in live
                 ):
                     continue

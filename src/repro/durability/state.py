@@ -2,11 +2,13 @@
 
 An operator's run-time state is its partition map (:class:`EventOperator`
 replicates per process instance, the paper's §5.1.2 operator replicas)
-plus its consumed/produced counters.  The partition values are whatever
-the family's kernel built — ``{"count": n}`` for Count, ``[bool]`` for
-Edge, ``{slot: value}`` for Compare2, ``{slot: event}`` for And,
-``{"pointer": i, "seen": [event, ...]}`` for Seq — and a capture carries
-them raw: every one is a value the binary codec of
+plus its consumed/produced counters; every family keeps its state there
+and nowhere else.  The partition values are whatever the family's
+kernel built — ``{"count": n}`` for Count, ``[bool]`` for Edge,
+``{slot: value}`` for Compare2, ``{slot: event}`` for And,
+``{"pointer": i, "seen": [event, ...]}`` for Seq, and for Translate the
+invoking instance id under each invoked instance id it learned — and a
+capture carries them raw: every one is a value the binary codec of
 :mod:`repro.parallel.codec` already moves type for type (held events
 with their provenance chains, ``int`` keys, tuples, frozensets), over
 the worker pipe and into the snapshot file alike.

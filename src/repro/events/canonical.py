@@ -56,8 +56,8 @@ class CanonicalEvent(Event):
 
     Every operator between a filter and an ``Output`` speaks ``C_P``, so
     the kernels read and write these fields directly, and build each
-    output as one object (from scratch in a filter, from its input
-    through :meth:`relayed` elsewhere).  The parameter mapping
+    output as one object (from its input's fields, or a held
+    constituent's, and the ones the operator sets).  The parameter mapping
     (:attr:`params`) is built once, on first demand — a tap, application
     code, the codec — in :attr:`_keys` order; a record built from a
     mapping (the validating constructor, :meth:`Event.trusted`,
@@ -124,25 +124,6 @@ class CanonicalEvent(Event):
         # it (``from_params`` presets ``_mapping`` itself).
         self._mapping = mapping
 
-    def relayed(self, source: str) -> "CanonicalEvent":
-        """A new record of this one's parameters, emitted by operator
-        *source*: where an output that copies its input starts.  Its
-        kernel then sets the fields it changes, before emitting it."""
-        output = _new(CanonicalEvent)
-        output._event_type = self._event_type
-        output.provenance = None
-        output.time = self.time
-        output.source = source
-        output.processSchemaId = self.processSchemaId
-        output.processInstanceId = self.processInstanceId
-        output.intInfo = self.intInfo
-        output.strInfo = self.strInfo
-        output.description = self.description
-        output.sourceEvent = self.sourceEvent
-        output._keys = self._keys
-        output._mapping = None
-        return output
-
     def _materialize(self) -> Dict[str, Any]:
         """The parameter mapping of a record a kernel built."""
         keys = self._keys
@@ -205,18 +186,14 @@ def canonical_event(
     str_info: Optional[str] = None,
     description: Optional[str] = None,
     source_event: Optional[Mapping[str, Any]] = None,
-    event_type: Optional[EventType] = None,
 ) -> CanonicalEvent:
     """Construct a canonical event for process schema *process_schema_id*.
 
-    Callers with the ``C_P`` object at hand pass it as *event_type* to
-    skip the type-cache lookup.  The record is built from typed
-    arguments, unchecked (as :meth:`Event.trusted`).
+    The record is built from typed arguments, unchecked (as
+    :meth:`Event.trusted`).
     """
     event = _new(CanonicalEvent)
-    event._event_type = (
-        event_type if event_type is not None else canonical_type(process_schema_id)
-    )
+    event._event_type = canonical_type(process_schema_id)
     event.provenance = None
     event.time = time
     event.source = source

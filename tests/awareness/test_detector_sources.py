@@ -147,20 +147,29 @@ class TestCustomOperatorExtension:
     """AM is open: applications add their own operator families (§5.1)."""
 
     def test_register_and_use_custom_operator(self):
-        from typing import List
-
         from repro.awareness.operators.base import (
             EventOperator,
             OperatorSignature,
         )
         from repro.awareness.operators.registry import default_registry
+        from repro.awareness.operators.segments import Template
         from repro.events.canonical import canonical_type
-        from repro.events.event import Event
 
         class EveryNth(EventOperator):
             """Pass every n-th event per process instance."""
 
             family = "EveryNth"
+            template = Template(
+                cells=("_partitions", "n", "instance_name"),
+                body="""
+$seen = $_partitions.get(@processInstanceId, 0) + 1
+$_partitions[@processInstanceId] = $seen
+if $seen % $n:
+    $skip
+$emit
+""",
+                output={"source": "$instance_name"},
+            )
 
             def __init__(self, process_schema_id, n, instance_name=None):
                 ctype = canonical_type(process_schema_id)
@@ -170,15 +179,6 @@ class TestCustomOperatorExtension:
                     instance_name,
                 )
                 self.n = n
-
-            def new_state(self):
-                return {"seen": 0}
-
-            def _apply(self, slot, event, state):
-                state["seen"] += 1
-                if state["seen"] % self.n == 0:
-                    return [event.derive(source=self.instance_name)]
-                return []
 
         registry = default_registry()
         registry.register("EveryNth", EveryNth)
@@ -211,7 +211,27 @@ class TestCustomOperatorExtension:
                     new_value=tick,
                 )
             )
-        assert len(detected) == 3  # ticks 3, 6, 9
+        assert [event.time for event in detected] == [3, 6, 9]
+        assert nth.partition_count() == 1
+
+    def test_a_family_without_a_template_is_refused(self):
+        from repro.awareness.operators.base import EventOperator, OperatorSignature
+        from repro.awareness.operators.registry import OperatorRegistry
+        from repro.errors import ReproError
+        from repro.events.canonical import canonical_type
+
+        class Untemplated(EventOperator):
+            family = "Untemplated"
+
+            def __init__(self, process_schema_id):
+                ctype = canonical_type(process_schema_id)
+                super().__init__(process_schema_id, OperatorSignature((ctype,), ctype))
+
+        with pytest.raises(SpecificationError, match="Untemplated"):
+            OperatorRegistry().register("Untemplated", Untemplated)
+        # Never registered, wired by hand: linking it is a typed error.
+        with pytest.raises(ReproError, match="Untemplated"):
+            Untemplated("P-X").step(0)
 
     def test_duplicate_family_rejected(self):
         from repro.awareness.operators import Count

@@ -12,7 +12,17 @@ Provenance chains are compared via ``signature()`` (id-free): a sharing
 engine mints one canonical event where an unshared engine mints one per
 window, so the allocation-order event ids legitimately differ while the
 chain structure must not.
+
+Besides the scripted workloads, a Hypothesis property deploys windows
+generated from the DSL grammar — a window, a full copy and a prefix —
+onto one shared cache and onto private ones, undeploys some mid-stream
+and compares every detection, parameter for parameter, with its
+provenance.  (Not a redeploy: a window deployed onto live shared nodes
+adopts the state they hold, which a private plan starts without.)
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ActivityVariable,
@@ -23,11 +33,25 @@ from repro import (
     Participant,
     ProcessActivitySchema,
 )
+from repro.awareness.detector import DetectorAgent
 from repro.awareness.dsl import compile_specification
 from repro.awareness.planner import PlanCache
+from repro.awareness.specification import SpecificationWindow
+from repro.events.producers import ActivityEventProducer, ContextEventProducer
+from repro.observability import INSTRUMENTATION as OBS
 from repro.observability import instrumented
 from repro.workloads.epidemic import EpidemicScenario
 from repro.workloads.taskforce import TaskForceApplication
+
+from .test_linked_plan_differential import (
+    SCHEMA,
+    activity_event,
+    context_event,
+    instances,
+    states,
+    values,
+)
+from .test_dsl_fuzz import close_specification, random_operator_lines
 
 
 class PrivatePlans(PlanCache):
@@ -212,3 +236,106 @@ deliver ready to team-{index} as "alpha moved" named AS_F_{index}
         assert stats["nodes_live"] == 3
         assert stats["operators_deduped"] == 3 * (self.WINDOWS - 1)
         assert plain_system.awareness.planner.stats()["nodes_live"] == 0
+
+
+# -- generated windows ------------------------------------------------------------
+
+
+@st.composite
+def window_sets(draw):
+    """Window A, a full copy B, and C and D, prefixes of A each rooted
+    on its own: a prefix's root is often a node inside A's segments."""
+    lines, nodes = draw(random_operator_lines())
+    windows = {
+        "A": close_specification(lines, nodes),
+        "B": close_specification(lines, nodes, schema_name="AS_Fuzz_B"),
+    }
+    for label in ("C", "D"):
+        keep = draw(st.integers(min_value=1, max_value=len(lines)))
+        prefix = lines[:keep]
+        windows[label] = close_specification(
+            prefix,
+            [line.split(" = ")[0] for line in prefix],
+            schema_name=f"AS_Fuzz_{label}",
+        )
+    return windows
+
+
+def run_generated(cache, windows, actions):
+    """Deploy windows A to D on *cache*, then run *actions*; each
+    window's detections, parameters in order, with their provenance
+    signatures."""
+    producers = {
+        "ActivityEvent": ActivityEventProducer(),
+        "ContextEvent": ContextEventProducer(),
+    }
+    plans, detected = {}, {}
+    for label in sorted(windows):
+        window = SpecificationWindow(SCHEMA, producers)
+        compile_specification(window, windows[label])
+        sink = detected.setdefault(label, []).append
+        plans[label] = DetectorAgent(window, cache, sink=sink).plan
+
+    enabled = OBS.enabled
+    try:
+        for position, action in enumerate(actions, start=1):
+            kind = action[0]
+            if kind == "undeploy":
+                plan = plans.pop(action[1], None)
+                if plan is not None:
+                    plan.detach()
+            elif kind == "instrument":
+                OBS.enabled = not OBS.enabled
+            elif kind == "context":
+                __, field, members, value = action
+                producers["ContextEvent"].emit(
+                    context_event(position, f"field{field}", members, value)
+                )
+            else:
+                __, instance, old_state, new_state = action
+                producers["ActivityEvent"].emit(
+                    activity_event(position, instance, old_state, new_state)
+                )
+    finally:
+        OBS.enabled = enabled
+    return {
+        label: [
+            (list(event.params.items()), event.provenance and event.provenance.signature())
+            for event in seen
+        ]
+        for label, seen in detected.items()
+    }
+
+
+generated_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("context"), st.integers(0, 3), instances, values),
+        st.tuples(st.just("context"), st.integers(0, 3), instances, values),
+        st.tuples(st.just("activity"), st.sampled_from(["i1", "i2"]), states, states),
+        st.tuples(st.just("undeploy"), st.sampled_from(["A", "B", "C", "D"])),
+        st.tuples(st.just("instrument")),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+#: Tier-1 runs 60; the nightly ``soak`` profile
+#: (``--hypothesis-profile=soak``) runs its own count.
+PROFILE_EXAMPLES = settings.default.max_examples
+GENERATED_EXAMPLES = PROFILE_EXAMPLES if PROFILE_EXAMPLES > 100 else 60
+
+
+class TestGeneratedWindowsDifferential:
+    @given(windows=window_sets(), actions=generated_actions, instrument=st.booleans())
+    @settings(max_examples=GENERATED_EXAMPLES, deadline=None)
+    def test_shared_and_private_plans_detect_identically(
+        self, windows, actions, instrument
+    ):
+        """Generated windows sharing one plan cache, some undeployed
+        mid-stream, detect what private plans detect."""
+        observed = []
+        for cache in (PlanCache(), PrivatePlans()):
+            with instrumented():
+                OBS.enabled = instrument
+                observed.append(run_generated(cache, windows, actions))
+        assert observed[0] == observed[1]

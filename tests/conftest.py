@@ -21,8 +21,9 @@ from repro.workloads.taskforce import TaskForceApplication
 # the properties that read the loaded profile instead of pinning
 # ``max_examples`` — among them the journal crash-point property, the
 # codec's self-contained/stream-interned interleaving and event-run
-# properties, the registry snapshot's codec trip and the persisted
-# notification round trip.
+# properties, the linked-plan, plan-sharing and Translate / external
+# filter differentials, the registry snapshot's codec trip and the
+# persisted notification round trip.
 settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None
 )
