@@ -25,19 +25,18 @@ that can produce any number of output events for a single input event",
 and the framework links it as one.  Every family states its algorithm
 once, as a source :attr:`~EventOperator.template` (see :mod:`.segments`):
 its partitioned state is the :attr:`~EventOperator._partitions` dict,
-and the hop kernel generated from it, one per input slot, pushes each
-output through ``emit`` straight into the kernels of the operators
-downstream, one call per hop, with the slot type guard and the
-``consumed`` count inline.  Producers call a slot's step
-(:meth:`EventOperator.step`: the kernel behind the same guard and
-count); ``consume`` is the public door to the same step.  Between a
-filter and an ``Output`` every event is a
-:class:`~repro.events.canonical.CanonicalEvent` record, whose fields the
-kernels read and set.  The plan cache goes one step further for
-single-input families: a run of them, each the only consumer of the one
-before, is linked as one generated segment, which builds a record only
-where the event leaves it.  A family without a template cannot be
-registered, and cannot be linked.
+and the entry generated from it, one per input slot
+(:meth:`EventOperator.step`), is the only way into that slot: it runs
+the slot type guard and the ``consumed`` count, and pushes each output
+through ``emit`` straight into the entries of the operators downstream,
+one call per hop.  Producers call a slot's entry too; ``consume`` is
+the public door to it.  Between a filter and an ``Output`` every event
+is a :class:`~repro.events.canonical.CanonicalEvent` record, whose
+fields the entries read and set.  The plan cache goes one step further
+for single-input families: a run of them, each the only consumer of the
+one before, is linked as one generated segment, which stands in for the
+first one's entry and builds a record only where the event leaves it.
+A family without a template cannot be registered, and cannot be linked.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ...errors import ParameterError, SlotError, SpecificationError
 from ...events.event import Event, EventType
 from ...observability import INSTRUMENTATION as _OBS
-from .segments import Template, hop_kernel
+from .segments import Template, hop_entries
 
 #: One input slot of a linked operator: feed it an event of the slot's
 #: type (a ``CanonicalEvent`` record on every ``C_P`` slot).
@@ -60,12 +59,10 @@ Step = Callable[[Any], object]
 Emit = Callable[[Event, Any], None]
 Consumer = Callable[[int, Event], object]
 #: One entry of an operator's fan-out: the downstream operator, its slot
-#: and the slot's type, then what ``emit`` calls — the slot's kernel (a
-#: direct hop) and its step (where a span could open).  A consumer that
-#: is not an operator has no operator (and no slot type to guard: the
-#: entry carries the emitting operator's output type) and its callable,
-#: the slot bound, for both of the last.
-Link = Tuple[Optional["EventOperator"], int, EventType, Step, Step]
+#: and what ``emit`` calls — the slot's entry, or the segment the
+#: downstream operator roots.  A consumer that is not an operator has no
+#: operator, and its callable with the slot bound.
+Link = Tuple[Optional["EventOperator"], int, Step]
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,9 @@ class EventOperator:
         self.produced = 0
         #: Where :meth:`consume` collects the outputs it returns.
         self._tap: Optional[List[Event]] = None
-        #: The family's kernels and their guarded steps, one per slot;
-        #: empty until linked.
-        self._kernels: Tuple[Step, ...] = ()
-        self._steps: Tuple[Step, ...] = ()
-        #: What the kernels push outputs through; set when linked.
+        #: The family's entries, one per slot; empty until linked.
+        self._entries: Tuple[Step, ...] = ()
+        #: What the entries push outputs through; set when linked.
         self._emit: Optional[Emit] = None
         #: The operators of the segment this one roots, itself first, as
         #: the plan cache last linked it; empty while this operator runs
@@ -158,12 +153,9 @@ class EventOperator:
             isinstance(owner, EventOperator)
             and getattr(consumer, "__func__", None) is EventOperator.consume
         ):
-            step = owner.step(slot)
-            expected = owner.signature.input_types[slot]
-            link = (owner, slot, expected, owner._kernels[slot], step)
+            link = (owner, slot, owner.step(slot))
         else:
-            bound = partial(consumer, slot)
-            link = (None, slot, self.signature.output_type, bound, bound)
+            link = (None, slot, partial(consumer, slot))
         self._consumers.append((consumer, slot))
         self._fanout.append(link)
 
@@ -212,27 +204,25 @@ class EventOperator:
     # -- event flow ---------------------------------------------------------------
 
     def step(self, slot: int) -> Step:
-        """The linked entry of input *slot*: what producers call, once
-        per event — the slot's kernel behind the type guard and the
-        ``consumed`` count.
+        """The linked entry of input *slot*, what producers and upstream
+        operators call once per event: the generated hop form, which
+        runs the slot type guard, the ``consumed`` count and — while
+        instrumentation is on, in a sampled trace — the
+        ``operator.consume`` span (downstream spans nest in it).
 
         Linking happens on first use (the subclass constructor has run by
-        then) and never again; later wiring changes reach the kernels
+        then) and never again; later wiring changes reach the entries
         through :attr:`_fanout`.
         """
         self._check_slot(slot)
-        if not self._steps:
+        if not self._entries:
             if self.template is None:
                 raise SpecificationError(
                     f"operator family {type(self).__name__} has no template to link"
                 )
             self._emit = self._emitter()
-            self._kernels = hop_kernel(self, self._emit)
-            self._steps = tuple(
-                self._entry(index, kernel)
-                for index, kernel in enumerate(self._kernels)
-            )
-        return self._steps[slot]
+            self._entries = hop_entries(self, self._emit)
+        return self._entries[slot]
 
     def consume(self, slot: int, event: Event) -> List[Event]:
         """Feed *event* into input *slot*; returns (and forwards) outputs."""
@@ -244,7 +234,7 @@ class EventOperator:
 
         A door from outside the linked plan: each event is checked once
         against its type (an :class:`EventTypeError` otherwise) before it
-        reaches the slot's step, whose type guard then names a slot of
+        reaches the slot's entry, whose type guard then names a slot of
         the wrong type.  Producers and upstream operators call
         :meth:`step` directly and are trusted.
         """
@@ -259,44 +249,6 @@ class EventOperator:
             self._tap = None
         return outputs
 
-    def _entry(self, slot: int, kernel: Step) -> Step:
-        """Wrap a slot's kernel with what every family shares: the slot
-        type guard, the ``consumed`` count and — while instrumentation is
-        on — the ``operator.consume`` span (downstream spans nest in it,
-        since downstream steps run inside ``kernel``)."""
-        expected = self.signature.input_types[slot]
-        attrs: Dict[str, object] = {"node": self.instance_name, "op": self.family}
-
-        def step(event: Event) -> None:
-            # Identity fast path: primitive and canonical EventType objects
-            # are module-level/cached singletons, so `is` almost always
-            # settles it.
-            received = event._event_type
-            if received is not expected and received.name != expected.name:
-                raise self._slot_error(slot, received)
-            self.consumed += 1
-            if not _OBS.enabled:
-                kernel(event)
-                return
-            tracer = _OBS.tracer
-            span = None
-            if tracer._light_depth:
-                # Sampler skipped this trace: bump the depth in place
-                # instead of paying two method calls (Tracer._light_depth).
-                tracer._light_depth += 1
-            else:
-                # ``time`` is a field of a record: no mapping is built.
-                span = tracer.begin("operator.consume", event.time, attrs)
-            try:
-                kernel(event)
-            finally:
-                if span is None:
-                    tracer._light_depth -= 1
-                else:
-                    tracer.end(span)
-
-        return step
-
     def _slot_error(self, slot: int, received: EventType) -> SlotError:
         expected = self.signature.input_types[slot]
         return SlotError(
@@ -305,17 +257,10 @@ class EventOperator:
         )
 
     def _emitter(self) -> Emit:
-        """The ``emit`` this operator's kernels push outputs through:
+        """The ``emit`` this operator's entries push outputs through:
         count, stamp provenance while instrumentation is on (never
-        sampled), forward to every wired consumer in wiring order.
-
-        A hop is one call: the downstream slot's type guard and
-        ``consumed`` count run here, and its kernel is called directly.
-        Where a span could open — instrumentation on, in a trace the
-        sampler records — each hop goes through the downstream step
-        instead, so every ``operator.consume`` span opens as before.
-        (Inside a trace the sampler skipped, the step would only bump
-        the tracer's light depth and restore it.)"""
+        sampled), then call every wired consumer's entry in wiring
+        order — one call per hop."""
         fanout = self._fanout
         name, family = self.instance_name, self.family
 
@@ -323,25 +268,12 @@ class EventOperator:
             self.produced += 1
             if self._tap is not None:
                 self._tap.append(output)
-            if _OBS.enabled:
-                if output.provenance is None:
-                    _OBS.provenance.record_operator(
-                        output,
-                        name,
-                        family,
-                        cause if type(cause) is tuple else (cause,),
-                    )
-                if not _OBS.tracer._light_depth:
-                    for link in fanout:
-                        link[4](output)
-                    return
-            received = output._event_type
-            for owner, slot, expected, kernel, __ in fanout:
-                if owner is not None:
-                    if received is not expected and received.name != expected.name:
-                        raise owner._slot_error(slot, received)
-                    owner.consumed += 1
-                kernel(output)
+            if _OBS.enabled and output.provenance is None:
+                _OBS.provenance.record_operator(
+                    output, name, family, cause if type(cause) is tuple else (cause,)
+                )
+            for __, __, entry in fanout:
+                entry(output)
 
         return emit
 

@@ -7,22 +7,26 @@ source over the operator attributes it closes over and its locals
 (``$slot``), with ``$emit`` marking where an output leaves and ``$skip``
 where an input is dropped.  Two things are generated from it:
 
-* the **hop** kernel (:func:`hop_kernel`), one operator on its own, one
-  kernel per input slot: the input is an event, the output is built (a
+* the **hop** entry (:func:`hop_entries`), one operator on its own,
+  one per input slot, and the only way into that slot: it runs the
+  slot's type guard and the ``consumed`` count, then the template on the
+  event — inside an ``operator.consume`` span when instrumentation is on
+  and the trace is sampled — and pushes each output (a
   :class:`~repro.events.canonical.CanonicalEvent` record, unless the
-  template *makes* another event) and pushed through the operator's
-  ``emit``.  It is what :meth:`EventOperator.step` links and what a tap
-  (``consume``) or an instrumented run goes through.
+  template *makes* another event) through the operator's ``emit``.  It
+  is what :meth:`EventOperator.step` returns, and what producers, an
+  upstream ``emit``, a tap (``consume``) and an instrumented run call.
 * the **segment** (:func:`link_segment`): a run of single-input hops
-  where each operator's only consumer is the next one, as one function.
-  Between two hops the ``C_P`` event is the previous hop's locals; a
-  record is built only where the event escapes the segment, at the
-  tail's ``emit`` (its fan-out).  While instrumentation is on, a segment
-  hands its input to the root's hop form, so provenance and spans see
-  every hop's record as before.
+  where each operator's only consumer is the next one, as one function
+  that stands in for the root's entry.  It runs the root's guard and
+  count, then every hop; between two hops the ``C_P`` event is the
+  previous hop's locals, and a record is built only where the event
+  escapes the segment, at the tail's ``emit`` (its fan-out).  While
+  instrumentation is on, a segment hands its input to the root's entry,
+  so provenance and spans see every hop's record as before.
 
-Generated source depends only on the templates and the variant, never on
-a specification value: the operators, their attributes (parameters,
+Generated source depends only on the templates, never on a
+specification value: the operators, their attributes (parameters,
 ``_partitions`` dicts), the slot and the tail's ``emit`` are arguments
 of a cached factory, so they become closure cells.  A hop form is
 compiled when its template is defined, a segment shape when the first
@@ -60,8 +64,8 @@ _NAME = re.compile(r"\$(\w+)")
 _FIELD = re.compile(r"@(\w+)")
 _SIMPLE = re.compile(r"[\w.]+")
 
-#: Compiled factories: a hop form under its template, a segment under
-#: ``(variant, templates)``.
+#: Compiled factories: a hop form under its template, a segment shape
+#: under its tuple of templates.
 _FACTORIES: Dict[Any, Callable[..., Step]] = {}
 #: Numbers each compiled source's file name, for tracebacks (linecache).
 _SOURCES = itertools.count()
@@ -73,7 +77,7 @@ class Template:
 
     *cells* names the operator attributes the source reads as ``$name``
     (closure values, read when the operator is linked); ``$slot`` is the
-    input slot the kernel serves, and every other ``$name`` is a local.
+    input slot the entry serves, and every other ``$name`` is a local.
     *names* are module-level helpers the source calls by their own name.
     *output* gives the expression of each field the output sets; every
     other field is copied from *base* (an expression of a held record)
@@ -114,26 +118,23 @@ def shapes_compiled() -> int:
     return len(_FACTORIES)
 
 
-def hop_kernel(operator: Any, emit: Callable[[Any, Any], None]) -> Tuple[Step, ...]:
-    """*operator*'s hop kernels, one per input slot: its template on one
-    event, the outputs pushed through *emit*."""
+def hop_entries(operator: Any, emit: Callable[[Any, Any], None]) -> Tuple[Step, ...]:
+    """*operator*'s entries, one per input slot: its template on one
+    event behind the slot's guard, the outputs pushed through *emit*."""
     template = operator.template
-    link = partial(_FACTORIES[template], emit, *template.values(operator))
+    link = partial(_FACTORIES[template], operator, emit, *template.values(operator))
     return tuple(map(link, range(len(operator.signature.input_types))))
 
 
-def link_segment(
-    members: Sequence[Any], door: bool, rebind: Callable[[Step, Step], None]
-) -> Step:
+def link_segment(members: Sequence[Any], rebind: Callable[[Step, Step], None]) -> Step:
     """One function running every hop of *members* (each the only
     consumer of the one before it), built from the cached factory of
     their shape.
 
-    A *door* entry is what a producer calls: it runs the root's slot
-    type guard and ``consumed`` count itself.  Otherwise it is the
-    kernel of the upstream operator's fan-out link, where ``emit`` runs
-    both.  While instrumentation is on, either hands the event to the
-    root's hop form (its step, or its kernel).
+    It is the root's input entry wherever that is called from — a
+    producer or the upstream operator's ``emit`` — so it runs the root's
+    slot type guard and ``consumed`` count itself.  While
+    instrumentation is on, it hands the event to the root's own entry.
 
     A shape not yet compiled in this process is compiled when its first
     event arrives, not here: until then the entry is a stand-in that
@@ -141,27 +142,22 @@ def link_segment(
     where the stand-in is, and runs it.  So deploying never compiles,
     and a freshly forked shard worker is ready without compiling.
     """
-    root = members[0]
     templates = tuple([op.template for op in members])
-    variant = "door" if door else "link"
-    factory = _FACTORIES.get((variant, templates))
+    factory = _FACTORIES.get(templates)
     if factory is None:
 
         def first(event: Any) -> object:
-            if (variant, templates) not in _FACTORIES:
-                _compile((variant, templates), variant, templates)
-            segment = link_segment(members, door, rebind)
+            if templates not in _FACTORIES:
+                _compile(templates, "segment", templates)
+            segment = link_segment(members, rebind)
             rebind(first, segment)
             return segment(event)
 
         return first
-    # Every member is linked: the cache wired it before relinking.
-    arguments = [
-        *members,
-        members[-1]._emit,
-        root._steps[0] if door else root._kernels[0],
-        root.signature.input_types[0],
-    ]
+    # The root may be a fresh leaf, linked here; the rest are wired, so
+    # linked.
+    entry = members[0].step(0)
+    arguments = [*members, members[-1]._emit, entry]
     for template, op in zip(templates, members):
         arguments += template.values(op)
     return factory(*arguments)
@@ -170,7 +166,8 @@ def link_segment(
 def _compile(
     key: Any, variant: str, templates: Tuple[Template, ...]
 ) -> Callable[..., Step]:
-    """Compile the factory of one shape and cache it under *key*."""
+    """Compile the factory of one shape (*variant* ``hop`` or
+    ``segment``) and cache it under *key*."""
     source = _render(variant, templates)
     filename = f"<segment {next(_SOURCES)}: {variant}>"
     lines = source.splitlines(keepends=True)
@@ -188,31 +185,47 @@ def _render(variant: str, templates: Tuple[Template, ...]) -> str:
     """The factory source of one shape.  Names in it are the templates'
     own (suffixed with the hop index) and fixed ones; no value of any
     operator appears."""
-    arguments: List[str] = ["_emit"]
-    if variant != "hop":
-        arguments = [f"_op{index}" for index in range(len(templates))]
-        arguments += ["_emit", "_fallback", "_expected"]
-    body: List[str] = []
-    if variant != "hop":
-        body += [
-            "if _OBS.enabled:",
-            "    return _fallback(event)",
-        ]
-    if variant == "door":
-        body += [
-            "_received = event._event_type",
-            "if _received is not _expected and _received.name != _expected.name:",
-            "    raise _op0._slot_error(0, _received)",
-            "_op0.consumed += 1",
-        ]
-    source = {name: f"event.{name}" for name in _RECORD}
+    hop = variant == "hop"
+    arguments = [f"_op{index}" for index in range(len(templates))]
+    arguments += ["_emit"] if hop else ["_emit", "_entry"]
     for index, template in enumerate(templates):
         arguments += [f"{name}_{index}" for name in template.cells]
-    if variant == "hop":
+    # A segment's hops are single-input: each serves slot 0.
+    prologue = ["_expected = _op0.signature.input_types[_slot]"]
+    if hop:
         arguments.append("_slot")
-    body += _hop(templates, 0, source, "return", variant)
-    lines = [f"def _factory({', '.join(arguments)}):", "    def _run(event):"]
-    lines += ["        " + line for line in body]
+        prologue.append('_attrs = {"node": _op0.instance_name, "op": _op0.family}')
+    else:
+        prologue.insert(0, "_slot = 0")
+    # Event types are module-level or cached singletons: ``is`` almost
+    # always settles the slot guard.
+    guard = [
+        "_received = event._event_type",
+        "if _received is not _expected and _received.name != _expected.name:",
+        "    raise _op0._slot_error(_slot, _received)",
+        "_op0.consumed += 1",
+    ]
+    source = {name: f"event.{name}" for name in _RECORD}
+    body = _hop(templates, 0, source, "return")
+    if hop:
+        # The span opens only in a trace the sampler records; inside a
+        # skipped one the body runs as it does uninstrumented.
+        run = guard + [
+            "if _OBS.enabled and not _OBS.tracer._light_depth:",
+            '    _span = _OBS.tracer.begin("operator.consume", event.time, _attrs)',
+            "    try:",
+            *["        " + line for line in body],
+            "    finally:",
+            "        _OBS.tracer.end(_span)",
+            "    return",
+            *body,
+        ]
+    else:
+        run = ["if _OBS.enabled:", "    return _entry(event)", *guard, *body]
+    lines = [f"def _factory({', '.join(arguments)}):"]
+    lines += ["    " + line for line in prologue]
+    lines += ["    def _run(event):"]
+    lines += ["        " + line for line in run]
     lines += ["    return _run", ""]
     return "\n".join(lines)
 
@@ -222,19 +235,16 @@ def _hop(
     index: int,
     source: Dict[str, str],
     skip: str,
-    variant: str,
 ) -> List[str]:
     """Lines of hop *index* and, at its ``$emit``, of everything after
     it; *source* maps each input field to the expression holding it."""
     template = templates[index]
-    # A segment's hops are single-input: each serves slot 0.
-    slot = "_slot" if variant == "hop" else "0"
 
     def local(match: "re.Match[str]") -> str:
         name = match.group(1)
         if name == "skip":
             return skip
-        return slot if name == "slot" else f"{name}_{index}"
+        return "_slot" if name == "slot" else f"{name}_{index}"
 
     def input_field(match: "re.Match[str]") -> str:
         expression = source[match.group(1)]
@@ -269,15 +279,14 @@ def _hop(
             else:
                 lines += [pad + line for line in _escape(output, cause)]
             continue
-        if variant != "hop":
-            lines += [
-                f"{pad}_op{index}.produced += 1",
-                f"{pad}_op{index + 1}.consumed += 1",
-            ]
+        lines += [
+            f"{pad}_op{index}.produced += 1",
+            f"{pad}_op{index + 1}.consumed += 1",
+        ]
         inner = "continue" if template.loops or skip == "continue" else "return"
         lines += [
             pad + line
-            for line in _hop(templates, index + 1, output, inner, variant)
+            for line in _hop(templates, index + 1, output, inner)
         ]
     return lines
 

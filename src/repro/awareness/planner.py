@@ -30,8 +30,8 @@ Three pieces:
   node (dropping the window's private copy) or interns the window's own
   instance as the cache entry, then wires the recorded DAG edges in
   authoring order: edges into freshly-interned nodes install the shared
-  wiring (a producer leaf registers the operator's linked ``step``
-  itself, an operator edge joins the upstream node's fan-out), edges
+  wiring (a producer leaf registers the operator's entry, or the segment
+  it roots, an operator edge joins the upstream node's fan-out), edges
   into already-shared nodes are skipped (the wiring exists), and edges
   into the per-window Output roots add one fan-out entry on the shared
   node — which that node's ``emit`` sees at once.  Each Output root is
@@ -60,23 +60,23 @@ Link = Tuple[Node, Tuple[Any, ...]]
 
 
 def wire(
-    source: Node, target: EventOperator, slot: int, door: Optional[Step] = None
+    source: Node, target: EventOperator, slot: int, entry: Optional[Step] = None
 ) -> Link:
     """Make the DAG edge *source* → *slot* of *target* a live link.
 
     The one statement of the rule; :meth:`PlanCache.deploy` is its only
     caller.  An operator edge joins the upstream operator's fan-out.  A
-    producer leaf registers *door* — the entry of the segment the target
-    roots — or, outside any segment, the target's linked step, on the
-    producer's routing index: operators with a static match key (the
-    filters) are only visited for events carrying their key; everything
-    else rides the wildcard bucket.
+    producer leaf registers *entry* — the segment the target roots — or,
+    outside any segment, the target's own entry, on the producer's
+    routing index: operators with a static match key (the filters) are
+    only visited for events carrying their key; everything else rides
+    the wildcard bucket.
     """
     if isinstance(source, EventOperator):
         source.add_consumer(target.consume, slot)
         return (source, (target.consume, slot))
-    step = target.step(slot)
-    entry = step if door is None else door
+    if entry is None:
+        entry = target.step(slot)
     source.add_consumer(entry, target.routing_keys(slot))
     return (source, (entry,))
 
@@ -90,7 +90,7 @@ def unwire(links: List[Link]) -> None:
 def _fusible(operator: EventOperator) -> bool:
     """True for a family a segment may hold: a single-input one whose
     output is a ``C_P`` record.  Multi-input families and ``Output``
-    (which is no plan-cache entry either) run on their hop kernels."""
+    (which is no plan-cache entry either) run on their hop entries."""
     template = operator.template
     single = len(operator.signature.input_types) == 1
     return single and template is not None and template.make is None
@@ -300,8 +300,8 @@ class PlanCache:
         self._relink(touched)
         for entry, producer, slot in leaves:
             operator = entry.operator
-            door = self._segment_entry(operator, door=True) if operator._segment else None
-            entry.links.append(wire(producer, operator, slot, door))
+            segment = self._segment_entry(operator) if operator._segment else None
+            entry.links.append(wire(producer, operator, slot, segment))
 
     # -- release -----------------------------------------------------------
 
@@ -412,42 +412,35 @@ class PlanCache:
     def _install(
         self, operator: EventOperator, members: Tuple[EventOperator, ...]
     ) -> None:
-        """Make *operator*'s input entry run *members* as one segment, or
-        *operator*'s own hop when *members* is empty.  A leaf not yet
-        registered is only marked: :meth:`_link` registers its door."""
+        """Make *operator*'s input link run *members* as one segment, or
+        *operator*'s own entry when *members* is empty.  A leaf not yet
+        registered is only marked: :meth:`_link` registers it."""
         operator._segment = members
-        links = self._entries[id(operator)].links
-        if not links:
-            return
-        door = not isinstance(links[0][0], EventOperator)
-        if members:
-            fresh = self._segment_entry(operator, door)
-        else:
-            fresh = operator.step(0) if door else operator._kernels[0]
-        self._rebind(operator, None, fresh)
+        if self._entries[id(operator)].links:
+            fresh = self._segment_entry(operator) if members else operator.step(0)
+            self._rebind(operator, None, fresh)
 
-    def _segment_entry(self, operator: EventOperator, door: bool) -> Step:
-        """The entry of the segment *operator* roots, rebinding itself
-        here once its shape is compiled."""
-        operator.step(0)  # a fresh leaf is linked here, before it is wired
-        return link_segment(operator._segment, door, partial(self._rebind, operator))
+    def _segment_entry(self, operator: EventOperator) -> Step:
+        """The segment *operator* roots, rebinding itself here once its
+        shape is compiled."""
+        return link_segment(operator._segment, partial(self._rebind, operator))
 
     def _rebind(
         self, operator: EventOperator, stale: Optional[Step], fresh: Step
     ) -> None:
-        """Swap *fresh* in as *operator*'s input entry — the kernel of the
-        upstream fan-out link, or the producer's registration — in place;
-        given *stale*, only where that is still the entry."""
+        """Swap *fresh* in as what *operator*'s input link calls — the
+        upstream fan-out link's entry, or the producer's registration —
+        in place; given *stale*, only where that is still the one."""
         entry = self._entries.get(id(operator))
         if entry is None or not entry.links:
             return
         source, registration = entry.links[0]
         if isinstance(source, EventOperator):
             fanout = source._fanout
-            for index, link in enumerate(fanout):
-                if link[0] is operator and link[1] == 0:
-                    if stale is None or link[3] is stale:
-                        fanout[index] = (link[0], link[1], link[2], fresh, link[4])
+            for index, (following, slot, current) in enumerate(fanout):
+                if following is operator and slot == 0:
+                    if stale is None or current is stale:
+                        fanout[index] = (operator, 0, fresh)
                     return
             return
         if stale is None or registration[0] is stale:
@@ -541,7 +534,7 @@ class PlanCache:
 
         ``segment`` names the node whose generated segment this node runs
         in (its own id when it roots one), or is ``None`` for a node that
-        runs on its family's kernel alone.
+        runs on its family's entry alone.
         """
         segment_of: Dict[int, str] = {}
         for entry in self._nodes.values():

@@ -213,28 +213,19 @@ class EventBus:
             self._dispatching = False
 
     def _dispatch(self, entry: Optional[_Topic], topic: str, event: Event) -> None:
-        if _OBS.enabled:
+        # Inside a trace the sampler skipped, no span opens (see
+        # Tracer._light_depth).
+        if _OBS.enabled and not _OBS.tracer._light_depth:
             tracer = _OBS.tracer
-            if tracer._light_depth:
-                # Sampler skipped this trace: depth bookkeeping in place
-                # (see Tracer._light_depth) instead of two method calls.
-                tracer._light_depth += 1
-                span = None
-            else:
-                attrs = self._span_attrs.get(topic)
-                if attrs is None:
-                    attrs = self._span_attrs[topic] = {"topic": topic}
-                span = tracer.begin(
-                    "bus.dispatch", event._params["time"], attrs
-                )
+            attrs = self._span_attrs.get(topic)
+            if attrs is None:
+                attrs = self._span_attrs[topic] = {"topic": topic}
+            span = tracer.begin("bus.dispatch", event._params["time"], attrs)
             try:
                 if entry is not None:
                     self._deliver(entry, topic, event)
             finally:
-                if span is None:
-                    tracer._light_depth -= 1
-                else:
-                    tracer.end(span)
+                tracer.end(span)
         elif entry is not None:
             self._deliver(entry, topic, event)
 

@@ -181,10 +181,10 @@ class Tracer:
         self.sample_every = max(1, sample_every)
         self._trace_count = 0
         #: Nesting depth inside a trace the sampler skipped.  Part of the
-        #: hot-path contract: instrumented pipeline stages may check and
-        #: bump this *in place* (`if tracer._light_depth: ... += 1` /
-        #: `... -= 1`) instead of calling begin/end, so an unsampled
-        #: nested stage costs integer arithmetic, not method dispatch.
+        #: hot-path contract: a pipeline stage that finds it non-zero
+        #: opens nothing — no begin/end, no bump — and runs its work
+        #: directly; ``begin``/``end`` handle the roots, so the depth
+        #: returns to zero when the skipped trace's root ends.
         self._light_depth = 0
         self._histogram: Optional[Histogram] = None
         self._stage_children: Dict[str, BoundHistogram] = {}

@@ -414,6 +414,34 @@ deliver total to watchers as "every alpha" named AS_Split
         ref.set("alpha", 3)
         assert (detector.recognized, split.recognized) == (2, 2)
 
+    def test_a_segment_guards_its_root_slot_wherever_it_is_called(self):
+        """A segment stands in for its root's entry, so it runs the
+        root's slot type guard itself: where the producer calls it and
+        where the upstream ``emit`` does.  A mistyped event is refused
+        before anything counts it."""
+        from repro.errors import SlotError
+
+        system, process = build_system()
+        deploy_template(system, 0)
+        window = system.awareness.create_window("P-X")
+        compile_specification(window, self.SPLIT)
+        system.awareness.deploy(window)  # [hits, total] and [ready]
+        ref = system.coordination.start_process(process).context("Ctx")
+        ref.set("alpha", 1)  # compiles both shapes and swaps them in
+        nodes = {
+            entry.operator.instance_name: entry.operator
+            for plan in system.awareness.planner.plans()
+            for entry in plan.entries
+        }
+        (door,) = system.awareness.context_source.producer._index[("Ctx", "alpha")]
+        (link,) = [link for link in nodes["total"]._fanout if link[0] is nodes["ready"]]
+        stray = canonical_event("P-Y", "i-1", time=9, source="x", int_info=1)
+        for segment, root in ((door, "hits"), (link[2], "ready")):
+            assert segment.__name__ == "_run"
+            with pytest.raises(SlotError, match=f"'{root}' slot 0 expects"):
+                segment(stray)
+        assert [nodes[name].consumed for name in ("hits", "total", "ready")] == [1, 1, 1]
+
     def test_a_segment_compiles_at_its_first_event_and_swaps_itself_in(
         self, monkeypatch
     ):

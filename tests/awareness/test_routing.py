@@ -41,7 +41,11 @@ def build_system(fields=("alpha", "beta")):
 def python_calls(function, *args):
     """Python-level calls (``sys.setprofile`` ``call`` events: interpreter
     frames, not C builtins) made by ``function(*args)``, that one
-    included."""
+    included.  The collector is off while counting: a collection would
+    add a call to each Python callback a library left in
+    ``gc.callbacks`` (Hypothesis leaves one) whenever it happened to
+    run."""
+    import gc
     import sys
 
     calls = 0
@@ -51,12 +55,35 @@ def python_calls(function, *args):
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
+
+
+def attached(build):
+    """A fresh ``(host, events)`` from *build* and :func:`python_calls`
+    per event of ``host.ingest(events)`` with instrumentation on.  A
+    first pair ingests its stream beforehand: a process's first sampled
+    trace also creates the tracer's per-stage histogram children, and
+    ``instrumented()`` restarts the 1-in-16 sampler, so both runs sample
+    the same events."""
+    from repro.observability import instrumented
+
+    warm, events = build()
+    with instrumented():
+        warm.ingest(events)
+    warm.close()
+    host, events = build()
+    with instrumented():
+        calls = python_calls(host.ingest, events)
+    return host, calls / len(events)
 
 
 def deploy_field_watcher(system, field_name, name):
@@ -271,11 +298,21 @@ class TestCallBudget:
     the frame's share of the bus batch and the one delivery.  With
     ``Output`` on its generated hop kernel, that delivery is three calls
     fewer: 6.23 -> 6.215 measured.
+
+    Attached — instrumentation on, one trace in 16 sampled — the chain
+    runs hop by hop (the segment hands each event to the filter's
+    entry), building every hop's record for provenance.  That path took
+    20.875 calls while each hop's kernel sat behind a step wrapper that
+    bumped the tracer's light depth inside a skipped trace; with the
+    generated entry the only way into a slot (guard, count, and a span
+    only in a sampled trace) it takes 19.755.  This is the baseline an
+    attached run that stays fused is measured against.
     """
 
-    #: The measured count; a change that adds a call per
-    #: chain-event must say why here.
+    #: The measured counts, detached and attached; a change that adds a
+    #: call per chain-event must say why here.
     BUDGET = 6.24
+    ATTACHED = 19.755
 
     EVENTS = 200
 
@@ -320,6 +357,12 @@ class TestCallBudget:
 
     def test_one_chain_event_stays_within_the_call_budget(self):
         assert self.python_calls_per_event(bystanders=8) <= self.BUDGET
+
+    def test_an_attached_chain_event_stays_within_its_call_budget(self):
+        host, calls = attached(lambda: self.chain_frame(bystanders=8))
+        assert calls <= self.ATTACHED
+        assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
+        host.close()
 
     @pytest.mark.parametrize("instrument", [False, True])
     def test_a_chain_event_builds_no_parameter_mapping(self, instrument, monkeypatch):
@@ -411,12 +454,18 @@ class TestCompare2CallBudget:
     first).  On their generated hop kernels a firing is four calls
     fewer: no ``relayed``, and no ``partition_key`` / ``new_state`` /
     ``_apply`` hooks in ``Output``.
+
+    Attached (instrumentation on, measured as :func:`attached` measures
+    the chain of :class:`TestCallBudget`) the two paths took 17.155 and
+    83.555 calls behind the step wrappers, and take 16.095 and 82.435
+    with the generated entry the only way into a slot.
     """
 
     #: The measured counts per event: the comparison never holds, and it
-    #: holds on every event (after the first).  A change that adds a call
-    #: must say why here.
+    #: holds on every event (after the first); then the same attached.
+    #: A change that adds a call must say why here.
     NEVER, EVERY = 8.06, 36.925
+    ATTACHED_NEVER, ATTACHED_EVERY = 16.095, 82.435
 
     EVENTS = 200
 
@@ -480,3 +529,61 @@ class TestCompare2CallBudget:
 
     def test_a_firing_comparison_stays_within_the_call_budget(self):
         assert self.python_calls_per_event(fires=True) <= self.EVERY
+
+    @pytest.mark.parametrize("fires", [False, True])
+    def test_an_attached_comparison_stays_within_its_call_budget(self, fires):
+        host, calls = attached(lambda: self.host_and_events(fires))
+        assert calls <= (self.ATTACHED_EVERY if fires else self.ATTACHED_NEVER)
+        assert len(host.drain_results()) == (self.EVENTS - 1 if fires else 0)
+        host.close()
+
+
+class TestDeployCallBudget:
+    """Count-based pin on the write path: :func:`python_calls` of one
+    ``ShardHost.deploy_spec`` — DSL compile, plan-cache interning,
+    wiring and the segment relink — on a host that deployed, ran and
+    undeployed the same specification once before.
+
+    A filter -> count -> ``Compare1`` window took 521 calls, and the
+    ``Compare2`` window of :class:`TestCompare2CallBudget` 564, while
+    every slot was linked as a kernel plus a step wrapper and a segment
+    had a door and a link variant; with one generated entry per slot
+    and one segment variant they take 506 and 544.
+    """
+
+    #: The measured counts; a change that adds calls to a deploy must
+    #: say why here.
+    BUDGETS = {"compare1": 506, "compare2": 544}
+
+    SPECS = {
+        "compare1": (
+            "d = Filter_context[Ctx, lo](ContextEvent)\n"
+            "n = Count[](d)\n"
+            "c = Compare1[>=, 3](n)\n"
+            'deliver c to watchers as "many" named AS_Many\n'
+        ),
+        "compare2": TestCompare2CallBudget.SPEC,
+    }
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_a_deploy_stays_within_its_call_budget(self, spec):
+        from repro.parallel import ShardSpec
+        from repro.parallel.host import FederationBlueprint, ShardHost
+
+        blueprint = FederationBlueprint()
+        blueprint.add_participant("u-watch", "watcher")
+        blueprint.add_role("watchers", ["u-watch"])
+        host = ShardHost(0, 1)
+        host.apply_blueprint(blueprint)
+        text = self.SPECS[spec]
+        # A first deploy whose first events compile the window's segment
+        # shape, as any earlier window of that shape in the process would.
+        scratch, events = TestCompare2CallBudget().host_and_events(fires=True)
+        scratch.close()
+        host.deploy_spec(ShardSpec("warm", "P-X", text))
+        host.ingest(events[:2])
+        host.undeploy_spec("warm")
+        calls = python_calls(host.deploy_spec, ShardSpec("spec", "P-X", text))
+        host.undeploy_spec("spec")
+        host.close()
+        assert calls <= self.BUDGETS[spec]

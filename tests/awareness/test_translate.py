@@ -22,6 +22,8 @@ from repro.parallel.host import FederationBlueprint, ShardHost
 
 from tests.exact import signatures
 
+from .test_routing import python_calls
+
 
 def invocation_event(invoked_instance="ir-1", invoking_instance="tf-1"):
     """An activity event showing tf-1 invoked P-IR via 'inforequest'."""
@@ -165,6 +167,34 @@ class TestTranslateSnapshot:
         results = restored.drain_results()
         restored.close()
         assert [r["schema"] for r in results] == ["AS_Lift"]
+
+
+#: The measured count (see the test below); a change that adds a call
+#: per event must say why there.
+LIFT_DOOR_BUDGET = 4.12
+
+
+def test_an_activity_event_reaches_its_translate_leaf_in_one_call():
+    """Count-based pin on a producer -> non-segment leaf door:
+    :func:`python_calls` per activity event between ``ShardHost.ingest``
+    and ``LIFT``'s ``Translate`` learning the invocation, 100 events in
+    one frame.  ``Translate`` is multi-input, so it roots no segment and
+    its producer registers its slot-0 entry itself.  That door was two
+    calls — a step wrapper (guard, count, span) around the kernel — and
+    the whole took 5.12; with the generated entry the only way into a
+    slot it is one call, 4.12."""
+    host = ShardHost(0, 1)
+    host.apply_blueprint(lift_blueprint())
+    events = [invocation_event(f"ir-{index}") for index in range(100)]
+    calls = python_calls(host.ingest, events)
+    (lift,) = [
+        entry.operator
+        for entry in host.system.awareness.planner.plans()[0].entries
+        if entry.operator.family == "Translate"
+    ]
+    host.close()
+    assert lift.partition_count() == 100
+    assert calls / len(events) <= LIFT_DOOR_BUDGET
 
 
 @pytest.mark.skipif(
