@@ -89,11 +89,6 @@ class EventTypeError(EventError):
     """An event does not conform to its declared event type."""
 
 
-class FrameRefusedError(EventTypeError):
-    """A shard's ingest door refused a frame whole: one of its events does
-    not conform, and no event of the frame reached the pipeline."""
-
-
 class QueueError(ReproError):
     """A persistent delivery queue failed or was misused."""
 
@@ -139,6 +134,12 @@ class ServiceError(ReproError):
 
 class ParallelError(ReproError):
     """The sharded execution layer was misused or misconfigured."""
+
+
+class FrameRefusedError(EventTypeError, ParallelError):
+    """A shard's ingest door refused a frame whole: one of its events does
+    not conform, or no producer of the shard serves its type, and no
+    event of the frame reached the pipeline."""
 
 
 class WireError(ParallelError):

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import attrgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..observability import INSTRUMENTATION as _OBS
@@ -32,6 +34,9 @@ from ..observability import STRUCTURED_LOG as _SLOG
 from .event import Event
 
 Handler = Callable[[Event], None]
+
+#: The slot, not the property: no Python call per event.
+_type_name = attrgetter("_event_type.name")
 
 
 @dataclass
@@ -188,7 +193,10 @@ class EventBus:
         dropped with it, so nothing is left behind to surface inside a
         later, unrelated publish.  ``bus_published_total`` counts the
         events whose dispatch was attempted — the one that raised
-        included, the dropped ones not.
+        included, the dropped ones not.  A run of a topic no one ever
+        subscribed to, outside a sampled trace (no ``bus.dispatch`` span
+        would open), is counted and dropped in one step: there is no
+        handler to call, so nothing can raise.
         """
         self._dispatching = True
         queue = self._queue
@@ -198,8 +206,21 @@ class EventBus:
                 # after publish_batch) shares one topic resolution and one
                 # counter update.  Handlers still see one call per event
                 # in FIFO order.
-                topic = queue[0].type_name
+                topic = _type_name(queue[0])
                 entry = self._topics.get(topic)
+                if entry is None and not (
+                    _OBS.enabled and not _OBS.tracer._light_depth
+                ):
+                    run = len(queue)
+                    if run > 1:
+                        run = len(list(takewhile(topic.__eq__, map(_type_name, queue))))
+                    if run == len(queue):
+                        queue.clear()
+                    else:
+                        for __ in range(run):
+                            queue.popleft()
+                    self._published.inc(run, (topic,))
+                    continue
                 attempted = 0
                 try:
                     # The slot, not the property: one call fewer an event.

@@ -25,6 +25,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Type,
 )
@@ -153,6 +154,26 @@ class EventType:
             for spec in self._parameters.values()
             if spec.members is not None
         )
+        #: The plan by column (:meth:`admits`): ``(name, required,
+        #: accept, nullable)`` per row, ``accept`` the exact value types
+        #: as a set, or ``None`` for an ``any``.
+        self._columns = tuple(
+            (
+                name,
+                type(_MISSING) not in accept,
+                None if spec is None or spec.value_type == "any"
+                else frozenset(accept),
+                spec is None or spec.nullable,
+            )
+            for name, accept, spec in plan
+        )
+        #: Whether :meth:`admits` can run every ``members`` check on its
+        #: covers: only on a ``set`` parameter is each row's value one of
+        #: its cover's values (a cover may stand one int for an int column).
+        self._members_by_cover = all(
+            self._parameters[name].value_type == "set"
+            for name, __ in self._members
+        )
 
     def parameters(self) -> Tuple[ParameterSpec, ...]:
         return tuple(self._parameters.values())
@@ -196,6 +217,54 @@ class EventType:
             value = params.get(name)
             if value is not None:
                 members(value)
+
+    def admits(self, covers: Mapping[str, Sequence[Any]]) -> bool:
+        """Whether a run of events conforms, judged by column.
+
+        *covers* maps a parameter name to its run's *cover*: values
+        among which every row's value of that parameter is, type for
+        type — the very object, or in a column of ints one int standing
+        for all of them; a name the run's key schema lacks has no cover.
+        ``True`` means every event of the run would pass
+        :meth:`conforms`.  ``False`` means the covers cannot tell: the
+        caller checks the run row by row, which raises exactly the
+        error :meth:`conforms` raises (or admits a run whose covers held
+        a value no row takes).  So the answer is sound, never an error:
+        each cover holds only exact accepted types (a subclass, a
+        ``bool`` offered as ``int``, a ``None`` where it is not allowed
+        and a missing required name all say ``False``), ``type`` holds
+        only this type's name, and ``members`` runs once per distinct
+        non-null cover value.
+        """
+        for name, required, accept, nullable in self._columns:
+            cover = covers.get(name)
+            if cover is None:
+                if required:
+                    return False
+            elif accept is not None:
+                if not accept.issuperset(map(type, cover)):
+                    return False
+            elif not nullable and type(None) in map(type, cover):
+                return False
+        if not {self.name}.issuperset(covers["type"]):
+            return False
+        if self._members:
+            if not self._members_by_cover:
+                return False
+            for name, members in self._members:
+                cover = covers.get(name)
+                if cover is None:
+                    continue
+                # Distinct by identity: an equal value may differ in type.
+                for value in dict(zip(map(id, cover), cover)).values():
+                    if value is not None:
+                        try:
+                            members(value)
+                        except Exception:
+                            # Whatever it raised, the value may be one
+                            # no row takes; the row-wise check decides.
+                            return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventType):

@@ -22,7 +22,19 @@ source agents* of Section 6.3 (the agent wrapper lives in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.context import ContextChange
 from ..core.instances import ActivityStateChange
@@ -43,6 +55,16 @@ CONTEXT_EVENT_TYPE_NAME = "T_context"
 
 #: Type name of system telemetry sample events (``T_system``).
 SYSTEM_EVENT_TYPE_NAME = "T_system"
+
+#: Fewest events of a run :meth:`EventProducer.admit` transposes into
+#: columns.  Transposing and checking nine columns costs about 5 µs a
+#: run, and saves about 0.8 µs an event against the row-wise check
+#: (``T_context``, 2-core box): shorter runs are cheaper row by row.
+COLUMNS_MIN = 16
+
+_get_params = attrgetter("_params")
+_NONE_TYPE = type(None)
+_NONE = frozenset((_NONE_TYPE,))
 
 ACTIVITY_EVENT_TYPE = EventType(
     ACTIVITY_EVENT_TYPE_NAME,
@@ -157,6 +179,9 @@ class EventProducer:
     ) -> None:
         self.producer_id = producer_id
         self.output_type = output_type
+        #: The declared parameter names: the columns :meth:`admit`
+        #: transposes a run into.
+        self._names = output_type.parameter_names()
         self._bus: Optional[EventBus] = None
         #: The buckets are copy-on-write: registration replaces a list and
         #: never mutates one, so a dispatch in flight keeps iterating the
@@ -268,18 +293,49 @@ class EventProducer:
         """Distinct routing keys with at least one indexed consumer."""
         return len(self._index)
 
-    def admit(self, events: Sequence[Event]) -> None:
+    def admit(
+        self,
+        events: Sequence[Event],
+        covers: Optional[Mapping[str, Sequence[Any]]] = None,
+    ) -> None:
         """Raise :class:`EventTypeError` unless every one of *events* is an
         event this producer could have emitted.
 
         The check of an event entering from outside the detector plan
-        (``ShardHost.ingest`` runs it on a whole frame before any event
-        of it is emitted): each event conforms to :attr:`output_type`,
-        once.  Downstream, the linked kernels trust what passed here.
+        (``ShardHost.ingest`` runs it on each same-type run of a frame
+        before any event of the frame is emitted).  It is decided by
+        column first: :meth:`_admits` on *covers* — the decoder's, for a
+        run that arrived as one ``ROWS`` record — or, without them, on
+        the run's columns, transposed in C (a run of
+        :data:`COLUMNS_MIN` events or more).  Only when the columns
+        cannot pass the run is each event checked on its own
+        (:meth:`_conforms`), which raises the first bad event's error:
+        what is refused, and how, is the row-wise answer; only
+        acceptance is cheaper.  Downstream, the linked kernels trust
+        what passed here.
         """
-        conforms = self.output_type.conforms
+        if covers is None and len(events) >= COLUMNS_MIN:
+            names = self._names
+            try:
+                covers = dict(
+                    zip(names, zip(*map(itemgetter(*names), map(_get_params, events))))
+                )
+            except KeyError:  # an event lacks a declared parameter
+                covers = None
+        if covers is not None and self._admits(covers):
+            return
+        conforms = self._conforms
         for event in events:
             conforms(event._params)
+
+    def _admits(self, covers: Mapping[str, Sequence[Any]]) -> bool:
+        """Whether the run whose covers these are conforms (see
+        :meth:`EventType.admits`); ``False`` means: check row by row."""
+        return self.output_type.admits(covers)
+
+    def _conforms(self, params: Mapping[str, Any]) -> None:
+        """The row-wise check of one event's parameters."""
+        self.output_type.conforms(params)
 
     def emit(self, event: Event) -> Event:
         self._emitted.inc()
@@ -381,7 +437,15 @@ def system_routing_key(event: Event) -> Hashable:
 
 
 class ActivityEventProducer(EventProducer):
-    """``E_activity`` — the single source of activity state change events."""
+    """``E_activity`` — the single source of activity state change events.
+
+    Its door also holds the parent process whole:
+    ``parentProcessSchemaId`` and ``parentProcessInstanceId`` are both
+    ``None`` (a top-level process) or both set, as the engine emits them.
+    A filter lifts the instance id of a matching parent schema, so a
+    parent schema without its instance is refused at the door, with its
+    frame, rather than by the filter mid-frame.
+    """
 
     def __init__(
         self,
@@ -391,25 +455,28 @@ class ActivityEventProducer(EventProducer):
         super().__init__(producer_id, ACTIVITY_EVENT_TYPE, metrics)
         self.set_key_extractor(activity_routing_key)
 
-    def admit(self, events: Sequence[Event]) -> None:
-        """As :meth:`EventProducer.admit`, and the parent process is named
-        whole: ``parentProcessSchemaId`` and ``parentProcessInstanceId``
-        are both ``None`` (a top-level process) or both set, as the engine
-        emits them.  A filter lifts the instance id of a matching parent
-        schema, so a parent schema without its instance is refused here,
-        with its frame, rather than by the filter mid-frame."""
-        conforms = self.output_type.conforms
-        for event in events:
-            params = event._params
-            conforms(params)
-            schema = params["parentProcessSchemaId"]
-            instance = params["parentProcessInstanceId"]
-            if (schema is None) != (instance is None):
-                raise EventTypeError(
-                    f"parameters 'parentProcessSchemaId' ({schema!r}) and "
-                    f"'parentProcessInstanceId' ({instance!r}) must both be "
-                    f"null or both be set"
-                )
+    def _admits(self, covers: Mapping[str, Sequence[Any]]) -> bool:
+        """As :meth:`EventProducer._admits`, and by cover the parent pair
+        is whole: neither cover holds ``None``, or both hold only
+        ``None``."""
+        if not self.output_type.admits(covers):
+            return False
+        schemas = set(map(type, covers["parentProcessSchemaId"]))
+        instances = set(map(type, covers["parentProcessInstanceId"]))
+        if _NONE_TYPE in schemas or _NONE_TYPE in instances:
+            return schemas <= _NONE and instances <= _NONE
+        return True
+
+    def _conforms(self, params: Mapping[str, Any]) -> None:
+        self.output_type.conforms(params)
+        schema = params["parentProcessSchemaId"]
+        instance = params["parentProcessInstanceId"]
+        if (schema is None) != (instance is None):
+            raise EventTypeError(
+                f"parameters 'parentProcessSchemaId' ({schema!r}) and "
+                f"'parentProcessInstanceId' ({instance!r}) must both be "
+                f"null or both be set"
+            )
 
     def produce(self, change: ActivityStateChange) -> Event:
         """Translate a CORE state-change record into a ``T_activity`` event."""

@@ -215,6 +215,13 @@ _pack_d = struct.Struct(">d").pack
 _unpack_d = struct.Struct(">d").unpack_from
 _HEADER = struct.Struct(">I")
 _new_event = object.__new__
+#: The cover of an ``INT`` column: one int stands for its rows.
+_ONE_INT = (0,)
+
+#: One ``ROWS`` record as :attr:`BinaryDecoder.covers` keeps it: the list
+#: its events went to, their first and past-the-last index there, and
+#: the covers by parameter name.
+RunCovers = Tuple[List[Any], int, int, Dict[Any, Any]]
 
 # ---------------------------------------------------------------------------
 # Channel opening (the hello bytes)
@@ -641,6 +648,11 @@ class BinaryDecoder:
         self._types: Dict[str, Any] = {}
         #: Self-contained payloads decoded (``repro journal`` reports it).
         self.standalone_frames = 0
+        #: The ``ROWS`` records of the last payload, in decode order, with
+        #: their *covers*: per parameter name, values that stand for every
+        #: row's (:meth:`_rows`).  A worker hands them to
+        #: ``ShardHost.ingest`` with the frame's events.
+        self.covers: List[RunCovers] = []
 
     @property
     def interned_strings(self) -> List[str]:
@@ -663,6 +675,7 @@ class BinaryDecoder:
         trailing or corrupt bytes) means: discard the decoder.
         """
         stream = self._strings, self._compounds
+        self.covers = []
         try:
             scoped = data[0] == T_SELF
             if scoped:
@@ -822,35 +835,51 @@ class BinaryDecoder:
 
     def _rows(self, data: Any, pos: int, out: List[Any]) -> int:
         """Decode the ``ROWS`` record at *pos*, appending its events to
-        *out*; the position after it."""
+        *out*; the position after it.
+
+        Each column leaves a *cover* in :attr:`covers`: values among
+        which every row's is, type for type — a ``CONST`` column's value,
+        one int for an ``INT`` column (every row holds an int), a
+        ``DICT`` column's whole table (an id past it fails the decode),
+        a ``VALUES`` column itself.  The ingest door checks a run's
+        types and association sets on these, once per distinct value
+        instead of once per row (``EventType.admits``).
+        """
         event_type, keys, pos = self._head(data, pos)
         n, pos = self._varint(data, pos)
         if n > ROWS_MAX:
             raise WireError(f"event run of {n} rows exceeds {ROWS_MAX}")
         names = [key for key in keys if key != "type"]
         columns: List[Iterable[Any]] = []
-        for __ in names:
+        covers: Dict[Any, Any] = {}
+        for name in names:
             kind = data[pos]
             pos += 1
             if kind == C_CONST:
                 value, pos = self._value(data, pos)
                 columns.append(repeat(value, n))
+                covers[name] = (value,)
             elif kind == C_INT:
                 column, pos = self._array(data, pos, n, _INT_CODES)
                 columns.append(column)
+                covers[name] = _ONE_INT
             elif kind == C_DICT:
                 size, pos = self._varint(data, pos)
                 table, pos = self._values(data, pos, size)
                 ids, pos = self._array(data, pos, n, _ID_CODES)
                 columns.append(map(table.__getitem__, ids))
+                covers[name] = table
             elif kind == C_VALUES:
                 column, pos = self._values(data, pos, n)
                 columns.append(column)
+                covers[name] = column
             else:
                 raise WireError(f"unknown event run column kind {kind}")
         # ``type`` goes last, as ``_event`` puts it.
         names.append("type")
         columns.append(repeat(event_type.name, n))
+        covers["type"] = (event_type.name,)
+        start = len(out)
         rows = map(dict, map(zip, repeat(names), zip(*columns)))
         record = event_type.record
         if record is not None:
@@ -858,15 +887,16 @@ class BinaryDecoder:
                 out += [record.from_params(event_type, params) for params in rows]
             except EventTypeError as error:
                 raise WireError(f"malformed event run: {error}") from None
-            return pos
-        append = out.append
-        for params in rows:
-            # ``Event.trusted``, inlined: the one per-event step left.
-            event = _new_event(Event)
-            event._event_type = event_type
-            event._params = MappingProxyType(params)
-            event.provenance = None
-            append(event)
+        else:
+            append = out.append
+            for params in rows:
+                # ``Event.trusted``, inlined: the one per-event step left.
+                event = _new_event(Event)
+                event._event_type = event_type
+                event._params = MappingProxyType(params)
+                event.provenance = None
+                append(event)
+        self.covers.append((out, start, len(out), covers))
         return pos
 
     def _array(

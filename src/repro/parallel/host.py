@@ -11,8 +11,9 @@ the surface the sharding layer needs:
   are data, so a federation can be reconstructed in any process;
 * **event ingest** — routed primitive events enter through the engine's
   own source-agent producers (``emit_batch``, one bus batch per run of
-  same-type events), after the whole frame passed the door: every event
-  is checked once against its producer's type, and a frame with one
+  same-type events), after the whole frame passed the door: every run is
+  checked against its producer's type — by column, once per distinct
+  value, falling back to event by event — and a frame with one
   malformed event is refused whole;
 * **result capture** — the shard's delivery queue is an outbox: each
   notification becomes one report record, numbered in enqueue order (the
@@ -28,6 +29,8 @@ merging streams is the facade's job, not the workers' (DESIGN note 9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..awareness.dsl import compile_specification
@@ -47,7 +50,10 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
 from ..observability.registry import default_registry
 from ..observability.trace import TraceContext, is_recorded
-from .codec import encode_standalone
+from .codec import RunCovers, encode_standalone
+
+#: An event's type name, read from the slot (no Python call per event).
+_type_name = attrgetter("_event_type.name")
 
 #: Upper bound on buffered sampled span batches awaiting shipment; the
 #: hot path never blocks on observability — beyond this, batches are
@@ -285,19 +291,29 @@ class ShardHost:
         self,
         events: List[Event],
         ctx: Optional[TraceContext] = None,
+        covers: Optional[List[RunCovers]] = None,
     ) -> None:
         """Feed routed primitive events into the pipeline, in order.
 
         This is the door every frame passes — serial, process and
-        journal replay alike.  Each event is checked once against its
-        producer's type (:meth:`EventProducer.admit`) before any event of
-        the frame reaches a producer, so a malformed event refuses the
-        frame whole with a :class:`FrameRefusedError` (an
-        :class:`EventTypeError`) naming the shard,
-        whatever windows sit behind the producer; the linked kernels
-        downstream build on values that passed here.  Consecutive
-        same-type runs then enter as one ``emit_batch``, so the bus sees
-        the same batch shapes an in-process engine would.
+        journal replay alike.  Each same-type run of the frame is
+        checked against its producer's type (:meth:`EventProducer.admit`)
+        before any event of the frame reaches a producer, so a malformed
+        event refuses the frame whole with a :class:`FrameRefusedError`
+        (an :class:`EventTypeError`) naming the shard, whatever windows
+        sit behind the producer; so does an event of a type no producer
+        of this shard serves.  The linked kernels downstream build on
+        values that passed here.  Consecutive same-type runs then enter
+        as one ``emit_batch``, so the bus sees the same batch shapes an
+        in-process engine would.
+
+        A run is admitted by column: *covers* is the decoder's record of
+        the ``ROWS`` records it decoded
+        (:attr:`~repro.parallel.codec.BinaryDecoder.covers`), and a run
+        that arrived as exactly one of them into *events* is judged on
+        that record's covers; any other run on its own columns.  Only a
+        run its columns cannot pass is checked event by event, so a
+        refusal and its message are the row-wise ones.
 
         With a :class:`TraceContext` and instrumentation on, the whole
         batch runs under a ``shard.ingest`` root span whose sampling
@@ -314,7 +330,7 @@ class ShardHost:
                 attributes={"shard": self.shard_id, "events": len(events)},
             )
             try:
-                self._ingest(events)
+                self._ingest(events, covers)
             finally:
                 tracer.end(span)
                 if ctx.sampled and is_recorded(span):
@@ -330,26 +346,29 @@ class ShardHost:
                             }
                         )
             return
-        self._ingest(events)
+        self._ingest(events, covers)
 
-    def _ingest(self, events: List[Event]) -> None:
+    def _ingest(
+        self,
+        events: List[Event],
+        covers: Optional[List[RunCovers]],
+    ) -> None:
         producers = self._producers
+        decoded = {
+            (start, stop): columns
+            for items, start, stop, columns in covers or ()
+            if items is events
+        }
         runs: List[Tuple[EventProducer, List[Event]]] = []
         i, n = 0, len(events)
-        while i < n:
-            type_name = events[i].type_name
-            j = i + 1
-            while j < n and events[j]._event_type.name == type_name:
-                j += 1
+        for type_name, group in groupby(map(_type_name, events)):
+            j = i + len(list(group))
             producer = producers.get(type_name)
-            if producer is None:
-                raise ParallelError(
-                    f"shard {self.shard_id} cannot ingest events of type "
-                    f"{type_name!r}; no source producer is registered"
-                )
             run = events[i:j]
             try:
-                producer.admit(run)
+                if producer is None:
+                    raise EventTypeError("no source producer is registered")
+                producer.admit(run, decoded.get((i, j)))
             except EventTypeError as error:
                 raise FrameRefusedError(
                     f"shard {self.shard_id} refused a frame of {n} events "

@@ -152,7 +152,9 @@ def worker_main(
                         # A replay: its spans shipped before the crash.
                         ctx = replace(ctx, sampled=False)
                     try:
-                        host.ingest(frame["events"], ctx)
+                        host.ingest(
+                            frame["events"], ctx, reader.decoder.covers
+                        )
                     except FrameRefusedError:
                         # A refused frame moved no state, so its replay
                         # is a no-op; it was reported when it came live.

@@ -297,7 +297,10 @@ class TestCallBudget:
     event (1), the routing dispatch and key (2), the segment (1), plus
     the frame's share of the bus batch and the one delivery.  With
     ``Output`` on its generated hop kernel, that delivery is three calls
-    fewer: 6.23 -> 6.215 measured.
+    fewer: 6.23 -> 6.215 measured.  Admitted by column, the door makes
+    no call per event (its type check and the association members run
+    per run and per distinct set), and the bus drops a run no one
+    subscribed to without a dispatch call per event: 3.225.
 
     Attached — instrumentation on, one trace in 16 sampled — the chain
     runs hop by hop (the segment hands each event to the filter's
@@ -305,14 +308,16 @@ class TestCallBudget:
     20.875 calls while each hop's kernel sat behind a step wrapper that
     bumped the tracer's light depth inside a skipped trace; with the
     generated entry the only way into a slot (guard, count, and a span
-    only in a sampled trace) it takes 19.755.  This is the baseline an
-    attached run that stays fused is measured against.
+    only in a sampled trace) it takes 19.755, and 17.765 with the door
+    admitting by column and the bus dropping the skipped traces' runs.
+    This is the baseline an attached run that stays fused is measured
+    against.
     """
 
     #: The measured counts, detached and attached; a change that adds a
     #: call per chain-event must say why here.
-    BUDGET = 6.24
-    ATTACHED = 19.755
+    BUDGET = 3.225
+    ATTACHED = 17.765
 
     EVENTS = 200
 
@@ -457,15 +462,20 @@ class TestCompare2CallBudget:
 
     Attached (instrumentation on, measured as :func:`attached` measures
     the chain of :class:`TestCallBudget`) the two paths took 17.155 and
-    83.555 calls behind the step wrappers, and take 16.095 and 82.435
+    83.555 calls behind the step wrappers, and took 16.095 and 82.435
     with the generated entry the only way into a slot.
+
+    Each event here carries its own association set, so the door still
+    runs the members check once per event; its type check and the bus's
+    dispatch of a run no one subscribed to are per run now: 6.065 and
+    34.93 detached, 15.1 and 81.44 attached.
     """
 
     #: The measured counts per event: the comparison never holds, and it
     #: holds on every event (after the first); then the same attached.
     #: A change that adds a call must say why here.
-    NEVER, EVERY = 8.06, 36.925
-    ATTACHED_NEVER, ATTACHED_EVERY = 16.095, 82.435
+    NEVER, EVERY = 6.065, 34.93
+    ATTACHED_NEVER, ATTACHED_EVERY = 15.1, 81.44
 
     EVENTS = 200
 

@@ -5,7 +5,12 @@ import pytest
 from repro.core.context import ContextChange
 from repro.events.bus import EventBus
 from repro.events.event import Event, EventType, base_parameters
-from tests.awareness.test_routing import build_system, deploy_field_watcher
+from repro.observability import instrumented
+from tests.awareness.test_routing import (
+    build_system,
+    deploy_field_watcher,
+    python_calls,
+)
 
 
 def make_event(type_name="T_a", time=1):
@@ -297,3 +302,72 @@ class TestTapContract:
         assert tapped == [("alpha", 4, 4), ("beta", 5, 4), ("alpha", 6, 4)]
         assert system.bus.published_count("T_context") == 3 + len(emitted)
         assert system.bus.delivered_count("T_context") == 6
+
+
+class TestSubscriberlessRun:
+    """Counts, not wall clock: a run of a topic no one subscribed to is
+    counted and dropped in one step when no ``bus.dispatch`` span would
+    open (a worker publishes every ``T_context`` run to a bus with no
+    topics).  The parent made one ``_dispatch`` call per event."""
+
+    #: Python calls of one ``publish_batch`` of a subscriber-less run,
+    #: whatever its length: the publish, the drain, and the counter's
+    #: ``inc`` with its two label checks.
+    CALLS = 5
+
+    @staticmethod
+    def events(n, topic="T_a"):
+        return [make_event(topic, time) for time in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n", [1, 8, 128])
+    def test_a_subscriberless_run_costs_no_call_per_event(self, n):
+        bus = EventBus()
+        assert python_calls(bus.publish_batch, self.events(n)) == self.CALLS
+        assert bus.published_count("T_a") == bus.published_count() == n
+        assert bus.delivered_count() == 0
+
+    def test_runs_around_a_subscribed_one_keep_their_counts_and_order(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("T_b", seen.append)
+        batch = self.events(3) + self.events(2, "T_b") + self.events(4)
+        bus.publish_batch(batch)
+        assert seen == batch[3:5]
+        assert bus.published_count("T_a") == 7
+        assert bus.published_count("T_b") == 2
+        assert bus.delivered_count() == 2
+
+    def test_a_run_published_from_a_handler_is_dropped_after_it(self):
+        bus = EventBus()
+        late = self.events(5, "T_c")
+        seen = []
+
+        def handler(event):
+            seen.append(event)
+            bus.publish_batch(late)
+
+        bus.subscribe("T_b", handler)
+        bus.publish_batch(self.events(2, "T_b"))
+        assert len(seen) == 2
+        assert bus.published_count("T_c") == 10
+        assert not bus._queue
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_spans_are_as_before_under_instrumentation(self, sampled):
+        """In a sampled trace each event still opens its ``bus.dispatch``
+        span; inside a skipped one nothing opens, and the run costs no
+        call per event there either."""
+        bus = EventBus()
+        with instrumented() as obs:
+            tracer = obs.tracer
+            tracer.sample_every = 1 if sampled else 1 << 20
+            tracer._trace_count = 0
+            root = tracer.begin("test.root")
+            calls = python_calls(bus.publish_batch, self.events(16))
+            tracer.end(root)
+        assert bus.published_count("T_a") == 16
+        if sampled:
+            assert [child.name for child in root.children] == ["bus.dispatch"] * 16
+            assert calls > 16
+        else:
+            assert calls == self.CALLS

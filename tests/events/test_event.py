@@ -141,3 +141,76 @@ class TestParameterSpecProperties:
         else:
             with pytest.raises(EventTypeError):
                 spec.check(value)
+
+
+class TestAdmitsByColumn:
+    """``EventType.admits``: ``True`` only when every event a run's
+    covers stand for would pass ``conforms``; ``False`` hands the run
+    to the row-wise check."""
+
+    TYPE = simple_type(
+        (
+            ParameterSpec("count", "int", nullable=False),
+            ParameterSpec("label", "str"),
+            ParameterSpec("note", "str", required=False),
+            ParameterSpec("payload", "any", nullable=False),
+        )
+    )
+
+    def covers(self, **changes):
+        covers = {
+            "type": ("T_test",),
+            "time": (1, 2),
+            "source": ("s",),
+            "count": (0,),
+            "label": ("a", None),
+            "payload": ([], 3.5),
+        }
+        covers.update(changes)
+        return {name: cover for name, cover in covers.items() if cover is not None}
+
+    def test_exact_types_admit_and_an_optional_name_may_lack_a_cover(self):
+        assert self.TYPE.admits(self.covers())
+        assert self.TYPE.admits(self.covers(note=("n",)))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"count": (1, True)},  # a bool offered as int
+            {"count": (None,)},  # null where not nullable
+            {"payload": ([], None)},  # null in a non-nullable any
+            {"label": None},  # a required name without a cover
+            {"label": (type("Text", (str,), {})("a"),)},  # a subclass
+            {"type": ("T_test", "T_other")},  # another type's name
+        ],
+    )
+    def test_what_the_covers_cannot_tell_goes_row_by_row(self, changes):
+        assert not self.TYPE.admits(self.covers(**changes))
+
+    def test_members_run_once_per_distinct_object(self):
+        seen = []
+
+        def members(value):
+            seen.append(value)
+            if (0, 1) in value:
+                raise EventTypeError("no")
+
+        kind = simple_type((ParameterSpec("pairs", "set", members=members),))
+        good = frozenset({(1, 1)})
+        covers = {"type": ("T_test",), "time": (1,), "source": ("s",)}
+        assert kind.admits(dict(covers, pairs=(good, good, None)))
+        assert seen == [good]
+        # Equal but another object: checked too (a custom check may
+        # tell ``1`` from ``True`` where ``==`` cannot).
+        twin = frozenset({(True, True)})
+        assert kind.admits(dict(covers, pairs=(good, twin)))
+        assert seen[1:] == [good, twin]
+        assert not kind.admits(dict(covers, pairs=(good, frozenset({(0, 1)}))))
+
+    def test_members_off_a_set_parameter_are_never_judged_by_cover(self):
+        """An ``INT`` column's cover is one int standing for all of its
+        rows, so a ``members`` check anywhere but on a ``set`` parameter
+        could not see the values it checks."""
+        kind = simple_type((ParameterSpec("size", "any", members=lambda value: None),))
+        covers = {"type": ("T_test",), "time": (1,), "source": ("s",), "size": (0,)}
+        assert not kind.admits(covers)

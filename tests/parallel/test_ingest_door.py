@@ -25,8 +25,14 @@ from repro.awareness.operators.filters import ActivityFilter, ContextFilter
 from repro.errors import EventTypeError, FrameRefusedError, ParallelError, ReproError
 from repro.events.canonical import canonical_type
 from repro.events.event import Event, EventType
-from repro.events.producers import ACTIVITY_EVENT_TYPE, CONTEXT_EVENT_TYPE
+from repro.events.producers import (
+    ACTIVITY_EVENT_TYPE,
+    CONTEXT_EVENT_TYPE,
+    SYSTEM_EVENT_TYPE,
+    check_associations,
+)
 from repro.parallel import ShardConfig, ShardedFederation, ShardSpec
+from repro.parallel.codec import BinaryDecoder, BinaryEncoder, events_frame
 from repro.parallel.host import ShardHost
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
@@ -226,17 +232,91 @@ class TestProcessDoor:
         assert signatures(merged) == signatures(expected)
 
 
-class TestConformanceCount:
-    """Counts, not wall clock: each ingested event is checked once,
-    however many windows sit behind its producer (the parent checked
-    once per ``Count`` output, so once per chain)."""
+    def test_an_unserved_type_is_refused_and_its_replay_recovers(self, tmp_path):
+        """No producer of a shard serves ``T_system``: the door refuses
+        its frame as a :class:`FrameRefusedError`, so the journaled
+        frame's replay is a no-op too, and a SIGKILLed worker recovers
+        (a bare ``ParallelError`` there was reported by the replay, and
+        ``recover()`` raised it, so the shard could never recover)."""
+        sample = Event.trusted(
+            SYSTEM_EVENT_TYPE,
+            {
+                "time": 2,
+                "source": "E_system",
+                "systemId": "cmi",
+                "metric": "queue_depth",
+                "seriesLabel": None,
+                "value": 3,
+            },
+        )
 
-    @pytest.mark.parametrize("windows", [1, 8])
-    def test_one_conformance_check_per_ingested_event(self, windows, monkeypatch):
+        def run(durable_dir=None):
+            config = ShardConfig(
+                shards=1,
+                backend="process",
+                join_timeout=10.0,
+                batch_size=1,
+                durable_dir=durable_dir,
+                snapshot_every=0,
+            )
+            with ShardedFederation(blueprint("count"), config) as federation:
+                federation.ingest([context_event(1)])
+                federation.ingest([sample])
+                assert federation.drain() == []
+                with pytest.raises(
+                    ParallelError,
+                    match=r"FrameRefusedError: shard 0 refused a frame of 1 "
+                    r"events at a 'T_system' event: no source producer",
+                ):
+                    federation.stats()
+                if durable_dir is not None:
+                    kill_worker(federation.shards[0])
+                federation.ingest([context_event(2)])
+                merged = federation.drain()
+                stats = federation.stats()
+            return merged, stats
+
+        expected, plain = run()
+        merged, stats = run(str(tmp_path / "durable"))
+        assert stats["recoveries"] == 1
+        assert len(expected) == 1
+        assert signatures(merged) == signatures(expected)
+        assert stats["events_ingested"] == plain["events_ingested"] == 2
+
+
+class TestConformanceCount:
+    """Counts, not wall clock: an admitted frame is checked by column.
+
+    A run of a frame is judged on its covers — the decoder's for a run
+    that arrived as one ``ROWS`` record, its own transposed columns for
+    a list of events — so a conforming frame makes no row-wise
+    ``conforms`` call, however many windows sit behind its producer, and
+    the association members run once per distinct set (the parent made
+    one ``conforms`` and one members call per event)."""
+
+    @staticmethod
+    def frame(windows):
         plan = workload(windows, forces=2, events=32)
         host = ShardHost(0, 1)
         host.apply_blueprint(plan.blueprint())
-        events = plan.events()
+        return plan, host, plan.events()
+
+    @staticmethod
+    def decoded(events):
+        """*events* across the codec: the decoded list and its covers."""
+        decoder = BinaryDecoder()
+        data = BinaryEncoder().encode_frame(events_frame(events))
+        frame = decoder.decode_payload(memoryview(data)[4:])
+        return frame["events"], decoder.covers
+
+    @pytest.mark.parametrize("door", ["events", "decoded"])
+    @pytest.mark.parametrize("windows", [1, 8])
+    def test_an_admitted_frame_makes_no_row_wise_check(self, door, windows, monkeypatch):
+        plan, host, events = self.frame(windows)
+        covers = None
+        if door == "decoded":
+            events, covers = self.decoded(events)
+            assert [(start, stop) for __, start, stop, ___ in covers] == [(0, 64)]
         calls = 0
         conforms = EventType.conforms
 
@@ -246,9 +326,30 @@ class TestConformanceCount:
             conforms(self, params)
 
         monkeypatch.setattr(EventType, "conforms", counting)
-        host.ingest(events)
+        host.ingest(events, None, covers)
         assert len(host.drain_results()) == plan.expected_notifications()
-        assert calls == len(events)
+        assert calls == 0
+        host.close()
+
+    def test_a_decoded_frame_checks_each_distinct_association_set_once(
+        self, monkeypatch
+    ):
+        plan, host, events = self.frame(1)
+        events, covers = self.decoded(events)
+        distinct = {event["processAssociations"] for event in events}
+        assert len(distinct) == 2 < len(events)
+        checked = []
+
+        def counting(associations):
+            checked.append(associations)
+            check_associations(associations)
+
+        monkeypatch.setattr(
+            CONTEXT_EVENT_TYPE, "_members", (("processAssociations", counting),)
+        )
+        host.ingest(events, None, covers)
+        assert len(host.drain_results()) == plan.expected_notifications()
+        assert sorted(map(sorted, checked)) == sorted(map(sorted, distinct))
         host.close()
 
 
