@@ -101,16 +101,6 @@ class AwarenessEngine:
             "detectors since retired",
         )
         self.metrics.callback_gauge(
-            "plan_nodes_live",
-            lambda: self.planner.live_node_count(),
-            "Interned operator nodes live in the shared plan cache",
-        )
-        self.metrics.callback_gauge(
-            "plan_operators_deduped",
-            lambda: self.planner.operators_deduped,
-            "Deployed operators resolved to an already-interned node",
-        )
-        self.metrics.callback_gauge(
             "undeliverable_events",
             lambda: len(self.delivery.undeliverable),
             "Delivery events whose awareness role could not be resolved",
@@ -224,10 +214,10 @@ class AwarenessEngine:
     def stats(self) -> Dict[str, int]:
         """Event-flow counters across the Figure 5 pipeline.
 
-        Every value is a view over a registry instrument: the gathered /
-        delivered counts read the agents' counters, and the recognized /
-        undeliverable counts read the collection-time gauges registered in
-        :attr:`metrics`.
+        The gathered counts read the source producers' emission
+        counters, the delivered count the delivery agent's, and the
+        recognized / undeliverable counts the collection-time gauges
+        registered in :attr:`metrics`; the plan counts ask the planner.
         """
         plan_stats = self.planner.stats()
         return {

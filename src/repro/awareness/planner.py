@@ -517,9 +517,6 @@ class PlanCache:
     def plans(self) -> Tuple[DeployedPlan, ...]:
         return tuple(self._plans)
 
-    def live_node_count(self) -> int:
-        return len(self._nodes)
-
     def stats(self) -> Dict[str, int]:
         """Sharing counters for the engine's metrics/stats surface."""
         return {

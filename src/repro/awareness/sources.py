@@ -14,9 +14,11 @@ Two agents mirror the paper's two primitive event kinds:
 * :class:`ContextSourceAgent` instruments the CORE engine's context store
   the same way for ``E_context``.
 
-Both count what they gathered — in the metrics registry, as the
-``events_gathered_total{source=...}`` counter — so the architecture
-benchmark (FIG5) can verify event flow between components.
+Each agent registers its producer's ``produce`` on the CORE engine
+directly, so a change record costs no call of the agent's own; what an
+agent gathered is what its producer emitted (``gathered`` reads the
+producer's ``producer_emitted_total{producer=...}`` child), which is how
+the architecture benchmark (FIG5) verifies event flow between components.
 
 A third agent closes the self-awareness loop:
 :class:`SystemTelemetrySource` samples the *system's own*
@@ -45,7 +47,6 @@ from typing import (
 from ..clock import LogicalClock
 from ..core.context import ContextChange
 from ..core.engine import CoreEngine
-from ..core.instances import ActivityStateChange
 from ..events.bus import EventBus
 from ..events.producers import (
     ActivityEventProducer,
@@ -56,17 +57,6 @@ from ..observability import MetricsRegistry, stage_p95
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.event import Event
-
-#: Counter name shared by both source agents; the label tells them apart.
-GATHERED_COUNTER = "events_gathered_total"
-
-
-def _gathered_child(metrics: MetricsRegistry, source: str):
-    return metrics.counter(
-        GATHERED_COUNTER,
-        "Primitive change records gathered, by source agent",
-        ("source",),
-    ).child((source,))
 
 
 class ActivitySourceAgent:
@@ -79,23 +69,15 @@ class ActivitySourceAgent:
         bus: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if metrics is None:
-            metrics = MetricsRegistry()
-        self.metrics = metrics
         self.producer = producer or ActivityEventProducer(metrics=metrics)
         if bus is not None:
             self.producer.attach(bus)
-        self._gathered = _gathered_child(metrics, "activity")
-        core.on_activity_change(self._gather)
+        core.on_activity_change(self.producer.produce)
 
     @property
     def gathered(self) -> int:
-        """Change records gathered (a view over the registry counter)."""
-        return int(self._gathered.value())
-
-    def _gather(self, change: ActivityStateChange) -> None:
-        self._gathered.inc()
-        self.producer.produce(change)
+        """Change records gathered: the events the producer emitted."""
+        return self.producer.emitted
 
 
 class ContextSourceAgent:
@@ -108,23 +90,15 @@ class ContextSourceAgent:
         bus: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if metrics is None:
-            metrics = MetricsRegistry()
-        self.metrics = metrics
         self.producer = producer or ContextEventProducer(metrics=metrics)
         if bus is not None:
             self.producer.attach(bus)
-        self._gathered = _gathered_child(metrics, "context")
-        core.on_context_change(self._gather)
+        core.on_context_change(self.producer.produce)
 
     @property
     def gathered(self) -> int:
-        """Change records gathered (a view over the registry counter)."""
-        return int(self._gathered.value())
-
-    def _gather(self, change: ContextChange) -> None:
-        self._gathered.inc()
-        self.producer.produce(change)
+        """Change records gathered: the events the producer emitted."""
+        return self.producer.emitted
 
     def gather_batch(self, changes: Iterable[ContextChange]) -> List["Event"]:
         """Forward a burst of field changes as one producer batch.
@@ -133,9 +107,7 @@ class ContextSourceAgent:
         their change records here so the bus sees a single
         ``publish_batch`` instead of one drain per field.
         """
-        change_list = list(changes)
-        self._gathered.inc(len(change_list))
-        return self.producer.produce_batch(change_list)
+        return self.producer.produce_batch(changes)
 
 
 #: One telemetry reading: ``(metric, series label or None, value)``.
@@ -156,8 +128,6 @@ DEFAULT_SYSTEM_METRICS: Tuple[str, ...] = (
     "timer_backlog",
     "work_items_open",
     "journal_divergence",
-    "shard_recoveries",
-    "backpressure_stalls_total",
 )
 
 #: Name of the derived per-stage p95 latency metric (microseconds):
@@ -215,18 +185,12 @@ class SystemTelemetrySource:
         )
         if bus is not None:
             self.producer.attach(bus)
-        self._gathered = _gathered_child(metrics, "system")
         self._rates: Dict[Tuple[str, int], Deque[int]] = {}
         self._stale: Dict[str, Tuple[int, int]] = {}
         self._published: Dict[Tuple[str, Optional[str]], int] = {}
         self._observers: List[Callable[[List[Sample], int], None]] = []
         self._last_sample = clock.now()
         clock.on_advance(self._on_advance)
-
-    @property
-    def gathered(self) -> int:
-        """Telemetry samples gathered (a view over the registry counter)."""
-        return int(self._gathered.value())
 
     # -- derived series ----------------------------------------------------
 
@@ -264,7 +228,6 @@ class SystemTelemetrySource:
         self._last_sample = now
         samples = self._collect()
         self._derive(samples)
-        self._gathered.inc(len(samples))
         published = self._published
         changed = [
             sample for sample in samples

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from ..errors import ParallelError, ShardCrashError
 from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
-from ..observability import Counter, default_registry
+from ..observability import default_registry
 from ..observability.trace import TraceContext
 from ..parallel.codec import encode_standalone
 from ..parallel.host import FederationBlueprint, ShardSpec
@@ -64,20 +64,6 @@ def shard_directory(root: str, shard_id: int) -> str:
     path = os.path.join(root, f"shard-{shard_id}")
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _counters() -> Dict[str, Counter]:
-    registry = default_registry()
-    return {
-        "recoveries": registry.counter(
-            "shard_recoveries",
-            "Shard workers respawned and replayed after a crash",
-        ),
-        "snapshots": registry.counter(
-            "shard_snapshots_total",
-            "Shard snapshots persisted",
-        ),
-    }
 
 
 class SupervisedShard:
@@ -127,7 +113,9 @@ class SupervisedShard:
         self._log_seq_high = 0
         self._sink: Optional[Callable[[Dict[str, Any]], None]] = None
         self.recoveries = 0
-        self._metrics = _counters()
+        self._snapshots = default_registry().counter(
+            "shard_snapshots_total", "Shard snapshots persisted"
+        )
 
     @property
     def alive(self) -> bool:
@@ -297,7 +285,7 @@ class SupervisedShard:
         self.journal.sync()
         snapshot.save(self.snapshot_path)
         self._snapshot = snapshot
-        self._metrics["snapshots"].inc()
+        self._snapshots.inc()
         self.journal.compact(frame_index)
         if _SLOG.enabled:
             _SLOG.emit(
@@ -329,7 +317,6 @@ class SupervisedShard:
                 f"{self.config.max_recoveries}); giving up"
             )
         self.recoveries += 1
-        self._metrics["recoveries"].inc()
         snapshot = self._snapshot
         start = self._covered_index()
         blueprint_wire = (

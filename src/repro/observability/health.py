@@ -175,60 +175,6 @@ def staleness_rule(
     )
 
 
-def restart_storm_rule(
-    window: int = 10,
-    limit: int = 2,
-    severity: str = SEVERITY_FAILING,
-) -> SloRule:
-    """Fires when shard workers keep crashing and being respawned.
-
-    A rate rule over the supervisor's ``shard_recoveries`` counter: more
-    than *limit* recoveries across the last *window* sampling passes
-    means the federation is in a crash loop (each recovery replays the
-    journal tail — forward progress is being paid for repeatedly), not
-    absorbing an isolated fault.  Deploy it on systems running a durable
-    sharded federation; elsewhere the metric never appears and the rule
-    stays silent.
-    """
-    return rate_rule(
-        "restart-storm",
-        "shard_recoveries",
-        window,
-        ">",
-        limit,
-        severity=severity,
-        description="Shard workers crashing and recovering repeatedly",
-    )
-
-
-def backpressure_rule(
-    window: int = 10,
-    limit: int = 50,
-    severity: str = SEVERITY_DEGRADED,
-) -> SloRule:
-    """Fires when ingest keeps stalling on full shard pipes.
-
-    A rate rule over the facade's ``backpressure_stalls_total``
-    counter (one per deferral episode or blocking drain wait): more
-    than *limit* stalls across the last *window* sampling passes means
-    one or more shards persistently cannot keep up with the event
-    stream — the pipe is doing its job (bounding memory at one queued
-    frame per shard plus the pipe), but throughput is now governed by
-    the slowest shard.  Opt-in like :func:`restart_storm_rule`: without
-    a process-backend federation the metric never appears and the rule
-    stays silent.
-    """
-    return rate_rule(
-        "ingest-backpressure",
-        "backpressure_stalls_total",
-        window,
-        ">",
-        limit,
-        severity=severity,
-        description="Ingest repeatedly stalled on full shard pipes",
-    )
-
-
 def default_rules() -> Tuple[SloRule, ...]:
     """The out-of-the-box SLO set over the EnactmentSystem gauges."""
     return (

@@ -54,7 +54,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
 
 from ..errors import DurabilityError, ParallelError, ShardCrashError
@@ -63,12 +62,7 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability.health import SloRule, SystemHealth
 from ..observability.logging import FederationLogView
-from ..observability.registry import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
+from ..observability.registry import MetricsRegistry, default_registry
 from ..observability.selfawareness import FederationMetricsView
 from ..observability.trace import (
     DEFAULT_SAMPLE_EVERY,
@@ -82,24 +76,6 @@ from .router import ShardRouter
 from .wire import SEQ_KEY, attach_trace
 
 BACKENDS = ("serial", "process")
-
-#: Gather-latency histogram buckets (microseconds): collectives span
-#: everything from a warm two-shard stats poll to a drain that waits on
-#: a recognition-heavy worker.
-GATHER_LATENCY_BUCKETS = (
-    100.0,
-    250.0,
-    500.0,
-    1_000.0,
-    2_500.0,
-    5_000.0,
-    10_000.0,
-    25_000.0,
-    50_000.0,
-    100_000.0,
-    250_000.0,
-    1_000_000.0,
-)
 
 #: Seconds a worker gets to act on SIGTERM before it is killed.
 TERMINATE_GRACE = 0.5
@@ -608,25 +584,8 @@ class ShardedFederation:
         #: existed are history, not federation traffic.
         self._local_log_cursor = _SLOG.seq
         self._mux: Optional[ChannelMultiplexer] = None
-        self._stalls: Optional[Counter] = None
-        self._gather_latency: Optional[Histogram] = None
         if self.config.backend == "process":
             self._mux = ChannelMultiplexer()
-            registry = default_registry()
-            self._stalls = registry.counter(
-                "backpressure_stalls_total",
-                "Event sends deferred or blocked on a shard's full pipe",
-                label_names=("shard",),
-            )
-            self._gather_latency = registry.histogram(
-                "gather_latency_us",
-                GATHER_LATENCY_BUCKETS,
-                "Latency of broadcast-then-gather collectives",
-                label_names=("op",),
-            )
-            self._mux.on_stall = lambda channel: self._count_stall(
-                channel.shard_id
-            )
             workers = _start_process_shards(
                 self.config, blueprint, self._mux
             )
@@ -685,12 +644,6 @@ class ShardedFederation:
         self._deferred: List[bool] = [False] * self.config.shards
         #: Everything drained so far, in merged order.
         self.delivered: List[ShardNotification] = []
-
-    # -- backpressure plumbing ----------------------------------------------
-
-    def _count_stall(self, shard_id: int) -> None:
-        if self._stalls is not None:
-            self._stalls.inc(labels=(str(shard_id),))
 
     # -- recovery plumbing --------------------------------------------------
 
@@ -763,7 +716,6 @@ class ShardedFederation:
                     channel = self.shards[index].channel
                     assert channel is not None  # no pipe, no stall
                     channel.stalls += 1
-                    self._count_stall(index)
                 if self._mux is not None:
                     self._mux.pump(0.0)
                 if not self._can_ship(index):
@@ -885,12 +837,7 @@ class ShardedFederation:
             if shard.channel is not None
         }
         if wants and self._mux is not None:
-            started = perf_counter()
             frames, __ = self._mux.gather(wants)
-            if self._gather_latency is not None:
-                self._gather_latency.observe(
-                    (perf_counter() - started) * 1e6, labels=(op,)
-                )
         results: List[Tuple[Shard, Any]] = []
         for shard in begun:
             try:

@@ -302,10 +302,11 @@ class ShardHost:
         event refuses the frame whole with a :class:`FrameRefusedError`
         (an :class:`EventTypeError`) naming the shard, whatever windows
         sit behind the producer; so does an event of a type no producer
-        of this shard serves.  The linked kernels downstream build on
-        values that passed here.  Consecutive same-type runs then enter
-        as one ``emit_batch``, so the bus sees the same batch shapes an
-        in-process engine would.
+        of this shard serves, and a member that is no event at all (a
+        decoded frame's list may hold any wire value).  The linked
+        kernels downstream build on values that passed here.
+        Consecutive same-type runs then enter as one ``emit_batch``, so
+        the bus sees the same batch shapes an in-process engine would.
 
         A run is admitted by column: *covers* is the decoder's record of
         the ``ROWS`` records it decoded
@@ -361,7 +362,19 @@ class ShardHost:
         }
         runs: List[Tuple[EventProducer, List[Event]]] = []
         i, n = 0, len(events)
-        for type_name, group in groupby(map(_type_name, events)):
+        try:
+            type_names = list(map(_type_name, events))
+        except AttributeError:
+            k, item = next(
+                (k, item)
+                for k, item in enumerate(events)
+                if not isinstance(item, Event)
+            )
+            raise FrameRefusedError(
+                f"shard {self.shard_id} refused a frame of {n} events at "
+                f"item {k}: not an event but a {type(item).__name__!r} value"
+            ) from None
+        for type_name, group in groupby(type_names):
             j = i + len(list(group))
             producer = producers.get(type_name)
             run = events[i:j]

@@ -51,7 +51,7 @@ import os
 import selectors
 from collections import deque
 from time import monotonic
-from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, Mapping, Optional, Tuple
 
 from ..errors import WireError
 from .codec import BinaryDecoder, BinaryEncoder
@@ -235,9 +235,6 @@ class ChannelMultiplexer:
         #: Channels currently registered for write readiness (a pipe
         #: with queued bytes); read registration is permanent.
         self._write_armed: Dict[int, bool] = {}
-        #: Optional stall observer: called with the stalling channel
-        #: whenever a drain wait begins.
-        self.on_stall: Optional[Callable[[MuxChannel], None]] = None
 
     # -- registration ------------------------------------------------------
 
@@ -367,8 +364,6 @@ class ChannelMultiplexer:
         if channel.drained:
             return True
         channel.stalls += 1
-        if self.on_stall is not None:
-            self.on_stall(channel)
         while not channel.drained:
             if channel.dead is not None:
                 return False

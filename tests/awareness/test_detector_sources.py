@@ -19,6 +19,8 @@ from repro.errors import SpecificationError
 from repro.events.bus import EventBus
 from repro.events.producers import ActivityEventProducer, ContextEventProducer
 
+from tests.awareness.test_routing import python_calls
+
 
 def window_with_schema(producers=None):
     window = SpecificationWindow(
@@ -141,6 +143,25 @@ class TestSourceAgents:
         instance.context("Ctx").set("deadline", 1)
         assert len(activity_events) == 1
         assert len(context_events) == 1
+
+    def test_a_change_reaches_its_producer_in_a_fixed_number_of_calls(self):
+        """Counts, not wall clock: each agent registers its producer's
+        ``produce`` on the engine, so a change costs the engine's calls,
+        the translation's and ``emit``'s, with one emission count, up to
+        the producer's ``_dispatch`` (no consumer, no bus, so nothing
+        runs after it): 20 from ``change_state``, 16 from a context
+        field ``set``."""
+        engine, process = self._engine_with_process()
+        activity = ActivitySourceAgent(engine)
+        context = ContextSourceAgent(engine)
+        instance = engine.create_process_instance(process)
+        ref = instance.context("Ctx")
+        ref.set("deadline", 1)
+        engine.change_state(instance, "Ready")
+
+        assert python_calls(engine.change_state, instance, "Running") == 20
+        assert python_calls(ref.set, "deadline", 2) == 16
+        assert (activity.gathered, context.gathered) == (2, 2)
 
 
 class TestCustomOperatorExtension:

@@ -12,10 +12,8 @@ from repro.observability.health import (
     STATUS_EXIT_CODES,
     HealthEvaluator,
     SloRule,
-    backpressure_rule,
     default_rules,
     rate_rule,
-    restart_storm_rule,
     staleness_rule,
     threshold_rule,
     worst_status,
@@ -74,16 +72,6 @@ class TestSloRule:
         assert rule.kind == "staleness"
         assert rule.breached(3)
         assert not rule.breached(2)
-
-    def test_restart_storm_factory_watches_shard_recoveries(self):
-        rule = restart_storm_rule(window=5, limit=1)
-        assert rule.base_metric == "shard_recoveries"
-        assert rule.kind == "rate"
-        assert rule.window == 5
-        assert rule.breached(2)
-        assert not rule.breached(1)
-        # Opt-in: crash loops only matter on durable sharded federations.
-        assert "restart-storm" not in {r.name for r in default_rules()}
 
     def test_default_rules_cover_the_issue_set(self):
         names = {rule.name for rule in default_rules()}
@@ -188,38 +176,34 @@ class TestRateFireAndClear:
         assert awareness.health().status == "ok"
 
 
-    def test_ingest_backpressure(self):
-        system = EnactmentSystem(name="stallsys")
-        stalls = system.metrics.counter(
-            "backpressure_stalls_total",
-            "Event sends deferred or blocked on a shard's full pipe",
-            ("shard",),
-        )
-        awareness = SelfAwareness(
-            system, rules=(backpressure_rule(window=3, limit=5),), interval=1
-        )
+    def test_a_rate_rule_reads_a_labelled_total(self):
+        """One series per topic: the rule watches the total, so
+        increases on different series add up."""
+        system = EnactmentSystem(name="ratesys")
+        failed = system.metrics.get("bus_failed_total")
+        rule = rate_rule("failure-burst", "bus_failed_total", 3, ">", 5)
+        awareness = SelfAwareness(system, rules=(rule,), interval=1)
         system.clock.advance(1)  # baseline pass
         assert awareness.health().status == "ok"
 
-        stalls.inc(5, ("0",))  # at the limit, not past it
+        failed.inc(5, ("T_activity",))  # at the limit, not past it
         system.clock.advance(1)
         assert awareness.health().status == "ok"
-        stalls.inc(1, ("1",))  # six stalls across the window
+        failed.inc(1, ("T_context",))  # six failures across the window
         system.clock.advance(1)
         health = awareness.health()
         assert health.status == "degraded"
-        assert any(a.schema_name == "AS_Health_ingest-backpressure"
+        assert any(a.schema_name == "AS_Health_failure-burst"
                    for a in awareness.alerts())
 
         for __ in range(4):
             system.clock.advance(1)
         assert awareness.health().status == "ok"
 
-    def test_ingest_backpressure_is_silent_without_the_metric(self):
-        system = EnactmentSystem(name="nostalls")
-        awareness = SelfAwareness(
-            system, rules=(backpressure_rule(window=3, limit=0),), interval=1
-        )
+    def test_a_rate_rule_is_silent_without_its_metric(self):
+        system = EnactmentSystem(name="noretries")
+        rule = rate_rule("retry-rate", "retries_total", 3, ">", 0)
+        awareness = SelfAwareness(system, rules=(rule,), interval=1)
         for __ in range(4):
             system.clock.advance(1)
         health = awareness.health()

@@ -3,8 +3,11 @@
 The catalogue is hand-written (each row names its readers, which no
 code can derive), so this test holds its name column to the code: an
 `EnactmentSystem` with self-awareness attached, plus a one-shard durable
-process federation for the facade's and the supervisor's instruments in
-the process-wide default registry.
+process federation for the supervisor's instrument in the process-wide
+default registry.  Every row names a reader besides the metrics page,
+and a row whose readers are a health rule or the ``T_system`` telemetry
+sample is registered where the telemetry source samples: the system's
+own registry.
 """
 
 import multiprocessing
@@ -68,3 +71,22 @@ def test_catalogue_names_every_registered_instrument(tmp_path):
         )
         for labels in series:
             assert all(type(value) is str for value in labels), (name, labels)
+
+
+def test_every_row_names_a_reader_besides_the_page():
+    for name, (__, ___, readers) in catalogued().items():
+        assert "page only" not in readers, f"{name} has no reader"
+
+
+def test_rule_and_telemetry_readers_sample_the_system_registry():
+    """A rule or a ``T_system`` sample reads what the telemetry source
+    samples: the system registry, not the process-wide default one."""
+    system = EnactmentSystem()
+    SelfAwareness(system)
+    sampled = set(system.metrics.names())
+    for name, (__, ___, readers) in catalogued().items():
+        if "SLO rule" in readers or "`T_system`" in readers:
+            assert name in sampled, (
+                f"{name} is read by a rule or T_system but is not on the "
+                f"system registry the telemetry source samples"
+            )

@@ -8,9 +8,10 @@ pair, run by run in frame order, as the door checked before columns —
 through both of its doors: a list of events (the serial backend; the
 door transposes the run) and a decoded frame (the decoder's covers),
 fed the frames the encoder writes and ``ROWS`` records built byte by
-byte, whose ``DICT`` tables hold entries no row refers to.  Both sides
-agree on admit or refuse and on the error's text, and a refused frame
-leaves every operator's state as it was.
+byte, whose ``DICT`` tables hold entries no row refers to; now and then
+a frame holds a member that is no event at all.  Both sides agree on
+admit or refuse and on the error's text, and a refused frame leaves
+every operator's state as it was.
 """
 
 import pytest
@@ -106,8 +107,16 @@ UNREFERENCED = [
 
 
 def reference_refusal(events, shard_id=0):
-    """The row-wise door: the refusal text, or ``None`` to admit."""
+    """The row-wise door: the refusal text, or ``None`` to admit.  A
+    frame with a member that is no event is refused at the first such
+    member before any event of it is checked."""
     n = len(events)
+    for k, event in enumerate(events):
+        if not isinstance(event, Event):
+            return (
+                f"shard {shard_id} refused a frame of {n} events at item "
+                f"{k}: not an event but a {type(event).__name__!r} value"
+            )
     i = 0
     while i < n:
         type_name = events[i].type_name
@@ -226,13 +235,21 @@ def runs(draw):
     return [Event.trusted(SERVED[type_name], params) for params in events]
 
 
+#: Wire values a decoded frame's list may hold where an event belongs.
+NON_EVENTS = [7, None, dict(SYSTEM_GOOD)]
+
+
 @st.composite
 def frames(draw):
-    """1-3 runs, now and then one of an unserved type between them."""
+    """1-3 runs, now and then one of an unserved type or a member that
+    is no event between them."""
     events = []
     for run in draw(st.lists(runs(), min_size=1, max_size=3)):
-        if draw(st.integers(0, 7)) == 0:
+        between = draw(st.integers(0, 15))
+        if between < 2:
             events.append(Event.trusted(SYSTEM_EVENT_TYPE, dict(SYSTEM_GOOD)))
+        elif between == 2:
+            events.append(draw(st.sampled_from(NON_EVENTS)))
         events += run
     return events
 
@@ -269,6 +286,7 @@ class TestAdmissionDifferential:
                     assert any(
                         type(value) is Text
                         for event in events
+                        if isinstance(event, Event)
                         for value in event.params.values()
                     )
                     assert door_refusal(received, events) == expected

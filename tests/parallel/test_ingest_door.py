@@ -10,7 +10,8 @@ build their outputs from values that are already typed.
 The hostile primitives are ``T_context`` events a decoder (or a
 hand-built trusted event) can carry but the engine never produces: a
 non-int ``time``, a non-str process instance id, and a mixed association
-set that cannot be sorted.
+set that cannot be sorted.  A decoded frame's list may also hold a wire
+value that is no event at all.
 """
 
 import copy
@@ -99,9 +100,14 @@ def context_event(tick, **changes):
     return Event.trusted(CONTEXT_EVENT_TYPE, params)
 
 
+#: Every hostile kind, and a frame member that is no event.
+KINDS = sorted(HOSTILE) + ["non-event"]
+
+
 def hostile_frame(kind):
     """``[good, good, bad]``: two events the windows would act on first."""
-    return [context_event(2), context_event(3), context_event(4, **HOSTILE[kind])]
+    bad = 7 if kind == "non-event" else context_event(4, **HOSTILE[kind])
+    return [context_event(2), context_event(3), bad]
 
 
 def operator_state(host):
@@ -113,7 +119,7 @@ def operator_state(host):
 
 class TestSerialDoor:
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_a_malformed_primitive_refuses_its_frame_whole(self, shape, kind):
         with ShardedFederation(blueprint(shape), ShardConfig(shards=1)) as federation:
             host = federation.shards[0].host
@@ -171,7 +177,7 @@ fork_only = pytest.mark.skipif(
 @fork_only
 class TestProcessDoor:
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_the_refusal_is_reported_and_the_worker_stays_alive(
         self, shape, kind
     ):
@@ -204,32 +210,33 @@ class TestProcessDoor:
         plan = workload(forces=2, events=8)
         events = plan.events()
         cut = len(events) // 2
-        config = ShardConfig(
-            shards=1,
-            backend="process",
-            join_timeout=10.0,
-            durable_dir=str(tmp_path / "durable"),
-            snapshot_every=0,
-        )
-        with ShardedFederation(plan.blueprint(), config) as federation:
-            federation.ingest(events[:cut])
-            federation.drain()
-            federation.ingest(hostile_frame("mixed"))
-            assert federation.drain() == []
-            with pytest.raises(ParallelError, match="FrameRefusedError"):
-                federation.stats()
-            kill_worker(federation.shards[0])
-            federation.ingest(events[cut:])
-            federation.drain()
-            stats = federation.stats()
-            merged = list(federation.delivered)
-        assert stats["recoveries"] == 1
         with ShardedFederation(plan.blueprint(), ShardConfig(shards=1)) as oracle:
             oracle.ingest(events)
             oracle.drain()
             expected = list(oracle.delivered)
         assert len(expected) == plan.expected_notifications()
-        assert signatures(merged) == signatures(expected)
+        for kind in ("mixed", "non-event"):
+            config = ShardConfig(
+                shards=1,
+                backend="process",
+                join_timeout=10.0,
+                durable_dir=str(tmp_path / kind),
+                snapshot_every=0,
+            )
+            with ShardedFederation(plan.blueprint(), config) as federation:
+                federation.ingest(events[:cut])
+                federation.drain()
+                federation.ingest(hostile_frame(kind))
+                assert federation.drain() == []
+                with pytest.raises(ParallelError, match="FrameRefusedError"):
+                    federation.stats()
+                kill_worker(federation.shards[0])
+                federation.ingest(events[cut:])
+                federation.drain()
+                stats = federation.stats()
+                merged = list(federation.delivered)
+            assert stats["recoveries"] == 1, kind
+            assert signatures(merged) == signatures(expected), kind
 
 
     def test_an_unserved_type_is_refused_and_its_replay_recovers(self, tmp_path):
