@@ -130,7 +130,7 @@ def drive(n_fields, events_per_field, template, share_plans, n_windows=N_WINDOWS
     instance = system.coordination.start_process(process)
     changes = make_changes(instance, n_fields, events_per_field)
     started = time.perf_counter()
-    system.awareness.context_source.gather_batch(changes)
+    system.awareness.context_source.producer.produce_batch(changes)
     elapsed = time.perf_counter() - started
     recognized = sum(d.recognized for d in system.awareness.detectors())
     planner = system.awareness.planner

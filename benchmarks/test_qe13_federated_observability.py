@@ -114,10 +114,10 @@ def run_once(workload, attached: bool):
             "logs_dropped": federation.logs().dropped(),
         }
         registry = federation.metrics_registry()
-        published = registry.get("bus_published_total")
-        if published is not None:
+        emitted = registry.get("producer_emitted_total")
+        if emitted is not None:
             summary["metric_shards"] = {
-                labels[0] for labels in published.series()
+                labels[0] for labels in emitted.series()
             }
         summary["log_shards"] = {
             record["shard"]

@@ -67,7 +67,8 @@ def run_demo(attached: bool):
     elapsed = time.perf_counter() - started
     if awareness is not None:
         awareness.sample_now()
-    return elapsed, builder.system.bus.published_count(), awareness
+    emitted = builder.system.metrics.get("producer_emitted_total").total()
+    return elapsed, int(emitted), awareness
 
 
 # -- latency: forced breach surfaces within one sampling interval -----------

@@ -32,20 +32,9 @@ source of primitive events" — here the source is CMI itself).
 from __future__ import annotations
 
 from collections import deque
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import LogicalClock
-from ..core.context import ContextChange
 from ..core.engine import CoreEngine
 from ..events.bus import EventBus
 from ..events.producers import (
@@ -54,9 +43,6 @@ from ..events.producers import (
     SystemEventProducer,
 )
 from ..observability import MetricsRegistry, stage_p95
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events.event import Event
 
 
 class ActivitySourceAgent:
@@ -99,15 +85,6 @@ class ContextSourceAgent:
     def gathered(self) -> int:
         """Change records gathered: the events the producer emitted."""
         return self.producer.emitted
-
-    def gather_batch(self, changes: Iterable[ContextChange]) -> List["Event"]:
-        """Forward a burst of field changes as one producer batch.
-
-        Bulk context updates (e.g. :meth:`ContextReference.update`) hand
-        their change records here so the bus sees a single
-        ``publish_batch`` instead of one drain per field.
-        """
-        return self.producer.produce_batch(changes)
 
 
 #: One telemetry reading: ``(metric, series label or None, value)``.

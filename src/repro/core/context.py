@@ -258,9 +258,10 @@ class ContextReference:
     def update(self, fields: Dict[str, Any]) -> List[ContextChange]:
         """Set several fields in one call; one change record per field.
 
-        All writes share the scope check and are stamped in mapping order;
-        the returned records can be handed to
-        ``ContextSourceAgent.gather_batch`` for batched event publication.
+        All writes share the scope check and are stamped in mapping order.
+        Each write is published through the engine's listeners like a
+        :meth:`set`, so the returned records are already events: they
+        are for the caller to read, not to emit again.
         """
         self._check()
         return [

@@ -6,37 +6,52 @@ event path do not talk through the bus: a source agent's producer routes
 each primitive event straight to the detector steps registered on its key
 index (:meth:`repro.events.producers.EventProducer.add_consumer`), and a
 detector agent hands recognitions to the delivery agent by direct call.
-The bus is what is left of the fabric for everyone *else*: every producer
-attached to it publishes each event it emits, after that event's detector
-steps ran, and whoever wants to watch a stream — a monitor, a test, an
-observer of ``T_context`` — subscribes to the topic and sees every event
-of it.  No agent in ``src/`` subscribes; the bus routes nothing and has no
-key index.  The one routing index lives on the producers.
+The bus is what is left of the fabric for everyone *else*: whoever wants
+to watch a stream — a monitor, a test, an observer of ``T_context`` —
+subscribes to the topic and sees every event of it, after that event's
+detector steps ran.  No agent in ``src/`` subscribes; the bus routes
+nothing and has no key index.  The one routing index lives on the
+producers.
+
+The bus costs nothing while no one watches.  A producer attached to it
+(:meth:`~repro.events.producers.EventProducer.attach`) is filed under
+its event type, and it is *linked* — publishes what it emits — only while
+that topic has an active subscription: the first :meth:`subscribe` to a
+topic links its filed producers, and the :meth:`unsubscribe` of the last
+one unlinks them.  An unlinked producer makes no call into this module.
+An event published directly (a ``T_delivery`` sink, say) on a topic no
+one watches is dropped in the drain loop, without a handler call or a
+span.
 
 Topics are event type names.  Dispatch is synchronous but *queued*: an event
 published while another event is being dispatched is appended to a FIFO and
 delivered after the current dispatch completes, so cascades triggered by
 handlers (e.g. a tap reacting to an event by modifying a context, which
 publishes another event) see a consistent, non-reentrant order.
+
+A tap is an observer: the operation whose event it watched has already
+taken effect, so a handler that raises must not fail it.  Its error is
+recorded (:attr:`EventBus.handler_errors`, ``bus_failed_total`` per topic,
+a ``handler_error`` structured-log record), the default ``failure-rate``
+SLO rule fires on it, and the remaining subscribers still receive the
+event.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import takewhile
-from operator import attrgetter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import MetricsRegistry
 from ..observability import STRUCTURED_LOG as _SLOG
 from .event import Event
 
-Handler = Callable[[Event], None]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .producers import EventProducer
 
-#: The slot, not the property: no Python call per event.
-_type_name = attrgetter("_event_type.name")
+Handler = Callable[[Event], None]
 
 
 @dataclass
@@ -49,7 +64,7 @@ class Subscription:
 
 
 class _Topic:
-    """One topic's subscribers, in subscription order.
+    """One tapped topic's subscribers, in subscription order.
 
     Dispatch iterates a cached tuple snapshot so the hot path never
     copies a list; the snapshot is rebuilt lazily after a
@@ -87,34 +102,20 @@ class _Topic:
 
 
 class EventBus:
-    """Synchronous, queue-draining pub/sub bus with per-topic statistics.
+    """Synchronous, queue-draining pub/sub tap with per-topic statistics."""
 
-    With ``isolate_errors=True`` a failing handler no longer aborts the
-    dispatch: the exception is recorded in :attr:`handler_errors` (and the
-    per-topic ``failed`` counter), and the remaining subscribers still
-    receive the event.  The default is fail-fast, which is what unit tests
-    want (see :meth:`_drain` for what an abort leaves behind: nothing); a
-    long-running federation turns isolation on so one broken tap cannot
-    fail the enactment operation whose event it was watching.
-    """
-
-    def __init__(
-        self,
-        isolate_errors: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        #: The tapped topics: a topic is here exactly while it has an
+        #: active subscription.
         self._topics: Dict[str, _Topic] = {}
+        #: Attached producers by output type name, linked while tapped.
+        self._producers: Dict[str, List["EventProducer"]] = {}
         self._queue: Deque[Event] = deque()
         self._dispatching = False
         #: Per-topic counters live in the metrics registry (the system's
         #: registry when the bus belongs to an EnactmentSystem, a private
         #: one otherwise) so `stats()` surfaces are views over instruments.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._published = self.metrics.counter(
-            "bus_published_total",
-            "Events published on the bus, by topic",
-            ("topic",),
-        )
         self._delivered = self.metrics.counter(
             "bus_delivered_total",
             "Successful handler deliveries, by topic",
@@ -122,36 +123,65 @@ class EventBus:
         )
         self._failed = self.metrics.counter(
             "bus_failed_total",
-            "Handler deliveries that raised under error isolation, by topic",
+            "Handler deliveries that raised, by topic",
             ("topic",),
         )
-        self._isolate_errors = isolate_errors
-        #: (topic, exception) pairs collected under error isolation.
+        #: (topic, exception) pairs, one per handler call that raised.
         self.handler_errors: List[Tuple[str, Exception]] = []
         #: Shared per-topic attribute dicts for ``bus.dispatch`` spans.
         self._span_attrs: Dict[str, Dict[str, object]] = {}
+
+    # -- producers -------------------------------------------------------------
+
+    def file_producer(self, producer: "EventProducer") -> None:
+        """File *producer* under its output type, linked at once when the
+        topic is tapped (a producer feeds one bus)."""
+        topic = producer.output_type.name
+        filed = self._producers.setdefault(topic, [])
+        if producer not in filed:
+            filed.append(producer)
+        producer._bus = self if topic in self._topics else None
+
+    def producers(self) -> Tuple["EventProducer", ...]:
+        """The attached producers, tapped or not."""
+        return tuple(p for filed in self._producers.values() for p in filed)
+
+    def _link(self, topic: str, bus: Optional["EventBus"]) -> None:
+        for producer in self._producers.get(topic, ()):
+            producer._bus = bus
 
     # -- subscription ----------------------------------------------------------
 
     def subscribe(self, topic: str, handler: Handler) -> Subscription:
         """Register *handler* for every event whose type name equals *topic*."""
         subscription = Subscription(topic=topic, handler=handler)
-        self._topics.setdefault(topic, _Topic()).add(subscription)
+        entry = self._topics.get(topic)
+        if entry is None:
+            entry = self._topics[topic] = _Topic()
+            self._link(topic, self)
+        entry.add(subscription)
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
-        """Deactivate and remove *subscription*.
+        """Deactivate and remove *subscription*; the topic's last one
+        unlinks its producers.
 
         Safe to call from inside a handler: the in-flight dispatch checks
         the ``active`` flag, and the list entry is reaped lazily on the
         next dispatch of the topic (removing it immediately could race
         with the dispatch snapshot).
         """
+        if not subscription.active:
+            return
         subscription.active = False
-        entry = self._topics.get(subscription.topic)
+        topic = subscription.topic
+        entry = self._topics.get(topic)
         if entry is None:
             return
-        if self._dispatching:
+        if not any(s.active for s in entry.subscriptions):
+            del self._topics[topic]
+            self._link(topic, None)
+        elif self._dispatching:
             entry.needs_reap = True
         else:
             entry.discard(subscription)
@@ -174,11 +204,10 @@ class EventBus:
     def publish_batch(self, events: Iterable[Event]) -> None:
         """Enqueue several events and drain once.
 
-        Used by the event source agents for bulk updates (e.g. a context
-        source agent forwarding a burst of field changes): the whole batch
-        joins the FIFO before dispatch starts, and a single drain loop
-        delivers it — same ordering guarantees as repeated :meth:`publish`
-        with less per-event overhead.
+        A producer hands its batch over here whole, after routing all of
+        it: the batch joins the FIFO before dispatch starts, and a single
+        drain loop delivers it — same ordering guarantees as repeated
+        :meth:`publish` with less per-event overhead.
         """
         self._queue.extend(events)
         if self._dispatching:
@@ -186,54 +215,25 @@ class EventBus:
         self._drain()
 
     def _drain(self) -> None:
-        """Dispatch the queue until it is empty.
-
-        A handler that raises on a fail-fast bus *aborts* the drain: the
-        exception reaches the publisher and every event still queued is
-        dropped with it, so nothing is left behind to surface inside a
-        later, unrelated publish.  ``bus_published_total`` counts the
-        events whose dispatch was attempted — the one that raised
-        included, the dropped ones not.  A run of a topic no one ever
-        subscribed to, outside a sampled trace (no ``bus.dispatch`` span
-        would open), is counted and dropped in one step: there is no
-        handler to call, so nothing can raise.
-        """
+        """Dispatch the queue until it is empty; an event of an untapped
+        topic is dropped.  Whatever escapes (a handler's ``Exception``
+        does not) leaves nothing queued behind it."""
         self._dispatching = True
         queue = self._queue
+        topics = self._topics
         try:
             while queue:
-                # A run of consecutive same-topic events (the common shape
-                # after publish_batch) shares one topic resolution and one
-                # counter update.  Handlers still see one call per event
-                # in FIFO order.
-                topic = _type_name(queue[0])
-                entry = self._topics.get(topic)
-                if entry is None and not (
-                    _OBS.enabled and not _OBS.tracer._light_depth
-                ):
-                    run = len(queue)
-                    if run > 1:
-                        run = len(list(takewhile(topic.__eq__, map(_type_name, queue))))
-                    if run == len(queue):
-                        queue.clear()
-                    else:
-                        for __ in range(run):
-                            queue.popleft()
-                    self._published.inc(run, (topic,))
-                    continue
-                attempted = 0
-                try:
-                    # The slot, not the property: one call fewer an event.
-                    while queue and queue[0]._event_type.name == topic:
-                        attempted += 1
-                        self._dispatch(entry, topic, queue.popleft())
-                finally:
-                    self._published.inc(attempted, (topic,))
+                event = queue.popleft()
+                # The slot, not the property: one call fewer an event.
+                topic = event._event_type.name
+                entry = topics.get(topic)
+                if entry is not None:
+                    self._dispatch(entry, topic, event)
         finally:
             queue.clear()
             self._dispatching = False
 
-    def _dispatch(self, entry: Optional[_Topic], topic: str, event: Event) -> None:
+    def _dispatch(self, entry: _Topic, topic: str, event: Event) -> None:
         # Inside a trace the sampler skipped, no span opens (see
         # Tracer._light_depth).
         if _OBS.enabled and not _OBS.tracer._light_depth:
@@ -243,11 +243,10 @@ class EventBus:
                 attrs = self._span_attrs[topic] = {"topic": topic}
             span = tracer.begin("bus.dispatch", event._params["time"], attrs)
             try:
-                if entry is not None:
-                    self._deliver(entry, topic, event)
+                self._deliver(entry, topic, event)
             finally:
                 tracer.end(span)
-        elif entry is not None:
+        else:
             self._deliver(entry, topic, event)
 
     def _deliver(self, entry: _Topic, topic: str, event: Event) -> None:
@@ -259,8 +258,6 @@ class EventBus:
             try:
                 subscription.handler(event)
             except Exception as error:
-                if not self._isolate_errors:
-                    raise
                 self._failed.inc(1, (topic,))
                 self.handler_errors.append((topic, error))
                 if _SLOG.enabled:
@@ -277,21 +274,13 @@ class EventBus:
 
     # -- statistics ------------------------------------------------------------------
 
-    def published_count(self, topic: Optional[str] = None) -> int:
-        if topic is None:
-            return int(self._published.total())
-        return int(self._published.value((topic,)))
-
     def delivered_count(self, topic: Optional[str] = None) -> int:
         if topic is None:
             return int(self._delivered.total())
         return int(self._delivered.value((topic,)))
 
     def failed_count(self, topic: Optional[str] = None) -> int:
-        """Deliveries that raised under ``isolate_errors=True``."""
+        """Handler calls that raised."""
         if topic is None:
             return int(self._failed.total())
         return int(self._failed.value((topic,)))
-
-    def topics(self) -> Tuple[str, ...]:
-        return tuple(self._topics)

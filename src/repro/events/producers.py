@@ -14,8 +14,8 @@ here with the exact parameter lists of the paper:
 
 Producers translate the CORE engine's change records into self-contained
 :class:`~repro.events.event.Event` objects, route each one to the detector
-steps registered for it, and then publish it on the attached bus for
-whoever taps the stream.  They are the engine-side half of the *event
+steps registered for it, and then, while someone taps the stream, publish
+it on the attached bus.  They are the engine-side half of the *event
 source agents* of Section 6.3 (the agent wrapper lives in
 :mod:`repro.awareness.sources`).
 """
@@ -148,9 +148,9 @@ class EventProducer:
     Detector leaves register on the producer (:meth:`add_consumer` — the
     awareness wiring rule hands it an operator's linked ``step`` and that
     operator's static routing keys); ``emit`` calls the registered
-    consumers first and then, when a bus is attached, publishes the event
-    there for whoever taps the stream.  This index is the only place an
-    event is routed.
+    consumers first and then, while the attached bus has a tap on its
+    event type, publishes the event there.  This index is the only place
+    an event is routed.
 
     Producers whose subclass installs a *routing key extractor*
     (``T_activity`` keys on ``(parentProcessSchemaId,
@@ -182,6 +182,8 @@ class EventProducer:
         #: The declared parameter names: the columns :meth:`admit`
         #: transposes a run into.
         self._names = output_type.parameter_names()
+        #: The attached bus while its topic is tapped, else ``None``:
+        #: the bus links and unlinks it (:meth:`EventBus.subscribe`).
         self._bus: Optional[EventBus] = None
         #: The buckets are copy-on-write: registration replaces a list and
         #: never mutates one, so a dispatch in flight keeps iterating the
@@ -211,7 +213,9 @@ class EventProducer:
         return int(self._emitted.value())
 
     def attach(self, bus: EventBus) -> None:
-        self._bus = bus
+        """File this producer on *bus*: it publishes there while its event
+        type has a subscriber."""
+        bus.file_producer(self)
 
     def set_key_extractor(
         self, extractor: Callable[[Event], Hashable]
@@ -358,7 +362,7 @@ class EventProducer:
         return event
 
     def emit_batch(self, events: List[Event]) -> List[Event]:
-        """Emit several events, publishing to the bus as one batch."""
+        """Emit several events, publishing to a tapped bus as one batch."""
         self._emitted.inc(len(events))
         if _OBS.enabled:
             tracker = _OBS.provenance
@@ -531,8 +535,9 @@ class ContextEventProducer(EventProducer):
     def produce_batch(self, changes: Iterable[ContextChange]) -> List[Event]:
         """Translate a burst of field changes and emit them as one batch.
 
-        The bus sees the whole batch in one :meth:`EventBus.publish_batch`
-        call; direct consumers are dispatched per event as usual.
+        A tapped bus sees the whole batch in one
+        :meth:`EventBus.publish_batch` call; direct consumers are
+        dispatched per event as usual.
         """
         return self.emit_batch([self._translate(change) for change in changes])
 

@@ -38,7 +38,6 @@ class EnactmentSystem:
         clock: Optional[LogicalClock] = None,
         queue: Optional[DeliveryQueue] = None,
         journal: Optional["Journal"] = None,
-        isolate_errors: bool = False,
         name: str = "cmi",
     ) -> None:
         #: The system's federation-wide identity: telemetry events carry
@@ -50,7 +49,7 @@ class EnactmentSystem:
         #: Per-system (not process-wide) so concurrent systems in one
         #: process — the norm in tests — never share counters.
         self.metrics = MetricsRegistry()
-        self.bus = EventBus(isolate_errors=isolate_errors, metrics=self.metrics)
+        self.bus = EventBus(metrics=self.metrics)
         self.core = CoreEngine(self.clock)
         self.journal = journal
         if journal is not None:
@@ -170,12 +169,16 @@ class EnactmentSystem:
 
         A thin view over :attr:`metrics`: every value reads a registry
         instrument (counters the agents increment on the hot path, plus
-        the collection-time gauges registered above).
+        the collection-time gauges registered above).  The bus counts no
+        intake of its own: ``bus_events_published`` is what the producers
+        attached to it emitted.
         """
         stats = dict(self.awareness.stats())
         stats.update(
             {
-                "bus_events_published": self.bus.published_count(),
+                "bus_events_published": sum(
+                    producer.emitted for producer in self.bus.producers()
+                ),
                 "bus_events_delivered": self.bus.delivered_count(),
                 "bus_events_failed": self.bus.failed_count(),
                 "processes_started": int(self.metrics.value("processes_started")),

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..awareness.engine import SYSTEM_SOURCE, AwarenessEngine
 from ..awareness.operators.compare import named_bool_func_2
-from ..awareness.sources import Sample, SystemTelemetrySource
+from ..awareness.sources import STAGE_P95_METRIC, Sample, SystemTelemetrySource
 from ..core.roles import RoleRef
 from ..errors import SpecificationError
 from .logging import STRUCTURED_LOG as _LOG
@@ -199,7 +199,7 @@ def default_rules() -> Tuple[SloRule, ...]:
             ">",
             0,
             severity=SEVERITY_FAILING,
-            description="Bus handlers raising under error isolation",
+            description="Bus taps raising",
         ),
         threshold_rule(
             "timer-backlog",
@@ -339,7 +339,12 @@ class HealthEvaluator:
 
     def add_rule(self, rule: SloRule) -> SloRule:
         """Register a rule (before :meth:`deploy`); derived-metric rules
-        also install their rate/staleness watch on the source."""
+        also install their rate/staleness watch on the source.
+
+        The instrument the rule reads (a derived rule's ``base_metric``)
+        must be on the source's registry, and joins the sampled set: a
+        rule over an instrument nothing samples would never fire.
+        """
         if self._detector is not None:
             raise SpecificationError(
                 "health rules must be added before deploy(); undeploy the "
@@ -349,6 +354,15 @@ class HealthEvaluator:
             raise SpecificationError(
                 f"health rule {rule.name!r} already exists"
             )
+        read = rule.base_metric or rule.metric
+        if read != STAGE_P95_METRIC:
+            if self.source.metrics.get(read) is None:
+                raise SpecificationError(
+                    f"health rule {rule.name!r} reads {read!r}, an "
+                    f"instrument the system registry does not hold"
+                )
+            if read not in self.source.sampled_metrics:
+                self.source.sampled_metrics += (read,)
         if rule.kind == "rate":
             assert rule.base_metric is not None and rule.window is not None
             self.source.watch_rate(rule.base_metric, rule.window)

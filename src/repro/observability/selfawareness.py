@@ -70,15 +70,17 @@ class SelfAwareness:
             system_id=system.name,
             interval=interval,
         )
-        system.awareness.register_external_source(
-            SYSTEM_SOURCE, self.source.producer
-        )
+        # The rules are checked before the source takes the SystemEvent
+        # name, so a refused rule does not keep a second attach out.
         self.evaluator = HealthEvaluator(
             system.awareness,
             self.source,
             system_name=system.name,
             role=role,
             rules=rules,
+        )
+        system.awareness.register_external_source(
+            SYSTEM_SOURCE, self.source.producer
         )
         self.detector = self.evaluator.deploy()
 

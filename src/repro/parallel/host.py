@@ -225,9 +225,6 @@ class ShardHost:
         self._detectors: Dict[str, Any] = {}
         self._ingested: int = 0
         self._frames: int = 0
-        #: Bus publishes counted by a previous incarnation (snapshot
-        #: restore); the fresh bus restarts at zero.
-        self._published_offset: int = 0
         #: Sampled ingest span trees awaiting shipment to the facade
         #: (bounded; see :data:`MAX_SPAN_BATCHES`).
         self._span_batches: List[Dict[str, Any]] = []
@@ -492,9 +489,6 @@ class ShardHost:
             "seq": self.queue.seq,
             "pending": list(self.queue.records),
             "ingested": self._ingested,
-            "published": (
-                self._published_offset + self.system.bus.published_count()
-            ),
             # Log-shipping high-watermark: a restored worker continues
             # numbering from here, so records re-emitted during journal
             # replay collide with already-shipped sequence numbers and
@@ -508,6 +502,8 @@ class ShardHost:
         The blueprint must already be applied (same specs, same order);
         the journal tail above the snapshot's frame index is then
         replayed through :meth:`ingest` / :meth:`deploy_spec` as usual.
+        An older snapshot's ``"published"`` field, a second count of
+        ``"ingested"``, is ignored.
         """
         from ..durability.state import restore_operator
 
@@ -535,7 +531,6 @@ class ShardHost:
         self.queue.seq = int(state["seq"])
         self.queue.records = list(state["pending"])
         self._ingested = int(state["ingested"])
-        self._published_offset = int(state["published"])
         log_seq = state.get("log_seq")
         if self.ship_logs and log_seq is not None:
             _LOG.set_seq(int(log_seq))
@@ -552,9 +547,7 @@ class ShardHost:
             "notifications": self.queue.seq,
             "queue_depth": self.queue.pending_count(),
             "specs_deployed": len(self._detectors),
-            "bus_published": (
-                self._published_offset + self.system.bus.published_count()
-            ),
+            "bus_published": self._ingested,
             "instrumented": 1 if _OBS.enabled else 0,
         }
 

@@ -163,6 +163,24 @@ class TestSourceAgents:
         assert python_calls(ref.set, "deadline", 2) == 16
         assert (activity.gathered, context.gathered) == (2, 2)
 
+    def test_an_untapped_bus_adds_no_call(self):
+        """The same counts with a bus attached that no one taps: the
+        producers reach it only while their topic has a subscriber (the
+        parent published every event, 24 and 20 calls)."""
+        engine, process = self._engine_with_process()
+        bus = EventBus()
+        activity = ActivitySourceAgent(engine, bus=bus)
+        context = ContextSourceAgent(engine, bus=bus)
+        instance = engine.create_process_instance(process)
+        ref = instance.context("Ctx")
+        ref.set("deadline", 1)
+        engine.change_state(instance, "Ready")
+
+        assert python_calls(engine.change_state, instance, "Running") == 20
+        assert python_calls(ref.set, "deadline", 2) == 16
+        assert (activity.gathered, context.gathered) == (2, 2)
+        assert bus.delivered_count() == 0
+
 
 class TestCustomOperatorExtension:
     """AM is open: applications add their own operator families (§5.1)."""

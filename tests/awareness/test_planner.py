@@ -325,7 +325,7 @@ class TestBatchPath:
             )
             for v in range(3)
         ]
-        system.awareness.context_source.gather_batch(changes)
+        system.awareness.context_source.producer.produce_batch(changes)
         hits = next(
             row
             for row in system.awareness.planner.describe()

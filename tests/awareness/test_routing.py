@@ -38,10 +38,11 @@ def build_system(fields=("alpha", "beta")):
     return system, process
 
 
-def python_calls(function, *args):
+def python_calls(function, *args, within=None):
     """Python-level calls (``sys.setprofile`` ``call`` events: interpreter
     frames, not C builtins) made by ``function(*args)``, that one
-    included.  The collector is off while counting: a collection would
+    included; with *within* (a module), only calls into that module's
+    file.  The collector is off while counting: a collection would
     add a call to each Python callback a library left in
     ``gc.callbacks`` (Hypothesis leaves one) whenever it happened to
     run."""
@@ -49,10 +50,11 @@ def python_calls(function, *args):
     import sys
 
     calls = 0
+    filename = None if within is None else within.__file__
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and filename in (None, frame.f_code.co_filename):
             calls += 1
 
     collecting = gc.isenabled()

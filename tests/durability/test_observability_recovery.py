@@ -155,9 +155,9 @@ class TestRecoveryDoubleCounting:
             drive(federation, events[half:])
             federation.refresh_observability()
             registry = federation.metrics_registry()
-            published = registry.get("bus_published_total")
+            emitted = registry.get("producer_emitted_total")
             by_shard: dict = {}
-            for labels, value in published.series().items():
+            for labels, value in emitted.series().items():
                 by_shard[labels[0]] = by_shard.get(labels[0], 0) + value
             # The replacement worker's registry replays to the full
             # per-shard count: replay rebuilds state, and the latest

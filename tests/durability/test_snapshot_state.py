@@ -419,6 +419,25 @@ class TestHostSnapshotRestore:
         ):
             assert stats[key] == full[key], key
 
+    def test_a_snapshot_carrying_the_old_published_count_restores(self):
+        """Snapshots written before the bus lost its own count carry a
+        ``"published"`` field; restore ignores it, and ``bus_published``
+        reads the events ingested."""
+        wl = workload()
+        host = booted_host(wl)
+        host.ingest(wl.events())
+        full = host.stats()
+        state = host.snapshot_state()
+        host.close()
+        assert "published" not in state
+        state["published"] = full["events_ingested"]
+
+        recovered = booted_host(wl)
+        recovered.restore_state(state)
+        stats = recovered.stats()
+        recovered.close()
+        assert stats["bus_published"] == stats["events_ingested"] == full["events_ingested"]
+
     def test_unencodable_operator_state_degrades_to_none(self):
         wl = workload()
         host = booted_host(wl)
@@ -477,7 +496,14 @@ class TestSnapshotBytes:
             host.ingest(frame)
             state = host.snapshot_state()
             holding.append(len(held([op["partitions"] for op in state["operators"]])))
-            digests.append(hashlib.sha256(encode_standalone(state)).hexdigest())
+            # That build also wrote "published", a second count of
+            # "ingested", right after it (DESIGN note 33).
+            recorded = {}
+            for key, value in state.items():
+                recorded[key] = value
+                if key == "ingested":
+                    recorded["published"] = value
+            digests.append(hashlib.sha256(encode_standalone(recorded)).hexdigest())
         assert len(host.drain_results()) > 0
         host.close()
         assert all(holding)  # the joins did hold records at every cut

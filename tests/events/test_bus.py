@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.context import ContextChange
+from repro.events import bus as bus_module
 from repro.events.bus import EventBus
 from repro.events.event import Event, EventType, base_parameters
+from repro.events.producers import EventProducer
 from repro.observability import instrumented
 from tests.awareness.test_routing import (
     build_system,
@@ -145,7 +147,7 @@ class TestPublishBatch:
         bus.subscribe("T_a", got.append)
         bus.publish_batch([make_event(time=t) for t in (1, 2, 3)])
         assert [e.time for e in got] == [1, 2, 3]
-        assert bus.published_count("T_a") == 3
+        assert bus.delivered_count("T_a") == 3
 
     def test_batch_from_handler_is_queued(self):
         bus = EventBus()
@@ -162,11 +164,8 @@ class TestPublishBatch:
 
 
 class TestErrorIsolation:
-    def test_default_is_fail_fast(self):
-        bus = EventBus()
-        bus.subscribe("T_a", lambda e: (_ for _ in ()).throw(ValueError("boom")))
-        with pytest.raises(ValueError):
-            bus.publish(make_event())
+    """A tap is an observer: its error is recorded, never raised into
+    the publisher."""
 
     @staticmethod
     def raising_at_one(bus):
@@ -181,34 +180,18 @@ class TestErrorIsolation:
         bus.subscribe("T_b", handler)
         return seen
 
-    def test_fail_fast_abort_leaves_nothing_queued(self):
-        """The aborted drain drops the rest of the batch — the same-topic
-        run and the other topic alike — and counts only the attempted
-        event as published; nothing surfaces in a later publish."""
-        bus = EventBus()
-        seen = self.raising_at_one(bus)
-        batch = [make_event("T_a", t) for t in (1, 2, 3)] + [make_event("T_b", 4)]
-        with pytest.raises(ValueError):
-            bus.publish_batch(batch)
-        assert seen == [("T_a", 1)]
-        assert bus.published_count() == 1
-        del seen[:]
-        bus.publish(make_event("T_a", 5))
-        assert seen == [("T_a", 5)]
-        assert bus.published_count() == 2
-        assert bus.published_count("T_b") == 0
-
     def test_isolated_handler_error_loses_no_event_of_the_batch(self):
-        bus = EventBus(isolate_errors=True)
+        bus = EventBus()
         seen = self.raising_at_one(bus)
         batch = [make_event("T_a", t) for t in (1, 2, 3)] + [make_event("T_b", 4)]
         bus.publish_batch(batch)
         assert seen == [("T_a", 1), ("T_a", 2), ("T_a", 3), ("T_b", 4)]
-        assert bus.published_count() == 4
+        assert bus.delivered_count() == 3
         assert bus.failed_count() == 1
+        assert not bus._queue
 
     def test_isolated_errors_are_recorded_and_dispatch_continues(self):
-        bus = EventBus(isolate_errors=True)
+        bus = EventBus()
         got = []
 
         def broken(event):
@@ -224,21 +207,20 @@ class TestErrorIsolation:
         assert isinstance(error, ValueError)
 
     def test_isolated_failures_do_not_count_as_delivered(self):
-        bus = EventBus(isolate_errors=True)
+        bus = EventBus()
         bus.subscribe("T_a", lambda e: (_ for _ in ()).throw(ValueError()))
         bus.publish(make_event())
         assert bus.delivered_count("T_a") == 0
-        assert bus.published_count("T_a") == 1
+        assert bus.failed_count("T_a") == 1
 
     def test_failed_counter_tracks_partial_failures(self):
         """A partially-failing topic is not silently undercounted: the
         failures show up in their own counter."""
-        bus = EventBus(isolate_errors=True)
+        bus = EventBus()
         bus.subscribe("T_a", lambda e: (_ for _ in ()).throw(ValueError()))
         bus.subscribe("T_a", lambda e: None)
         bus.publish(make_event(time=1))
         bus.publish(make_event(time=2))
-        assert bus.published_count("T_a") == 2
         assert bus.delivered_count("T_a") == 2
         assert bus.failed_count("T_a") == 2
         assert bus.failed_count() == 2
@@ -252,11 +234,11 @@ class TestStatistics:
         bus.subscribe("T_a", lambda e: None)
         bus.publish(make_event())
         bus.publish(make_event("T_b"))
-        assert bus.published_count("T_a") == 1
-        assert bus.published_count() == 2
         assert bus.delivered_count("T_a") == 2
         assert bus.delivered_count("T_b") == 0
-        assert "T_a" in bus.topics()
+        assert bus.delivered_count() == 2
+        assert bus.subscriber_count("T_a") == 2
+        assert bus.subscriber_count("T_b") == 0
 
 
 class TestTapContract:
@@ -300,20 +282,42 @@ class TestTapContract:
         ]
         emitted = producer.produce_batch(changes)
         assert tapped == [("alpha", 4, 4), ("beta", 5, 4), ("alpha", 6, 4)]
-        assert system.bus.published_count("T_context") == 3 + len(emitted)
+        assert producer.emitted == 3 + len(emitted)
         assert system.bus.delivered_count("T_context") == 6
+        assert system.bus.handler_errors == []
+
+    def test_only_a_tapped_event_opens_a_bus_dispatch_span(self):
+        """In a sampled trace a tapped event opens its ``bus.dispatch``
+        span; an untapped one never reaches the bus, so none opens."""
+        bus = EventBus()
+        tapped = EventProducer("tapped", EventType("T_a", base_parameters()))
+        untapped = EventProducer("untapped", EventType("T_b", base_parameters()))
+        tapped.attach(bus)
+        untapped.attach(bus)
+        bus.subscribe("T_a", lambda e: None)
+        with instrumented() as obs:
+            tracer = obs.tracer
+            tracer.sample_every = 1
+            tracer._trace_count = 0
+            root = tracer.begin("test.root")
+            tapped.emit(make_event("T_a"))
+            untapped.emit(make_event("T_b"))
+            tracer.end(root)
+        emits = root.children
+        assert [span.name for span in emits] == ["source.emit"] * 2
+        assert [child.name for child in emits[0].children] == ["bus.dispatch"]
+        assert emits[1].children == []
 
 
 class TestSubscriberlessRun:
-    """Counts, not wall clock: a run of a topic no one subscribed to is
-    counted and dropped in one step when no ``bus.dispatch`` span would
-    open (a worker publishes every ``T_context`` run to a bus with no
-    topics).  The parent made one ``_dispatch`` call per event."""
+    """Counts, not wall clock: an event published directly (a
+    ``T_delivery`` sink, say) on a topic no one taps is dropped in the
+    drain loop, with no call and no span of its own.  The parent counted
+    the run and dropped it in one step, in 5 calls."""
 
     #: Python calls of one ``publish_batch`` of a subscriber-less run,
-    #: whatever its length: the publish, the drain, and the counter's
-    #: ``inc`` with its two label checks.
-    CALLS = 5
+    #: whatever its length: the publish and the drain.
+    CALLS = 2
 
     @staticmethod
     def events(n, topic="T_a"):
@@ -323,8 +327,8 @@ class TestSubscriberlessRun:
     def test_a_subscriberless_run_costs_no_call_per_event(self, n):
         bus = EventBus()
         assert python_calls(bus.publish_batch, self.events(n)) == self.CALLS
-        assert bus.published_count("T_a") == bus.published_count() == n
         assert bus.delivered_count() == 0
+        assert not bus._queue
 
     def test_runs_around_a_subscribed_one_keep_their_counts_and_order(self):
         bus = EventBus()
@@ -333,9 +337,7 @@ class TestSubscriberlessRun:
         batch = self.events(3) + self.events(2, "T_b") + self.events(4)
         bus.publish_batch(batch)
         assert seen == batch[3:5]
-        assert bus.published_count("T_a") == 7
-        assert bus.published_count("T_b") == 2
-        assert bus.delivered_count() == 2
+        assert bus.delivered_count("T_b") == bus.delivered_count() == 2
 
     def test_a_run_published_from_a_handler_is_dropped_after_it(self):
         bus = EventBus()
@@ -349,14 +351,14 @@ class TestSubscriberlessRun:
         bus.subscribe("T_b", handler)
         bus.publish_batch(self.events(2, "T_b"))
         assert len(seen) == 2
-        assert bus.published_count("T_c") == 10
+        assert bus.delivered_count() == 2
         assert not bus._queue
 
     @pytest.mark.parametrize("sampled", [True, False])
-    def test_spans_are_as_before_under_instrumentation(self, sampled):
-        """In a sampled trace each event still opens its ``bus.dispatch``
-        span; inside a skipped one nothing opens, and the run costs no
-        call per event there either."""
+    def test_no_span_opens_for_it_in_any_trace(self, sampled):
+        """In a sampled trace and in a skipped one alike, an untapped run
+        opens no ``bus.dispatch`` span and costs no call per event; a
+        tapped event still opens its span (:class:`TestTapContract`)."""
         bus = EventBus()
         with instrumented() as obs:
             tracer = obs.tracer
@@ -365,9 +367,65 @@ class TestSubscriberlessRun:
             root = tracer.begin("test.root")
             calls = python_calls(bus.publish_batch, self.events(16))
             tracer.end(root)
-        assert bus.published_count("T_a") == 16
         if sampled:
-            assert [child.name for child in root.children] == ["bus.dispatch"] * 16
-            assert calls > 16
-        else:
-            assert calls == self.CALLS
+            assert root.children == []
+        assert calls == self.CALLS
+
+
+def bus_calls(function, *args):
+    """Python calls made into ``bus.py`` by ``function(*args)``."""
+    return python_calls(function, *args, within=bus_module)
+
+
+class TestUntappedProducer:
+    """Counts, not wall clock: a producer attached to a bus reaches it
+    only while its topic has an active subscription.  The parent
+    published every emitted event."""
+
+    @staticmethod
+    def attached():
+        bus = EventBus()
+        producer = EventProducer("p", EventType("T_a", base_parameters()))
+        producer.attach(bus)
+        return bus, producer
+
+    @pytest.mark.parametrize("n", [1, 8, 128])
+    def test_an_untapped_batch_makes_no_call_into_the_bus(self, n):
+        bus, producer = self.attached()
+        events = TestSubscriberlessRun.events(n)
+        assert bus_calls(producer.emit_batch, events) == 0
+        assert bus_calls(producer.emit, events[0]) == 0
+
+        subscription = bus.subscribe("T_a", lambda e: None)
+        assert bus_calls(producer.emit_batch, events) > 0
+        bus.unsubscribe(subscription)
+        assert bus_calls(producer.emit_batch, events) == 0
+        assert bus.delivered_count() == n
+        assert producer.emitted == 3 * n + 1
+
+    def test_the_last_unsubscribe_unlinks_even_inside_a_handler(self):
+        bus, producer = self.attached()
+        first = bus.subscribe("T_a", lambda e: None)
+        seen = []
+
+        def once(event):
+            seen.append(event)
+            bus.unsubscribe(second)
+
+        second = bus.subscribe("T_a", once)
+        bus.unsubscribe(first)
+        producer.emit_batch(TestSubscriberlessRun.events(3))
+        assert len(seen) == 1
+        assert bus_calls(producer.emit, make_event()) == 0
+        assert bus.subscriber_count("T_a") == 0
+
+        # A later tap links the producer again and sees what follows.
+        tapped = []
+        bus.subscribe("T_a", tapped.append)
+        producer.emit(make_event(time=9))
+        assert [event.time for event in tapped] == [9]
+
+    def test_attaching_twice_files_the_producer_once(self):
+        bus, producer = self.attached()
+        producer.attach(bus)
+        assert bus.producers() == (producer,)

@@ -26,8 +26,8 @@ class TestEnactmentSystem:
         b = system.participant_client(alice)
         assert a is b
 
-    def test_isolate_errors_flag_reaches_the_bus(self):
-        system = EnactmentSystem(isolate_errors=True)
+    def test_a_failing_tap_is_isolated_on_every_system(self):
+        system = EnactmentSystem()
 
         def broken(event):
             raise RuntimeError("boom")
@@ -47,8 +47,10 @@ class TestEnactmentSystem:
         )
         process.mark_entry("a")
         system.core.register_schema(process)
-        system.coordination.start_process(process)
+        instance = system.coordination.start_process(process)
+        assert instance.current_state == "Running"
         assert len(system.bus.handler_errors) > 0
+        assert system.stats()["bus_events_failed"] == len(system.bus.handler_errors)
 
     def test_stats_keys(self, system):
         stats = system.stats()

@@ -90,7 +90,7 @@ class TestFederatedObservabilitySmoke:
     def test_export_emits_shard_labelled_prometheus_text(self, capsys):
         code, out = run_cli(capsys, "export", "--shards", str(SHARDS))
         assert code == 0
-        assert "# TYPE bus_published_total counter" in out
+        assert "# TYPE producer_emitted_total counter" in out
         for shard in range(SHARDS):
             assert f'{{shard="{shard}"' in out
         # The facade's own registry rides along under its own label.

@@ -137,8 +137,9 @@ class TestEpidemicIntegration:
         system = EnactmentSystem()
         EpidemicScenario(system, seed=9).run()
         stats = system.stats()
+        emitted = system.metrics.get("producer_emitted_total").total()
         assert stats["activity_events_gathered"] == (
-            stats["bus_events_published"] - stats["context_events_gathered"]
+            emitted - stats["context_events_gathered"]
         )
         assert stats["instances_total"] > 10
 

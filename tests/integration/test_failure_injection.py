@@ -25,9 +25,8 @@ from repro.workloads.taskforce import TaskForceApplication
 
 class TestBrokenDetectorIsolation:
     def test_broken_bus_subscriber_does_not_silence_healthy_ones(self):
-        """With isolation on, one faulty component cannot starve the rest
-        of the awareness engine of events."""
-        bus = EventBus(isolate_errors=True)
+        """One faulty tap cannot starve the rest of the bus of events."""
+        bus = EventBus()
         healthy = []
 
         def broken(event):

@@ -5,7 +5,7 @@ import pytest
 from repro import EnactmentSystem
 from repro.awareness.engine import SYSTEM_SOURCE
 from repro.awareness.sources import SystemTelemetrySource
-from repro.errors import SpecificationError
+from repro.errors import ReproError, SpecificationError
 from repro.events.queues import Notification
 from repro.observability import instrumented
 from repro.observability.health import (
@@ -200,16 +200,38 @@ class TestRateFireAndClear:
             system.clock.advance(1)
         assert awareness.health().status == "ok"
 
-    def test_a_rate_rule_is_silent_without_its_metric(self):
-        system = EnactmentSystem(name="noretries")
+    def test_a_rate_rule_over_an_application_counter_fires(self):
+        """The rule's metric joins the sampled set, though it is not
+        one of ``DEFAULT_SYSTEM_METRICS``."""
+        system = EnactmentSystem(name="retries")
+        retries = system.metrics.counter("retries_total", "application retries")
         rule = rate_rule("retry-rate", "retries_total", 3, ">", 0)
         awareness = SelfAwareness(system, rules=(rule,), interval=1)
-        for __ in range(4):
-            system.clock.advance(1)
+        assert "retries_total" in awareness.source.sampled_metrics
+        system.clock.advance(1)  # baseline pass
+        assert awareness.health().status == "ok"
+        retries.inc()
+        system.clock.advance(1)
         health = awareness.health()
-        assert health.status == "ok"
-        assert not health.firing()
-        assert not awareness.alerts()
+        assert [state.rule.name for state in health.firing()] == ["retry-rate"]
+        assert any(a.schema_name == "AS_Health_retry-rate"
+                   for a in awareness.alerts())
+
+    def test_a_rule_over_an_unknown_metric_is_refused(self):
+        system = EnactmentSystem(name="noretries")
+        rule = rate_rule("retry-rate", "retries_total", 3, ">", 0)
+        with pytest.raises(ReproError, match="'retries_total'"):
+            SelfAwareness(system, rules=(rule,), interval=1)
+        assert SelfAwareness(system, interval=1).health().status == "ok"
+        source = SystemTelemetrySource(system.clock, system.metrics, interval=1)
+        evaluator = HealthEvaluator(system.awareness, source, rules=())
+        with pytest.raises(ReproError, match="'heartbeats_total'"):
+            evaluator.add_rule(threshold_rule("beat", "heartbeats_total", "<", 1))
+        assert evaluator.rules() == ()
+        assert "heartbeats_total" not in source.sampled_metrics
+        # The stage p95 series is derived by the source, not an instrument.
+        evaluator.add_rule(threshold_rule("p95", "stage_p95_us", ">", 1000))
+        assert "stage_p95_us" not in source.sampled_metrics
 
 
 class TestStalenessFireAndClear:

@@ -98,9 +98,8 @@ class TestProcessWidePlane:
             assert STRUCTURED_LOG.records(component="scope") == ()
 
     def test_pipeline_emits_on_handler_error(self, system):
-        # A failing subscriber under error isolation writes a structured
-        # record from the bus dispatch path.
-        system.bus._isolate_errors = True
+        # A failing subscriber writes a structured record from the bus
+        # dispatch path.
 
         def boom(event):
             raise RuntimeError("broken detector")

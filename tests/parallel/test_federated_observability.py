@@ -128,17 +128,17 @@ class TestMetricsPlane:
         ) as federation:
             run_workload(federation, workload)
             registry = federation.metrics_registry()
-            published = registry.get("bus_published_total")
-            assert published is not None
+            emitted = registry.get("producer_emitted_total")
+            assert emitted is not None
             by_shard: dict = {}
-            for labels, value in published.series().items():
+            for labels, value in emitted.series().items():
                 by_shard[labels[0]] = by_shard.get(labels[0], 0) + value
             assert set(by_shard) >= {"0", "1"}
-            # Every routed event is published once on its shard's bus.
+            # Every routed event is emitted once by its shard's producer.
             assert by_shard["0"] + by_shard["1"] == len(workload.events())
             text = federation.render_metrics()
-            assert 'bus_published_total{shard="0"' in text
-            assert 'bus_published_total{shard="1"' in text
+            assert 'producer_emitted_total{shard="0"' in text
+            assert 'producer_emitted_total{shard="1"' in text
 
     @needs_fork
     def test_process_workers_ship_stage_histograms(self):
