@@ -112,10 +112,7 @@ class AwarenessEngine:
         self, name: str, producer: EventProducer
     ) -> EventProducer:
         """Add an application-specific event source (Section 5.1.1)."""
-        if name in (ACTIVITY_SOURCE, CONTEXT_SOURCE):
-            raise SpecificationError(f"source name {name!r} is reserved")
-        if name in self._external_sources:
-            raise SpecificationError(f"external source {name!r} already exists")
+        self.check_source_name(name)
         producer.attach(self.bus)
         self._external_sources[name] = producer
         if _SLOG.enabled:
@@ -127,6 +124,14 @@ class AwarenessEngine:
                 producer=producer.producer_id,
             )
         return producer
+
+    def check_source_name(self, name: str) -> None:
+        """Raise :class:`SpecificationError` unless *name* is free for
+        an external source."""
+        if name in (ACTIVITY_SOURCE, CONTEXT_SOURCE):
+            raise SpecificationError(f"source name {name!r} is reserved")
+        if name in self._external_sources:
+            raise SpecificationError(f"external source {name!r} already exists")
 
     # -- designer side --------------------------------------------------------------
 

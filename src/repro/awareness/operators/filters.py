@@ -139,6 +139,7 @@ $emit
             "_keys": "CANONICAL_KEYS",
         },
         lift=True,
+        by_column=True,
         names={"_not_an_instance_id": _not_an_instance_id},
     )
 
@@ -239,6 +240,7 @@ for $schema_id, $instance in $associations:
         },
         lift=True,
         loops=True,
+        by_column=True,
     )
 
     def describe(self) -> str:
@@ -331,6 +333,7 @@ $emit
             "_keys": "CANONICAL_KEYS",
         },
         lift=True,
+        by_column=True,
     )
 
     def describe(self) -> str:

@@ -24,6 +24,12 @@ where an input is dropped.  Two things are generated from it:
   escapes the segment, at the tail's ``emit`` (its fan-out).  While
   instrumentation is on, a segment hands its input to the root's entry,
   so provenance and spans see every hop's record as before.
+* the **column entry** of a segment or hop whose root template is
+  :attr:`~Template.by_column` (the lifting filters): the same code on
+  one row of a decoded run, reading ``$params["x"]`` off column ``x``,
+  hung on the entry as ``entry.by_column(run, row)``.  A producer
+  walking a run calls it, and an event is built for the row only where
+  one escapes (see ``EventProducer.emit_run``).
 
 Generated source depends only on the templates, never on a
 specification value: the operators, their attributes (parameters,
@@ -61,6 +67,12 @@ _GLOBALS: Dict[str, Any] = {
 }
 
 _NAME = re.compile(r"\$(\w+)")
+#: A column entry's reads: ``$params["x"]`` becomes row ``_i`` of column
+#: ``x``, and ``$params`` itself the row's mapping.
+_COLUMN_READ = re.compile(r'(\$params\["\w+"\])')
+_ROW_MAPPING = re.compile(r"\$params(?![\[\w])")
+#: The one line through which a *by_column* template reads its input.
+_PARAMS_LINE = "$params = event._params"
 _FIELD = re.compile(r"@(\w+)")
 _SIMPLE = re.compile(r"[\w.]+")
 
@@ -89,7 +101,9 @@ class Template:
     inside a loop of the body, so a later hop drops an input with
     ``continue``.  Output expressions read only the family's own names
     and its input's fields; a record is built from them where the event
-    escapes.
+    escapes.  *by_column* says a lifting body reads its input only
+    through its first line, ``$params = event._params``, so a column
+    entry can be rendered from it.
 
     The hop form is compiled when the template is defined, so a forked
     worker inherits it.
@@ -104,8 +118,23 @@ class Template:
     cause: str = "event"
     make: Optional[str] = None
     names: Mapping[str, Any] = field(default_factory=dict)
+    by_column: bool = False
 
     def __post_init__(self) -> None:
+        if self.by_column:
+            # The column entry reads ``$params["x"]`` off the columns: the
+            # event must reach the body only through that one line.
+            body = self.body.strip("\n")
+            reads = [body, *self.output.values()]
+            if (
+                not self.lift
+                or body.splitlines()[0] != _PARAMS_LINE
+                or sum(len(re.findall(r"\bevent\b", text)) for text in reads) != 1
+            ):
+                raise ValueError(
+                    "a by_column template lifts and reads its input only "
+                    f"through its first line, {_PARAMS_LINE!r}"
+                )
         _compile(self, "hop", (self,))
 
     def values(self, operator: Any) -> List[Any]:
@@ -226,6 +255,19 @@ def _render(variant: str, templates: Tuple[Template, ...]) -> str:
     lines += ["    " + line for line in prologue]
     lines += ["    def _run(event):"]
     lines += ["        " + line for line in run]
+    if templates[0].by_column:
+        # The column entry: ``event`` is the run (its rows' type, no
+        # provenance) and ``_i`` the row; an instrumented row is built
+        # and takes the event form.
+        columns = [
+            "if _OBS.enabled:",
+            f"    return {'_run' if hop else '_entry'}(event.row(_i))",
+            *guard,
+            *_hop(templates, 0, source, "return", by_column=True),
+        ]
+        lines += ["    def _columns(event, _i):"]
+        lines += ["        " + line for line in columns]
+        lines += ["    _run.by_column = _columns"]
     lines += ["    return _run", ""]
     return "\n".join(lines)
 
@@ -235,9 +277,12 @@ def _hop(
     index: int,
     source: Dict[str, str],
     skip: str,
+    by_column: bool = False,
 ) -> List[str]:
     """Lines of hop *index* and, at its ``$emit``, of everything after
-    it; *source* maps each input field to the expression holding it."""
+    it; *source* maps each input field to the expression holding it.
+    *by_column* renders the hop's reads of its input's parameters as
+    reads of row ``_i`` of the run ``event`` (:attr:`Template.by_column`)."""
     template = templates[index]
 
     def local(match: "re.Match[str]") -> str:
@@ -251,12 +296,18 @@ def _hop(
         return expression if _SIMPLE.fullmatch(expression) else f"({expression})"
 
     def substitute(text: str) -> str:
+        if by_column:
+            text = _COLUMN_READ.sub(r"\1[_i]", text)
+            text = _ROW_MAPPING.sub("event.mapping(_i)", text)
         return _FIELD.sub(input_field, _NAME.sub(local, text))
 
     lines: List[str] = []
     for raw in template.body.strip("\n").splitlines():
         text = raw.lstrip()
         pad = raw[: len(raw) - len(text)]
+        if by_column and text == _PARAMS_LINE:
+            lines.append(pad + _NAME.sub(local, "$params = event.columns"))
+            continue
         if text != "$emit":
             lines.append(pad + substitute(text))
             continue

@@ -31,10 +31,10 @@ publishes another event) see a consistent, non-reentrant order.
 
 A tap is an observer: the operation whose event it watched has already
 taken effect, so a handler that raises must not fail it.  Its error is
-recorded (:attr:`EventBus.handler_errors`, ``bus_failed_total`` per topic,
-a ``handler_error`` structured-log record), the default ``failure-rate``
-SLO rule fires on it, and the remaining subscribers still receive the
-event.
+recorded (the newest in :attr:`EventBus.handler_errors`, every one in
+``bus_failed_total`` per topic and a ``handler_error`` structured-log
+record), the default ``failure-rate`` SLO rule fires on it, and the
+remaining subscribers still receive the event.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ class _Topic:
         return snap
 
 
+#: Handler failures :attr:`EventBus.handler_errors` keeps, newest last.
+HANDLER_ERRORS_KEPT = 64
+
+
 class EventBus:
     """Synchronous, queue-draining pub/sub tap with per-topic statistics."""
 
@@ -126,7 +130,9 @@ class EventBus:
             "Handler deliveries that raised, by topic",
             ("topic",),
         )
-        #: (topic, exception) pairs, one per handler call that raised.
+        #: (topic, exception) pairs of the newest handler calls that
+        #: raised, at most :data:`HANDLER_ERRORS_KEPT`, tracebacks
+        #: dropped; ``bus_failed_total`` counts them all.
         self.handler_errors: List[Tuple[str, Exception]] = []
         #: Shared per-topic attribute dicts for ``bus.dispatch`` spans.
         self._span_attrs: Dict[str, Dict[str, object]] = {}
@@ -259,7 +265,12 @@ class EventBus:
                 subscription.handler(event)
             except Exception as error:
                 self._failed.inc(1, (topic,))
-                self.handler_errors.append((topic, error))
+                # The traceback holds the handler's frames and the
+                # event: a tap that always fails must not grow memory.
+                errors = self.handler_errors
+                errors.append((topic, error.with_traceback(None)))
+                if len(errors) > HANDLER_ERRORS_KEPT:
+                    del errors[0]
                 if _SLOG.enabled:
                     _SLOG.emit(
                         "bus",

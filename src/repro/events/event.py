@@ -15,6 +15,7 @@ descriptions check when wiring producers to operator slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -46,6 +47,9 @@ _SIMPLE_TYPES: Dict[str, type] = {
     "bool": bool,
     "set": frozenset,
 }
+
+#: What a decoded run builds each of its events with.
+_new = object.__new__
 
 #: Stand-in for a parameter the event does not carry.
 _MISSING: Any = type("Missing", (), {})()
@@ -406,3 +410,90 @@ class Event:
             if k not in ("type",) and v is not None
         }
         return f"Event({self.type_name!r}, {interesting})"
+
+
+class ColumnRun:
+    """A run of events of one type held as columns: a decoded ``ROWS``
+    record before any of its events exists.
+
+    *columns* maps each parameter name, in key order with ``type`` last,
+    to one value per row, indexed by row; *covers* are the decoder's
+    (see :meth:`EventType.admits`).  A row's parameter mapping
+    (:meth:`mapping`) and its :class:`Event` (:meth:`row`) are built
+    when first asked for, once: a row read only by column entries never
+    becomes an object.  The run stands for its rows where an entry reads
+    the event type or provenance of its input: every row is of
+    ``_event_type``, and none carries provenance.  A run of a record
+    type (every ``C_P``) is only ever built whole (:meth:`events`).
+    """
+
+    __slots__ = ("_event_type", "columns", "covers", "_mappings", "_events")
+
+    #: No row of a run carries provenance (an event that does travels
+    #: as its own record).
+    provenance = None
+
+    def __init__(
+        self,
+        event_type: EventType,
+        columns: Dict[Any, Sequence[Any]],
+        covers: Dict[Any, Any],
+    ) -> None:
+        self._event_type = event_type
+        self.columns = columns
+        self.covers = covers
+        self._mappings: Optional[List[Any]] = None
+        self._events: Optional[List[Any]] = None
+
+    def __len__(self) -> int:
+        return len(self.columns["type"])
+
+    def mapping(self, i: int) -> Mapping[str, Any]:
+        """Row *i*'s parameter mapping, as its event holds it."""
+        mappings = self._mappings
+        if mappings is None:
+            mappings = self._mappings = [None] * len(self)
+        params = mappings[i]
+        if params is None:
+            columns = self.columns
+            params = mappings[i] = MappingProxyType(
+                dict(zip(columns, [column[i] for column in columns.values()]))
+            )
+        return params
+
+    def row(self, i: int) -> Event:
+        """Row *i* as an :class:`Event`."""
+        events = self._events
+        if events is None:
+            events = self._events = [None] * len(self)
+        event = events[i]
+        if event is None:
+            event = events[i] = _new(Event)
+            event._event_type = self._event_type
+            event._params = self.mapping(i)
+            event.provenance = None
+        return event
+
+    def events(self) -> List[Event]:
+        """Every row as an event, in order; rows already built are the
+        same objects."""
+        if self._events is not None or self._mappings is not None:
+            return [self.row(i) for i in range(len(self))]
+        event_type = self._event_type
+        columns = self.columns
+        rows = map(dict, map(zip, repeat(tuple(columns)), zip(*columns.values())))
+        record = event_type.record
+        if record is not None:
+            events = [record.from_params(event_type, params) for params in rows]
+        else:
+            events = []
+            append = events.append
+            for params in rows:
+                # ``Event.trusted``, inlined: the one per-event step.
+                event = _new(Event)
+                event._event_type = event_type
+                event._params = MappingProxyType(params)
+                event.provenance = None
+                append(event)
+        self._events = events
+        return list(events)

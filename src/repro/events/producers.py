@@ -34,6 +34,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..core.context import ContextChange
@@ -42,7 +43,7 @@ from ..errors import EventTypeError
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import MetricsRegistry
 from .bus import EventBus
-from .event import Event, EventType, ParameterSpec, base_parameters
+from .event import ColumnRun, Event, EventType, ParameterSpec, base_parameters
 
 #: What a producer calls with each routed event (the result is ignored).
 Consumer = Callable[[Event], object]
@@ -152,15 +153,15 @@ class EventProducer:
     event type, publishes the event there.  This index is the only place
     an event is routed.
 
-    Producers whose subclass installs a *routing key extractor*
-    (``T_activity`` keys on ``(parentProcessSchemaId,
+    Producers whose subclass names a *routing key*
+    (:meth:`set_routing_key`: ``T_activity`` keys on ``(parentProcessSchemaId,
     activityVariableId)``, ``T_context`` on ``(contextName, fieldName)``,
     ``T_system`` on the metric name) dispatch each event to the consumers
     registered under the event's key, then to the wildcard consumers, so
     per-event cost is O(matching consumers) instead of O(all consumers).
     Consumers that cannot name static keys (dynamic predicates, monitors)
-    register unkeyed and see everything.  A producer *without* an
-    extractor (a bare :class:`EventProducer`, an external source) cannot
+    register unkeyed and see everything.  A producer *without* a
+    routing key (a bare :class:`EventProducer`, an external source) cannot
     tell which key an event carries, so it files every consumer as
     wildcard whatever keys it was offered.
 
@@ -189,9 +190,14 @@ class EventProducer:
         #: never mutates one, so a dispatch in flight keeps iterating the
         #: list it started with.
         self._wildcard: List[Consumer] = []
-        #: Routing key -> consumers; non-empty only under an extractor.
+        #: Routing key -> consumers; non-empty only under a routing key.
         self._index: Dict[Hashable, List[Consumer]] = {}
         self._key_extractor: Optional[Callable[[Event], Hashable]] = None
+        #: The parameters the routing key is made of (:meth:`set_routing_key`).
+        self._key_names: Optional[Tuple[str, ...]] = None
+        #: Bumped by every registration change: a run's resolved buckets
+        #: (:meth:`emit_run`) are stale once it moves.
+        self._changes = 0
         #: Emission totals live in the registry (the system registry when
         #: wired by a source agent, a private one otherwise); ``emitted``
         #: stays available as a read-only view.
@@ -217,11 +223,14 @@ class EventProducer:
         type has a subscriber."""
         bus.file_producer(self)
 
-    def set_key_extractor(
-        self, extractor: Callable[[Event], Hashable]
-    ) -> None:
-        """Install the routing key extractor for this producer's events."""
-        self._key_extractor = extractor
+    def set_routing_key(self, names: Tuple[str, ...]) -> None:
+        """Route this producer's events by the parameters *names*: one
+        name keys on its value, several on the tuple of theirs.  The key
+        is read off an event (:attr:`key_extractor`) or, for a decoded
+        run, off its columns (:meth:`emit_run`)."""
+        get = itemgetter(*names)
+        self._key_names = names
+        self._key_extractor = lambda event: get(event._params)
 
     @property
     def key_extractor(self) -> Optional[Callable[[Event], Hashable]]:
@@ -236,7 +245,7 @@ class EventProducer:
 
         With ``keys`` the consumer is indexed under those routing keys and
         only sees events whose key matches; without (or on a producer with
-        no key extractor), it joins the wildcard bucket and sees every
+        no routing key), it joins the wildcard bucket and sees every
         event.  Awareness descriptions and the plan cache register an
         operator's linked ``step`` here directly.
         """
@@ -245,6 +254,7 @@ class EventProducer:
         else:
             for key in keys:
                 self._index[key] = self._index.get(key, []) + [consumer]
+        self._changes += 1
         return consumer
 
     def remove_consumer(self, consumer: Consumer) -> None:
@@ -274,6 +284,7 @@ class EventProducer:
         """Replace (or, given ``None``, drop) the first entry equal to
         *consumer* in the wildcard bucket and in each key bucket (of
         *keys*, when given), copy-on-write."""
+        self._changes += 1
         if consumer in self._wildcard:
             self._wildcard = _swapped(self._wildcard, consumer, replacement)
         index = self._index
@@ -299,38 +310,46 @@ class EventProducer:
 
     def admit(
         self,
-        events: Sequence[Event],
+        events: Union[Sequence[Event], ColumnRun],
         covers: Optional[Mapping[str, Sequence[Any]]] = None,
     ) -> None:
-        """Raise :class:`EventTypeError` unless every one of *events* is an
-        event this producer could have emitted.
+        """Raise :class:`EventTypeError` unless every one of *events* —
+        a list of events, or a decoded :class:`ColumnRun` — is an event
+        this producer could have emitted.
 
         The check of an event entering from outside the detector plan
         (``ShardHost.ingest`` runs it on each same-type run of a frame
         before any event of the frame is emitted).  It is decided by
-        column first: :meth:`_admits` on *covers* — the decoder's, for a
-        run that arrived as one ``ROWS`` record — or, without them, on
-        the run's columns, transposed in C (a run of
-        :data:`COLUMNS_MIN` events or more).  Only when the columns
-        cannot pass the run is each event checked on its own
-        (:meth:`_conforms`), which raises the first bad event's error:
+        column first: :meth:`_admits` on *covers* — a decoded run's own,
+        or the decoder's for a list that arrived as one ``ROWS`` record
+        — or, without them, on the list's columns, transposed in C (a
+        run of :data:`COLUMNS_MIN` events or more).  Only when the
+        columns cannot pass the run is each row checked on its own
+        (:meth:`_conforms`), which raises the first bad row's error:
         what is refused, and how, is the row-wise answer; only
         acceptance is cheaper.  Downstream, the linked kernels trust
         what passed here.
         """
-        if covers is None and len(events) >= COLUMNS_MIN:
-            names = self._names
-            try:
-                covers = dict(
-                    zip(names, zip(*map(itemgetter(*names), map(_get_params, events))))
-                )
-            except KeyError:  # an event lacks a declared parameter
-                covers = None
-        if covers is not None and self._admits(covers):
-            return
+        if type(events) is ColumnRun:
+            run = events
+            if self._admits(run.covers):
+                return
+            rows: Iterable[Mapping[str, Any]] = map(run.mapping, range(len(run)))
+        else:
+            if covers is None and len(events) >= COLUMNS_MIN:
+                names = self._names
+                try:
+                    covers = dict(
+                        zip(names, zip(*map(itemgetter(*names), map(_get_params, events))))
+                    )
+                except KeyError:  # an event lacks a declared parameter
+                    covers = None
+            if covers is not None and self._admits(covers):
+                return
+            rows = map(_get_params, events)
         conforms = self._conforms
-        for event in events:
-            conforms(event._params)
+        for params in rows:
+            conforms(params)
 
     def _admits(self, covers: Mapping[str, Sequence[Any]]) -> bool:
         """Whether the run whose covers these are conforms (see
@@ -383,6 +402,54 @@ class EventProducer:
             self._bus.publish_batch(events)
         return events
 
+    def emit_run(self, run: ColumnRun) -> None:
+        """Emit a decoded run's rows in order, building an event only
+        for a row that needs one.
+
+        Each row reaches the consumers of its routing key, in
+        registration order, then the wildcard consumers — as
+        :meth:`emit_batch` would dispatch the run's events.  A consumer
+        with a column entry (``by_column``: a segment or hop rooted in a
+        lifting filter) is called with the run and the row index, and
+        reads the row's values off the columns; every other consumer,
+        and the wildcard ones, get the row's event, built once.  The
+        index is probed once per distinct key of the run, and again
+        after a consumer registered or removed one.  While
+        instrumentation is on, on a producer whose key the columns
+        cannot give, and for a bus tapped once the rows are dispatched,
+        the run's events are built (and are what the bus receives).
+        """
+        names = self._key_names
+        if _OBS.enabled or names is None:
+            self.emit_batch(run.events())
+            return
+        self._emitted.inc(len(run))
+        columns = run.columns
+        if len(names) == 1:
+            keys: Iterable[Hashable] = columns[names[0]]
+        else:
+            keys = zip(*[columns[name] for name in names])
+        resolved: Dict[Hashable, List[Callable[[ColumnRun, int], object]]] = {}
+        lookup = resolved.get
+        changes = self._changes
+        for i, key in enumerate(keys):
+            if self._changes != changes:
+                resolved, changes = {}, self._changes
+                lookup = resolved.get
+            entries = lookup(key)
+            if entries is None:
+                bucket = self._index.get(key) if self._index else None
+                entries = resolved[key] = list(map(_by_column, bucket or ()))
+            for entry in entries:
+                entry(run, i)
+            wildcard = self._wildcard
+            if wildcard:
+                event = run.row(i)
+                for consumer in wildcard:
+                    consumer(event)
+        if self._bus is not None:
+            self._bus.publish_batch(run.events())
+
     def _dispatch(self, event: Event) -> None:
         """Key bucket, then wildcard — registration order within each.
 
@@ -403,6 +470,17 @@ class EventProducer:
         return f"{type(self).__name__}({self.producer_id!r})"
 
 
+def _by_column(consumer: Consumer) -> Callable[[ColumnRun, int], object]:
+    """What :meth:`EventProducer.emit_run` calls for *consumer* with a
+    run and a row: its column entry, or the consumer on the row's
+    event."""
+    by_column: Optional[Callable[[ColumnRun, int], object]]
+    by_column = getattr(consumer, "by_column", None)
+    if by_column is not None:
+        return by_column
+    return lambda run, i: consumer(run.row(i))
+
+
 def _swapped(
     bucket: List[Consumer], consumer: Consumer, replacement: Optional[Consumer]
 ) -> List[Consumer]:
@@ -415,29 +493,6 @@ def _swapped(
     else:
         bucket[index] = replacement
     return bucket
-
-
-def activity_routing_key(event: Event) -> Hashable:
-    """Routing key of a ``T_activity`` event: which activity variable of
-    which process schema changed state."""
-    params = event._params
-    return (params["parentProcessSchemaId"], params["activityVariableId"])
-
-
-def context_routing_key(event: Event) -> Hashable:
-    """Routing key of a ``T_context`` event: which field of which named
-    context changed."""
-    params = event._params
-    return (params["contextName"], params["fieldName"])
-
-
-def system_routing_key(event: Event) -> Hashable:
-    """Routing key of a ``T_system`` event: which metric series was
-    sampled.  SLO filters key on the metric name alone (the series label
-    is checked in the filter predicate), so one sampling pass dispatches
-    each sample only to the rules that watch its metric."""
-    metric: str = event._params["metric"]
-    return metric
 
 
 class ActivityEventProducer(EventProducer):
@@ -457,7 +512,8 @@ class ActivityEventProducer(EventProducer):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(producer_id, ACTIVITY_EVENT_TYPE, metrics)
-        self.set_key_extractor(activity_routing_key)
+        # Which activity variable of which process schema changed state.
+        self.set_routing_key(("parentProcessSchemaId", "activityVariableId"))
 
     def _admits(self, covers: Mapping[str, Sequence[Any]]) -> bool:
         """As :meth:`EventProducer._admits`, and by cover the parent pair
@@ -511,7 +567,8 @@ class ContextEventProducer(EventProducer):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(producer_id, CONTEXT_EVENT_TYPE, metrics)
-        self.set_key_extractor(context_routing_key)
+        # Which field of which named context changed.
+        self.set_routing_key(("contextName", "fieldName"))
 
     def _translate(self, change: ContextChange) -> Event:
         return Event.trusted(
@@ -559,7 +616,9 @@ class SystemEventProducer(EventProducer):
     ) -> None:
         super().__init__(producer_id, SYSTEM_EVENT_TYPE, metrics)
         self.system_id = system_id
-        self.set_key_extractor(system_routing_key)
+        # Which metric was sampled: SLO filters key on the metric alone
+        # and check the series label in their predicate.
+        self.set_routing_key(("metric",))
 
     def _translate(
         self, time: int, metric: str, label: Optional[str], value: int

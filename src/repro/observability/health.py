@@ -42,6 +42,7 @@ from ..awareness.sources import STAGE_P95_METRIC, Sample, SystemTelemetrySource
 from ..core.roles import RoleRef
 from ..errors import SpecificationError
 from .logging import STRUCTURED_LOG as _LOG
+from .registry import MetricsRegistry
 
 #: Health severities; ``failing`` rules flip the whole system to failing.
 SEVERITY_DEGRADED = "degraded"
@@ -300,6 +301,23 @@ class SystemHealth:
         }
 
 
+def check_rule(
+    rule: SloRule, names: Iterable[str], metrics: MetricsRegistry
+) -> None:
+    """Raise :class:`SpecificationError` unless *rule* can join the rules
+    named *names* over the instruments of *metrics*: its name is new,
+    and the instrument it reads (a derived rule's ``base_metric``) is
+    there."""
+    if rule.name in names:
+        raise SpecificationError(f"health rule {rule.name!r} already exists")
+    read = rule.base_metric or rule.metric
+    if read != STAGE_P95_METRIC and metrics.get(read) is None:
+        raise SpecificationError(
+            f"health rule {rule.name!r} reads {read!r}, an "
+            f"instrument the system registry does not hold"
+        )
+
+
 class HealthEvaluator:
     """Compiles SLO rules onto the awareness pipeline and tracks them.
 
@@ -350,17 +368,9 @@ class HealthEvaluator:
                 "health rules must be added before deploy(); undeploy the "
                 "detector and redeploy to change the rule set"
             )
-        if rule.name in self._states:
-            raise SpecificationError(
-                f"health rule {rule.name!r} already exists"
-            )
+        check_rule(rule, self._states, self.source.metrics)
         read = rule.base_metric or rule.metric
         if read != STAGE_P95_METRIC:
-            if self.source.metrics.get(read) is None:
-                raise SpecificationError(
-                    f"health rule {rule.name!r} reads {read!r}, an "
-                    f"instrument the system registry does not hold"
-                )
             if read not in self.source.sampled_metrics:
                 self.source.sampled_metrics += (read,)
         if rule.kind == "rate":

@@ -31,6 +31,7 @@ from .health import (
     RuleState,
     SloRule,
     SystemHealth,
+    check_rule,
     default_rules,
     status_of,
     worst_status,
@@ -62,6 +63,16 @@ class SelfAwareness:
     ) -> None:
         self.system = system
         self.role = role
+        if rules is None:
+            rules = default_rules()
+        # The source hooks the clock and files on the bus as it is built,
+        # and neither lets go: the rules and the SystemEvent name are
+        # checked first, so a refused attach leaves nothing sampling.
+        names: Dict[str, SloRule] = {}
+        for rule in rules:
+            check_rule(rule, names, system.metrics)
+            names[rule.name] = rule
+        system.awareness.check_source_name(SYSTEM_SOURCE)
         self._ensure_deliverable_role(role)
         self.source = SystemTelemetrySource(
             system.clock,
@@ -70,8 +81,6 @@ class SelfAwareness:
             system_id=system.name,
             interval=interval,
         )
-        # The rules are checked before the source takes the SystemEvent
-        # name, so a refused rule does not keep a second attach out.
         self.evaluator = HealthEvaluator(
             system.awareness,
             self.source,

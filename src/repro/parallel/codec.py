@@ -79,7 +79,11 @@ visiting every value of every event in Python is what the row-wise
 record, column by column, and the per-event work — the uniformity
 checks, the transposition, folding a column's equal values, packing —
 is ``map`` / ``zip`` / ``dict.fromkeys`` / ``array``; what is left in
-Python is per column, and on decode the construction of each ``Event``.
+Python is per column.  A decoded record is a
+:class:`~repro.events.event.ColumnRun`: :meth:`BinaryDecoder.decode_payload`
+expands it into its events, while :meth:`BinaryDecoder.decode_runs` (a
+shard worker's reader) hands it to the ingest door as columns, and an
+``Event`` is built only for a row that escapes the column entries.
 A ``C_P`` record (:class:`~repro.events.canonical.CanonicalEvent`)
 travels as its parameter mapping, built for the purpose, so it encodes
 to the bytes a mapping-backed event of the same parameters would, and
@@ -143,7 +147,7 @@ from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import EventTypeError, WireError
 from ..events.canonical import CanonicalEvent
-from ..events.event import Event
+from ..events.event import ColumnRun, Event
 from ..observability.provenance import ProvenanceNode
 from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
 
@@ -214,7 +218,6 @@ _pack_into = struct.pack_into
 _pack_d = struct.Struct(">d").pack
 _unpack_d = struct.Struct(">d").unpack_from
 _HEADER = struct.Struct(">I")
-_new_event = object.__new__
 #: The cover of an ``INT`` column: one int stands for its rows.
 _ONE_INT = (0,)
 
@@ -674,13 +677,29 @@ class BinaryDecoder:
         whatever happens.  Otherwise :class:`WireError` (truncated,
         trailing or corrupt bytes) means: discard the decoder.
         """
+        return self._decode(data, False)
+
+    def decode_runs(self, data: Any) -> Dict[str, Any]:
+        """:meth:`decode_payload`, except that the frame's ``events``
+        list keeps each ``ROWS`` record of plain events as one
+        :class:`~repro.events.event.ColumnRun` in its place, which
+        carries its covers (that list records none in :attr:`covers`):
+        the shard worker's ingest door walks it by column.  Every other list, and a run of a record
+        type, decodes to events; every decode check is made as there.
+        """
+        return self._decode(data, True)
+
+    def _decode(self, data: Any, runs: bool) -> Dict[str, Any]:
         stream = self._strings, self._compounds
         self.covers = []
         try:
             scoped = data[0] == T_SELF
             if scoped:
                 self._strings, self._compounds = [], []
-            value, pos = self._value(data, int(scoped))
+            if runs and data[int(scoped)] == T_DICT:
+                value, pos = self._frame(data, int(scoped) + 1)
+            else:
+                value, pos = self._value(data, int(scoped))
         except _DECODE_ERRORS as error:
             raise WireError(
                 f"malformed binary frame payload: "
@@ -761,17 +780,7 @@ class BinaryDecoder:
                 mapping[key] = member
             return mapping, pos
         if tag == T_LIST:
-            n, pos = self._varint(data, pos)
-            items: List[Any] = []
-            decode = self._value
-            for __ in range(n):
-                # A ``ROWS`` record is a list member that is many items.
-                if data[pos] == T_ROWS:
-                    pos = self._rows(data, pos + 1, items)
-                else:
-                    member, pos = decode(data, pos)
-                    items.append(member)
-            return items, pos
+            return self._list(data, pos, False)
         if tag == T_PROV:
             return self._provenance(data, pos)
         if tag == T_SELF:
@@ -779,6 +788,45 @@ class BinaryDecoder:
         if tag == T_ROWS:
             raise WireError("event run outside a list")
         raise WireError(f"unknown binary value tag {tag}")
+
+    def _frame(self, data: Any, pos: int) -> Tuple[Dict[Any, Any], int]:
+        """The frame ``DICT`` whose body is at *pos*, its ``events`` list
+        decoded with runs kept (:meth:`decode_runs`)."""
+        n, pos = self._varint(data, pos)
+        frame: Dict[Any, Any] = {}
+        decode = self._value
+        for __ in range(n):
+            key, pos = decode(data, pos)
+            if key == "events" and data[pos] == T_LIST:
+                frame[key], pos = self._list(data, pos + 1, True)
+            else:
+                frame[key], pos = decode(data, pos)
+        return frame, pos
+
+    def _list(self, data: Any, pos: int, runs: bool) -> Tuple[List[Any], int]:
+        """The ``LIST`` whose body is at *pos*; with *runs*, a ``ROWS``
+        record of plain events stays one :class:`ColumnRun`."""
+        n, pos = self._varint(data, pos)
+        items: List[Any] = []
+        decode = self._value
+        for __ in range(n):
+            # A ``ROWS`` record is a list member that is many items.
+            if data[pos] == T_ROWS:
+                run, pos = self._rows(data, pos + 1)
+                if runs and run._event_type.record is None:
+                    items.append(run)
+                    continue
+                start = len(items)
+                try:
+                    items += run.events()
+                except EventTypeError as error:  # a record's undeclared key
+                    raise WireError(f"malformed event run: {error}") from None
+                if not runs:
+                    self.covers.append((items, start, len(items), run.covers))
+            else:
+                member, pos = decode(data, pos)
+                items.append(member)
+        return items, pos
 
     def _varint(self, data: Any, pos: int) -> Tuple[int, int]:
         n = data[pos]
@@ -833,31 +881,32 @@ class BinaryDecoder:
             event.provenance, pos = self._provenance(data, pos)
         return event, pos
 
-    def _rows(self, data: Any, pos: int, out: List[Any]) -> int:
-        """Decode the ``ROWS`` record at *pos*, appending its events to
-        *out*; the position after it.
+    def _rows(self, data: Any, pos: int) -> Tuple[ColumnRun, int]:
+        """Decode the ``ROWS`` record at *pos* into a :class:`ColumnRun`;
+        the position after it.
 
-        Each column leaves a *cover* in :attr:`covers`: values among
-        which every row's is, type for type — a ``CONST`` column's value,
-        one int for an ``INT`` column (every row holds an int), a
-        ``DICT`` column's whole table (an id past it fails the decode),
-        a ``VALUES`` column itself.  The ingest door checks a run's
-        types and association sets on these, once per distinct value
-        instead of once per row (``EventType.admits``).
+        Each column leaves a *cover* on the run: values among which
+        every row's is, type for type — a ``CONST`` column's value, one
+        int for an ``INT`` column (every row holds an int), a ``DICT``
+        column's whole table (an id past it fails the decode), a
+        ``VALUES`` column itself.  The ingest door checks a run's types
+        and association sets on these, once per distinct value instead
+        of once per row (``EventType.admits``).
         """
         event_type, keys, pos = self._head(data, pos)
         n, pos = self._varint(data, pos)
         if n > ROWS_MAX:
             raise WireError(f"event run of {n} rows exceeds {ROWS_MAX}")
         names = [key for key in keys if key != "type"]
-        columns: List[Iterable[Any]] = []
+        columns: List[Any] = []
+        tables: List[Tuple[int, List[Any], Any]] = []
         covers: Dict[Any, Any] = {}
         for name in names:
             kind = data[pos]
             pos += 1
             if kind == C_CONST:
                 value, pos = self._value(data, pos)
-                columns.append(repeat(value, n))
+                columns.append((value,) * n)
                 covers[name] = (value,)
             elif kind == C_INT:
                 column, pos = self._array(data, pos, n, _INT_CODES)
@@ -867,7 +916,8 @@ class BinaryDecoder:
                 size, pos = self._varint(data, pos)
                 table, pos = self._values(data, pos, size)
                 ids, pos = self._array(data, pos, n, _ID_CODES)
-                columns.append(map(table.__getitem__, ids))
+                tables.append((len(columns), table, ids))
+                columns.append(None)
                 covers[name] = table
             elif kind == C_VALUES:
                 column, pos = self._values(data, pos, n)
@@ -875,29 +925,17 @@ class BinaryDecoder:
                 covers[name] = column
             else:
                 raise WireError(f"unknown event run column kind {kind}")
-        # ``type`` goes last, as ``_event`` puts it.
+        # Ids are looked up once every column is read, so a bad id is
+        # found after every malformed column kind, as a row's would be.
+        for index, table, ids in tables:
+            columns[index] = list(map(table.__getitem__, ids))
+        # ``type`` goes last, as ``_event`` puts it.  A name the key
+        # schema repeats keeps its first place and its last column, as
+        # a row's ``dict`` would.
         names.append("type")
-        columns.append(repeat(event_type.name, n))
+        columns.append((event_type.name,) * n)
         covers["type"] = (event_type.name,)
-        start = len(out)
-        rows = map(dict, map(zip, repeat(names), zip(*columns)))
-        record = event_type.record
-        if record is not None:
-            try:
-                out += [record.from_params(event_type, params) for params in rows]
-            except EventTypeError as error:
-                raise WireError(f"malformed event run: {error}") from None
-        else:
-            append = out.append
-            for params in rows:
-                # ``Event.trusted``, inlined: the one per-event step left.
-                event = _new_event(Event)
-                event._event_type = event_type
-                event._params = MappingProxyType(params)
-                event.provenance = None
-                append(event)
-        self.covers.append((out, start, len(out), covers))
-        return pos
+        return ColumnRun(event_type, dict(zip(names, columns)), covers), pos
 
     def _array(
         self, data: Any, pos: int, n: int, codes: str
@@ -969,7 +1007,9 @@ class BinaryFrameReader:
         self._stream = stream
         self.decoder = BinaryDecoder()
 
-    def read(self) -> Optional[Dict[str, Any]]:
+    def read(self, runs: bool = False) -> Optional[Dict[str, Any]]:
+        """The next frame, ``None`` at a clean end of stream; with
+        *runs*, decoded by :meth:`BinaryDecoder.decode_runs`."""
         header = _read_exact(self._stream, _HEADER.size, allow_eof=True)
         if header is None:
             return None
@@ -980,6 +1020,8 @@ class BinaryFrameReader:
             )
         data = _read_exact(self._stream, length, allow_eof=False)
         assert data is not None
+        if runs:
+            return self.decoder.decode_runs(data)
         return self.decoder.decode_payload(data)
 
 

@@ -42,7 +42,7 @@ from ..errors import (
     SnapshotUnsupportedError,
     WireError,
 )
-from ..events.event import Event
+from ..events.event import ColumnRun, Event
 from ..events.producers import EventProducer
 from ..events.queues import DeliveryQueue, Notification
 from ..federation.system import EnactmentSystem
@@ -54,6 +54,11 @@ from .codec import RunCovers, encode_standalone
 
 #: An event's type name, read from the slot (no Python call per event).
 _type_name = attrgetter("_event_type.name")
+
+def _sizes(items: List[Any]) -> List[int]:
+    """How many events each member of a decoded frame's list stands for."""
+    return [len(item) if type(item) is ColumnRun else 1 for item in items]
+
 
 #: Upper bound on buffered sampled span batches awaiting shipment; the
 #: hot path never blocks on observability — beyond this, batches are
@@ -286,7 +291,7 @@ class ShardHost:
 
     def ingest(
         self,
-        events: List[Event],
+        events: List[Any],
         ctx: Optional[TraceContext] = None,
         covers: Optional[List[RunCovers]] = None,
     ) -> None:
@@ -313,6 +318,16 @@ class ShardHost:
         run its columns cannot pass is checked event by event, so a
         refusal and its message are the row-wise ones.
 
+        A shard worker decodes its frames with their runs kept
+        (:meth:`~repro.parallel.codec.BinaryDecoder.decode_runs`, which
+        leaves *covers* empty): *events* then holds a
+        :class:`~repro.events.event.ColumnRun` for each ``ROWS`` record,
+        standing for its rows.  A same-type run that is one of them is
+        admitted on its own covers and enters by column
+        (:meth:`EventProducer.emit_run`), so no event of it is built
+        unless one escapes; a same-type run mixing it with other
+        records enters as its events, as above.
+
         With a :class:`TraceContext` and instrumentation on, the whole
         batch runs under a ``shard.ingest`` root span whose sampling
         decision is the facade's, verbatim (no local re-sampling); a
@@ -325,7 +340,10 @@ class ShardHost:
             span = tracer.begin_root(
                 "shard.ingest",
                 ctx.sampled,
-                attributes={"shard": self.shard_id, "events": len(events)},
+                attributes={
+                    "shard": self.shard_id,
+                    "events": len(events) if covers is None else sum(_sizes(events)),
+                },
             )
             try:
                 self._ingest(events, covers)
@@ -348,33 +366,44 @@ class ShardHost:
 
     def _ingest(
         self,
-        events: List[Event],
+        events: List[Any],
         covers: Optional[List[RunCovers]],
     ) -> None:
         producers = self._producers
+        # Only a decoded frame (covers given) can hold runs.
+        by_column = covers is not None and ColumnRun in set(map(type, events))
         decoded = {
             (start, stop): columns
             for items, start, stop, columns in covers or ()
             if items is events
         }
-        runs: List[Tuple[EventProducer, List[Event]]] = []
-        i, n = 0, len(events)
+        runs: List[Tuple[EventProducer, Any]] = []
+        i = 0
+        n = sum(_sizes(events)) if by_column else len(events)
         try:
             type_names = list(map(_type_name, events))
         except AttributeError:
             k, item = next(
                 (k, item)
                 for k, item in enumerate(events)
-                if not isinstance(item, Event)
+                if not isinstance(item, (Event, ColumnRun))
             )
             raise FrameRefusedError(
                 f"shard {self.shard_id} refused a frame of {n} events at "
-                f"item {k}: not an event but a {type(item).__name__!r} value"
+                f"item {sum(_sizes(events[:k]))}: not an event but a "
+                f"{type(item).__name__!r} value"
             ) from None
         for type_name, group in groupby(type_names):
             j = i + len(list(group))
             producer = producers.get(type_name)
-            run = events[i:j]
+            run: Any = events[i:j]
+            if by_column:
+                # One run enters by column; anything else as its events.
+                run = run[0] if j - i == 1 and type(run[0]) is ColumnRun else [
+                    event
+                    for item in run
+                    for event in (item.events() if type(item) is ColumnRun else (item,))
+                ]
             try:
                 if producer is None:
                     raise EventTypeError("no source producer is registered")
@@ -387,7 +416,10 @@ class ShardHost:
             runs.append((producer, run))
             i = j
         for producer, run in runs:
-            producer.emit_batch(run)
+            if type(run) is ColumnRun:
+                producer.emit_run(run)
+            else:
+                producer.emit_batch(run)
             self._ingested += len(run)
 
     # -- results -----------------------------------------------------------

@@ -139,7 +139,7 @@ def worker_main(
         replay_below = 0
 
         while True:
-            frame = reader.read()
+            frame = reader.read(runs=True)
             if frame is None:  # parent vanished: treat as shutdown
                 break
             kind = frame.get("kind")

@@ -88,6 +88,17 @@ def attached(build):
     return host, calls / len(events)
 
 
+def decoded_runs(events):
+    """*events* across the codec as a shard worker decodes them: the
+    frame's list, each ``ROWS`` record one run, and the covers."""
+    from repro.parallel.codec import BinaryDecoder, BinaryEncoder, events_frame
+
+    decoder = BinaryDecoder()
+    data = BinaryEncoder().encode_frame(events_frame(events))
+    frame = decoder.decode_runs(memoryview(data)[4:])
+    return frame["events"], decoder.covers
+
+
 def deploy_field_watcher(system, field_name, name):
     window = system.awareness.create_window("P-X")
     flt = window.place(
@@ -314,12 +325,20 @@ class TestCallBudget:
     admitting by column and the bus dropping the skipped traces' runs.
     This is the baseline an attached run that stays fused is measured
     against.
+
+    Decoded — the frame across the codec as a shard worker reads it,
+    its one ``ROWS`` record a run of columns — the producer walks the
+    rows and calls the segment's column entry with the run and the row:
+    one call per chain-event, with no event, routing key call or bus
+    call per row, and the run's share of the door.  The same frame took
+    3.2 as events.
     """
 
-    #: The measured counts, detached and attached; a change that adds a
-    #: call per chain-event must say why here.
+    #: The measured counts, detached, attached and decoded; a change that
+    #: adds a call per chain-event must say why here.
     BUDGET = 3.225
     ATTACHED = 17.765
+    DECODED = 1.25
 
     EVENTS = 200
 
@@ -364,6 +383,18 @@ class TestCallBudget:
 
     def test_one_chain_event_stays_within_the_call_budget(self):
         assert self.python_calls_per_event(bystanders=8) <= self.BUDGET
+
+    @pytest.mark.parametrize("bystanders", [8, 64])
+    def test_a_decoded_chain_event_stays_within_its_call_budget(self, bystanders):
+        warm, events = self.chain_frame(0)
+        warm.ingest(events[:1])
+        warm.close()
+        host, events = self.chain_frame(bystanders)
+        items, covers = decoded_runs(events)
+        calls = python_calls(host.ingest, items, None, covers)
+        assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
+        host.close()
+        assert calls / len(events) <= self.DECODED
 
     def test_an_attached_chain_event_stays_within_its_call_budget(self):
         host, calls = attached(lambda: self.chain_frame(bystanders=8))
@@ -599,3 +630,54 @@ class TestDeployCallBudget:
         host.undeploy_spec("spec")
         host.close()
         assert calls <= self.BUDGETS[spec]
+
+    #: :func:`python_calls` of ``ShardHost.apply_blueprint`` with the
+    #: 16-force stream blueprint (one window a force), measured as the
+    #: column entries came in: a worker's boot does no more work for them.
+    APPLY = 8289
+
+    @staticmethod
+    def stream_blueprint():
+        from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+        workload = ShardStreamWorkload(
+            ShardStreamConfig(forces=16, windows_per_force=1, events_per_force=8)
+        )
+        return workload, workload.blueprint()
+
+    def test_applying_a_stream_blueprint_stays_within_its_call_budget(self):
+        from repro.parallel.host import ShardHost
+
+        workload, plan = self.stream_blueprint()
+        warm = ShardHost(0, 2)
+        warm.apply_blueprint(plan)
+        warm.ingest(workload.events())
+        warm.close()
+        host = ShardHost(0, 2)
+        calls = python_calls(host.apply_blueprint, plan)
+        host.close()
+        assert calls <= self.APPLY
+
+    def test_apply_and_deploy_compile_nothing(self, monkeypatch):
+        """Segment shapes, column entries included, are compiled when
+        the first event or run reaches them, never at deploy."""
+        from repro.awareness.operators import segments
+        from repro.parallel import ShardSpec
+        from repro.parallel.host import ShardHost
+
+        hops = {
+            key: factory
+            for key, factory in segments._FACTORIES.items()
+            if isinstance(key, segments.Template)
+        }
+        monkeypatch.setattr(segments, "_FACTORIES", hops)
+        workload, plan = self.stream_blueprint()
+        host = ShardHost(0, 2)
+        compiled = segments.shapes_compiled()
+        host.apply_blueprint(plan)
+        host.deploy_spec(ShardSpec("more", "P-X", self.SPECS["compare1"]))
+        assert segments.shapes_compiled() == compiled
+        items, covers = decoded_runs(workload.events())
+        host.ingest(items, None, covers)
+        assert segments.shapes_compiled() > compiled
+        host.close()

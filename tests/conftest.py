@@ -21,8 +21,8 @@ from repro.workloads.taskforce import TaskForceApplication
 # the properties that read the loaded profile instead of pinning
 # ``max_examples`` — among them the journal crash-point property, the
 # codec's self-contained/stream-interned interleaving and event-run
-# properties, the ingest door's admission differential, the
-# linked-plan, plan-sharing and Translate / external filter
+# properties, the ingest door's admission differential, the column
+# door's differential against the Event-list door, the linked-plan, plan-sharing and Translate / external filter
 # differentials, the registry snapshot's codec trip and the persisted
 # notification round trip.
 settings.register_profile(

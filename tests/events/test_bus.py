@@ -226,6 +226,27 @@ class TestErrorIsolation:
         assert bus.failed_count() == 2
         assert bus.failed_count("T_other") == 0
 
+    def test_a_tap_that_always_fails_retains_bounded_memory(self):
+        """Every failure is counted; only the newest few are kept, and
+        without their tracebacks (the parent kept all 20 000, each
+        with its frames: 21 MB)."""
+        import tracemalloc
+
+        bus = EventBus()
+        bus.subscribe("T_a", lambda e: 1 / 0)
+        events = [make_event(time=t) for t in range(20_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bus.publish_batch(events)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert bus.failed_count("T_a") == 20_000
+        assert len(bus.handler_errors) == bus_module.HANDLER_ERRORS_KEPT
+        assert bus.handler_errors[-1][1].__traceback__ is None
+        assert retained < 1 << 20
+
 
 class TestStatistics:
     def test_counters(self):

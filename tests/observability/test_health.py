@@ -233,6 +233,29 @@ class TestRateFireAndClear:
         evaluator.add_rule(threshold_rule("p95", "stage_p95_us", ">", 1000))
         assert "stage_p95_us" not in source.sampled_metrics
 
+    @pytest.mark.parametrize("refusal", ["unknown metric", "second attach"])
+    def test_a_refused_attach_leaves_no_source_sampling(self, refusal):
+        """The rules and the SystemEvent name are checked before the
+        telemetry source hooks the clock and files on the bus: a refused
+        attach leaves nothing that samples (the parent's orphan source
+        emitted on every tick)."""
+        system = EnactmentSystem(name="refused")
+        rules = (rate_rule("retry-rate", "retries_total", 3, ">", 0),)
+        if refusal == "second attach":
+            SelfAwareness(system, interval=1)
+            rules = None
+        seen = []
+        system.bus.subscribe("T_system", seen.append)
+        system.clock.advance(1)
+        before = len(seen), system.stats()["bus_events_published"]
+        with pytest.raises(ReproError):
+            SelfAwareness(system, rules=rules, interval=1)
+        for __ in range(5):
+            system.clock.advance(1)
+        # A source publishes a series when its reading changes, so a
+        # fresh one (the orphan) would publish every series again.
+        assert (len(seen), system.stats()["bus_events_published"]) == before
+
 
 class TestStalenessFireAndClear:
     def test_watchdog_over_application_counter(self):
