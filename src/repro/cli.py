@@ -213,13 +213,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from .metrics.report import render_table
-    from .observability import instrumented
+    from .observability import instrumented, stage_summary
     from .workloads.demonstration import build_demonstration
 
     if args.shards > 0:
         return _cmd_trace_shards(args)
-    with instrumented() as obs:
-        build_demonstration(seed=args.seed).run()
+    builder = build_demonstration(seed=args.seed)
+    with instrumented(builder.system.metrics) as obs:
+        builder.run()
+    stages = stage_summary(builder.system.metrics)
 
     deliveries = obs.provenance.recent_deliveries()
     shown = deliveries[-args.limit :] if args.limit else deliveries
@@ -230,7 +232,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     "deliveries": [record.to_dict() for record in shown],
                     "stages": {
                         stage: {"spans": count, "mean_us": round(mean, 3)}
-                        for stage, (count, mean) in obs.tracer.stage_summary().items()
+                        for stage, (count, mean) in stages.items()
                     },
                     "traces": obs.tracer.export_json(),
                 },
@@ -251,7 +253,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print()
     rows = [
         (stage, count, f"{mean:.1f}")
-        for stage, (count, mean) in sorted(obs.tracer.stage_summary().items())
+        for stage, (count, mean) in sorted(stages.items())
     ]
     print(render_table(("stage", "spans", "mean us"), rows, title="pipeline stages"))
     return 0
@@ -344,8 +346,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
     if args.shards > 0:
         return _cmd_health_shards(args, rules)
-    with instrumented():
-        builder = build_demonstration(seed=args.seed)
+    builder = build_demonstration(seed=args.seed)
+    with instrumented(builder.system.metrics):
         awareness = SelfAwareness(
             builder.system, rules=tuple(rules), interval=args.interval
         )

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 from ..errors import ParallelError, ShardCrashError
 from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
-from ..observability import default_registry
+from ..observability.registry import MetricsRegistry
 from ..observability.trace import TraceContext
 from ..parallel.codec import encode_standalone
 from ..parallel.host import FederationBlueprint, ShardSpec
@@ -77,6 +77,7 @@ class SupervisedShard:
         config: "ShardConfig",
         blueprint: FederationBlueprint,
         respawn: Respawn,
+        metrics: MetricsRegistry,
     ) -> None:
         assert config.durable_dir is not None
         self.shard_id = inner.shard_id
@@ -113,7 +114,8 @@ class SupervisedShard:
         self._log_seq_high = 0
         self._sink: Optional[Callable[[Dict[str, Any]], None]] = None
         self.recoveries = 0
-        self._snapshots = default_registry().counter(
+        #: Counted into the federation's facade registry (*metrics*).
+        self._snapshots = metrics.counter(
             "shard_snapshots_total", "Shard snapshots persisted"
         )
 

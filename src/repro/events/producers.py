@@ -308,11 +308,7 @@ class EventProducer:
         """Distinct routing keys with at least one indexed consumer."""
         return len(self._index)
 
-    def admit(
-        self,
-        events: Union[Sequence[Event], ColumnRun],
-        covers: Optional[Mapping[str, Sequence[Any]]] = None,
-    ) -> None:
+    def admit(self, events: Union[Sequence[Event], ColumnRun]) -> None:
         """Raise :class:`EventTypeError` unless every one of *events* —
         a list of events, or a decoded :class:`ColumnRun` — is an event
         this producer could have emitted.
@@ -320,10 +316,9 @@ class EventProducer:
         The check of an event entering from outside the detector plan
         (``ShardHost.ingest`` runs it on each same-type run of a frame
         before any event of the frame is emitted).  It is decided by
-        column first: :meth:`_admits` on *covers* — a decoded run's own,
-        or the decoder's for a list that arrived as one ``ROWS`` record
-        — or, without them, on the list's columns, transposed in C (a
-        run of :data:`COLUMNS_MIN` events or more).  Only when the
+        column first: :meth:`_admits` on a decoded run's covers, or on a
+        list's columns, transposed in C (a run of :data:`COLUMNS_MIN`
+        events or more).  Only when the
         columns cannot pass the run is each row checked on its own
         (:meth:`_conforms`), which raises the first bad row's error:
         what is refused, and how, is the row-wise answer; only
@@ -336,16 +331,17 @@ class EventProducer:
                 return
             rows: Iterable[Mapping[str, Any]] = map(run.mapping, range(len(run)))
         else:
-            if covers is None and len(events) >= COLUMNS_MIN:
+            if len(events) >= COLUMNS_MIN:
                 names = self._names
                 try:
                     covers = dict(
                         zip(names, zip(*map(itemgetter(*names), map(_get_params, events))))
                     )
                 except KeyError:  # an event lacks a declared parameter
-                    covers = None
-            if covers is not None and self._admits(covers):
-                return
+                    pass
+                else:
+                    if self._admits(covers):
+                        return
             rows = map(_get_params, events)
         conforms = self._conforms
         for params in rows:

@@ -13,19 +13,22 @@ Two planes, deliberately separate:
   default; the hot paths pay one attribute load and a branch.  Enabling
   the process-wide :data:`INSTRUMENTATION` turns on span recording (one
   span per publish/dispatch, operator ``consume``, delivery fan-out, and
-  queue append), per-stage latency histograms, and provenance chains on
-  every event.  The QE8 benchmark bounds the enabled overhead at < 1.3x
-  the disabled per-event cost.
+  queue append) and provenance chains on every event; enabled with a
+  registry, it also records per-stage latency histograms there (the
+  traced system's own: there is no process-wide registry).  The QE8
+  benchmark bounds the enabled overhead at < 1.3x the disabled
+  per-event cost.
 
 Typical usage::
 
-    from repro.observability import instrumented
+    from repro.observability import instrumented, stage_summary
 
-    with instrumented() as obs:
+    with instrumented(system.metrics) as obs:
         ...drive the pipeline...
         print(obs.tracer.recent()[-1].render())
         for record in obs.provenance.recent_deliveries():
             print(record.render())
+    print(stage_summary(system.metrics))
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .registry import (
     MetricsError,
     MetricsRegistry,
     MultiCallbackGauge,
-    default_registry,
 )
 from .trace import (
     DEFAULT_MAX_TRACES,
@@ -72,6 +74,7 @@ from .trace import (
     Tracer,
     is_recorded,
     stage_p95,
+    stage_summary,
 )
 
 __all__ = [
@@ -102,15 +105,13 @@ __all__ = [
     "TraceAssembler",
     "TraceContext",
     "Tracer",
-    "default_registry",
-    "disable_instrumentation",
     "disable_structured_logging",
-    "enable_instrumentation",
     "enable_structured_logging",
     "instrumented",
     "is_recorded",
     "logging_enabled",
     "stage_p95",
+    "stage_summary",
     "structured_log",
 ]
 
@@ -124,20 +125,23 @@ class Instrumentation:
     load per stage.
     """
 
-    __slots__ = ("enabled", "registry", "tracer", "provenance")
+    __slots__ = ("enabled", "tracer", "provenance")
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
         max_traces: int = DEFAULT_MAX_TRACES,
         max_deliveries: int = DEFAULT_MAX_DELIVERIES,
     ) -> None:
-        self.registry = registry if registry is not None else default_registry()
-        self.tracer = Tracer(max_traces=max_traces, registry=self.registry)
+        self.tracer = Tracer(max_traces=max_traces)
         self.provenance = ProvenanceTracker(max_deliveries=max_deliveries)
         self.enabled = False
 
-    def enable(self) -> "Instrumentation":
+    def enable(
+        self, registry: Optional[MetricsRegistry] = None
+    ) -> "Instrumentation":
+        """Turn the plane on, recording stage latency into *registry*
+        (the observed system's or facade's; ``None`` records none)."""
+        self.tracer.bind_registry(registry)
         self.enabled = True
         return self
 
@@ -159,28 +163,23 @@ INSTRUMENTATION = Instrumentation()
 STRUCTURED_LOG.bind_tracer(INSTRUMENTATION.tracer)
 
 
-def enable_instrumentation() -> Instrumentation:
-    """Turn on tracing + provenance for the whole pipeline."""
-    return INSTRUMENTATION.enable()
-
-
-def disable_instrumentation() -> Instrumentation:
-    """Turn tracing + provenance back off (recorded data is kept)."""
-    return INSTRUMENTATION.disable()
-
-
 @contextmanager
-def instrumented(reset: bool = True) -> Iterator[Instrumentation]:
-    """Enable instrumentation for a scope; restores the previous state.
+def instrumented(
+    registry: Optional[MetricsRegistry] = None, reset: bool = True
+) -> Iterator[Instrumentation]:
+    """Enable instrumentation for a scope, recording stage latency into
+    *registry* (see :meth:`Instrumentation.enable`); restores the
+    previous flag and registry on exit.
 
     With ``reset`` (the default) previously recorded traces and delivery
     provenance are dropped on entry, so the scope observes only itself.
     """
-    previous = INSTRUMENTATION.enabled
+    enabled, bound = INSTRUMENTATION.enabled, INSTRUMENTATION.tracer.registry
     if reset:
         INSTRUMENTATION.reset()
-    INSTRUMENTATION.enable()
+    INSTRUMENTATION.enable(registry)
     try:
         yield INSTRUMENTATION
     finally:
-        INSTRUMENTATION.enabled = previous
+        INSTRUMENTATION.enabled = enabled
+        INSTRUMENTATION.tracer.bind_registry(bound)

@@ -7,7 +7,8 @@ single dependency-free instrument model in the spirit of the Prometheus
 client (SNIPPETS.md's observability exemplars), scoped per
 :class:`MetricsRegistry` so every :class:`~repro.federation.system.EnactmentSystem`
 owns its own isolated metric space while standalone components fall back to
-a private or the process-wide default registry.
+a private registry.  There is no process-wide registry: an instrument lives
+in the registry of the one thing it observes.
 
 Three instrument kinds cover the pipeline's needs:
 
@@ -724,13 +725,3 @@ def _render_labels(names: Tuple[str, ...], values: LabelValues) -> str:
         f'{label}="{value}"' for label, value in zip(names, values)
     )
     return "{" + pairs + "}"
-
-
-#: The process-wide default registry, for components used standalone and
-#: for the instrumentation plane's stage-latency histograms.
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _DEFAULT_REGISTRY

@@ -37,7 +37,6 @@ from .health import (
     worst_status,
 )
 from .registry import MetricsRegistry
-from .trace import stage_p95
 
 
 class SelfAwareness:
@@ -221,20 +220,12 @@ class FederationMetricsView:
         return tuple(sorted(self._snapshots))
 
     def registry(self) -> MetricsRegistry:
-        """The merged federation registry (one series per shard)."""
+        """The shards' merged registry (one series per shard);
+        ``ShardedFederation.metrics_registry`` adds the facade's."""
         merged = MetricsRegistry()
         for shard in sorted(self._snapshots):
             merged.merge(self._snapshots[shard], shard=str(shard))
         return merged
-
-    def render_text(self) -> str:
-        """Prometheus text exposition across the whole federation."""
-        return self.registry().render_text()
-
-    def stage_p95(self) -> Dict[Tuple[str, ...], float]:
-        """p95 stage latency (µs) per ``(shard, stage)``: :func:`stage_p95`
-        of the merged registry."""
-        return stage_p95(self.registry())
 
     def health(
         self,

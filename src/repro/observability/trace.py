@@ -12,7 +12,9 @@ alongside its wall-clock duration, so a trace answers both "which hops did
 this event take" (structure) and "what did each hop cost" (latency).  On
 close, every span feeds a per-stage latency histogram
 (``pipeline_stage_us``, with the bucket conventions of
-:mod:`repro.metrics.latency`), and completed *root* spans join a bounded
+:mod:`repro.metrics.latency`) in the registry the tracer is bound to
+(:meth:`Tracer.bind_registry`: the traced system's or facade's; none,
+no histogram), and completed *root* spans join a bounded
 ring buffer (:meth:`Tracer.recent`) exportable as JSON — the flight
 recorder read by the ``repro trace`` CLI.
 
@@ -169,7 +171,6 @@ class Tracer:
     def __init__(
         self,
         max_traces: int = DEFAULT_MAX_TRACES,
-        registry: Optional[MetricsRegistry] = None,
         sample_every: int = DEFAULT_SAMPLE_EVERY,
     ) -> None:
         self._stack: List[Span] = []
@@ -186,14 +187,16 @@ class Tracer:
         #: directly; ``begin``/``end`` handle the roots, so the depth
         #: returns to zero when the skipped trace's root ends.
         self._light_depth = 0
+        #: The registry closed spans feed (``None``: no histogram).
+        self.registry: Optional[MetricsRegistry] = None
         self._histogram: Optional[Histogram] = None
         self._stage_children: Dict[str, BoundHistogram] = {}
-        if registry is not None:
-            self.bind_registry(registry)
 
-    def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Record per-stage latency into *registry* (``pipeline_stage_us``)."""
-        self._histogram = registry.histogram(
+    def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
+        """Record per-stage latency into *registry* (``pipeline_stage_us``),
+        or into nothing when it is ``None``."""
+        self.registry = registry
+        self._histogram = None if registry is None else registry.histogram(
             STAGE_HISTOGRAM,
             buckets=STAGE_LATENCY_BUCKETS_US,
             description="Wall-clock cost of one pipeline stage (microseconds)",
@@ -334,18 +337,6 @@ class Tracer:
         """The ring buffer as JSON-able dicts (for files and the CLI)."""
         return [span.to_dict() for span in self._traces]
 
-    def stage_summary(self) -> Dict[str, Tuple[int, float]]:
-        """Per-stage ``(count, mean_us)`` from the bound histogram."""
-        histogram = self._histogram
-        if histogram is None:
-            return {}
-        out: Dict[str, Tuple[int, float]] = {}
-        for labels in histogram.series_labels():
-            __, total, count = histogram.snapshot(labels)
-            mean = total / count if count else 0.0
-            out[labels[0]] = (count, mean)
-        return out
-
     def clear(self) -> None:
         """Drop recorded traces (the stack is left to unwind naturally)."""
         self._traces.clear()
@@ -356,6 +347,19 @@ class Tracer:
 def is_recorded(span: Span) -> bool:
     """True when *span* is a real recorded span, not the sampler's token."""
     return span is not _LIGHT_AS_SPAN
+
+
+def stage_summary(registry: MetricsRegistry) -> Dict[str, Tuple[int, float]]:
+    """Per-stage ``(count, mean_us)`` of the :data:`STAGE_HISTOGRAM` in
+    *registry* (a tracer's, keyed by ``stage``)."""
+    histogram = registry.get(STAGE_HISTOGRAM)
+    if not isinstance(histogram, Histogram):
+        return {}
+    out: Dict[str, Tuple[int, float]] = {}
+    for labels in histogram.series_labels():
+        __, total, count = histogram.snapshot(labels)
+        out[labels[-1]] = (count, total / count if count else 0.0)
+    return out
 
 
 def stage_p95(registry: MetricsRegistry) -> Dict[LabelValues, float]:

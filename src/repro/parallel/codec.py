@@ -221,11 +221,6 @@ _HEADER = struct.Struct(">I")
 #: The cover of an ``INT`` column: one int stands for its rows.
 _ONE_INT = (0,)
 
-#: One ``ROWS`` record as :attr:`BinaryDecoder.covers` keeps it: the list
-#: its events went to, their first and past-the-last index there, and
-#: the covers by parameter name.
-RunCovers = Tuple[List[Any], int, int, Dict[Any, Any]]
-
 # ---------------------------------------------------------------------------
 # Channel opening (the hello bytes)
 # ---------------------------------------------------------------------------
@@ -651,11 +646,6 @@ class BinaryDecoder:
         self._types: Dict[str, Any] = {}
         #: Self-contained payloads decoded (``repro journal`` reports it).
         self.standalone_frames = 0
-        #: The ``ROWS`` records of the last payload, in decode order, with
-        #: their *covers*: per parameter name, values that stand for every
-        #: row's (:meth:`_rows`).  A worker hands them to
-        #: ``ShardHost.ingest`` with the frame's events.
-        self.covers: List[RunCovers] = []
 
     @property
     def interned_strings(self) -> List[str]:
@@ -683,15 +673,14 @@ class BinaryDecoder:
         """:meth:`decode_payload`, except that the frame's ``events``
         list keeps each ``ROWS`` record of plain events as one
         :class:`~repro.events.event.ColumnRun` in its place, which
-        carries its covers (that list records none in :attr:`covers`):
-        the shard worker's ingest door walks it by column.  Every other list, and a run of a record
+        carries its covers: the shard worker's ingest door admits and
+        walks it by column.  Every other list, and a run of a record
         type, decodes to events; every decode check is made as there.
         """
         return self._decode(data, True)
 
     def _decode(self, data: Any, runs: bool) -> Dict[str, Any]:
         stream = self._strings, self._compounds
-        self.covers = []
         try:
             scoped = data[0] == T_SELF
             if scoped:
@@ -816,13 +805,10 @@ class BinaryDecoder:
                 if runs and run._event_type.record is None:
                     items.append(run)
                     continue
-                start = len(items)
                 try:
                     items += run.events()
                 except EventTypeError as error:  # a record's undeclared key
                     raise WireError(f"malformed event run: {error}") from None
-                if not runs:
-                    self.covers.append((items, start, len(items), run.covers))
             else:
                 member, pos = decode(data, pos)
                 items.append(member)

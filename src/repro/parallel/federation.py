@@ -62,7 +62,7 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability.health import SloRule, SystemHealth
 from ..observability.logging import FederationLogView
-from ..observability.registry import MetricsRegistry, default_registry
+from ..observability.registry import MetricsRegistry
 from ..observability.selfawareness import FederationMetricsView
 from ..observability.trace import (
     DEFAULT_SAMPLE_EVERY,
@@ -286,11 +286,11 @@ class SerialShard:
     def _harvest(self) -> None:
         """Feed the sink what a worker would piggyback on this exchange.
 
-        Only the *system* registry ships: serial shards share the
-        facade's process-wide default registry (stage histograms and
-        durability counters), which the facade merges once under its own
-        shard label instead of once per shard.  Logs likewise live in
-        the shared process log, drained centrally by the facade.
+        The *system* registry ships, as a worker's does; serial shards
+        share the facade's instrumentation plane, whose stage histogram
+        is recorded into the facade's registry and merged once under its
+        own shard label.  Logs likewise live in the shared process log,
+        drained centrally by the facade.
         """
         sink = self.observability_sink
         if sink is None:
@@ -569,7 +569,12 @@ class ShardedFederation:
         self.router = router if router is not None else ShardRouter()
         self.blueprint = blueprint
         self._closed = False
-        self._restore_instrumentation: Optional[bool] = None
+        #: The facade's own registry: the supervisors' snapshot counter,
+        #: and the stage histogram of an instrumented serial federation.
+        self.metrics = MetricsRegistry()
+        self._restore_instrumentation: Optional[
+            Tuple[bool, Optional[MetricsRegistry]]
+        ] = None
         self._restore_logging: Optional[bool] = None
         #: Federation-wide observability plane, fed by the shards'
         #: piggybacked payloads on every stats/flush exchange.
@@ -601,6 +606,7 @@ class ShardedFederation:
                                 self.config,
                                 blueprint,
                                 self._respawn_worker,
+                                self.metrics,
                             )
                         )
                 except DurabilityError:
@@ -615,20 +621,27 @@ class ShardedFederation:
         else:
             if self.config.instrument and not _OBS.enabled:
                 # Workers own their instrumentation plane; serial shards
-                # share this process's, so flip it here and restore on
-                # close.
-                self._restore_instrumentation = _OBS.enabled
+                # share this process's, so flip it here, onto the
+                # facade's registry, and restore it on close.
+                self._restore_instrumentation = (
+                    _OBS.enabled,
+                    _OBS.tracer.registry,
+                )
                 _OBS.reset()
-                _OBS.enable()
+                _OBS.enable(self.metrics)
             if self.config.ship_logs and not _SLOG.enabled:
                 # Same deal for the structured log: serial shards record
                 # into this process's ring, drained by logs().
                 self._restore_logging = _SLOG.enabled
                 _SLOG.enabled = True
-            self.shards = [
-                SerialShard(shard_id, self.config, blueprint)
-                for shard_id in range(self.config.shards)
-            ]
+            try:
+                self.shards = [
+                    SerialShard(shard_id, self.config, blueprint)
+                    for shard_id in range(self.config.shards)
+                ]
+            except BaseException:
+                self._restore_planes()
+                raise
         for shard in self.shards:
             shard.observability_sink = (
                 lambda payload, sid=shard.shard_id: self._on_observability(
@@ -933,11 +946,11 @@ class ShardedFederation:
 
     def metrics_registry(self) -> MetricsRegistry:
         """The merged federation registry: every shard's snapshot under
-        its ``shard`` label, plus this process's default registry (stage
-        histograms of serial shards, journal/supervisor counters) under
-        the ``facade`` label."""
+        its ``shard`` label, plus the facade's own :attr:`metrics`
+        (snapshot counts, serial shards' stage histograms) under the
+        ``facade`` label."""
         merged = self.metrics_view.registry()
-        merged.merge(default_registry().snapshot(), shard="facade")
+        merged.merge(self.metrics.snapshot(), shard="facade")
         return merged
 
     def render_metrics(self) -> str:
@@ -1019,8 +1032,13 @@ class ShardedFederation:
                 pass
         if self._mux is not None:
             self._mux.close()
+        self._restore_planes()
+
+    def _restore_planes(self) -> None:
+        """Hand back the process planes this facade switched on."""
         if self._restore_instrumentation is not None:
-            _OBS.enabled = self._restore_instrumentation
+            _OBS.enabled, registry = self._restore_instrumentation
+            _OBS.tracer.bind_registry(registry)
         if self._restore_logging is not None:
             _SLOG.enabled = self._restore_logging
 

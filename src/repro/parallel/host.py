@@ -48,9 +48,8 @@ from ..events.queues import DeliveryQueue, Notification
 from ..federation.system import EnactmentSystem
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
-from ..observability.registry import default_registry
 from ..observability.trace import TraceContext, is_recorded
-from .codec import RunCovers, encode_standalone
+from .codec import encode_standalone
 
 #: An event's type name, read from the slot (no Python call per event).
 _type_name = attrgetter("_event_type.name")
@@ -293,7 +292,6 @@ class ShardHost:
         self,
         events: List[Any],
         ctx: Optional[TraceContext] = None,
-        covers: Optional[List[RunCovers]] = None,
     ) -> None:
         """Feed routed primitive events into the pipeline, in order.
 
@@ -310,22 +308,17 @@ class ShardHost:
         Consecutive same-type runs then enter as one ``emit_batch``, so
         the bus sees the same batch shapes an in-process engine would.
 
-        A run is admitted by column: *covers* is the decoder's record of
-        the ``ROWS`` records it decoded
-        (:attr:`~repro.parallel.codec.BinaryDecoder.covers`), and a run
-        that arrived as exactly one of them into *events* is judged on
-        that record's covers; any other run on its own columns.  Only a
-        run its columns cannot pass is checked event by event, so a
+        A run is admitted by column (:meth:`EventProducer.admit`); only
+        a run its columns cannot pass is checked event by event, so a
         refusal and its message are the row-wise ones.
 
         A shard worker decodes its frames with their runs kept
-        (:meth:`~repro.parallel.codec.BinaryDecoder.decode_runs`, which
-        leaves *covers* empty): *events* then holds a
-        :class:`~repro.events.event.ColumnRun` for each ``ROWS`` record,
-        standing for its rows.  A same-type run that is one of them is
-        admitted on its own covers and enters by column
-        (:meth:`EventProducer.emit_run`), so no event of it is built
-        unless one escapes; a same-type run mixing it with other
+        (:meth:`~repro.parallel.codec.BinaryDecoder.decode_runs`):
+        *events* then holds a :class:`~repro.events.event.ColumnRun`
+        for each ``ROWS`` record, standing for its rows.  A same-type
+        run that is one of them is admitted on its covers and enters by
+        column (:meth:`EventProducer.emit_run`), so no event of it is
+        built unless one escapes; a same-type run mixing it with other
         records enters as its events, as above.
 
         With a :class:`TraceContext` and instrumentation on, the whole
@@ -342,11 +335,11 @@ class ShardHost:
                 ctx.sampled,
                 attributes={
                     "shard": self.shard_id,
-                    "events": len(events) if covers is None else sum(_sizes(events)),
+                    "events": sum(_sizes(events)),
                 },
             )
             try:
-                self._ingest(events, covers)
+                self._ingest(events)
             finally:
                 tracer.end(span)
                 if ctx.sampled and is_recorded(span):
@@ -362,21 +355,11 @@ class ShardHost:
                             }
                         )
             return
-        self._ingest(events, covers)
+        self._ingest(events)
 
-    def _ingest(
-        self,
-        events: List[Any],
-        covers: Optional[List[RunCovers]],
-    ) -> None:
+    def _ingest(self, events: List[Any]) -> None:
         producers = self._producers
-        # Only a decoded frame (covers given) can hold runs.
-        by_column = covers is not None and ColumnRun in set(map(type, events))
-        decoded = {
-            (start, stop): columns
-            for items, start, stop, columns in covers or ()
-            if items is events
-        }
+        by_column = ColumnRun in set(map(type, events))
         runs: List[Tuple[EventProducer, Any]] = []
         i = 0
         n = sum(_sizes(events)) if by_column else len(events)
@@ -407,7 +390,7 @@ class ShardHost:
             try:
                 if producer is None:
                     raise EventTypeError("no source producer is registered")
-                producer.admit(run, decoded.get((i, j)))
+                producer.admit(run)
             except EventTypeError as error:
                 raise FrameRefusedError(
                     f"shard {self.shard_id} refused a frame of {n} events "
@@ -452,19 +435,6 @@ class ShardHost:
             "dropped": dropped,
             "cursor": cursor,
         }
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """One lossless snapshot covering this shard's metric space.
-
-        The default registry carries the instrumentation plane's
-        ``pipeline_stage_us`` histogram (and any standalone components);
-        the system registry carries the pipeline gauges and counters.
-        System instruments win name collisions — they are the
-        authoritative pipeline truth.
-        """
-        snapshot = default_registry().snapshot()
-        snapshot.update(self.system.metrics.snapshot())
-        return snapshot
 
     # -- durability --------------------------------------------------------
 

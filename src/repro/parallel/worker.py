@@ -87,13 +87,10 @@ def worker_main(
         except OSError:  # pragma: no cover - already closed
             pass
 
-    # Instrumentation is process-global; the fork inherited the parent's
-    # flag, so set it to what the shard config asks for, explicitly.
-    if options.get("instrument"):
-        _OBS.reset()
-        _OBS.enable()
-    else:
-        _OBS.disable()
+    # Instrumentation is process-global and the fork inherited the
+    # parent's flag: off until the host exists, whose registry an
+    # instrumented worker records its stages into (and ships).
+    _OBS.disable()
     # Structured logging is likewise process-global and inherited; a
     # log-shipping worker records into its own ring (no sink — the
     # facade drains over the frame protocol), others stay silent.
@@ -112,7 +109,7 @@ def worker_main(
     def observability() -> Dict[str, Any]:
         nonlocal log_cursor
         payload: Dict[str, Any] = {
-            "registry": host.metrics_snapshot(),
+            "registry": host.system.metrics.snapshot(),
             "spans": host.drain_spans(),
         }
         if ship_logs:
@@ -133,6 +130,9 @@ def worker_main(
         # The parent's hello bytes precede every frame on the event pipe.
         read_hello(inp)
         host = ShardHost(shard_id, shard_count)
+        if options.get("instrument"):
+            _OBS.reset()
+            _OBS.enable(host.system.metrics)
         host.ship_logs = ship_logs
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))
         # Event frames sequenced below this mark are journal replays.
@@ -152,9 +152,7 @@ def worker_main(
                         # A replay: its spans shipped before the crash.
                         ctx = replace(ctx, sampled=False)
                     try:
-                        host.ingest(
-                            frame["events"], ctx, reader.decoder.covers
-                        )
+                        host.ingest(frame["events"], ctx)
                     except FrameRefusedError:
                         # A refused frame moved no state, so its replay
                         # is a no-op; it was reported when it came live.

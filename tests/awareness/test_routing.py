@@ -90,13 +90,11 @@ def attached(build):
 
 def decoded_runs(events):
     """*events* across the codec as a shard worker decodes them: the
-    frame's list, each ``ROWS`` record one run, and the covers."""
+    frame's list, each ``ROWS`` record one run."""
     from repro.parallel.codec import BinaryDecoder, BinaryEncoder, events_frame
 
-    decoder = BinaryDecoder()
     data = BinaryEncoder().encode_frame(events_frame(events))
-    frame = decoder.decode_runs(memoryview(data)[4:])
-    return frame["events"], decoder.covers
+    return BinaryDecoder().decode_runs(memoryview(data)[4:])["events"]
 
 
 def deploy_field_watcher(system, field_name, name):
@@ -390,8 +388,8 @@ class TestCallBudget:
         warm.ingest(events[:1])
         warm.close()
         host, events = self.chain_frame(bystanders)
-        items, covers = decoded_runs(events)
-        calls = python_calls(host.ingest, items, None, covers)
+        items = decoded_runs(events)
+        calls = python_calls(host.ingest, items)
         assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
         host.close()
         assert calls / len(events) <= self.DECODED
@@ -677,7 +675,6 @@ class TestDeployCallBudget:
         host.apply_blueprint(plan)
         host.deploy_spec(ShardSpec("more", "P-X", self.SPECS["compare1"]))
         assert segments.shapes_compiled() == compiled
-        items, covers = decoded_runs(workload.events())
-        host.ingest(items, None, covers)
+        host.ingest(decoded_runs(workload.events()))
         assert segments.shapes_compiled() > compiled
         host.close()

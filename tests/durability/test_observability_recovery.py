@@ -163,3 +163,24 @@ class TestRecoveryDoubleCounting:
             # per-shard count: replay rebuilds state, and the latest
             # snapshot per shard replaces (never adds to) the old one.
             assert by_shard["0"] + by_shard["1"] == len(events)
+
+
+class TestSnapshotCount:
+    def test_each_federation_counts_its_own_snapshots(self, tmp_path):
+        """Two durable federations in one process, one snapshot each:
+        each facade row reads its own one, and no worker ships the
+        counter under its shard label (a worker forked after the first
+        federation counted does not inherit the count)."""
+        workload = small_workload()
+        counts = []
+        for name in ("first", "second"):
+            config = durable_config(tmp_path / name, shards=1, instrument=False)
+            with ShardedFederation(workload.blueprint(), config) as federation:
+                drive(federation, workload.events())
+                assert federation.shards[0].take_snapshot() is not None
+                federation.refresh_observability()
+                counter = federation.metrics_registry().get(
+                    "shard_snapshots_total"
+                )
+                counts.append(counter.series())
+        assert counts == [{("facade",): 1.0}, {("facade",): 1.0}]

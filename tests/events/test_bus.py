@@ -1,5 +1,7 @@
 """Tests for the pub/sub event bus."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.context import ContextChange
@@ -316,10 +318,7 @@ class TestTapContract:
         tapped.attach(bus)
         untapped.attach(bus)
         bus.subscribe("T_a", lambda e: None)
-        with instrumented() as obs:
-            tracer = obs.tracer
-            tracer.sample_every = 1
-            tracer._trace_count = 0
+        with instrumented() as obs, sampling_every(obs.tracer, 1) as tracer:
             root = tracer.begin("test.root")
             tapped.emit(make_event("T_a"))
             untapped.emit(make_event("T_b"))
@@ -381,16 +380,27 @@ class TestSubscriberlessRun:
         opens no ``bus.dispatch`` span and costs no call per event; a
         tapped event still opens its span (:class:`TestTapContract`)."""
         bus = EventBus()
-        with instrumented() as obs:
-            tracer = obs.tracer
-            tracer.sample_every = 1 if sampled else 1 << 20
-            tracer._trace_count = 0
+        every = 1 if sampled else 1 << 20
+        with instrumented() as obs, sampling_every(obs.tracer, every) as tracer:
             root = tracer.begin("test.root")
             calls = python_calls(bus.publish_batch, self.events(16))
             tracer.end(root)
         if sampled:
             assert root.children == []
         assert calls == self.CALLS
+
+
+@contextmanager
+def sampling_every(tracer, every):
+    """*tracer* recording one trace in *every*, counted from zero, for a
+    scope; the process tracer's cadence is restored on exit."""
+    previous = tracer.sample_every
+    tracer.sample_every = every
+    tracer._trace_count = 0
+    try:
+        yield tracer
+    finally:
+        tracer.sample_every = previous
 
 
 def bus_calls(function, *args):

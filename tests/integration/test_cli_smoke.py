@@ -118,6 +118,37 @@ class TestFederatedObservabilitySmoke:
         assert payload["orphaned"] == 0
         assert payload["stage_p95_us"]
 
+    def test_trace_reports_the_demonstration_stages(self, capsys):
+        """In process, the plane records into the demonstration system's
+        registry, and the stage table reads it."""
+        code, out = run_cli(capsys, "trace", "--json")
+        assert code == 0
+        stages = json.loads(out)["stages"]
+        for stage in (
+            "source.emit",
+            "operator.consume",
+            "delivery.deliver",
+            "queue.append",
+        ):
+            assert stages[stage]["spans"] > 0, stage
+
+    def test_trace_serial_shards_report_stages_under_the_facade(self, capsys):
+        """Serial shards run in the facade's process: their stages are
+        the facade's registry's, merged under ``shard=facade``."""
+        code, out = run_cli(
+            capsys,
+            "trace",
+            "--shards",
+            str(SHARDS),
+            "--backend",
+            "serial",
+            "--json",
+        )
+        assert code == 0
+        p95 = json.loads(out)["stage_p95_us"]
+        assert p95
+        assert all(key.startswith("shard=facade/") for key in p95)
+
     def test_health_shards_exit_code_tracks_worker_breach(self, capsys):
         # A drained federation holds nothing on its shards: ok.
         code, out = run_cli(

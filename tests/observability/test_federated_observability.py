@@ -21,6 +21,7 @@ from repro.observability import (
     StructuredLog,
     TraceAssembler,
     TraceContext,
+    stage_p95,
 )
 from repro.observability.health import threshold_rule
 from repro.observability.registry import Gauge, Histogram
@@ -474,13 +475,13 @@ class TestFederationMetricsView:
         # Snapshots are cumulative: the rebuild must not double-count
         # shard 0's first generation.
         assert counter.series() == {("0",): 25.0, ("1",): 7.0}
-        assert "events_total" in view.render_text()
+        assert "events_total" in registry.render_text()
 
     def test_stage_p95_per_shard(self):
         view = FederationMetricsView()
         view.update(0, self.worker_snapshot(1, [5] * 20))
         view.update(1, self.worker_snapshot(1, [500] * 20))
-        p95 = view.stage_p95()
+        p95 = stage_p95(view.registry())
         assert set(p95) == {("0", "bus.dispatch"), ("1", "bus.dispatch")}
         assert p95[("0", "bus.dispatch")] <= 10
         assert p95[("1", "bus.dispatch")] > 100

@@ -2,12 +2,13 @@
 
 The catalogue is hand-written (each row names its readers, which no
 code can derive), so this test holds its name column to the code: an
-`EnactmentSystem` with self-awareness attached, plus a one-shard durable
-process federation for the supervisor's instrument in the process-wide
-default registry.  Every row names a reader besides the metrics page,
-and a row whose readers are a health rule or the ``T_system`` telemetry
-sample is registered where the telemetry source samples: the system's
-own registry.
+instrumented `EnactmentSystem` with self-awareness attached (the plane
+enabled with its registry, as a worker enables it), plus a one-shard
+durable process federation for the supervisor's instrument in the
+federation's facade registry.  Every row names a reader besides the
+metrics page, and a row whose readers are a health rule or the
+``T_system`` telemetry sample is registered where the telemetry source
+samples: the system's own registry.
 """
 
 import multiprocessing
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import EnactmentSystem
-from repro.observability import default_registry
+from repro.observability import instrumented
 from repro.observability.selfawareness import SelfAwareness
 from repro.parallel import ShardConfig, ShardedFederation
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
@@ -42,9 +43,18 @@ def catalogued():
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the process backend requires the fork start method",
 )
-def test_catalogue_names_every_registered_instrument(tmp_path):
+def instrumented_system():
+    """An `EnactmentSystem` with self-awareness, and the plane enabled
+    with its registry for the length of one sampling pass."""
     system = EnactmentSystem()
-    SelfAwareness(system)
+    awareness = SelfAwareness(system)
+    with instrumented(system.metrics):
+        awareness.sample_now()
+    return system
+
+
+def test_catalogue_names_every_registered_instrument(tmp_path):
+    system = instrumented_system()
     workload = ShardStreamWorkload(
         ShardStreamConfig(forces=2, windows_per_force=1, events_per_force=10)
     )
@@ -54,11 +64,12 @@ def test_catalogue_names_every_registered_instrument(tmp_path):
     with ShardedFederation(workload.blueprint(), config) as federation:
         federation.ingest(workload.events())
         federation.drain()
-    registered = set(system.metrics.names()) | set(default_registry().names())
+    facade = federation.metrics
+    registered = set(system.metrics.names()) | set(facade.names())
     rows = catalogued()
     assert set(rows) == registered
     for name, (kind, labels, readers) in rows.items():
-        instrument = system.metrics.get(name) or default_registry().get(name)
+        instrument = system.metrics.get(name) or facade.get(name)
         assert kind.split()[0] == instrument.kind, name
         declared = tuple(re.findall(r"`([a-z_]+)`", labels))
         assert declared == instrument.label_names, name
@@ -80,10 +91,8 @@ def test_every_row_names_a_reader_besides_the_page():
 
 def test_rule_and_telemetry_readers_sample_the_system_registry():
     """A rule or a ``T_system`` sample reads what the telemetry source
-    samples: the system registry, not the process-wide default one."""
-    system = EnactmentSystem()
-    SelfAwareness(system)
-    sampled = set(system.metrics.names())
+    samples: the system registry, not the federation's facade one."""
+    sampled = set(instrumented_system().metrics.names())
     for name, (__, ___, readers) in catalogued().items():
         if "SLO rule" in readers or "`T_system`" in readers:
             assert name in sampled, (

@@ -19,7 +19,7 @@ from repro import EnactmentSystem
 from repro.awareness.sources import STAGE_P95_METRIC, SystemTelemetrySource
 from repro.clock import LogicalClock
 from repro.cli import main
-from repro.observability import MetricsRegistry, stage_p95
+from repro.observability import MetricsRegistry, instrumented, stage_p95
 from repro.observability.health import default_rules, threshold_rule
 from repro.observability.selfawareness import (
     FederationMetricsView,
@@ -162,10 +162,32 @@ class TestOneStageP95:
         assert samples == {"bus.dispatch": int(p95)}
         assert samples["bus.dispatch"] == 550
 
+    def test_self_awareness_samples_its_instrumented_system_s_stages(self):
+        """The plane enabled with a system's registry: the stages it
+        times there reach that system's ``SelfAwareness`` as
+        ``stage_p95_us`` ``T_system`` samples, one series per stage."""
+        system = EnactmentSystem(name="staged")
+        SelfAwareness(system, interval=1)
+        seen = []
+        system.bus.subscribe("T_system", seen.append)
+        with instrumented(system.metrics):
+            flood(system, 60, time=system.clock.now())
+            # The first pass publishes through the health detector (and
+            # times it); the second samples those stages.
+            system.clock.advance(1)
+            system.clock.advance(1)
+        stages = {
+            event["seriesLabel"]
+            for event in seen
+            if event["metric"] == STAGE_P95_METRIC
+        }
+        assert stages
+        assert stages <= {labels[0] for labels in stage_p95(system.metrics)}
+
     def test_federation_view_reads_the_same_p95(self):
         registry = self.registry()
         view = FederationMetricsView()
         view.update(4, registry.snapshot())
-        assert view.stage_p95() == {
+        assert stage_p95(view.registry()) == {
             ("4", "bus.dispatch"): stage_p95(registry)[("bus.dispatch",)]
         }

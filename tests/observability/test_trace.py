@@ -1,7 +1,7 @@
 """Tests for the span tracer: nesting, ring buffer, sampling, histograms."""
 
 from repro.metrics.latency import STAGE_LATENCY_BUCKETS_US
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import MetricsRegistry, Tracer, stage_summary
 
 
 def record_one_trace(tracer, name="root", children=()):
@@ -118,10 +118,11 @@ class TestSampling:
 class TestStageHistograms:
     def test_spans_feed_the_stage_histogram(self):
         registry = MetricsRegistry()
-        tracer = Tracer(registry=registry, sample_every=1)
+        tracer = Tracer(sample_every=1)
+        tracer.bind_registry(registry)
         record_one_trace(tracer, name="source.emit", children=("bus.dispatch",))
         record_one_trace(tracer, name="source.emit")
-        summary = tracer.stage_summary()
+        summary = stage_summary(registry)
         assert summary["source.emit"][0] == 2
         assert summary["bus.dispatch"][0] == 1
         assert summary["source.emit"][1] >= 0.0
@@ -131,6 +132,10 @@ class TestStageHistograms:
         assert count == 2
 
     def test_unregistered_tracer_has_empty_summary(self):
+        registry = MetricsRegistry()
         tracer = Tracer(sample_every=1)
+        tracer.bind_registry(registry)
+        tracer.bind_registry(None)
         record_one_trace(tracer)
-        assert tracer.stage_summary() == {}
+        assert tracer.registry is None
+        assert stage_summary(registry) == {}

@@ -1,12 +1,13 @@
 """The ingest door admits by column; the row-wise check is its reference.
 
-``ShardHost.ingest`` judges each same-type run of a frame on *covers*
+``ShardHost.ingest`` judges each same-type run of a frame on its covers
 (``EventType.admits``) and checks a run event by event only when its
 covers cannot pass it.  These properties hold it to a test-local
 row-wise door — every event's ``conforms`` plus ``T_activity``'s parent
 pair, run by run in frame order, as the door checked before columns —
 through both of its doors: a list of events (the serial backend; the
-door transposes the run) and a decoded frame (the decoder's covers),
+door transposes the run) and a frame as a worker decodes it
+(``decode_runs``: a ``ROWS`` record is one run, on its own covers),
 fed the frames the encoder writes and ``ROWS`` records built byte by
 byte, whose ``DICT`` tables hold entries no row refers to; now and then
 a frame holds a member that is no event at all.  Both sides agree on
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EventTypeError, FrameRefusedError, WireError
-from repro.events.event import Event
+from repro.events.event import ColumnRun, Event
 from repro.events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
@@ -148,11 +149,11 @@ def reference_refusal(events, shard_id=0):
     return None
 
 
-def door_refusal(host, events, covers=None):
+def door_refusal(host, events):
     """The column door's answer; a refusal must move no state."""
     before = operator_state(host)
     try:
-        host.ingest(events, None, covers)
+        host.ingest(events)
     except FrameRefusedError as error:
         assert operator_state(host) == before
         return str(error)
@@ -160,10 +161,18 @@ def door_refusal(host, events, covers=None):
 
 
 def decoded(payload):
-    """*payload* through a fresh decoder: its events and covers."""
-    decoder = BinaryDecoder()
-    frame = decoder.decode_payload(payload)
-    return frame["events"], decoder.covers
+    """*payload* as a shard worker decodes it (``decode_runs``): its
+    members, each ``ROWS`` record of plain events one run."""
+    return BinaryDecoder().decode_runs(payload)["events"]
+
+
+def expanded(items):
+    """A decoded frame's members with each run replaced by its events."""
+    return [
+        event
+        for item in items
+        for event in (item.events() if type(item) is ColumnRun else (item,))
+    ]
 
 
 def encoded(events):
@@ -291,9 +300,9 @@ class TestAdmissionDifferential:
                     )
                     assert door_refusal(received, events) == expected
                     continue
-                events, covers = decoded(payload)
-                assert reference_refusal(events) == expected
-                assert door_refusal(received, events, covers) == expected
+                items = decoded(payload)
+                assert reference_refusal(expanded(items)) == expected
+                assert door_refusal(received, items) == expected
             assert signatures(received) == signatures(listed)
         finally:
             listed.close()
@@ -316,13 +325,13 @@ class TestAdmissionDifferential:
             return  # a ``str`` subclass does not cross the wire
         host = door_host()
         try:
-            events, covers = decoded(payload)
-            assert [(start, stop) for __, start, stop, ___ in covers] == [
-                (0, len(run))
+            items = decoded(payload)
+            assert [(type(item), len(item)) for item in items] == [
+                (ColumnRun, len(run))
             ]
             expected = reference_refusal(run)
-            assert reference_refusal(events) == expected
-            assert door_refusal(host, events, covers) == expected
+            assert reference_refusal(expanded(items)) == expected
+            assert door_refusal(host, items) == expected
         finally:
             host.close()
 
@@ -342,13 +351,13 @@ def test_an_unreferenced_bad_table_entry_is_admitted():
         Event.trusted(CONTEXT_EVENT_TYPE, dict(GOOD["T_context"], time=tick))
         for tick in range(1, 9)
     ]
-    events, covers = decoded(hand_built(run, [frozenset({(SCHEMA, 7)})]))
-    (( __, start, stop, columns),) = covers
-    assert (start, stop) == (0, 8)
-    assert not CONTEXT_EVENT_TYPE.admits(columns)
+    items = decoded(hand_built(run, [frozenset({(SCHEMA, 7)})]))
+    (column_run,) = items
+    assert type(column_run) is ColumnRun and len(column_run) == 8
+    assert not CONTEXT_EVENT_TYPE.admits(column_run.covers)
     host = door_host()
     try:
-        assert door_refusal(host, events, covers) is None
+        assert door_refusal(host, items) is None
         assert host.stats()["events_ingested"] == 8
     finally:
         host.close()

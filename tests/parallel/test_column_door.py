@@ -52,8 +52,7 @@ def chain():
     warm.ingest(events[:1])
     warm.close()
     host, events = budget.chain_frame(bystanders=8)
-    items, covers = decoded_runs(events)
-    return host, events, items, covers
+    return host, events, decoded_runs(events)
 
 
 def producer(host):
@@ -62,17 +61,17 @@ def producer(host):
 
 class TestEventsBuilt:
     def test_a_decoded_chain_frame_builds_no_event(self, built):
-        host, events, items, covers = chain()
-        host.ingest(items, None, covers)
+        host, events, items = chain()
+        host.ingest(items)
         assert [r["schema"] for r in host.drain_results()] == ["AS_TF000_0"]
         assert built[0] == 0
         host.close()
 
     def test_a_tapped_run_builds_each_event_once(self, built):
-        host, events, items, covers = chain()
+        host, events, items = chain()
         seen = []
         host.system.bus.subscribe("T_context", seen.append)
-        host.ingest(items, None, covers)
+        host.ingest(items)
         assert built[0] == len(seen) == len(events)
         assert [e.params for e in seen] == [e.params for e in events]
         host.close()
@@ -82,11 +81,11 @@ class TestEventsBuilt:
         """A wildcard consumer sees every row, a keyed one every row of
         its key: each such row is built once, and the chain's segment
         shares it."""
-        host, events, items, covers = chain()
+        host, events, items = chain()
         seen = []
         key = (events[0]["contextName"], "Deadline")
         producer(host).add_consumer(seen.append, [key] if keyed else None)
-        host.ingest(items, None, covers)
+        host.ingest(items)
         expected = [
             e for e in events if not keyed or (e["contextName"], e["fieldName"]) == key
         ]
@@ -114,11 +113,11 @@ class TestIndexProbes:
         host.apply_blueprint(plan.blueprint())
         events = plan.events()
         index = producer(host)._index = CountingIndex(producer(host)._index)
-        items, covers = decoded_runs(events)
+        items = decoded_runs(events)
         collecting = gc.isenabled()
         gc.disable()
         try:
-            host.ingest(items, None, covers)
+            host.ingest(items)
         finally:
             if collecting:
                 gc.enable()
@@ -131,7 +130,7 @@ class TestIndexProbes:
     def test_a_registration_mid_run_is_seen_from_the_next_row(self):
         """A consumer that registers another under its own key at row
         3: the index is probed again, and the newcomer sees rows 4 on."""
-        host, events, items, covers = chain()
+        host, events, items = chain()
         key = (events[0]["contextName"], "Deadline")
         source = producer(host)
         late = []
@@ -144,7 +143,7 @@ class TestIndexProbes:
 
         source.add_consumer(registering, [key])
         index = source._index = CountingIndex(source._index)
-        host.ingest(items, None, covers)
+        host.ingest(items)
         keys = [(e["contextName"], e["fieldName"]) for e in events]
         third = [i for i, k in enumerate(keys) if k == key][2]
         assert [e.params for e in late] == [

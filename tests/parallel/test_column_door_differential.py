@@ -147,7 +147,7 @@ class Scenario:
         try:
             if decoded is None:
                 return door_refusal(self.host, events)
-            return door_refusal(self.host, *decoded)
+            return door_refusal(self.host, decoded)
         finally:
             INSTRUMENTATION.enabled = previous
 

@@ -14,7 +14,9 @@ import multiprocessing
 
 import pytest
 
-from repro.parallel import ShardConfig, ShardedFederation
+from repro.errors import SpecificationError
+from repro.observability import INSTRUMENTATION, STRUCTURED_LOG, stage_p95
+from repro.parallel import ShardConfig, ShardedFederation, ShardSpec
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -147,11 +149,63 @@ class TestMetricsPlane:
             workload.blueprint(), observability_config("process")
         ) as federation:
             run_workload(federation, workload)
-            p95 = federation.metrics_view.stage_p95()
+            p95 = stage_p95(federation.metrics_view.registry())
         stages = {stage for __, stage in p95}
         assert "shard.ingest" in stages
         assert {shard for shard, __ in p95} == {"0", "1"}
         assert all(value >= 0 for value in p95.values())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stage_rows_sit_where_the_stages_ran(self, backend):
+        """Serial shards run in the facade's process and record into the
+        facade's registry; a worker records into its own system's."""
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(), observability_config(backend)
+        ) as federation:
+            run_workload(federation, workload)
+            p95 = stage_p95(federation.metrics_registry())
+        shards = {shard for shard, __ in p95}
+        assert shards == ({"facade"} if backend == "serial" else {"0", "1"})
+
+    @needs_fork
+    def test_a_fork_after_an_instrumented_serial_federation_ships_no_stage_row(
+        self,
+    ):
+        """A worker ships what its own system measured: the stages an
+        instrumented serial federation timed earlier in this process
+        reach neither the workers of an uninstrumented process
+        federation forked after it nor that federation's facade row."""
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(), observability_config("serial")
+        ) as serial:
+            run_workload(serial, workload)
+            assert "pipeline_stage_us_count" in serial.render_metrics()
+        with ShardedFederation(
+            workload.blueprint(),
+            observability_config("process", instrument=False),
+        ) as federation:
+            run_workload(federation, workload)
+            text = federation.render_metrics()
+        assert 'producer_emitted_total{shard="0"' in text
+        assert "pipeline_stage_us" not in text
+
+    def test_a_refused_serial_construction_restores_the_process_planes(self):
+        """A serial federation that switched the instrumentation plane
+        and the structured log on hands both back when its construction
+        raises, and leaves the tracer bound to no dead facade's
+        registry."""
+        workload = small_workload()
+        blueprint = workload.blueprint()
+        schema = blueprint.specifications[0].process_schema_id
+        blueprint.add_specification(ShardSpec("bad", schema, "not a spec"))
+        assert not INSTRUMENTATION.enabled and not STRUCTURED_LOG.enabled
+        with pytest.raises(SpecificationError):
+            ShardedFederation(blueprint, observability_config("serial"))
+        assert not INSTRUMENTATION.enabled
+        assert not STRUCTURED_LOG.enabled
+        assert INSTRUMENTATION.tracer.registry is None
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_federation_health_sees_worker_breaches(self, backend):

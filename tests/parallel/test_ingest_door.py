@@ -25,7 +25,7 @@ from repro.awareness.operators.count import Count
 from repro.awareness.operators.filters import ActivityFilter, ContextFilter
 from repro.errors import EventTypeError, FrameRefusedError, ParallelError, ReproError
 from repro.events.canonical import canonical_type
-from repro.events.event import Event, EventType
+from repro.events.event import ColumnRun, Event, EventType
 from repro.events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
@@ -33,10 +33,10 @@ from repro.events.producers import (
     check_associations,
 )
 from repro.parallel import ShardConfig, ShardedFederation, ShardSpec
-from repro.parallel.codec import BinaryDecoder, BinaryEncoder, events_frame
 from repro.parallel.host import ShardHost
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
+from tests.awareness.test_routing import decoded_runs
 from tests.durability.test_supervised_federation import kill_worker
 from tests.exact import signatures
 
@@ -294,9 +294,9 @@ class TestProcessDoor:
 class TestConformanceCount:
     """Counts, not wall clock: an admitted frame is checked by column.
 
-    A run of a frame is judged on its covers — the decoder's for a run
-    that arrived as one ``ROWS`` record, its own transposed columns for
-    a list of events — so a conforming frame makes no row-wise
+    A run of a frame is judged on its covers — a decoded run's own (the
+    worker's door, ``decode_runs``), its transposed columns for a list
+    of events — so a conforming frame makes no row-wise
     ``conforms`` call, however many windows sit behind its producer, and
     the association members run once per distinct set (the parent made
     one ``conforms`` and one members call per event)."""
@@ -308,22 +308,13 @@ class TestConformanceCount:
         host.apply_blueprint(plan.blueprint())
         return plan, host, plan.events()
 
-    @staticmethod
-    def decoded(events):
-        """*events* across the codec: the decoded list and its covers."""
-        decoder = BinaryDecoder()
-        data = BinaryEncoder().encode_frame(events_frame(events))
-        frame = decoder.decode_payload(memoryview(data)[4:])
-        return frame["events"], decoder.covers
-
     @pytest.mark.parametrize("door", ["events", "decoded"])
     @pytest.mark.parametrize("windows", [1, 8])
     def test_an_admitted_frame_makes_no_row_wise_check(self, door, windows, monkeypatch):
         plan, host, events = self.frame(windows)
-        covers = None
         if door == "decoded":
-            events, covers = self.decoded(events)
-            assert [(start, stop) for __, start, stop, ___ in covers] == [(0, 64)]
+            events = decoded_runs(events)
+            assert [(type(run), len(run)) for run in events] == [(ColumnRun, 64)]
         calls = 0
         conforms = EventType.conforms
 
@@ -333,7 +324,7 @@ class TestConformanceCount:
             conforms(self, params)
 
         monkeypatch.setattr(EventType, "conforms", counting)
-        host.ingest(events, None, covers)
+        host.ingest(events)
         assert len(host.drain_results()) == plan.expected_notifications()
         assert calls == 0
         host.close()
@@ -342,9 +333,9 @@ class TestConformanceCount:
         self, monkeypatch
     ):
         plan, host, events = self.frame(1)
-        events, covers = self.decoded(events)
         distinct = {event["processAssociations"] for event in events}
         assert len(distinct) == 2 < len(events)
+        events = decoded_runs(events)
         checked = []
 
         def counting(associations):
@@ -354,7 +345,7 @@ class TestConformanceCount:
         monkeypatch.setattr(
             CONTEXT_EVENT_TYPE, "_members", (("processAssociations", counting),)
         )
-        host.ingest(events, None, covers)
+        host.ingest(events)
         assert len(host.drain_results()) == plan.expected_notifications()
         assert sorted(map(sorted, checked)) == sorted(map(sorted, distinct))
         host.close()
