@@ -3,11 +3,15 @@
 The federation observability plane (cross-shard trace propagation,
 metrics-registry shipping, structured-log shipping) rides frames that
 already exist: trace contexts stamp outgoing event batches, and every
-stats/flush response piggybacks the worker's registry snapshot, its
-buffered sampled span batches, and the log records past the shipping
-cursor.  Nothing blocks the hot path — so attaching the whole plane to
-a sharded process-backend run must cost < 1.3x the detached per-event
-time (the same budget QE8 holds single-process instrumentation to).
+stats/flush response piggybacks the worker's buffered sampled span
+batches and the log records past the shipping cursor.  The registry
+snapshot is pulled, not pushed: only a ``metrics`` request — sent by
+``refresh_observability()`` and the registry readers, outside the timed
+waves here — is answered with it, so neither mode pays for it per drain
+(DESIGN note 36).  Nothing blocks the hot path — so attaching the whole
+plane to a sharded process-backend run must cost < 1.3x the detached
+per-event time (the same budget QE8 holds single-process
+instrumentation to).
 
 Measurement protocol (QE8's): the two modes run *paired* inside each
 repetition so machine drift hits both sides of the ratio, and each

@@ -155,10 +155,10 @@ def _cmd_trace_shards(args: argparse.Namespace) -> int:
 
     with _observed_federation(args) as federation:
         federation.drain()
-        federation.refresh_observability()
+        # The registry pull ships the workers' last spans with it.
+        p95 = stage_p95(federation.metrics_registry())
         assembler = federation.trace_assembler
         traces = federation.traces()
-        p95 = stage_p95(federation.metrics_registry())
 
     shown = list(traces[-args.limit :] if args.limit else traces)
     if args.json:
@@ -383,7 +383,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.shards > 0:
         with _observed_federation(args) as federation:
             federation.drain()
-            federation.refresh_observability()
             text = federation.render_metrics()
         print(text)
         return 0

@@ -25,8 +25,9 @@ durability loop:
 
 The retry discipline is asymmetric by design: **mutations are never
 resent** (the journaled frame is part of the replay tail — a resend
-would double-apply), while **reads are retried once** after recovery
-(they are idempotent against the rebuilt worker).
+would double-apply), while **reads** (``flush``, ``stats``, ``metrics``)
+**are retried once** after recovery (they are idempotent against the
+rebuilt worker) and never journaled.
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ class SupervisedShard:
             if fresh:
                 self._seq_high = int(fresh[-1]["seq"])
             return fresh
+        if op == "metrics":
+            return result
         stats, errors = result
         stats = dict(stats)
         stats["recoveries"] = self.recoveries

@@ -169,12 +169,14 @@ def instrumented(
 ) -> Iterator[Instrumentation]:
     """Enable instrumentation for a scope, recording stage latency into
     *registry* (see :meth:`Instrumentation.enable`); restores the
-    previous flag and registry on exit.
+    previous flag, registry and tracer sampling period on exit.
 
     With ``reset`` (the default) previously recorded traces and delivery
     provenance are dropped on entry, so the scope observes only itself.
     """
-    enabled, bound = INSTRUMENTATION.enabled, INSTRUMENTATION.tracer.registry
+    tracer = INSTRUMENTATION.tracer
+    enabled, bound = INSTRUMENTATION.enabled, tracer.registry
+    every = tracer.sample_every
     if reset:
         INSTRUMENTATION.reset()
     INSTRUMENTATION.enable(registry)
@@ -182,4 +184,5 @@ def instrumented(
         yield INSTRUMENTATION
     finally:
         INSTRUMENTATION.enabled = enabled
-        INSTRUMENTATION.tracer.bind_registry(bound)
+        tracer.bind_registry(bound)
+        tracer.sample_every = every

@@ -200,10 +200,11 @@ class FederationHealthView:
 class FederationMetricsView:
     """The facade-side aggregate of every shard's metrics registry.
 
-    Each shard ships a lossless :meth:`MetricsRegistry.snapshot` on its
-    stats/flush frames; the view keeps the *latest* snapshot per shard
-    and rebuilds a merged registry on demand, every instrument gaining a
-    leading ``shard`` label (:meth:`MetricsRegistry.merge`).  Rebuilding
+    Each shard ships a lossless :meth:`MetricsRegistry.snapshot` when
+    the facade pulls it (a ``metrics`` request); the view keeps the
+    *latest* snapshot per shard and rebuilds a merged registry on
+    demand, every instrument gaining a leading ``shard`` label
+    (:meth:`MetricsRegistry.merge`).  Rebuilding
     from the latest snapshots (rather than merging incrementally) is
     what keeps counters correct — snapshots are cumulative, so folding
     two generations of the same shard would double-count.

@@ -382,7 +382,7 @@ class TraceAssembler:
     leaves for the shards (:meth:`begin`); each shard that receives part
     of the wave opens its own pipeline root span under the wave's
     :class:`TraceContext` and ships the completed tree back on its next
-    stats/flush frame.  :meth:`add_batch` reattaches those trees under
+    read response (stats, flush or metrics).  :meth:`add_batch` reattaches those trees under
     the originating wave, so one logical trace ends up holding the spans
     of every shard the wave touched.
 

@@ -81,7 +81,11 @@ BACKENDS = ("serial", "process")
 TERMINATE_GRACE = 0.5
 
 #: Response frame kind per collective operation.
-_COLLECTIVE_RESPONSE = {"flush": "results", "stats": "stats"}
+_COLLECTIVE_RESPONSE = {
+    "flush": "results",
+    "stats": "stats",
+    "metrics": "metrics",
+}
 
 #: Shard id under which the facade process's own structured-log records
 #: appear in the merged federation view (serial shards share the facade
@@ -89,7 +93,7 @@ _COLLECTIVE_RESPONSE = {"flush": "results", "stats": "stats"}
 FACADE_SHARD = -1
 
 #: An observability shipment handler: receives the ``observability``
-#: payload a shard piggybacked on a stats/flush exchange.
+#: payload (span batches, log records) a shard piggybacked on a read.
 ObservabilitySink = Optional[Any]
 
 
@@ -207,7 +211,8 @@ class Shard(Protocol):
     Collectives are split-phase: ``begin(op)`` sends the request without
     waiting (``op`` is a key of :data:`_COLLECTIVE_RESPONSE`), and
     ``end(op, frame)`` turns the response into the result — the record
-    list for ``"flush"``, a ``(stats, errors)`` pair for ``"stats"``.
+    list for ``"flush"``, a ``(stats, errors)`` pair for ``"stats"``,
+    the registry snapshot for ``"metrics"``.
     The facade gathers the frames of every shard that has a ``channel``
     in one multiplexer wave; ``frame=None`` tells the shard to obtain
     its response itself.
@@ -275,32 +280,26 @@ class SerialShard:
         """Nothing to send: :meth:`end` computes the answer."""
 
     def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any:
-        result: Any = (
-            self.host.drain_results()
-            if op == "flush"
-            else (self.host.stats(), [])
-        )
+        result: Any
+        if op == "flush":
+            result = self.host.drain_results()
+        elif op == "metrics":
+            # The *system* registry, as a worker's reply carries; serial
+            # shards share the facade's instrumentation plane, whose
+            # stage histogram lands in the facade's registry.
+            result = self.host.system.metrics.snapshot()
+        else:
+            result = (self.host.stats(), [])
         self._harvest()
         return result
 
     def _harvest(self) -> None:
-        """Feed the sink what a worker would piggyback on this exchange.
-
-        The *system* registry ships, as a worker's does; serial shards
-        share the facade's instrumentation plane, whose stage histogram
-        is recorded into the facade's registry and merged once under its
-        own shard label.  Logs likewise live in the shared process log,
-        drained centrally by the facade.
-        """
+        """Feed the sink the span batches a worker would piggyback on
+        this exchange.  Logs live in the shared process log, drained
+        centrally by the facade."""
         sink = self.observability_sink
-        if sink is None:
-            return
-        sink(
-            {
-                "registry": self.host.system.metrics.snapshot(),
-                "spans": self.host.drain_spans(),
-            }
-        )
+        if sink is not None:
+            sink({"spans": self.host.drain_spans()})
 
     def close(self) -> None:
         if self.alive:
@@ -338,7 +337,7 @@ class ProcessShard:
         #: journal-replayed frames keep their original numbers.
         self._next_seq = 0
         #: Receives the ``observability`` payloads the worker piggybacks
-        #: on stats/results frames (set by the facade).
+        #: on its read responses (set by the facade).
         self.observability_sink: ObservabilitySink = None
 
     # -- channel ----------------------------------------------------------
@@ -439,6 +438,8 @@ class ProcessShard:
             sink(payload)
         if op == "flush":
             return frame["notifications"]
+        if op == "metrics":
+            return frame["registry"]
         return frame["stats"], list(frame.get("errors", ()))
 
     def close(self) -> None:
@@ -576,8 +577,9 @@ class ShardedFederation:
             Tuple[bool, Optional[MetricsRegistry]]
         ] = None
         self._restore_logging: Optional[bool] = None
-        #: Federation-wide observability plane, fed by the shards'
-        #: piggybacked payloads on every stats/flush exchange.
+        #: Federation-wide observability plane: span batches and log
+        #: records ride every read, registry snapshots are pulled by
+        #: :meth:`refresh_observability`.
         self.trace_assembler = TraceAssembler(
             sample_every=self.config.trace_sample_every
         )
@@ -700,42 +702,63 @@ class ShardedFederation:
         the wave reaches opens a ``shard.ingest`` root span under the
         wave's context, and the shipped trees reassemble into one trace
         spanning every shard the wave touched.  Events left buffered
-        here ship later under that wave's context (see
-        :meth:`flush_buffers`).
+        here ship with a later wave, or under the barrier's own context
+        (see :meth:`flush_buffers`).
 
         Ingest never blocks on a slow shard: a full batch whose shard's
         channel still holds unwritten bytes (its pipe is full) stays in
         the facade buffer (event references, not copies) and ships once
         the worker has read enough for the channel to drain; meanwhile
         every other shard's batches keep flowing.
+
+        The wave is routed by column, ``batch_size`` events per shard at
+        a time: each chunk is partitioned by
+        :meth:`ShardRouter.shard_indices`, then every full batch ships.
+        A shard's frames are its stream cut into ``batch_size`` slices
+        whenever they leave, so the frames, their ``seq`` numbers and a
+        journal's bytes do not depend on the chunking.
         """
-        router = self.router
         shard_count = self.config.shards
-        batch_size = self.config.batch_size
+        chunk = self.config.batch_size * shard_count
         buffers = self._buffers
+        shard_indices = self.router.shard_indices
         ctx: Optional[TraceContext] = None
-        for event in events:
-            index = router.shard_for(event, shard_count)
-            buffer = buffers[index]
-            buffer.append(event)
-            if len(buffer) < batch_size:
-                continue
+        for start in range(0, len(events), chunk):
+            part = events[start:start + chunk]
+            if shard_count == 1:
+                buffers[0] += part
+            else:
+                for event, index in zip(part, shard_indices(part, shard_count)):
+                    buffers[index].append(event)
+            ctx = self._ship_full(ctx)
+
+    def _ship_full(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:
+        """Ship every full batch whose shard's pipe takes it.
+
+        A shard whose pipe is full defers alone: its stall is counted
+        once per deferral episode, and one non-blocking pump gives the
+        pipes a chance to drain before they are asked again.  Returns
+        the wave's trace context, opened at its first shipped batch.
+        """
+        batch_size = self.config.batch_size
+        full = [
+            index
+            for index, buffer in enumerate(self._buffers)
+            if len(buffer) >= batch_size
+        ]
+        blocked = [index for index in full if not self._can_ship(index)]
+        if blocked:
+            for index in blocked:
+                self._defer(index)
+            if self._mux is not None:
+                self._mux.pump(0.0)
+        for index in full:
             if not self._can_ship(index):
-                # Pipe full: defer this shard's batch, count the stall
-                # once per episode, give the pipe a chance to drain,
-                # and keep the wave moving.
-                if not self._deferred[index]:
-                    self._deferred[index] = True
-                    channel = self.shards[index].channel
-                    assert channel is not None  # no pipe, no stall
-                    channel.stalls += 1
-                if self._mux is not None:
-                    self._mux.pump(0.0)
-                if not self._can_ship(index):
-                    continue
+                continue
             if ctx is None and self.config.instrument:
                 ctx = self.trace_assembler.begin("federation.ingest")
             self._ship(index, ctx)
+        return ctx
 
     def _can_ship(self, index: int) -> bool:
         """Whether shard *index* accepts an event frame right now.
@@ -758,7 +781,19 @@ class ShardedFederation:
             start += batch_size
         if start:
             self._buffers[index] = buffer = buffer[start:]
-        self._deferred[index] = len(buffer) >= batch_size
+        if len(buffer) >= batch_size:
+            self._defer(index)
+        else:
+            self._deferred[index] = False
+
+    def _defer(self, index: int) -> None:
+        """Shard *index* holds a full batch its pipe would not take:
+        count the stall, once per deferral episode."""
+        if not self._deferred[index]:
+            self._deferred[index] = True
+            channel = self.shards[index].channel
+            assert channel is not None  # no pipe, no stall
+            channel.stalls += 1
 
     def flush_buffers(self) -> None:
         """Ship every partial batch (events keep per-shard order).
@@ -818,11 +853,12 @@ class ShardedFederation:
     ) -> List[Tuple[Shard, Any]]:
         """One broadcast-then-gather collective across the federation.
 
-        Broadcasts the *op* request (``"flush"`` or ``"stats"``) to
-        every shard first, then gathers the responses as they arrive —
-        the collective costs the slowest shard, not the sum.  Returns
-        ``[(shard, result), ...]`` in shard order: records lists for
-        ``flush``, ``(stats, errors)`` pairs for ``stats``.
+        Broadcasts the *op* request (``"flush"``, ``"stats"`` or
+        ``"metrics"``) to every shard first, then gathers the responses
+        as they arrive — the collective costs the slowest shard, not the
+        sum.  Returns ``[(shard, result), ...]`` in shard order: records
+        lists for ``flush``, ``(stats, errors)`` pairs for ``stats``,
+        registry snapshots for ``metrics``.
 
         The wave always completes: every broadcast request is matched
         to its response (or its shard's crash) before anything is
@@ -904,10 +940,7 @@ class ShardedFederation:
     # -- observability ------------------------------------------------------
 
     def _on_observability(self, shard_id: int, payload: Dict[str, Any]) -> None:
-        """Route one shard's piggybacked shipment into the facade views."""
-        registry = payload.get("registry")
-        if registry:
-            self.metrics_view.update(shard_id, registry)
+        """Route one shard's piggybacked streams into the facade views."""
         spans = payload.get("spans")
         if spans:
             for batch in spans.get("batches", ()):
@@ -922,10 +955,16 @@ class ShardedFederation:
             )
 
     def refresh_observability(self) -> None:
-        """Round-trip every live shard so the federation views are
-        current (each read piggybacks the shard's latest shipment) —
-        one overlapped wave, not a per-shard loop."""
-        self._collect("stats", tolerant=True)
+        """Pull every live shard's registry snapshot into
+        :attr:`metrics_view`, and its shipped spans and log records
+        with it — one overlapped wave, not a per-shard loop.
+
+        The registry rides no other exchange, so a drain, a deploy or
+        ``shard_stats()`` pays nothing for it; the readers below pull
+        before they read.
+        """
+        for shard, snapshot in self._collect("metrics", tolerant=True):
+            self.metrics_view.update(shard.shard_id, snapshot)
 
     def traces(self) -> Tuple[Dict[str, Any], ...]:
         """Assembled cross-shard traces, oldest first."""
@@ -945,10 +984,11 @@ class ShardedFederation:
         return self.log_view
 
     def metrics_registry(self) -> MetricsRegistry:
-        """The merged federation registry: every shard's snapshot under
-        its ``shard`` label, plus the facade's own :attr:`metrics`
-        (snapshot counts, serial shards' stage histograms) under the
-        ``facade`` label."""
+        """The merged federation registry, pulled now: every shard's
+        snapshot under its ``shard`` label, plus the facade's own
+        :attr:`metrics` (snapshot counts, serial shards' stage
+        histograms) under the ``facade`` label."""
+        self.refresh_observability()
         merged = self.metrics_view.registry()
         merged.merge(self.metrics.snapshot(), shard="facade")
         return merged
@@ -960,8 +1000,8 @@ class ShardedFederation:
     def health(
         self, rules: Optional[Tuple[SloRule, ...]] = None
     ) -> SystemHealth:
-        """Threshold SLO rules evaluated over the merged federation
-        registry — a breach inside any one worker surfaces here."""
+        """Threshold SLO rules evaluated over every shard's registry,
+        pulled now — a breach inside any one worker surfaces here."""
         self.refresh_observability()
         return self.metrics_view.health(rules)
 

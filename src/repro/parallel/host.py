@@ -324,8 +324,8 @@ class ShardHost:
         With a :class:`TraceContext` and instrumentation on, the whole
         batch runs under a ``shard.ingest`` root span whose sampling
         decision is the facade's, verbatim (no local re-sampling); a
-        recorded tree is buffered for shipment on the next stats/flush
-        frame.
+        recorded tree is buffered for shipment on the next read
+        response.
         """
         self._frames += 1
         if ctx is not None and _OBS.enabled:

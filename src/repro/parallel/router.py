@@ -26,12 +26,21 @@ hashable key).
 Hashing is ``zlib.crc32`` over the key's string form: Python's ``hash``
 is salted per process, and the router must agree with itself across the
 facade and every worker.
+
+A wave is routed by column (:meth:`ShardRouter.shard_indices`, DESIGN
+note 36): each same-type run's keys are read in one pass — an
+``itemgetter`` where a built-in affinity reads one parameter, the
+extractor mapped over the run otherwise — and looked up in a memo of
+string keys, so only the misses are hashed.  :meth:`ShardRouter.shard_for`
+is the one-event case of the same code.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, Hashable, Optional
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional
 
 from ..events.canonical import is_canonical
 from ..events.event import Event
@@ -44,7 +53,7 @@ from ..events.producers import (
 
 KeyExtractor = Callable[[Event], Hashable]
 
-#: Entries kept in the router's key-to-shard memo before it resets.
+#: Entries kept in a key-to-shard memo of the router before it resets.
 #: Affinity keys are heavily repeated (every event of one process
 #: instance, context, or system carries the same key), so a small cache
 #: absorbs nearly all the ``repr`` + crc32 work on the ingest hot path.
@@ -82,6 +91,21 @@ def canonical_affinity(event: Event) -> Hashable:
     return event.params["processInstanceId"]
 
 
+#: An event's type name and parameter mapping, read in C (the mapping of
+#: a ``C_P`` record is its property's).
+_type_name = attrgetter("_event_type.name")
+_get_params = attrgetter("_params")
+
+#: The built-in affinities that read one parameter, each with that read
+#: as an ``itemgetter`` over a run's mappings: a run's keys are one
+#: column, and a missing parameter raises what the extractor raises.
+_ONE_PARAMETER: Dict[KeyExtractor, Callable[[Mapping[str, Any]], Hashable]] = {
+    context_affinity: itemgetter("contextName"),
+    system_affinity: itemgetter("systemId"),
+    canonical_affinity: itemgetter("processInstanceId"),
+}
+
+
 class ShardRouter:
     """Deterministic event-to-shard assignment by affinity key."""
 
@@ -92,12 +116,12 @@ class ShardRouter:
             SYSTEM_EVENT_TYPE_NAME: system_affinity,
             NEWS_EVENT_TYPE_NAME: external_affinity,
         }
-        #: Memoized ``(key, shard_count) -> shard`` results.  Purely a
-        #: cache of :meth:`shard_for_key` (which depends on nothing but
-        #: its arguments), so extractor registration never invalidates
-        #: it.  Bounded: a full cache is cleared, not evicted — the hot
-        #: keys repopulate it within one batch.
-        self._shard_cache: Dict[Any, int] = {}
+        #: Memoized ``key -> shard`` results, one memo per shard count.
+        #: Purely a cache of :meth:`shard_for_key` (which depends on
+        #: nothing but its arguments), so extractor registration never
+        #: invalidates it.  Bounded: a full memo is cleared, not evicted
+        #: — the hot keys repopulate it within one batch.
+        self._shard_cache: Dict[int, Dict[Hashable, int]] = {}
 
     def register(self, type_name: str, extractor: KeyExtractor) -> None:
         """Install (or replace) the affinity extractor for *type_name*.
@@ -116,29 +140,57 @@ class ShardRouter:
 
     def affinity_key(self, event: Event) -> Hashable:
         """The hashable affinity key of *event* (total: always returns)."""
-        extractor = self.extractor_for(event.type_name)
-        if extractor is None:
-            extractor = external_affinity
-        return extractor(event)
+        return self._keys(event.type_name, [event])[0]
+
+    def _keys(self, type_name: str, run: List[Event]) -> List[Hashable]:
+        """The affinity keys of *run*, whose events share *type_name*."""
+        extractor = self.extractor_for(type_name) or external_affinity
+        read = _ONE_PARAMETER.get(extractor)
+        if read is None:
+            return list(map(extractor, run))
+        return list(map(read, map(_get_params, run)))
 
     def shard_for(self, event: Event, shard_count: int) -> int:
         """The shard index in ``[0, shard_count)`` owning *event*."""
+        return self.shard_indices([event], shard_count)[0]
+
+    def shard_indices(self, events: List[Event], shard_count: int) -> List[int]:
+        """The owning shard of each of *events*, in order.
+
+        Each same-type run's keys are read as one column, and mapped to
+        shards through the memo; only the keys it misses are hashed.
+        """
         if shard_count <= 1:
-            return 0
-        key = self.affinity_key(event)
-        cache_key = (key, shard_count)
-        try:
-            cached = self._shard_cache.get(cache_key)
-        except TypeError:
-            # An unhashable custom key: fall through to the hash.
-            return self.shard_for_key(key, shard_count)
-        if cached is not None:
-            return cached
-        shard = self.shard_for_key(key, shard_count)
-        if len(self._shard_cache) >= ROUTER_CACHE_MAX:
-            self._shard_cache.clear()
-        self._shard_cache[cache_key] = shard
-        return shard
+            return [0] * len(events)
+        memo = self._shard_cache.get(shard_count)
+        if memo is None:
+            memo = self._shard_cache[shard_count] = {}
+        indices: List[int] = []
+        i = 0
+        for type_name, group in groupby(map(_type_name, events)):
+            j = i + len(list(group))
+            keys = self._keys(type_name, events[i:j])
+            shards: List[Any]
+            try:
+                shards = list(map(memo.get, keys))
+            except TypeError:
+                # An unhashable custom key: every key of the run misses.
+                shards = [None] * len(keys)
+            if None in shards:
+                for k, shard in enumerate(shards):
+                    if shard is None:
+                        key = keys[k]
+                        shards[k] = shard = self.shard_for_key(key, shard_count)
+                        # Only strings are memoized: keys of other types
+                        # can be equal and still hash apart (``1``,
+                        # ``1.0`` and ``True`` have three reprs).
+                        if type(key) is str:
+                            if len(memo) >= ROUTER_CACHE_MAX:
+                                memo.clear()
+                            memo[key] = shard
+            indices += shards
+            i = j
+        return indices
 
     @staticmethod
     def shard_for_key(key: Hashable, shard_count: int) -> int:

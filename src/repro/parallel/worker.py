@@ -3,11 +3,12 @@
 ``worker_main`` is the forked child's entry point.  It owns one
 :class:`~repro.parallel.host.ShardHost` and serves frames from its input
 pipe in arrival order; it only ever *writes* what it is asked for (a
-response to ``stats`` / ``flush`` / ``snapshot`` / ``shutdown``, or its
-last-words ``error``), so the channel cannot deadlock — the parent's
-event sends are pipelined fire-and-forget, the pipe is the flow control
-(a full pipe is what defers the facade's next event frame), and every
-read the parent performs has exactly one pending response.
+response to ``stats`` / ``flush`` / ``metrics`` / ``snapshot`` /
+``shutdown``, or its last-words ``error``), so the channel cannot
+deadlock — the parent's event sends are pipelined fire-and-forget, the
+pipe is the flow control (a full pipe is what defers the facade's next
+event frame), and every read the parent performs has exactly one
+pending response.
 
 Protocol frames (see :mod:`repro.parallel.wire` for the framing):
 
@@ -23,14 +24,11 @@ Protocol frames (see :mod:`repro.parallel.wire` for the framing):
   "errors": [...], "observability": {...}}``;
 * ``{"kind": "flush"}`` → ``{"kind": "results", "notifications": [...],
   "observability": {...}}``
-  — drain the recorded notification stream (sequence numbers included).
-
-Both read responses piggyback an ``observability`` payload — the shard's
-full metrics-registry snapshot, its buffered sampled span batches, and
-(when ``ship_logs`` is on) the structured-log records past the shipping
-cursor — so the facade's federation views refresh on every read without
-extra round trips, and span/log shipping rides frames that already
-exist;
+  — drain the recorded notification stream (sequence numbers included);
+* ``{"kind": "metrics"}`` → ``{"kind": "metrics", "registry": {...},
+  "observability": {...}}`` — the shard's full cumulative
+  metrics-registry snapshot, sent only when the facade pulls it (a
+  ``metrics_registry()``, ``render_metrics()`` or ``health()`` read);
 * ``{"kind": "snapshot"}`` → ``{"kind": "snapshot", "state": {...}}`` —
   the host's recoverable state, raw operator partitions included
   (``state`` is ``None`` when a live operator holds state the codec
@@ -46,6 +44,13 @@ exist;
   it came live);
 * ``{"kind": "shutdown"}`` → ``{"kind": "bye"}`` and a clean exit — the
   poison pill.
+
+Every read response but ``snapshot`` carries an ``observability``
+payload — the shard's buffered sampled span batches and (when
+``ship_logs`` is on) the structured-log records past the shipping
+cursor — so span and log shipping rides frames that already exist.
+The registry snapshot rides only the ``metrics`` response: a drain, a
+deploy's sync or a ``shard_stats()`` neither encodes nor decodes it.
 
 Recoverable per-frame failures (a bad spec, an unroutable event type)
 are recorded and reported with the next ``stats`` response; anything
@@ -108,10 +113,7 @@ def worker_main(
 
     def observability() -> Dict[str, Any]:
         nonlocal log_cursor
-        payload: Dict[str, Any] = {
-            "registry": host.system.metrics.snapshot(),
-            "spans": host.drain_spans(),
-        }
+        payload: Dict[str, Any] = {"spans": host.drain_spans()}
         if ship_logs:
             logs = host.drain_logs(log_cursor)
             log_cursor = int(logs["cursor"])
@@ -177,6 +179,14 @@ def worker_main(
                         {
                             "kind": "results",
                             "notifications": host.drain_results(),
+                            "observability": observability(),
+                        }
+                    )
+                elif kind == "metrics":
+                    writer.write(
+                        {
+                            "kind": "metrics",
+                            "registry": host.system.metrics.snapshot(),
                             "observability": observability(),
                         }
                     )

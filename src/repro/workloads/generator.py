@@ -644,12 +644,9 @@ class ShardStreamWorkload:
             raise WorkloadError(
                 f"shard index {shard} out of range for {shard_count} shards"
             )
-        active_router = router or ShardRouter()
-        return [
-            event
-            for event in self.events()
-            if active_router.shard_for(event, shard_count) == shard
-        ]
+        events = self.events()
+        owners = (router or ShardRouter()).shard_indices(events, shard_count)
+        return [event for event, owner in zip(events, owners) if owner == shard]
 
     # -- ground truth ------------------------------------------------------
 

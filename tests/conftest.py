@@ -22,7 +22,9 @@ from repro.workloads.taskforce import TaskForceApplication
 # ``max_examples`` — among them the journal crash-point property, the
 # codec's self-contained/stream-interned interleaving and event-run
 # properties, the ingest door's admission differential, the column
-# door's differential against the Event-list door, the linked-plan, plan-sharing and Translate / external filter
+# door's differential against the Event-list door, the wave-routing
+# properties (column routing and chunked ingest against per-event
+# references), the linked-plan, plan-sharing and Translate / external filter
 # differentials, the registry snapshot's codec trip and the persisted
 # notification round trip.
 settings.register_profile(

@@ -1,7 +1,13 @@
 """Tests for the span tracer: nesting, ring buffer, sampling, histograms."""
 
 from repro.metrics.latency import STAGE_LATENCY_BUCKETS_US
-from repro.observability import MetricsRegistry, Tracer, stage_summary
+from repro.observability import (
+    INSTRUMENTATION,
+    MetricsRegistry,
+    Tracer,
+    instrumented,
+    stage_summary,
+)
 
 
 def record_one_trace(tracer, name="root", children=()):
@@ -113,6 +119,16 @@ class TestSampling:
         for __ in range(5):
             record_one_trace(tracer)
         assert len(tracer.recent()) == 5
+
+    def test_an_instrumented_scope_restores_the_sampling_period(self):
+        """The process tracer's period is scope state, like the flag and
+        the registry: a scope that samples everything leaves later
+        callers sampling as they did."""
+        tracer = INSTRUMENTATION.tracer
+        before = tracer.sample_every
+        with instrumented(MetricsRegistry()) as obs:
+            obs.tracer.sample_every = before + 7
+        assert tracer.sample_every == before
 
 
 class TestStageHistograms:

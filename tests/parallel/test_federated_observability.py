@@ -10,11 +10,12 @@ the facade's head decision is honored verbatim by the workers — no
 worker re-samples with its own cadence.
 """
 
+import gc
 import multiprocessing
 
 import pytest
 
-from repro.errors import SpecificationError
+from repro.errors import ShardCrashError, SpecificationError
 from repro.observability import INSTRUMENTATION, STRUCTURED_LOG, stage_p95
 from repro.parallel import ShardConfig, ShardedFederation, ShardSpec
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
@@ -233,6 +234,101 @@ class TestMetricsPlane:
         assert breached.exit_code == 1
         assert relaxed.status == "ok"
         assert relaxed.exit_code == 0
+
+
+def counting_updates(federation):
+    """Record the shard of every ``FederationMetricsView.update``."""
+    updates = []
+    update = federation.metrics_view.update
+
+    def counting(shard, snapshot):
+        updates.append(shard)
+        update(shard, snapshot)
+
+    federation.metrics_view.update = counting
+    return updates
+
+
+def collector_off(function, *args):
+    """Run *function* with the garbage collector off (as the call
+    counts are taken)."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return function(*args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+class TestRegistryPull:
+    """Count pins of the pulled registry: a drain, a deploy, an
+    undeploy and ``shard_stats()`` carry no registry snapshot, and a
+    registry read pulls one per live shard, in one round trip."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_write_and_stats_paths_pull_no_registry(self, backend):
+        workload = small_workload()
+        blueprint = workload.blueprint()
+        spec = blueprint.specifications[0]
+        extra = ShardSpec("extra", spec.process_schema_id, spec.text)
+        with ShardedFederation(
+            blueprint, observability_config(backend)
+        ) as federation:
+            updates = counting_updates(federation)
+            federation.ingest(workload.events())
+            collector_off(federation.drain)
+            collector_off(federation.deploy, extra)
+            collector_off(federation.undeploy, "extra")
+            collector_off(federation.shard_stats)
+            assert updates == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_registry_read_pulls_once_per_live_shard(self, backend):
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(), observability_config(backend)
+        ) as federation:
+            updates = counting_updates(federation)
+            federation.ingest(workload.events())
+            federation.drain()
+            collector_off(federation.refresh_observability)
+            assert updates == [0, 1]
+            collector_off(federation.metrics_registry)
+            assert updates == [0, 1] * 2
+            collector_off(federation.render_metrics)
+            collector_off(federation.health)
+            assert updates == [0, 1] * 4
+
+    @needs_fork
+    def test_a_registry_read_skips_a_dead_shard(self):
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(), observability_config("process")
+        ) as federation:
+            federation.ingest(workload.events())
+            federation.drain()
+            federation.metrics_registry()
+            federation.shards[1].process.kill()
+            federation.shards[1].process.join()
+            with pytest.raises(ShardCrashError):
+                federation.drain()
+            updates = counting_updates(federation)
+            emitted = federation.metrics_registry().get("producer_emitted_total")
+            assert updates == [0]
+            # The dead shard keeps the row of its last pulled snapshot.
+            assert {labels[0] for labels in emitted.series()} == {"0", "1"}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_read_after_a_drain_is_current_without_a_refresh(self, backend):
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(), observability_config(backend)
+        ) as federation:
+            federation.ingest(workload.events())
+            federation.drain()
+            emitted = federation.metrics_registry().get("producer_emitted_total")
+            assert sum(emitted.series().values()) == len(workload.events())
 
 
 class TestLogShipping:

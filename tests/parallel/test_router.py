@@ -180,7 +180,7 @@ class TestShardCache:
                 shard = router.shard_for(event, 4)
                 key = router.affinity_key(event)
                 assert shard == ShardRouter.shard_for_key(key, 4)
-        assert len(router._shard_cache) == 20
+        assert len(router._shard_cache[4]) == 20
 
     def test_cache_keys_include_the_shard_count(self):
         router = ShardRouter()
@@ -190,18 +190,22 @@ class TestShardCache:
             assert router.shard_for(event, count) == (
                 ShardRouter.shard_for_key(key, count)
             )
-        assert len(router._shard_cache) == 4
+        # One memo per shard count, each holding the one key.
+        assert sorted(router._shard_cache) == [2, 3, 4, 5]
+        assert all(len(memo) == 1 for memo in router._shard_cache.values())
 
     def test_full_cache_clears_instead_of_evicting(self):
         from repro.parallel.router import ROUTER_CACHE_MAX
 
         router = ShardRouter()
         router._shard_cache = {
-            ("warm", index): 0 for index in range(ROUTER_CACHE_MAX)
+            4: {("warm", index): 0 for index in range(ROUTER_CACHE_MAX)}
         }
         router.shard_for(activity_event("tf-new"), 4)
         # The overflowing insert reset the memo to just itself.
-        assert len(router._shard_cache) == 1
+        assert router._shard_cache[4] == {
+            "tf-new": ShardRouter.shard_for_key("tf-new", 4)
+        }
 
     def test_unhashable_keys_fall_through_to_the_hash(self):
         from repro.events.external import NEWS_EVENT_TYPE_NAME
@@ -222,4 +226,4 @@ class TestShardCache:
         )
         shard = router.shard_for(event, 4)
         assert shard == ShardRouter.shard_for_key(["q", "1"], 4)
-        assert not router._shard_cache
+        assert not any(router._shard_cache.values())
