@@ -87,7 +87,6 @@ def run_once(workload, attached: bool):
         shards=SHARDS,
         backend="process",
         instrument=attached,
-        ship_logs=attached,
         trace_sample_every=SAMPLE_EVERY,
         join_timeout=10.0,
     )

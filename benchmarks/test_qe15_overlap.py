@@ -111,7 +111,6 @@ def drive(workload, overlap, backend="process"):
         shards=1 if backend == "serial" else SHARDS,
         backend=backend,
         instrument=True,
-        ship_logs=True,
         trace_sample_every=1,
         join_timeout=10.0,
     )

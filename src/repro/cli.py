@@ -139,7 +139,6 @@ def _observed_federation(args: argparse.Namespace) -> Iterator[Any]:
         backend=args.backend,
         batch_size=32,
         instrument=True,
-        ship_logs=True,
         trace_sample_every=1,
     )
     with ShardedFederation(workload.blueprint(), config) as federation:

@@ -14,8 +14,8 @@ survive worker crashes without losing or duplicating notifications:
   atomic pairing of a journal position with the blueprint and host
   state that cover it, on disk as one codec record;
 * :mod:`~repro.durability.supervisor` — :class:`SupervisedShard`, the
-  journal-then-send / respawn-and-replay loop the facade wraps around
-  each process shard when :attr:`ShardConfig.durable_dir` is set.
+  process shard with the journal-then-send / restart-and-replay loop,
+  one per shard when :attr:`ShardConfig.durable_dir` is set.
 
 The recovery contract is *exact continuation*: the provenance-signature
 multiset of a crashed-and-recovered run equals the uninterrupted run's

@@ -51,7 +51,16 @@ behind a live log is refused by :meth:`FrameLog.tail`, never read short.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Tuple,
+)
 
 from ..errors import DurabilityError, WireError
 from ..observability import STRUCTURED_LOG as _SLOG
@@ -171,15 +180,30 @@ def load_journal(path: str) -> LoadedJournal:
     return journal
 
 
-def _write_journal(path: str, records: List[bytes]) -> None:
-    """Atomically replace *path* with a journal of exactly *records*."""
-    replacement = f"{path}.recode"
+def replace_durably(path: str, suffix: str, chunks: Iterable[bytes]) -> None:
+    """Atomically and durably replace *path* with the bytes *chunks*.
+
+    The bytes go to the sibling ``path + suffix``, are fsynced, and the
+    file is renamed over *path*; then the directory is fsynced, so the
+    rename itself survives a machine crash, and does so before whatever
+    the caller writes next (a compaction after its snapshot).
+    """
+    replacement = path + suffix
     with open(replacement, "wb") as stream:
-        stream.write(JOURNAL_MAGIC)
-        stream.writelines(records)
+        stream.writelines(chunks)
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(replacement, path)
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+def _write_journal(path: str, records: List[bytes]) -> None:
+    """Atomically replace *path* with a journal of exactly *records*."""
+    replace_durably(path, ".recode", [JOURNAL_MAGIC, *records])
 
 
 def _compact(

@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import DurabilityError, WireError
 from ..parallel.codec import T_SELF, BinaryDecoder, encode_standalone
-from .log import json_era_refusal
+from .log import json_era_refusal, replace_durably
 
 SNAPSHOT_VERSION = 2
 
@@ -75,12 +75,7 @@ class ShardSnapshot:
             "blueprint": self.blueprint,
             "state": self.state,
         }
-        replacement = f"{path}.tmp"
-        with open(replacement, "wb") as handle:
-            handle.write(SNAPSHOT_MAGIC + encode_standalone(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(replacement, path)
+        replace_durably(path, ".tmp", [SNAPSHOT_MAGIC, encode_standalone(record)])
 
     @staticmethod
     def load(path: str) -> Optional["ShardSnapshot"]:

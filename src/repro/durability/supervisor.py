@@ -1,7 +1,7 @@
-"""The shard supervisor: journal every mutation, respawn the dead.
+"""The shard supervisor: journal every mutation, restart the dead.
 
-:class:`SupervisedShard` wraps one process-backend shard with the
-durability loop:
+:class:`SupervisedShard` is a :class:`~repro.parallel.federation.ProcessShard`
+with the durability loop:
 
 * **journal-then-send** — every mutating frame (event batch, deploy,
   undeploy) is encoded once, self-contained, and the same bytes are
@@ -14,14 +14,19 @@ durability loop:
   far); the snapshot is persisted atomically and the journal compacts
   down to the frames it does not cover;
 * **recovery** — when the worker dies (:class:`ShardCrashError` from any
-  interaction), a replacement is forked from the snapshot's blueprint
-  (or the genesis blueprint when no snapshot succeeded yet), the
-  snapshot state is restored, and the journal tail's bytes replay
+  interaction), the shard restarts it in place from the snapshot's
+  blueprint (or the genesis blueprint when no snapshot succeeded yet),
+  the snapshot state is restored, and the journal tail's bytes replay
   through the rebuilt pipeline.  Replay regenerates the per-shard
   notification stream deterministically, so notifications the facade
   already merged come back with the same ``(time, shard, seq)`` keys —
   the sequence high-watermark in :meth:`SupervisedShard.end` drops
   them, and the merged stream continues exactly where it left off.
+
+The subclass overrides one mutation hook (``_mutate``), the split-phase
+``begin``/``end`` and one shipment hook (``_forward``); the worker's
+fork, channel and reap are the base class's, and a restart keeps the
+object — its frame sequence counter and observability sink with it.
 
 The retry discipline is asymmetric by design: **mutations are never
 resent** (the journaled frame is part of the replay tail — a resend
@@ -33,26 +38,17 @@ rebuilt worker) and never journaled.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ParallelError, ShardCrashError
-from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability.registry import MetricsRegistry
-from ..observability.trace import TraceContext
 from ..parallel.codec import encode_standalone
-from ..parallel.host import FederationBlueprint, ShardSpec
+from ..parallel.federation import ProcessShard, ShardConfig
+from ..parallel.host import FederationBlueprint
+from ..parallel.mux import ChannelMultiplexer
 from .log import FrameLog
 from .snapshot import ShardSnapshot
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..parallel.federation import ProcessShard, ShardConfig
-    from ..parallel.mux import MuxChannel
-
-#: A respawn callback: fork a replacement worker for ``shard_id`` booted
-#: from ``blueprint_wire`` (the facade supplies it so the child closes
-#: every sibling pipe and journal fd it inherits).
-Respawn = Callable[[int, Dict[str, Any]], "ProcessShard"]
 
 JOURNAL_FILENAME = "journal.log"
 #: The name predates the binary snapshot format and is kept so a leftover
@@ -67,39 +63,36 @@ def shard_directory(root: str, shard_id: int) -> str:
     return path
 
 
-class SupervisedShard:
+class SupervisedShard(ProcessShard):
     """A process shard with a write-ahead journal and crash recovery."""
-
-    backend = "process"
 
     def __init__(
         self,
-        inner: "ProcessShard",
-        config: "ShardConfig",
+        shard_id: int,
+        config: ShardConfig,
+        blueprint_wire: Dict[str, Any],
+        mux: ChannelMultiplexer,
+        peers: Sequence[ProcessShard],
         blueprint: FederationBlueprint,
-        respawn: Respawn,
         metrics: MetricsRegistry,
     ) -> None:
         assert config.durable_dir is not None
-        self.shard_id = inner.shard_id
-        self.config = config
-        self.inner = inner
-        #: The facade's live blueprint (shared, mutated by deploys);
-        #: snapshots serialize its state as of the snapshot request.
-        self._blueprint = blueprint
-        #: Frozen copy of the blueprint the worker booted with — the
-        #: replay starting point until a snapshot succeeds.
-        self._genesis = blueprint.to_wire()
-        self._respawn = respawn
-        directory = shard_directory(config.durable_dir, self.shard_id)
-        # Opening the journal of a reused durable directory rewrites it
-        # once (a torn tail is dropped, stream-interned records become
-        # self-contained); a JSON-era journal is refused.
+        directory = shard_directory(config.durable_dir, shard_id)
+        # Opened before the fork, so a journal this build refuses starts
+        # no worker.  Opening the journal of a reused durable directory
+        # rewrites it once (a torn tail is dropped, stream-interned
+        # records become self-contained); a JSON-era journal is refused.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,
         )
         self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
+        #: The facade's live blueprint (shared, mutated by deploys);
+        #: snapshots serialize its state as of the snapshot request.
+        self._blueprint = blueprint
+        #: The blueprint the worker booted with (never mutated) — the
+        #: replay starting point until a snapshot succeeds.
+        self._genesis = blueprint_wire
         #: Frames below this index predate this federation (a reused
         #: durable directory); the genesis blueprint already covers them.
         self._genesis_index = self.journal.frame_count
@@ -111,114 +104,84 @@ class SupervisedShard:
         #: facade; records a recovered worker re-emits during journal
         #: replay carry sequence numbers at or below it (the snapshot
         #: restored the worker's emission counter) and are filtered out
-        #: here so the merged log never double-counts.
+        #: in :meth:`_forward` so the merged log never double-counts.
         self._log_seq_high = 0
-        self._sink: Optional[Callable[[Dict[str, Any]], None]] = None
         self.recoveries = 0
         #: Counted into the federation's facade registry (*metrics*).
         self._snapshots = metrics.counter(
             "shard_snapshots_total", "Shard snapshots persisted"
         )
+        try:
+            super().__init__(shard_id, config, blueprint_wire, mux, peers)
+        except BaseException:
+            self.journal.close()
+            raise
 
     @property
-    def alive(self) -> bool:
-        return self.inner.alive
+    def inner(self) -> "SupervisedShard":
+        """Vestigial: the shard itself (``perf/`` still spells
+        ``shard.inner.process``)."""
+        return self
 
-    @property
-    def channel(self) -> "MuxChannel":
-        """The current worker's multiplexer channel (changes on respawn)."""
-        return self.inner.channel
+    def parent_fds(self) -> List[int]:
+        return super().parent_fds() + [self.journal.fileno()]
 
-    # -- observability forwarding ------------------------------------------
+    # -- hooks (journal-then-send, replay is the retry) --------------------
 
-    @property
-    def observability_sink(self) -> Optional[Callable[[Dict[str, Any]], None]]:
-        return self._sink
-
-    @observability_sink.setter
-    def observability_sink(
-        self, sink: Optional[Callable[[Dict[str, Any]], None]]
-    ) -> None:
-        self._sink = sink
-        self._install_sink()
-
-    def _install_sink(self) -> None:
-        """(Re)attach the log-watermark filter to the current worker."""
-        if self._sink is None:
-            self.inner.observability_sink = None
-            return
-
-        def filtered(payload: Dict[str, Any]) -> None:
-            logs = payload.get("logs")
-            if logs:
-                records = [
-                    record
-                    for record in logs.get("records", ())
-                    if int(record.get("_seq", 0)) > self._log_seq_high
-                ]
-                if records:
-                    self._log_seq_high = max(
-                        int(record.get("_seq", 0)) for record in records
-                    )
-                logs = dict(logs)
-                logs["records"] = records
-                payload = dict(payload)
-                payload["logs"] = logs
-            sink = self._sink
-            if sink is not None:
-                sink(payload)
-
-        self.inner.observability_sink = filtered
-
-    # -- mutations (journal-then-send, replay is the retry) ----------------
-
-    def _journal_and_send(self, frame: Dict[str, Any]) -> None:
+    def _mutate(self, frame: Dict[str, Any]) -> None:
         # Encoded once, self-contained: the journal record and the pipe
         # frame are the same bytes, so recovery replays what was sent.
+        # An events frame's sequence number was assigned before this,
+        # so a replayed frame keeps it: the worker's replay mark
+        # compares it.  Journal-before-send holds for queued writes
+        # too: a frame enters the channel's outbound queue after the
+        # journal has it.
         data = encode_standalone(frame)
         self.journal.append_encoded(data)
         try:
-            self.inner._send(data)
+            self._send(data)
         except ShardCrashError:
             # The frame is already in the journal: recovery replays it
-            # into the replacement worker.  Resending would double-apply.
+            # into the restarted worker.  Resending would double-apply.
             self.recover()
+        if frame["kind"] == "events":
+            self._maybe_snapshot()
 
-    def send_events(
-        self, events: List[Event], ctx: Optional[TraceContext] = None
-    ) -> None:
-        # The sequence number is assigned before journaling, so a
-        # replayed frame keeps it: the worker's replay mark compares it.
-        # Journal-before-send holds for queued writes too: a frame
-        # enters the channel's outbound queue after the journal has it.
-        self._journal_and_send(self.inner.make_events_frame(events, ctx))
-        self._maybe_snapshot()
-
-    def deploy(self, spec: ShardSpec) -> None:
-        self._journal_and_send({"kind": "deploy", "spec": spec.to_wire()})
-
-    def undeploy(self, spec_id: str) -> None:
-        self._journal_and_send({"kind": "undeploy", "spec_id": spec_id})
+    def _forward(self, payload: Dict[str, Any]) -> None:
+        """Drop log records at or below the forwarded watermark."""
+        logs = payload.get("logs")
+        if logs:
+            records = [
+                record
+                for record in logs.get("records", ())
+                if int(record.get("_seq", 0)) > self._log_seq_high
+            ]
+            if records:
+                self._log_seq_high = max(
+                    int(record.get("_seq", 0)) for record in records
+                )
+            payload = {**payload, "logs": {**logs, "records": records}}
+        super()._forward(payload)
 
     # -- reads (idempotent, retried once after recovery) -------------------
 
     def begin(self, op: str) -> None:
         try:
-            self.inner.begin(op)
+            super().begin(op)
         except ShardCrashError:
             self.recover()
-            self.inner.begin(op)
+            super().begin(op)
 
     def end(self, op: str, frame: Optional[Dict[str, Any]] = None) -> Any:
         try:
-            result = self.inner.end(op, frame)
+            result = super().end(op, frame)
         except ShardCrashError:
             # The worker died between broadcast and gather; the
-            # replacement replays the journal, then a fresh blocking
+            # restarted one replays the journal, then a fresh blocking
             # round trip re-asks the question (reads are idempotent).
             self.recover()
-            self.inner.begin(op)
-            result = self.inner.end(op)
+            super().begin(op)
+            result = super().end(op)
         if op == "flush":
             # Drop replayed duplicates at or below the merge watermark.
             fresh = [
@@ -265,8 +228,8 @@ class SupervisedShard:
         """
         frame_index = self.journal.frame_count
         try:
-            self.inner._send({"kind": "snapshot"})
-            state = self.inner._receive("snapshot")["state"]
+            self._send({"kind": "snapshot"})
+            state = self._receive("snapshot")["state"]
         except ShardCrashError:
             self.recover()
             return None
@@ -305,7 +268,7 @@ class SupervisedShard:
     # -- recovery ----------------------------------------------------------
 
     def recover(self) -> None:
-        """Respawn the worker and replay it back to the present.
+        """Restart the worker and replay it back to the present.
 
         Boot state is the latest snapshot (blueprint + operator state)
         or the genesis blueprint; then every journal record above the
@@ -324,9 +287,6 @@ class SupervisedShard:
         self.recoveries += 1
         snapshot = self._snapshot
         start = self._covered_index()
-        blueprint_wire = (
-            snapshot.blueprint if snapshot is not None else self._genesis
-        )
         _SLOG.emit(
             "durability",
             "shard_recovery_started",
@@ -336,27 +296,24 @@ class SupervisedShard:
             from_frame=start,
             snapshot=snapshot is not None,
         )
-        old = self.inner
-        old.discard()
         self.journal.sync()
         tail = self.journal.tail(start)
-        self.inner = self._respawn(self.shard_id, blueprint_wire)
-        # The replacement continues the old sequence counter, so new
-        # frames never collide with the journaled numbers.
-        self.inner._next_seq = old._next_seq
-        self._install_sink()
+        self.restart(
+            snapshot.blueprint if snapshot is not None else self._genesis
+        )
         if snapshot is not None:
-            self.inner._send({"kind": "restore", "state": snapshot.state})
+            self._send({"kind": "restore", "state": snapshot.state})
         # The worker owns the replay decision: event frames below the
         # mark are replays, recorded unsampled (their spans shipped
         # before the crash).  So the tail goes as the journal's bytes,
         # queued like any send; the stats round trip below ingests all
         # of it before any live frame is queued.
-        self.inner._send({"kind": "replay", "below": old._next_seq})
+        self._send({"kind": "replay", "below": self._next_seq})
         for record in tail:
-            self.inner._send(record)
-        self.inner.begin("stats")
-        __, errors = self.inner.end("stats")
+            self._send(record)
+        # The base class's round trip: a crash here is not retried.
+        super().begin("stats")
+        __, errors = super().end("stats")
         if errors:
             raise ParallelError(
                 f"shard {self.shard_id} reported errors: {errors}"
@@ -374,6 +331,6 @@ class SupervisedShard:
 
     def close(self) -> None:
         try:
-            self.inner.close()
+            super().close()
         finally:
             self.journal.close()

@@ -6,10 +6,11 @@ from-scratch substrate provides the same guarantee through a write-ahead
 audit journal:
 
 * a :class:`Journal` records every state-affecting CORE operation —
-  participant/role definitions, schema registrations (as interchange
-  payloads, reusing :mod:`repro.core.serialization`), instance creations,
-  activity state changes, context creation/sharing/destruction, field
-  assignments, and scoped-role creation;
+  participant/role definitions, role member additions and removals,
+  schema registrations (as interchange payloads, reusing
+  :mod:`repro.core.serialization`), instance creations, activity state
+  changes, context creation/sharing/destruction, field assignments,
+  and scoped-role creation;
 * :func:`recover_core` replays a journal into a fresh
   :class:`~repro.core.engine.CoreEngine`, reproducing instance trees,
   state machines (including histories), context contents, associations,
@@ -183,6 +184,7 @@ def attach_journal(
         journal.append({"op": "define_role", "name": name})
 
         original_add_member = role.add_member
+        original_remove_member = role.remove_member
 
         def add_member(participant):
             original_add_member(participant)
@@ -194,7 +196,18 @@ def attach_journal(
                 }
             )
 
+        def remove_member(participant):
+            original_remove_member(participant)
+            journal.append(
+                {
+                    "op": "remove_role_member",
+                    "role": name,
+                    "participant": participant.participant_id,
+                }
+            )
+
         role.add_member = add_member  # type: ignore[method-assign]
+        role.remove_member = remove_member  # type: ignore[method-assign]
         return role
 
     core.roles.define_role = define_role  # type: ignore[method-assign]
@@ -403,6 +416,10 @@ def recover_core(
                 core.roles.define_role(record["name"])
             elif op == "add_role_member":
                 core.roles.role(record["role"]).add_member(
+                    core.roles.participant(record["participant"])
+                )
+            elif op == "remove_role_member":
+                core.roles.role(record["role"]).remove_member(
                     core.roles.participant(record["participant"])
                 )
             elif op == "create_process_instance":

@@ -56,7 +56,7 @@ and numbers, after its members) because that is the only order an
 streaming decoder can mirror without backpatching.
 
 Tables are *per channel instance* and only ever **born empty**: there
-is no way to reset, copy or seed them.  A fresh worker (respawn after a
+is no way to reset, copy or seed them.  A fresh worker (a restart after a
 crash) gets a fresh writer/reader pair.
 
 **Self-contained frames.**  A frame that must outlive its channel — the

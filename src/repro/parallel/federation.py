@@ -54,9 +54,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
-from ..errors import DurabilityError, ParallelError, ShardCrashError
+from ..errors import ParallelError, ShardCrashError
 from ..events.event import Event
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
@@ -106,15 +106,19 @@ class ShardConfig:
     #: Events buffered per shard before a routed batch is sent.
     batch_size: int = 128
     #: Enable tracing/provenance inside each shard's pipeline (workers
-    #: flip their own process-global instrumentation plane).
+    #: flip their own process-global instrumentation plane) and ship
+    #: each worker's structured-log ring to the facade's merged
+    #: :class:`~repro.observability.logging.FederationLogView` (serial
+    #: shards share the facade's process log, which the facade drains
+    #: directly under :data:`FACADE_SHARD`).
     instrument: bool = False
     #: Seconds to wait for a worker to answer the poison pill, and then
     #: to exit, before it is terminated (and killed if it stays).
     join_timeout: float = 5.0
     #: Root directory for per-shard journals and snapshots.  Setting it
-    #: (process backend only) wraps every shard in a
+    #: (process backend only) makes every shard a
     #: :class:`~repro.durability.supervisor.SupervisedShard`: mutations
-    #: are journaled before dispatch and a crashed worker is respawned
+    #: are journaled before dispatch and a crashed worker is restarted
     #: from its latest snapshot plus journal-tail replay.
     durable_dir: Optional[str] = None
     #: fsync the journal once per this many appends (0 = rely on the OS;
@@ -128,11 +132,6 @@ class ShardConfig:
     #: Recoveries allowed per shard before the supervisor gives up and
     #: lets the crash surface (a restart-storm backstop).
     max_recoveries: int = 3
-    #: Ship each worker's structured-log ring to the facade's merged
-    #: :class:`~repro.observability.logging.FederationLogView` (process
-    #: backend; serial shards share the facade's process log, which the
-    #: facade drains directly under :data:`FACADE_SHARD`).
-    ship_logs: bool = False
     #: Head-sampling period of the facade's trace assembler: one ship
     #: wave in this many is traced end to end across the shards it
     #: touches (1 = trace every wave).  Only meaningful with
@@ -310,10 +309,13 @@ class SerialShard:
 class ProcessShard:
     """A forked worker behind two pipes (events in, results out).
 
-    The pipes live inside a :class:`~repro.parallel.mux.MuxChannel`
-    owned by the federation's :class:`ChannelMultiplexer`: writes are
-    queued and pumped non-blocking, reads are readiness-driven, and the
-    channel owns both directions' interning tables (fresh per shard).
+    The shard forks its own worker and owns its life: :meth:`restart`
+    replaces a dead worker inside this object, so the frame sequence
+    counter and the observability sink carry over untouched.  The pipes
+    live inside a :class:`~repro.parallel.mux.MuxChannel` owned by the
+    federation's :class:`ChannelMultiplexer`: writes are queued and
+    pumped non-blocking, reads are readiness-driven, and the channel
+    owns both directions' interning tables (fresh per fork).
     """
 
     backend = "process"
@@ -322,23 +324,88 @@ class ProcessShard:
         self,
         shard_id: int,
         config: ShardConfig,
-        process: Any,
+        blueprint_wire: Dict[str, Any],
         mux: ChannelMultiplexer,
-        channel: MuxChannel,
+        peers: Sequence["ProcessShard"],
     ) -> None:
         self.shard_id = shard_id
         self.config = config
-        self.process = process
         self.mux = mux
-        self.channel = channel
-        self.alive = True
-        #: Sequence number of the next event frame; survives a respawn
-        #: (the supervisor copies it onto the replacement shard) so
-        #: journal-replayed frames keep their original numbers.
+        #: The federation's shards (this one joins once built): a fork
+        #: closes every parent-side fd they hold (:meth:`parent_fds`).
+        self._peers = peers
+        self.alive = False
+        #: Sequence number of the next event frame; journal-replayed
+        #: frames keep their numbers because a restart keeps the count.
         self._next_seq = 0
         #: Receives the ``observability`` payloads the worker piggybacks
         #: on its read responses (set by the facade).
         self.observability_sink: ObservabilitySink = None
+        self._fork(blueprint_wire)
+
+    # -- the worker's life --------------------------------------------------
+
+    def _fork(self, blueprint_wire: Dict[str, Any]) -> None:
+        """Fork this shard's worker booted from *blueprint_wire*, behind
+        a fresh channel.
+
+        A fork copies every parent fd.  The child drops the ones the
+        federation holds — the peers' pipe ends (a crashed peer's
+        channel must not be held half-open) and, under durability, the
+        journals — and keeps its own pair.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ParallelError(
+                "the process backend requires the fork start method "
+                "(POSIX only); use the serial backend here"
+            )
+        from .worker import worker_main
+
+        inherited = {
+            fd for shard in (*self._peers, self) for fd in shard.parent_fds()
+        }
+        in_read, in_write = os.pipe()
+        out_read, out_write = os.pipe()
+        process = multiprocessing.get_context("fork").Process(
+            target=worker_main,
+            args=(
+                self.shard_id,
+                self.config.shards,
+                in_read,
+                out_write,
+                [*inherited, in_write, out_read],
+                {"instrument": self.config.instrument},
+                blueprint_wire,
+            ),
+            daemon=True,
+            name=f"repro-shard-{self.shard_id}",
+        )
+        process.start()
+        os.close(in_read)
+        os.close(out_write)
+        # The hello bytes are the first thing on the event pipe, before any
+        # frame; the worker refuses a channel that opens with anything else.
+        # Written before the channel flips the fd non-blocking: five bytes
+        # always fit a fresh pipe.
+        os.write(in_write, hello_bytes())
+        self.process = process
+        self.channel = MuxChannel(self.shard_id, in_write, out_read)
+        self.mux.register(self.channel)
+        self.alive = True
+
+    def restart(self, blueprint_wire: Dict[str, Any]) -> None:
+        """Replace the worker: discard it, fork a fresh one booted from
+        *blueprint_wire* behind a fresh channel."""
+        self.discard()
+        self._fork(blueprint_wire)
+
+    def parent_fds(self) -> List[int]:
+        """The parent-side fds of this shard a fork must not keep."""
+        # No channel before the first fork.
+        channel: Optional[MuxChannel] = getattr(self, "channel", None)
+        if channel is None or channel.closed:
+            return []
+        return [channel.in_fd, channel.out_fd]
 
     # -- channel ----------------------------------------------------------
 
@@ -402,24 +469,36 @@ class ProcessShard:
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> Dict[str, Any]:
         """Build the sequenced events frame (consumes one sequence
-        number); the supervisor journals exactly this frame."""
+        number)."""
         frame = attach_trace(events_frame(events), ctx)
         frame[SEQ_KEY] = self._next_seq
         self._next_seq += 1
         return frame
+
+    # -- hooks a durable shard overrides -----------------------------------
+
+    def _mutate(self, frame: Dict[str, Any]) -> None:
+        """Send one mutating frame (events, deploy, undeploy)."""
+        self._send(frame)
+
+    def _forward(self, payload: Dict[str, Any]) -> None:
+        """Hand one piggybacked observability payload to the sink."""
+        sink = self.observability_sink
+        if sink is not None:
+            sink(payload)
 
     # -- shard surface ----------------------------------------------------
 
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> None:
-        self._send(self.make_events_frame(events, ctx))
+        self._mutate(self.make_events_frame(events, ctx))
 
     def deploy(self, spec: ShardSpec) -> None:
-        self._send({"kind": "deploy", "spec": spec.to_wire()})
+        self._mutate({"kind": "deploy", "spec": spec.to_wire()})
 
     def undeploy(self, spec_id: str) -> None:
-        self._send({"kind": "undeploy", "spec_id": spec_id})
+        self._mutate({"kind": "undeploy", "spec_id": spec_id})
 
     # -- split-phase collectives ------------------------------------------
 
@@ -432,10 +511,9 @@ class ProcessShard:
         any federation-wide wave."""
         if frame is None:
             frame = self._receive(_COLLECTIVE_RESPONSE[op])
-        sink = self.observability_sink
         payload = frame.get("observability")
-        if sink is not None and payload:
-            sink(payload)
+        if payload:
+            self._forward(payload)
         if op == "flush":
             return frame["notifications"]
         if op == "metrics":
@@ -483,80 +561,6 @@ class ProcessShard:
             process.join()
 
 
-def _spawn_worker(
-    shard_id: int,
-    config: ShardConfig,
-    blueprint_wire: Dict[str, Any],
-    close_fds: List[int],
-    mux: ChannelMultiplexer,
-) -> ProcessShard:
-    """Fork one worker booted from *blueprint_wire*.
-
-    ``close_fds`` lists every parent-side fd the child must drop —
-    sibling pipes (so a crashed sibling's channel is not held half-open)
-    and, under durability, the journal fds.  The new shard's own
-    parent-side ends are added automatically.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise ParallelError(
-            "the process backend requires the fork start method "
-            "(POSIX only); use the serial backend here"
-        )
-    context = multiprocessing.get_context("fork")
-    options = {
-        "instrument": config.instrument,
-        "ship_logs": config.ship_logs,
-    }
-    from .worker import worker_main
-
-    in_read, in_write = os.pipe()
-    out_read, out_write = os.pipe()
-    process = context.Process(
-        target=worker_main,
-        args=(
-            shard_id,
-            config.shards,
-            in_read,
-            out_write,
-            list(close_fds) + [in_write, out_read],
-            options,
-            blueprint_wire,
-        ),
-        daemon=True,
-        name=f"repro-shard-{shard_id}",
-    )
-    process.start()
-    os.close(in_read)
-    os.close(out_write)
-    # The hello bytes are the first thing on the event pipe, before any
-    # frame; the worker refuses a channel that opens with anything else.
-    # Written before the channel flips the fd non-blocking: five bytes
-    # always fit a fresh pipe.
-    os.write(in_write, hello_bytes())
-    channel = MuxChannel(shard_id, in_write, out_read)
-    mux.register(channel)
-    return ProcessShard(shard_id, config, process, mux, channel)
-
-
-def _start_process_shards(
-    config: ShardConfig,
-    blueprint: FederationBlueprint,
-    mux: ChannelMultiplexer,
-) -> List[ProcessShard]:
-    blueprint_wire = blueprint.to_wire()
-    shards: List[ProcessShard] = []
-    parent_fds: List[int] = []
-    for shard_id in range(config.shards):
-        shard = _spawn_worker(
-            shard_id, config, blueprint_wire, parent_fds, mux
-        )
-        # Every parent-side fd opened so far must be closed inside the
-        # children forked later (see worker_main).
-        parent_fds.extend((shard.channel.in_fd, shard.channel.out_fd))
-        shards.append(shard)
-    return shards
-
-
 class ShardedFederation:
     """N shards behind the single-system API."""
 
@@ -593,33 +597,9 @@ class ShardedFederation:
         self._mux: Optional[ChannelMultiplexer] = None
         if self.config.backend == "process":
             self._mux = ChannelMultiplexer()
-            workers = _start_process_shards(
-                self.config, blueprint, self._mux
+            self.shards: List[Shard] = list(
+                self._fork_shards(blueprint, self._mux)
             )
-            if self.config.durable_dir is not None:
-                from ..durability.supervisor import SupervisedShard
-
-                self.shards: List[Shard] = []
-                try:
-                    for worker in workers:
-                        self.shards.append(
-                            SupervisedShard(
-                                worker,
-                                self.config,
-                                blueprint,
-                                self._respawn_worker,
-                                self.metrics,
-                            )
-                        )
-                except DurabilityError:
-                    # A journal this build refuses: reap every worker.
-                    for shard in self.shards:
-                        shard.journal.close()
-                    for worker in workers:
-                        worker.discard()
-                    raise
-            else:
-                self.shards = list(workers)
         else:
             if self.config.instrument and not _OBS.enabled:
                 # Workers own their instrumentation plane; serial shards
@@ -631,7 +611,7 @@ class ShardedFederation:
                 )
                 _OBS.reset()
                 _OBS.enable(self.metrics)
-            if self.config.ship_logs and not _SLOG.enabled:
+            if self.config.instrument and not _SLOG.enabled:
                 # Same deal for the structured log: serial shards record
                 # into this process's ring, drained by logs().
                 self._restore_logging = _SLOG.enabled
@@ -660,36 +640,38 @@ class ShardedFederation:
         #: Everything drained so far, in merged order.
         self.delivered: List[ShardNotification] = []
 
-    # -- recovery plumbing --------------------------------------------------
+    def _fork_shards(
+        self, blueprint: FederationBlueprint, mux: ChannelMultiplexer
+    ) -> List[ProcessShard]:
+        """One forked worker per shard, journaled when ``durable_dir`` is
+        set.  A shard that cannot start (a journal this build refuses)
+        leaves no worker running."""
+        blueprint_wire = blueprint.to_wire()
+        shards: List[ProcessShard] = []
+        try:
+            for shard_id in range(self.config.shards):
+                if self.config.durable_dir is None:
+                    shard = ProcessShard(
+                        shard_id, self.config, blueprint_wire, mux, shards
+                    )
+                else:
+                    from ..durability.supervisor import SupervisedShard
 
-    def _parent_fds(self) -> List[int]:
-        """Every parent-side fd a freshly forked worker must close:
-        the live siblings' pipe ends and the shards' journal fds."""
-        fds: List[int] = []
-        for shard in self.shards:
-            channel = shard.channel
-            if channel is not None and shard.alive:
-                fds.extend((channel.in_fd, channel.out_fd))
-            journal = getattr(shard, "journal", None)
-            if journal is not None:
-                try:
-                    fds.append(journal.fileno())
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-        return fds
-
-    def _respawn_worker(
-        self, shard_id: int, blueprint_wire: Dict[str, Any]
-    ) -> ProcessShard:
-        """Fork a replacement worker (the supervisor's respawn hook)."""
-        assert self._mux is not None
-        return _spawn_worker(
-            shard_id,
-            self.config,
-            blueprint_wire,
-            self._parent_fds(),
-            self._mux,
-        )
+                    shard = SupervisedShard(
+                        shard_id,
+                        self.config,
+                        blueprint_wire,
+                        mux,
+                        shards,
+                        blueprint,
+                        self.metrics,
+                    )
+                shards.append(shard)
+        except BaseException:
+            for shard in shards:
+                shard.close()
+            raise
+        return shards
 
     # -- events ------------------------------------------------------------
 

@@ -233,10 +233,6 @@ class ShardHost:
         #: (bounded; see :data:`MAX_SPAN_BATCHES`).
         self._span_batches: List[Dict[str, Any]] = []
         self._spans_dropped: int = 0
-        #: Whether this host ships its process structured log to the
-        #: facade (process-backend workers only; the worker entry point
-        #: sets it from the shard options).
-        self.ship_logs: bool = False
 
     # -- sources -----------------------------------------------------------
 
@@ -495,7 +491,7 @@ class ShardHost:
             # numbering from here, so records re-emitted during journal
             # replay collide with already-shipped sequence numbers and
             # the facade-side watermark drops them (no double-count).
-            "log_seq": _LOG.seq if self.ship_logs else None,
+            "log_seq": _LOG.seq if _LOG.enabled else None,
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
@@ -534,7 +530,7 @@ class ShardHost:
         self.queue.records = list(state["pending"])
         self._ingested = int(state["ingested"])
         log_seq = state.get("log_seq")
-        if self.ship_logs and log_seq is not None:
+        if _LOG.enabled and log_seq is not None:
             _LOG.set_seq(int(log_seq))
 
     # -- inspection --------------------------------------------------------

@@ -84,7 +84,7 @@ class MuxChannel:
         os.set_blocking(in_fd, False)
         os.set_blocking(out_fd, False)
         # A fresh channel means fresh interning tables on both pipe
-        # directions — the respawn-resets-the-tables contract of the
+        # directions — the restart-resets-the-tables contract of the
         # binary codec holds because the encoder/decoder live here.
         self._encoder = BinaryEncoder()
         self._decoder = BinaryDecoder()
@@ -101,7 +101,8 @@ class MuxChannel:
         self.stalls = 0
         #: Crash attribution; ``None`` while the channel is healthy.
         self.dead: Optional[str] = None
-        self._closed = False
+        #: Both pipe ends are closed (:meth:`close_fds`).
+        self.closed = False
 
     # -- outbound ----------------------------------------------------------
 
@@ -216,9 +217,9 @@ class MuxChannel:
 
     def close_fds(self) -> None:
         """Close both pipe ends (idempotent)."""
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         for fd in (self.in_fd, self.out_fd):
             try:
                 os.close(fd)

@@ -72,7 +72,7 @@ TRACE_KEY = "trace"
 
 #: Key under which an ``events`` frame carries its per-shard sequence
 #: number.  Seqs are assigned by the facade in send order and survive a
-#: respawn (the replacement shard inherits the counter), so a
+#: worker restart (the shard keeps its counter), so a
 #: journal-replayed frame keeps its original number — which is how a
 #: worker tells it from a live one (below the ``replay`` frame's mark).
 SEQ_KEY = "seq"

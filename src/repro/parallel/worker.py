@@ -47,7 +47,7 @@ Protocol frames (see :mod:`repro.parallel.wire` for the framing):
 
 Every read response but ``snapshot`` carries an ``observability``
 payload — the shard's buffered sampled span batches and (when
-``ship_logs`` is on) the structured-log records past the shipping
+the worker is instrumented) the structured-log records past the shipping
 cursor — so span and log shipping rides frames that already exist.
 The registry snapshot rides only the ``metrics`` response: a drain, a
 deploy's sync or a ``shard_stats()`` neither encodes nor decodes it.
@@ -96,16 +96,17 @@ def worker_main(
     # parent's flag: off until the host exists, whose registry an
     # instrumented worker records its stages into (and ships).
     _OBS.disable()
-    # Structured logging is likewise process-global and inherited; a
-    # log-shipping worker records into its own ring (no sink — the
-    # facade drains over the frame protocol), others stay silent.
-    ship_logs = bool(options.get("ship_logs"))
+    # Structured logging is likewise process-global and inherited; an
+    # instrumented worker records into its own ring and ships it (no
+    # sink — the facade drains over the frame protocol), others stay
+    # silent.
+    instrument = bool(options.get("instrument"))
     _SLOG.clear()
     # The fork also inherited the parent's emission counter; a fresh
     # worker's stream starts at 1 so the shipping cursor below (and the
     # supervisor's replay watermark) line up with what this worker emits.
     _SLOG.set_seq(0)
-    _SLOG.enabled = ship_logs
+    _SLOG.enabled = instrument
     #: The shipped-records high-watermark: records at or below it have
     #: already crossed the pipe (or were re-emitted during replay after
     #: a snapshot restore reset the emission counter beneath it).
@@ -114,7 +115,7 @@ def worker_main(
     def observability() -> Dict[str, Any]:
         nonlocal log_cursor
         payload: Dict[str, Any] = {"spans": host.drain_spans()}
-        if ship_logs:
+        if instrument:
             logs = host.drain_logs(log_cursor)
             log_cursor = int(logs["cursor"])
             payload["logs"] = logs
@@ -132,10 +133,9 @@ def worker_main(
         # The parent's hello bytes precede every frame on the event pipe.
         read_hello(inp)
         host = ShardHost(shard_id, shard_count)
-        if options.get("instrument"):
+        if instrument:
             _OBS.reset()
             _OBS.enable(host.system.metrics)
-        host.ship_logs = ship_logs
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))
         # Event frames sequenced below this mark are journal replays.
         replay_below = 0

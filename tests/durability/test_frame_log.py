@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.durability.log import (
     FrameLog,
     load_journal,
 )
+from repro.durability.snapshot import ShardSnapshot
 from repro.durability.supervisor import JOURNAL_FILENAME
 from repro.errors import DurabilityError
 from repro.parallel.codec import encode_standalone
@@ -308,3 +310,43 @@ class TestJsonEraRefusal:
     def test_any_other_codec_is_refused(self, tmp_path):
         with pytest.raises(DurabilityError, match="codec"):
             FrameLog(str(tmp_path / "journal.log"), codec="json")
+
+
+class TestDurableRename:
+    """Each atomic rewrite fsyncs the file, renames it, then fsyncs the
+    directory: a rename that a machine crash can undo would let a
+    compaction survive the snapshot rename it relied on."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            seen.append("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def replace(source, target):
+            seen.append("replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return seen
+
+    def test_a_snapshot_save_syncs_its_directory(self, tmp_path, calls):
+        snapshot = ShardSnapshot(
+            shard_id=0, frame_index=3, blueprint={}, state={"seq": 1}
+        )
+        snapshot.save(str(tmp_path / "snapshot.json"))
+        assert calls == ["fsync-file", "replace", "fsync-dir"]
+
+    def test_a_compaction_syncs_its_directory(self, tmp_path, calls):
+        with FrameLog(str(tmp_path / "journal.log"), fsync_every=0) as log:
+            for frame in frames_for(4):
+                log.append(frame)
+            del calls[:]
+            log.compact(2)
+            assert calls[-3:] == ["fsync-file", "replace", "fsync-dir"]
+            assert calls.count("replace") == 1

@@ -40,7 +40,6 @@ def durable_config(tmp_path, **overrides):
         shards=2,
         backend="process",
         instrument=True,
-        ship_logs=True,
         trace_sample_every=1,
         join_timeout=10.0,
         durable_dir=str(tmp_path / "durable"),

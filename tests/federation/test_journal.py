@@ -210,6 +210,22 @@ class TestRecovery:
         assert type(notes.get("pair")) is tuple
         assert notes.get("tags") == frozenset({"x", ("y", 2)})
 
+    def test_a_removed_role_member_stays_removed(self, tmp_path):
+        journal = Journal()
+        system = EnactmentSystem(journal=journal)
+        first = system.register_participant(Participant("u-a", "a"))
+        second = system.register_participant(Participant("u-b", "b"))
+        role = system.core.roles.define_role("auditor")
+        role.add_member(first)
+        role.add_member(second)
+        role.remove_member(second)
+        assert [p.participant_id for p in role.members()] == ["u-a"]
+        path = str(tmp_path / "audit.log")
+        journal.save(path)
+        for replayed in (journal, Journal.load(path)):
+            members = recover_core(replayed).roles.role("auditor").members()
+            assert [p.participant_id for p in members] == ["u-a"]
+
     def test_corrupt_journal_fails_loudly(self):
         journal = Journal()
         journal.append({"op": "change_state", "instance_id": "ghost",

@@ -43,7 +43,6 @@ def observability_config(backend, **overrides):
         backend=backend,
         batch_size=16,
         instrument=True,
-        ship_logs=True,
         trace_sample_every=1,
         join_timeout=10.0,
     )
@@ -371,7 +370,7 @@ class TestLogShipping:
         workload = small_workload()
         with ShardedFederation(
             workload.blueprint(),
-            observability_config("serial", ship_logs=False, instrument=False),
+            observability_config("serial", instrument=False),
         ) as federation:
             run_workload(federation, workload)
             view = federation.logs()

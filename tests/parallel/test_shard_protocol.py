@@ -125,5 +125,8 @@ def test_the_shard_surface_is_begin_and_end():
             assert not hasattr(shard_class, name), (shard_class, name)
 
 
-def test_shard_config_has_eleven_fields():
-    assert len(dataclasses.fields(ShardConfig)) == 11
+def test_shard_config_has_ten_fields():
+    assert len(dataclasses.fields(ShardConfig)) == 10
+    # Log shipping was folded into ``instrument``.
+    with pytest.raises(TypeError, match="ship_logs"):
+        ShardConfig(ship_logs=True)
