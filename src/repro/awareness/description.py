@@ -22,7 +22,7 @@ composite events *detected* by the composite event specification."
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from ..errors import DagValidationError, SlotError
 from ..events.producers import EventProducer
@@ -232,20 +232,28 @@ class AwarenessDescription:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[int, int] = {}
-
-        def visit(node: Node) -> None:
-            color[id(node)] = GRAY
-            if isinstance(node, EventOperator):
-                for source, __ in self.graph.upstream(node):
-                    state = color.get(id(source), WHITE)
-                    if state == GRAY:
-                        raise DagValidationError(
-                            f"cycle detected through {_node_name(source)!r}"
-                        )
-                    if state == WHITE:
-                        visit(source)
-            color[id(node)] = BLACK
-
-        visit(self.root)
+        """Depth-first from the root, one explicit stack: a source met
+        again while it is still on the path closes a cycle."""
+        upstream = self.graph.upstream
+        GRAY, BLACK = 1, 2
+        color: Dict[int, int] = {id(self.root): GRAY}
+        stack: List[Tuple[Node, Iterator[Tuple[Node, int]]]] = [
+            (self.root, iter(upstream(self.root)))
+        ]
+        while stack:
+            node, sources = stack[-1]
+            for source, __ in sources:
+                state = color.get(id(source))
+                if state == GRAY:
+                    raise DagValidationError(
+                        f"cycle detected through {_node_name(source)!r}"
+                    )
+                if state is None:
+                    if isinstance(source, EventOperator):
+                        color[id(source)] = GRAY
+                        stack.append((source, iter(upstream(source))))
+                        break
+                    color[id(source)] = BLACK  # a producer: a leaf
+            else:
+                color[id(node)] = BLACK
+                stack.pop()

@@ -53,12 +53,27 @@ Parameter conventions per built-in family (the window supplies ``P``):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+    cast,
+)
 
 from ..core.roles import RoleRef
 from ..errors import SpecificationError
+from .operators.base import EventOperator
 from .operators.compare import FLIPPED_BOOL_FUNCS_2, NAMED_BOOL_FUNCS_2
 from .schema import AwarenessSchema
 from .specification import SpecificationWindow
@@ -67,29 +82,41 @@ from .specification import SpecificationWindow
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+#: One token of a logical line, after the whitespace before it.  Every
+#: group but ``error`` is a token kind, and holds its value (a string's
+#: without the quotes); ``error`` takes the rest of the line, from the
+#: first character no kind reads, for the message.
 _TOKEN_PATTERN = re.compile(
     r"""
-    (?P<string>"[^"]*")
-  | (?P<comparison><=|>=|==|!=|<|>)
-  | (?P<number>-?\d+)
-  | (?P<identifier>[A-Za-z_][\w.\-]*)
-  | (?P<symbol>[=\[\](){},*])
-  | (?P<whitespace>\s+)
+    \s*
+    (?:
+      "(?P<string>[^"]*)"
+    | (?P<comparison><=|>=|==|!=|<|>)
+    | (?P<number>-?\d+)
+    | (?P<identifier>[A-Za-z_][\w.\-]*)
+    | (?P<symbol>[=\[\](){},*])
+    | (?P<error>\S.*)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
 
 
+#: Builds a :class:`Token` from its ``(kind, value, line)`` tuple in C,
+#: without the Python-level ``__new__`` a ``Token(...)`` call runs.
+_new_token = cast(Callable[[Type[Token], Tuple[str, str, int]], Token], tuple.__new__)
+
+
 def tokenize(text: str) -> List[Token]:
     """Split the specification text into tokens; comments are stripped and
-    backslash continuations joined before scanning."""
+    backslash continuations joined before scanning.  Each logical line's
+    tokens end with a ``newline`` token carrying its first line number."""
     logical_lines: List[Tuple[int, str]] = []
     pending = ""
     pending_start = 1
@@ -110,23 +137,21 @@ def tokenize(text: str) -> List[Token]:
         logical_lines.append((pending_start, pending))
 
     tokens: List[Token] = []
+    scan = _TOKEN_PATTERN.finditer
     for number, line in logical_lines:
-        position = 0
-        while position < len(line):
-            match = _TOKEN_PATTERN.match(line, position)
-            if match is None:
-                raise SpecificationError(
-                    f"line {number}: cannot tokenize {line[position:]!r}"
-                )
-            position = match.end()
-            kind = match.lastgroup
-            if kind == "whitespace":
-                continue
-            value = match.group()
-            if kind == "string":
-                value = value[1:-1]
-            tokens.append(Token(kind, value, number))
-        tokens.append(Token("newline", "\n", number))
+        start = len(tokens)
+        # Every match ends in one named group (``or`` only narrows the
+        # type), whose name is the kind.
+        tokens += [
+            _new_token(Token, (kind := match.lastgroup or "error", match[kind], number))
+            for match in scan(line)
+        ]
+        # An error match runs to the end of the line, so it is the last.
+        if len(tokens) > start and tokens[-1][0] == "error":
+            raise SpecificationError(
+                f"line {number}: cannot tokenize {tokens[-1][1]!r}"
+            )
+        tokens.append(_new_token(Token, ("newline", "\n", number)))
     return tokens
 
 
@@ -157,179 +182,180 @@ class _DeliverStatement:
 Statement = Union[_OperatorStatement, _DeliverStatement]
 
 
+#: The clauses a ``deliver`` statement may carry after its role.
+_DELIVER_CLAUSES = frozenset({"using", "as", "named"})
+
+
+def _expected(wanted: str, token: Token) -> SpecificationError:
+    return SpecificationError(
+        f"line {token[2]}: expected {wanted!r}, got {token[1]!r}"
+    )
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
+    """The statements of :func:`tokenize`'s tokens, walked by index.
+
+    A statement ends at its line's ``newline`` token, and every rule
+    that meets that token early fails on it, so no rule reads past the
+    last token; a token list that does not end in one fails as
+    ``unexpected end of specification``.
+    """
+
+    def __init__(self, tokens: Sequence[Token]) -> None:
         self._tokens = tokens
-        self._index = 0
-
-    def _peek(self) -> Optional[Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def _next(self) -> Token:
-        token = self._peek()
-        if token is None:
-            raise SpecificationError("unexpected end of specification")
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, value: Optional[str] = None) -> Token:
-        token = self._next()
-        if token.kind != kind or (value is not None and token.value != value):
-            wanted = value if value is not None else kind
-            raise SpecificationError(
-                f"line {token.line}: expected {wanted!r}, got {token.value!r}"
-            )
-        return token
-
-    def _skip_newlines(self) -> None:
-        while (token := self._peek()) is not None and token.kind == "newline":
-            self._index += 1
 
     def parse(self) -> List[Statement]:
+        tokens = self._tokens
         statements: List[Statement] = []
-        self._skip_newlines()
-        while self._peek() is not None:
-            token = self._peek()
-            assert token is not None
-            if token.kind == "identifier" and token.value == "deliver":
-                statements.append(self._parse_deliver())
-            elif token.kind == "identifier":
-                statements.append(self._parse_operator())
-            else:
-                raise SpecificationError(
-                    f"line {token.line}: unexpected {token.value!r}"
-                )
-            self._skip_newlines()
+        index = 0
+        try:
+            while index < len(tokens):
+                kind, value, line = tokens[index]
+                if kind == "newline":
+                    index += 1
+                    continue
+                if kind != "identifier":
+                    raise SpecificationError(f"line {line}: unexpected {value!r}")
+                statement: Statement
+                if value == "deliver":
+                    statement, index = self._deliver(index + 1, line)
+                else:
+                    statement, index = self._operator(index + 1, value, line)
+                statements.append(statement)
+        except IndexError:
+            raise SpecificationError("unexpected end of specification") from None
         return statements
 
     # -- name = Family[params](inputs) -----------------------------------------
 
-    def _parse_operator(self) -> _OperatorStatement:
-        name_token = self._expect("identifier")
-        self._expect("symbol", "=")
-        family_token = self._expect("identifier")
-        parameters = self._parse_parameters()
-        inputs = self._parse_inputs()
-        self._expect("newline")
-        return _OperatorStatement(
-            name=name_token.value,
-            family=family_token.value,
-            parameters=parameters,
-            inputs=inputs,
-            line=name_token.line,
-        )
-
-    def _parse_parameters(self) -> List[Any]:
-        self._expect("symbol", "[")
+    def _operator(
+        self, index: int, name: str, line: int
+    ) -> Tuple[_OperatorStatement, int]:
+        tokens = self._tokens
+        token = tokens[index]
+        if token[0] != "symbol" or token[1] != "=":
+            raise _expected("=", token)
+        family = tokens[index + 1]
+        if family[0] != "identifier":
+            raise _expected("identifier", family)
+        token = tokens[index + 2]
+        if token[0] != "symbol" or token[1] != "[":
+            raise _expected("[", token)
+        index += 3
         parameters: List[Any] = []
         while True:
-            token = self._peek()
-            if token is None:
-                raise SpecificationError("unterminated parameter list")
-            if token.kind == "symbol" and token.value == "]":
-                self._next()
-                return parameters
-            parameters.append(self._parse_parameter_value())
-            token = self._peek()
-            if token is not None and token.kind == "symbol" and token.value == ",":
-                self._next()
-
-    def _parse_parameter_value(self) -> Any:
-        token = self._next()
-        if token.kind == "symbol" and token.value == "*":
-            return None
-        if token.kind == "symbol" and token.value == "{":
-            return self._parse_state_set()
-        if token.kind == "number":
-            return int(token.value)
-        if token.kind in ("identifier", "string", "comparison"):
-            return token.value
-        raise SpecificationError(
-            f"line {token.line}: invalid parameter {token.value!r}"
-        )
-
-    def _parse_state_set(self) -> frozenset:
-        values = []
-        while True:
-            token = self._next()
-            if token.kind == "symbol" and token.value == "}":
-                return frozenset(values)
-            if token.kind == "symbol" and token.value == ",":
-                continue
-            if token.kind == "identifier":
-                values.append(token.value)
-                continue
-            raise SpecificationError(
-                f"line {token.line}: invalid state set element {token.value!r}"
-            )
-
-    def _parse_inputs(self) -> List[str]:
-        self._expect("symbol", "(")
+            kind, value, at = tokens[index]
+            index += 1
+            if kind == "symbol":
+                if value == "]":
+                    break
+                if value == "*":
+                    parameters.append(None)
+                elif value == "{":
+                    states, index = self._state_set(index)
+                    parameters.append(states)
+                else:
+                    raise SpecificationError(
+                        f"line {at}: invalid parameter {value!r}"
+                    )
+            elif kind == "number":
+                parameters.append(int(value))
+            elif kind == "newline":
+                raise SpecificationError(f"line {at}: invalid parameter {value!r}")
+            else:
+                parameters.append(value)
+            kind, value, at = tokens[index]
+            if kind == "symbol" and value == ",":
+                index += 1
+        token = tokens[index]
+        if token[0] != "symbol" or token[1] != "(":
+            raise _expected("(", token)
+        index += 1
         inputs: List[str] = []
         while True:
-            token = self._next()
-            if token.kind == "symbol" and token.value == ")":
-                return inputs
-            if token.kind == "symbol" and token.value == ",":
-                continue
-            if token.kind == "identifier":
-                inputs.append(token.value)
-                continue
-            raise SpecificationError(
-                f"line {token.line}: invalid input {token.value!r}"
-            )
+            kind, value, at = tokens[index]
+            index += 1
+            if kind == "identifier":
+                inputs.append(value)
+            elif kind != "symbol" or value not in ",)":
+                raise SpecificationError(f"line {at}: invalid input {value!r}")
+            elif value == ")":
+                break
+        token = tokens[index]
+        if token[0] != "newline":
+            raise _expected("newline", token)
+        statement = _OperatorStatement(name, family[1], parameters, inputs, line)
+        return statement, index + 1
+
+    def _state_set(self, index: int) -> Tuple[FrozenSet[str], int]:
+        tokens = self._tokens
+        values: List[str] = []
+        while True:
+            kind, value, at = tokens[index]
+            index += 1
+            if kind == "identifier":
+                values.append(value)
+            elif kind != "symbol" or value not in ",}":
+                raise SpecificationError(
+                    f"line {at}: invalid state set element {value!r}"
+                )
+            elif value == "}":
+                return frozenset(values), index
 
     # -- deliver ... -------------------------------------------------------------
 
-    def _parse_deliver(self) -> _DeliverStatement:
-        keyword = self._expect("identifier")  # 'deliver'
-        node = self._expect("identifier").value
-        self._expect_keyword("to")
-        role = self._parse_role()
+    def _deliver(self, index: int, line: int) -> Tuple[_DeliverStatement, int]:
+        tokens = self._tokens
+        node = tokens[index]
+        if node[0] != "identifier":
+            raise _expected("identifier", node)
+        token = tokens[index + 1]
+        if token[0] != "identifier":
+            raise _expected("identifier", token)
+        if token[1] != "to":
+            raise _expected("to", token)
+        token = tokens[index + 2]
+        if token[0] != "identifier":
+            raise _expected("identifier", token)
+        index += 3
+        role = token[1]
+        if "." in role:
+            context_name, __, role_name = role.partition(".")
+            if not context_name or not role_name:
+                raise SpecificationError(
+                    f"line {token[2]}: malformed role {role!r}"
+                )
+            delivery_role = RoleRef(role_name, context_name)
+        else:
+            delivery_role = RoleRef(role)
         assignment = "identity"
         description = ""
         schema_name: Optional[str] = None
-        while (token := self._peek()) is not None and token.kind != "newline":
-            word = self._expect("identifier").value
-            if word == "using":
-                assignment = self._expect("identifier").value
-            elif word == "as":
-                description = self._expect("string").value
-            elif word == "named":
-                schema_name = self._expect("identifier").value
+        while True:
+            word = tokens[index]
+            if word[0] == "newline":
+                break
+            if word[0] != "identifier":
+                raise _expected("identifier", word)
+            argument = tokens[index + 1]
+            wanted = "string" if word[1] == "as" else "identifier"
+            if word[1] not in _DELIVER_CLAUSES:
+                raise SpecificationError(
+                    f"line {word[2]}: unexpected {word[1]!r} in deliver"
+                )
+            if argument[0] != wanted:
+                raise _expected(wanted, argument)
+            if word[1] == "using":
+                assignment = argument[1]
+            elif word[1] == "as":
+                description = argument[1]
             else:
-                raise SpecificationError(
-                    f"line {token.line}: unexpected {word!r} in deliver"
-                )
-        self._expect("newline")
-        return _DeliverStatement(
-            node=node,
-            role=role,
-            assignment=assignment,
-            description=description,
-            schema_name=schema_name,
-            line=keyword.line,
+                schema_name = argument[1]
+            index += 2
+        statement = _DeliverStatement(
+            node[1], delivery_role, assignment, description, schema_name, line
         )
-
-    def _expect_keyword(self, word: str) -> None:
-        token = self._expect("identifier")
-        if token.value != word:
-            raise SpecificationError(
-                f"line {token.line}: expected {word!r}, got {token.value!r}"
-            )
-
-    def _parse_role(self) -> RoleRef:
-        token = self._expect("identifier")
-        if "." in token.value:
-            context_name, __, role_name = token.value.partition(".")
-            if not context_name or not role_name:
-                raise SpecificationError(
-                    f"line {token.line}: malformed role {token.value!r}"
-                )
-            return RoleRef(role_name, context_name)
-        return RoleRef(token.value)
+        return statement, index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +365,7 @@ class _Parser:
 
 def _build_operator(
     window: SpecificationWindow, statement: _OperatorStatement
-):
+) -> EventOperator:
     """Translate the parameter conventions per family and place the op."""
     family = statement.family
     params = statement.parameters
@@ -442,7 +468,9 @@ def _build_operator(
             instance_name=statement.name,
         )
         # Stash the textual form so window_to_dsl can decompile it.
-        operator._dsl_rendering = f"{family}[{params[0]}, {threshold}]"
+        operator._dsl_rendering = (  # type: ignore[attr-defined]
+            f"{family}[{params[0]}, {threshold}]"
+        )
         return operator
     if family == "Compare2":
         if len(params) != 1 or params[0] not in NAMED_BOOL_FUNCS_2:
@@ -519,7 +547,7 @@ def compile_specification(
 # ---------------------------------------------------------------------------
 
 
-def _render_state_set(states) -> str:
+def _render_state_set(states: Optional[FrozenSet[str]]) -> str:
     if states is None:
         return "*"
     return "{" + ", ".join(sorted(states)) + "}"
@@ -536,7 +564,7 @@ def _render_system_param(value: str) -> str:
     return f'"{value}"'
 
 
-def _render_operator(operator, window: SpecificationWindow) -> str:
+def _render_operator(operator: EventOperator, window: SpecificationWindow) -> str:
     """Render one operator statement in the paper's bracket notation."""
     from .operators.compare import NAMED_BOOL_FUNCS_2
     from .operators.count import Count
@@ -612,7 +640,7 @@ def window_to_dsl(window: SpecificationWindow) -> str:
     from .operators.output import Output
 
     graph = window.graph
-    source_names = {}
+    source_names: Dict[int, str] = {}
     for name in ("ActivityEvent", "ContextEvent"):
         try:
             source_names[id(window.source(name))] = name
@@ -634,7 +662,7 @@ def window_to_dsl(window: SpecificationWindow) -> str:
     pending = [
         op for op in graph.operators() if not isinstance(op, Output)
     ]
-    used_names = set()
+    used_names: Set[str] = set()
     while pending:
         ready = [
             operator
@@ -680,8 +708,8 @@ def window_to_dsl(window: SpecificationWindow) -> str:
         line = f"deliver {source_name} to {schema.delivery_role}"
         if schema.assignment_name != "identity":
             line += f" using {schema.assignment_name}"
-        if root.user_description:
-            line += f' as "{root.user_description}"'
+        if schema.output.user_description:
+            line += f' as "{schema.output.user_description}"'
         line += f" named {schema.name}"
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -224,6 +224,21 @@ class EventOperator:
             self._entries = hop_entries(self, self._emit)
         return self._entries[slot]
 
+    def unlink(self) -> None:
+        """Drop what linking built: the entries, ``emit``, the segment and
+        the fan-out.  Each of them refers back to this operator, so the
+        plan cache unlinks a node it frees, and the node is then freed by
+        reference counting alone.  A later :meth:`step` links it afresh."""
+        for entry in self._entries:
+            # A column entry hangs on the hop entry its instrumented
+            # branch calls back into.
+            vars(entry).pop("by_column", None)
+        self._entries = ()
+        self._emit = None
+        self._segment = ()
+        self._consumers = []
+        self._fanout = []
+
     def consume(self, slot: int, event: Event) -> List[Event]:
         """Feed *event* into input *slot*; returns (and forwards) outputs."""
         return self.consume_batch(slot, (event,))

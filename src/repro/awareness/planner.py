@@ -312,9 +312,16 @@ class PlanCache:
         dying node's own consumer registrations on still-live upstream
         nodes are removed before those upstreams are considered; then the
         segments around every node that lost a consumer are relinked.
+        The window's Output roots and every freed node are unlinked, and
+        the plan drops its links, the deploying consumer's among them:
+        what the deploy built is then freed by reference counting, with
+        nothing left for the cyclic collector.
         """
         touched = [source for source, __ in plan.output_links]
         unwire(plan.output_links)
+        plan.output_links = []
+        for schema in plan.window.schemas():
+            schema.description.root.unlink()
         for entry in reversed(plan.entries):
             entry.refcount -= 1
             if entry.refcount == 0:
@@ -322,6 +329,8 @@ class PlanCache:
                 del self._entries[id(entry.operator)]
                 touched += [source for source, __ in entry.links]
                 unwire(entry.links)
+                entry.links = []
+                entry.operator.unlink()
         if plan in self._plans:
             self._plans.remove(plan)
         self._relink(touched)

@@ -144,18 +144,21 @@ class SpecificationWindow:
         return self.graph.operators()
 
     def validate(self) -> None:
-        """Validate every schema; unrooted placed operators are an error.
+        """Check the window as a whole: it defines a schema, and every
+        placed operator is rooted by one.
 
         The GUI would show a dangling box; programmatically we reject the
-        window so a half-edited specification cannot be deployed.
+        window so a half-edited specification cannot be deployed.  Each
+        schema was validated when :meth:`output` registered it, the only
+        way one is registered, and stays valid: the graph only grows,
+        and a wired slot takes no second edge, so no edge can reach the
+        sub-DAG a validated description spans.
         """
         if not self._schemas:
             raise SpecificationError(
                 f"window for {self.process_schema_id!r} defines no "
                 f"awareness schemas"
             )
-        for schema in self._schemas.values():
-            schema.validate()
         rooted = set()
         for schema in self._schemas.values():
             seen, __, ___ = self.graph.reachable_subgraph(schema.description.root)

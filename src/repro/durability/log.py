@@ -194,11 +194,30 @@ def replace_durably(path: str, suffix: str, chunks: Iterable[bytes]) -> None:
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(replacement, path)
-    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    _sync_directory(os.path.dirname(path))
+
+
+def _sync_directory(path: str) -> None:
+    """fsync the directory *path* (``""`` is the current one), so the
+    entries created or renamed in it survive a machine crash."""
+    directory = os.open(path or ".", os.O_RDONLY)
     try:
         os.fsync(directory)
     finally:
         os.close(directory)
+
+
+def _make_parents(path: str) -> List[str]:
+    """Create the missing directories above *path*; returns every
+    directory whose entries that leaves unsynced: *path*'s own, and the
+    parent of each directory created."""
+    directory = os.path.dirname(path)
+    unsynced = [directory]
+    while directory and not os.path.isdir(directory):
+        directory = os.path.dirname(directory)
+        unsynced.append(directory)
+    os.makedirs(unsynced[0] or ".", exist_ok=True)
+    return unsynced
 
 
 def _write_journal(path: str, records: List[bytes]) -> None:
@@ -278,7 +297,13 @@ class FrameLog:
         #: shifts it forward; indices handed out stay stable).
         self.base = 0
         file_frames = 0
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        #: The directories whose entries this log created — the file's
+        #: and the missing directories above it — synced once, by the
+        #: first :meth:`sync` that forces a frame to disk: until then a
+        #: machine crash may lose the whole file with its entry.
+        created = not os.path.exists(path)
+        self._unsynced_directories = _make_parents(path) if created else []
+        fresh = created or os.path.getsize(path) == 0
         if not fresh:
             # Whatever the previous writer left — a clean file, a torn
             # tail, stream-interned frames — is read once and written
@@ -347,6 +372,8 @@ class FrameLog:
         if self._unsynced:
             os.fsync(self._stream.fileno())
             self._unsynced = 0
+            while self._unsynced_directories:
+                _sync_directory(self._unsynced_directories.pop(0))
 
     # -- reading / maintenance --------------------------------------------
 

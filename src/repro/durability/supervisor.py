@@ -57,10 +57,10 @@ SNAPSHOT_FILENAME = "snapshot.json"
 
 
 def shard_directory(root: str, shard_id: int) -> str:
-    """The (created) durable state directory of one shard."""
-    path = os.path.join(root, f"shard-{shard_id}")
-    os.makedirs(path, exist_ok=True)
-    return path
+    """The durable state directory of one shard.  Its journal creates
+    it, and makes its entry durable with the journal's first synced
+    frame (:class:`~repro.durability.log.FrameLog`)."""
+    return os.path.join(root, f"shard-{shard_id}")
 
 
 class SupervisedShard(ProcessShard):

@@ -589,12 +589,23 @@ class TestDeployCallBudget:
     ``Compare2`` window of :class:`TestCompare2CallBudget` 564, while
     every slot was linked as a kernel plus a step wrapper and a segment
     had a door and a link variant; with one generated entry per slot
-    and one segment variant they take 506 and 544.
+    and one segment variant they took 506 and 544.  Scanned by one
+    compiled pattern per line into tuple tokens, parsed by index, and
+    with each schema validated once (when the window registers it),
+    they take 265 and 290.
+
+    Counted with the collector off too: the objects a deploy and its
+    undeploy leave for the cyclic collector (199 and 235, and 1 482 for
+    the stream's 8-window specification, while the recursive acyclicity
+    check was a closure cycle and a freed node kept its entries, its
+    ``emit`` and its segment, each of which refers back to it), now 0;
+    and how often a deploy validates a description (twice per schema,
+    now once).
     """
 
     #: The measured counts; a change that adds calls to a deploy must
     #: say why here.
-    BUDGETS = {"compare1": 506, "compare2": 544}
+    BUDGETS = {"compare1": 265, "compare2": 290}
 
     SPECS = {
         "compare1": (
@@ -631,8 +642,74 @@ class TestDeployCallBudget:
 
     #: :func:`python_calls` of ``ShardHost.apply_blueprint`` with the
     #: 16-force stream blueprint (one window a force), measured as the
-    #: column entries came in: a worker's boot does no more work for them.
-    APPLY = 8289
+    #: column entries came in (8 289): a worker's boot does no more work
+    #: for them.  With the deploy path above: 4 433.
+    APPLY = 4433
+
+    def deploy_case(self, spec):
+        """``(process schema, text, events)`` of *spec*: one of
+        :attr:`SPECS`, or ``stream``, the 8-window specification of the
+        ``inproc_stream`` workload; the events reach its windows."""
+        from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+        if spec == "stream":
+            workload = ShardStreamWorkload(
+                ShardStreamConfig(forces=1, windows_per_force=8, events_per_force=12)
+            )
+            process = workload.config.process_schema_id
+            return process, workload.specification_text(0), workload.events()
+        scratch, events = TestCompare2CallBudget().host_and_events(fires=True)
+        scratch.close()
+        return "P-X", self.SPECS[spec], events[:2]
+
+    def warm_host(self, spec):
+        """A host on which *spec*, deployed, run and undeployed once,
+        has compiled its segment shapes, as an earlier window of those
+        shapes in the process would have; and the spec."""
+        from repro.parallel import ShardSpec
+        from repro.parallel.host import ShardHost
+
+        process, text, events = self.deploy_case(spec)
+        host = ShardHost(0, 1)
+        host.deploy_spec(ShardSpec("warm", process, text))
+        host.ingest(events)
+        host.undeploy_spec("warm")
+        return host, ShardSpec("spec", process, text)
+
+    @pytest.mark.parametrize("spec", ["compare1", "compare2", "stream"])
+    def test_a_deploy_and_its_undeploy_leave_no_cyclic_garbage(self, spec):
+        import gc
+
+        host, shard_spec = self.warm_host(spec)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            host.deploy_spec(shard_spec)
+            host.undeploy_spec(shard_spec.spec_id)
+            garbage = gc.collect()
+        finally:
+            if collecting:
+                gc.enable()
+        host.close()
+        assert garbage == 0
+
+    @pytest.mark.parametrize("spec, schemas", [("compare2", 1), ("stream", 8)])
+    def test_a_deploy_validates_each_schema_once(self, spec, schemas, monkeypatch):
+        from repro.awareness.description import AwarenessDescription
+
+        host, shard_spec = self.warm_host(spec)
+        validated = []
+        validate = AwarenessDescription.validate
+
+        def counting(description):
+            validated.append(description.root.instance_name)
+            validate(description)
+
+        monkeypatch.setattr(AwarenessDescription, "validate", counting)
+        host.deploy_spec(shard_spec)
+        host.close()
+        assert len(validated) == len(set(validated)) == schemas
 
     @staticmethod
     def stream_blueprint():

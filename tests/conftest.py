@@ -25,8 +25,9 @@ from repro.workloads.taskforce import TaskForceApplication
 # door's differential against the Event-list door, the wave-routing
 # properties (column routing and chunked ingest against per-event
 # references), the linked-plan, plan-sharing and Translate / external filter
-# differentials, the registry snapshot's codec trip and the persisted
-# notification round trip.
+# differentials, the DSL front end's differential against the
+# scan-and-walk front end it replaced, the registry snapshot's codec
+# trip and the persisted notification round trip.
 settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None
 )

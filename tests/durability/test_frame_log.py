@@ -88,12 +88,20 @@ class TestAppendAndScan:
             assert decoded(log.tail(0)) == frames_for(6)
 
 
+def file_fsync(calls, fd):
+    """Count an fsync of a file, not of a directory: a new journal's
+    first sync also makes its directory entry durable, once
+    (:class:`TestNewJournalDirectory`)."""
+    if not stat.S_ISDIR(os.fstat(fd).st_mode):
+        calls.append(fd)
+
+
 class TestFsyncBatching:
     def test_fsync_runs_once_per_batch(self, tmp_path, monkeypatch):
         calls = []
         real_fsync = os.fsync
         monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))
+            os, "fsync", lambda fd: (file_fsync(calls, fd), real_fsync(fd))
         )
         with FrameLog(str(tmp_path / "journal.log"), fsync_every=4) as log:
             for frame in frames_for(7):
@@ -108,7 +116,7 @@ class TestFsyncBatching:
         calls = []
         real_fsync = os.fsync
         monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))
+            os, "fsync", lambda fd: (file_fsync(calls, fd), real_fsync(fd))
         )
         log = FrameLog(str(tmp_path / "journal.log"), fsync_every=0)
         for frame in frames_for(10):
@@ -350,3 +358,70 @@ class TestDurableRename:
             log.compact(2)
             assert calls[-3:] == ["fsync-file", "replace", "fsync-dir"]
             assert calls.count("replace") == 1
+
+
+class TestNewJournalDirectory:
+    """A journal a ``FrameLog`` creates is durable once a frame is: the
+    first ``sync()`` that forces a frame to disk also fsyncs the file's
+    directory and every directory the log had to create, once.  Until
+    then a machine crash may drop the file with its directory entry,
+    acknowledged frames and all."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """``(kind, inode)`` of every fsync, in order."""
+        seen = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            status = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(status.st_mode) else "file"
+            seen.append((kind, status.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return seen
+
+    def test_the_first_sync_makes_the_created_path_durable(self, tmp_path, synced):
+        root = tmp_path / "state"
+        path = root / "shard-0" / JOURNAL_FILENAME
+        with FrameLog(str(path), fsync_every=2) as log:
+            assert synced == []  # opening pays nothing
+            log.append(frames_for(1)[0])
+            assert synced == []
+            log.append(frames_for(2)[0])
+            inode = lambda p: os.stat(p).st_ino  # noqa: E731
+            assert synced == [
+                ("file", inode(path)),
+                ("dir", inode(root / "shard-0")),
+                ("dir", inode(root)),
+                ("dir", inode(tmp_path)),
+            ]
+            del synced[:]
+            log.append(frames_for(1)[0])
+            log.sync()
+            assert synced == [("file", inode(path))]
+
+    def test_a_journal_in_an_existing_directory_syncs_that_one(self, tmp_path, synced):
+        with FrameLog(str(tmp_path / JOURNAL_FILENAME), fsync_every=0) as log:
+            log.append(frames_for(1)[0])
+        assert [kind for kind, __ in synced] == ["file", "dir"]
+        assert synced[1][1] == os.stat(tmp_path).st_ino
+
+    def test_a_journal_it_did_not_create_syncs_no_directory(self, tmp_path, synced):
+        path = str(tmp_path / JOURNAL_FILENAME)
+        with FrameLog(path) as log:
+            log.append(frames_for(1)[0])
+        del synced[:]
+        with FrameLog(path, fsync_every=1) as log:
+            del synced[:]  # the reopening rewrite syncs its own rename
+            log.append(frames_for(1)[0])
+        assert [kind for kind, __ in synced] == ["file"]
+
+    def test_a_durable_shard_directory_is_made_by_its_journal(self, tmp_path):
+        from repro.durability.supervisor import shard_directory
+
+        directory = shard_directory(str(tmp_path / "state"), 3)
+        assert not os.path.exists(directory)
+        FrameLog(os.path.join(directory, JOURNAL_FILENAME)).close()
+        assert os.path.isfile(os.path.join(directory, JOURNAL_FILENAME))
